@@ -13,6 +13,22 @@ relation only grows and is kept transitively closed.
 
 Observations: the labelled steps of a terminated run, ordered by the final
 waiting relation, form a pomset (see :class:`dynthreads.posets.Pomset`).
+
+Exploration (:func:`explore`, :func:`run_exhaustive`, ``run(policy=
+"exhaustive")``) builds a partial-order-reduced schedule graph: in a
+configuration where some thread can take a silent step (fork, wait, stop,
+or a beta/proj/case/let reduction), only the first such step in tid order
+is expanded; all enabled steps are expanded only where every one of them
+is labelled.  The reduction keeps every labelled trace and every terminal
+configuration because the chosen step
+  1. is invisible: it carries no action, so it adds nothing to a trace;
+  2. cannot be disabled: no other thread's step changes its state or its
+     waits, so it stays enabled until it fires;
+  3. commutes: with every other thread's step it closes a diamond onto one
+     configuration;
+and the graph is acyclic, so no step is postponed forever.
+:func:`check_confluence` tests conditions 2 and 3 on the full, unreduced
+graph, up to its state budget.
 """
 
 from __future__ import annotations
@@ -297,9 +313,7 @@ def run(
         raise MachineError("run needs a desugared computation")
     if policy == "exhaustive":
         return run_exhaustive(comp, max_states=fuel)
-    if policy == "random" and seed is None:
-        raise MachineError("the random policy requires a seed")
-    rng = random.Random(seed)
+    choose = _scheduler(policy, seed)
     c = Configuration.initial(comp)
     events: list[StepLabel] = []
     trace: list[str] = []
@@ -312,15 +326,21 @@ def run(
                 "non-terminal configuration with no enabled steps: "
                 + ", ".join(tid_str(t) for t, s in c.threads if s != FINISHED)
             )
-        if policy == "lowest-tid":
-            label, c = steps[0]
-        elif policy == "random":
-            label, c = rng.choice(steps)
-        else:
-            raise MachineError(f"unknown policy {policy!r}")
+        label, c = choose(steps)
         events.append(label)
         trace.append(_trace_line(label, c))
     raise FuelExhausted(f"no terminal configuration within {fuel} steps")
+
+
+def _scheduler(policy: str, seed: Optional[int]) -> Callable[[list], tuple]:
+    """The step chooser of a single-schedule policy."""
+    if policy == "lowest-tid":
+        return lambda steps: steps[0]
+    if policy == "random":
+        if seed is None:
+            raise MachineError("the random policy requires a seed")
+        return random.Random(seed).choice
+    raise MachineError(f"unknown policy {policy!r}")
 
 
 def _trace_line(label: StepLabel, after: Configuration) -> str:
@@ -347,8 +367,11 @@ class ExploreResult:
     traces_match_linearizations: bool
 
 
-def _state_graph(comp: Comp, max_states: int):
-    """Build the full schedule graph with configuration dedup."""
+def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
+    """Build the schedule graph with configuration dedup, expanding one
+    silent step per configuration where one is enabled (see the module
+    docstring).  ``reduce=False`` builds the full graph, which tests use as
+    the oracle for the reduced one."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
     c0 = Configuration.initial(comp)
@@ -362,6 +385,10 @@ def _state_graph(comp: Comp, max_states: int):
         if len(steps_of) >= max_states:
             raise FuelExhausted(f"state budget {max_states} exhausted")
         steps = enabled_steps(c)
+        if reduce:
+            silent = next((s for s in steps if s[0].action is None), None)
+            if silent is not None:
+                steps = [silent]
         steps_of[c] = steps
         for label, nxt in steps:
             if nxt not in steps_of and nxt not in first_event:
@@ -384,7 +411,11 @@ def _witness_events(c0, terminal, first_event) -> list[StepLabel]:
 
 
 def run_exhaustive(comp: Comp, max_states: int = 100_000) -> tuple:
-    """One run result per terminal configuration over all schedules."""
+    """One run result per terminal configuration over all schedules.
+
+    The schedules are those of the partial-order-reduced graph, which
+    reaches every terminal configuration of the full one; ``max_states``
+    bounds the reduced graph."""
     c0, steps_of, first_event = _state_graph(comp, max_states)
     results = []
     for terminal in sorted(
@@ -404,6 +435,12 @@ def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
     Reports the distinct labelled traces, one observation per terminal
     configuration, whether all observations are isomorphic, and whether the
     trace set equals the linearizations of the observed pomset.
+
+    Only one silent step is expanded per configuration where one is
+    enabled (see the module docstring); the traces and terminals are those
+    of the full graph, but ``states`` counts the reduced graph and
+    ``max_states`` bounds it.  :func:`check_confluence` walks the full
+    graph.
     """
     c0, steps_of, first_event = _state_graph(comp, max_states)
 
@@ -435,24 +472,35 @@ def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
 
 
 def _label_traces(c0: Configuration, steps_of) -> set[tuple[str, ...]]:
+    """The labelled traces of the maximal paths from ``c0``, folded over the
+    acyclic graph in reverse topological order (depth-first with an
+    explicit stack, so path length is not bounded by the recursion
+    limit)."""
     memo: dict[Configuration, frozenset] = {}
-
-    def go(c: Configuration) -> frozenset:
+    stack = [c0]
+    while stack:
+        c = stack[-1]
         if c in memo:
-            return memo[c]
+            stack.pop()
+            continue
         steps = steps_of[c]
+        pending = [nxt for _, nxt in steps if nxt not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
         if not steps:
-            result = frozenset({()})
+            memo[c] = frozenset({()})
+        elif len(steps) == 1 and steps[0][0].action is None:
+            # a lone silent step adds nothing: share the successor's set
+            memo[c] = memo[steps[0][1]]
         else:
-            acc = set()
-            for label, nxt in steps:
-                for rest in go(nxt):
-                    acc.add(((label.action,) + rest) if label.action else rest)
-            result = frozenset(acc)
-        memo[c] = result
-        return result
-
-    return set(go(c0))
+            memo[c] = frozenset(
+                ((label.action,) + rest) if label.action else rest
+                for label, nxt in steps
+                for rest in memo[nxt]
+            )
+    return set(memo[c0])
 
 
 # --- confluence -----------------------------------------------------------------------
@@ -611,9 +659,7 @@ def run_with_preservation(
     every configuration; returns the result and the number of checks."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
-    if policy == "random" and seed is None:
-        raise MachineError("the random policy requires a seed")
-    rng = random.Random(seed)
+    choose = _scheduler(policy, seed)
     c = Configuration.initial(comp)
     order: tuple = ((),)
     bad = check_config_well_formed(c, result_type, order)
@@ -629,10 +675,7 @@ def run_with_preservation(
                 result = RunResult(c, tuple(events), observation(events, c), tuple(trace))
                 return result, checks
             raise Deadlock("stuck non-terminal configuration")
-        if policy == "lowest-tid":
-            label, c = steps[0]
-        else:
-            label, c = rng.choice(steps)
+        label, c = choose(steps)
         events.append(label)
         trace.append(_trace_line(label, c))
         order = find_extending_order(c, result_type, order)

@@ -20,12 +20,17 @@ from dynthreads.machine import (
     Configuration,
     Deadlock,
     FuelExhausted,
+    MachineError,
     StepLabel,
+    _label_traces,
+    _state_graph,
+    _witness_events,
     check_config_well_formed,
     check_confluence,
     enabled_steps,
     explore,
     find_extending_order,
+    observation,
     run,
     run_result_to_json,
     run_with_preservation,
@@ -245,3 +250,52 @@ def test_run_exhaustive_policy_returns_result_set():
     assert len(results) == 1
     expected = Pomset.of({"a": "s1", "b": "s2"}, set())
     assert results[0].pomset.iso_to(expected) is not None
+
+
+def test_preservation_rejects_unknown_policy():
+    with pytest.raises(MachineError, match="unknown policy 'bogus'"):
+        run_with_preservation(load_core("parallel"), EMPTY, policy="bogus")
+
+
+# programs whose full schedule graph exceeds the oracle budget
+FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE]
+)
+def test_reduced_graph_agrees_with_full_graph(name):
+    comp = load_core(name)
+    graphs = {}
+    for reduce in (False, True):
+        c0, steps_of, first_event = _state_graph(comp, 25_000, reduce=reduce)
+        terminals = {c for c, steps in steps_of.items() if not steps}
+        observations = {
+            t: observation(_witness_events(c0, t, first_event), t) for t in terminals
+        }
+        graphs[reduce] = (len(steps_of), _label_traces(c0, steps_of), observations)
+    full_states, full_traces, full_obs = graphs[False]
+    reduced_states, reduced_traces, reduced_obs = graphs[True]
+    assert reduced_traces == full_traces
+    assert reduced_obs.keys() == full_obs.keys()
+    poms = list(full_obs.values()) + list(reduced_obs.values())
+    assert all(poms[0].iso_to(p) is not None for p in poms[1:])
+    assert reduced_states <= full_states
+
+
+@pytest.mark.parametrize("name", ["nshape", "three_workers", "diamond"])
+def test_explore_reduction_fits_default_budget(name):
+    result = explore(load_core(name))
+    assert result.all_iso and result.traces_match_linearizations
+    assert result.states < 1_000
+
+
+def test_label_traces_handles_deep_chains():
+    depth = 5_000
+    steps_of = {
+        i: [(StepLabel((), f"s{i}" if i % 100 == 0 else None), i + 1)]
+        for i in range(depth)
+    }
+    steps_of[depth] = []
+    expected = tuple(f"s{i}" for i in range(0, depth, 100))
+    assert _label_traces(0, steps_of) == {expected}

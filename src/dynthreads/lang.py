@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 
 class LangError(Exception):
@@ -1120,71 +1120,106 @@ def _parse_type_atom(lx: _Lexer) -> LangType:
 
 
 # --- printing ------------------------------------------------------------------------
+#
+# The printer produces text as a stream of short pieces, left to right, from an
+# explicit stack: joining the stream gives the whole text, a caller that needs
+# only a prefix stops reading early, and deep terms do not recurse.
+
+_VALUE_TYPES = (VarV, TupleV, InjV, LambdaV, TidV, NilV, UnionV, ConstV)
+_COMP_TYPES = (Ret, ProjC, CaseV, ApplyC, LetC, SeqC, CaseC)
+
 
 def print_value(v: Value) -> str:
-    match v:
-        case VarV(name):
-            return name
-        case TupleV(()):
-            return "()"
-        case TupleV(items):
-            return "(" + ", ".join(print_value(i) for i in items) + ")"
-        case InjV(i, inner):
-            return f"inj{i} {_print_value_atom(inner)}"
-        case LambdaV(param, None, body):
-            return f"\\{param}. {print_comp(body)}"
-        case LambdaV(param, annot, body):
-            return f"\\{param}:{print_type(annot)}. {print_comp(body)}"
-        case TidV(path):
-            return "#" + tid_str(path)
-        case NilV():
-            return "nil"
-        case UnionV(left, right):
-            return f"{_print_value_atom(left)} (+) {_print_value_atom(right)}"
-        case ConstV(name, None):
-            return name
-        case ConstV(name, action):
-            return f"{name}[{action}]"
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _print_value_atom(v: Value) -> str:
-    text = print_value(v)
-    if isinstance(v, (LambdaV, UnionV, InjV)):
-        return f"({text})"
-    return text
+    if not isinstance(v, _VALUE_TYPES):
+        raise TypeError(f"not a value: {v!r}")
+    return "".join(print_pieces(v))
 
 
 def print_comp(t: Comp) -> str:
-    match t:
+    if not isinstance(t, _COMP_TYPES):
+        raise TypeError(f"not a computation: {t!r}")
+    return "".join(print_pieces(t))
+
+
+def print_pieces(term: Union[Value, Comp]) -> Iterator[str]:
+    """The text of a value or computation as consecutive pieces; each node
+    is expanded only when the text reaches it."""
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+        else:
+            stack.extend(reversed(_print_parts(item)))
+
+
+def _print_parts(node) -> list:
+    """One node's text: strings and the child nodes between them."""
+    match node:
+        case VarV(name):
+            return [name]
+        case TupleV(items):
+            return ["(", *_print_commas(items), ")"]
+        case InjV(i, inner):
+            return [f"inj{i} ", *_print_atom(inner)]
+        case LambdaV(param, None, body):
+            return [f"\\{param}. ", body]
+        case LambdaV(param, annot, body):
+            return [f"\\{param}:{print_type(annot)}. ", body]
+        case TidV(path):
+            return ["#" + tid_str(path)]
+        case NilV():
+            return ["nil"]
+        case UnionV(left, right):
+            return [*_print_atom(left), " (+) ", *_print_atom(right)]
+        case ConstV(name, None):
+            return [name]
+        case ConstV(name, action):
+            return [f"{name}[{action}]"]
         case Ret(v):
-            return f"ret {print_value(v)}"
+            return ["ret ", v]
         case ProjC(i, v):
-            return f"proj{i} {_print_value_atom(v)}"
+            return [f"proj{i} ", *_print_atom(v)]
         case CaseV(v, branches):
-            return f"case {print_value(v)} of {_print_branches(branches)}"
+            return ["case ", v, " of ", *_print_branches(branches)]
         case CaseC(comp, branches):
-            return f"case {print_comp(comp)} of {_print_branches(branches)}"
+            return ["case ", comp, " of ", *_print_branches(branches)]
         case ApplyC(fn, TupleV(items)) if len(items) != 1:
-            args = ", ".join(print_value(i) for i in items)
-            return f"{_print_value_atom(fn)}({args})"
+            return [*_print_atom(fn), "(", *_print_commas(items), ")"]
         case ApplyC(fn, arg):
-            return f"{_print_value_atom(fn)}({print_value(arg)})"
+            return [*_print_atom(fn), "(", arg, ")"]
         case LetC(var, bound, body):
-            return f"let {var} = {print_comp(bound)} in {print_comp(body)}"
+            return [f"let {var} = ", bound, " in ", body]
         case SeqC(first, second):
-            return f"{print_comp(first)}; {print_comp(second)}"
-    raise TypeError(f"not a computation: {t!r}")
+            return [first, "; ", second]
+    raise TypeError(f"not a value or computation: {node!r}")
 
 
-def _print_branches(branches) -> str:
+def _print_atom(v: Value) -> list:
+    if isinstance(v, (LambdaV, UnionV, InjV)):
+        return ["(", v, ")"]
+    return [v]
+
+
+def _print_commas(items) -> list:
+    parts: list = []
+    for item in items:
+        if parts:
+            parts.append(", ")
+        parts.append(item)
+    return parts
+
+
+def _print_branches(branches) -> list:
     if not branches:
-        return "{}"
-    inner = " | ".join(
-        f"inj{i} {x} => {print_comp(body)}"
-        for i, (x, body) in enumerate(branches, start=1)
-    )
-    return "{ " + inner + " }"
+        return ["{}"]
+    parts: list = ["{ "]
+    for i, (x, body) in enumerate(branches, start=1):
+        if i > 1:
+            parts.append(" | ")
+        parts += [f"inj{i} {x} => ", body]
+    parts.append(" }")
+    return parts
 
 
 def print_program(world: World, t: Comp) -> str:

@@ -11,6 +11,16 @@ directly comparable.
 ``prec`` pairs between finished threads are never garbage-collected; the
 relation only grows and is kept transitively closed.
 
+Closure is incremental.  Adding edges from sources ``S`` into one thread
+``b`` to a closed relation adds exactly ``(S | preds(S)) x ({b} |
+succs(b))``: a path through two of the new edges passes ``b`` twice, and
+cutting the loop leaves a path through one.  Every step's new edges enter
+one thread: the acting thread (``wait``) or the child it forks (which
+inherits the waits of its parent), so a step costs one pass over ``prec``
+instead of a rebuild.  :func:`check_confluence` checks, on every reachable
+step, that new pairs into existing threads end at the acting thread or at
+a thread waiting for it.
+
 Observations: the labelled steps of a terminated run, ordered by the final
 waiting relation, form a pomset (see :class:`dynthreads.posets.Pomset`).
 
@@ -59,6 +69,7 @@ from .lang import (
     check_comp,
     is_core,
     print_comp,
+    print_pieces,
     subst_value,
     tid_str,
     tids_of_value,
@@ -121,13 +132,6 @@ class Configuration:
 
     def is_terminal(self) -> bool:
         return all(state == FINISHED for _, state in self.threads)
-
-    def spawn_count(self, tid: Tid) -> int:
-        depth = len(tid) + 1
-        return sum(1 for p in self.world if len(p) == depth and p[:-1] == tid)
-
-    def waited_by(self, tid: Tid) -> frozenset:
-        return frozenset(b for (b, a) in self.prec if a == tid)
 
 
 @dataclass(frozen=True)
@@ -213,64 +217,96 @@ def _intern(value):
 
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """All global steps: one per runnable thread, in tid order."""
+    return [_apply(c, runnable, _intern) for runnable in _runnable(c)]
+
+
+def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
+    """The threads of ``c`` that can step, in tid order, each with the
+    threads it waits for and its (memoized) local step.
+
+    What each live thread waits for and how many children it has are
+    indexed in one pass over ``prec`` and one over the world."""
+    finished = set()
+    waits: dict = {}
+    for tid, state in c.threads:
+        if state == FINISHED:
+            finished.add(tid)
+        else:
+            waits[tid] = []
+    if not waits:
+        return []
+    for b, a in c.prec:
+        if a in waits:
+            waits[a].append(b)
+    children = dict.fromkeys(waits, 0)
+    for t in c.world:
+        if t and t[:-1] in children:
+            children[t[:-1]] += 1
+
     out = []
     for tid, state in c.threads:
         if state == FINISHED:
             continue
-        waited = c.waited_by(tid)
-        blocked = False
-        for b in waited:
-            if b not in c.world or c.thread_map.get(b) != FINISHED:
-                blocked = True
-                break
-        if blocked:
+        waited = waits[tid]
+        if any(b not in c.world or b not in finished for b in waited):
             continue
-
-        ordinal = c.spawn_count(tid) + 1
+        ordinal = children[tid] + 1
         key = (state, tid, ordinal)
         if key in _LOCAL_MEMO:
             local = _LOCAL_MEMO[key]
         else:
             local = _local_step(state, tid, lambda: tid + (ordinal,))
             _LOCAL_MEMO[key] = local
-        if local is None:
-            continue
-        spawned = tuple(t for t, _ in local.threads)
-        inherited = {(b, t) for b in waited for t in spawned}
-        prec = _intern(_close_with(c.prec, set(local.new_prec) | inherited))
-        threads = dict(c.threads)
-        threads.update(local.threads)
-        world = c.world if len(spawned) == 1 else c.world | frozenset(spawned)
-        new = Configuration(
-            _intern(world),
-            prec,
-            _intern(tuple(sorted(threads.items()))),
-        )
-        out.append((StepLabel(tid, local.action), new))
+        if local is not None:
+            out.append((tid, waited, local))
     return out
 
 
-def _close_with(closed: frozenset, new_edges: set) -> frozenset:
-    """Transitive closure of an already-closed relation plus extra edges."""
-    if not new_edges or new_edges <= closed:
-        return closed
-    succs: dict = {}
-    for a, b in closed:
-        succs.setdefault(a, set()).add(b)
+def _apply(
+    c: Configuration,
+    runnable: tuple[Tid, list, _LocalOut],
+    intern: Callable,
+) -> tuple[StepLabel, Configuration]:
+    """The global step of one runnable thread (an entry of
+    :func:`_runnable`).  Every thread the step spawns inherits what the
+    acting thread waits for; ``intern`` is applied to the new world,
+    waiting relation and threads tuple."""
+    tid, waited, local = runnable
+    inherited = {(b, t) for t, _ in local.threads if t != tid for b in waited}
+    prec = intern(_close_with(c.prec, local.new_prec | inherited))
+    threads = dict(c.threads)
+    threads.update(local.threads)
+    world = (
+        c.world
+        if len(local.threads) == 1
+        else c.world | frozenset(t for t, _ in local.threads)
+    )
+    new = Configuration(
+        intern(world),
+        prec,
+        intern(tuple(sorted(threads.items()))),
+    )
+    return StepLabel(tid, local.action), new
+
+
+def _close_with(closed: frozenset, new_edges: frozenset) -> frozenset:
+    """Transitive closure of an already-closed relation plus extra edges,
+    computed incrementally (see the module docstring): the edges into each
+    target ``b`` from sources ``S`` add ``(S | preds(S)) x ({b} | succs(b))``."""
+    by_target: dict = {}
     for a, b in new_edges:
-        succs.setdefault(a, set()).add(b)
-    total = set()
-    for start, direct in succs.items():
-        seen: set = set()
-        stack = list(direct)
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(succs.get(x, ()))
-        total.update((start, y) for y in seen)
-    return frozenset(total)
+        if (a, b) not in closed:
+            by_target.setdefault(b, set()).add(a)
+    for b, sources in by_target.items():
+        before = set(sources)
+        after = {b}
+        for x, y in closed:
+            if y in sources:
+                before.add(x)
+            if x == b:
+                after.add(y)
+        closed = closed | {(x, y) for x in before for y in after}
+    return closed
 
 
 # --- running ---------------------------------------------------------------------
@@ -313,23 +349,7 @@ def run(
         raise MachineError("run needs a desugared computation")
     if policy == "exhaustive":
         return run_exhaustive(comp, max_states=fuel)
-    choose = _scheduler(policy, seed)
-    c = Configuration.initial(comp)
-    events: list[StepLabel] = []
-    trace: list[str] = []
-    for _ in range(fuel):
-        steps = enabled_steps(c)
-        if not steps:
-            if c.is_terminal():
-                return RunResult(c, tuple(events), observation(events, c), tuple(trace))
-            raise Deadlock(
-                "non-terminal configuration with no enabled steps: "
-                + ", ".join(tid_str(t) for t, s in c.threads if s != FINISHED)
-            )
-        label, c = choose(steps)
-        events.append(label)
-        trace.append(_trace_line(label, c))
-    raise FuelExhausted(f"no terminal configuration within {fuel} steps")
+    return _run_schedule(comp, _scheduler(policy, seed), fuel)
 
 
 def _scheduler(policy: str, seed: Optional[int]) -> Callable[[list], tuple]:
@@ -343,14 +363,67 @@ def _scheduler(policy: str, seed: Optional[int]) -> Callable[[list], tuple]:
     raise MachineError(f"unknown policy {policy!r}")
 
 
-def _trace_line(label: StepLabel, after: Configuration) -> str:
-    state = after.thread(label.acting)
+def _run_schedule(
+    comp: Comp,
+    choose: Callable[[list], tuple],
+    fuel: int,
+    after_step: Optional[Callable[[Configuration, int], None]] = None,
+) -> RunResult:
+    """The scheduler loop of :func:`run` and :func:`run_with_preservation`.
+
+    ``choose`` picks one of the runnable threads, listed in tid order as
+    :func:`enabled_steps` lists their steps, so a seeded random choice
+    follows the same schedule; only the chosen step is built.
+    ``after_step`` sees each new configuration and the number of steps
+    taken so far.  Configurations are not interned: a run visits each one
+    once, and keeping them all would hold every version of ``prec``."""
+    c = Configuration.initial(comp)
+    events: list[StepLabel] = []
+    trace: list[str] = []
+    for _ in range(fuel):
+        runnable = _runnable(c)
+        if not runnable:
+            if c.is_terminal():
+                return RunResult(c, tuple(events), observation(events, c), tuple(trace))
+            raise Deadlock(
+                "non-terminal configuration with no enabled steps: "
+                + ", ".join(tid_str(t) for t, s in c.threads if s != FINISHED)
+            )
+        chosen = choose(runnable)
+        label, c = _apply(c, chosen, _no_intern)
+        events.append(label)
+        # the acting thread comes first among the threads a local step returns
+        trace.append(_trace_line(label, chosen[2].threads[0][1]))
+        if after_step is not None:
+            after_step(c, len(events))
+    raise FuelExhausted(f"no terminal configuration within {fuel} steps")
+
+
+def _no_intern(value):
+    return value
+
+
+_TRACE_WIDTH = 60
+
+
+def _trace_line(label: StepLabel, state: ThreadState) -> str:
+    """One step as text: the acting thread, its action (``·`` when silent)
+    and the start of its new state.
+
+    The state is rendered only up to the cut: pieces of
+    :func:`print_pieces` are read until the text is longer than 60
+    characters, which is then shortened to 57 plus ``...``.  The line is
+    the one a full ``print_comp`` would give, at a cost bounded by the
+    width rather than by the size of the continuation."""
     if state == FINISHED:
         summary = "finished"
     else:
-        summary = print_comp(state)
-        if len(summary) > 60:
-            summary = summary[:57] + "..."
+        summary = ""
+        for piece in print_pieces(state):
+            summary += piece
+            if len(summary) > _TRACE_WIDTH:
+                summary = summary[: _TRACE_WIDTH - 3] + "..."
+                break
     mark = label.action if label.action is not None else "·"
     return f"{tid_str(label.acting)} {mark} -> {summary}"
 
@@ -660,31 +733,21 @@ def run_with_preservation(
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     choose = _scheduler(policy, seed)
-    c = Configuration.initial(comp)
     order: tuple = ((),)
-    bad = check_config_well_formed(c, result_type, order)
+    bad = check_config_well_formed(Configuration.initial(comp), result_type, order)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
-    events: list[StepLabel] = []
-    trace: list[str] = []
-    checks = 1
-    for _ in range(fuel):
-        steps = enabled_steps(c)
-        if not steps:
-            if c.is_terminal():
-                result = RunResult(c, tuple(events), observation(events, c), tuple(trace))
-                return result, checks
-            raise Deadlock("stuck non-terminal configuration")
-        label, c = choose(steps)
-        events.append(label)
-        trace.append(_trace_line(label, c))
+
+    def extend_order(c: Configuration, steps: int) -> None:
+        nonlocal order
         order = find_extending_order(c, result_type, order)
         if order is None:
             raise MachineError(
-                f"no creation order extends the previous one after step {len(events)}"
+                f"no creation order extends the previous one after step {steps}"
             )
-        checks += 1
-    raise FuelExhausted(f"no terminal configuration within {fuel} steps")
+
+    result = _run_schedule(comp, choose, fuel, extend_order)
+    return result, len(result.events) + 1
 
 
 def run_result_to_json(result: RunResult, policy: str, seed: Optional[int]) -> dict:

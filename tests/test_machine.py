@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dynthreads.lang import (
@@ -13,6 +15,8 @@ from dynthreads.lang import (
     TupleV,
     desugar,
     parse_comp,
+    print_comp,
+    tid_str,
     typecheck_comp,
 )
 from dynthreads.machine import (
@@ -35,7 +39,7 @@ from dynthreads.machine import (
     run_result_to_json,
     run_with_preservation,
 )
-from dynthreads.posets import Pomset
+from dynthreads.posets import Pomset, _close_pairs
 
 from corpus import corpus_names, load_core
 
@@ -220,26 +224,35 @@ def test_run_result_json_shape():
     assert labels == ["s1", "s2"]
 
 
-def test_prec_only_grows_and_stays_transitive():
-    for name in ("nshape", "grandchild", "redundant_wait"):
-        comp = load_core(name)
-        from dynthreads.machine import Configuration
+# programs whose full schedule graph exceeds the oracle budget
+FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
 
-        c = Configuration.initial(comp)
-        while True:
-            steps = enabled_steps(c)
-            if not steps:
-                break
-            _, nxt = steps[0]
-            assert c.prec <= nxt.prec
-            pairs = set(nxt.prec)
-            assert all(
-                (a, d) in pairs
-                for (a, b) in pairs
-                for (x, d) in pairs
-                if x == b
-            )
-            c = nxt
+
+def test_prec_only_grows_and_stays_transitive():
+    # every step of the full schedule graph of every corpus program that
+    # fits the oracle budget; the incremental closure must agree with a
+    # closure from scratch, and the new pairs must all follow from those
+    # that end at the acting thread or at a thread the step created
+    for name in corpus_names():
+        if name in FULL_GRAPH_TOO_LARGE:
+            continue
+        _, steps_of, _ = _state_graph(load_core(name), 25_000, reduce=False)
+        seen = set()
+        for c, steps in steps_of.items():
+            for label, nxt in steps:
+                # many steps repeat the same closure problem; check each once
+                problem = (c.prec, nxt.prec, label.acting, c.world)
+                if problem in seen:
+                    continue
+                seen.add(problem)
+                assert c.prec <= nxt.prec, name
+                assert nxt.prec == _close_pairs(nxt.prec), name
+                direct = {
+                    (x, y)
+                    for x, y in nxt.prec - c.prec
+                    if y == label.acting or y not in c.world
+                }
+                assert nxt.prec == _close_pairs(c.prec | direct), name
 
 
 def test_run_exhaustive_policy_returns_result_set():
@@ -255,10 +268,6 @@ def test_run_exhaustive_policy_returns_result_set():
 def test_preservation_rejects_unknown_policy():
     with pytest.raises(MachineError, match="unknown policy 'bogus'"):
         run_with_preservation(load_core("parallel"), EMPTY, policy="bogus")
-
-
-# programs whose full schedule graph exceeds the oracle budget
-FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
 
 
 @pytest.mark.parametrize(
@@ -299,3 +308,64 @@ def test_label_traces_handles_deep_chains():
     steps_of[depth] = []
     expected = tuple(f"s{i}" for i in range(0, depth, 100))
     assert _label_traces(0, steps_of) == {expected}
+
+
+SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
+
+
+def _reference_run(comp, policy, seed):
+    """Events, terminal configuration and trace lines of one schedule, by
+    building every enabled step and printing whole thread states."""
+    choose = (lambda steps: steps[0]) if policy == "lowest-tid" else random.Random(seed).choice
+    c = Configuration.initial(comp)
+    events, trace = [], []
+    while True:
+        steps = enabled_steps(c)
+        if not steps:
+            return tuple(events), c, tuple(trace)
+        label, c = choose(steps)
+        events.append(label)
+        state = c.thread(label.acting)
+        if state == FINISHED:
+            summary = "finished"
+        else:
+            summary = print_comp(state)
+            if len(summary) > 60:
+                summary = summary[:57] + "..."
+        mark = label.action if label.action is not None else "·"
+        trace.append(f"{tid_str(label.acting)} {mark} -> {summary}")
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_runs_agree_with_reference_schedule(name):
+    comp = load_core(name)
+    for policy, seed in SCHEDULES:
+        expected = _reference_run(comp, policy, seed)
+        result = run(comp, policy=policy, seed=seed)
+        preserved, checks = run_with_preservation(comp, EMPTY, policy=policy, seed=seed)
+        for got in (result, preserved):
+            assert (got.events, got.terminal, got.trace) == expected, (policy, seed)
+        assert checks == len(expected[0]) + 1
+
+
+def test_deadlock_names_the_stuck_thread():
+    with pytest.raises(Deadlock, match=r"no enabled steps: 0$"):
+        run(desugar(parse_comp("wait(#0.1); stop()")))
+    # a thread left holding a value is stuck as well; both loops say so alike
+    comp = desugar(parse_comp("ret ()"))
+    for attempt in (lambda: run(comp), lambda: run_with_preservation(comp, UNIT)):
+        with pytest.raises(Deadlock, match=r"no enabled steps: 0$"):
+            attempt()
+
+
+def test_long_print_chain_runs_with_short_trace_lines():
+    n = 150
+    labels = [f"p{k}" for k in range(n)]
+    text = "".join(f"print[{label}](); " for label in labels) + "stop()"
+    result = run(desugar(parse_comp(text)))
+    assert len(result.events) == 1_201
+    pomset = result.pomset
+    assert len(pomset.element_ids) == n
+    by_label = {(pomset.label_map[a], pomset.label_map[b]) for a, b in pomset.order}
+    assert by_label == {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)}
+    assert all(len(line.split(" -> ", 1)[1]) <= 60 for line in result.trace)

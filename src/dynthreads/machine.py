@@ -39,6 +39,12 @@ configuration because the chosen step
 and the graph is acyclic, so no step is postponed forever.
 :func:`check_confluence` tests conditions 2 and 3 on the full, unreduced
 graph, up to its state budget.
+
+Both graphs come from one depth-first walk, :func:`_state_graph`, which
+enforces the state budget: it expands at most that many configurations and
+then stops and reports the graph truncated.  :func:`explore` and
+:func:`run_exhaustive` raise :class:`FuelExhausted` on a truncated graph;
+:func:`check_confluence` checks what was built and reports it truncated.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
+    _node,
     check_comp,
     is_core,
     print_comp,
@@ -97,9 +104,10 @@ FINISHED = "finished"
 ThreadState = Union[Comp, str]
 
 
-@dataclass(frozen=True)
+@_node
 class Configuration:
-    """World, waiting relation, and thread map, all hashable for dedup.
+    """World, waiting relation, and thread map, all hashable for dedup
+    (the hash is cached, as for syntax nodes).
 
     Spawn counters are not stored: threads never leave the world, so the
     next spawn ordinal of ``a`` is one plus the number of direct children
@@ -109,15 +117,6 @@ class Configuration:
     world: frozenset  # frozenset[Tid]
     prec: frozenset  # frozenset[tuple[Tid, Tid]]  (b, a): a waits for b
     threads: tuple  # tuple[tuple[Tid, ThreadState], ...] sorted by tid
-
-    def __hash__(self) -> int:
-        # exploration hashes configurations constantly; walking the thread
-        # syntax trees every time dominates, so cache the hash
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.world, self.prec, self.threads))
-            self.__dict__["_hash"] = h
-        return h
 
     @staticmethod
     def initial(comp: Comp, tid: Tid = ()) -> "Configuration":
@@ -441,10 +440,21 @@ class ExploreResult:
 
 
 def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
-    """Build the schedule graph with configuration dedup, expanding one
-    silent step per configuration where one is enabled (see the module
-    docstring).  ``reduce=False`` builds the full graph, which tests use as
-    the oracle for the reduced one."""
+    """The schedule graph from ``comp``, configurations deduplicated: the
+    one walk behind :func:`explore`, :func:`run_exhaustive` and
+    :func:`check_confluence`.
+
+    Returns ``(c0, steps_of, first_event, truncated)``.  ``steps_of`` maps
+    each expanded configuration to its steps, in the depth-first order of
+    expansion; ``first_event`` maps each reached configuration to the
+    configuration and step that first reached it.  The walk expands at most
+    ``max_states`` configurations and stops there; ``truncated`` says
+    whether it left reached configurations unexpanded.
+
+    By default one silent step is expanded per configuration where one is
+    enabled (see the module docstring); ``reduce=False`` builds the full
+    graph, which :func:`check_confluence` checks and tests use as the oracle
+    for the reduced one."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
     c0 = Configuration.initial(comp)
@@ -456,7 +466,7 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
         if c in steps_of:
             continue
         if len(steps_of) >= max_states:
-            raise FuelExhausted(f"state budget {max_states} exhausted")
+            return c0, steps_of, first_event, True
         steps = enabled_steps(c)
         if reduce:
             silent = next((s for s in steps if s[0].action is None), None)
@@ -467,9 +477,7 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
             if nxt not in steps_of and nxt not in first_event:
                 first_event[nxt] = (c, label)
             frontier.append(nxt)
-        if not steps and not c.is_terminal():
-            raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
-    return c0, steps_of, first_event
+    return c0, steps_of, first_event, False
 
 
 def _witness_events(c0, terminal, first_event) -> list[StepLabel]:
@@ -483,22 +491,34 @@ def _witness_events(c0, terminal, first_event) -> list[StepLabel]:
     return events
 
 
+def _terminal_runs(comp: Comp, max_states: int):
+    """The reduced schedule graph and one run per terminal configuration,
+    sorted by thread map, each along the path that first reached it:
+    ``(c0, steps_of, runs)``.
+
+    Raises :class:`Deadlock` if the walk expanded a stuck configuration,
+    and otherwise :class:`FuelExhausted` if the graph exceeds
+    ``max_states``."""
+    c0, steps_of, first_event, truncated = _state_graph(comp, max_states)
+    ends = [c for c, steps in steps_of.items() if not steps]
+    if not all(c.is_terminal() for c in ends):
+        raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
+    if truncated:
+        raise FuelExhausted(f"state budget {max_states} exhausted")
+    runs = []
+    for terminal in sorted(ends, key=lambda c: c.threads):
+        events = _witness_events(c0, terminal, first_event)
+        runs.append(RunResult(terminal, tuple(events), observation(events, terminal), ()))
+    return c0, steps_of, runs
+
+
 def run_exhaustive(comp: Comp, max_states: int = 100_000) -> tuple:
     """One run result per terminal configuration over all schedules.
 
     The schedules are those of the partial-order-reduced graph, which
     reaches every terminal configuration of the full one; ``max_states``
     bounds the reduced graph."""
-    c0, steps_of, first_event = _state_graph(comp, max_states)
-    results = []
-    for terminal in sorted(
-        (c for c, steps in steps_of.items() if not steps), key=lambda c: c.threads
-    ):
-        events = _witness_events(c0, terminal, first_event)
-        results.append(
-            RunResult(terminal, tuple(events), observation(events, terminal), ())
-        )
-    return tuple(results)
+    return tuple(_terminal_runs(comp, max_states)[2])
 
 
 def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
@@ -515,17 +535,8 @@ def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
     ``max_states`` bounds it.  :func:`check_confluence` walks the full
     graph.
     """
-    c0, steps_of, first_event = _state_graph(comp, max_states)
-
-    terminals = sorted(
-        (c for c, steps in steps_of.items() if not steps), key=lambda c: c.threads
-    )
-
-    observations = [
-        observation(_witness_events(c0, terminal, first_event), terminal)
-        for terminal in terminals
-    ]
-
+    c0, steps_of, runs = _terminal_runs(comp, max_states)
+    observations = [r.pomset for r in runs]
     traces = _label_traces(c0, steps_of)
 
     all_iso = all(
@@ -536,7 +547,7 @@ def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
         linearizations |= pom.linearizations()
     return ExploreResult(
         states=len(steps_of),
-        terminals=tuple(terminals),
+        terminals=tuple(r.terminal for r in runs),
         observations=tuple(observations),
         traces=frozenset(traces),
         all_iso=all_iso,
@@ -587,79 +598,66 @@ class ConfluenceReport:
 
 
 def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
-    """Check, over reachable configurations up to the state budget:
-    per-thread determinacy, the one-step diamond property for distinct
-    threads, and the prec-growth law (a new wait edge into an old thread
-    comes from the acting thread or was already implied).
+    """Check, over the full schedule graph that :func:`_state_graph` builds
+    up to the state budget: per-thread determinacy, the one-step diamond
+    property for distinct threads, and the prec-growth law (a new wait edge
+    into an old thread comes from the acting thread or was already implied).
 
-    Hitting the budget is reported as a truncated (but violation-free)
-    check, not a failure.
+    Configurations are checked in the order the walk expanded them, and a
+    violation reports how many were checked up to it.  The diamonds of the
+    last configurations need the steps of successors past the budget;
+    those are enumerated on demand, once each.  Hitting the budget is
+    reported as a truncated (but violation-free) check, not a failure.
     """
     if not is_core(comp):
         raise MachineError("check_confluence needs a desugared computation")
-    c0 = Configuration.initial(comp)
-    cache: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
+    _, graph, _, truncated = _state_graph(comp, max_states, reduce=False)
+    cache = dict(graph)
 
     def steps_of(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
-        steps = cache.get(c)
-        if steps is None:
-            steps = enabled_steps(c)
-            cache[c] = steps
-        return steps
+        if c not in cache:
+            cache[c] = enabled_steps(c)
+        return cache[c]
 
-    checked: set[Configuration] = set()
-    frontier = [c0]
-    truncated = False
-    while frontier:
-        c = frontier.pop()
-        if c in checked:
-            continue
-        if len(checked) >= max_states:
-            truncated = True
-            break
-        checked.add(c)
-        steps = steps_of(c)
-        frontier.extend(nxt for _, nxt in steps)
+    for checked, (c, steps) in enumerate(graph.items(), start=1):
+        detail = _confluence_violation(c, steps, steps_of)
+        if detail is not None:
+            return ConfluenceReport(False, checked, False, detail)
+    return ConfluenceReport(True, len(graph), truncated, None)
 
-        acting = [label.acting for label, _ in steps]
-        if len(set(acting)) != len(acting):
-            return ConfluenceReport(
-                False, len(checked), truncated,
-                "thread with two distinct steps in one configuration",
-            )
 
-        for label, nxt in steps:
-            a = label.acting
-            for x, y in nxt.prec - c.prec:
-                if y in c.world and not (
-                    (x, y) in c.prec or a == y or (a, y) in c.prec
-                ):
-                    return ConfluenceReport(
-                        False,
-                        len(checked),
-                        truncated,
-                        f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
-                        f"acting thread {tid_str(a)}",
-                    )
+def _confluence_violation(c: Configuration, steps: list, steps_of: Callable) -> Optional[str]:
+    """The first of the checks of :func:`check_confluence` that the steps
+    of ``c`` fail, or ``None``."""
+    acting = [label.acting for label, _ in steps]
+    if len(set(acting)) != len(acting):
+        return "thread with two distinct steps in one configuration"
 
-        for i, (l1, c1) in enumerate(steps):
-            for l2, c2 in steps[i + 1:]:
-                after1 = {lab.acting: (lab, nxt) for lab, nxt in steps_of(c1)}
-                after2 = {lab.acting: (lab, nxt) for lab, nxt in steps_of(c2)}
-                if l2.acting not in after1 or l1.acting not in after2:
-                    return ConfluenceReport(
-                        False, len(checked), truncated,
-                        f"steps of {tid_str(l1.acting)} and {tid_str(l2.acting)} "
-                        "do not commute (one disables the other)",
-                    )
-                lab12, c12 = after1[l2.acting]
-                lab21, c21 = after2[l1.acting]
-                if lab12.action != l2.action or lab21.action != l1.action or c12 != c21:
-                    return ConfluenceReport(
-                        False, len(checked), truncated,
-                        f"no diamond for {tid_str(l1.acting)} / {tid_str(l2.acting)}",
-                    )
-    return ConfluenceReport(True, len(checked), truncated, None)
+    for label, nxt in steps:
+        a = label.acting
+        for x, y in nxt.prec - c.prec:
+            if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
+                return (
+                    f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
+                    f"acting thread {tid_str(a)}"
+                )
+
+    if len(steps) < 2:
+        return None
+    after = [{lab.acting: (lab, nxt) for lab, nxt in steps_of(c1)} for _, c1 in steps]
+    for i, (l1, _) in enumerate(steps):
+        for j in range(i + 1, len(steps)):
+            l2 = steps[j][0]
+            if l2.acting not in after[i] or l1.acting not in after[j]:
+                return (
+                    f"steps of {tid_str(l1.acting)} and {tid_str(l2.acting)} "
+                    "do not commute (one disables the other)"
+                )
+            lab12, c12 = after[i][l2.acting]
+            lab21, c21 = after[j][l1.acting]
+            if lab12.action != l2.action or lab21.action != l1.action or c12 != c21:
+                return f"no diamond for {tid_str(l1.acting)} / {tid_str(l2.acting)}"
+    return None
 
 
 # --- well-formed configurations ----------------------------------------------------

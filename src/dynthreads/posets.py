@@ -132,11 +132,30 @@ class PosetWithHoles:
         refs.add(STAR)
         return frozenset(refs)
 
+    @cached_property
+    def _neighbours(self) -> tuple[dict, dict]:
+        """The elements below and above each element, indexed in one pass
+        over ``order``."""
+        below: dict = {}
+        above: dict = {}
+        for d, f in self.order:
+            below.setdefault(f, set()).add(d)
+            above.setdefault(d, set()).add(f)
+        return (
+            {e: frozenset(s) for e, s in below.items()},
+            {e: frozenset(s) for e, s in above.items()},
+        )
+
+    @cached_property
+    def _signatures(self) -> dict[int, tuple]:
+        """:func:`_vertex_signature` of every vertex."""
+        return {v: _vertex_signature(self, v) for v in self.vertex_ids}
+
     def below(self, e: ElemRef) -> frozenset:
-        return frozenset(d for (d, f) in self.order if f == e)
+        return self._neighbours[0].get(e, frozenset())
 
     def above(self, e: ElemRef) -> frozenset:
-        return frozenset(f for (d, f) in self.order if d == e)
+        return self._neighbours[1].get(e, frozenset())
 
     def validate_refs(self) -> None:
         """Raise :class:`PosetError` on out-of-range or unknown references."""
@@ -349,8 +368,8 @@ def iso_quick_reject(p: PosetWithHoles, q: PosetWithHoles) -> Optional[str]:
     q_fixed = {(d, e) for (d, e) in q.order if not isinstance(d, Vert) and not isinstance(e, Vert)}
     if p_fixed != q_fixed:
         return "order between inputs and star differs"
-    p_sigs = sorted(map(str, (_vertex_signature(p, v) for v in p.vertex_ids)))
-    q_sigs = sorted(map(str, (_vertex_signature(q, v) for v in q.vertex_ids)))
+    p_sigs = sorted(map(str, p._signatures.values()))
+    q_sigs = sorted(map(str, q._signatures.values()))
     if p_sigs != q_sigs:
         return "vertex invariant signatures differ"
     return None
@@ -365,9 +384,14 @@ def iso_check(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
     """
     if iso_quick_reject(p, q) is not None:
         return None
+    return _iso_search(p, q)
 
-    p_sig = {v: _vertex_signature(p, v) for v in p.vertex_ids}
-    q_sig = {v: _vertex_signature(q, v) for v in q.vertex_ids}
+
+def _iso_search(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
+    """The backtracking search of :func:`iso_check`, for a pair that
+    :func:`iso_quick_reject` has passed."""
+    p_sig = p._signatures
+    q_sig = q._signatures
     candidates = {
         v: [w for w in q.vertex_ids if q_sig[w] == p_sig[v]] for v in p.vertex_ids
     }
@@ -377,14 +401,16 @@ def iso_check(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
 
     p_order = p.order
     q_order = q.order
+    p_less, q_less = (
+        {(d.vid, e.vid) for d, e in r.order if isinstance(d, Vert) and isinstance(e, Vert)}
+        for r in (p, q)
+    )
 
     def consistent(v: int, w: int, mapping: dict[int, int]) -> bool:
-        rv, rw = Vert(v), Vert(w)
         for u, x in mapping.items():
-            ru, rx = Vert(u), Vert(x)
-            if ((ru, rv) in p_order) != ((rx, rw) in q_order):
+            if ((u, v) in p_less) != ((x, w) in q_less):
                 return False
-            if ((rv, ru) in p_order) != ((rw, rx) in q_order):
+            if ((v, u) in p_less) != ((w, x) in q_less):
                 return False
         return True
 
@@ -565,10 +591,6 @@ class Bnd:
 
 
 NfRef = Union[In, Bnd]
-
-
-def _nf_ref_key(e: NfRef) -> tuple:
-    return (0, e.index) if isinstance(e, In) else (1, e.index)
 
 
 def _nf_ref_str(e: NfRef) -> str:
@@ -779,7 +801,7 @@ def decide_equal_posets(p1: PosetWithHoles, p2: PosetWithHoles) -> Equality:
     reason = iso_quick_reject(p1, p2)
     if reason is not None:
         return Equality(False, None, reason)
-    witness = iso_check(p1, p2)
+    witness = _iso_search(p1, p2)
     if witness is None:
         return Equality(False, None, "no label/order/visibility-preserving matching exists")
     return Equality(True, witness, None)
@@ -854,54 +876,28 @@ class Pomset:
                 raise PosetError(f"order pair ({a},{b}) mentions unknown elements")
         return Pomset(tuple(sorted(labels.items())), closed)
 
+    @cached_property
+    def _as_poset(self) -> PosetWithHoles:
+        """This pomset as a hole-free poset with 0 inputs, its elements
+        numbered 1, 2, ... in sorted id order (the order of ``labels``)."""
+        vert = {e: Vert(i) for i, (e, _) in enumerate(self.labels, start=1)}
+        return PosetWithHoles(
+            0,
+            tuple((vert[e].vid, label) for e, label in self.labels),
+            (),
+            frozenset((vert[a], vert[b]) for a, b in self.order),
+        )
+
     def iso_to(self, other: "Pomset") -> Optional[dict[str, str]]:
-        if sorted(l for _, l in self.labels) != sorted(l for _, l in other.labels):
+        """A label- and order-preserving bijection onto ``other``, or
+        ``None``: :func:`iso_check` on both pomsets as posets, its vertex
+        witness mapped back to element ids."""
+        witness = iso_check(self._as_poset, other._as_poset)
+        if witness is None:
             return None
-        if len(self.order) != len(other.order):
-            return None
-
-        def sig(p: "Pomset", e: str) -> tuple:
-            below = sorted(p.label_map[d] for (d, f) in p.order if f == e)
-            above = sorted(p.label_map[f] for (d, f) in p.order if d == e)
-            return (p.label_map[e], tuple(below), tuple(above))
-
-        mine = {e: sig(self, e) for e in self.element_ids}
-        theirs = {e: sig(other, e) for e in other.element_ids}
-        candidates = {
-            e: [f for f in other.element_ids if theirs[f] == mine[e]]
-            for e in self.element_ids
+        return {
+            self.labels[v - 1][0]: other.labels[w - 1][0] for v, w in witness.items()
         }
-        if any(not c for c in candidates.values()):
-            return None
-        todo = sorted(candidates, key=lambda e: (len(candidates[e]), e))
-        mapping: dict[str, str] = {}
-        used: set[str] = set()
-
-        def ok(e: str, f: str) -> bool:
-            for d, g in mapping.items():
-                if ((d, e) in self.order) != ((g, f) in other.order):
-                    return False
-                if ((e, d) in self.order) != ((f, g) in other.order):
-                    return False
-            return True
-
-        def search(k: int) -> bool:
-            if k == len(todo):
-                image = {(mapping[a], mapping[b]) for (a, b) in self.order}
-                return image == set(other.order)
-            e = todo[k]
-            for f in candidates[e]:
-                if f in used or not ok(e, f):
-                    continue
-                mapping[e] = f
-                used.add(f)
-                if search(k + 1):
-                    return True
-                del mapping[e]
-                used.discard(f)
-            return False
-
-        return dict(mapping) if search(0) else None
 
     def linearizations(self) -> set[tuple[str, ...]]:
         """All label sequences compatible with the order."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,34 @@ def test_run_exhaustive_reports_two_schedules(capsys):
     assert "observations pairwise isomorphic: yes" in out
     # the observation itself is discrete: no order lines between events
     assert " < " not in out.split("pomset:")[1]
+
+
+def test_explore_text_and_json(capsys):
+    path = str(PROGRAMS_DIR / "ex21_no_wait.prog")
+    assert main(["explore", path, "--fuel", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("states: 31\nschedules: 2\n  s1 s2\n  s2 s1\n")
+    assert "\nconfluence: ok\n" in out
+    assert main(["explore", path, "--fuel", "10000", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["states"] == 31
+    assert data["schedules"] == [["s1", "s2"], ["s2", "s1"]]
+    assert data["confluence"] == {
+        "ok": True, "states": 444, "truncated": False, "detail": None,
+    }
+
+
+def test_explore_reports_truncated_confluence(capsys):
+    # the full graph of diamond exceeds 10,000 states: the check is
+    # reported truncated, and explore still exits 0
+    path = str(PROGRAMS_DIR / "diamond.prog")
+    assert main(["explore", path, "--fuel", "10000"]) == 0
+    assert "\nconfluence: ok (truncated)\n" in capsys.readouterr().out
+    assert main(["explore", path, "--fuel", "10000", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["confluence"] == {
+        "ok": True, "states": 10_000, "truncated": True, "detail": None,
+    }
 
 
 def test_run_trace_text(capsys):

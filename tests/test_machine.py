@@ -36,6 +36,7 @@ from dynthreads.machine import (
     find_extending_order,
     observation,
     run,
+    run_exhaustive,
     run_result_to_json,
     run_with_preservation,
 )
@@ -172,6 +173,48 @@ def test_confluence_vacuous_for_sequential_program():
     assert report.ok and report.states == 2
 
 
+def _full_graph_size(comp) -> int:
+    """States reachable over all schedules, by a plain search over
+    ``enabled_steps``."""
+    start = Configuration.initial(comp)
+    seen, todo = {start}, [start]
+    while todo:
+        for _, nxt in enabled_steps(todo.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", ["series", "chain3", "ex21_wait_first", "parallel"])
+def test_confluence_budget_counts_states(name):
+    comp = load_core(name)
+    full = _full_graph_size(comp)
+    for k in (1, full // 2, full - 1, full, full + 1, 2 * full):
+        report = check_confluence(comp, k)
+        assert report.ok, (k, report.detail)
+        assert report.states == min(k, full), k
+        assert report.truncated == (full > k), k
+
+
+def test_exploration_budget_fails_loudly():
+    comp = load_core("parallel")
+    needed = explore(comp).states
+    for fn in (explore, run_exhaustive):
+        with pytest.raises(FuelExhausted, match=rf"^state budget {needed - 1} exhausted$"):
+            fn(comp, needed - 1)
+        fn(comp, needed)
+
+
+def test_exploration_reports_deadlock_before_budget():
+    comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
+    for fn in (explore, run_exhaustive):
+        with pytest.raises(Deadlock, match="deadlocked configuration"):
+            fn(comp, 100)
+        with pytest.raises(FuelExhausted, match="state budget 2 exhausted"):
+            fn(comp, 2)
+
+
 def test_preservation_along_runs():
     for name in ("ex21_wait_first", "nshape", "parallel", "grandchild"):
         comp = load_core(name)
@@ -236,7 +279,8 @@ def test_prec_only_grows_and_stays_transitive():
     for name in corpus_names():
         if name in FULL_GRAPH_TOO_LARGE:
             continue
-        _, steps_of, _ = _state_graph(load_core(name), 25_000, reduce=False)
+        _, steps_of, _, truncated = _state_graph(load_core(name), 25_000, reduce=False)
+        assert not truncated, name
         seen = set()
         for c, steps in steps_of.items():
             for label, nxt in steps:
@@ -277,7 +321,8 @@ def test_reduced_graph_agrees_with_full_graph(name):
     comp = load_core(name)
     graphs = {}
     for reduce in (False, True):
-        c0, steps_of, first_event = _state_graph(comp, 25_000, reduce=reduce)
+        c0, steps_of, first_event, truncated = _state_graph(comp, 25_000, reduce=reduce)
+        assert not truncated
         terminals = {c for c, steps in steps_of.items() if not steps}
         observations = {
             t: observation(_witness_events(c0, t, first_event), t) for t in terminals

@@ -1,8 +1,9 @@
 """Dual-route checks for the isomorphism matcher and reification.
 
 The backtracking matcher is cross-checked against a brute-force search over
-all vertex bijections; reification is cross-checked against every admissible
-reordering of independent children.
+all vertex bijections, directly and through pomset isomorphism; reification
+is cross-checked against every admissible reordering of independent
+children.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dynthreads.posets import (
     NfChild,
     NfVarApp,
     NormalForm,
+    Pomset,
     PosetWithHoles,
     Vert,
     decide_equal,
@@ -115,6 +117,66 @@ def test_iso_check_agrees_with_brute_force_on_random_pairs():
         agree_positive += fast
     # the generator should produce at least a few coincidences
     assert agree_positive >= 1
+
+
+def _is_pomset_iso(p: Pomset, q: Pomset, mapping: dict) -> bool:
+    """A bijection of elements that keeps labels and maps the order of
+    ``p`` exactly onto the order of ``q``."""
+    return (
+        sorted(mapping) == sorted(p.element_ids)
+        and sorted(mapping.values()) == sorted(q.element_ids)
+        and all(p.label_map[e] == q.label_map[f] for e, f in mapping.items())
+        and {(mapping[a], mapping[b]) for a, b in p.order} == set(q.order)
+    )
+
+
+def brute_force_pomset_iso(p: Pomset, q: Pomset) -> bool:
+    """Try every bijection of elements."""
+    mine, theirs = sorted(p.element_ids), sorted(q.element_ids)
+    if len(mine) != len(theirs):
+        return False
+    return any(
+        _is_pomset_iso(p, q, dict(zip(mine, perm)))
+        for perm in itertools.permutations(theirs)
+    )
+
+
+def _random_pomset(rng: random.Random, names: list[str]) -> Pomset:
+    # ids drawn at random, so sorted id order is not the order of generation;
+    # two labels, so that many elements look alike
+    ids = rng.sample(names, rng.randint(0, 6))
+    order = {
+        (ids[i], ids[j])
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+        if rng.random() < 0.3
+    }
+    return Pomset.of({e: rng.choice("ab") for e in ids}, order)
+
+
+def _renamed(p: Pomset, rng: random.Random, names: list[str]) -> Pomset:
+    new = dict(zip(sorted(p.element_ids), rng.sample(names, len(p.element_ids))))
+    return Pomset.of(
+        {new[e]: label for e, label in p.labels},
+        {(new[a], new[b]) for a, b in p.order},
+    )
+
+
+def test_pomset_iso_agrees_with_brute_force():
+    rng = random.Random(34)
+    names = [f"e{k}" for k in range(12)]
+    outcomes = set()
+    for trial in range(400):
+        shuffled = trial % 2 == 0
+        p = _random_pomset(rng, names)
+        q = _renamed(p, rng, names) if shuffled else _random_pomset(rng, names)
+        witness = p.iso_to(q)
+        assert (witness is not None) == brute_force_pomset_iso(p, q), (p, q)
+        if witness is not None:
+            assert _is_pomset_iso(p, q, witness), (p, q, witness)
+        outcomes.add((shuffled, witness is not None))
+    # shuffled copies always match; unrelated pairs both match and miss
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def _admissible_orders(nf: NormalForm):

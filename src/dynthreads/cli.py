@@ -150,10 +150,7 @@ def _explore_report(core, budget: int, fmt: str) -> int:
             "traces match linearizations: "
             f"{'yes' if result.traces_match_linearizations else 'NO'}"
         )
-        print(
-            f"confluence: {'ok' if confluence.ok else 'VIOLATED'}"
-            + (" (truncated)" if confluence.truncated else "")
-        )
+        print(f"confluence: {'ok' if confluence.ok else 'VIOLATED'}")
         if result.observations:
             print("pomset:")
             for line in _pomset_text(result.observations[0]):

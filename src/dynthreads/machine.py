@@ -37,14 +37,16 @@ configuration because the chosen step
   3. commutes: with every other thread's step it closes a diamond onto one
      configuration;
 and the graph is acyclic, so no step is postponed forever.
-:func:`check_confluence` tests conditions 2 and 3 on the full, unreduced
-graph, up to its state budget.
+:func:`check_confluence` tests conditions 2 and 3 at every configuration
+of the reduced graph, for the step of every runnable thread; because steps
+are local, that covers the full graph (see its docstring).
 
-Both graphs come from one depth-first walk, :func:`_state_graph`, which
-enforces the state budget: it expands at most that many configurations and
-then stops and reports the graph truncated.  :func:`explore` and
-:func:`run_exhaustive` raise :class:`FuelExhausted` on a truncated graph;
-:func:`check_confluence` checks what was built and reports it truncated.
+All three read one depth-first walk, :func:`_state_graph`, which raises
+:class:`Deadlock` when it expands a stuck configuration and enforces the
+state budget: it expands at most that many configurations and then stops
+and reports the graph truncated.  :func:`explore` and :func:`run_exhaustive`
+raise :class:`FuelExhausted` on a truncated graph; :func:`check_confluence`
+checks what was built and reports it truncated.
 """
 
 from __future__ import annotations
@@ -449,12 +451,12 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
     expansion; ``first_event`` maps each reached configuration to the
     configuration and step that first reached it.  The walk expands at most
     ``max_states`` configurations and stops there; ``truncated`` says
-    whether it left reached configurations unexpanded.
+    whether it left reached configurations unexpanded.  Expanding a
+    non-terminal configuration with no steps raises :class:`Deadlock`.
 
     By default one silent step is expanded per configuration where one is
     enabled (see the module docstring); ``reduce=False`` builds the full
-    graph, which :func:`check_confluence` checks and tests use as the oracle
-    for the reduced one."""
+    graph, which tests use as the oracle for the reduced one."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
     c0 = Configuration.initial(comp)
@@ -468,6 +470,8 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
         if len(steps_of) >= max_states:
             return c0, steps_of, first_event, True
         steps = enabled_steps(c)
+        if not steps and not c.is_terminal():
+            raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
         if reduce:
             silent = next((s for s in steps if s[0].action is None), None)
             if silent is not None:
@@ -496,16 +500,12 @@ def _terminal_runs(comp: Comp, max_states: int):
     sorted by thread map, each along the path that first reached it:
     ``(c0, steps_of, runs)``.
 
-    Raises :class:`Deadlock` if the walk expanded a stuck configuration,
-    and otherwise :class:`FuelExhausted` if the graph exceeds
-    ``max_states``."""
+    Raises :class:`FuelExhausted` if the graph exceeds ``max_states``."""
     c0, steps_of, first_event, truncated = _state_graph(comp, max_states)
-    ends = [c for c, steps in steps_of.items() if not steps]
-    if not all(c.is_terminal() for c in ends):
-        raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
     if truncated:
         raise FuelExhausted(f"state budget {max_states} exhausted")
     runs = []
+    ends = [c for c, steps in steps_of.items() if not steps]
     for terminal in sorted(ends, key=lambda c: c.threads):
         events = _witness_events(c0, terminal, first_event)
         runs.append(RunResult(terminal, tuple(events), observation(events, terminal), ()))
@@ -532,8 +532,7 @@ def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
     Only one silent step is expanded per configuration where one is
     enabled (see the module docstring); the traces and terminals are those
     of the full graph, but ``states`` counts the reduced graph and
-    ``max_states`` bounds it.  :func:`check_confluence` walks the full
-    graph.
+    ``max_states`` bounds it, as for :func:`check_confluence`.
     """
     c0, steps_of, runs = _terminal_runs(comp, max_states)
     observations = [r.pomset for r in runs]
@@ -598,29 +597,53 @@ class ConfluenceReport:
 
 
 def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
-    """Check, over the full schedule graph that :func:`_state_graph` builds
-    up to the state budget: per-thread determinacy, the one-step diamond
-    property for distinct threads, and the prec-growth law (a new wait edge
-    into an old thread comes from the acting thread or was already implied).
+    """Check the determinacy gate on the reduced schedule graph that
+    :func:`_state_graph` builds, as for :func:`explore`: at every
+    configuration the walk expands, for the step of every runnable thread
+    (not only the one the reduction kept),
+      - per-thread determinacy: one step per thread;
+      - locality: a step changes the thread map only at the acting thread
+        and at threads new to the world whose tid is the acting tid plus
+        one ordinal;
+      - the prec-growth law: a new wait edge into an old thread ends at the
+        acting thread or at a thread waiting for it, or was already implied;
+      - the one-step diamond for distinct threads.
+
+    This covers the full graph:
+      (A) Locality closes every diamond.  Two distinct runnable threads
+          whose steps are local write disjoint parts of the configuration:
+          neither changes the other's state, its waits (new edges enter the
+          actor, its new children and threads that wait for the unfinished
+          actor, none of them runnable) or its spawn count.  Their
+          thread-map updates touch disjoint keys, and both orders close the
+          same union of edges (:func:`_close_with` is exact), so the
+          diamond closes in every configuration, reduced or not.
+      (B) The reduced walk sees every local step.  A thread's local step
+          depends only on its state, tid and spawn ordinal.  The walk
+          computes the step of every runnable thread at every configuration
+          it expands; the reduction postpones steps but never disables
+          them, so the local steps checked are those of the full graph.
+    The tests cross-check (B) and the verdict against the full graph.
 
     Configurations are checked in the order the walk expanded them, and a
-    violation reports how many were checked up to it.  The diamonds of the
-    last configurations need the steps of successors past the budget;
-    those are enumerated on demand, once each.  Hitting the budget is
-    reported as a truncated (but violation-free) check, not a failure.
+    violation reports how many were checked up to it.  Steps of
+    configurations and their successors are enumerated on demand, once
+    each.  ``states`` counts the reduced graph and ``max_states`` bounds
+    it; hitting the budget is reported as a truncated (but violation-free)
+    check, not a failure.  A stuck configuration raises :class:`Deadlock`.
     """
     if not is_core(comp):
         raise MachineError("check_confluence needs a desugared computation")
-    _, graph, _, truncated = _state_graph(comp, max_states, reduce=False)
-    cache = dict(graph)
+    _, graph, _, truncated = _state_graph(comp, max_states)
+    cache: dict = {}
 
     def steps_of(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
         if c not in cache:
             cache[c] = enabled_steps(c)
         return cache[c]
 
-    for checked, (c, steps) in enumerate(graph.items(), start=1):
-        detail = _confluence_violation(c, steps, steps_of)
+    for checked, c in enumerate(graph, start=1):
+        detail = _confluence_violation(c, steps_of(c), steps_of)
         if detail is not None:
             return ConfluenceReport(False, checked, False, detail)
     return ConfluenceReport(True, len(graph), truncated, None)
@@ -635,6 +658,10 @@ def _confluence_violation(c: Configuration, steps: list, steps_of: Callable) -> 
 
     for label, nxt in steps:
         a = label.acting
+        old, new = c.thread_map, nxt.thread_map
+        for t in old.keys() | new.keys():
+            if t != a and (t in c.world or t[:-1] != a) and old.get(t) != new.get(t):
+                return f"step of {tid_str(a)} changes thread {tid_str(t)}"
         for x, y in nxt.prec - c.prec:
             if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
                 return (
@@ -666,7 +693,6 @@ def check_config_well_formed(
     c: Configuration,
     result_type: LangType,
     order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
-    external: frozenset = frozenset(),
 ) -> Optional[str]:
     """The four conditions for a configuration to look like a family of
     siblings created in the given linear order."""
@@ -679,7 +705,7 @@ def check_config_well_formed(
             if a == x and (b, y) not in prec:
                 return f"prec not transitive: {tid_str(b)} and {tid_str(y)}"
     for b, a in prec:
-        if b not in c.world and b not in external:
+        if b not in c.world:
             return f"{tid_str(a)} waits on unknown thread {tid_str(b)}"
     for b, a in prec:
         if b in c.world and a in c.world and position[b] >= position[a]:
@@ -687,9 +713,7 @@ def check_config_well_formed(
     for tid, state in c.threads:
         if state == FINISHED:
             continue
-        visible = frozenset(
-            t for t in c.world if position[t] < position[tid]
-        ) | external
+        visible = frozenset(t for t in c.world if position[t] < position[tid])
         try:
             check_comp({}, visible, state, result_type)
         except Exception as exc:  # noqa: BLE001 - report, don't raise
@@ -701,7 +725,6 @@ def find_extending_order(
     c: Configuration,
     result_type: LangType,
     prev_order: tuple,
-    external: frozenset = frozenset(),
 ) -> Optional[tuple]:
     """Search for a creation order on ``c`` extending ``prev_order``
     (preservation: one is guaranteed to exist along well-typed runs)."""
@@ -714,7 +737,7 @@ def find_extending_order(
             for i in range(len(order) + 1)
         ]
     for order in candidates:
-        if check_config_well_formed(c, result_type, order, external) is None:
+        if check_config_well_formed(c, result_type, order) is None:
             return order
     return None
 

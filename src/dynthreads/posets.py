@@ -223,16 +223,9 @@ def make_poset(
             label = HoleLabel(var, arity, tuple(frozenset(s) for s in slots))
         slots = []
         for slot in label.visibility:
+            # ``below`` indexes the closed order, so one union is down-closed
             members = set(slot) | {Vert(vid)}
-            grow = True
-            while grow:
-                grow = False
-                for m in list(members):
-                    extra = below.get(m, set()) - members
-                    if extra:
-                        members |= extra
-                        grow = True
-            slots.append(frozenset(members))
+            slots.append(frozenset(members.union(*(below.get(m, ()) for m in members))))
         hole_entries.append((vid, HoleLabel(label.var, label.arity, tuple(slots))))
 
     poset = PosetWithHoles(
@@ -657,7 +650,8 @@ def reify(p: PosetWithHoles) -> NormalForm:
     """
     require_well_formed(p)
     vertex_refs = {Vert(v) for v in p.vertex_ids}
-    combined = _close_pairs(set(p.order) | set(visibility_relation(p)))
+    # direct predecessors suffice for a topological order; ``order`` is closed
+    combined = p.order | visibility_relation(p)
     preds = {
         v: {d for (d, e) in combined if e == v and isinstance(d, Vert) and d != v}
         for v in vertex_refs

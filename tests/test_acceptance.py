@@ -208,6 +208,8 @@ def test_criterion_06_determinacy_and_confluence():
         report = check_confluence(comp, max_states=10_000)
         if not report.ok:
             failures.append(f"{name}: {report.detail}")
+        elif report.truncated:
+            failures.append(f"{name}: confluence check truncated")
     _verdict(
         6,
         "determinacy-and-confluence",

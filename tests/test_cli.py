@@ -76,20 +76,20 @@ def test_explore_text_and_json(capsys):
     assert data["states"] == 31
     assert data["schedules"] == [["s1", "s2"], ["s2", "s1"]]
     assert data["confluence"] == {
-        "ok": True, "states": 444, "truncated": False, "detail": None,
+        "ok": True, "states": 31, "truncated": False, "detail": None,
     }
 
 
-def test_explore_reports_truncated_confluence(capsys):
-    # the full graph of diamond exceeds 10,000 states: the check is
-    # reported truncated, and explore still exits 0
+def test_explore_confluence_is_complete(capsys):
+    # the full graph of diamond exceeds 10,000 states; the confluence check
+    # reads the reduced graph, as explore does, and completes
     path = str(PROGRAMS_DIR / "diamond.prog")
     assert main(["explore", path, "--fuel", "10000"]) == 0
-    assert "\nconfluence: ok (truncated)\n" in capsys.readouterr().out
+    assert "\nconfluence: ok\n" in capsys.readouterr().out
     assert main(["explore", path, "--fuel", "10000", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["confluence"] == {
-        "ok": True, "states": 10_000, "truncated": True, "detail": None,
+        "ok": True, "states": 75, "truncated": False, "detail": None,
     }
 
 

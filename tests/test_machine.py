@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynthreads import machine
 from dynthreads.lang import (
     EMPTY,
     TID,
@@ -21,12 +22,15 @@ from dynthreads.lang import (
 )
 from dynthreads.machine import (
     FINISHED,
+    ConfluenceReport,
     Configuration,
     Deadlock,
     FuelExhausted,
     MachineError,
     StepLabel,
+    _confluence_violation,
     _label_traces,
+    _runnable,
     _state_graph,
     _witness_events,
     check_config_well_formed,
@@ -173,28 +177,16 @@ def test_confluence_vacuous_for_sequential_program():
     assert report.ok and report.states == 2
 
 
-def _full_graph_size(comp) -> int:
-    """States reachable over all schedules, by a plain search over
-    ``enabled_steps``."""
-    start = Configuration.initial(comp)
-    seen, todo = {start}, [start]
-    while todo:
-        for _, nxt in enabled_steps(todo.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return len(seen)
-
-
 @pytest.mark.parametrize("name", ["series", "chain3", "ex21_wait_first", "parallel"])
 def test_confluence_budget_counts_states(name):
+    # the budget bounds the reduced graph, which explore counts
     comp = load_core(name)
-    full = _full_graph_size(comp)
-    for k in (1, full // 2, full - 1, full, full + 1, 2 * full):
+    size = explore(comp).states
+    for k in (1, size // 2, size - 1, size, size + 1, 2 * size):
         report = check_confluence(comp, k)
         assert report.ok, (k, report.detail)
-        assert report.states == min(k, full), k
-        assert report.truncated == (full > k), k
+        assert report.states == min(k, size), k
+        assert report.truncated == (size > k), k
 
 
 def test_exploration_budget_fails_loudly():
@@ -213,6 +205,12 @@ def test_exploration_reports_deadlock_before_budget():
             fn(comp, 100)
         with pytest.raises(FuelExhausted, match="state budget 2 exhausted"):
             fn(comp, 2)
+    # the confluence check reads the same walk: it raises the same Deadlock,
+    # and short of the stuck configuration it reports a truncated check
+    for text in ("fork(); wait(#0.5); stop()", "wait(#0.1); stop()"):
+        with pytest.raises(Deadlock, match="deadlocked configuration"):
+            check_confluence(desugar(parse_comp(text)), 100)
+    assert check_confluence(comp, 2) == ConfluenceReport(True, 2, True, None)
 
 
 def test_preservation_along_runs():
@@ -232,8 +230,8 @@ def test_config_well_formed_rejects_wait_against_order():
     )
     # thread 0.1 waits on the root, so the root must be earlier in any
     # admissible creation order
-    assert check_config_well_formed(c, EMPTY, ((), (1,)), frozenset()) is None
-    bad = check_config_well_formed(c, EMPTY, ((1,), ()), frozenset())
+    assert check_config_well_formed(c, EMPTY, ((), (1,))) is None
+    bad = check_config_well_formed(c, EMPTY, ((1,), ()))
     assert bad is not None and "later sibling" in bad
 
 
@@ -314,6 +312,17 @@ def test_preservation_rejects_unknown_policy():
         run_with_preservation(load_core("parallel"), EMPTY, policy="bogus")
 
 
+def _local_step_keys(steps_of) -> set:
+    """The ``(thread state, tid, spawn ordinal)`` keys of the runnable
+    threads of every expanded configuration: the local steps taken there."""
+    keys = set()
+    for c in steps_of:
+        for tid, _, _ in _runnable(c):
+            children = sum(1 for t in c.world if t and t[:-1] == tid)
+            keys.add((c.thread(tid), tid, children + 1))
+    return keys
+
+
 @pytest.mark.parametrize(
     "name", [n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE]
 )
@@ -327,14 +336,129 @@ def test_reduced_graph_agrees_with_full_graph(name):
         observations = {
             t: observation(_witness_events(c0, t, first_event), t) for t in terminals
         }
-        graphs[reduce] = (len(steps_of), _label_traces(c0, steps_of), observations)
-    full_states, full_traces, full_obs = graphs[False]
-    reduced_states, reduced_traces, reduced_obs = graphs[True]
+        graphs[reduce] = (
+            len(steps_of),
+            _label_traces(c0, steps_of),
+            observations,
+            _local_step_keys(steps_of),
+        )
+    full_states, full_traces, full_obs, full_keys = graphs[False]
+    reduced_states, reduced_traces, reduced_obs, reduced_keys = graphs[True]
     assert reduced_traces == full_traces
     assert reduced_obs.keys() == full_obs.keys()
     poms = list(full_obs.values()) + list(reduced_obs.values())
     assert all(poms[0].iso_to(p) is not None for p in poms[1:])
     assert reduced_states <= full_states
+    # the confluence check sees every local step of the full graph
+    assert reduced_keys == full_keys
+
+
+def _full_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
+    """The confluence check over the full schedule graph, in the order the
+    walk expanded it: the oracle for :func:`check_confluence`, which checks
+    only the configurations of the reduced graph."""
+    _, graph, _, truncated = _state_graph(comp, max_states, reduce=False)
+    cache = dict(graph)
+
+    def steps_of(c):
+        if c not in cache:
+            cache[c] = enabled_steps(c)
+        return cache[c]
+
+    for checked, (c, steps) in enumerate(graph.items(), start=1):
+        detail = _confluence_violation(c, steps, steps_of)
+        if detail is not None:
+            return ConfluenceReport(False, checked, False, detail)
+    return ConfluenceReport(True, len(graph), truncated, None)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE]
+)
+def test_confluence_agrees_with_full_graph_check(name):
+    comp = load_core(name)
+    oracle = _full_graph_confluence(comp)
+    assert not oracle.truncated
+    report = check_confluence(comp)
+    assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
+    assert report.ok and not report.truncated
+    assert report.states == explore(comp).states
+
+
+def test_confluence_rejects_step_that_changes_another_thread():
+    stop = desugar(parse_comp("stop()"))
+    world = frozenset({(), (1,)})
+    c = Configuration(world, frozenset(), (((), stop), ((1,), stop)))
+
+    def step_to(*threads):
+        nxt = Configuration(
+            world | {t for t, _ in threads}, frozenset(), tuple(sorted(threads))
+        )
+        return [(StepLabel((), None), nxt)]
+
+    def violation(*threads):
+        return _confluence_violation(c, step_to(*threads), lambda _: [])
+
+    # the acting thread and a new child of it may change; nothing else may
+    assert violation(((), FINISHED), ((1,), stop), ((2,), stop)) is None
+    assert violation(((), FINISHED), ((1,), FINISHED)) == "step of 0 changes thread 0.1"
+    assert violation(((), stop), ((1,), stop), ((1, 1), stop)) == (
+        "step of 0 changes thread 0.1.1"
+    )
+    assert violation(((), FINISHED),) == "step of 0 changes thread 0.1"
+
+
+def _mutate_local_steps(monkeypatch, change) -> None:
+    """Break the machine: every thread-local step ``out`` of thread ``tid``
+    becomes ``change(out, tid)`` (the inner steps of ``let`` are left
+    alone).  The memo tables are replaced by fresh ones, so that no mutated
+    step outlives the test."""
+    original = machine._local_step
+    depth = 0
+
+    def mutated(comp, tid, alloc):
+        nonlocal depth
+        depth += 1
+        try:
+            out = original(comp, tid, alloc)
+        finally:
+            depth -= 1
+        return out if depth or out is None else change(out, tid)
+
+    monkeypatch.setattr(machine, "_LOCAL_MEMO", {})
+    monkeypatch.setattr(machine, "_INTERN", {})
+    monkeypatch.setattr(machine, "_local_step", mutated)
+
+
+def _with_new_prec(out, new_prec):
+    return machine._LocalOut(out.action, out.threads, frozenset(new_prec))
+
+
+def test_confluence_rejects_reversed_waits(monkeypatch):
+    # wait steps record their edges the wrong way round: the awaited
+    # thread is made to wait for the acting one
+    _mutate_local_steps(
+        monkeypatch,
+        lambda out, tid: _with_new_prec(out, {(a, b) for b, a in out.new_prec}),
+    )
+    comp = load_core("nshape")
+    detail = "prec pair (0.1,0.1.1) not justified by acting thread 0.1"
+    for report in (check_confluence(comp), _full_graph_confluence(comp)):
+        assert (report.ok, report.detail) == (False, detail)
+
+
+def test_confluence_checks_steps_the_reduction_postpones(monkeypatch):
+    # every step of a child makes the root wait for it; the step is
+    # unjustified only before the root's own wait, where the reduction
+    # postpones it, so a check of the kept steps alone would pass
+    _mutate_local_steps(
+        monkeypatch,
+        lambda out, tid: _with_new_prec(out, out.new_prec | ({(tid, ())} if tid else set())),
+    )
+    comp = load_core("ex21_wait_first")
+    detail = "prec pair (0.1,0) not justified by acting thread 0.1"
+    for report in (check_confluence(comp), _full_graph_confluence(comp)):
+        assert (report.ok, report.detail) == (False, detail)
 
 
 @pytest.mark.parametrize("name", ["nshape", "three_workers", "diamond"])

@@ -17,9 +17,8 @@ succs(b))``: a path through two of the new edges passes ``b`` twice, and
 cutting the loop leaves a path through one.  Every step's new edges enter
 one thread: the acting thread (``wait``) or the child it forks (which
 inherits the waits of its parent), so a step costs one pass over ``prec``
-instead of a rebuild.  :func:`check_confluence` checks, on every reachable
-step, that new pairs into existing threads end at the acting thread or at
-a thread waiting for it.
+instead of a rebuild.  :func:`check_confluence` checks, for every local
+step, that its wait pairs end at the acting thread.
 
 Observations: the labelled steps of a terminated run, ordered by the final
 waiting relation, form a pomset (see :class:`dynthreads.posets.Pomset`).
@@ -218,7 +217,13 @@ def _intern(value):
 
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """All global steps: one per runnable thread, in tid order."""
-    return [_apply(c, runnable, _intern) for runnable in _runnable(c)]
+    return _expand(c)[1]
+
+
+def _expand(c: Configuration) -> tuple[list, list]:
+    """The runnable threads of ``c`` (:func:`_runnable`) and their steps."""
+    runnable = _runnable(c)
+    return runnable, [_apply(c, r, _intern) for r in runnable]
 
 
 def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
@@ -441,7 +446,9 @@ class ExploreResult:
     traces_match_linearizations: bool
 
 
-def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
+def _state_graph(
+    comp: Comp, max_states: int, *, reduce: bool = True, unreduced: Optional[dict] = None
+):
     """The schedule graph from ``comp``, configurations deduplicated: the
     one walk behind :func:`explore`, :func:`run_exhaustive` and
     :func:`check_confluence`.
@@ -456,7 +463,9 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
 
     By default one silent step is expanded per configuration where one is
     enabled (see the module docstring); ``reduce=False`` builds the full
-    graph, which tests use as the oracle for the reduced one."""
+    graph, which tests use as the oracle for the reduced one.  A dict passed
+    as ``unreduced`` receives, for each expanded configuration, the
+    :func:`_expand` pair it was enumerated with, before the reduction."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
     c0 = Configuration.initial(comp)
@@ -469,7 +478,9 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
             continue
         if len(steps_of) >= max_states:
             return c0, steps_of, first_event, True
-        steps = enabled_steps(c)
+        runnable, steps = _expand(c)
+        if unreduced is not None:
+            unreduced[c] = (runnable, steps)
         if not steps and not c.is_terminal():
             raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
         if reduce:
@@ -599,76 +610,83 @@ class ConfluenceReport:
 def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
     """Check the determinacy gate on the reduced schedule graph that
     :func:`_state_graph` builds, as for :func:`explore`: at every
-    configuration the walk expands, for the step of every runnable thread
-    (not only the one the reduction kept),
+    configuration the walk expands, for every runnable thread ``a`` (not
+    only the one the reduction kept), with ``n`` its next spawn ordinal,
+      - locality: ``a``'s local step writes only ``a`` and, if it forks,
+        ``a.n``;
+      - waits: every wait pair of ``a``'s local step ends at ``a``;
       - per-thread determinacy: one step per thread;
-      - locality: a step changes the thread map only at the acting thread
-        and at threads new to the world whose tid is the acting tid plus
-        one ordinal;
-      - the prec-growth law: a new wait edge into an old thread ends at the
-        acting thread or at a thread waiting for it, or was already implied;
       - the one-step diamond for distinct threads.
 
     This covers the full graph:
-      (A) Locality closes every diamond.  Two distinct runnable threads
-          whose steps are local write disjoint parts of the configuration:
-          neither changes the other's state, its waits (new edges enter the
-          actor, its new children and threads that wait for the unfinished
-          actor, none of them runnable) or its spawn count.  Their
-          thread-map updates touch disjoint keys, and both orders close the
-          same union of edges (:func:`_close_with` is exact), so the
-          diamond closes in every configuration, reduced or not.
-      (B) The reduced walk sees every local step.  A thread's local step
-          depends only on its state, tid and spawn ordinal.  The walk
-          computes the step of every runnable thread at every configuration
-          it expands; the reduction postpones steps but never disables
-          them, so the local steps checked are those of the full graph.
+      (A) Local steps close every diamond.  Suppose every step passes the
+          first two checks.  By induction along any run, the children of
+          ``a`` are ``a.1`` to ``a.(n-1)``, so ``a.n`` is new.  A step of
+          ``a`` changes the thread map at ``a`` and at a new thread; its
+          wait pairs enter ``a`` and the new child (which inherits ``a``'s
+          waits), so with the exact closure of :func:`_close_with` every
+          new pair into an old thread ends at ``a`` or at a thread waiting
+          for the unfinished ``a``, which is not runnable (the prec-growth
+          law).  Two distinct runnable threads thus write disjoint parts of
+          the configuration: neither changes the other's state, waits or
+          spawn count, their thread-map updates touch disjoint keys, and
+          both orders close the same union of edges.  So the diamond
+          closes in every configuration, reduced or not.
+      (B) Every step of the full graph passes the first two checks.  They
+          depend only on the thread's state, tid and spawn ordinal, which
+          determine its local step.  The walk checks the local step of
+          every runnable thread at every configuration it expands; the
+          reduction postpones steps but never disables them, so the local
+          steps checked are those of the full graph.
     The tests cross-check (B) and the verdict against the full graph.
 
     Configurations are checked in the order the walk expanded them, and a
-    violation reports how many were checked up to it.  Steps of
-    configurations and their successors are enumerated on demand, once
-    each.  ``states`` counts the reduced graph and ``max_states`` bounds
+    violation reports how many were checked up to it.  Each configuration
+    and successor is enumerated once: the walk hands over its unreduced
+    steps, and those of successors it did not expand are enumerated on
+    demand.  ``states`` counts the reduced graph and ``max_states`` bounds
     it; hitting the budget is reported as a truncated (but violation-free)
     check, not a failure.  A stuck configuration raises :class:`Deadlock`.
     """
     if not is_core(comp):
         raise MachineError("check_confluence needs a desugared computation")
-    _, graph, _, truncated = _state_graph(comp, max_states)
-    cache: dict = {}
+    expanded: dict = {}
+    _, graph, _, truncated = _state_graph(comp, max_states, unreduced=expanded)
 
     def steps_of(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
-        if c not in cache:
-            cache[c] = enabled_steps(c)
-        return cache[c]
+        if c not in expanded:
+            expanded[c] = _expand(c)
+        return expanded[c][1]
 
     for checked, c in enumerate(graph, start=1):
-        detail = _confluence_violation(c, steps_of(c), steps_of)
+        detail = _confluence_violation(c, expanded[c][0], steps_of)
         if detail is not None:
             return ConfluenceReport(False, checked, False, detail)
     return ConfluenceReport(True, len(graph), truncated, None)
 
 
-def _confluence_violation(c: Configuration, steps: list, steps_of: Callable) -> Optional[str]:
-    """The first of the checks of :func:`check_confluence` that the steps
-    of ``c`` fail, or ``None``."""
-    acting = [label.acting for label, _ in steps]
-    if len(set(acting)) != len(acting):
-        return "thread with two distinct steps in one configuration"
-
-    for label, nxt in steps:
-        a = label.acting
-        old, new = c.thread_map, nxt.thread_map
-        for t in old.keys() | new.keys():
-            if t != a and (t in c.world or t[:-1] != a) and old.get(t) != new.get(t):
+def _confluence_violation(c: Configuration, runnable: list, steps_of: Callable) -> Optional[str]:
+    """The first of the checks of :func:`check_confluence` that the
+    runnable threads of ``c`` (:func:`_runnable`) fail, or ``None``."""
+    for a, _, local in runnable:
+        child = a + (1 + sum(1 for t in c.world if t and t[:-1] == a),)
+        for t, _ in local.threads:
+            if t not in (a, child):
                 return f"step of {tid_str(a)} changes thread {tid_str(t)}"
-        for x, y in nxt.prec - c.prec:
-            if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
+        for x, y in local.new_prec:
+            if y != a:
                 return (
                     f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
                     f"acting thread {tid_str(a)}"
                 )
+    return _diamond_violation(steps_of(c), steps_of)
 
+
+def _diamond_violation(steps: list, steps_of: Callable) -> Optional[str]:
+    """Per-thread determinacy and the one-step diamonds of ``steps``."""
+    acting = [label.acting for label, _ in steps]
+    if len(set(acting)) != len(acting):
+        return "thread with two distinct steps in one configuration"
     if len(steps) < 2:
         return None
     after = [{lab.acting: (lab, nxt) for lab, nxt in steps_of(c1)} for _, c1 in steps]

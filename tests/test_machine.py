@@ -29,6 +29,7 @@ from dynthreads.machine import (
     MachineError,
     StepLabel,
     _confluence_violation,
+    _diamond_violation,
     _label_traces,
     _runnable,
     _state_graph,
@@ -353,10 +354,26 @@ def test_reduced_graph_agrees_with_full_graph(name):
     assert reduced_keys == full_keys
 
 
+def _full_graph_violation(c, steps, steps_of):
+    """The prec-growth law on every step of ``c`` (a new wait pair into an
+    old thread ends at the acting thread or at a thread waiting for it, or
+    was already implied), then determinacy and the diamonds."""
+    for label, nxt in steps:
+        a = label.acting
+        for x, y in nxt.prec - c.prec:
+            if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
+                return (
+                    f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
+                    f"acting thread {tid_str(a)}"
+                )
+    return _diamond_violation(steps, steps_of)
+
+
 def _full_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
-    """The confluence check over the full schedule graph, in the order the
-    walk expanded it: the oracle for :func:`check_confluence`, which checks
-    only the configurations of the reduced graph."""
+    """The determinacy gate checked configuration by configuration over the
+    full schedule graph, in the order the walk expanded it: the oracle for
+    :func:`check_confluence`, which checks local steps on the reduced
+    graph."""
     _, graph, _, truncated = _state_graph(comp, max_states, reduce=False)
     cache = dict(graph)
 
@@ -366,7 +383,7 @@ def _full_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
         return cache[c]
 
     for checked, (c, steps) in enumerate(graph.items(), start=1):
-        detail = _confluence_violation(c, steps, steps_of)
+        detail = _full_graph_violation(c, steps, steps_of)
         if detail is not None:
             return ConfluenceReport(False, checked, False, detail)
     return ConfluenceReport(True, len(graph), truncated, None)
@@ -385,27 +402,22 @@ def test_confluence_agrees_with_full_graph_check(name):
     assert report.states == explore(comp).states
 
 
-def test_confluence_rejects_step_that_changes_another_thread():
+def test_confluence_rejects_steps_that_are_not_local():
     stop = desugar(parse_comp("stop()"))
-    world = frozenset({(), (1,)})
-    c = Configuration(world, frozenset(), (((), stop), ((1,), stop)))
+    c = Configuration(frozenset({(), (1,)}), frozenset(), (((), stop), ((1,), stop)))
 
-    def step_to(*threads):
-        nxt = Configuration(
-            world | {t for t, _ in threads}, frozenset(), tuple(sorted(threads))
-        )
-        return [(StepLabel((), None), nxt)]
+    def violation(*threads, waits=()):
+        local = machine._LocalOut(None, threads, frozenset(waits))
+        return _confluence_violation(c, [((), [], local)], lambda _: [])
 
-    def violation(*threads):
-        return _confluence_violation(c, step_to(*threads), lambda _: [])
-
-    # the acting thread and a new child of it may change; nothing else may
-    assert violation(((), FINISHED), ((1,), stop), ((2,), stop)) is None
+    # the root may change itself and fork its next child, 0.2, and wait
+    assert violation(((), FINISHED), ((2,), stop), waits={((1,), ())}) is None
     assert violation(((), FINISHED), ((1,), FINISHED)) == "step of 0 changes thread 0.1"
-    assert violation(((), stop), ((1,), stop), ((1, 1), stop)) == (
-        "step of 0 changes thread 0.1.1"
+    assert violation(((), stop), ((3,), stop)) == "step of 0 changes thread 0.3"
+    assert violation(((), stop), ((1, 1), stop)) == "step of 0 changes thread 0.1.1"
+    assert violation(((), FINISHED), waits={((), (1,))}) == (
+        "prec pair (0,0.1) not justified by acting thread 0"
     )
-    assert violation(((), FINISHED),) == "step of 0 changes thread 0.1"
 
 
 def _mutate_local_steps(monkeypatch, change) -> None:
@@ -455,6 +467,28 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch):
         monkeypatch,
         lambda out, tid: _with_new_prec(out, out.new_prec | ({(tid, ())} if tid else set())),
     )
+    comp = load_core("ex21_wait_first")
+    detail = "prec pair (0.1,0) not justified by acting thread 0.1"
+    for report in (check_confluence(comp), _full_graph_confluence(comp)):
+        assert (report.ok, report.detail) == (False, detail)
+
+
+def test_confluence_checks_local_steps_the_reduction_reaches_late(monkeypatch):
+    # only the child's second step makes the root wait for it; the reduced
+    # walk reaches that step only after the root's own wait for the child
+    # has put the pair into prec, so a check of the configurations of the
+    # reduced graph would pass
+    child_steps = []
+
+    def change(out, tid):
+        if tid != (1,):
+            return out
+        child_steps.append(out)
+        if len(child_steps) != 2:
+            return out
+        return _with_new_prec(out, out.new_prec | {((1,), ())})
+
+    _mutate_local_steps(monkeypatch, change)
     comp = load_core("ex21_wait_first")
     detail = "prec pair (0.1,0) not justified by acting thread 0.1"
     for report in (check_confluence(comp), _full_graph_confluence(comp)):

@@ -1125,14 +1125,7 @@ def _parse_type_atom(lx: _Lexer) -> LangType:
 # explicit stack: joining the stream gives the whole text, a caller that needs
 # only a prefix stops reading early, and deep terms do not recurse.
 
-_VALUE_TYPES = (VarV, TupleV, InjV, LambdaV, TidV, NilV, UnionV, ConstV)
 _COMP_TYPES = (Ret, ProjC, CaseV, ApplyC, LetC, SeqC, CaseC)
-
-
-def print_value(v: Value) -> str:
-    if not isinstance(v, _VALUE_TYPES):
-        raise TypeError(f"not a value: {v!r}")
-    return "".join(print_pieces(v))
 
 
 def print_comp(t: Comp) -> str:

@@ -18,8 +18,14 @@ The module provides:
 * JSON and DOT serialization, plus plain pomsets for run observations.
 
 Causal order is stored strict and transitively closed at all times, and
-hole visibility sets are kept downward-closed and containing their hole;
-the trusted constructors enforce both.
+hole visibility sets are kept downward-closed and containing their hole.
+The trusted constructor :func:`make_poset` closes the order it is given;
+:func:`_poset_from_closed` takes an order that is already closed.  Both
+down-close the visibility sets and check every reference.  The model
+operations (``op_stop``, ``op_act``, ``op_wait``, ``op_fork``, ``relabel``)
+and the variable case of ``interp`` use only the second: on well-formed
+arguments (inputs minimal, star maximal, order closed) each of them yields
+a closed order, as its docstring argues, so no operation closes again.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .tids import ParamContext, Relation, TidSet, graph_of
@@ -55,40 +63,64 @@ class IllFormed(PosetError):
 
 
 # --- element references -----------------------------------------------------
+#
+# A reference is a tagged pair ``(tag, n)``, so hashing, equality and
+# ordering run in C: references sort inputs by index, then vertices by id,
+# then star.
 
-@dataclass(frozen=True)
-class In:
+class In(tuple):
     """The i-th input element (1-based)."""
 
-    index: int
+    __slots__ = ()
+    __match_args__ = ("index",)
+    index = property(itemgetter(1))
+
+    def __new__(cls, index: int) -> "In":
+        return tuple.__new__(cls, (0, index))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"In(index={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class Vert:
+class Vert(tuple):
     """A labelled vertex (action or hole) by numeric id."""
 
-    vid: int
+    __slots__ = ()
+    __match_args__ = ("vid",)
+    vid = property(itemgetter(1))
+
+    def __new__(cls, vid: int) -> "Vert":
+        return tuple.__new__(cls, (1, vid))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"Vert(vid={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(tuple):
     """The end-of-main-thread marker; unique and maximal."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __new__(cls) -> "Star":
+        return tuple.__new__(cls, (2, 0))
+
+    def __getnewargs__(self) -> tuple:
+        return ()
+
+    def __repr__(self) -> str:
+        return "Star()"
 
 
 STAR = Star()
 
 ElemRef = Union[In, Vert, Star]
-
-
-def _ref_key(e: ElemRef) -> tuple:
-    match e:
-        case In(i):
-            return (0, i)
-        case Vert(v):
-            return (1, v)
-        case Star():
-            return (2, 0)
-    raise TypeError(f"not an element reference: {e!r}")
 
 
 @dataclass(frozen=True)
@@ -162,13 +194,15 @@ class PosetWithHoles:
         ids = set(self.action_map) | set(self.hole_map)
         if len(ids) != len(self.actions) + len(self.holes):
             raise PosetError("action and hole vertex ids overlap")
-        for d, e in self.order:
-            self._check_ref(d)
+        # only a reference outside ``elements`` can fail ``_check_ref``
+        known = self.elements
+        for e in set(chain.from_iterable(self.order)) - known:
             self._check_ref(e)
         for _, label in self.holes:
             for slot in label.visibility:
                 for e in slot:
-                    self._check_ref(e)
+                    if e not in known:
+                        self._check_ref(e)
 
     def _check_ref(self, e: ElemRef) -> None:
         match e:
@@ -209,14 +243,27 @@ def make_poset(
     holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
     order: Iterable[tuple],
 ) -> PosetWithHoles:
-    """Trusted constructor: closes the order transitively and normalizes
-    each visibility set to contain its hole and be downward-closed."""
-    closed = _close_pairs(set(order))
-    below: dict = {}
-    for d, e in closed:
-        below.setdefault(e, set()).add(d)
+    """Trusted constructor: closes the order transitively, then builds the
+    poset as :func:`_poset_from_closed` does (visibility sets normalized to
+    contain their hole and be downward-closed, references checked)."""
+    return _poset_from_closed(n_inputs, actions, holes, _close_pairs(set(order)))
 
+
+def _poset_from_closed(
+    n_inputs: int,
+    actions: Mapping[int, str],
+    holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
+    closed: frozenset,
+) -> PosetWithHoles:
+    """:func:`make_poset` for an order the caller has already closed
+    transitively: normalizes each visibility set to contain its hole and be
+    downward-closed, and checks every reference, but does not close the
+    order again."""
     hole_entries = []
+    if holes:
+        below: dict = {}
+        for d, e in closed:
+            below.setdefault(e, set()).add(d)
     for vid, label in holes.items():
         if not isinstance(label, HoleLabel):
             var, arity, slots = label
@@ -301,7 +348,7 @@ def check_well_formed(p: PosetWithHoles) -> Optional[str]:
                 if missing:
                     return (
                         f"hole {label.var}(vertex {vid}) slot {i} not downward-closed: "
-                        f"misses {sorted(missing, key=_ref_key)}"
+                        f"misses {sorted(missing)}"
                     )
     combined = _close_pairs(set(order) | set(visibility_relation(p)))
     for a, b in combined:
@@ -446,52 +493,66 @@ def _iso_search(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
 
 # --- functorial action and model operations ---------------------------------
 
-def _map_ref_through(e: ElemRef, r: Relation) -> list[ElemRef]:
-    if isinstance(e, In):
-        return [In(j) for j in sorted(r.image(e.index))]
-    return [e]
-
-
 def relabel(p: PosetWithHoles, r: Relation) -> PosetWithHoles:
     """Re-point the inputs along ``r``: a pair ``i < e`` becomes ``i' < e``
-    for every ``(i, i')`` in the relation, and visibility sets follow."""
+    for every ``(i, i')`` in the relation, and visibility sets follow.
+
+    The order stays closed without closing it again.  Inputs are minimal,
+    so the middle ``b`` of two new pairs ``a < b < c`` is not an input and
+    ``b < c`` is an old pair.  If ``a`` is not an input, ``a < b`` is old
+    too, and so is ``a < c``.  If ``a`` is input ``i'``, it comes from some
+    ``i < b`` with ``(i, i')`` in ``r``; the old ``i < c`` then gives
+    ``i' < c``.
+    """
     if r.src != p.n_inputs:
         raise PosetError(f"relation source {r.src} != inputs {p.n_inputs}")
+    images: dict = {In(i): [] for i in range(1, r.src + 1)}
+    for i, j in r.pairs:
+        images[In(i)].append(In(j))
+
+    def through(refs: Iterable[ElemRef]) -> set:
+        out: set = set()
+        for e in refs:
+            if e in images:
+                out.update(images[e])
+            else:
+                out.add(e)
+        return out
+
     order = set()
     for d, e in p.order:
-        for d2 in _map_ref_through(d, r):
-            order.add((d2, e))
-    holes = {}
-    for vid, label in p.holes:
-        slots = []
-        for slot in label.visibility:
-            out: set = set()
-            for e in slot:
-                out.update(_map_ref_through(e, r))
-            slots.append(frozenset(out))
-        holes[vid] = (label.var, label.arity, slots)
-    return make_poset(r.dst, dict(p.actions), holes, order)
+        if d in images:
+            order.update((d2, e) for d2 in images[d])
+        else:
+            order.add((d, e))
+    holes = {
+        vid: (label.var, label.arity, [through(slot) for slot in label.visibility])
+        for vid, label in p.holes
+    }
+    return _poset_from_closed(r.dst, dict(p.actions), holes, frozenset(order))
 
 
 def op_stop(n: int) -> PosetWithHoles:
     """Discrete poset: just the ``n`` inputs and star."""
-    return make_poset(n, {}, {}, set())
+    return _poset_from_closed(n, {}, {}, frozenset())
 
 
 def op_act(label: str, n: int) -> PosetWithHoles:
     """One action vertex directly below star; inputs unconnected."""
-    return make_poset(n, {1: label}, {}, {(Vert(1), STAR)})
+    return _poset_from_closed(n, {1: label}, {}, frozenset({(Vert(1), STAR)}))
 
 
 def op_wait(p: PosetWithHoles) -> PosetWithHoles:
-    """Add input ``n+1`` below every labelled vertex and below star."""
+    """Add input ``n+1`` below every labelled vertex and below star.
+
+    The order stays closed without closing it again: the new input is
+    minimal and already lies below every element that is not an input.
+    """
     n = p.n_inputs
     new = In(n + 1)
-    order = set(p.order)
-    order.update((new, Vert(v)) for v in p.vertex_ids)
-    order.add((new, STAR))
+    order = p.order.union([(new, Vert(v)) for v in p.vertex_ids], [(new, STAR)])
     holes = {vid: (h.var, h.arity, h.visibility) for vid, h in p.holes}
-    return make_poset(n + 1, dict(p.actions), holes, order)
+    return _poset_from_closed(n + 1, dict(p.actions), holes, order)
 
 
 def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
@@ -499,17 +560,29 @@ def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
 
     Everything below ``q``'s star ends up below everything above the
     consumed input; the input and ``q``'s star then disappear.
+
+    The order stays closed without closing it again.  It is the union of
+    ``p``'s pairs not leaving the dead input, ``q``'s pairs not ending at
+    its star (vertices shifted), and the cross pairs from the set ``B``
+    below ``q``'s star to the set ``A`` above the dead input.  Take two
+    pairs ``a < b < c``; ``b`` is no input, as inputs are minimal.  If
+    ``b`` is one of ``p``'s vertices or star, ``b < c`` is ``p``'s (no pair
+    leads from ``p`` back into ``q``), and ``a < c`` is ``p``'s if
+    ``a < b`` is, or a cross pair if ``a < b`` is one, because ``A`` is
+    closed upwards in ``p``.  If ``b`` is one of ``q``'s vertices,
+    ``a < b`` is ``q``'s, and ``a < c`` is ``q``'s if ``b < c`` is, or a
+    cross pair if ``b < c`` is one, because ``B`` is closed downwards in
+    ``q``.
     """
     n = q.n_inputs
     if p.n_inputs != n + 1:
         raise PosetError(f"fork arity: parent has {p.n_inputs} inputs, child {q.n_inputs}")
     offset = max(p.vertex_ids, default=0)
-
-    def shift(e: ElemRef) -> ElemRef:
-        return Vert(e.vid + offset) if isinstance(e, Vert) else e
+    shifted = {Vert(v): Vert(v + offset) for v in q.vertex_ids}
+    shift = shifted.get
 
     dead = In(n + 1)
-    below_child_star = {shift(d) for (d, e) in q.order if isinstance(e, Star)}
+    below_child_star = {shift(d, d) for (d, e) in q.order if e == STAR}
     above_dead = {e for (d, e) in p.order if d == dead}
 
     actions = dict(p.actions)
@@ -523,20 +596,13 @@ def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
             slots.append(slot)
         holes[vid] = (label.var, label.arity, slots)
     for vid, label in q.holes:
-        slots = [frozenset(shift(e) for e in slot) for slot in label.visibility]
+        slots = [frozenset(shift(e, e) for e in slot) for slot in label.visibility]
         holes[vid + offset] = (label.var, label.arity, slots)
 
-    order = set()
-    for d, e in p.order:
-        if d == dead:
-            continue
-        order.add((d, e))
-    for d, e in q.order:
-        if isinstance(e, Star):
-            continue
-        order.add((shift(d), shift(e)))
-    order.update((d, e) for d in below_child_star for e in above_dead)
-    return make_poset(n, actions, holes, order)
+    order = {pair for pair in p.order if pair[0] != dead}
+    order.update((shift(d, d), shift(e, e)) for d, e in q.order if e != STAR)
+    order.update(product(below_child_star, above_dead))
+    return _poset_from_closed(n, actions, holes, frozenset(order))
 
 
 # --- interpretation of terms -------------------------------------------------
@@ -559,7 +625,9 @@ def _interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHol
                 frozenset(In(i) for i in _eval(u, delta).members) | {Vert(1)}
                 for u in args
             ]
-            return make_poset(p, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
+            return _poset_from_closed(
+                p, {}, {1: (name, len(args), slots)}, frozenset({(Vert(1), STAR)})
+            )
         case Wait(guard, cont):
             inner = _interp(cont, gamma, delta)
             return relabel(op_wait(inner), graph_of([_eval(guard, delta)], p))
@@ -971,13 +1039,13 @@ def poset_to_json(p: PosetWithHoles) -> dict:
                 "kind": "hole",
                 "label": label.var,
                 "visibility": [
-                    [_ref_to_json(e) for e in sorted(slot, key=_ref_key)]
+                    [_ref_to_json(e) for e in sorted(slot)]
                     for slot in label.visibility
                 ],
             }
         )
     vertices.sort(key=lambda v: v["id"])
-    order = sorted(p.order, key=lambda pair: (_ref_key(pair[0]), _ref_key(pair[1])))
+    order = sorted(p.order)
     return {
         "inputs": p.n_inputs,
         "vertices": vertices,
@@ -1042,12 +1110,12 @@ def poset_to_dot(p: PosetWithHoles) -> str:
     for vid, label in p.holes:
         lines.append(f'  v{vid} [shape=diamond, label="{label.var}:{label.arity}"];')
     lines.append('  star [shape=point, style=filled, label=""];')
-    for d, e in sorted(covering_pairs(p.order), key=lambda pr: (_ref_key(pr[0]), _ref_key(pr[1]))):
+    for d, e in sorted(covering_pairs(p.order)):
         lines.append(f"  {node_id(d)} -> {node_id(e)};")
     for vid, label in p.holes:
         seen = set()
         for slot in label.visibility:
-            for e in slot:
+            for e in sorted(slot):
                 if e != Vert(vid) and e not in seen:
                     seen.add(e)
                     lines.append(f"  {node_id(e)} -> v{vid} [style=dotted];")

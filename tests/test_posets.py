@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from dynthreads.posets import (
     NfVarApp,
     NormalForm,
     PosetError,
+    Star,
     Vert,
     check_well_formed,
     covering_pairs,
@@ -50,6 +53,56 @@ EMPTY_D = ParamContext(())
 
 def _interp(src: str, vars=(), tids=()):
     return interp(parse_term(src), CompContext(tuple(vars)), ParamContext(tuple(tids)))
+
+
+# --- element references ------------------------------------------------------
+
+REFS = [In(1), In(2), Vert(1), Vert(3), Vert(10), STAR]
+
+
+def test_element_references_of_different_kinds_differ():
+    assert len({In(1), Vert(1), STAR}) == 3
+    assert In(1) != Vert(1) and In(1) != STAR and Vert(1) != STAR
+    assert Star() == STAR and In(2) == In(2) and Vert(2) != Vert(3)
+
+
+def test_element_reference_repr_and_fields():
+    assert [repr(e) for e in (In(1), Vert(3), STAR)] == ["In(index=1)", "Vert(vid=3)", "Star()"]
+    assert str(In(1)) == "In(index=1)" and f"{Vert(3)}" == "Vert(vid=3)"
+    assert In(4).index == 4 and Vert(5).vid == 5
+
+
+def test_element_references_sort_inputs_then_vertices_then_star():
+    def kind_key(e):
+        # the order of the former explicit sort key
+        if isinstance(e, In):
+            return (0, e.index)
+        if isinstance(e, Vert):
+            return (1, e.vid)
+        return (2, 0)
+
+    shuffled = list(REFS)
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=kind_key) == REFS
+
+
+def test_element_references_match_by_class_pattern():
+    bound = []
+    for e in REFS:
+        match e:
+            case In(i):
+                bound.append(("in", i))
+            case Vert(v):
+                bound.append(("v", v))
+            case Star():
+                bound.append(("star",))
+    assert bound == [("in", 1), ("in", 2), ("v", 1), ("v", 3), ("v", 10), ("star",)]
+
+
+def test_element_references_survive_deepcopy_and_pickle():
+    for e in REFS:
+        for copied in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert copied == e and type(copied) is type(e) and repr(copied) == repr(e)
 
 
 # --- well-formedness ---------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Dual-route checks for the isomorphism matcher and reification.
+"""Dual-route checks for the model operations, the isomorphism matcher and
+reification.
 
-The backtracking matcher is cross-checked against a brute-force search over
-all vertex bijections, directly and through pomset isomorphism; reification
-is cross-checked against every admissible reordering of independent
-children.
+The model operations, which build their orders without closing them again,
+are cross-checked against reference operations that close from scratch
+through ``make_poset``, one by one and through a reference ``interp``.  The
+backtracking matcher is cross-checked against a brute-force search over all
+vertex bijections, directly and through pomset isomorphism; reification is
+cross-checked against every admissible reordering of independent children.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import random
 
 from dynthreads.posets import (
+    STAR,
     Bnd,
     HoleLabel,
     In,
@@ -21,17 +25,126 @@ from dynthreads.posets import (
     Pomset,
     PosetWithHoles,
     Vert,
+    _close_pairs,
     decide_equal,
     interp,
     iso_check,
+    make_poset,
     nf_to_term,
+    op_fork,
+    op_wait,
     raw_poset,
     reify,
+    relabel,
 )
-from dynthreads.terms import CompContext
-from dynthreads.tids import ParamContext
+from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait
+from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
 
-from genutil import random_well_formed_poset
+from genutil import random_relation, random_term, random_well_formed_poset
+
+
+# --- model operations against closing from scratch -----------------------------
+#
+# Reference model operations: each builds its order as the operation defines
+# it and closes it from scratch through ``make_poset``.
+
+def ref_relabel(p: PosetWithHoles, r: Relation) -> PosetWithHoles:
+    def through(e):
+        return [In(j) for j in r.image(e.index)] if isinstance(e, In) else [e]
+
+    order = {(d2, e) for d, e in p.order for d2 in through(d)}
+    holes = {
+        vid: (h.var, h.arity, [{x for e in slot for x in through(e)} for slot in h.visibility])
+        for vid, h in p.holes
+    }
+    return make_poset(r.dst, dict(p.actions), holes, order)
+
+
+def ref_wait(p: PosetWithHoles) -> PosetWithHoles:
+    new = In(p.n_inputs + 1)
+    order = set(p.order) | {(new, Vert(v)) for v in p.vertex_ids} | {(new, STAR)}
+    return make_poset(p.n_inputs + 1, dict(p.actions), dict(p.holes), order)
+
+
+def ref_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
+    n = q.n_inputs
+    offset = max(p.vertex_ids, default=0)
+
+    def shift(e):
+        return Vert(e.vid + offset) if isinstance(e, Vert) else e
+
+    dead = In(n + 1)
+    below_child_star = {shift(d) for d, e in q.order if e == STAR}
+    above_dead = {e for d, e in p.order if d == dead}
+    actions = dict(p.actions) | {v + offset: label for v, label in q.actions}
+    holes = {
+        vid: (h.var, h.arity, [
+            (slot - {dead}) | below_child_star if dead in slot else slot
+            for slot in h.visibility
+        ])
+        for vid, h in p.holes
+    }
+    holes.update({
+        vid + offset: (h.var, h.arity, [{shift(e) for e in slot} for slot in h.visibility])
+        for vid, h in q.holes
+    })
+    order = {(d, e) for d, e in p.order if d != dead}
+    order |= {(shift(d), shift(e)) for d, e in q.order if e != STAR}
+    order |= {(d, e) for d in below_child_star for e in above_dead}
+    return make_poset(n, actions, holes, order)
+
+
+def ref_interp(term, delta: ParamContext) -> PosetWithHoles:
+    """``interp`` with every model operation closing its order from
+    scratch."""
+    n = len(delta)
+    match term:
+        case Stop():
+            return make_poset(n, {}, {}, set())
+        case Act(label):
+            return make_poset(n, {1: label}, {}, {(Vert(1), STAR)})
+        case Var(name, args):
+            slots = [{In(delta.index(x)) for x in u} for u in args]
+            return make_poset(n, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
+        case Wait(guard, cont):
+            rel = graph_of([TidSet(n, frozenset(delta.index(x) for x in guard))], n)
+            return ref_relabel(ref_wait(ref_interp(cont, delta)), rel)
+        case Fork(binder, parent, child):
+            return ref_fork(ref_interp(parent, delta.extend(binder)), ref_interp(child, delta))
+    raise TypeError(term)
+
+
+def _is_closed(p: PosetWithHoles) -> bool:
+    return p.order == _close_pairs(set(p.order))
+
+
+def test_model_ops_keep_orders_closed_and_match_closing_from_scratch():
+    rng = random.Random(35)
+    for _ in range(150):
+        q = random_well_formed_poset(rng, max_vertices=6)
+        p = random_well_formed_poset(rng, max_vertices=6)
+        r = random_relation(rng, p.n_inputs, rng.randint(0, 4), density=0.5)
+        # fork needs a parent over one more input than the child
+        parent = relabel(p, random_relation(rng, p.n_inputs, q.n_inputs + 1, density=0.5))
+        for fast, slow in (
+            (op_wait(q), ref_wait(q)),
+            (relabel(p, r), ref_relabel(p, r)),
+            (op_fork(parent, q), ref_fork(parent, q)),
+        ):
+            assert _is_closed(fast)
+            assert fast == slow
+
+
+def test_interp_matches_closing_after_every_operation():
+    rng = random.Random(36)
+    gamma = CompContext((("x", 1), ("y", 2), ("z", 0)))
+    for _ in range(200):
+        n = rng.randint(0, 3)
+        delta = ParamContext(tuple(f"a{i}" for i in range(1, n + 1)))
+        term = random_term(rng, gamma, delta, rng.randint(4, 30))
+        fast = interp(term, gamma, delta)
+        assert _is_closed(fast)
+        assert fast == ref_interp(term, delta)
 
 
 def brute_force_iso(p: PosetWithHoles, q: PosetWithHoles) -> bool:

@@ -31,6 +31,7 @@ a closed order, as its docstring argues, so no operation closes again.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -68,54 +69,49 @@ class IllFormed(PosetError):
 # ordering run in C: references sort inputs by index, then vertices by id,
 # then star.
 
-class In(tuple):
+class _Ref(tuple):
+    """Base of the references: a subclass sets its ``_tag`` and names the
+    field that ``n`` holds in ``__match_args__`` (none for star, whose
+    ``n`` is 0)."""
+
+    __slots__ = ()
+    _tag: int
+    __match_args__: tuple = ()
+
+    def __new__(cls, n: int = 0) -> "_Ref":
+        return tuple.__new__(cls, (cls._tag, n))
+
+    def __getnewargs__(self) -> tuple:
+        return self[1 : 1 + len(self.__match_args__)]
+
+    def __repr__(self) -> str:
+        fields = "".join(f"{name}={self[1]!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class In(_Ref):
     """The i-th input element (1-based)."""
 
     __slots__ = ()
+    _tag = 0
     __match_args__ = ("index",)
     index = property(itemgetter(1))
 
-    def __new__(cls, index: int) -> "In":
-        return tuple.__new__(cls, (0, index))
 
-    def __getnewargs__(self) -> tuple:
-        return (self[1],)
-
-    def __repr__(self) -> str:
-        return f"In(index={self[1]!r})"
-
-
-class Vert(tuple):
+class Vert(_Ref):
     """A labelled vertex (action or hole) by numeric id."""
 
     __slots__ = ()
+    _tag = 1
     __match_args__ = ("vid",)
     vid = property(itemgetter(1))
 
-    def __new__(cls, vid: int) -> "Vert":
-        return tuple.__new__(cls, (1, vid))
 
-    def __getnewargs__(self) -> tuple:
-        return (self[1],)
-
-    def __repr__(self) -> str:
-        return f"Vert(vid={self[1]!r})"
-
-
-class Star(tuple):
+class Star(_Ref):
     """The end-of-main-thread marker; unique and maximal."""
 
     __slots__ = ()
-    __match_args__ = ()
-
-    def __new__(cls) -> "Star":
-        return tuple.__new__(cls, (2, 0))
-
-    def __getnewargs__(self) -> tuple:
-        return ()
-
-    def __repr__(self) -> str:
-        return "Star()"
+    _tag = 2
 
 
 STAR = Star()
@@ -317,25 +313,30 @@ def visibility_relation(p: PosetWithHoles) -> frozenset:
 
 def check_well_formed(p: PosetWithHoles) -> Optional[str]:
     """Return ``None`` if well-formed, else a description of the first
-    violated condition."""
+    violated condition.
+
+    Where a condition fails at several places, the witness named is the
+    least one in reference order, so the message does not depend on how
+    sets happen to iterate.
+    """
     p.validate_refs()
     order = p.order
-    for d, e in order:
-        if d == e:
-            return f"order is reflexive at {d}"
-    order_set = set(order)
-    for a, b in order:
-        for c in p.above(b):
-            if (a, c) not in order_set:
-                return f"order not transitively closed: {a} < {b} < {c}"
-    for a, b in order:
-        if (b, a) in order_set:
-            return f"order not antisymmetric: {a} and {b}"
-    for d, e in order:
-        if isinstance(e, In):
-            return f"input {e.index} is not minimal"
-        if isinstance(d, Star):
-            return "star is not maximal"
+    loops = [d for d, e in order if d == e]
+    if loops:
+        return f"order is reflexive at {min(loops)}"
+    gaps = [(a, b, c) for a, b in order for c in p.above(b) if (a, c) not in order]
+    if gaps:
+        a, b, c = min(gaps)
+        return f"order not transitively closed: {a} < {b} < {c}"
+    cycles = [(a, b) for a, b in order if (b, a) in order]
+    if cycles:
+        a, b = min(cycles)
+        return f"order not antisymmetric: {a} and {b}"
+    raised = [e.index for _, e in order if isinstance(e, In)]
+    if raised:
+        return f"input {min(raised)} is not minimal"
+    if any(isinstance(d, Star) for d, _ in order):
+        return "star is not maximal"
     for vid, label in p.holes:
         hole = Vert(vid)
         for i, slot in enumerate(label.visibility, start=1):
@@ -343,17 +344,18 @@ def check_well_formed(p: PosetWithHoles) -> Optional[str]:
                 return f"hole {label.var}(vertex {vid}) slot {i} misses the hole itself"
             if STAR in slot:
                 return f"hole {label.var}(vertex {vid}) slot {i} contains star"
-            for m in slot:
-                missing = p.below(m) - slot
-                if missing:
-                    return (
-                        f"hole {label.var}(vertex {vid}) slot {i} not downward-closed: "
-                        f"misses {sorted(missing)}"
-                    )
+            open_below = [m for m in slot if not p.below(m) <= slot]
+            if open_below:
+                missing = p.below(min(open_below)) - slot
+                return (
+                    f"hole {label.var}(vertex {vid}) slot {i} not downward-closed: "
+                    f"misses {sorted(missing)}"
+                )
     combined = _close_pairs(set(order) | set(visibility_relation(p)))
-    for a, b in combined:
-        if a != b and (b, a) in combined:
-            return f"visibility and order form a cycle through {a} and {b}"
+    cycles = [(a, b) for a, b in combined if a != b and (b, a) in combined]
+    if cycles:
+        a, b = min(cycles)
+        return f"visibility and order form a cycle through {a} and {b}"
     return None
 
 
@@ -408,9 +410,7 @@ def iso_quick_reject(p: PosetWithHoles, q: PosetWithHoles) -> Optional[str]:
     q_fixed = {(d, e) for (d, e) in q.order if not isinstance(d, Vert) and not isinstance(e, Vert)}
     if p_fixed != q_fixed:
         return "order between inputs and star differs"
-    p_sigs = sorted(map(str, p._signatures.values()))
-    q_sigs = sorted(map(str, q._signatures.values()))
-    if p_sigs != q_sigs:
+    if Counter(p._signatures.values()) != Counter(q._signatures.values()):
         return "vertex invariant signatures differ"
     return None
 

@@ -26,6 +26,7 @@ from dynthreads.posets import (
     erase_star,
     interp,
     iso_check,
+    iso_quick_reject,
     make_poset,
     nf_to_term,
     normalize,
@@ -167,7 +168,33 @@ def test_well_formedness_reports_each_clause():
     assert "downward" in check_well_formed(not_down)
 
 
+def test_well_formedness_names_the_least_witness():
+    # several violations of one clause: the message names the least witness in
+    # reference order, whatever order the pairs were given in
+    chain = [(Vert(1), Vert(2)), (Vert(2), Vert(3)), (Vert(3), Vert(4)), (Vert(4), STAR)]
+    raised = [(Vert(1), In(3)), (Vert(1), In(2)), (Vert(1), STAR)]
+    for pairs in (chain, chain[::-1]):
+        p = raw_poset(0, {1: "s", 2: "t", 3: "u", 4: "v"}, {}, pairs)
+        assert check_well_formed(p) == (
+            "order not transitively closed: Vert(vid=1) < Vert(vid=2) < Vert(vid=3)"
+        )
+    for pairs in (raised, raised[::-1]):
+        assert check_well_formed(raw_poset(3, {1: "s"}, {}, pairs)) == "input 2 is not minimal"
+
+
 # --- isomorphism -------------------------------------------------------------
+
+def test_quick_reject_does_not_depend_on_set_iteration_order():
+    # the same four inputs below the action; with vertex ids 1 and 2 the
+    # signature frozensets iterate them in different orders
+    def one_action(vid):
+        order = {(In(i), Vert(vid)) for i in (1, 3, 4, 9)} | {(Vert(vid), STAR)}
+        return make_poset(9, {vid: "s"}, {}, order)
+
+    p, q = one_action(1), one_action(2)
+    assert iso_quick_reject(p, q) is None
+    assert iso_check(p, q) == {1: 2}
+
 
 def test_iso_invariant_under_vertex_renaming():
     p = _interp("fork(a. wait(a, act[s2]), act[s1])")

@@ -4,10 +4,10 @@
     python3 tools/bench_pairs.py --workload all --base HEAD~1 --seed 43 --pairs 10 --out BENCH.json
 
 Exports ``--base`` (default ``HEAD``) with ``git archive`` into a temporary
-directory, then runs ``perfbench/run.py --workload W --seed S --seconds T
---trace X`` of each checkout, one after another, ``--pairs`` times; the side
-that runs first alternates from pair to pair.  Each checkout runs its own
-``perfbench/run.py`` on its own sources.  For every metric it prints the
+directory, then runs ``perfbench/run.py --workload W --seed S --trace X`` of each
+checkout, one after another, ``--pairs`` times; the side that runs first
+alternates from pair to pair.  Each checkout runs its own ``perfbench/run.py``
+on its own sources, for that benchmark's own run length.  For every metric it prints the
 median and quartiles of each side and how many pairs the working tree won,
 lost and tied, and it writes all runs and that summary to ``--out`` as JSON.
 
@@ -58,10 +58,10 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run; its metric values by name."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -112,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -123,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
 
     report = {"base": args.base, "seed": args.seed, "pairs": args.pairs,
-              "seconds": args.seconds, "trace": args.trace, "workloads": {}}
+              "trace": args.trace, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         report["base_commit"] = export(args.base, Path(tmp))
         sides = {"base": Path(tmp), "change": ROOT}
@@ -134,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                 first = ("base", "change") if k % 2 == 0 else ("change", "base")
                 order.append(first[0])
                 for side in first:
-                    runs[side].append(
-                        bench(sides[side], workload, args.seed, args.seconds, args.trace))
+                    runs[side].append(bench(sides[side], workload, args.seed, args.trace))
                 print(f"{workload}: pair {k + 1}/{args.pairs} done", file=sys.stderr)
             metrics = {}
             print(f"== {workload}, seed {args.seed}, {args.pairs} pairs, "

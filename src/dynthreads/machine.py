@@ -1,27 +1,24 @@
 """Small-step operational semantics: thread pools and labelled transitions.
 
-A configuration holds a finite world of runtime thread IDs, a waiting
-relation ``prec`` (``b prec a``: thread ``a`` waits for ``b``), and a map
-from IDs to computations or ``finished``.  A thread may step only when
-everything it waits for has finished; ``fork`` steps spawn a child whose ID
-extends the parent's path by the next spawn ordinal, so fresh names do not
-depend on the schedule and configurations from different interleavings are
-directly comparable.
+A configuration holds a waiting relation ``prec`` (``b prec a``: thread
+``a`` waits for ``b``) and a map from runtime thread IDs, its world, to
+computations or ``finished``.  A thread may step only when everything it
+waits for has finished; ``fork`` steps spawn a child whose ID extends the
+parent's path by the next spawn ordinal, so fresh names do not depend on
+the schedule and configurations from different interleavings are directly
+comparable.
 
-``prec`` pairs between finished threads are never garbage-collected; the
-relation only grows and is kept transitively closed.
-
-Closure is incremental.  Adding edges from sources ``S`` into one thread
-``b`` to a closed relation adds exactly ``(S | preds(S)) x ({b} |
-succs(b))``: a path through two of the new edges passes ``b`` twice, and
-cutting the loop leaves a path through one.  Every step's new edges enter
-one thread: the acting thread (``wait``) or the child it forks (which
-inherits the waits of its parent), so a step costs one pass over ``prec``
-instead of a rebuild.  :func:`check_confluence` checks, for every local
+``prec`` holds only the pairs that steps wrote: a ``wait`` adds a pair from
+each awaited thread to the acting one, and a forked child inherits the
+waits of its parent.  It is not closed, and it only grows: pairs between
+finished threads are never garbage-collected.  Direct waits decide
+enabledness, because a thread that has finished had already waited for
+everything below it.  :func:`check_confluence` checks, for every local
 step, that its wait pairs end at the acting thread.
 
-Observations: the labelled steps of a terminated run, ordered by the final
-waiting relation, form a pomset (see :class:`dynthreads.posets.Pomset`).
+Observations: the labelled steps of a terminated run, ordered by the
+transitive closure of the final waiting relation, form a pomset (see
+:class:`dynthreads.posets.Pomset`).
 
 Exploration (:func:`explore`, :func:`run_exhaustive`, ``run(policy=
 "exhaustive")``) builds a partial-order-reduced schedule graph: in a
@@ -82,7 +79,7 @@ from .lang import (
     tid_str,
     tids_of_value,
 )
-from .posets import Pomset
+from .posets import Pomset, _close_pairs
 
 
 class MachineError(Exception):
@@ -107,21 +104,26 @@ ThreadState = Union[Comp, str]
 
 @_node
 class Configuration:
-    """World, waiting relation, and thread map, all hashable for dedup
-    (the hash is cached, as for syntax nodes).
+    """Waiting relation and thread map, both hashable for dedup (the hash
+    is cached, as for syntax nodes).  ``prec`` holds the waits the steps
+    wrote, not their closure.
 
-    Spawn counters are not stored: threads never leave the world, so the
+    The world is not stored: it is the set of tids in ``threads``.  Spawn
+    counters are not stored either: threads never leave the world, so the
     next spawn ordinal of ``a`` is one plus the number of direct children
     of ``a`` present.
     """
 
-    world: frozenset  # frozenset[Tid]
     prec: frozenset  # frozenset[tuple[Tid, Tid]]  (b, a): a waits for b
     threads: tuple  # tuple[tuple[Tid, ThreadState], ...] sorted by tid
 
     @staticmethod
     def initial(comp: Comp, tid: Tid = ()) -> "Configuration":
-        return Configuration(frozenset({tid}), frozenset(), ((tid, comp),))
+        return Configuration(frozenset(), ((tid, comp),))
+
+    @cached_property
+    def world(self) -> frozenset:  # frozenset[Tid]
+        return frozenset(tid for tid, _ in self.threads)
 
     @cached_property
     def thread_map(self) -> dict:
@@ -205,14 +207,8 @@ def _local_step(comp: Comp, tid: Tid, alloc: Callable[[], Tid]) -> Optional[_Loc
 
 # Thread-local steps depend only on (computation, tid, next spawn ordinal),
 # and identical thread states recur across thousands of interleavings, so
-# memoize them.  Interning the threads tuple and waiting relation lets
-# configuration comparisons hit identity fast paths.
+# memoize them.
 _LOCAL_MEMO: dict = {}
-_INTERN: dict = {}
-
-
-def _intern(value):
-    return _INTERN.setdefault(value, value)
 
 
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
@@ -223,15 +219,15 @@ def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
 def _expand(c: Configuration) -> tuple[list, list]:
     """The runnable threads of ``c`` (:func:`_runnable`) and their steps."""
     runnable = _runnable(c)
-    return runnable, [_apply(c, r, _intern) for r in runnable]
+    return runnable, [_apply(c, r) for r in runnable]
 
 
 def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
     """The threads of ``c`` that can step, in tid order, each with the
-    threads it waits for and its (memoized) local step.
+    threads it directly waits for and its (memoized) local step.
 
     What each live thread waits for and how many children it has are
-    indexed in one pass over ``prec`` and one over the world."""
+    indexed in one pass over ``prec`` and one over the threads."""
     finished = set()
     waits: dict = {}
     for tid, state in c.threads:
@@ -245,7 +241,7 @@ def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
         if a in waits:
             waits[a].append(b)
     children = dict.fromkeys(waits, 0)
-    for t in c.world:
+    for t, _ in c.threads:
         if t and t[:-1] in children:
             children[t[:-1]] += 1
 
@@ -254,7 +250,7 @@ def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
         if state == FINISHED:
             continue
         waited = waits[tid]
-        if any(b not in c.world or b not in finished for b in waited):
+        if any(b not in finished for b in waited):
             continue
         ordinal = children[tid] + 1
         key = (state, tid, ordinal)
@@ -269,50 +265,28 @@ def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
 
 
 def _apply(
-    c: Configuration,
-    runnable: tuple[Tid, list, _LocalOut],
-    intern: Callable,
+    c: Configuration, runnable: tuple[Tid, list, _LocalOut]
 ) -> tuple[StepLabel, Configuration]:
     """The global step of one runnable thread (an entry of
-    :func:`_runnable`).  Every thread the step spawns inherits what the
-    acting thread waits for; ``intern`` is applied to the new world,
-    waiting relation and threads tuple."""
+    :func:`_runnable`): the thread map updated at the threads the local
+    step wrote, and ``prec`` grown by the step's waits and by a pair from
+    each direct wait of the acting thread to every thread it spawns."""
     tid, waited, local = runnable
     inherited = {(b, t) for t, _ in local.threads if t != tid for b in waited}
-    prec = intern(_close_with(c.prec, local.new_prec | inherited))
+    added = local.new_prec | inherited
     threads = dict(c.threads)
     threads.update(local.threads)
-    world = (
-        c.world
-        if len(local.threads) == 1
-        else c.world | frozenset(t for t, _ in local.threads)
-    )
     new = Configuration(
-        intern(world),
-        prec,
-        intern(tuple(sorted(threads.items()))),
+        (c.prec | added) if added else c.prec, tuple(sorted(threads.items()))
     )
     return StepLabel(tid, local.action), new
 
 
-def _close_with(closed: frozenset, new_edges: frozenset) -> frozenset:
-    """Transitive closure of an already-closed relation plus extra edges,
-    computed incrementally (see the module docstring): the edges into each
-    target ``b`` from sources ``S`` add ``(S | preds(S)) x ({b} | succs(b))``."""
-    by_target: dict = {}
-    for a, b in new_edges:
-        if (a, b) not in closed:
-            by_target.setdefault(b, set()).add(a)
-    for b, sources in by_target.items():
-        before = set(sources)
-        after = {b}
-        for x, y in closed:
-            if y in sources:
-                before.add(x)
-            if x == b:
-                after.add(y)
-        closed = closed | {(x, y) for x in before for y in after}
-    return closed
+def _deadlock(c: Configuration) -> Deadlock:
+    """The error for a non-terminal configuration with no steps, naming
+    its unfinished threads."""
+    stuck = ", ".join(tid_str(t) for t, state in c.threads if state != FINISHED)
+    return Deadlock(f"deadlocked configuration with no enabled steps: {stuck}")
 
 
 # --- running ---------------------------------------------------------------------
@@ -326,14 +300,18 @@ class RunResult:
 
 
 def observation(events: Iterable[StepLabel], final: Configuration) -> Pomset:
-    """The pomset of a terminated run: labelled steps ordered by the final
-    waiting relation."""
+    """The pomset of a terminated run: labelled steps ordered by the
+    transitive closure of the final waiting relation.
+
+    The relation is closed before it is restricted to the acting threads:
+    a silent thread can sit between two that act, as when a thread waits
+    for a child that waited for a printer and stopped."""
     labelled = [e for e in events if e.action is not None]
     labels = {tid_str(e.acting): e.action for e in labelled}
     acting = {e.acting for e in labelled}
     order = {
         (tid_str(b), tid_str(a))
-        for (b, a) in final.prec
+        for (b, a) in _close_pairs(final.prec)
         if b in acting and a in acting
     }
     return Pomset.of(labels, order)
@@ -381,8 +359,7 @@ def _run_schedule(
     :func:`enabled_steps` lists their steps, so a seeded random choice
     follows the same schedule; only the chosen step is built.
     ``after_step`` sees each new configuration and the number of steps
-    taken so far.  Configurations are not interned: a run visits each one
-    once, and keeping them all would hold every version of ``prec``."""
+    taken so far."""
     c = Configuration.initial(comp)
     events: list[StepLabel] = []
     trace: list[str] = []
@@ -391,22 +368,15 @@ def _run_schedule(
         if not runnable:
             if c.is_terminal():
                 return RunResult(c, tuple(events), observation(events, c), tuple(trace))
-            raise Deadlock(
-                "non-terminal configuration with no enabled steps: "
-                + ", ".join(tid_str(t) for t, s in c.threads if s != FINISHED)
-            )
+            raise _deadlock(c)
         chosen = choose(runnable)
-        label, c = _apply(c, chosen, _no_intern)
+        label, c = _apply(c, chosen)
         events.append(label)
         # the acting thread comes first among the threads a local step returns
         trace.append(_trace_line(label, chosen[2].threads[0][1]))
         if after_step is not None:
             after_step(c, len(events))
     raise FuelExhausted(f"no terminal configuration within {fuel} steps")
-
-
-def _no_intern(value):
-    return value
 
 
 _TRACE_WIDTH = 60
@@ -482,7 +452,7 @@ def _state_graph(
         if unreduced is not None:
             unreduced[c] = (runnable, steps)
         if not steps and not c.is_terminal():
-            raise Deadlock(f"deadlocked configuration reached from {tid_str(())}")
+            raise _deadlock(c)
         if reduce:
             silent = next((s for s in steps if s[0].action is None), None)
             if silent is not None:
@@ -622,16 +592,14 @@ def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
       (A) Local steps close every diamond.  Suppose every step passes the
           first two checks.  By induction along any run, the children of
           ``a`` are ``a.1`` to ``a.(n-1)``, so ``a.n`` is new.  A step of
-          ``a`` changes the thread map at ``a`` and at a new thread; its
-          wait pairs enter ``a`` and the new child (which inherits ``a``'s
-          waits), so with the exact closure of :func:`_close_with` every
-          new pair into an old thread ends at ``a`` or at a thread waiting
-          for the unfinished ``a``, which is not runnable (the prec-growth
-          law).  Two distinct runnable threads thus write disjoint parts of
-          the configuration: neither changes the other's state, waits or
-          spawn count, their thread-map updates touch disjoint keys, and
-          both orders close the same union of edges.  So the diamond
-          closes in every configuration, reduced or not.
+          ``a`` changes the thread map at ``a`` and at a new thread, and
+          every pair it adds to ``prec`` ends at ``a`` (its waits) or at
+          its new child (which inherits ``a``'s direct waits).  Two
+          distinct runnable threads thus write disjoint parts of the
+          configuration: neither changes the other's state, waits or spawn
+          count, their thread-map updates touch disjoint keys, and both
+          orders add the same pairs to ``prec``.  So the diamond closes in
+          every configuration, reduced or not.
       (B) Every step of the full graph passes the first two checks.  They
           depend only on the thread's state, tid and spawn ordinal, which
           determine its local step.  The walk checks the local step of
@@ -713,20 +681,20 @@ def check_config_well_formed(
     order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
 ) -> Optional[str]:
     """The four conditions for a configuration to look like a family of
-    siblings created in the given linear order."""
+    siblings created in the given linear order: the order lists the world,
+    every thread waits only on known threads that come earlier, and every
+    unfinished thread type checks against the threads before it.
+
+    ``prec`` need not be closed: if every pair goes forward in the order,
+    so does every pair of its closure, which is therefore acyclic."""
     if set(order) != set(c.world) or len(order) != len(c.world):
         return "order is not a linear order on the world"
     position = {tid: i for i, tid in enumerate(order)}
-    prec = set(c.prec)
-    for b, a in prec:
-        for x, y in prec:
-            if a == x and (b, y) not in prec:
-                return f"prec not transitive: {tid_str(b)} and {tid_str(y)}"
-    for b, a in prec:
+    for b, a in c.prec:
         if b not in c.world:
             return f"{tid_str(a)} waits on unknown thread {tid_str(b)}"
-    for b, a in prec:
-        if b in c.world and a in c.world and position[b] >= position[a]:
+    for b, a in c.prec:
+        if a in c.world and position[b] >= position[a]:
             return f"{tid_str(a)} waits on later sibling {tid_str(b)}"
     for tid, state in c.threads:
         if state == FINISHED:

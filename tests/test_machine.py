@@ -75,11 +75,7 @@ def test_waiting_thread_is_not_enabled():
     # pretend the world already contains the unfinished thread 0.1
     threads = dict(c.threads)
     threads[(1,)] = desugar(parse_comp("stop()"))
-    c = Configuration(
-        c.world | {(1,)},
-        frozenset(),
-        tuple(sorted(threads.items())),
-    )
+    c = Configuration(frozenset(), tuple(sorted(threads.items())))
     (first, _), (second, _) = sorted(enabled_steps(c), key=lambda s: s[0].acting)
     assert {first.acting, second.acting} == {(), (1,)}
 
@@ -226,7 +222,6 @@ def test_preservation_along_runs():
 
 def test_config_well_formed_rejects_wait_against_order():
     c = Configuration(
-        frozenset({(), (1,)}),
         frozenset({((), (1,))}),  # thread 0.1 waits on the root
         (((), FINISHED), ((1,), FINISHED)),
     )
@@ -235,6 +230,11 @@ def test_config_well_formed_rejects_wait_against_order():
     assert check_config_well_formed(c, EMPTY, ((), (1,))) is None
     bad = check_config_well_formed(c, EMPTY, ((1,), ()))
     assert bad is not None and "later sibling" in bad
+    # two threads waiting for each other fit no creation order
+    cycle = Configuration(c.prec | {((1,), ())}, c.threads)
+    for order in (((), (1,)), ((1,), ())):
+        bad = check_config_well_formed(cycle, EMPTY, order)
+        assert bad is not None and "later sibling" in bad, order
 
 
 def test_find_extending_order_inserts_new_thread():
@@ -271,9 +271,10 @@ def test_run_result_json_shape():
 FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
 
 # programs outside the corpus that the full-graph oracles also check: in
-# ``nested_wait`` the reduced walk always runs the root's wait first, so a
-# closure of ``prec`` that forgets the successors of a new edge's target
-# passes the reduced gate and fails only the full-graph check (18 states)
+# ``nested_wait`` the root waits for 0.1, which waits for its child 0.1.1,
+# so the observed s1 < s2 holds only in the closure of ``prec``.  The
+# reduced walk always runs the root's wait first; the full graph (18
+# states) also records the two waits the other way round
 EXTRA_PROGRAMS = {
     "nested_wait": (
         "let y = fork() in case y of { inj1 a => wait(a); printstop[s2]() "
@@ -295,30 +296,77 @@ def _load(name: str):
     return load_core(name)
 
 
-def test_prec_only_grows_and_stays_transitive():
+def _reference_close_with(closed: frozenset, new_edges: set) -> frozenset:
+    """A closed relation plus ``new_edges``, closed incrementally: the edges
+    into each target ``b`` from sources ``S`` add ``(S | preds(S)) x ({b} |
+    succs(b))``, since a path through two new edges into ``b`` passes ``b``
+    twice and cutting the loop leaves a path through one."""
+    by_target: dict = {}
+    for a, b in new_edges:
+        if (a, b) not in closed:
+            by_target.setdefault(b, set()).add(a)
+    for b, sources in by_target.items():
+        before = set(sources)
+        after = {b}
+        for x, y in closed:
+            if y in sources:
+                before.add(x)
+            if x == b:
+                after.add(y)
+        closed = closed | {(x, y) for x in before for y in after}
+    return closed
+
+
+def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
     # every step of the full schedule graph of every program that fits the
-    # oracle budget; the incremental closure must agree with a
-    # closure from scratch, and the new pairs must all follow from those
-    # that end at the acting thread or at a thread the step created
+    # oracle budget.  prec only grows, by pairs into the acting thread or a
+    # thread new to the world.  Closed, it is the relation a machine that
+    # keeps prec closed reaches: there a step adds its waits and gives a new
+    # child every thread below its parent, and the closure is kept up
+    # incrementally.  The threads runnable on the direct waits are those
+    # runnable on the closure
     for name in FULL_GRAPH_PROGRAMS:
         _, steps_of, _, truncated = _state_graph(_load(name), 25_000, reduce=False)
         assert not truncated, name
+        closures: dict = {}
+
+        def closed(prec):
+            """The closure of ``prec`` and, for each thread, those below it."""
+            if prec not in closures:
+                below = _close_pairs(prec)
+                preds: dict = {}
+                for b, a in below:
+                    preds.setdefault(a, set()).add(b)
+                closures[prec] = below, preds
+            return closures[prec]
+
         seen = set()
         for c, steps in steps_of.items():
+            below, preds = closed(c.prec)
+            finished = {t for t, state in c.threads if state == FINISHED}
+            runnable = [
+                t
+                for t, state in c.threads
+                if state != FINISHED
+                and not isinstance(state, Ret)
+                and preds.get(t, set()) <= finished
+            ]
+            assert [t for t, _, _ in _runnable(c)] == runnable, name
             for label, nxt in steps:
                 # many steps repeat the same closure problem; check each once
-                problem = (c.prec, nxt.prec, label.acting, c.world)
+                problem = (c.prec, nxt.prec, label.acting, c.world, nxt.world)
                 if problem in seen:
                     continue
                 seen.add(problem)
+                a = label.acting
                 assert c.prec <= nxt.prec, name
-                assert nxt.prec == _close_pairs(nxt.prec), name
-                direct = {
-                    (x, y)
-                    for x, y in nxt.prec - c.prec
-                    if y == label.acting or y not in c.world
-                }
-                assert nxt.prec == _close_pairs(c.prec | direct), name
+                added = nxt.prec - c.prec
+                new_threads = nxt.world - c.world
+                assert all(y == a or y in new_threads for _, y in added), name
+                waits = {(x, y) for x, y in added if y == a}
+                inherited = {(b, t) for t in new_threads for b in preds.get(a, ())}
+                expected = _reference_close_with(below, waits | inherited)
+                assert closed(nxt.prec)[0] == expected, name
 
 
 def test_run_exhaustive_policy_returns_result_set():
@@ -425,7 +473,7 @@ def test_confluence_agrees_with_full_graph_check(name):
 
 def test_confluence_rejects_steps_that_are_not_local():
     stop = desugar(parse_comp("stop()"))
-    c = Configuration(frozenset({(), (1,)}), frozenset(), (((), stop), ((1,), stop)))
+    c = Configuration(frozenset(), (((), stop), ((1,), stop)))
 
     def violation(*threads, waits=()):
         local = machine._LocalOut(None, threads, frozenset(waits))
@@ -444,7 +492,7 @@ def test_confluence_rejects_steps_that_are_not_local():
 def _mutate_local_steps(monkeypatch, change) -> None:
     """Break the machine: every thread-local step ``out`` of thread ``tid``
     becomes ``change(out, tid)`` (the inner steps of ``let`` are left
-    alone).  The memo tables are replaced by fresh ones, so that no mutated
+    alone).  The memo table is replaced by a fresh one, so that no mutated
     step outlives the test."""
     original = machine._local_step
     depth = 0
@@ -459,7 +507,6 @@ def _mutate_local_steps(monkeypatch, change) -> None:
         return out if depth or out is None else change(out, tid)
 
     monkeypatch.setattr(machine, "_LOCAL_MEMO", {})
-    monkeypatch.setattr(machine, "_INTERN", {})
     monkeypatch.setattr(machine, "_local_step", mutated)
 
 
@@ -569,6 +616,13 @@ def test_deadlock_names_the_stuck_thread():
     for attempt in (lambda: run(comp), lambda: run_with_preservation(comp, UNIT)):
         with pytest.raises(Deadlock, match=r"no enabled steps: 0$"):
             attempt()
+    # the root and its child both wait for a thread that never exists
+    comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
+    message = "deadlocked configuration with no enabled steps: 0, 0.1"
+    for attempt in (run, explore, run_exhaustive, check_confluence):
+        with pytest.raises(Deadlock) as raised:
+            attempt(comp)
+        assert str(raised.value) == message, attempt
 
 
 def test_long_print_chain_runs_with_short_trace_lines():

@@ -266,20 +266,22 @@ class CaseC:
 Comp = Union[Ret, ProjC, CaseV, ApplyC, LetC, SeqC, CaseC]
 
 
+_TWO_RUNNERS = Prod((Arrow(UNIT, EMPTY), Arrow(UNIT, EMPTY)))
+_CONST_SIGNATURES = {
+    "fork": Arrow(UNIT, Sum((TID, UNIT))),
+    "wait": Arrow(TID, UNIT),
+    "stop": Arrow(UNIT, EMPTY),
+    "printstop": Arrow(UNIT, EMPTY),
+    "print": Arrow(UNIT, UNIT),
+    "node": Arrow(TID, TID),
+    "parallel": Arrow(_TWO_RUNNERS, EMPTY),
+    "series": Arrow(_TWO_RUNNERS, EMPTY),
+}
+
+
 def const_signature(c: ConstV) -> Arrow:
-    two_runners = Prod((Arrow(UNIT, EMPTY), Arrow(UNIT, EMPTY)))
-    table = {
-        "fork": Arrow(UNIT, Sum((TID, UNIT))),
-        "wait": Arrow(TID, UNIT),
-        "stop": Arrow(UNIT, EMPTY),
-        "printstop": Arrow(UNIT, EMPTY),
-        "print": Arrow(UNIT, UNIT),
-        "node": Arrow(TID, TID),
-        "parallel": Arrow(two_runners, EMPTY),
-        "series": Arrow(two_runners, EMPTY),
-    }
     try:
-        return table[c.name]
+        return _CONST_SIGNATURES[c.name]
     except KeyError:
         raise TypeCheckError(f"unknown constant {c.name!r}") from None
 

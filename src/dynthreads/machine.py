@@ -43,6 +43,12 @@ state budget: it expands at most that many configurations and then stops
 and reports the graph truncated.  :func:`explore` and :func:`run_exhaustive`
 raise :class:`FuelExhausted` on a truncated graph; :func:`check_confluence`
 checks what was built and reports it truncated.
+
+No table outlives a call.  A local step depends only on the thread's
+state, tid and next spawn ordinal, so each walk memoizes local steps under
+that key in a memo of its own (:func:`_expander`), which the confluence
+check shares for the successors it enumerates; a scheduled run computes
+only the local step it takes and memoizes nothing.
 """
 
 from __future__ import annotations
@@ -149,11 +155,13 @@ class _LocalOut:
     new_prec: frozenset
 
 
-def _local_step(comp: Comp, tid: Tid, alloc: Callable[[], Tid]) -> Optional[_LocalOut]:
-    """One thread-local reduction of ``comp`` running as ``tid``."""
+def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
+    """One thread-local reduction of ``comp``, which is not a value,
+    running as ``tid`` with next spawn ordinal ``ordinal``: the step is a
+    function of these three alone."""
     match comp:
         case ApplyC(ConstV("fork", _), _):
-            child = alloc()
+            child = tid + (ordinal,)
             fork_result = Sum((TID, UNIT))
             return _LocalOut(
                 None,
@@ -188,9 +196,7 @@ def _local_step(comp: Comp, tid: Tid, alloc: Callable[[], Tid]) -> Optional[_Loc
         case LetC(var, Ret(v), body):
             return _LocalOut(None, ((tid, subst_value(body, var, v)),), frozenset())
         case LetC(var, bound, body):
-            inner = _local_step(bound, tid, alloc)
-            if inner is None:
-                return None
+            inner = _local_step(bound, tid, ordinal)
             # every spawned thread continues with its own copy of the
             # continuation; finished threads stay finished
             wrapped = tuple(
@@ -198,80 +204,80 @@ def _local_step(comp: Comp, tid: Tid, alloc: Callable[[], Tid]) -> Optional[_Loc
                 for t, state in inner.threads
             )
             return _LocalOut(inner.action, wrapped, inner.new_prec)
-        case Ret(_):
-            return None
         case ProjC(_, _) | CaseV(_, _):
             raise StuckThread(f"no rule for {print_comp(comp)!r}")
     raise StuckThread(f"not a core computation: {comp!r}")
 
 
-# Thread-local steps depend only on (computation, tid, next spawn ordinal),
-# and identical thread states recur across thousands of interleavings, so
-# memoize them.
-_LOCAL_MEMO: dict = {}
-
-
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """All global steps: one per runnable thread, in tid order."""
-    return _expand(c)[1]
+    return _expander()(c)[1]
 
 
-def _expand(c: Configuration) -> tuple[list, list]:
-    """The runnable threads of ``c`` (:func:`_runnable`) and their steps."""
-    runnable = _runnable(c)
-    return runnable, [_apply(c, r) for r in runnable]
+def _expander() -> Callable[[Configuration], tuple[list, list]]:
+    """A fresh ``expand(c)``, which returns the moves of ``c`` (for each
+    runnable thread in tid order, its tid, next spawn ordinal and local
+    step) and the global steps they make.
+
+    Identical thread states recur across the interleavings of one walk, so
+    ``expand`` memoizes local steps, keyed ``(state, tid, ordinal)``.  The
+    memo belongs to this ``expand`` and lives no longer than its caller."""
+    memo: dict = {}
+
+    def expand(c: Configuration) -> tuple[list, list]:
+        moves, steps = [], []
+        for tid, state, waited, ordinal in _runnable(c):
+            key = (state, tid, ordinal)
+            local = memo.get(key)
+            if local is None:
+                local = memo[key] = _local_step(*key)
+            moves.append((tid, ordinal, local))
+            steps.append(_apply(c, tid, waited, local))
+        return moves, steps
+
+    return expand
 
 
-def _runnable(c: Configuration) -> list[tuple[Tid, list, _LocalOut]]:
-    """The threads of ``c`` that can step, in tid order, each with the
-    threads it directly waits for and its (memoized) local step.
+def _runnable(c: Configuration) -> list[tuple[Tid, Comp, list, int]]:
+    """The threads of ``c`` that can step, in tid order, each with its
+    state, the threads it directly waits for and its next spawn ordinal.
+    A thread can step when it is unfinished, not holding a value, and
+    everything it directly waits for has finished.  Its local step is not
+    computed here: a run computes only the one it takes.
 
-    What each live thread waits for and how many children it has are
+    What each such thread waits for and how many children it has are
     indexed in one pass over ``prec`` and one over the threads."""
     finished = set()
-    waits: dict = {}
+    live: dict = {}  # tid -> (state, direct waits)
     for tid, state in c.threads:
         if state == FINISHED:
             finished.add(tid)
-        else:
-            waits[tid] = []
-    if not waits:
+        elif not isinstance(state, Ret):
+            live[tid] = (state, [])
+    if not live:
         return []
     for b, a in c.prec:
-        if a in waits:
-            waits[a].append(b)
-    children = dict.fromkeys(waits, 0)
+        if a in live:
+            live[a][1].append(b)
+    children = dict.fromkeys(live, 0)
     for t, _ in c.threads:
         if t and t[:-1] in children:
             children[t[:-1]] += 1
-
-    out = []
-    for tid, state in c.threads:
-        if state == FINISHED:
-            continue
-        waited = waits[tid]
-        if any(b not in finished for b in waited):
-            continue
-        ordinal = children[tid] + 1
-        key = (state, tid, ordinal)
-        if key in _LOCAL_MEMO:
-            local = _LOCAL_MEMO[key]
-        else:
-            local = _local_step(state, tid, lambda: tid + (ordinal,))
-            _LOCAL_MEMO[key] = local
-        if local is not None:
-            out.append((tid, waited, local))
-    return out
+    return [
+        (tid, state, waited, children[tid] + 1)
+        for tid, (state, waited) in live.items()
+        if all(b in finished for b in waited)
+    ]
 
 
 def _apply(
-    c: Configuration, runnable: tuple[Tid, list, _LocalOut]
+    c: Configuration, tid: Tid, waited: list, local: _LocalOut
 ) -> tuple[StepLabel, Configuration]:
-    """The global step of one runnable thread (an entry of
-    :func:`_runnable`): the thread map updated at the threads the local
-    step wrote, and ``prec`` grown by the step's waits and by a pair from
-    each direct wait of the acting thread to every thread it spawns."""
-    tid, waited, local = runnable
+    """The global step of the runnable thread ``tid``, which directly waits
+    for ``waited`` and whose local step is ``local``: the thread map updated
+    at the threads the local step wrote, and ``prec`` grown by the step's
+    waits and by a pair from each direct wait of the acting thread to every
+    thread it spawns."""
     inherited = {(b, t) for t, _ in local.threads if t != tid for b in waited}
     added = local.new_prec | inherited
     threads = dict(c.threads)
@@ -305,16 +311,20 @@ def observation(events: Iterable[StepLabel], final: Configuration) -> Pomset:
 
     The relation is closed before it is restricted to the acting threads:
     a silent thread can sit between two that act, as when a thread waits
-    for a child that waited for a printer and stopped."""
+    for a child that waited for a printer and stopped.  The restriction of
+    the closure is closed and names only acting threads, and it is acyclic:
+    in a terminated run, ``b`` finished before ``a`` for every pair
+    ``(b, a)``, since ``a`` stepped again after writing it.  So the pomset
+    is built without a second closure."""
     labelled = [e for e in events if e.action is not None]
     labels = {tid_str(e.acting): e.action for e in labelled}
     acting = {e.acting for e in labelled}
-    order = {
+    order = frozenset(
         (tid_str(b), tid_str(a))
         for (b, a) in _close_pairs(final.prec)
         if b in acting and a in acting
-    }
-    return Pomset.of(labels, order)
+    )
+    return Pomset(tuple(sorted(labels.items())), order)
 
 
 def run(
@@ -355,9 +365,10 @@ def _run_schedule(
 ) -> RunResult:
     """The scheduler loop of :func:`run` and :func:`run_with_preservation`.
 
-    ``choose`` picks one of the runnable threads, listed in tid order as
-    :func:`enabled_steps` lists their steps, so a seeded random choice
-    follows the same schedule; only the chosen step is built.
+    ``choose`` picks one of the runnable threads (:func:`_runnable`),
+    listed in tid order as :func:`enabled_steps` lists their steps, so a
+    seeded random choice follows the same schedule.  Only the chosen
+    thread's local step is computed, and nothing outlives the run.
     ``after_step`` sees each new configuration and the number of steps
     taken so far."""
     c = Configuration.initial(comp)
@@ -369,11 +380,12 @@ def _run_schedule(
             if c.is_terminal():
                 return RunResult(c, tuple(events), observation(events, c), tuple(trace))
             raise _deadlock(c)
-        chosen = choose(runnable)
-        label, c = _apply(c, chosen)
+        tid, state, waited, ordinal = choose(runnable)
+        local = _local_step(state, tid, ordinal)
+        label, c = _apply(c, tid, waited, local)
         events.append(label)
         # the acting thread comes first among the threads a local step returns
-        trace.append(_trace_line(label, chosen[2].threads[0][1]))
+        trace.append(_trace_line(label, local.threads[0][1]))
         if after_step is not None:
             after_step(c, len(events))
     raise FuelExhausted(f"no terminal configuration within {fuel} steps")
@@ -417,7 +429,7 @@ class ExploreResult:
 
 
 def _state_graph(
-    comp: Comp, max_states: int, *, reduce: bool = True, unreduced: Optional[dict] = None
+    comp: Comp, max_states: int, *, reduce: bool = True, expand: Optional[Callable] = None
 ):
     """The schedule graph from ``comp``, configurations deduplicated: the
     one walk behind :func:`explore`, :func:`run_exhaustive` and
@@ -433,11 +445,14 @@ def _state_graph(
 
     By default one silent step is expanded per configuration where one is
     enabled (see the module docstring); ``reduce=False`` builds the full
-    graph, which tests use as the oracle for the reduced one.  A dict passed
-    as ``unreduced`` receives, for each expanded configuration, the
-    :func:`_expand` pair it was enumerated with, before the reduction."""
+    graph, which tests use as the oracle for the reduced one.
+
+    Configurations are enumerated by ``expand``, by default a fresh
+    :func:`_expander`, so the local-step memo belongs to this walk;
+    :func:`check_confluence` passes its own to keep the unreduced moves."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
+    expand = expand or _expander()
     c0 = Configuration.initial(comp)
     steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
     frontier = [c0]
@@ -448,9 +463,7 @@ def _state_graph(
             continue
         if len(steps_of) >= max_states:
             return c0, steps_of, first_event, True
-        runnable, steps = _expand(c)
-        if unreduced is not None:
-            unreduced[c] = (runnable, steps)
+        steps = expand(c)[1]
         if not steps and not c.is_terminal():
             raise _deadlock(c)
         if reduce:
@@ -612,19 +625,25 @@ def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
     violation reports how many were checked up to it.  Each configuration
     and successor is enumerated once: the walk hands over its unreduced
     steps, and those of successors it did not expand are enumerated on
-    demand.  ``states`` counts the reduced graph and ``max_states`` bounds
+    demand; all share one memo of local steps, which lives as long as the
+    check.  ``states`` counts the reduced graph and ``max_states`` bounds
     it; hitting the budget is reported as a truncated (but violation-free)
     check, not a failure.  A stuck configuration raises :class:`Deadlock`.
     """
     if not is_core(comp):
         raise MachineError("check_confluence needs a desugared computation")
+    expand = _expander()
     expanded: dict = {}
-    _, graph, _, truncated = _state_graph(comp, max_states, unreduced=expanded)
+
+    def moves_and_steps(c: Configuration) -> tuple[list, list]:
+        if c not in expanded:
+            expanded[c] = expand(c)
+        return expanded[c]
+
+    _, graph, _, truncated = _state_graph(comp, max_states, expand=moves_and_steps)
 
     def steps_of(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
-        if c not in expanded:
-            expanded[c] = _expand(c)
-        return expanded[c][1]
+        return moves_and_steps(c)[1]
 
     for checked, c in enumerate(graph, start=1):
         detail = _confluence_violation(c, expanded[c][0], steps_of)
@@ -633,11 +652,11 @@ def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
     return ConfluenceReport(True, len(graph), truncated, None)
 
 
-def _confluence_violation(c: Configuration, runnable: list, steps_of: Callable) -> Optional[str]:
-    """The first of the checks of :func:`check_confluence` that the
-    runnable threads of ``c`` (:func:`_runnable`) fail, or ``None``."""
-    for a, _, local in runnable:
-        child = a + (1 + sum(1 for t in c.world if t and t[:-1] == a),)
+def _confluence_violation(c: Configuration, moves: list, steps_of: Callable) -> Optional[str]:
+    """The first of the checks of :func:`check_confluence` that the moves
+    of ``c`` (see :func:`_expander`) fail, or ``None``."""
+    for a, ordinal, local in moves:
+        child = a + (ordinal,)
         for t, _ in local.threads:
             if t not in (a, child):
                 return f"step of {tid_str(a)} changes thread {tid_str(t)}"

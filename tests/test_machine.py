@@ -29,6 +29,7 @@ from dynthreads.machine import (
     FuelExhausted,
     MachineError,
     StepLabel,
+    StuckThread,
     _confluence_violation,
     _diamond_violation,
     _label_traces,
@@ -351,7 +352,7 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
                 and not isinstance(state, Ret)
                 and preds.get(t, set()) <= finished
             ]
-            assert [t for t, _, _ in _runnable(c)] == runnable, name
+            assert [t for t, _, _, _ in _runnable(c)] == runnable, name
             for label, nxt in steps:
                 # many steps repeat the same closure problem; check each once
                 problem = (c.prec, nxt.prec, label.acting, c.world, nxt.world)
@@ -389,9 +390,9 @@ def _local_step_keys(steps_of) -> set:
     threads of every expanded configuration: the local steps taken there."""
     keys = set()
     for c in steps_of:
-        for tid, _, _ in _runnable(c):
-            children = sum(1 for t in c.world if t and t[:-1] == tid)
-            keys.add((c.thread(tid), tid, children + 1))
+        for tid, state, _, ordinal in _runnable(c):
+            assert ordinal == 1 + sum(1 for t in c.world if t and t[:-1] == tid)
+            keys.add((state, tid, ordinal))
     return keys
 
 
@@ -477,7 +478,7 @@ def test_confluence_rejects_steps_that_are_not_local():
 
     def violation(*threads, waits=()):
         local = machine._LocalOut(None, threads, frozenset(waits))
-        return _confluence_violation(c, [((), [], local)], lambda _: [])
+        return _confluence_violation(c, [((), 2, local)], lambda _: [])
 
     # the root may change itself and fork its next child, 0.2, and wait
     assert violation(((), FINISHED), ((2,), stop), waits={((1,), ())}) is None
@@ -491,22 +492,21 @@ def test_confluence_rejects_steps_that_are_not_local():
 
 def _mutate_local_steps(monkeypatch, change) -> None:
     """Break the machine: every thread-local step ``out`` of thread ``tid``
-    becomes ``change(out, tid)`` (the inner steps of ``let`` are left
-    alone).  The memo table is replaced by a fresh one, so that no mutated
-    step outlives the test."""
+    from state ``comp`` becomes ``change(out, comp, tid)`` (the inner steps
+    of ``let`` are left alone).  ``change`` must depend on nothing else, so
+    the broken step stays a function of its key, as a real one is."""
     original = machine._local_step
     depth = 0
 
-    def mutated(comp, tid, alloc):
+    def mutated(comp, tid, ordinal):
         nonlocal depth
         depth += 1
         try:
-            out = original(comp, tid, alloc)
+            out = original(comp, tid, ordinal)
         finally:
             depth -= 1
-        return out if depth or out is None else change(out, tid)
+        return out if depth else change(out, comp, tid)
 
-    monkeypatch.setattr(machine, "_LOCAL_MEMO", {})
     monkeypatch.setattr(machine, "_local_step", mutated)
 
 
@@ -514,17 +514,33 @@ def _with_new_prec(out, new_prec):
     return machine._LocalOut(out.action, out.threads, frozenset(new_prec))
 
 
-def test_confluence_rejects_reversed_waits(monkeypatch):
-    # wait steps record their edges the wrong way round: the awaited
-    # thread is made to wait for the acting one
+def _reverse_waits(monkeypatch) -> None:
+    """Wait steps record their edges the wrong way round: the awaited
+    thread is made to wait for the acting one."""
     _mutate_local_steps(
         monkeypatch,
-        lambda out, tid: _with_new_prec(out, {(a, b) for b, a in out.new_prec}),
+        lambda out, comp, tid: _with_new_prec(out, {(a, b) for b, a in out.new_prec}),
     )
+
+
+REVERSED_WAIT_DETAIL = "prec pair (0.1,0.1.1) not justified by acting thread 0.1"
+
+
+def test_confluence_rejects_reversed_waits(monkeypatch):
+    _reverse_waits(monkeypatch)
     comp = load_core("nshape")
-    detail = "prec pair (0.1,0.1.1) not justified by acting thread 0.1"
     for report in (check_confluence(comp), _full_graph_confluence(comp)):
-        assert (report.ok, report.detail) == (False, detail)
+        assert (report.ok, report.detail) == (False, REVERSED_WAIT_DETAIL)
+
+
+def test_confluence_after_an_earlier_walk_sees_broken_steps(monkeypatch):
+    # no memo outlives a call: the local steps an exploration of the sound
+    # machine computed do not stand in for the broken ones of a later check
+    comp = load_core("nshape")
+    assert explore(comp).all_iso
+    _reverse_waits(monkeypatch)
+    report = check_confluence(comp)
+    assert (report.ok, report.detail) == (False, REVERSED_WAIT_DETAIL)
 
 
 @pytest.mark.parametrize("which", ["every", "second"])
@@ -535,18 +551,23 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch, which):
     # would pass.  The second is reached in the reduced graph only after
     # the root's wait has put the pair into prec, so a check of the
     # configurations of the reduced graph would pass
-    child_steps = []
+    comp = load_core("ex21_wait_first")
+    # the child's states along one lowest-tid run of the sound machine
+    child_states = []
 
-    def change(out, tid):
-        if tid != (1,):
-            return out
-        child_steps.append(out)
-        if which == "second" and len(child_steps) != 2:
+    def record(c, _):
+        state = c.thread_map.get((1,))
+        if state not in (None, FINISHED) and state not in child_states:
+            child_states.append(state)
+
+    machine._run_schedule(comp, lambda runnable: runnable[0], 100, record)
+
+    def change(out, state, tid):
+        if tid != (1,) or (which == "second" and state != child_states[1]):
             return out
         return _with_new_prec(out, out.new_prec | {((1,), ())})
 
     _mutate_local_steps(monkeypatch, change)
-    comp = load_core("ex21_wait_first")
     detail = "prec pair (0.1,0) not justified by acting thread 0.1"
     for report in (check_confluence(comp), _full_graph_confluence(comp)):
         assert (report.ok, report.detail) == (False, detail)
@@ -636,3 +657,18 @@ def test_long_print_chain_runs_with_short_trace_lines():
     by_label = {(pomset.label_map[a], pomset.label_map[b]) for a, b in pomset.order}
     assert by_label == {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)}
     assert all(len(line.split(" -> ", 1)[1]) <= 60 for line in result.trace)
+
+
+def test_long_print_chain_runs_out_of_fuel_not_stack():
+    # a run hashes no thread state, so a deeply nested continuation does not
+    # exhaust the interpreter stack
+    text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
+    with pytest.raises(FuelExhausted, match="within 50 steps"):
+        run(desugar(parse_comp(text)), fuel=50)
+
+
+def test_stuck_thread_is_raised_by_runs_and_walks():
+    comp = desugar(parse_comp("proj3 ((), ())"))
+    for attempt in (run, explore, check_confluence):
+        with pytest.raises(StuckThread, match=r"^proj3 of a 2-tuple$"):
+            attempt(comp)

@@ -36,8 +36,6 @@ from .lang import (
     Prod,
     ProjC,
     Ret,
-    SeqC,
-    CaseC,
     Sum,
     TidType,
     TidV,
@@ -232,10 +230,6 @@ class Elaborator:
                 return self.elaborate(
                     bound, env, lambda val: self.elaborate(body, {**env, x: val}, k)
                 )
-            case SeqC(first, second):
-                return self.elaborate(
-                    first, env, lambda _val: self.elaborate(second, env, k)
-                )
             case ProjC(index, v):
                 val = self.eval_value(v, env)
                 if not isinstance(val, STuple) or not 1 <= index <= len(val.items):
@@ -243,15 +237,11 @@ class Elaborator:
                 return k(val.items[index - 1])
             case CaseV(v, branches):
                 return self._case(self.eval_value(v, env), branches, env, k)
-            case CaseC(inner, branches):
-                return self.elaborate(
-                    inner, env, lambda val: self._case(val, branches, env, k)
-                )
             case ApplyC(fn, arg):
                 fv = self.eval_value(fn, env)
                 av = self.eval_value(arg, env)
                 return self._apply(fv, av, k)
-        raise TypeError(f"not a computation: {comp!r}")
+        raise TypeError(f"not a core computation: {comp!r}")
 
     def _case(self, scrutinee: SemValue, branches, env: dict, k) -> Term:
         if not isinstance(scrutinee, SInj):

@@ -519,6 +519,104 @@ def _check_case(env, world, scrut_ty, branches, ty) -> None:
         _check_comp(inner, world, body, ty)
 
 
+# --- the shape of a node ------------------------------------------------------------
+#
+# Which fields of a node are children, and which variable binds over each, is
+# written down here once.  Desugaring, substitution, the core test and the
+# fresh-name scan walk this table; the type checker, the printer, the machine
+# and the elaborator give each construct its meaning and keep their own cases.
+# The walks recurse through plain loops, not comprehensions or generators, so
+# that one level of nesting costs one stack frame.
+
+def _parts(node) -> list:
+    """The children of a value or computation in source order, each paired
+    with the variable bound over it (``None`` where nothing is bound)."""
+    kind = type(node)
+    if kind is VarV or kind is ConstV or kind is TidV or kind is NilV:
+        return []
+    if kind is LetC:
+        return [(None, node.bound), (node.var, node.body)]
+    if kind is ApplyC:
+        return [(None, node.fn), (None, node.arg)]
+    if kind is CaseV:
+        return [(None, node.value), *node.branches]
+    if kind is Ret or kind is ProjC or kind is InjV:
+        return [(None, node.value)]
+    if kind is TupleV:
+        return [(None, item) for item in node.items]
+    if kind is LambdaV:
+        return [(node.param, node.body)]
+    if kind is UnionV:
+        return [(None, node.left), (None, node.right)]
+    if kind is SeqC:
+        return [(None, node.first), (None, node.second)]
+    if kind is CaseC:
+        return [(None, node.comp), *node.branches]
+    raise TypeError(f"not a value or computation: {node!r}")
+
+
+def _rebuild(node, kids: list):
+    """``node`` with its children, in the order :func:`_parts` lists them,
+    replaced by ``kids``; a node without children is returned as it is."""
+    if not kids:
+        return node
+    kind = type(node)
+    if kind is LetC:
+        return LetC(node.var, kids[0], kids[1])
+    if kind is ApplyC:
+        return ApplyC(kids[0], kids[1])
+    if kind is CaseV:
+        return CaseV(kids[0], _rebranch(node.branches, kids))
+    if kind is Ret:
+        return Ret(kids[0])
+    if kind is ProjC:
+        return ProjC(node.index, kids[0])
+    if kind is InjV:
+        return InjV(node.index, kids[0], node.annot)
+    if kind is TupleV:
+        return TupleV(tuple(kids))
+    if kind is LambdaV:
+        return LambdaV(node.param, node.annot, kids[0])
+    if kind is UnionV:
+        return UnionV(kids[0], kids[1])
+    if kind is SeqC:
+        return SeqC(kids[0], kids[1])
+    if kind is CaseC:
+        return CaseC(kids[0], _rebranch(node.branches, kids))
+    raise TypeError(f"not a value or computation: {node!r}")
+
+
+def _rebranch(branches, kids: list) -> tuple:
+    """The branches of a case with the bodies after its scrutinee in ``kids``."""
+    return tuple((x, body) for (x, _), body in zip(branches, kids[1:]))
+
+
+def is_core(t: Comp) -> bool:
+    """True when no surface sugar remains."""
+    kind = type(t)
+    if kind is SeqC or kind is CaseC or (kind is ConstV and t.name not in CORE_CONSTS):
+        return False
+    for _, kid in _parts(t):
+        if not is_core(kid):
+            return False
+    return True
+
+
+def subst_value(t: Comp, name: str, v: Value) -> Comp:
+    """Substitute a closed value for a variable in a computation; a binder
+    of the same name shadows it."""
+
+    def go(node):
+        if type(node) is VarV:
+            return v if node.name == name else node
+        kids = []
+        for var, kid in _parts(node):
+            kids.append(kid if var == name else go(kid))
+        return _rebuild(node, kids)
+
+    return go(t)
+
+
 # --- desugaring -------------------------------------------------------------------
 
 def desugar(t: Comp) -> Comp:
@@ -526,48 +624,23 @@ def desugar(t: Comp) -> Comp:
     fork/wait/stop/printstop core."""
     fresh = _fresh_namer(t)
 
-    def ds(c: Comp) -> Comp:
-        match c:
-            case Ret(v):
-                return Ret(dsv(v))
-            case ProjC(i, v):
-                return ProjC(i, dsv(v))
-            case CaseV(v, branches):
-                return CaseV(dsv(v), _ds_branches(branches))
-            case CaseC(comp, branches):
-                z = fresh("z")
-                return LetC(z, ds(comp), CaseV(VarV(z), _ds_branches(branches)))
-            case SeqC(first, second):
-                return LetC(fresh("u"), ds(first), ds(second))
-            case ApplyC(ConstV(name, action), arg) if name in SUGAR_CONSTS:
-                return expand(name, action, dsv(arg))
-            case ApplyC(fn, arg):
-                return ApplyC(dsv(fn), dsv(arg))
-            case LetC(var, bound, body):
-                return LetC(var, ds(bound), ds(body))
-        raise TypeError(f"not a computation: {c!r}")
-
-    def _ds_branches(branches):
-        return tuple((x, ds(body)) for x, body in branches)
-
-    def dsv(v: Value) -> Value:
-        match v:
-            case ConstV(name, action) if name in SUGAR_CONSTS:
-                z = fresh("f")
-                return LambdaV(
-                    z, const_signature(ConstV(name, action)).arg,
-                    expand(name, action, VarV(z)),
-                )
-            case TupleV(items):
-                return TupleV(tuple(dsv(i) for i in items))
-            case InjV(i, inner, annot):
-                return InjV(i, dsv(inner), annot)
-            case UnionV(left, right):
-                return UnionV(dsv(left), dsv(right))
-            case LambdaV(param, annot, body):
-                return LambdaV(param, annot, ds(body))
-            case _:
-                return v
+    def ds(node):
+        kind = type(node)
+        if kind is SeqC:
+            return LetC(fresh("u"), ds(node.first), ds(node.second))
+        if kind is CaseC:
+            z = fresh("z")
+            return LetC(z, ds(node.comp), ds(CaseV(VarV(z), node.branches)))
+        if kind is ApplyC and type(node.fn) is ConstV and node.fn.name in SUGAR_CONSTS:
+            return expand(node.fn.name, node.fn.action, ds(node.arg))
+        if kind is ConstV and node.name in SUGAR_CONSTS:
+            z = fresh("f")
+            signature = const_signature(node)
+            return LambdaV(z, signature.arg, expand(node.name, node.action, VarV(z)))
+        kids = []
+        for _, kid in _parts(node):
+            kids.append(ds(kid))
+        return _rebuild(node, kids)
 
     def call(name: str, arg: Value, action: Optional[str] = None) -> Comp:
         return ApplyC(ConstV(name, action), arg)
@@ -671,48 +744,15 @@ def _split_pair(arg: Value, fresh) -> tuple[Value, Value, "object"]:
 def _fresh_namer(t: Comp):
     used: set[str] = set()
 
-    def scan_comp(c: Comp) -> None:
-        match c:
-            case Ret(v) | ProjC(_, v):
-                scan_value(v)
-            case CaseV(v, branches):
-                scan_value(v)
-                for x, body in branches:
-                    used.add(x)
-                    scan_comp(body)
-            case CaseC(comp, branches):
-                scan_comp(comp)
-                for x, body in branches:
-                    used.add(x)
-                    scan_comp(body)
-            case ApplyC(fn, arg):
-                scan_value(fn)
-                scan_value(arg)
-            case LetC(var, bound, body):
+    def scan(node) -> None:
+        if type(node) is VarV:
+            used.add(node.name)
+        for var, kid in _parts(node):
+            if var is not None:
                 used.add(var)
-                scan_comp(bound)
-                scan_comp(body)
-            case SeqC(first, second):
-                scan_comp(first)
-                scan_comp(second)
+            scan(kid)
 
-    def scan_value(v: Value) -> None:
-        match v:
-            case VarV(name):
-                used.add(name)
-            case TupleV(items):
-                for i in items:
-                    scan_value(i)
-            case InjV(_, inner):
-                scan_value(inner)
-            case UnionV(left, right):
-                scan_value(left)
-                scan_value(right)
-            case LambdaV(param, _, body):
-                used.add(param)
-                scan_comp(body)
-
-    scan_comp(t)
+    scan(t)
     counter = [0]
 
     def fresh(base: str) -> str:
@@ -724,94 +764,6 @@ def _fresh_namer(t: Comp):
                 return name
 
     return fresh
-
-
-def is_core(t: Comp) -> bool:
-    """True when no surface sugar remains."""
-
-    def v_ok(v: Value) -> bool:
-        match v:
-            case ConstV(name, _):
-                return name in CORE_CONSTS
-            case TupleV(items):
-                return all(v_ok(i) for i in items)
-            case InjV(_, inner):
-                return v_ok(inner)
-            case UnionV(left, right):
-                return v_ok(left) and v_ok(right)
-            case LambdaV(_, _, body):
-                return c_ok(body)
-            case _:
-                return True
-
-    def c_ok(c: Comp) -> bool:
-        match c:
-            case Ret(v) | ProjC(_, v):
-                return v_ok(v)
-            case CaseV(v, branches):
-                return v_ok(v) and all(c_ok(b) for _, b in branches)
-            case ApplyC(fn, arg):
-                return v_ok(fn) and v_ok(arg)
-            case LetC(_, bound, body):
-                return c_ok(bound) and c_ok(body)
-            case SeqC(_, _) | CaseC(_, _):
-                return False
-        raise TypeError(f"not a computation: {c!r}")
-
-    return c_ok(t)
-
-
-def subst_value(t: Comp, name: str, v: Value) -> Comp:
-    """Substitute a closed value for a variable in a computation."""
-
-    def in_comp(c: Comp) -> Comp:
-        match c:
-            case Ret(w):
-                return Ret(in_value(w))
-            case ProjC(i, w):
-                return ProjC(i, in_value(w))
-            case CaseV(w, branches):
-                return CaseV(
-                    in_value(w),
-                    tuple(
-                        (x, body if x == name else in_comp(body))
-                        for x, body in branches
-                    ),
-                )
-            case CaseC(comp, branches):
-                return CaseC(
-                    in_comp(comp),
-                    tuple(
-                        (x, body if x == name else in_comp(body))
-                        for x, body in branches
-                    ),
-                )
-            case ApplyC(fn, arg):
-                return ApplyC(in_value(fn), in_value(arg))
-            case LetC(var, bound, body):
-                return LetC(var, in_comp(bound), body if var == name else in_comp(body))
-            case SeqC(first, second):
-                return SeqC(in_comp(first), in_comp(second))
-        raise TypeError(f"not a computation: {c!r}")
-
-    def in_value(w: Value) -> Value:
-        match w:
-            case VarV(n):
-                return v if n == name else w
-            case TupleV(items):
-                return TupleV(tuple(in_value(i) for i in items))
-            case InjV(i, inner, annot):
-                return InjV(i, in_value(inner), annot)
-            case UnionV(left, right):
-                return UnionV(in_value(left), in_value(right))
-            case LambdaV(param, annot, body):
-                if param == name:
-                    return w
-                return LambdaV(param, annot, in_comp(body))
-            case _:
-                return w
-
-    return in_comp(t)
 
 
 # --- textual syntax -----------------------------------------------------------------
@@ -972,7 +924,7 @@ def _parse_comp_atom(lx: _Lexer) -> Comp:
     # otherwise an application: value(args) or value value
     fn = _parse_value(lx)
     if lx.at("("):
-        arg = _parse_paren_args(lx)
+        arg = _parse_value_atom(lx)
         return ApplyC(fn, arg)
     nxt = lx.peek()
     if nxt is not None and _starts_value(nxt):
@@ -984,28 +936,15 @@ def _parse_comp_atom(lx: _Lexer) -> Comp:
 
 def _parse_case_scrutinee(lx: _Lexer):
     tok = lx.peek()
-    if tok.text in ("ret", "let", "case") or (
+    if tok is None or tok.text in ("ret", "let", "case") or (
         tok.text.startswith("proj") and tok.text[4:].isdigit()
     ):
         return ("comp", _parse_comp_atom(lx))
     v = _parse_value(lx)
     if lx.at("("):
-        arg = _parse_paren_args(lx)
+        arg = _parse_value_atom(lx)
         return ("comp", ApplyC(v, arg))
     return v
-
-
-def _parse_paren_args(lx: _Lexer) -> Value:
-    lx.expect("(")
-    if lx.at(")"):
-        lx.next()
-        return UNIT_V
-    items = [_parse_value(lx)]
-    while lx.at(","):
-        lx.next()
-        items.append(_parse_value(lx))
-    lx.expect(")")
-    return items[0] if len(items) == 1 else TupleV(tuple(items))
 
 
 def _starts_value(tok: _Tok) -> bool:

@@ -685,7 +685,7 @@ class NormalForm:
     final_guard: frozenset  # frozenset[NfRef]
 
     def check_closure(self) -> Optional[str]:
-        """The closure conditions: guards are transитively propagated into
+        """The closure conditions: guards are transitively propagated into
         later guards and into the argument sets of variable calls."""
         guards = [c.guard for c in self.children]
 

@@ -167,6 +167,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):
+    path = _write(tmp_path, "case.prog", "case\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == "error: ParseError: unexpected end of input\n"
+
+
 def test_fuel_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DYNTHREADS_FUEL", "2")
     assert main(["run", str(PROGRAMS_DIR / "nshape.prog")]) == 2

@@ -1,13 +1,33 @@
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_args
+
 import pytest
 
 from dynthreads.lang import (
     EMPTY,
     TID,
     UNIT,
+    UNIT_V,
+    ApplyC,
     Arrow,
+    CaseC,
+    CaseV,
+    Comp,
     ConstV,
+    InjV,
+    LambdaV,
+    LetC,
+    NilV,
+    ProjC,
+    Ret,
+    SeqC,
+    TidV,
+    TupleV,
+    UnionV,
+    Value,
+    VarV,
     LangError,
     ParseError,
     Prod,
@@ -20,11 +40,13 @@ from dynthreads.lang import (
     parse_program,
     print_comp,
     print_program,
+    subst_value,
     tids_of_value,
     typecheck_comp,
     typecheck_value,
     parse_comp as _pc,
 )
+from dynthreads.lang import _parts, _rebuild
 
 EX21_PROGRAM_1 = (
     "let y = fork() in case y of "
@@ -172,8 +194,84 @@ def test_parse_errors_carry_locations():
     assert "2:" in str(exc.value)
 
 
+def test_lone_case_is_a_parse_error():
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        parse_comp("case")
+
+
 def test_world_header_round_trip():
     world, comp = parse_program("world #0.1, #0.2.1;\nwait(#0.1)")
     assert world == {(1,), (2, 1)}
     text = print_program(world, comp)
     assert text == "world #0.1, #0.2.1;\nwait(#0.1)\n"
+
+
+def test_subst_value_stops_at_binders_of_the_same_name():
+    def subst(src: str) -> str:
+        return print_comp(subst_value(parse_comp(src), "x", NilV()))
+
+    # the bound of a shadowing let is outside its scope; the body is not
+    assert subst("let x = wait(x) in wait(x)") == "let x = wait(nil) in wait(x)"
+    assert subst("let y = wait(x) in wait(x)") == "let y = wait(nil) in wait(nil)"
+    assert subst("case y of { inj1 x => wait(x) | inj2 z => wait(x) }") == (
+        "case y of { inj1 x => wait(x) | inj2 z => wait(nil) }"
+    )
+    assert subst("ret (\\x:tid. wait(x), \\y:tid. wait(x), x)") == (
+        "ret (\\x:tid. wait(x), \\y:tid. wait(nil), nil)"
+    )
+
+
+_NODE_CLASSES = get_args(Value) + get_args(Comp)
+
+_ONE_OF_EACH = [
+    VarV("x"),
+    TupleV((VarV("a"), NilV(), TidV((1,)))),
+    InjV(2, VarV("a"), UNIT),
+    LambdaV("x", TID, Ret(VarV("x"))),
+    TidV((1, 2)),
+    NilV(),
+    UnionV(TidV(()), VarV("t")),
+    ConstV("print", "s"),
+    Ret(VarV("a")),
+    ProjC(2, VarV("p")),
+    CaseV(VarV("y"), (("a", Ret(VarV("a"))), ("b", Ret(UNIT_V)))),
+    ApplyC(ConstV("wait"), VarV("t")),
+    LetC("x", Ret(NilV()), Ret(VarV("x"))),
+    SeqC(ApplyC(ConstV("stop"), UNIT_V), Ret(UNIT_V)),
+    CaseC(ApplyC(ConstV("fork"), UNIT_V), (("a", Ret(VarV("a"))), ("u", Ret(NilV())))),
+]
+
+
+def _node_fields(node) -> list:
+    """Every node held by a field of ``node``, directly, in a tuple or as
+    the body of a case branch, in field order."""
+    found = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, tuple):
+                item = item[1]
+            if isinstance(item, _NODE_CLASSES):
+                found.append(item)
+    return found
+
+
+def test_shape_table_lists_and_rebuilds_every_child():
+    # a constructor added to Value or Comp needs an instance here, and then
+    # an entry in _parts and _rebuild for this test to pass
+    assert {type(n) for n in _ONE_OF_EACH} == set(_NODE_CLASSES)
+    for node in _ONE_OF_EACH:
+        parts = _parts(node)
+        kids = [kid for _, kid in parts]
+        assert kids == _node_fields(node), node
+        assert _rebuild(node, kids) == node
+        markers = [VarV(f"k{i}") for i in range(len(kids))]
+        rebuilt = _rebuild(node, markers)
+        assert type(rebuilt) is type(node)
+        assert _parts(rebuilt) == [(var, m) for (var, _), m in zip(parts, markers)]
+    binders = {type(n): [var for var, _ in _parts(n)] for n in _ONE_OF_EACH}
+    assert binders.pop(LambdaV) == ["x"]
+    assert binders.pop(LetC) == [None, "x"]
+    assert binders.pop(CaseV) == [None, "a", "b"]
+    assert binders.pop(CaseC) == [None, "a", "u"]
+    assert all(var is None for names in binders.values() for var in names)

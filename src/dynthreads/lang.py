@@ -907,7 +907,9 @@ def _parse_comp_atom(lx: _Lexer) -> Comp:
         branches = []
         while not lx.at("}"):
             inj = lx.next()
-            index = _inj_index(inj)
+            want = f"inj{len(branches) + 1}"
+            if inj.text != want:
+                raise ParseError(f"{inj.line}:{inj.col}: expected {want}, got {inj.text!r}")
             var = _parse_ident(lx)
             lx.expect("=>")
             body = _parse_comp(lx)
@@ -964,12 +966,6 @@ def _parse_ident(lx: _Lexer) -> str:
     if tok.kind != "name" or tok.text.isdigit():
         raise ParseError(f"{tok.line}:{tok.col}: expected an identifier, got {tok.text!r}")
     return tok.text
-
-
-def _inj_index(tok: _Tok) -> int:
-    if tok.text.startswith("inj") and tok.text[3:].isdigit():
-        return int(tok.text[3:])
-    raise ParseError(f"{tok.line}:{tok.col}: expected injN pattern, got {tok.text!r}")
 
 
 def _parse_value(lx: _Lexer) -> Value:

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .tids import ParamContext, parse_tid_expr, names_of, print_tid_names
+from .tids import ParamContext, print_tid_names
 
 
 class TermError(Exception):
@@ -208,60 +208,45 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     raise AssertionError("unreachable")
 
 
-def rename_binders_apart(term: Term, avoid: frozenset[str]) -> Term:
-    """Rename every fork binder to avoid ``avoid`` and each other."""
-    taken = set(avoid)
+def _rename(term: Term, sub: dict[str, frozenset[str]], taken: set[str]) -> Term:
+    """Simultaneous capture-avoiding substitution of ``sub`` into ``term``.
 
-    def go(t: Term, renaming: dict[str, str]) -> Term:
+    Each free parameter ``n`` becomes the names ``sub.get(n, {n})``.  Every
+    fork binder is renamed out of ``taken`` (kept if it is not there) and
+    then joins it, so the binders end up apart from ``taken`` and from each
+    other; ``taken`` must hold every name the substitution can produce.
+    """
+
+    def image(u: frozenset[str], sub: dict[str, frozenset[str]]) -> frozenset[str]:
+        if sub.keys().isdisjoint(u):
+            return u
+        return frozenset().union(*(sub.get(n, (n,)) for n in u))
+
+    def go(t: Term, sub: dict[str, frozenset[str]]) -> Term:
         match t:
             case Var(name, args):
-                return Var(name, tuple(_apply_renaming(u, renaming) for u in args))
+                return Var(name, tuple(image(u, sub) for u in args))
             case Fork(binder, parent, child):
                 new = fresh_name(binder, taken)
                 taken.add(new)
-                inner = dict(renaming)
-                inner[binder] = new
-                return Fork(new, go(parent, inner), go(child, renaming))
+                return Fork(new, go(parent, {**sub, binder: frozenset({new})}), go(child, sub))
             case Wait(guard, cont):
-                return Wait(_apply_renaming(guard, renaming), go(cont, renaming))
+                return Wait(image(guard, sub), go(cont, sub))
             case _:
                 return t
 
-    return go(term, {})
+    return go(term, sub)
 
 
-def _apply_renaming(u: frozenset[str], renaming: dict[str, str]) -> frozenset[str]:
-    return frozenset(renaming.get(n, n) for n in u)
+def rename_binders_apart(term: Term, avoid: frozenset[str]) -> Term:
+    """Rename every fork binder to avoid ``avoid``, the free parameters and
+    each other."""
+    return _rename(term, {}, set(avoid) | free_params(term))
 
 
 def subst_param(term: Term, replacement: frozenset[str], target: str) -> Term:
     """Capture-avoiding parameter substitution ``term[replacement / target]``."""
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var(name, args):
-                return Var(name, tuple(_subst_set(u) for u in args))
-            case Fork(binder, parent, child):
-                if binder == target:
-                    # target rebound: substitution does not reach the parent
-                    return Fork(binder, parent, go(child))
-                if binder in replacement:
-                    fresh = fresh_name(
-                        binder,
-                        replacement | free_params(parent) | {target} | binders_of(parent),
-                    )
-                    parent = subst_param(parent, frozenset({fresh}), binder)
-                    return Fork(fresh, go(parent), go(child))
-                return Fork(binder, go(parent), go(child))
-            case Wait(guard, cont):
-                return Wait(_subst_set(guard), go(cont))
-            case _:
-                return t
-
-    def _subst_set(u: frozenset[str]) -> frozenset[str]:
-        return (u - {target}) | replacement if target in u else u
-
-    return go(term)
+    return _rename(term, {target: replacement}, set(replacement) | free_params(term))
 
 
 def subst_comp(
@@ -281,44 +266,22 @@ def subst_comp(
     if len(set(binders)) != len(binders):
         raise TermError(f"duplicate binders: {binders}")
     body_free = free_params(body) - set(binders)
+    # no host binder may capture a name the body mentions freely
+    term = _rename(term, {}, set(body_free | free_params(term) | avoid_extra))
     host_names = free_params(term) | binders_of(term) | avoid_extra
-
-    def instantiate(args: tuple[frozenset[str], ...]) -> Term:
-        if len(args) != len(binders):
-            raise ArityMismatch(
-                f"{target} applied to {len(args)} arguments, body binds {len(binders)}"
-            )
-        # rename the body's own fork binders away from the incoming IDs and
-        # from every name the host scope could put around this occurrence
-        avoid = set(body_free) | set(binders) | host_names
-        for u in args:
-            avoid |= u
-        result = rename_binders_apart(body, frozenset(avoid))
-        # route through fresh temporaries so the replacement is simultaneous
-        temps: list[str] = []
-        taken = avoid | binders_of(result)
-        for i in range(len(binders)):
-            tmp = fresh_name(f"_s{i}", taken)
-            taken.add(tmp)
-            temps.append(tmp)
-        for b, tmp in zip(binders, temps):
-            result = subst_param(result, frozenset({tmp}), b)
-        for tmp, u in zip(temps, args):
-            result = subst_param(result, u, tmp)
-        return result
 
     def go(t: Term) -> Term:
         match t:
-            case Var(name, args):
-                return instantiate(args) if name == target else t
-            case Fork(binder, parent, child):
-                if binder in body_free:
-                    fresh = fresh_name(
-                        binder,
-                        body_free | set(binders) | free_params(parent) | binders_of(parent),
+            case Var(name, args) if name == target:
+                if len(args) != len(binders):
+                    raise ArityMismatch(
+                        f"{target} applied to {len(args)} arguments, body binds {len(binders)}"
                     )
-                    parent = subst_param(parent, frozenset({fresh}), binder)
-                    return Fork(fresh, go(parent), go(child))
+                # the body's own binders avoid the incoming IDs and every name
+                # the host scope could put around this occurrence
+                taken = set(body_free | host_names).union(binders, *args)
+                return _rename(body, dict(zip(binders, args)), taken)
+            case Fork(binder, parent, child):
                 return Fork(binder, go(parent), go(child))
             case Wait(guard, cont):
                 return Wait(guard, go(cont))
@@ -446,9 +409,13 @@ def derived_node(label: str, guard: frozenset[str], binder: str, cont: Term) -> 
 # term file:   [vars x:1, y:0;] [tids a, b;] TERM
 # TERM      ::= fork(a. TERM, TERM) | wait(E, TERM) | stop | act[label]
 #             | x(E, ..., E) | x | node[label](E, a. TERM)
+# E         ::= 0 | name | E + E | ( E )        (read as the set of its names)
+# name      ::= a run of letters, digits, _, ' and $ that is neither 0 nor a
+#               keyword; variables, header entries, binders and guards alike
 
+_NAME_RE = re.compile(r"[A-Za-z0-9_'$]+")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<punct>[().,;:+]|=>)|(?P<label>\[[^\]]*\])|(?P<name>[A-Za-z0-9_'$]+))"
+    rf"\s*(?:(?P<punct>[().,;:+]|=>)|(?P<label>\[[^\]]*\])|(?P<name>{_NAME_RE.pattern}))"
 )
 
 _KEYWORDS = {"fork", "wait", "stop", "act", "node", "vars", "tids"}
@@ -494,7 +461,7 @@ def parse_term_file(text: str) -> tuple[CompContext, ParamContext, Term]:
         kind = toks.next()
         entries: list = []
         while True:
-            name = toks.next()
+            name = _parse_name(toks)
             if kind == "vars":
                 toks.expect(":")
                 arity = toks.next()
@@ -510,6 +477,8 @@ def parse_term_file(text: str) -> tuple[CompContext, ParamContext, Term]:
                 raise TermError(f"expected ',' or ';' in header, got {nxt!r}")
         if kind == "vars":
             gamma = CompContext(tuple(entries))
+        elif len(set(entries)) != len(entries):
+            raise TermError(f"duplicate parameter names: {entries}")
         else:
             delta = ParamContext(tuple(entries))
     term = _parse_term(toks)
@@ -519,18 +488,33 @@ def parse_term_file(text: str) -> tuple[CompContext, ParamContext, Term]:
 
 
 def parse_term(text: str) -> Term:
-    toks = _Tokens(text)
-    term = _parse_term(toks)
-    if toks.peek() is not None:
-        raise TermError(f"trailing input after term: {toks.peek()!r}")
-    return term
+    return parse_term_file(text)[2]
 
 
 def _parse_term(toks: _Tokens) -> Term:
-    head = toks.next()
+    head = toks.peek()
+    if head not in _KEYWORDS:
+        # variable application (or bare 0-ary variable)
+        name = _parse_name(toks)
+        if toks.peek() != "(":
+            return Var(name, ())
+        toks.next()
+        args: list[frozenset[str]] = []
+        if toks.peek() == ")":
+            toks.next()
+            return Var(name, ())
+        while True:
+            args.append(_parse_guard(toks))
+            nxt = toks.next()
+            if nxt == ")":
+                break
+            if nxt != ",":
+                raise TermError(f"expected ',' or ')' in argument list, got {nxt!r}")
+        return Var(name, tuple(args))
+    toks.next()
     if head == "fork":
         toks.expect("(")
-        binder = toks.next()
+        binder = _parse_name(toks)
         toks.expect(".")
         parent = _parse_term(toks)
         toks.expect(",")
@@ -553,46 +537,36 @@ def _parse_term(toks: _Tokens) -> Term:
         toks.expect("(")
         guard = _parse_guard(toks)
         toks.expect(",")
-        binder = toks.next()
+        binder = _parse_name(toks)
         toks.expect(".")
         cont = _parse_term(toks)
         toks.expect(")")
         return derived_node(label, guard, binder, cont)
-    if head in _KEYWORDS or head in "().,;:+" or head.startswith("["):
-        raise TermError(f"unexpected token {head!r}")
-    # variable application (or bare 0-ary variable)
-    if toks.peek() == "(":
-        toks.next()
-        args: list[frozenset[str]] = []
-        if toks.peek() == ")":
-            toks.next()
-            return Var(head, ())
-        while True:
-            args.append(_parse_guard(toks))
-            nxt = toks.next()
-            if nxt == ")":
-                break
-            if nxt != ",":
-                raise TermError(f"expected ',' or ')' in argument list, got {nxt!r}")
-        return Var(head, tuple(args))
-    return Var(head, ())
+    raise TermError(f"unexpected token {head!r}")
 
 
 def _parse_guard(toks: _Tokens) -> frozenset[str]:
-    parts: list[str] = []
-    depth = 0
+    """``E ::= 0 | name | E + E | ( E )``, read as the set of its names."""
+    names: set[str] = set()
     while True:
-        tok = toks.peek()
-        if tok is None:
-            raise TermError("unexpected end of input in tid expression")
-        if depth == 0 and tok in (",", ")", ";"):
-            break
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-        parts.append(toks.next())
-    return names_of(parse_tid_expr(" ".join(parts)))
+        if toks.peek() == "(":
+            toks.next()
+            names |= _parse_guard(toks)
+            toks.expect(")")
+        elif toks.peek() == "0":
+            toks.next()
+        else:
+            names.add(_parse_name(toks))
+        if toks.peek() != "+":
+            return frozenset(names)
+        toks.next()
+
+
+def _parse_name(toks: _Tokens) -> str:
+    tok = toks.next()
+    if tok in _KEYWORDS or tok == "0" or not _NAME_RE.fullmatch(tok):
+        raise TermError(f"expected a name, got {tok!r} (token {toks.pos})")
+    return tok
 
 
 def _parse_label(toks: _Tokens) -> str:

@@ -2,8 +2,9 @@
 
 Compound thread IDs form a semilattice (union ``+`` with unit ``0``), so a
 compound ID over a parameter context is nothing more than a finite subset of
-the context's names.  We store IDs pre-quotiented as index sets; the raw
-``a + (b + a)`` syntax exists only at the parser boundary.
+the context's names.  We store IDs pre-quotiented as index sets; the term
+parser reads ``a + (b + a)`` straight into the name set ``{a, b}``, and
+:func:`print_tid_names` writes a name set back as ``0`` or ``a + b``.
 
 Worlds of thread IDs are indexed by finite relations: a relation ``n -> n'``
 re-points each input ``i`` at the set of targets ``{i' | (i, i') in R}``.
@@ -14,7 +15,7 @@ used in serialized form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class TidError(Exception):
@@ -77,114 +78,8 @@ class TidSet:
     def of(ctx_size: int, members: Iterable[int] = ()) -> "TidSet":
         return TidSet(ctx_size, frozenset(members))
 
-    def union(self, other: "TidSet") -> "TidSet":
-        if self.ctx_size != other.ctx_size:
-            raise DimensionMismatch(
-                f"tid sets over different contexts: {self.ctx_size} vs {other.ctx_size}"
-            )
-        return TidSet(self.ctx_size, self.members | other.members)
-
-    def to_json(self) -> list[int]:
-        return sorted(self.members)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
-
-
-# --- tid expression syntax ------------------------------------------------
-#
-# E ::= 0 | name | E + E | ( E )
-
-@dataclass(frozen=True)
-class TidEmpty:
-    pass
-
-
-@dataclass(frozen=True)
-class TidName:
-    name: str
-
-
-@dataclass(frozen=True)
-class TidUnion:
-    left: "TidExpr"
-    right: "TidExpr"
-
-
-TidExpr = Union[TidEmpty, TidName, TidUnion]
-
-
-def parse_tid_expr(text: str) -> TidExpr:
-    """Parse ``0``, identifiers, ``e1 + e2`` and parentheses."""
-    tokens = _tokenize(text)
-    expr, rest = _parse_union(tokens)
-    if rest:
-        raise TidError(f"trailing tokens in tid expression: {rest}")
-    return expr
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+()":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise TidError(f"unexpected character {c!r} in tid expression")
-    return tokens
-
-
-def _parse_union(tokens: list[str]) -> tuple[TidExpr, list[str]]:
-    left, rest = _parse_atom(tokens)
-    while rest and rest[0] == "+":
-        right, rest = _parse_atom(rest[1:])
-        left = TidUnion(left, right)
-    return left, rest
-
-
-def _parse_atom(tokens: list[str]) -> tuple[TidExpr, list[str]]:
-    if not tokens:
-        raise TidError("unexpected end of tid expression")
-    head, rest = tokens[0], tokens[1:]
-    if head == "(":
-        expr, rest = _parse_union(rest)
-        if not rest or rest[0] != ")":
-            raise TidError("missing ')' in tid expression")
-        return expr, rest[1:]
-    if head == "0":
-        return TidEmpty(), rest
-    if head in "+)":
-        raise TidError(f"unexpected {head!r} in tid expression")
-    return TidName(head), rest
-
-
-def names_of(expr: TidExpr) -> frozenset[str]:
-    """The set of names an expression denotes (semilattice quotient)."""
-    match expr:
-        case TidEmpty():
-            return frozenset()
-        case TidName(name):
-            return frozenset({name})
-        case TidUnion(left, right):
-            return names_of(left) | names_of(right)
-    raise TypeError(f"not a tid expression: {expr!r}")
-
-
-def eval_tid_expr(expr: TidExpr | str, ctx: ParamContext) -> TidSet:
-    """Denotation of a tid expression: the subset of context positions."""
-    if isinstance(expr, str):
-        expr = parse_tid_expr(expr)
-    return TidSet(len(ctx), frozenset(ctx.index(n) for n in names_of(expr)))
 
 
 def print_tid_names(names: Iterable[str]) -> str:
@@ -218,9 +113,6 @@ class Relation:
 
     def image(self, i: int) -> frozenset[int]:
         return frozenset(j for (k, j) in self.pairs if k == i)
-
-    def to_json(self) -> dict:
-        return {"src": self.src, "dst": self.dst, "pairs": sorted(self.pairs)}
 
 
 def compose(r: Relation, s: Relation) -> Relation:

@@ -41,6 +41,13 @@ def test_eq_context_mismatch_is_an_error(tmp_path, capsys):
     assert main(["eq", p1, p2]) == 2
 
 
+def test_eq_on_a_malformed_term_file_is_an_error(tmp_path, capsys):
+    p1 = _write(tmp_path, "a.term", "wait(a +, stop)\n")
+    p2 = _write(tmp_path, "b.term", "stop\n")
+    assert main(["eq", p1, p2]) == 2
+    assert "TermError" in capsys.readouterr().err
+
+
 def test_normalize_stop_is_empty(tmp_path, capsys):
     path = _write(tmp_path, "stop.term", "stop\n")
     assert main(["normalize", path]) == 0

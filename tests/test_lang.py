@@ -199,6 +199,13 @@ def test_lone_case_is_a_parse_error():
         parse_comp("case")
 
 
+def test_case_branches_must_be_written_in_order():
+    with pytest.raises(ParseError, match=r"1:\d+: expected inj1, got 'inj2'"):
+        parse_comp("case y of { inj2 a => wait(a) | inj1 b => stop() }")
+    with pytest.raises(ParseError, match=r"1:\d+: expected inj1, got 'inj7'"):
+        parse_comp("case y of { inj7 a => stop() }")
+
+
 def test_world_header_round_trip():
     world, comp = parse_program("world #0.1, #0.2.1;\nwait(#0.1)")
     assert world == {(1,), (2, 1)}

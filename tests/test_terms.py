@@ -13,6 +13,7 @@ from dynthreads.terms import (
     ShadowedBinder,
     Stop,
     STOP,
+    TermError,
     UnboundParameter,
     Var,
     Wait,
@@ -110,6 +111,26 @@ def test_subst_comp_capture_avoided():
     assert isinstance(result, Fork)
     assert result.binder != "b"
     assert result.parent == Var("y", (frozenset({"b", result.binder}),))
+
+
+def test_subst_comp_is_simultaneous():
+    # exchanging the two slots: substituting one after the other would give y(a, a)
+    t = Var("x", (tidset("b"), tidset("a")))
+    body = Var("y", (tidset("a"), tidset("b")))
+    assert subst_comp(t, ("a", "b"), body, "x") == Var("y", (tidset("b"), tidset("a")))
+
+
+def test_substitution_stops_at_a_binder_that_shadows_its_target():
+    # the parent's a is the fork's own; only the child's a is free
+    t = parse_term("fork(a. x(a), wait(a, stop))")
+    result = subst_param(t, tidset("c"), "a")
+    assert alpha_eq(result, parse_term("fork(a. x(a), wait(c, stop))"))
+    assert free_params(result) == {"c"}
+    # a host binder named like the body's slot binds nothing in the body
+    host = parse_term("fork(a. x(a), x(b))")
+    body = parse_term("wait(a, act[s])")
+    expected = parse_term("fork(a. wait(a, act[s]), wait(b, act[s]))")
+    assert alpha_eq(subst_comp(host, ("a",), body, "x"), expected)
 
 
 def test_substitutions_preserve_scope():
@@ -228,3 +249,34 @@ def test_parse_print_term_file_round_trip():
     assert gamma == CompContext((("x", 1), ("y", 0)))
     assert delta == ParamContext(("a", "b"))
     assert free_params(term) == {"a"}
+
+
+def test_one_name_rule_for_binders_headers_and_guards():
+    for text in ["fork(+. stop, stop)", "tids [a]; stop", "wait(fork, stop)",
+                 "vars 0:1; stop", "node[s](0, tids. stop)", "0", "=>"]:
+        with pytest.raises(TermError):
+            parse_term_file(text)
+    t = parse_term("fork($a. wait($a + 'b, stop), stop)")
+    assert t == Fork("$a", Wait(tidset("$a", "'b"), STOP), STOP)
+
+
+@pytest.mark.parametrize("text", [
+    "wait(a b, stop)",
+    "wait(a +, stop)",
+    "x(a,)",
+    "wait(a + (b, stop)",
+    "wait([x], stop)",
+    "wait((a + b, stop)",
+    "wait(a + b)) , stop)",
+    "wait(, stop)",
+    "wait(a",
+    "fork(a b. stop, stop)",
+    "node[s](a, . stop)",
+    "tids a, a; stop",
+    "vars x; stop",
+    "stop stop",
+    "",
+])
+def test_malformed_term_files_raise_term_error(text):
+    with pytest.raises(TermError):
+        parse_term_file(text)

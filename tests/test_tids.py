@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dynthreads.terms import Wait, parse_term
 from dynthreads.tids import (
     DimensionMismatch,
     ParamContext,
@@ -12,62 +13,69 @@ from dynthreads.tids import (
     TidSet,
     UnboundName,
     compose,
-    eval_tid_expr,
     graph_of,
-    names_of,
-    parse_tid_expr,
     print_tid_names,
 )
 
 
+def _guard(text: str) -> frozenset[str]:
+    """The name set the term parser reads for the guard ``text``."""
+    term = parse_term(f"wait({text}, stop)")
+    assert isinstance(term, Wait)
+    return term.guard
+
+
+def _eval(text: str, ctx: ParamContext) -> TidSet:
+    return TidSet.of(len(ctx), (ctx.index(n) for n in _guard(text)))
+
+
 def test_eval_union_idempotent_commutative():
     ctx = ParamContext(("a", "b", "c"))
-    assert eval_tid_expr("a+(b+a)", ctx) == TidSet.of(3, {1, 2})
+    assert _eval("a+(b+a)", ctx) == TidSet.of(3, {1, 2})
 
 
 def test_eval_empty():
     ctx = ParamContext(("a",))
-    assert eval_tid_expr("0", ctx) == TidSet.of(1)
+    assert _eval("0", ctx) == TidSet.of(1)
 
 
 def test_eval_plain_union():
     ctx = ParamContext(("a1", "a2"))
-    assert eval_tid_expr("a1+a2", ctx) == TidSet.of(2, {1, 2})
+    assert _eval("a1+a2", ctx) == TidSet.of(2, {1, 2})
 
 
 def test_eval_unbound_name():
     ctx = ParamContext(("a",))
     with pytest.raises(UnboundName):
-        eval_tid_expr("a+b", ctx)
+        _eval("a+b", ctx)
 
 
 def test_print_parse_round_trip():
     for names in [frozenset(), frozenset({"a"}), frozenset({"b", "a", "c"})]:
-        assert names_of(parse_tid_expr(print_tid_names(names))) == names
+        assert _guard(print_tid_names(names)) == names
 
 
 # random tid expressions with the same name-set semantics must agree
 
-def _random_expr(rng: random.Random, names: list[str], depth: int) -> str:
+def _random_expr(rng: random.Random, names: list[str], depth: int) -> tuple[str, frozenset[str]]:
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(names + ["0"])
-    left = _random_expr(rng, names, depth - 1)
-    right = _random_expr(rng, names, depth - 1)
+        name = rng.choice(names + ["0"])
+        return name, frozenset() if name == "0" else frozenset({name})
+    left, left_names = _random_expr(rng, names, depth - 1)
+    right, right_names = _random_expr(rng, names, depth - 1)
     e = f"{left} + {right}"
-    return f"({e})" if rng.random() < 0.5 else e
+    return f"({e})" if rng.random() < 0.5 else e, left_names | right_names
 
 
 def test_eval_respects_semilattice_equations():
     rng = random.Random(7)
     ctx = ParamContext(("a", "b", "c", "d"))
     for _ in range(200):
-        text = _random_expr(rng, list(ctx.names), 4)
-        expr = parse_tid_expr(text)
-        expected = frozenset(ctx.index(n) for n in names_of(expr))
-        assert eval_tid_expr(expr, ctx).members == expected
+        text, names = _random_expr(rng, list(ctx.names), 4)
+        assert _guard(text) == names
+        assert _eval(text, ctx).members == frozenset(ctx.index(n) for n in names)
         # re-associate/duplicate: semantics unchanged
-        doubled = parse_tid_expr(f"({text}) + ({text}) + 0")
-        assert eval_tid_expr(doubled, ctx) == eval_tid_expr(expr, ctx)
+        assert _eval(f"({text}) + ({text}) + 0", ctx) == _eval(text, ctx)
 
 
 def test_compose_basic():

@@ -280,8 +280,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "fuel", None) is None and hasattr(args, "fuel"):
-            args.fuel = _default_fuel()
+        if hasattr(args, "fuel"):
+            source = "--fuel"
+            if args.fuel is None:
+                source, args.fuel = FUEL_ENV, _default_fuel()
+            if args.fuel < 1:
+                raise CliError(f"{source} must be at least 1, got {args.fuel}")
         if getattr(args, "policy", None) == "random" and args.seed is None:
             raise CliError("--policy random requires --seed")
         return args.fn(args)

@@ -1,20 +1,20 @@
 """Small-step operational semantics: thread pools and labelled transitions.
 
-A configuration holds a waiting relation ``prec`` (``b prec a``: thread
-``a`` waits for ``b``) and a map from runtime thread IDs, its world, to
-computations or ``finished``.  A thread may step only when everything it
-waits for has finished; ``fork`` steps spawn a child whose ID extends the
-parent's path by the next spawn ordinal, so fresh names do not depend on
-the schedule and configurations from different interleavings are directly
-comparable.
+A configuration is its thread map: each runtime thread ID of its world
+maps to a computation or ``finished`` and to the set of threads it waits
+for directly.  A thread may step only when everything it waits for has
+finished; ``fork`` steps spawn a child whose ID extends the parent's path by
+the next spawn ordinal, so fresh names do not depend on the schedule and
+configurations from different interleavings are directly comparable.
 
-``prec`` holds only the pairs that steps wrote: a ``wait`` adds a pair from
-each awaited thread to the acting one, and a forked child inherits the
-waits of its parent.  It is not closed, and it only grows: pairs between
-finished threads are never garbage-collected.  Direct waits decide
-enabledness, because a thread that has finished had already waited for
-everything below it.  :func:`check_confluence` checks, for every local
-step, that its wait pairs end at the acting thread.
+A thread's waits are the ones steps wrote for it: a ``wait`` adds the
+awaited threads to the acting thread's set, and a forked child starts with
+its parent's set (the same object).  No other thread's set changes, sets
+are not closed, and they only grow.  Direct waits decide enabledness,
+because a thread that has finished had already waited for everything below
+it.  The pair view ``prec`` (``(b, a)``: ``a`` waits for ``b``) is derived
+from the sets.  :func:`check_confluence` checks, for every local step, that
+its wait pairs end at the acting thread.
 
 Observations: the labelled steps of a terminated run, ordered by the
 transitive closure of the final waiting relation, form a pomset (see
@@ -54,6 +54,7 @@ only the local step it takes and memoizes nothing.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
@@ -65,6 +66,7 @@ from .lang import (
     ConstV,
     InjV,
     LambdaV,
+    LangError,
     LangType,
     LetC,
     ProjC,
@@ -110,9 +112,9 @@ ThreadState = Union[Comp, str]
 
 @_node
 class Configuration:
-    """Waiting relation and thread map, both hashable for dedup (the hash
-    is cached, as for syntax nodes).  ``prec`` holds the waits the steps
-    wrote, not their closure.
+    """The thread map, hashable for dedup (the hash is cached, as for
+    syntax nodes): one ``(tid, state, waits)`` entry per thread, sorted by
+    tid, where ``waits`` is the frozenset of threads it directly waits for.
 
     The world is not stored: it is the set of tids in ``threads``.  Spawn
     counters are not stored either: threads never leave the world, so the
@@ -120,26 +122,30 @@ class Configuration:
     of ``a`` present.
     """
 
-    prec: frozenset  # frozenset[tuple[Tid, Tid]]  (b, a): a waits for b
-    threads: tuple  # tuple[tuple[Tid, ThreadState], ...] sorted by tid
+    threads: tuple  # tuple[tuple[Tid, ThreadState, frozenset[Tid]], ...] sorted by tid
 
     @staticmethod
-    def initial(comp: Comp, tid: Tid = ()) -> "Configuration":
-        return Configuration(frozenset(), ((tid, comp),))
+    def initial(comp: Comp) -> "Configuration":
+        return Configuration((((), comp, frozenset()),))
 
     @cached_property
     def world(self) -> frozenset:  # frozenset[Tid]
-        return frozenset(tid for tid, _ in self.threads)
+        return frozenset(tid for tid, _, _ in self.threads)
 
     @cached_property
     def thread_map(self) -> dict:
-        return dict(self.threads)
+        return {tid: state for tid, state, _ in self.threads}
+
+    @cached_property
+    def prec(self) -> frozenset:  # frozenset[tuple[Tid, Tid]]
+        """The waits as pairs: ``(b, a)`` when ``a`` waits for ``b``."""
+        return frozenset((b, a) for a, _, waits in self.threads for b in waits)
 
     def thread(self, tid: Tid) -> ThreadState:
         return self.thread_map[tid]
 
     def is_terminal(self) -> bool:
-        return all(state == FINISHED for _, state in self.threads)
+        return all(state == FINISHED for _, state, _ in self.threads)
 
 
 @dataclass(frozen=True)
@@ -226,72 +232,55 @@ def _expander() -> Callable[[Configuration], tuple[list, list]]:
 
     def expand(c: Configuration) -> tuple[list, list]:
         moves, steps = [], []
-        for tid, state, waited, ordinal in _runnable(c):
+        for tid, state, waits, ordinal in _runnable(c):
             key = (state, tid, ordinal)
             local = memo.get(key)
             if local is None:
                 local = memo[key] = _local_step(*key)
             moves.append((tid, ordinal, local))
-            steps.append(_apply(c, tid, waited, local))
+            steps.append(_apply(c, tid, waits, local))
         return moves, steps
 
     return expand
 
 
-def _runnable(c: Configuration) -> list[tuple[Tid, Comp, list, int]]:
+def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
     """The threads of ``c`` that can step, in tid order, each with its
-    state, the threads it directly waits for and its next spawn ordinal.
-    A thread can step when it is unfinished, not holding a value, and
-    everything it directly waits for has finished.  Its local step is not
-    computed here: a run computes only the one it takes.
-
-    What each such thread waits for and how many children it has are
-    indexed in one pass over ``prec`` and one over the threads."""
-    finished = set()
-    live: dict = {}  # tid -> (state, direct waits)
-    for tid, state in c.threads:
-        if state == FINISHED:
-            finished.add(tid)
-        elif not isinstance(state, Ret):
-            live[tid] = (state, [])
-    if not live:
-        return []
-    for b, a in c.prec:
-        if a in live:
-            live[a][1].append(b)
-    children = dict.fromkeys(live, 0)
-    for t, _ in c.threads:
-        if t and t[:-1] in children:
-            children[t[:-1]] += 1
+    state, the set of threads it directly waits for and its next spawn
+    ordinal.  A thread can step when it is unfinished, not holding a value,
+    and its set holds only finished threads.  Its local step is not
+    computed here: a run computes only the one it takes."""
+    finished = frozenset(tid for tid, state, _ in c.threads if state == FINISHED)
+    children = Counter(tid[:-1] for tid, _, _ in c.threads if tid)
     return [
-        (tid, state, waited, children[tid] + 1)
-        for tid, (state, waited) in live.items()
-        if all(b in finished for b in waited)
+        (tid, state, waits, children[tid] + 1)
+        for tid, state, waits in c.threads
+        if state != FINISHED and not isinstance(state, Ret) and waits <= finished
     ]
 
 
 def _apply(
-    c: Configuration, tid: Tid, waited: list, local: _LocalOut
+    c: Configuration, tid: Tid, waits: frozenset, local: _LocalOut
 ) -> tuple[StepLabel, Configuration]:
     """The global step of the runnable thread ``tid``, which directly waits
-    for ``waited`` and whose local step is ``local``: the thread map updated
-    at the threads the local step wrote, and ``prec`` grown by the step's
-    waits and by a pair from each direct wait of the acting thread to every
-    thread it spawns."""
-    inherited = {(b, t) for t, _ in local.threads if t != tid for b in waited}
-    added = local.new_prec | inherited
-    threads = dict(c.threads)
-    threads.update(local.threads)
-    new = Configuration(
-        (c.prec | added) if added else c.prec, tuple(sorted(threads.items()))
-    )
-    return StepLabel(tid, local.action), new
+    for ``waits`` and whose local step is ``local``: each thread the local
+    step wrote takes its new state and ``waits`` itself as its set (the
+    acting thread keeps its own, a spawned child starts with its parent's),
+    and each wait pair ``(b, a)`` of the step adds ``b`` to the set of
+    ``a``.  Every other entry is kept as it is."""
+    threads = {entry[0]: entry for entry in c.threads}
+    for t, state in local.threads:
+        threads[t] = (t, state, waits)
+    for b, a in local.new_prec:
+        t, state, before = threads[a]
+        threads[a] = (t, state, before | {b})
+    return StepLabel(tid, local.action), Configuration(tuple(sorted(threads.values())))
 
 
 def _deadlock(c: Configuration) -> Deadlock:
     """The error for a non-terminal configuration with no steps, naming
     its unfinished threads."""
-    stuck = ", ".join(tid_str(t) for t, state in c.threads if state != FINISHED)
+    stuck = ", ".join(tid_str(t) for t, state, _ in c.threads if state != FINISHED)
     return Deadlock(f"deadlocked configuration with no enabled steps: {stuck}")
 
 
@@ -380,9 +369,9 @@ def _run_schedule(
             if c.is_terminal():
                 return RunResult(c, tuple(events), observation(events, c), tuple(trace))
             raise _deadlock(c)
-        tid, state, waited, ordinal = choose(runnable)
+        tid, state, waits, ordinal = choose(runnable)
         local = _local_step(state, tid, ordinal)
-        label, c = _apply(c, tid, waited, local)
+        label, c = _apply(c, tid, waits, local)
         events.append(label)
         # the acting thread comes first among the threads a local step returns
         trace.append(_trace_line(label, local.threads[0][1]))
@@ -500,7 +489,8 @@ def _terminal_runs(comp: Comp, max_states: int):
         raise FuelExhausted(f"state budget {max_states} exhausted")
     runs = []
     ends = [c for c, steps in steps_of.items() if not steps]
-    for terminal in sorted(ends, key=lambda c: c.threads):
+    # wait sets stay out of the key: frozensets are ordered by inclusion
+    for terminal in sorted(ends, key=lambda c: [(t, state) for t, state, _ in c.threads]):
         events = _witness_events(c0, terminal, first_event)
         runs.append(RunResult(terminal, tuple(events), observation(events, terminal), ()))
     return c0, steps_of, runs
@@ -605,14 +595,13 @@ def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
       (A) Local steps close every diamond.  Suppose every step passes the
           first two checks.  By induction along any run, the children of
           ``a`` are ``a.1`` to ``a.(n-1)``, so ``a.n`` is new.  A step of
-          ``a`` changes the thread map at ``a`` and at a new thread, and
-          every pair it adds to ``prec`` ends at ``a`` (its waits) or at
-          its new child (which inherits ``a``'s direct waits).  Two
-          distinct runnable threads thus write disjoint parts of the
-          configuration: neither changes the other's state, waits or spawn
-          count, their thread-map updates touch disjoint keys, and both
-          orders add the same pairs to ``prec``.  So the diamond closes in
-          every configuration, reduced or not.
+          ``a`` changes the entry of ``a``, whose wait set grows only by
+          the step's own waits, and adds the entry of a new thread, whose
+          wait set is ``a``'s.  Two distinct runnable threads thus write
+          disjoint entries: neither changes the other's state, wait set or
+          spawn count, and both orders give every entry the same state and
+          wait set.  So the diamond closes in every configuration, reduced
+          or not.
       (B) Every step of the full graph passes the first two checks.  They
           depend only on the thread's state, tid and spawn ordinal, which
           determine its local step.  The walk checks the local step of
@@ -704,24 +693,24 @@ def check_config_well_formed(
     every thread waits only on known threads that come earlier, and every
     unfinished thread type checks against the threads before it.
 
-    ``prec`` need not be closed: if every pair goes forward in the order,
-    so does every pair of its closure, which is therefore acyclic."""
-    if set(order) != set(c.world) or len(order) != len(c.world):
+    Wait sets need not be closed: if every wait goes forward in the order,
+    so does every pair of their closure, which is therefore acyclic."""
+    if set(order) != c.world or len(order) != len(c.world):
         return "order is not a linear order on the world"
     position = {tid: i for i, tid in enumerate(order)}
-    for b, a in c.prec:
-        if b not in c.world:
-            return f"{tid_str(a)} waits on unknown thread {tid_str(b)}"
-    for b, a in c.prec:
-        if a in c.world and position[b] >= position[a]:
-            return f"{tid_str(a)} waits on later sibling {tid_str(b)}"
-    for tid, state in c.threads:
+    for tid, _, waits in c.threads:
+        for b in waits:
+            if b not in position:
+                return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
+            if position[b] >= position[tid]:
+                return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
+    for tid, state, _ in c.threads:
         if state == FINISHED:
             continue
-        visible = frozenset(t for t in c.world if position[t] < position[tid])
+        visible = frozenset(order[: position[tid]])
         try:
             check_comp({}, visible, state, result_type)
-        except Exception as exc:  # noqa: BLE001 - report, don't raise
+        except LangError as exc:
             return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
     return None
 

@@ -184,3 +184,14 @@ def test_fuel_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DYNTHREADS_FUEL", "2")
     assert main(["run", str(PROGRAMS_DIR / "nshape.prog")]) == 2
     assert "FuelExhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fuel", ["0", "-4"])
+def test_fuel_below_one_is_a_usage_error(monkeypatch, capsys, fuel):
+    path = str(PROGRAMS_DIR / "nshape.prog")
+    for command in ("run", "explore", "adequacy"):
+        assert main([command, path, "--fuel", fuel]) == 2
+        assert capsys.readouterr().err == f"error: --fuel must be at least 1, got {fuel}\n"
+    monkeypatch.setenv("DYNTHREADS_FUEL", fuel)
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: DYNTHREADS_FUEL must be at least 1, got {fuel}\n"

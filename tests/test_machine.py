@@ -74,9 +74,7 @@ def test_printstop_is_a_labelled_step():
 def test_waiting_thread_is_not_enabled():
     c = Configuration.initial(desugar(parse_comp("wait(#0.1); stop()")))
     # pretend the world already contains the unfinished thread 0.1
-    threads = dict(c.threads)
-    threads[(1,)] = desugar(parse_comp("stop()"))
-    c = Configuration(frozenset(), tuple(sorted(threads.items())))
+    c = Configuration(c.threads + (((1,), desugar(parse_comp("stop()")), frozenset()),))
     (first, _), (second, _) = sorted(enabled_steps(c), key=lambda s: s[0].acting)
     assert {first.acting, second.acting} == {(), (1,)}
 
@@ -223,19 +221,57 @@ def test_preservation_along_runs():
 
 def test_config_well_formed_rejects_wait_against_order():
     c = Configuration(
-        frozenset({((), (1,))}),  # thread 0.1 waits on the root
-        (((), FINISHED), ((1,), FINISHED)),
-    )
+        (((), FINISHED, frozenset()), ((1,), FINISHED, frozenset({()}))),
+    )  # thread 0.1 waits on the root
     # thread 0.1 waits on the root, so the root must be earlier in any
     # admissible creation order
     assert check_config_well_formed(c, EMPTY, ((), (1,))) is None
     bad = check_config_well_formed(c, EMPTY, ((1,), ()))
     assert bad is not None and "later sibling" in bad
     # two threads waiting for each other fit no creation order
-    cycle = Configuration(c.prec | {((1,), ())}, c.threads)
+    cycle = Configuration((((), FINISHED, frozenset({(1,)})), ((1,), FINISHED, frozenset({()}))))
     for order in (((), (1,)), ((1,), ())):
         bad = check_config_well_formed(cycle, EMPTY, order)
         assert bad is not None and "later sibling" in bad, order
+
+
+def test_config_well_formed_rejects_an_order_that_is_not_on_the_world():
+    c = Configuration((((), FINISHED, frozenset()), ((1,), FINISHED, frozenset())))
+    for order in (((),), ((), (1,), (2,)), ((), (1,), (1,))):
+        assert check_config_well_formed(c, EMPTY, order) == (
+            "order is not a linear order on the world"
+        ), order
+
+
+def test_config_well_formed_rejects_a_wait_on_an_unknown_thread():
+    c = Configuration((((), FINISHED, frozenset({(7,)})),))
+    assert check_config_well_formed(c, EMPTY, ((),)) == "0 waits on unknown thread 0.7"
+
+
+def test_config_well_formed_rejects_a_thread_that_does_not_typecheck():
+    # the thread names 0.1, which is not before it in the order
+    comp = desugar(parse_comp("wait(#0.1); stop()"))
+    c = Configuration((((), comp, frozenset()), ((1,), FINISHED, frozenset())))
+    assert check_config_well_formed(c, EMPTY, ((1,), ())) is None
+    bad = check_config_well_formed(c, EMPTY, ((), (1,)))
+    assert bad.startswith("thread 0 does not typecheck at the thread type: "), bad
+    assert "0.1" in bad
+
+
+def test_preservation_rejects_an_ill_formed_initial_configuration():
+    comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
+    with pytest.raises(MachineError, match=r"^initial configuration ill-formed: thread 0 "):
+        run_with_preservation(comp, EMPTY)
+
+
+def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeypatch):
+    def broken(*_):
+        raise RuntimeError("not a type error")
+
+    monkeypatch.setattr(machine, "check_comp", broken)
+    c = Configuration.initial(desugar(parse_comp("stop()")))
+    with pytest.raises(RuntimeError, match="not a type error"):
+        check_config_well_formed(c, EMPTY, ((),))
 
 
 def test_find_extending_order_inserts_new_thread():
@@ -344,10 +380,10 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
         seen = set()
         for c, steps in steps_of.items():
             below, preds = closed(c.prec)
-            finished = {t for t, state in c.threads if state == FINISHED}
+            finished = {t for t, state, _ in c.threads if state == FINISHED}
             runnable = [
                 t
-                for t, state in c.threads
+                for t, state, _ in c.threads
                 if state != FINISHED
                 and not isinstance(state, Ret)
                 and preds.get(t, set()) <= finished
@@ -368,6 +404,54 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
                 inherited = {(b, t) for t in new_threads for b in preds.get(a, ())}
                 expected = _reference_close_with(below, waits | inherited)
                 assert closed(nxt.prec)[0] == expected, name
+
+
+def test_steps_write_only_the_acting_thread_and_a_new_child():
+    # a step changes the acting thread's entry, whose wait set only grows,
+    # and may add one child, which starts with its parent's set itself
+    forks_after_waits = 0
+    for name in FULL_GRAPH_PROGRAMS:
+        _, steps_of, _, _ = _state_graph(_load(name), 25_000)
+        for c, steps in steps_of.items():
+            before = {t: (state, waits) for t, state, waits in c.threads}
+            for label, nxt in steps:
+                a = label.acting
+                after = {t: (state, waits) for t, state, waits in nxt.threads}
+                assert [t for t in before if after[t] != before[t]] == [a], name
+                assert after[a][1] >= before[a][1], name
+                for child in after.keys() - before.keys():
+                    assert child[:-1] == a and after[child][1] is after[a][1], name
+                    forks_after_waits += bool(after[a][1])
+    assert forks_after_waits
+
+
+def test_wait_step_changes_only_the_acting_threads_entry():
+    stop = desugar(parse_comp("stop()"))
+    c = Configuration(
+        (
+            ((), desugar(parse_comp("wait(#0.1 (+) #0.2); stop()")), frozenset({(3,)})),
+            ((1,), FINISHED, frozenset()),
+            ((2,), FINISHED, frozenset({(1,)})),
+            ((3,), FINISHED, frozenset()),
+            ((4,), stop, frozenset({(3,)})),
+        )
+    )
+    label, nxt = [s for s in enabled_steps(c) if s[0].acting == ()][0]
+    assert nxt.threads[0][2] == {(1,), (2,), (3,)}
+    assert nxt.threads[1:] == c.threads[1:]
+    assert all(new is old for new, old in zip(nxt.threads[1:], c.threads[1:]))
+
+
+def test_prec_is_the_pairs_of_the_wait_sets():
+    stop = desugar(parse_comp("stop()"))
+    c = Configuration(
+        (
+            ((), stop, frozenset({(1,), (2,)})),
+            ((1,), FINISHED, frozenset()),
+            ((2,), stop, frozenset({(1,)})),
+        )
+    )
+    assert c.prec == {((1,), ()), ((2,), ()), ((1,), (2,))}
 
 
 def test_run_exhaustive_policy_returns_result_set():
@@ -474,7 +558,7 @@ def test_confluence_agrees_with_full_graph_check(name):
 
 def test_confluence_rejects_steps_that_are_not_local():
     stop = desugar(parse_comp("stop()"))
-    c = Configuration(frozenset(), (((), stop), ((1,), stop)))
+    c = Configuration((((), stop, frozenset()), ((1,), stop, frozenset())))
 
     def violation(*threads, waits=()):
         local = machine._LocalOut(None, threads, frozenset(waits))

@@ -17,8 +17,11 @@ import sys
 from pathlib import Path
 
 from .denote import adequacy_check, denote
-from .lang import desugar, parse_program, print_type, typecheck_comp
-from .machine import check_confluence, explore, run, run_result_to_json
+from .lang import desugar, parse_program, print_pieces, print_type, tid_str, typecheck_comp
+from .machine import (
+    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, check_confluence, explore, run,
+    run_result_to_json,
+)
 from .posets import (
     decide_equal_posets,
     interp,
@@ -29,7 +32,6 @@ from .posets import (
 )
 from .terms import parse_term_file, print_term
 
-DEFAULT_FUEL = 100_000
 FUEL_ENV = "DYNTHREADS_FUEL"
 
 
@@ -105,16 +107,42 @@ def cmd_run(args) -> int:
     core = desugar(comp)
     if args.policy == "exhaustive":
         return _explore_report(core, args.fuel, args.format)
-    result = run(core, policy=args.policy, seed=args.seed, fuel=args.fuel)
+    trace: list[str] = []
+    on_step = None
+    if args.format == "text":
+        def on_step(label, c):
+            trace.append(_trace_line(label, c.thread(label.acting)))
+    result = run(core, args.policy, args.seed, args.fuel, on_step)
     if args.format == "json":
         print(_json(run_result_to_json(result, args.policy, args.seed)), end="")
     else:
-        for line in result.trace:
-            print(line)
-        print("pomset:")
-        for line in _pomset_text(result.pomset):
-            print(line)
+        print("\n".join(trace + ["pomset:"] + _pomset_text(result.pomset)))
     return 0
+
+
+_TRACE_WIDTH = 60
+
+
+def _trace_line(label: StepLabel, state: ThreadState) -> str:
+    """One step as text: the acting thread, its action (``·`` when silent)
+    and the start of its new state.
+
+    The state is rendered only up to the cut: pieces of
+    :func:`print_pieces` are read until the text is longer than 60
+    characters, which is then shortened to 57 plus ``...``.  The line is
+    the one a full ``print_comp`` would give, at a cost bounded by the
+    width rather than by the size of the continuation."""
+    if state == FINISHED:
+        summary = "finished"
+    else:
+        summary = ""
+        for piece in print_pieces(state):
+            summary += piece
+            if len(summary) > _TRACE_WIDTH:
+                summary = summary[: _TRACE_WIDTH - 3] + "..."
+                break
+    mark = label.action if label.action is not None else "·"
+    return f"{tid_str(label.acting)} {mark} -> {summary}"
 
 
 def _explore_report(core, budget: int, fmt: str) -> int:
@@ -214,7 +242,7 @@ def cmd_export(args) -> int:
 def _default_fuel() -> int:
     raw = os.environ.get(FUEL_ENV)
     if raw is None:
-        return DEFAULT_FUEL
+        return DEFAULT_BUDGET
     try:
         return int(raw)
     except ValueError:

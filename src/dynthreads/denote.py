@@ -48,7 +48,7 @@ from .lang import (
     tid_str,
     typecheck_comp,
 )
-from .machine import RunResult, run
+from .machine import DEFAULT_BUDGET, RunResult, run
 from .posets import Pomset, PosetWithHoles, erase_star, interp
 from .terms import (
     Act,
@@ -336,7 +336,7 @@ def adequacy_check(
     comp: Comp,
     policy: str = "lowest-tid",
     seed: Optional[int] = None,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_BUDGET,
 ) -> AdequacyReport:
     """Run the program and compare the observed pomset with the star-erased
     denotation, up to label-preserving order isomorphism."""

@@ -20,13 +20,19 @@ Observations: the labelled steps of a terminated run, ordered by the
 transitive closure of the final waiting relation, form a pomset (see
 :class:`dynthreads.posets.Pomset`).
 
-Exploration (:func:`explore`, :func:`run_exhaustive`, ``run(policy=
-"exhaustive")``) builds a partial-order-reduced schedule graph: in a
-configuration where some thread can take a silent step (fork, wait, stop,
-or a beta/proj/case/let reduction), only the first such step in tid order
-is expanded; all enabled steps are expanded only where every one of them
-is labelled.  The reduction keeps every labelled trace and every terminal
-configuration because the chosen step
+A scheduled run (:func:`run`) follows one schedule and takes at most
+``fuel`` steps; it computes only the local step it takes and renders
+nothing.  Its ``on_step`` hook sees each step and the configuration it
+reached, which is how :func:`run_with_preservation` checks every
+configuration and how the command line prints trace lines.
+
+Exploration (:func:`explore`, :func:`run_exhaustive`) builds a
+partial-order-reduced schedule graph: in a configuration where some thread
+can take a silent step (fork, wait, stop, or a beta/proj/case/let
+reduction), only the first such step in tid order is expanded; all
+enabled steps are expanded only where every one of them is labelled.  The
+reduction keeps every labelled trace and every terminal configuration
+because the chosen step
   1. is invisible: it carries no action, so it adds nothing to a trace;
   2. cannot be disabled: no other thread's step changes its state or its
      waits, so it stays enabled until it fires;
@@ -47,8 +53,11 @@ checks what was built and reports it truncated.
 No table outlives a call.  A local step depends only on the thread's
 state, tid and next spawn ordinal, so each walk memoizes local steps under
 that key in a memo of its own (:func:`_expander`), which the confluence
-check shares for the successors it enumerates; a scheduled run computes
-only the local step it takes and memoizes nothing.
+check shares for the successors it enumerates; a scheduled run memoizes
+nothing.
+
+One budget, :data:`DEFAULT_BUDGET`, is the default of every bound: the
+steps of a run and the configurations of a walk.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Union
 
 from .lang import (
@@ -82,7 +92,6 @@ from .lang import (
     check_comp,
     is_core,
     print_comp,
-    print_pieces,
     subst_value,
     tid_str,
     tids_of_value,
@@ -104,6 +113,9 @@ class Deadlock(MachineError):
 
 class FuelExhausted(MachineError):
     pass
+
+
+DEFAULT_BUDGET = 100_000
 
 
 FINISHED = "finished"
@@ -288,10 +300,12 @@ def _deadlock(c: Configuration) -> Deadlock:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A terminated run: its final configuration, every step it took and
+    its observation."""
+
     terminal: Configuration
     events: tuple  # tuple[StepLabel, ...], every step
     pomset: Pomset
-    trace: tuple  # tuple[str, ...] human-readable lines
 
 
 def observation(events: Iterable[StepLabel], final: Configuration) -> Pomset:
@@ -320,89 +334,45 @@ def run(
     comp: Comp,
     policy: str = "lowest-tid",
     seed: Optional[int] = None,
-    fuel: int = 100_000,
-):
-    """Run to termination under a scheduler.
+    fuel: int = DEFAULT_BUDGET,
+    on_step: Optional[Callable[[StepLabel, Configuration], None]] = None,
+) -> RunResult:
+    """Run to termination under one schedule: ``lowest-tid``, or
+    ``random`` with a seed, which chooses among the runnable threads
+    (:func:`_runnable`) listed in tid order, as :func:`enabled_steps` lists
+    their steps.
 
-    ``lowest-tid`` and ``random`` (seeded) return one :class:`RunResult`;
-    ``exhaustive`` returns a tuple of run results, one per terminal
-    configuration reached over all schedules (states deduplicated).
-    """
+    Only the chosen thread's local step is computed, and nothing outlives
+    the run.  ``on_step(label, c)`` is called after each step with the
+    configuration ``c`` it reached.  A terminal configuration reached within
+    ``fuel`` steps ends the run; :class:`FuelExhausted` is raised only when
+    a further step is needed after ``fuel`` steps, and :class:`Deadlock`
+    when no thread can step short of termination."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
-    if policy == "exhaustive":
-        return run_exhaustive(comp, max_states=fuel)
-    return _run_schedule(comp, _scheduler(policy, seed), fuel)
-
-
-def _scheduler(policy: str, seed: Optional[int]) -> Callable[[list], tuple]:
-    """The step chooser of a single-schedule policy."""
     if policy == "lowest-tid":
-        return lambda steps: steps[0]
-    if policy == "random":
+        choose = itemgetter(0)
+    elif policy == "random":
         if seed is None:
             raise MachineError("the random policy requires a seed")
-        return random.Random(seed).choice
-    raise MachineError(f"unknown policy {policy!r}")
-
-
-def _run_schedule(
-    comp: Comp,
-    choose: Callable[[list], tuple],
-    fuel: int,
-    after_step: Optional[Callable[[Configuration, int], None]] = None,
-) -> RunResult:
-    """The scheduler loop of :func:`run` and :func:`run_with_preservation`.
-
-    ``choose`` picks one of the runnable threads (:func:`_runnable`),
-    listed in tid order as :func:`enabled_steps` lists their steps, so a
-    seeded random choice follows the same schedule.  Only the chosen
-    thread's local step is computed, and nothing outlives the run.
-    ``after_step`` sees each new configuration and the number of steps
-    taken so far."""
+        choose = random.Random(seed).choice
+    else:
+        raise MachineError(f"unknown policy {policy!r}")
     c = Configuration.initial(comp)
     events: list[StepLabel] = []
-    trace: list[str] = []
-    for _ in range(fuel):
+    while True:
         runnable = _runnable(c)
         if not runnable:
             if c.is_terminal():
-                return RunResult(c, tuple(events), observation(events, c), tuple(trace))
+                return RunResult(c, tuple(events), observation(events, c))
             raise _deadlock(c)
+        if len(events) >= fuel:
+            raise FuelExhausted(f"no terminal configuration within {fuel} steps")
         tid, state, waits, ordinal = choose(runnable)
-        local = _local_step(state, tid, ordinal)
-        label, c = _apply(c, tid, waits, local)
+        label, c = _apply(c, tid, waits, _local_step(state, tid, ordinal))
         events.append(label)
-        # the acting thread comes first among the threads a local step returns
-        trace.append(_trace_line(label, local.threads[0][1]))
-        if after_step is not None:
-            after_step(c, len(events))
-    raise FuelExhausted(f"no terminal configuration within {fuel} steps")
-
-
-_TRACE_WIDTH = 60
-
-
-def _trace_line(label: StepLabel, state: ThreadState) -> str:
-    """One step as text: the acting thread, its action (``·`` when silent)
-    and the start of its new state.
-
-    The state is rendered only up to the cut: pieces of
-    :func:`print_pieces` are read until the text is longer than 60
-    characters, which is then shortened to 57 plus ``...``.  The line is
-    the one a full ``print_comp`` would give, at a cost bounded by the
-    width rather than by the size of the continuation."""
-    if state == FINISHED:
-        summary = "finished"
-    else:
-        summary = ""
-        for piece in print_pieces(state):
-            summary += piece
-            if len(summary) > _TRACE_WIDTH:
-                summary = summary[: _TRACE_WIDTH - 3] + "..."
-                break
-    mark = label.action if label.action is not None else "·"
-    return f"{tid_str(label.acting)} {mark} -> {summary}"
+        if on_step is not None:
+            on_step(label, c)
 
 
 # --- exhaustive exploration ----------------------------------------------------------
@@ -492,11 +462,11 @@ def _terminal_runs(comp: Comp, max_states: int):
     # wait sets stay out of the key: frozensets are ordered by inclusion
     for terminal in sorted(ends, key=lambda c: [(t, state) for t, state, _ in c.threads]):
         events = _witness_events(c0, terminal, first_event)
-        runs.append(RunResult(terminal, tuple(events), observation(events, terminal), ()))
+        runs.append(RunResult(terminal, tuple(events), observation(events, terminal)))
     return c0, steps_of, runs
 
 
-def run_exhaustive(comp: Comp, max_states: int = 100_000) -> tuple:
+def run_exhaustive(comp: Comp, max_states: int = DEFAULT_BUDGET) -> tuple:
     """One run result per terminal configuration over all schedules.
 
     The schedules are those of the partial-order-reduced graph, which
@@ -505,7 +475,7 @@ def run_exhaustive(comp: Comp, max_states: int = 100_000) -> tuple:
     return tuple(_terminal_runs(comp, max_states)[2])
 
 
-def explore(comp: Comp, max_states: int = 10_000) -> ExploreResult:
+def explore(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ExploreResult:
     """Explore every schedule (states deduplicated by configuration
     equality, which the deterministic naming scheme makes meaningful).
 
@@ -580,7 +550,7 @@ class ConfluenceReport:
     detail: Optional[str]
 
 
-def check_confluence(comp: Comp, max_states: int = 10_000) -> ConfluenceReport:
+def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ConfluenceReport:
     """Check the determinacy gate on the reduced schedule graph that
     :func:`_state_graph` builds, as for :func:`explore`: at every
     configuration the walk expands, for every runnable thread ``a`` (not
@@ -741,28 +711,27 @@ def run_with_preservation(
     result_type: LangType,
     policy: str = "lowest-tid",
     seed: Optional[int] = None,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
     """Run while asserting well-formedness (with an extending order) at
     every configuration; returns the result and the number of checks."""
-    if not is_core(comp):
-        raise MachineError("run needs a desugared computation")
-    choose = _scheduler(policy, seed)
     order: tuple = ((),)
     bad = check_config_well_formed(Configuration.initial(comp), result_type, order)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
+    steps = 0
 
-    def extend_order(c: Configuration, steps: int) -> None:
-        nonlocal order
+    def extend_order(_: StepLabel, c: Configuration) -> None:
+        nonlocal order, steps
+        steps += 1
         order = find_extending_order(c, result_type, order)
         if order is None:
             raise MachineError(
                 f"no creation order extends the previous one after step {steps}"
             )
 
-    result = _run_schedule(comp, choose, fuel, extend_order)
-    return result, len(result.events) + 1
+    result = run(comp, policy, seed, fuel, on_step=extend_order)
+    return result, steps + 1
 
 
 def run_result_to_json(result: RunResult, policy: str, seed: Optional[int]) -> dict:

@@ -107,6 +107,23 @@ def test_run_trace_text(capsys):
     assert "events: 2" in out
 
 
+def test_run_records_trace_lines(capsys):
+    assert main(["run", str(PROGRAMS_DIR / "printstop_single.prog")]) == 0
+    assert capsys.readouterr().out == "0 s1 -> finished\npomset:\nevents: 1\n  0: s1\n"
+
+
+@pytest.mark.parametrize("command", ["run", "adequacy"])
+def test_fuel_allows_exactly_that_many_steps(capsys, command):
+    # stop_now terminates after one step and series after eleven
+    for name, fuel in (("stop_now", "1"), ("series", "11")):
+        assert main([command, str(PROGRAMS_DIR / f"{name}.prog"), "--fuel", fuel]) == 0
+        assert capsys.readouterr().err == ""
+    assert main([command, str(PROGRAMS_DIR / "series.prog"), "--fuel", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: FuelExhausted: no terminal configuration within 10 steps\n"
+
+
 def test_run_json_deterministic(capsys):
     path = str(PROGRAMS_DIR / "parallel.prog")
     assert main(["run", path, "--policy", "random", "--seed", "5",

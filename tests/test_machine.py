@@ -5,11 +5,13 @@ import random
 import pytest
 
 from dynthreads import machine
+from dynthreads.cli import _trace_line, main
 from dynthreads.lang import (
     EMPTY,
     TID,
     UNIT,
     InjV,
+    LangError,
     Ret,
     Sum,
     TidV,
@@ -49,7 +51,7 @@ from dynthreads.machine import (
 )
 from dynthreads.posets import Pomset, _close_pairs
 
-from corpus import corpus_names, load_core
+from corpus import PROGRAMS_DIR, corpus_names, load_core
 
 
 def test_fork_spawns_child_with_path_naming():
@@ -103,11 +105,6 @@ def test_run_stop_has_empty_pomset():
     assert result.terminal.is_terminal()
 
 
-def test_run_records_trace_lines():
-    result = run(load_core("printstop_single"))
-    assert result.trace == ("0 s1 -> finished",)
-
-
 def test_random_policy_needs_seed():
     with pytest.raises(Exception):
         run(load_core("stop_now"), policy="random")
@@ -116,6 +113,18 @@ def test_random_policy_needs_seed():
 def test_fuel_exhaustion_reported():
     with pytest.raises(FuelExhausted):
         run(load_core("nshape"), fuel=3)
+
+
+def test_fuel_allows_exactly_that_many_steps():
+    # stop_now terminates after one step and series after eleven
+    for name, steps in (("stop_now", 1), ("series", 11)):
+        comp = load_core(name)
+        assert len(run(comp, fuel=steps).events) == steps
+        result, checks = run_with_preservation(comp, EMPTY, fuel=steps)
+        assert (len(result.events), checks) == (steps, steps + 1)
+    for attempt in (run, lambda comp, fuel: run_with_preservation(comp, EMPTY, fuel=fuel)):
+        with pytest.raises(FuelExhausted, match=r"^no terminal configuration within 10 steps$"):
+            attempt(load_core("series"), fuel=10)
 
 
 def test_explore_no_wait_has_two_traces_one_observation():
@@ -262,6 +271,24 @@ def test_preservation_rejects_an_ill_formed_initial_configuration():
     comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
     with pytest.raises(MachineError, match=r"^initial configuration ill-formed: thread 0 "):
         run_with_preservation(comp, EMPTY)
+
+
+def test_preservation_names_the_step_after_which_no_order_extends(monkeypatch):
+    # break the type checker for the state ``stop()``, which the root first
+    # reaches at the tenth step
+    stop = desugar(parse_comp("stop()"))
+    check_comp = machine.check_comp
+
+    def broken(gamma, visible, state, ty):
+        if state == stop:
+            raise LangError("stop() made ill-typed")
+        return check_comp(gamma, visible, state, ty)
+
+    monkeypatch.setattr(machine, "check_comp", broken)
+    comp = desugar(parse_comp("print[s](); fork(); stop()"))
+    with pytest.raises(MachineError) as raised:
+        run_with_preservation(comp, EMPTY)
+    assert str(raised.value) == "no creation order extends the previous one after step 10"
 
 
 def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeypatch):
@@ -455,13 +482,13 @@ def test_prec_is_the_pairs_of_the_wait_sets():
 
 
 def test_run_exhaustive_policy_returns_result_set():
-    from dynthreads.machine import run_exhaustive
-
-    results = run(load_core("ex21_no_wait"), policy="exhaustive")
-    assert results == run_exhaustive(load_core("ex21_no_wait"))
+    # run follows one schedule; all schedules are run_exhaustive's
+    results = run_exhaustive(load_core("ex21_no_wait"))
     assert len(results) == 1
     expected = Pomset.of({"a": "s1", "b": "s2"}, set())
     assert results[0].pomset.iso_to(expected) is not None
+    with pytest.raises(MachineError, match=r"^unknown policy 'exhaustive'$"):
+        run(load_core("ex21_no_wait"), policy="exhaustive")
 
 
 def test_preservation_rejects_unknown_policy():
@@ -639,12 +666,12 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch, which):
     # the child's states along one lowest-tid run of the sound machine
     child_states = []
 
-    def record(c, _):
+    def record(_, c):
         state = c.thread_map.get((1,))
         if state not in (None, FINISHED) and state not in child_states:
             child_states.append(state)
 
-    machine._run_schedule(comp, lambda runnable: runnable[0], 100, record)
+    run(comp, on_step=record)
 
     def change(out, state, tid):
         if tid != (1,) or (which == "second" and state != child_states[1]):
@@ -702,15 +729,20 @@ def _reference_run(comp, policy, seed):
 
 
 @pytest.mark.parametrize("name", corpus_names())
-def test_runs_agree_with_reference_schedule(name):
+def test_runs_agree_with_reference_schedule(name, capsys):
     comp = load_core(name)
     for policy, seed in SCHEDULES:
-        expected = _reference_run(comp, policy, seed)
+        events, terminal, trace = _reference_run(comp, policy, seed)
         result = run(comp, policy=policy, seed=seed)
         preserved, checks = run_with_preservation(comp, EMPTY, policy=policy, seed=seed)
         for got in (result, preserved):
-            assert (got.events, got.terminal, got.trace) == expected, (policy, seed)
-        assert checks == len(expected[0]) + 1
+            assert (got.events, got.terminal) == (events, terminal), (policy, seed)
+        assert checks == len(events) + 1
+        # the command line prints the trace lines before the pomset
+        argv = ["run", str(PROGRAMS_DIR / f"{name}.prog"), "--policy", policy]
+        assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert tuple(printed[: printed.index("pomset:")]) == trace, (policy, seed)
 
 
 def test_deadlock_names_the_stuck_thread():
@@ -734,13 +766,17 @@ def test_long_print_chain_runs_with_short_trace_lines():
     n = 150
     labels = [f"p{k}" for k in range(n)]
     text = "".join(f"print[{label}](); " for label in labels) + "stop()"
-    result = run(desugar(parse_comp(text)))
-    assert len(result.events) == 1_201
+    lines = []
+    result = run(
+        desugar(parse_comp(text)),
+        on_step=lambda label, c: lines.append(_trace_line(label, c.thread(label.acting))),
+    )
+    assert len(result.events) == len(lines) == 1_201
     pomset = result.pomset
     assert len(pomset.element_ids) == n
     by_label = {(pomset.label_map[a], pomset.label_map[b]) for a, b in pomset.order}
     assert by_label == {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)}
-    assert all(len(line.split(" -> ", 1)[1]) <= 60 for line in result.trace)
+    assert all(len(line.split(" -> ", 1)[1]) <= 60 for line in lines)
 
 
 def test_long_print_chain_runs_out_of_fuel_not_stack():

@@ -145,7 +145,9 @@ def _node(cls):
 
     Syntax trees are shared aggressively between machine configurations,
     and exploration hashes configurations constantly; caching per node
-    makes those hashes amortized O(1).
+    makes those hashes amortized O(1).  A syntax node keeps its set of free
+    variables in its ``__dict__`` the same way, once :func:`subst_value`
+    has asked for it (see :func:`_free`).
     """
     cls = dataclass(frozen=True)(cls)
     base_hash = cls.__hash__
@@ -522,11 +524,14 @@ def _check_case(env, world, scrut_ty, branches, ty) -> None:
 # --- the shape of a node ------------------------------------------------------------
 #
 # Which fields of a node are children, and which variable binds over each, is
-# written down here once.  Desugaring, substitution, the core test and the
-# fresh-name scan walk this table; the type checker, the printer, the machine
-# and the elaborator give each construct its meaning and keep their own cases.
-# The walks recurse through plain loops, not comprehensions or generators, so
-# that one level of nesting costs one stack frame.
+# written down here once.  Desugaring, substitution, the free-variable sets,
+# the core test and the fresh-name scan walk this table; the type checker, the
+# printer, the machine and the elaborator give each construct its meaning and
+# keep their own cases.  :func:`_bottom_up` walks it with an explicit stack,
+# so the free-variable sets and the machine's first hash of a program take no
+# stack frame per level.  The other walks recurse through plain loops, not
+# comprehensions or generators, so that one level of nesting costs one stack
+# frame; substitution goes down only where the variable is free.
 
 def _parts(node) -> list:
     """The children of a value or computation in source order, each paired
@@ -602,19 +607,62 @@ def is_core(t: Comp) -> bool:
     return True
 
 
+def _bottom_up(term, key: str) -> Iterator:
+    """The nodes of ``term`` whose ``__dict__`` has no ``key``, each after
+    its children, by an explicit stack.  The walk does not enter a node
+    that has ``key``; the caller sets ``key`` on each node it is given, so
+    a subterm shared at several places comes once."""
+    stack = [(term, False)]
+    while stack:
+        node, ready = stack.pop()
+        if key in node.__dict__:
+            continue
+        if ready:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for _, kid in _parts(node))
+
+
+def _free(node) -> frozenset:
+    """The free variables of a value or computation, cached on each node
+    under ``_free``; a node is visited once, the first time it or a node
+    above it is asked."""
+    free = node.__dict__.get("_free")
+    if free is not None:
+        return free
+    for sub in _bottom_up(node, "_free"):
+        free = frozenset((sub.name,)) if type(sub) is VarV else frozenset()
+        for var, kid in _parts(sub):
+            kid_free = kid.__dict__["_free"]
+            if var in kid_free:
+                kid_free = kid_free - {var}
+            if not kid_free <= free:
+                # a node whose other children add nothing shares a child's set
+                free = free | kid_free if free else kid_free
+        sub.__dict__["_free"] = free
+    return free
+
+
 def subst_value(t: Comp, name: str, v: Value) -> Comp:
     """Substitute a closed value for a variable in a computation; a binder
-    of the same name shadows it."""
+    of the same name shadows it.
 
-    def go(node):
-        if type(node) is VarV:
-            return v if node.name == name else node
-        kids = []
-        for var, kid in _parts(node):
-            kids.append(kid if var == name else go(kid))
-        return _rebuild(node, kids)
-
-    return go(t)
+    Only the nodes above a free occurrence are rebuilt: where ``name`` is
+    not free the subterm is kept as it is (so ``t`` itself comes back when
+    ``name`` is not free in ``t``), and a rebuilt node's free variables are
+    its old ones less ``name``, because ``v`` is closed."""
+    free = _free(t)
+    if name not in free:
+        return t
+    if type(t) is VarV:
+        return v
+    kids = []
+    for var, kid in _parts(t):
+        kids.append(kid if var == name else subst_value(kid, name, v))
+    new = _rebuild(t, kids)
+    new.__dict__["_free"] = free - {name}
+    return new
 
 
 # --- desugaring -------------------------------------------------------------------

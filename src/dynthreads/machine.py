@@ -88,6 +88,7 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
+    _bottom_up,
     _node,
     check_comp,
     is_core,
@@ -411,6 +412,10 @@ def _state_graph(
     :func:`check_confluence` passes its own to keep the unreduced moves."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
+    # hash the program children first, so that no hash of a configuration
+    # recurses further down than the nodes its steps built
+    for node in _bottom_up(comp, "_hash"):
+        hash(node)
     expand = expand or _expander()
     c0 = Configuration.initial(comp)
     steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}

@@ -965,9 +965,9 @@ class Pomset:
         """All label sequences compatible with the order."""
         results: set[tuple[str, ...]] = set()
         elements = sorted(self.element_ids)
-        preds = {
-            e: {d for (d, f) in self.order if f == e} for e in elements
-        }
+        preds: dict[str, set[str]] = {e: set() for e in elements}
+        for d, f in self.order:
+            preds[f].add(d)
 
         def go(done: tuple[str, ...], taken: frozenset[str]) -> None:
             if len(done) == len(elements):

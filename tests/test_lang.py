@@ -46,7 +46,7 @@ from dynthreads.lang import (
     typecheck_value,
     parse_comp as _pc,
 )
-from dynthreads.lang import _parts, _rebuild
+from dynthreads.lang import _free, _parts, _rebuild
 
 EX21_PROGRAM_1 = (
     "let y = fork() in case y of "
@@ -226,6 +226,40 @@ def test_subst_value_stops_at_binders_of_the_same_name():
     assert subst("ret (\\x:tid. wait(x), \\y:tid. wait(x), x)") == (
         "ret (\\x:tid. wait(x), \\y:tid. wait(nil), nil)"
     )
+    # a binder inside the scope of a shadowing one, and a free occurrence
+    # next to a shadowed one
+    assert subst("let y = ret x in let x = wait(y) in let z = wait(x) in wait(x)") == (
+        "let y = ret nil in let x = wait(y) in let z = wait(x) in wait(x)"
+    )
+    assert subst("case inj1 x of { inj1 x => wait(x) | inj2 y => ret \\x:tid. wait(x) }") == (
+        "case inj1 nil of { inj1 x => wait(x) | inj2 y => ret \\x:tid. wait(x) }"
+    )
+
+    # where x is only bound, or only free under a binder of its own, the
+    # term itself comes back
+    for src in (
+        "let x = wait(y) in wait(x)",
+        "case y of { inj1 x => wait(x) | inj2 x => ret \\y:tid. wait(x) }",
+        "ret \\x:tid. let y = ret x in wait(x (+) y)",
+        "let u = print[s]() in stop()",
+    ):
+        t = parse_comp(src)
+        assert subst_value(t, "x", NilV()) is t, src
+
+
+def test_free_variables_of_a_deep_chain_need_no_recursion():
+    # built directly, without the parser: only the free-variable walk runs
+    depth = 5_000
+    t = Ret(VarV("x"))
+    for i in range(depth):
+        # each let waits for the variable of the let around it
+        t = LetC(f"y{i}", ApplyC(ConstV("wait"), VarV(f"y{i + 1}")), t)
+    assert _free(t) == {"x", f"y{depth}"}
+    assert subst_value(t, "y7", NilV()) is t
+    shallow = subst_value(t, f"y{depth}", NilV())
+    assert shallow.bound == ApplyC(ConstV("wait"), NilV())
+    assert shallow.body is t.body
+    assert _free(shallow) == {"x"}
 
 
 _NODE_CLASSES = get_args(Value) + get_args(Comp)

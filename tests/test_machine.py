@@ -12,6 +12,7 @@ from dynthreads.lang import (
     UNIT,
     InjV,
     LangError,
+    LetC,
     Ret,
     Sum,
     TidV,
@@ -780,11 +781,33 @@ def test_long_print_chain_runs_with_short_trace_lines():
 
 
 def test_long_print_chain_runs_out_of_fuel_not_stack():
-    # a run hashes no thread state, so a deeply nested continuation does not
-    # exhaust the interpreter stack
+    # a step goes into a deeply nested continuation only as far as the
+    # substituted variable occurs, so it does not exhaust the interpreter stack
     text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
     with pytest.raises(FuelExhausted, match="within 50 steps"):
         run(desugar(parse_comp(text)), fuel=50)
+
+
+def test_long_print_chain_is_checked_without_exhausting_the_stack():
+    # the walk hashes the program children first, and every configuration
+    # after it is built on those hashed nodes
+    text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
+    report = check_confluence(desugar(parse_comp(text)))
+    assert report.ok and not report.truncated
+
+
+def test_let_steps_keep_the_rest_of_a_print_chain():
+    comp = desugar(parse_comp("print[a](); print[b](); print[c](); stop()"))
+    roots = []
+    run(comp, on_step=lambda label, c: roots.append(c.thread(())))
+    # until the root's first let step, its state is a let around the rest of
+    # the program; that step leaves the rest itself, not a copy
+    first = next(i for i, state in enumerate(roots) if state is comp.body)
+    assert all(state.body is comp.body for state in roots[:first])
+    rest = comp.body
+    while type(rest) is LetC:
+        rest = rest.body
+        assert any(state is rest for state in roots)
 
 
 def test_stuck_thread_is_raised_by_runs_and_walks():

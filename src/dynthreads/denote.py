@@ -313,12 +313,15 @@ def denote(comp: Comp, world=frozenset()) -> Denotation:
         raise NotFirstOrderResult(
             f"program has type {print_type(result_type)}; only first-order results denote"
         )
-    core = desugar(comp)
+    return _denote_core(desugar(comp), result_type, world)
+
+
+def _denote_core(core: Comp, result_type: LangType, world) -> Denotation:
+    """:func:`denote` after type checking: ``core`` is the desugared program
+    and ``result_type`` its first-order type."""
     delta = world_context(world)
-    elab = Elaborator(delta)
-    gamma, term = elab.denote_comp(core, {}, result_type)
-    poset = interp(term, gamma, delta)
-    return Denotation(gamma, delta, term, poset)
+    gamma, term = Elaborator(delta).denote_comp(core, {}, result_type)
+    return Denotation(gamma, delta, term, interp(term, gamma, delta))
 
 
 # --- adequacy ------------------------------------------------------------------------
@@ -347,7 +350,7 @@ def adequacy_check(
         )
     core = desugar(comp)
     rr = run(core, policy=policy, seed=seed, fuel=fuel)
-    den = denote(comp, frozenset())
+    den = _denote_core(core, result_type, frozenset())
     denoted = erase_star(den.poset)
     witness = rr.pomset.iso_to(denoted)
     return AdequacyReport(witness is not None, rr.pomset, denoted, witness, rr)

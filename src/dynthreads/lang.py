@@ -301,224 +301,170 @@ def tids_of_value(v: Value) -> frozenset[Tid]:
 
 
 # --- type checking ---------------------------------------------------------------
+#
+# One bidirectional judgement per syntactic class (Pierce & Turner 2000;
+# Dunfield & Krishnaswami 2021): ``_value`` and ``_comp`` take ``want``, the
+# type to check against, or ``None`` to synthesize one, and return the type
+# they found (``want`` itself when checking).  Checking is the more lenient
+# mode: an injection is checked against the sum it is placed in, whatever its
+# annotation, and an unannotated lambda against the arrow it is placed in.
+# A synthesized ``case`` synthesizes each branch once and joins the branch
+# types under :func:`compatible` (``Bot`` below everything, pointwise through
+# products, sums and arrow results) instead of checking every branch again
+# against each candidate.  The join must be one of the branch types, so it is
+# found as the one that every other fits; the branches that could not
+# synthesize are then checked against it.  ``case`` and ``let`` are typed
+# inline, so one level of nesting costs one stack frame.
 
 World = frozenset
 
 
 def typecheck_comp(env: Mapping[str, LangType], world: World, t: Comp) -> LangType:
     """Synthesize the type of a computation; raise on failure."""
-    return _synth_comp(dict(env), world, t)
+    return _comp(env, world, t, None)
 
 
 def typecheck_value(env: Mapping[str, LangType], world: World, v: Value) -> LangType:
-    return _synth_value(dict(env), world, v)
+    return _value(env, world, v, None)
 
 
 def check_comp(env: Mapping[str, LangType], world: World, t: Comp, ty: LangType) -> None:
-    _check_comp(dict(env), world, t, ty)
+    _comp(env, world, t, ty)
 
 
-def _synth_value(env, world, v) -> LangType:
+def _expect(got: LangType, want: Optional[LangType]) -> LangType:
+    """``got`` when synthesizing, ``want`` when ``got`` fits it."""
+    if want is None:
+        return got
+    if compatible(got, want):
+        return want
+    raise TypeCheckError(f"expected {print_type(want)}, found {print_type(got)}")
+
+
+def _value(env, world, v, want: Optional[LangType]) -> LangType:
     match v:
         case VarV(name):
             if name not in env:
                 raise TypeCheckError(f"unbound variable {name!r}")
-            return env[name]
+            return _expect(env[name], want)
         case TidV(path):
             if path not in world:
                 raise UnknownTid(f"thread ID {tid_str(path)} not in the world")
-            return TID
+            return _expect(TID, want)
         case NilV():
-            return TID
+            return _expect(TID, want)
         case UnionV(left, right):
-            _check_value(env, world, left, TID)
-            _check_value(env, world, right, TID)
-            return TID
+            _value(env, world, left, TID)
+            _value(env, world, right, TID)
+            return _expect(TID, want)
         case TupleV(items):
-            return Prod(tuple(_synth_value(env, world, i) for i in items))
-        case InjV(_, _, annot) if annot is not None:
-            _check_value(env, world, v, annot)
-            return annot
-        case InjV(_, _, _):
-            raise TypeCheckError("cannot infer a sum type for an injection here")
+            if not isinstance(want, Prod):
+                return _expect(Prod(tuple(_value(env, world, i, None) for i in items)), want)
+            if len(items) != len(want.parts):
+                raise TypeCheckError(
+                    f"tuple of {len(items)} checked against product of {len(want.parts)}"
+                )
+            for item, part in zip(items, want.parts):
+                _value(env, world, item, part)
+            return want
+        case InjV(index, inner, annot):
+            ty = annot if want is None else want
+            if ty is None:
+                raise TypeCheckError("cannot infer a sum type for an injection here")
+            if not isinstance(ty, Sum):
+                raise TypeCheckError(f"inj{index} must have a sum type, not {print_type(ty)}")
+            if not 1 <= index <= len(ty.parts):
+                raise TypeCheckError(f"inj{index} into a sum with {len(ty.parts)} summands")
+            _value(env, world, inner, ty.parts[index - 1])
+            return ty
         case LambdaV(param, annot, body):
+            if isinstance(want, Arrow):
+                if annot is not None and annot != want.arg:
+                    raise TypeCheckError(
+                        f"lambda annotated {print_type(annot)}, expected {print_type(want.arg)}"
+                    )
+                _comp({**env, param: want.arg}, world, body, want.res)
+                return want
             if annot is None:
                 raise TypeCheckError(
                     f"cannot infer the argument type of \\{param}. ...; annotate it"
                 )
-            inner = dict(env)
-            inner[param] = annot
-            return Arrow(annot, _synth_comp(inner, world, body))
+            return _expect(Arrow(annot, _comp({**env, param: annot}, world, body, None)), want)
         case ConstV() as c:
-            return const_signature(c)
+            return _expect(const_signature(c), want)
     raise TypeError(f"not a value: {v!r}")
 
 
-def _check_value(env, world, v, ty: LangType) -> None:
-    match v, ty:
-        case InjV(index, inner), Sum(parts):
-            if not 1 <= index <= len(parts):
-                raise TypeCheckError(
-                    f"inj{index} into a sum with {len(parts)} summands"
-                )
-            _check_value(env, world, inner, parts[index - 1])
-            return
-        case InjV(index, _), _:
-            raise TypeCheckError(f"inj{index} must have a sum type, not {print_type(ty)}")
-        case TupleV(items), Prod(parts):
-            if len(items) != len(parts):
-                raise TypeCheckError(
-                    f"tuple of {len(items)} checked against product of {len(parts)}"
-                )
-            for item, part in zip(items, parts):
-                _check_value(env, world, item, part)
-            return
-        case LambdaV(param, annot, body), Arrow(arg, res):
-            if annot is not None and annot != arg:
-                raise TypeCheckError(
-                    f"lambda annotated {print_type(annot)}, expected {print_type(arg)}"
-                )
-            inner = dict(env)
-            inner[param] = arg
-            _check_comp(inner, world, body, res)
-            return
-    got = _synth_value(env, world, v)
-    if not compatible(got, ty):
-        raise TypeCheckError(f"expected {print_type(ty)}, found {print_type(got)}")
-
-
-def _synth_comp(env, world, t) -> LangType:
+def _comp(env, world, t, want: Optional[LangType]) -> LangType:
     match t:
         case Ret(v):
-            return _synth_value(env, world, v)
+            return _value(env, world, v, want)
+        case LetC(var, bound, body):
+            bound_ty = _comp(env, world, bound, None)
+            return _comp({**env, var: bound_ty}, world, body, want)
+        case SeqC(first, second):
+            _comp(env, world, first, None)
+            return _comp(env, world, second, want)
         case ProjC(index, v):
-            ty = _synth_value(env, world, v)
+            ty = _value(env, world, v, None)
             if isinstance(ty, Bot):
-                return BOTTOM
+                return _expect(BOTTOM, want)
             if not isinstance(ty, Prod):
                 raise TypeCheckError(f"proj{index} of non-product {print_type(ty)}")
             if not 1 <= index <= len(ty.parts):
                 raise TypeCheckError(
                     f"proj{index} of a product with {len(ty.parts)} components"
                 )
-            return ty.parts[index - 1]
-        case CaseV(v, branches):
-            ty = _synth_value(env, world, v)
-            return _synth_case(env, world, ty, branches)
-        case CaseC(comp, branches):
-            ty = _synth_comp(env, world, comp)
-            return _synth_case(env, world, ty, branches)
+            return _expect(ty.parts[index - 1], want)
+        case ApplyC(LambdaV(param, annot, body), arg):
+            # a lambda applied in place is typed like a let
+            arg_ty = _value(env, world, arg, annot)
+            return _expect(_comp({**env, param: arg_ty}, world, body, None), want)
         case ApplyC(fn, arg):
-            return _synth_apply(env, world, fn, arg)
-        case LetC(var, bound, body):
-            bound_ty = _synth_comp(env, world, bound)
-            inner = dict(env)
-            inner[var] = bound_ty
-            return _synth_comp(inner, world, body)
-        case SeqC(first, second):
-            _synth_comp(env, world, first)
-            return _synth_comp(env, world, second)
+            fn_ty = _value(env, world, fn, None)
+            if isinstance(fn_ty, Bot):
+                return _expect(BOTTOM, want)
+            if not isinstance(fn_ty, Arrow):
+                raise TypeCheckError(f"applying a non-function of type {print_type(fn_ty)}")
+            _value(env, world, arg, fn_ty.arg)
+            return _expect(fn_ty.res, want)
+        case CaseV(scrutinee, branches) | CaseC(scrutinee, branches):
+            scrut = (_value if type(t) is CaseV else _comp)(env, world, scrutinee, None)
+            if isinstance(scrut, Bot):
+                return _expect(BOTTOM, want)
+            if not isinstance(scrut, Sum):
+                raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut)}")
+            if len(branches) != len(scrut.parts):
+                raise TypeCheckError(
+                    f"case with {len(branches)} branches on a sum of {len(scrut.parts)}"
+                )
+            if want is not None:
+                for (x, body), part in zip(branches, scrut.parts):
+                    _comp({**env, x: part}, world, body, want)
+                return want
+            if not branches:
+                # an empty case never returns
+                return BOTTOM
+            found, unsynthesized, errors = [], [], []
+            for (x, body), part in zip(branches, scrut.parts):
+                inner = {**env, x: part}
+                try:
+                    found.append(_comp(inner, world, body, None))
+                except TypeCheckError as exc:
+                    unsynthesized.append((inner, body))
+                    errors.append(str(exc))
+            if not found:
+                raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
+            join = next((j for j in found if all(compatible(ty, j) for ty in found)), None)
+            if join is not None:
+                try:
+                    for inner, body in unsynthesized:
+                        _comp(inner, world, body, join)
+                    return join
+                except TypeCheckError:
+                    pass
+            raise TypeCheckError("case branches do not agree on a single type")
     raise TypeError(f"not a computation: {t!r}")
-
-
-def _synth_apply(env, world, fn, arg) -> LangType:
-    if isinstance(fn, LambdaV):
-        if fn.annot is None:
-            arg_ty = _synth_value(env, world, arg)
-        else:
-            _check_value(env, world, arg, fn.annot)
-            arg_ty = fn.annot
-        inner = dict(env)
-        inner[fn.param] = arg_ty
-        return _synth_comp(inner, world, fn.body)
-    fn_ty = _synth_value(env, world, fn)
-    if isinstance(fn_ty, Bot):
-        return BOTTOM
-    if not isinstance(fn_ty, Arrow):
-        raise TypeCheckError(f"applying a non-function of type {print_type(fn_ty)}")
-    _check_value(env, world, arg, fn_ty.arg)
-    return fn_ty.res
-
-
-def _synth_case(env, world, scrut_ty, branches) -> LangType:
-    if isinstance(scrut_ty, Bot):
-        return BOTTOM
-    if not isinstance(scrut_ty, Sum):
-        raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut_ty)}")
-    if len(branches) != len(scrut_ty.parts):
-        raise TypeCheckError(
-            f"case with {len(branches)} branches on a sum of {len(scrut_ty.parts)}"
-        )
-    if not branches:
-        # an empty case never returns
-        return BOTTOM
-    candidates: list[LangType] = []
-    errors = []
-    for (x, body), part in zip(branches, scrut_ty.parts):
-        inner = dict(env)
-        inner[x] = part
-        try:
-            ty = _synth_comp(inner, world, body)
-            if ty not in candidates:
-                candidates.append(ty)
-        except TypeCheckError as exc:
-            errors.append(str(exc))
-    candidates.sort(key=lambda t: isinstance(t, Bot))
-    for candidate in candidates:
-        try:
-            for (x, body), part in zip(branches, scrut_ty.parts):
-                inner = dict(env)
-                inner[x] = part
-                _check_comp(inner, world, body, candidate)
-            return candidate
-        except TypeCheckError:
-            continue
-    if not candidates:
-        raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
-    raise TypeCheckError("case branches do not agree on a single type")
-
-
-def _check_comp(env, world, t, ty: LangType) -> None:
-    match t:
-        case Ret(v):
-            _check_value(env, world, v, ty)
-            return
-        case CaseV(v, branches):
-            scrut_ty = _synth_value(env, world, v)
-            _check_case(env, world, scrut_ty, branches, ty)
-            return
-        case CaseC(comp, branches):
-            scrut_ty = _synth_comp(env, world, comp)
-            _check_case(env, world, scrut_ty, branches, ty)
-            return
-        case LetC(var, bound, body):
-            bound_ty = _synth_comp(env, world, bound)
-            inner = dict(env)
-            inner[var] = bound_ty
-            _check_comp(inner, world, body, ty)
-            return
-        case SeqC(first, second):
-            _synth_comp(env, world, first)
-            _check_comp(env, world, second, ty)
-            return
-    got = _synth_comp(env, world, t)
-    if not compatible(got, ty):
-        raise TypeCheckError(f"expected {print_type(ty)}, found {print_type(got)}")
-
-
-def _check_case(env, world, scrut_ty, branches, ty) -> None:
-    if isinstance(scrut_ty, Bot):
-        return
-    if not isinstance(scrut_ty, Sum):
-        raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut_ty)}")
-    if len(branches) != len(scrut_ty.parts):
-        raise TypeCheckError(
-            f"case with {len(branches)} branches on a sum of {len(scrut_ty.parts)}"
-        )
-    for (x, body), part in zip(branches, scrut_ty.parts):
-        inner = dict(env)
-        inner[x] = part
-        _check_comp(inner, world, body, ty)
 
 
 # --- the shape of a node ------------------------------------------------------------
@@ -828,9 +774,6 @@ _TOKEN_SPEC = [
 _MASTER_RE = re.compile(
     "|".join(f"(?P<{kind}>{pat})" for kind, pat in _TOKEN_SPEC)
 )
-
-_COMP_KEYWORDS = {"ret", "let", "case", "proj1", "proj2", "proj3"}
-
 
 @dataclass
 class _Tok:

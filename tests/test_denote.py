@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynthreads import denote as denote_module
 from dynthreads.denote import (
     AlphabetCollision,
     CanonicalFOType,
@@ -141,6 +142,27 @@ def test_adequacy_across_corpus_policies():
         for policy, seed in (("lowest-tid", None), ("random", 7)):
             report = adequacy_check(load_surface(name), policy=policy, seed=seed)
             assert report.ok, name
+
+
+def test_adequacy_type_checks_and_desugars_once(monkeypatch):
+    calls = []
+
+    def count(name):
+        job = getattr(denote_module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return job(*args)
+
+        monkeypatch.setattr(denote_module, name, counted)
+
+    count("typecheck_comp")
+    count("desugar")
+    report = adequacy_check(load_surface("nshape"))
+    assert report.ok
+    assert sorted(calls) == ["desugar", "typecheck_comp"]
+    # the denotation is the one denote gives
+    assert report.denoted == erase_star(denote(load_surface("nshape")).poset)
 
 
 def test_program_level_wait_fork_commutation():

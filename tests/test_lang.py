@@ -5,6 +5,7 @@ from typing import get_args
 
 import pytest
 
+from dynthreads import lang
 from dynthreads.lang import (
     EMPTY,
     TID,
@@ -34,6 +35,7 @@ from dynthreads.lang import (
     Sum,
     TypeCheckError,
     UnknownTid,
+    check_comp,
     desugar,
     is_core,
     parse_comp,
@@ -115,6 +117,149 @@ def test_typecheck_rejects_bad_programs():
         typecheck_comp({}, frozenset(), parse_comp("ret x"))
     with pytest.raises(TypeCheckError):
         typecheck_comp({}, frozenset(), parse_comp("proj2 ((), ())") and parse_comp("proj3 ((), ())"))
+
+
+_FORKED = "let y = fork() in "
+_RUNNER = "\\u:1. stop()"
+
+# each ill-typed program with the error it raises, class and whole message
+ILL_TYPED = [
+    (
+        "branches-disagree",
+        _FORKED + "case y of { inj1 x => ret x | inj2 u => ret u }",
+        TypeCheckError,
+        "case branches do not agree on a single type",
+    ),
+    (
+        "no-branch-synthesizes",
+        _FORKED + "case y of { inj1 x => ret inj1 x | inj2 u => ret inj2 u }",
+        TypeCheckError,
+        "no case branch synthesizes a type: "
+        "cannot infer a sum type for an injection here; "
+        "cannot infer a sum type for an injection here",
+    ),
+    (
+        "unannotated-injection",
+        "ret inj1 ()",
+        TypeCheckError,
+        "cannot infer a sum type for an injection here",
+    ),
+    (
+        "unannotated-lambda",
+        "ret \\x. stop()",
+        TypeCheckError,
+        "cannot infer the argument type of \\x. ...; annotate it",
+    ),
+    (
+        "lambda-annotation-mismatch",
+        f"parallel(\\u:tid. stop(), {_RUNNER})",
+        TypeCheckError,
+        "lambda annotated tid, expected 1",
+    ),
+    (
+        "tuple-arity",
+        f"parallel({_RUNNER}, {_RUNNER}, {_RUNNER})",
+        TypeCheckError,
+        "tuple of 3 checked against product of 2",
+    ),
+    (
+        "injection-index",
+        "(\\x:tid + 1. stop())(inj3 ())",
+        TypeCheckError,
+        "inj3 into a sum with 2 summands",
+    ),
+    (
+        "injection-into-non-sum",
+        "wait(inj1 ())",
+        TypeCheckError,
+        "inj1 must have a sum type, not tid",
+    ),
+    (
+        "projection-index",
+        "proj3 ((), ())",
+        TypeCheckError,
+        "proj3 of a product with 2 components",
+    ),
+    (
+        "projection-of-non-product",
+        "proj1 nil",
+        TypeCheckError,
+        "proj1 of non-product tid",
+    ),
+    (
+        "apply-non-function",
+        _FORKED + "y(())",
+        TypeCheckError,
+        "applying a non-function of type tid + 1",
+    ),
+    (
+        "case-on-non-sum",
+        "case () of { inj1 x => stop() }",
+        TypeCheckError,
+        "case scrutinee has non-sum type 1",
+    ),
+    (
+        "case-branch-count",
+        _FORKED + "case y of { inj1 x => stop() }",
+        TypeCheckError,
+        "case with 1 branches on a sum of 2",
+    ),
+    (
+        "argument-mismatch",
+        "wait(())",
+        TypeCheckError,
+        "expected tid, found 1",
+    ),
+    (
+        "unknown-tid",
+        "wait(#0.1)",
+        UnknownTid,
+        "thread ID 0.1 not in the world",
+    ),
+    (
+        "unbound-variable",
+        "ret x",
+        TypeCheckError,
+        "unbound variable 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "src, error, message", [case[1:] for case in ILL_TYPED], ids=[case[0] for case in ILL_TYPED]
+)
+def test_ill_typed_programs_raise_their_error(src, error, message):
+    with pytest.raises(LangError) as exc:
+        typecheck_comp({}, frozenset(), parse_comp(src))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_nested_cases_type_check_without_exhausting_the_stack():
+    # one stack frame per nesting level
+    t = ApplyC(ConstV("stop"), UNIT_V)
+    for _ in range(500):
+        t = CaseV(InjV(1, UNIT_V, Sum((UNIT,))), (("u", t),))
+    assert typecheck_comp({}, frozenset(), t) == EMPTY
+    check_comp({}, frozenset(), t, EMPTY)
+
+
+def test_synthesized_case_types_each_branch_once(monkeypatch):
+    # a branch that synthesizes is not checked again, so nested cases cost
+    # one judgement per computation, not one per pair of levels
+    t = ApplyC(ConstV("stop"), UNIT_V)
+    for _ in range(50):
+        t = CaseV(InjV(1, UNIT_V, Sum((UNIT,))), (("u", t),))
+    judged = []
+    comp = lang._comp
+
+    def counted(env, world, term, want):
+        judged.append(term)
+        return comp(env, world, term, want)
+
+    monkeypatch.setattr(lang, "_comp", counted)
+    assert typecheck_comp({}, frozenset(), t) == EMPTY
+    assert len(judged) == 51
 
 
 def test_desugar_print_matches_fork_wait_form():

@@ -10,6 +10,10 @@ from dynthreads.lang import (
     EMPTY,
     TID,
     UNIT,
+    UNIT_V,
+    ApplyC,
+    CaseV,
+    ConstV,
     InjV,
     LangError,
     LetC,
@@ -794,6 +798,16 @@ def test_long_print_chain_is_checked_without_exhausting_the_stack():
     text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
     report = check_confluence(desugar(parse_comp(text)))
     assert report.ok and not report.truncated
+
+
+def test_deeply_nested_cases_run_with_preservation():
+    # every configuration is type checked, each holding up to 600 nested cases
+    comp = ApplyC(ConstV("stop"), UNIT_V)
+    for _ in range(600):
+        comp = CaseV(InjV(1, UNIT_V, Sum((UNIT,))), (("u", comp),))
+    result, checks = run_with_preservation(comp, EMPTY)
+    assert result.terminal.is_terminal()
+    assert checks == 602
 
 
 def test_let_steps_keep_the_rest_of_a_print_chain():

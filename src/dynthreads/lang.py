@@ -114,14 +114,16 @@ def print_type(ty: LangType, level: int = 0) -> str:
             return "1"
         case Sum(()):
             return "0"
+        case Prod((part,)):
+            # unary sums and products have no source syntax: a trailing
+            # operator marks them, which the parser rejects
+            return f"({print_type(part, 3)} *)"
+        case Sum((part,)):
+            return f"({print_type(part, 2)} +)"
         case Prod(parts):
-            if len(parts) == 1:
-                raise LangError("unary products have no textual syntax")
             s = " * ".join(print_type(p, 3) for p in parts)
             return f"({s})" if level > 2 else s
         case Sum(parts):
-            if len(parts) == 1:
-                raise LangError("unary sums have no textual syntax")
             s = " + ".join(print_type(p, 2) for p in parts)
             return f"({s})" if level > 1 else s
         case Arrow(arg, res):

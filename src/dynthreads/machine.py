@@ -66,6 +66,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Union
 
@@ -97,7 +98,7 @@ from .lang import (
     tid_str,
     tids_of_value,
 )
-from .posets import Pomset, _close_pairs
+from .posets import Pomset, _close_pairs, label_paths
 
 
 class MachineError(Exception):
@@ -239,8 +240,10 @@ def _expander() -> Callable[[Configuration], tuple[list, list]]:
     step) and the global steps they make.
 
     Identical thread states recur across the interleavings of one walk, so
-    ``expand`` memoizes local steps, keyed ``(state, tid, ordinal)``.  The
-    memo belongs to this ``expand`` and lives no longer than its caller."""
+    ``expand`` memoizes local steps, keyed ``(state, tid, ordinal)``, and
+    hashes the thread states of each new one with :func:`_hash_bottom_up`.
+    The memo belongs to this ``expand`` and lives no longer than its
+    caller."""
     memo: dict = {}
 
     def expand(c: Configuration) -> tuple[list, list]:
@@ -250,11 +253,22 @@ def _expander() -> Callable[[Configuration], tuple[list, list]]:
             local = memo.get(key)
             if local is None:
                 local = memo[key] = _local_step(*key)
+                for _, new_state in local.threads:
+                    if new_state != FINISHED:
+                        _hash_bottom_up(new_state)
             moves.append((tid, ordinal, local))
             steps.append(_apply(c, tid, waits, local))
         return moves, steps
 
     return expand
+
+
+def _hash_bottom_up(term) -> None:
+    """Hash the nodes of ``term`` not hashed yet, children first, so that
+    no later hash of a node above them recurses into them: a substitution
+    can rebuild a spine as long as the program."""
+    for node in _bottom_up(term, "_hash"):
+        hash(node)
 
 
 def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
@@ -412,10 +426,7 @@ def _state_graph(
     :func:`check_confluence` passes its own to keep the unreduced moves."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
-    # hash the program children first, so that no hash of a configuration
-    # recurses further down than the nodes its steps built
-    for node in _bottom_up(comp, "_hash"):
-        hash(node)
+    _hash_bottom_up(comp)
     expand = expand or _expander()
     c0 = Configuration.initial(comp)
     steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
@@ -500,49 +511,20 @@ def explore(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ExploreResult:
     all_iso = all(
         observations[0].iso_to(pom) is not None for pom in observations[1:]
     )
-    linearizations = set()
-    for pom in observations:
-        linearizations |= pom.linearizations()
+    linearizations = frozenset().union(*(pom.linearizations() for pom in observations))
     return ExploreResult(
         states=len(steps_of),
         terminals=tuple(r.terminal for r in runs),
         observations=tuple(observations),
-        traces=frozenset(traces),
+        traces=traces,
         all_iso=all_iso,
-        traces_match_linearizations=(set(traces) == linearizations),
+        traces_match_linearizations=(traces == linearizations),
     )
 
 
-def _label_traces(c0: Configuration, steps_of) -> set[tuple[str, ...]]:
-    """The labelled traces of the maximal paths from ``c0``, folded over the
-    acyclic graph in reverse topological order (depth-first with an
-    explicit stack, so path length is not bounded by the recursion
-    limit)."""
-    memo: dict[Configuration, frozenset] = {}
-    stack = [c0]
-    while stack:
-        c = stack[-1]
-        if c in memo:
-            stack.pop()
-            continue
-        steps = steps_of[c]
-        pending = [nxt for _, nxt in steps if nxt not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if not steps:
-            memo[c] = frozenset({()})
-        elif len(steps) == 1 and steps[0][0].action is None:
-            # a lone silent step adds nothing: share the successor's set
-            memo[c] = memo[steps[0][1]]
-        else:
-            memo[c] = frozenset(
-                ((label.action,) + rest) if label.action else rest
-                for label, nxt in steps
-                for rest in memo[nxt]
-            )
-    return set(memo[c0])
+def _label_traces(c0: Configuration, steps_of) -> frozenset:  # frozenset[tuple[str, ...]]
+    """The labelled traces of the maximal paths from ``c0``."""
+    return label_paths(c0, lambda c: [(label.action, nxt) for label, nxt in steps_of[c]])
 
 
 # --- confluence -----------------------------------------------------------------------
@@ -690,25 +672,16 @@ def check_config_well_formed(
     return None
 
 
-def find_extending_order(
-    c: Configuration,
-    result_type: LangType,
-    prev_order: tuple,
-) -> Optional[tuple]:
-    """Search for a creation order on ``c`` extending ``prev_order``
-    (preservation: one is guaranteed to exist along well-typed runs)."""
-    new = sorted(set(c.world) - set(prev_order))
-    candidates = [prev_order]
-    for tid in new:
-        candidates = [
-            order[:i] + (tid,) + order[i:]
-            for order in candidates
-            for i in range(len(order) + 1)
-        ]
-    for order in candidates:
-        if check_config_well_formed(c, result_type, order) is None:
-            return order
-    return None
+def creation_order(world: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
+    """The post-order of the spawn tree on ``world``: each thread after the
+    subtrees of its children and of its older siblings.
+
+    A thread can name or wait for only its own children, its older
+    siblings, and what its parent could name when it was spawned, so every
+    such thread comes earlier.  The order sorts by a key fixed per tid, so
+    on the threads of an earlier configuration of the same run it is that
+    configuration's order: each step extends it."""
+    return tuple(sorted(world, key=lambda t: t + (inf,)))
 
 
 def run_with_preservation(
@@ -718,24 +691,22 @@ def run_with_preservation(
     seed: Optional[int] = None,
     fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
-    """Run while asserting well-formedness (with an extending order) at
-    every configuration; returns the result and the number of checks."""
-    order: tuple = ((),)
-    bad = check_config_well_formed(Configuration.initial(comp), result_type, order)
+    """Run while asserting that every configuration is well formed in its
+    :func:`creation_order`; returns the result and the number of checks."""
+    c0 = Configuration.initial(comp)
+    bad = check_config_well_formed(c0, result_type, creation_order(c0.world))
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
 
-    def extend_order(_: StepLabel, c: Configuration) -> None:
-        nonlocal order, steps
+    def check(_: StepLabel, c: Configuration) -> None:
+        nonlocal steps
         steps += 1
-        order = find_extending_order(c, result_type, order)
-        if order is None:
-            raise MachineError(
-                f"no creation order extends the previous one after step {steps}"
-            )
+        bad = check_config_well_formed(c, result_type, creation_order(c.world))
+        if bad:
+            raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
-    result = run(comp, policy, seed, fuel, on_step=extend_order)
+    result = run(comp, policy, seed, fuel, on_step=check)
     return result, steps + 1
 
 

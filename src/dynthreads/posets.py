@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .tids import ParamContext, Relation, TidSet, graph_of
 from .terms import (
@@ -154,13 +154,6 @@ class PosetWithHoles:
         return frozenset(self.action_map) | frozenset(self.hole_map)
 
     @cached_property
-    def elements(self) -> frozenset:
-        refs = {In(i) for i in range(1, self.n_inputs + 1)}
-        refs |= {Vert(v) for v in self.vertex_ids}
-        refs.add(STAR)
-        return frozenset(refs)
-
-    @cached_property
     def _neighbours(self) -> tuple[dict, dict]:
         """The elements below and above each element, indexed in one pass
         over ``order``."""
@@ -186,19 +179,15 @@ class PosetWithHoles:
         return self._neighbours[1].get(e, frozenset())
 
     def validate_refs(self) -> None:
-        """Raise :class:`PosetError` on out-of-range or unknown references."""
-        ids = set(self.action_map) | set(self.hole_map)
-        if len(ids) != len(self.actions) + len(self.holes):
+        """Raise :class:`PosetError` on overlapping vertex ids and on
+        out-of-range, unknown or malformed references."""
+        if len(self.vertex_ids) != len(self.actions) + len(self.holes):
             raise PosetError("action and hole vertex ids overlap")
-        # only a reference outside ``elements`` can fail ``_check_ref``
-        known = self.elements
-        for e in set(chain.from_iterable(self.order)) - known:
-            self._check_ref(e)
+        refs = set(chain.from_iterable(self.order))
         for _, label in self.holes:
-            for slot in label.visibility:
-                for e in slot:
-                    if e not in known:
-                        self._check_ref(e)
+            refs.update(*label.visibility)
+        for e in refs:
+            self._check_ref(e)
 
     def _check_ref(self, e: ElemRef) -> None:
         match e:
@@ -206,7 +195,7 @@ class PosetWithHoles:
                 if not 1 <= i <= self.n_inputs:
                     raise PosetError(f"input {i} out of range 1..{self.n_inputs}")
             case Vert(v):
-                if v not in self.action_map and v not in self.hole_map:
+                if v not in self.vertex_ids:
                     raise PosetError(f"unknown vertex id {v}")
             case Star():
                 pass
@@ -231,6 +220,44 @@ def _close_pairs(pairs: set) -> frozenset:
             stack.extend(succs.get(x, ()))
         closed.update((start, y) for y in seen)
     return frozenset(closed)
+
+
+def label_paths(start, successors: Callable) -> frozenset:
+    """The label sequences of the maximal paths from ``start`` in an acyclic
+    graph, where ``successors(s)`` lists the ``(label, next)`` steps out of
+    ``s`` and a ``None`` label adds nothing to a sequence.
+
+    The sets are folded in reverse topological order, depth first with an
+    explicit stack (so path length is not bounded by the recursion limit),
+    once per state; a state whose one step is silent shares its
+    successor's set."""
+    memo: dict = {}
+    stack: list = [(start, None)]
+    while stack:
+        s, steps = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        if steps is None:
+            # first visit: come back once every successor has its set
+            steps = successors(s)
+            stack[-1] = (s, steps)
+            pending = [(nxt, None) for _, nxt in steps if nxt not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+        stack.pop()
+        if not steps:
+            memo[s] = frozenset({()})
+        elif len(steps) == 1 and steps[0][0] is None:
+            memo[s] = memo[steps[0][1]]
+        else:
+            memo[s] = frozenset(
+                rest if label is None else (label,) + rest
+                for label, nxt in steps
+                for rest in memo[nxt]
+            )
+    return memo[start]
 
 
 def make_poset(
@@ -961,25 +988,22 @@ class Pomset:
             self.labels[v - 1][0]: other.labels[w - 1][0] for v, w in witness.items()
         }
 
-    def linearizations(self) -> set[tuple[str, ...]]:
-        """All label sequences compatible with the order."""
-        results: set[tuple[str, ...]] = set()
-        elements = sorted(self.element_ids)
-        preds: dict[str, set[str]] = {e: set() for e in elements}
+    def linearizations(self) -> frozenset:  # frozenset[tuple[str, ...]]
+        """All label sequences compatible with the order: the label paths
+        up the lattice of down-sets, from the empty one to the whole
+        pomset, each step adding one element whose predecessors are in."""
+        preds: dict[str, set[str]] = {e: set() for e in self.element_ids}
         for d, f in self.order:
             preds[f].add(d)
 
-        def go(done: tuple[str, ...], taken: frozenset[str]) -> None:
-            if len(done) == len(elements):
-                results.add(done)
-                return
-            for e in elements:
-                if e in taken or not preds[e] <= taken:
-                    continue
-                go(done + (self.label_map[e],), taken | {e})
+        def successors(taken: frozenset) -> list:
+            return [
+                (self.label_map[e], taken | {e})
+                for e, below in preds.items()
+                if e not in taken and below <= taken
+            ]
 
-        go((), frozenset())
-        return results
+        return label_paths(frozenset(), successors)
 
     def to_json(self) -> dict:
         return {

@@ -42,6 +42,7 @@ from dynthreads.lang import (
     parse_program,
     print_comp,
     print_program,
+    print_type,
     subst_value,
     tids_of_value,
     typecheck_comp,
@@ -233,6 +234,28 @@ def test_ill_typed_programs_raise_their_error(src, error, message):
         typecheck_comp({}, frozenset(), parse_comp(src))
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_type_error_on_a_unary_sum_names_the_type():
+    with pytest.raises(TypeCheckError) as exc:
+        typecheck_comp({}, frozenset(), ProjC(1, InjV(1, UNIT_V, Sum((UNIT,)))))
+    assert str(exc.value).startswith("proj1 of non-product ")
+
+
+@pytest.mark.parametrize(
+    "ty, text",
+    [
+        (Sum((UNIT,)), "(1 +)"),
+        (Prod((UNIT,)), "(1 *)"),
+        (Prod((Sum((TID, UNIT)),)), "((tid + 1) *)"),
+        (Arrow(Sum((TID,)), EMPTY), "(tid +) -> 0"),
+    ],
+)
+def test_unary_sums_and_products_print_as_text_the_parser_rejects(ty, text):
+    assert print_type(ty) == text
+    lam = Ret(LambdaV("x", ty, ApplyC(ConstV("stop"), UNIT_V)))
+    with pytest.raises(ParseError):
+        parse_comp(print_comp(lam))
 
 
 def test_nested_cases_type_check_without_exhausting_the_stack():

@@ -45,9 +45,9 @@ from dynthreads.machine import (
     _witness_events,
     check_config_well_formed,
     check_confluence,
+    creation_order,
     enabled_steps,
     explore,
-    find_extending_order,
     observation,
     run,
     run_exhaustive,
@@ -278,7 +278,7 @@ def test_preservation_rejects_an_ill_formed_initial_configuration():
         run_with_preservation(comp, EMPTY)
 
 
-def test_preservation_names_the_step_after_which_no_order_extends(monkeypatch):
+def test_preservation_names_the_step_and_the_failed_condition(monkeypatch):
     # break the type checker for the state ``stop()``, which the root first
     # reaches at the tenth step
     stop = desugar(parse_comp("stop()"))
@@ -293,7 +293,10 @@ def test_preservation_names_the_step_after_which_no_order_extends(monkeypatch):
     comp = desugar(parse_comp("print[s](); fork(); stop()"))
     with pytest.raises(MachineError) as raised:
         run_with_preservation(comp, EMPTY)
-    assert str(raised.value) == "no creation order extends the previous one after step 10"
+    assert str(raised.value) == (
+        "configuration after step 10 ill-formed: thread 0 does not typecheck "
+        "at the thread type: stop() made ill-typed"
+    )
 
 
 def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeypatch):
@@ -306,16 +309,40 @@ def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeyp
         check_config_well_formed(c, EMPTY, ((),))
 
 
-def test_find_extending_order_inserts_new_thread():
-    comp = load_core("ex21_wait_first")
-    c = Configuration.initial(comp)
-    order = ((),)
-    assert check_config_well_formed(c, EMPTY, order) is None
-    steps = enabled_steps(c)
-    _, c2 = steps[0]
-    extended = find_extending_order(c2, EMPTY, order)
-    assert extended is not None
-    assert tuple(t for t in extended if t in set(order)) == order
+def test_creation_order_is_the_post_order_of_the_spawn_tree():
+    # each thread after its children's subtrees and its older siblings'
+    world = {(), (1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)}
+    assert creation_order(world) == (
+        (1, 1, 1), (1, 1), (1, 2), (1,), (2, 1), (2,), (),
+    )
+
+
+def _configurations_and_steps(comp):
+    """Every configuration of the reduced schedule graph of ``comp`` and of
+    its lowest-tid and random-seed runs, and every step between two of
+    them, as ``(before, after)`` pairs."""
+    c0, steps_of, _, truncated = _state_graph(comp, 25_000)
+    assert not truncated
+    configurations = set(steps_of)
+    steps = {(c, nxt) for c, out in steps_of.items() for _, nxt in out}
+    for policy, seed in SCHEDULES:
+        path = [c0]
+        run(comp, policy=policy, seed=seed, on_step=lambda _, c: path.append(c))
+        configurations.update(path)
+        steps.update(zip(path, path[1:]))
+    return configurations, steps
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_every_reachable_configuration_is_well_formed_in_its_creation_order(name):
+    configurations, steps = _configurations_and_steps(load_core(name))
+    for c in configurations:
+        assert check_config_well_formed(c, EMPTY, creation_order(c.world)) is None, c
+    # each step extends the order: restricted to the threads that were
+    # there before, the successor's order is the predecessor's
+    for before, after in steps:
+        kept = tuple(t for t in creation_order(after.world) if t in before.world)
+        assert kept == creation_order(before.world), (before, after)
 
 
 def test_whole_corpus_runs_to_termination():
@@ -796,6 +823,18 @@ def test_long_print_chain_is_checked_without_exhausting_the_stack():
     # the walk hashes the program children first, and every configuration
     # after it is built on those hashed nodes
     text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
+    report = check_confluence(desugar(parse_comp(text)))
+    assert report.ok and not report.truncated
+
+
+def test_long_chain_after_a_spawn_is_checked_without_exhausting_the_stack():
+    # ``t`` is used at the very end, so substituting it rebuilds the whole
+    # chain; the walk hashes each new thread state children first
+    text = (
+        "let t = node[s](nil) in "
+        + "".join(f"print[p{k}](); " for k in range(400))
+        + "wait(t); stop()"
+    )
     report = check_confluence(desugar(parse_comp(text)))
     assert report.ok and not report.truncated
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from dynthreads.posets import (
     NfChild,
     NfVarApp,
     NormalForm,
+    Pomset,
     PosetError,
     Star,
     Vert,
@@ -166,6 +168,28 @@ def test_well_formedness_reports_each_clause():
         {(Vert(3), Vert(2)), (Vert(1), STAR), (Vert(2), STAR), (Vert(3), STAR)},
     )
     assert "downward" in check_well_formed(not_down)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, {}, {}, {(In(2), STAR)}), "input 2 out of range 1..1"),
+        ((0, {1: "s"}, {}, {(Vert(1), Vert(7))}), "unknown vertex id 7"),
+        ((0, {1: "s"}, {}, {("s", STAR)}), "not an element reference: 's'"),
+        # a plain pair that equals ``Vert(1)`` is not a reference either
+        ((0, {1: "s"}, {}, {((1, 1), STAR)}), "not an element reference: (1, 1)"),
+        ((0, {1: "s"}, {1: HoleLabel("x", 0, ())}, set()), "action and hole vertex ids overlap"),
+        # visibility slots are checked as well as the order
+        (
+            (0, {}, {1: HoleLabel("x", 1, (frozenset({Vert(1), Vert(9)}),))}, set()),
+            "unknown vertex id 9",
+        ),
+    ],
+)
+def test_raw_poset_rejects_bad_references(args, message):
+    with pytest.raises(PosetError) as raised:
+        raw_poset(*args)
+    assert str(raised.value) == message
 
 
 def test_well_formedness_names_the_least_witness():
@@ -730,3 +754,10 @@ def test_interp_naturality_along_arbitrary_relations():
         direct = interp(moved, gamma, delta2)
         routed = relabel(interp(t, gamma, delta), rel)
         assert iso_check(direct, routed) is not None
+
+
+def test_linearizations_of_a_chain_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    ids = [f"e{i:05}" for i in range(n)]
+    chain = Pomset.of({e: f"s{i}" for i, e in enumerate(ids)}, zip(ids, ids[1:]))
+    assert chain.linearizations() == {tuple(f"s{i}" for i in range(n))}

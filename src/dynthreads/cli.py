@@ -29,6 +29,7 @@ from .posets import (
     poset_to_dot,
     poset_to_json,
     print_normal_form,
+    reify,
 )
 from .terms import parse_term_file, print_term
 
@@ -228,7 +229,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         text = poset_to_dot(poset)
     elif args.format == "text":
-        text = print_normal_form(normalize(term, gamma, delta)) + "\n"
+        text = print_normal_form(reify(poset)) + "\n"
     else:
         text = _json(poset_to_json(poset))
     if args.output:

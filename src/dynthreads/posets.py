@@ -11,7 +11,7 @@ The module provides:
 * well-formedness checking and isomorphism search;
 * the relabelling action along a finite relation, making posets a functor
   on worlds of thread IDs;
-* the four model operations (fork/wait/stop/act);
+* the four model operations (fork/wait/stop/act), the paper's algebra;
 * ``interp`` from terms to posets, ``reify`` back to normal forms, and the
   decision procedure ``decide_equal`` for the equational theory;
 * substitution of a poset for a hole;
@@ -23,9 +23,15 @@ The trusted constructor :func:`make_poset` closes the order it is given;
 :func:`_poset_from_closed` takes an order that is already closed.  Both
 down-close the visibility sets and check every reference.  The model
 operations (``op_stop``, ``op_act``, ``op_wait``, ``op_fork``, ``relabel``)
-and the variable case of ``interp`` use only the second: on well-formed
-arguments (inputs minimal, star maximal, order closed) each of them yields
-a closed order, as its docstring argues, so no operation closes again.
+use only the second: on well-formed arguments (inputs minimal, star
+maximal, order closed) each of them yields a closed order, as its
+docstring argues, so no operation closes again.
+
+``interp`` does not compose the model operations.  It gives the term the
+meaning their composition gives it, but builds each vertex's down-set once,
+in one walk over the term, and calls :func:`_poset_from_closed` once on the
+result; its docstring argues that the two agree.  The composition itself
+is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .tids import ParamContext, Relation, TidSet, graph_of
+from .tids import ParamContext, Relation
 from .terms import (
     Act,
     CompContext,
@@ -635,38 +641,95 @@ def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
 # --- interpretation of terms -------------------------------------------------
 
 def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHoles:
-    """Interpret a term as a labelled poset over ``len(delta)`` inputs."""
+    """Interpret a term as a labelled poset over ``len(delta)`` inputs.
+
+    One walk over the term gives every vertex its down-set directly.  It
+    carries ``below``, the down-set of the current point (the waits above
+    it), and ``done``, the down-set of each thread name's completion:
+    ``{In(i)}`` for input ``i``, and for a fork binder the completion that
+    its child's walk returned.
+
+    * ``wait(E, t)`` walks ``t`` with ``below`` joined with ``done[x]``
+      for each ``x`` in ``E``;
+    * ``fork(b. t, u)`` walks ``u`` with the same ``below``, then ``t``
+      with ``b`` done at ``u``'s completion;
+    * an action or hole gets ``below`` as its down-set and completes at
+      ``below`` plus itself; each slot of a hole holds the hole, ``below``
+      and ``done`` of the slot's names;
+    * ``stop`` completes at ``below``, and star lies above the main
+      thread's completion.
+
+    Vertices are numbered as the composition numbers them: at a fork, the
+    parent's vertices come before the child's.  The walk takes the child
+    first, so it meets the vertices in decreasing order of their numbers
+    and counts down from the number of actions and holes in the term.
+
+    Each down-set is closed, as ``below`` and every completion are unions
+    of down-sets, built up from the empty set and from minimal inputs.
+    Each down-set also equals the one the model operations compose.
+    ``op_wait`` then ``relabel`` put the guard's inputs below everything
+    under the wait, which is joining ``done[a]`` into ``below`` for an
+    input ``a``.  ``op_fork`` puts everything below the child's star under
+    everything above the consumed input, which is joining ``done[b]`` for
+    the binder ``b``.  The child is interpreted over the fork's own inputs,
+    so every wait around the fork lies below the child's vertices too: the
+    child inherits ``below``.  :func:`_poset_from_closed` runs once on the
+    result, closing slots downwards and checking every reference.
+
+    The walk, the count and :func:`scope_check` use explicit stacks, so
+    term depth is not bounded by the recursion limit.
+    """
     scope_check(term, gamma, delta)
-    return _interp(term, gamma, delta)
+    actions: dict = {}
+    holes: dict = {}
+    downs: list = []  # (element, its down-set) for each vertex and star
+    # scope_check rejects a binder that shadows a name in scope, so nothing
+    # walked inside a binder's scope rebinds it: one map serves every thread
+    done = {name: frozenset({In(i)}) for i, name in enumerate(delta.names, start=1)}
+    forks: list = []  # forks whose child is being walked, parent still to go
+    t, below, vid = term, frozenset(), _leaf_count(term)
+    while True:
+        match t:
+            case Wait(guard, cont):
+                below = below.union(*(done[x] for x in guard))
+                t = cont
+                continue
+            case Fork(binder, parent, child):
+                forks.append((binder, parent, below))
+                t = child
+                continue
+            case Act(label):
+                actions[vid] = label
+            case Var(name, args):
+                slots = [below.union(*(done[x] for x in u), (Vert(vid),)) for u in args]
+                holes[vid] = (name, len(args), slots)
+        if not isinstance(t, Stop):
+            v = Vert(vid)
+            downs.append((v, below))
+            below = below | {v}
+            vid -= 1
+        if not forks:
+            break
+        binder, t, parent_below = forks.pop()
+        done[binder], below = below, parent_below
+    downs.append((STAR, below))
+    order = frozenset((d, e) for e, down in downs for d in down)
+    return _poset_from_closed(len(delta), actions, holes, order)
 
 
-def _interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHoles:
-    p = len(delta)
-    match term:
-        case Stop():
-            return op_stop(p)
-        case Act(label):
-            return op_act(label, p)
-        case Var(name, args):
-            slots = [
-                frozenset(In(i) for i in _eval(u, delta).members) | {Vert(1)}
-                for u in args
-            ]
-            return _poset_from_closed(
-                p, {}, {1: (name, len(args), slots)}, frozenset({(Vert(1), STAR)})
-            )
-        case Wait(guard, cont):
-            inner = _interp(cont, gamma, delta)
-            return relabel(op_wait(inner), graph_of([_eval(guard, delta)], p))
-        case Fork(binder, parent, child):
-            parent_poset = _interp(parent, gamma, delta.extend(binder))
-            child_poset = _interp(child, gamma, delta)
-            return op_fork(parent_poset, child_poset)
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _eval(names: frozenset[str], delta: ParamContext) -> TidSet:
-    return TidSet(len(delta), frozenset(delta.index(n) for n in names))
+def _leaf_count(term: Term) -> int:
+    """The number of actions and holes in a term."""
+    count = 0
+    stack = [term]
+    while stack:
+        match stack.pop():
+            case Fork(_, parent, child):
+                stack += (parent, child)
+            case Wait(_, cont):
+                stack.append(cont)
+            case Act() | Var():
+                count += 1
+    return count
 
 
 # --- normal forms -------------------------------------------------------------

@@ -159,11 +159,12 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
     """Check term formation in ``gamma | delta``; raise on the first failure.
 
     Binders must already be renamed apart: a fork binder that collides with
-    an ambient parameter is rejected as :class:`ShadowedBinder`.
+    an ambient parameter is rejected as :class:`ShadowedBinder`.  Subterms
+    are checked parent before child, from an explicit stack.
     """
-    bound = set(delta.names)
-
-    def go(t: Term, scope: frozenset[str]) -> None:
+    stack: list = [(term, frozenset(delta.names))]
+    while stack:
+        t, scope = stack.pop()
         match t:
             case Var(name, args):
                 arity = gamma.arity(name)
@@ -176,17 +177,15 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
             case Fork(binder, parent, child):
                 if binder in scope:
                     raise ShadowedBinder(f"binder {binder!r} shadows a parameter in scope")
-                go(parent, scope | {binder})
-                go(child, scope)
+                stack.append((child, scope))
+                stack.append((parent, scope | {binder}))
             case Wait(guard, cont):
                 _check_names(guard, scope)
-                go(cont, scope)
+                stack.append((cont, scope))
             case Stop() | Act(_):
                 pass
             case _:
                 raise TypeError(f"not a term: {t!r}")
-
-    go(term, frozenset(bound))
 
 
 def _check_names(u: frozenset[str], scope: frozenset[str]) -> None:

@@ -45,7 +45,9 @@ from dynthreads.posets import (
     reify,
     relabel,
 )
-from dynthreads.terms import CompContext, Var, parse_term, print_term, tidset
+from dynthreads.terms import (
+    STOP, Act, CompContext, Fork, Var, Wait, parse_term, print_term, tidset,
+)
 from dynthreads.tids import ParamContext, Relation, TidSet, compose, graph_of
 
 from genutil import random_relation, random_term, random_well_formed_poset
@@ -465,6 +467,43 @@ def test_interp_naturality_under_parameter_substitution():
             graph_of([TidSet.of(2, {{"a": 1, "b": 2}[n] for n in u})], 2),
         )
         assert iso_check(direct, routed) is not None
+
+
+
+def _fork_chain(depth: int, every: int):
+    """Forks nested ``depth`` deep in parent position.  Every ``every``-th
+    level forks an action and waits for it; the other levels fork a child
+    that stops at once."""
+    term = STOP
+    for k in range(depth, 0, -1):
+        binder = f"b{k}"
+        if k % every == 0:
+            term = Fork(binder, Wait(tidset(binder), term), Act(f"s{k // every}"))
+        else:
+            term = Fork(binder, term, STOP)
+    return term
+
+
+def test_interp_and_normalize_walk_terms_deeper_than_the_recursion_limit():
+    # no timing assertion: interp and normalize only have to return
+    gamma = CompContext((("x", 1),))
+    delta = ParamContext(("a",))
+    hole = Var("x", (tidset("a"),))
+    waits = hole
+    for _ in range(10_000):
+        waits = Wait(tidset("a"), waits)
+    once = Wait(tidset("a"), hole)
+    assert interp(waits, gamma, delta) == interp(once, gamma, delta)
+    assert normalize(waits, gamma, delta) == normalize(once, gamma, delta)
+
+    # a child that stops at once leaves nothing behind, so the deep chain
+    # means what its 40 action levels alone mean: 40 actions in sequence
+    deep = _fork_chain(2_000, 50)
+    shallow = _fork_chain(40, 1)
+    assert interp(deep, gamma, delta) == interp(shallow, gamma, delta)
+    nf = normalize(deep, gamma, delta)
+    assert nf == normalize(shallow, gamma, delta)
+    assert [child.body.label for child in nf.children] == [f"s{k}" for k in range(1, 41)]
 
 
 # --- reify / normalize -----------------------------------------------------------

@@ -1,19 +1,26 @@
-"""Dual-route checks for the model operations, the isomorphism matcher and
-reification.
+"""Dual-route checks for ``interp``, the model operations, the isomorphism
+matcher and reification.
 
-The model operations, which build their orders without closing them again,
-are cross-checked against reference operations that close from scratch
-through ``make_poset``, one by one and through a reference ``interp``.  The
-backtracking matcher is cross-checked against a brute-force search over all
-vertex bijections, directly and through pomset isomorphism; reification is
-cross-checked against every admissible reordering of independent children.
+``interp`` builds each vertex's down-set in one walk over the term.  It is
+cross-checked against the compositional interpretation, which composes the
+model operations term by term as the semantics defines it, and against a
+reference that also closes every operation's order from scratch through
+``make_poset``.  The model operations, which build their orders without
+closing them again, are cross-checked against those reference operations
+one by one.  The backtracking matcher is cross-checked against a
+brute-force search over all vertex bijections, directly and through pomset
+isomorphism; reification is cross-checked against every admissible
+reordering of independent children.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
+from dynthreads.denote import denote
 from dynthreads.posets import (
     STAR,
     Bnd,
@@ -31,16 +38,23 @@ from dynthreads.posets import (
     iso_check,
     make_poset,
     nf_to_term,
+    op_act,
     op_fork,
+    op_stop,
     op_wait,
+    poset_to_json,
     raw_poset,
     reify,
     relabel,
 )
-from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait
+from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait, axiom_schemas
 from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
 
+from corpus import corpus_names, load_surface
 from genutil import random_relation, random_term, random_well_formed_poset
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import theory_eq  # noqa: E402
 
 
 # --- model operations against closing from scratch -----------------------------
@@ -135,16 +149,94 @@ def test_model_ops_keep_orders_closed_and_match_closing_from_scratch():
             assert fast == slow
 
 
+# --- interp against the composition of the model operations ----------------------
+
+def compositional_interp(term, delta: ParamContext) -> PosetWithHoles:
+    """``interp`` as the semantics defines it: the model operations composed
+    term by term, recursively."""
+    p = len(delta)
+    match term:
+        case Stop():
+            return op_stop(p)
+        case Act(label):
+            return op_act(label, p)
+        case Var(name, args):
+            slots = [
+                frozenset(In(i) for i in _eval(u, delta).members) | {Vert(1)}
+                for u in args
+            ]
+            return make_poset(p, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
+        case Wait(guard, cont):
+            inner = compositional_interp(cont, delta)
+            return relabel(op_wait(inner), graph_of([_eval(guard, delta)], p))
+        case Fork(binder, parent, child):
+            parent_poset = compositional_interp(parent, delta.extend(binder))
+            return op_fork(parent_poset, compositional_interp(child, delta))
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _eval(names: frozenset, delta: ParamContext) -> TidSet:
+    return TidSet(len(delta), frozenset(delta.index(n) for n in names))
+
+
+def _assert_interp_agrees(term, gamma: CompContext, delta: ParamContext) -> None:
+    fast = interp(term, gamma, delta)
+    assert _is_closed(fast)
+    for slow in (compositional_interp(term, delta), ref_interp(term, delta)):
+        assert fast == slow, term
+        assert poset_to_json(fast) == poset_to_json(slow), term
+
+
 def test_interp_matches_closing_after_every_operation():
     rng = random.Random(36)
-    gamma = CompContext((("x", 1), ("y", 2), ("z", 0)))
-    for _ in range(200):
+    variables = (("x", 1), ("y", 2), ("z", 0))
+    for _ in range(2000):
+        gamma = CompContext(tuple(rng.sample(variables, rng.randint(0, 3))))
         n = rng.randint(0, 3)
         delta = ParamContext(tuple(f"a{i}" for i in range(1, n + 1)))
-        term = random_term(rng, gamma, delta, rng.randint(4, 30))
-        fast = interp(term, gamma, delta)
-        assert _is_closed(fast)
-        assert fast == ref_interp(term, delta)
+        _assert_interp_agrees(random_term(rng, gamma, delta, rng.randint(1, 30)), gamma, delta)
+
+
+def test_interp_matches_the_composition_on_benchmark_terms():
+    # the term-layer benchmark's terms, and the terms of their normal forms
+    rng = random.Random(37)
+    for size in theory_eq.TERM_SIZES * 8:
+        term = theory_eq.random_term(rng, size)
+        _assert_interp_agrees(term, theory_eq.GAMMA, theory_eq.DELTA)
+        nf = reify(interp(term, theory_eq.GAMMA, theory_eq.DELTA))
+        gamma, delta, nf_term = nf_to_term(nf, theory_eq.DELTA.names)
+        _assert_interp_agrees(nf_term, gamma, delta)
+
+
+def test_interp_numbers_shared_subterms_once_per_occurrence():
+    # one subterm object under both the parent and the child of a fork, and
+    # under every fork of a chain: each occurrence gets vertices of its own
+    rng = random.Random(38)
+    gamma = CompContext((("x", 1), ("y", 2)))
+    delta = ParamContext(("a", "b"))
+    for _ in range(150):
+        shared = random_term(rng, gamma, delta, rng.randint(1, 12))
+        term = shared
+        for k in range(1, rng.randint(2, 5)):
+            guard = frozenset({f"s{k}"}) if rng.random() < 0.5 else frozenset()
+            term = Fork(f"s{k}", Wait(guard, term), shared)
+        _assert_interp_agrees(term, gamma, delta)
+
+
+def test_interp_matches_the_composition_on_axiom_instances():
+    for axiom in axiom_schemas():
+        for extra in (0, 2):
+            delta = ParamContext(
+                tuple(f"n{i}" for i in range(1, extra + 1)) + axiom.delta.names
+            )
+            _assert_interp_agrees(axiom.lhs, axiom.gamma, delta)
+            _assert_interp_agrees(axiom.rhs, axiom.gamma, delta)
+
+
+def test_interp_matches_the_composition_on_corpus_denotations():
+    for name in corpus_names():
+        d = denote(load_surface(name))
+        _assert_interp_agrees(d.term, d.gamma, d.delta)
 
 
 def brute_force_iso(p: PosetWithHoles, q: PosetWithHoles) -> bool:

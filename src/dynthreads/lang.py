@@ -149,7 +149,8 @@ def _node(cls):
     and exploration hashes configurations constantly; caching per node
     makes those hashes amortized O(1).  A syntax node keeps its set of free
     variables in its ``__dict__`` the same way, once :func:`subst_value`
-    has asked for it (see :func:`_free`).
+    has asked for it, and the thread IDs it names once a memoizing type
+    check has (see :func:`_names`).
     """
     cls = dataclass(frozen=True)(cls)
     base_hash = cls.__hash__
@@ -317,6 +318,15 @@ def tids_of_value(v: Value) -> frozenset[Tid]:
 # found as the one that every other fits; the branches that could not
 # synthesize are then checked against it.  ``case`` and ``let`` are typed
 # inline, so one level of nesting costs one stack frame.
+#
+# A caller that types many terms sharing subterms can pass a ``memo`` (a
+# dict it owns) to ``_comp``, which stores the type found for each
+# computation under the node itself, ``want`` and the types of the node's
+# free variables, and reuses it in any world that holds the thread IDs the
+# node names (:func:`_tids`).  That is exact: a node's typing reads the
+# environment only at its free variables and the world only by asking
+# whether a thread ID it names is in it, and an entry is stored only when
+# every such question was answered yes.  Failures are not stored.
 
 World = frozenset
 
@@ -330,8 +340,10 @@ def typecheck_value(env: Mapping[str, LangType], world: World, v: Value) -> Lang
     return _value(env, world, v, None)
 
 
-def check_comp(env: Mapping[str, LangType], world: World, t: Comp, ty: LangType) -> None:
-    _comp(env, world, t, ty)
+def check_comp(env: Mapping[str, LangType], world: World, t: Comp, ty: LangType, memo=None) -> None:
+    """Check a computation against ``ty``; raise on failure.  ``memo`` is
+    the caller's typing memo, if any (see above)."""
+    _comp(env, world, t, ty, memo)
 
 
 def _expect(got: LangType, want: Optional[LangType]) -> LangType:
@@ -343,7 +355,7 @@ def _expect(got: LangType, want: Optional[LangType]) -> LangType:
     raise TypeCheckError(f"expected {print_type(want)}, found {print_type(got)}")
 
 
-def _value(env, world, v, want: Optional[LangType]) -> LangType:
+def _value(env, world, v, want: Optional[LangType], memo=None) -> LangType:
     match v:
         case VarV(name):
             if name not in env:
@@ -361,13 +373,13 @@ def _value(env, world, v, want: Optional[LangType]) -> LangType:
             return _expect(TID, want)
         case TupleV(items):
             if not isinstance(want, Prod):
-                return _expect(Prod(tuple(_value(env, world, i, None) for i in items)), want)
+                return _expect(Prod(tuple(_value(env, world, i, None, memo) for i in items)), want)
             if len(items) != len(want.parts):
                 raise TypeCheckError(
                     f"tuple of {len(items)} checked against product of {len(want.parts)}"
                 )
             for item, part in zip(items, want.parts):
-                _value(env, world, item, part)
+                _value(env, world, item, part, memo)
             return want
         case InjV(index, inner, annot):
             ty = annot if want is None else want
@@ -377,7 +389,7 @@ def _value(env, world, v, want: Optional[LangType]) -> LangType:
                 raise TypeCheckError(f"inj{index} must have a sum type, not {print_type(ty)}")
             if not 1 <= index <= len(ty.parts):
                 raise TypeCheckError(f"inj{index} into a sum with {len(ty.parts)} summands")
-            _value(env, world, inner, ty.parts[index - 1])
+            _value(env, world, inner, ty.parts[index - 1], memo)
             return ty
         case LambdaV(param, annot, body):
             if isinstance(want, Arrow):
@@ -385,88 +397,94 @@ def _value(env, world, v, want: Optional[LangType]) -> LangType:
                     raise TypeCheckError(
                         f"lambda annotated {print_type(annot)}, expected {print_type(want.arg)}"
                     )
-                _comp({**env, param: want.arg}, world, body, want.res)
+                _comp({**env, param: want.arg}, world, body, want.res, memo)
                 return want
             if annot is None:
                 raise TypeCheckError(
                     f"cannot infer the argument type of \\{param}. ...; annotate it"
                 )
-            return _expect(Arrow(annot, _comp({**env, param: annot}, world, body, None)), want)
+            res = _comp({**env, param: annot}, world, body, None, memo)
+            return _expect(Arrow(annot, res), want)
         case ConstV() as c:
             return _expect(const_signature(c), want)
     raise TypeError(f"not a value: {v!r}")
 
 
-def _comp(env, world, t, want: Optional[LangType]) -> LangType:
+def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
+    key = None
+    if memo is not None and _tids(t) <= world:
+        key = (id(t), want, tuple(map(env.get, _free(t))))
+        if key in memo:
+            return memo[key][1]
     match t:
         case Ret(v):
-            return _value(env, world, v, want)
+            ty = _value(env, world, v, want, memo)
         case LetC(var, bound, body):
-            bound_ty = _comp(env, world, bound, None)
-            return _comp({**env, var: bound_ty}, world, body, want)
+            bound_ty = _comp(env, world, bound, None, memo)
+            ty = _comp({**env, var: bound_ty}, world, body, want, memo)
         case SeqC(first, second):
-            _comp(env, world, first, None)
-            return _comp(env, world, second, want)
+            _comp(env, world, first, None, memo)
+            ty = _comp(env, world, second, want, memo)
         case ProjC(index, v):
-            ty = _value(env, world, v, None)
-            if isinstance(ty, Bot):
-                return _expect(BOTTOM, want)
-            if not isinstance(ty, Prod):
+            ty = _value(env, world, v, None, memo)
+            if not isinstance(ty, (Prod, Bot)):
                 raise TypeCheckError(f"proj{index} of non-product {print_type(ty)}")
-            if not 1 <= index <= len(ty.parts):
-                raise TypeCheckError(
-                    f"proj{index} of a product with {len(ty.parts)} components"
-                )
-            return _expect(ty.parts[index - 1], want)
+            if isinstance(ty, Prod) and not 1 <= index <= len(ty.parts):
+                raise TypeCheckError(f"proj{index} of a product with {len(ty.parts)} components")
+            ty = _expect(ty if isinstance(ty, Bot) else ty.parts[index - 1], want)
         case ApplyC(LambdaV(param, annot, body), arg):
             # a lambda applied in place is typed like a let
-            arg_ty = _value(env, world, arg, annot)
-            return _expect(_comp({**env, param: arg_ty}, world, body, None), want)
+            arg_ty = _value(env, world, arg, annot, memo)
+            ty = _expect(_comp({**env, param: arg_ty}, world, body, None, memo), want)
         case ApplyC(fn, arg):
-            fn_ty = _value(env, world, fn, None)
-            if isinstance(fn_ty, Bot):
-                return _expect(BOTTOM, want)
-            if not isinstance(fn_ty, Arrow):
-                raise TypeCheckError(f"applying a non-function of type {print_type(fn_ty)}")
-            _value(env, world, arg, fn_ty.arg)
-            return _expect(fn_ty.res, want)
+            ty = _value(env, world, fn, None, memo)
+            if not isinstance(ty, (Arrow, Bot)):
+                raise TypeCheckError(f"applying a non-function of type {print_type(ty)}")
+            if isinstance(ty, Arrow):
+                _value(env, world, arg, ty.arg, memo)
+                ty = ty.res
+            ty = _expect(ty, want)
         case CaseV(scrutinee, branches) | CaseC(scrutinee, branches):
-            scrut = (_value if type(t) is CaseV else _comp)(env, world, scrutinee, None)
-            if isinstance(scrut, Bot):
-                return _expect(BOTTOM, want)
-            if not isinstance(scrut, Sum):
+            scrut = (_value if type(t) is CaseV else _comp)(env, world, scrutinee, None, memo)
+            if not isinstance(scrut, (Sum, Bot)):
                 raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut)}")
-            if len(branches) != len(scrut.parts):
+            if isinstance(scrut, Sum) and len(branches) != len(scrut.parts):
                 raise TypeCheckError(
                     f"case with {len(branches)} branches on a sum of {len(scrut.parts)}"
                 )
-            if want is not None:
+            if isinstance(scrut, Bot):
+                ty = _expect(BOTTOM, want)
+            elif want is not None:
                 for (x, body), part in zip(branches, scrut.parts):
-                    _comp({**env, x: part}, world, body, want)
-                return want
-            if not branches:
+                    _comp({**env, x: part}, world, body, want, memo)
+                ty = want
+            elif not branches:
                 # an empty case never returns
-                return BOTTOM
-            found, unsynthesized, errors = [], [], []
-            for (x, body), part in zip(branches, scrut.parts):
-                inner = {**env, x: part}
+                ty = BOTTOM
+            else:
+                found, unsynthesized, errors = [], [], []
+                for (x, body), part in zip(branches, scrut.parts):
+                    inner = {**env, x: part}
+                    try:
+                        found.append(_comp(inner, world, body, None, memo))
+                    except TypeCheckError as exc:
+                        unsynthesized.append((inner, body))
+                        errors.append(str(exc))
+                if not found:
+                    raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
+                ty = next((j for j in found if all(compatible(f, j) for f in found)), None)
                 try:
-                    found.append(_comp(inner, world, body, None))
-                except TypeCheckError as exc:
-                    unsynthesized.append((inner, body))
-                    errors.append(str(exc))
-            if not found:
-                raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
-            join = next((j for j in found if all(compatible(ty, j) for ty in found)), None)
-            if join is not None:
-                try:
-                    for inner, body in unsynthesized:
-                        _comp(inner, world, body, join)
-                    return join
+                    for inner, body in unsynthesized if ty is not None else ():
+                        _comp(inner, world, body, ty, memo)
                 except TypeCheckError:
-                    pass
-            raise TypeCheckError("case branches do not agree on a single type")
-    raise TypeError(f"not a computation: {t!r}")
+                    ty = None
+                if ty is None:
+                    raise TypeCheckError("case branches do not agree on a single type")
+        case _:
+            raise TypeError(f"not a computation: {t!r}")
+    if key is not None:
+        memo[key] = (t, ty)
+    return ty
 
 
 # --- the shape of a node ------------------------------------------------------------
@@ -573,23 +591,37 @@ def _bottom_up(term, key: str) -> Iterator:
 
 
 def _free(node) -> frozenset:
-    """The free variables of a value or computation, cached on each node
-    under ``_free``; a node is visited once, the first time it or a node
-    above it is asked."""
-    free = node.__dict__.get("_free")
-    if free is not None:
-        return free
-    for sub in _bottom_up(node, "_free"):
-        free = frozenset((sub.name,)) if type(sub) is VarV else frozenset()
+    """The free variables of a value or computation (see :func:`_names`)."""
+    return _names(node, "_free")
+
+
+def _tids(node) -> frozenset:
+    """The thread IDs a value or computation names (see :func:`_names`)."""
+    return _names(node, "_tids")
+
+
+def _names(node, key: str) -> frozenset:
+    """The names of ``node`` that :func:`_free` (``key`` ``_free``) or
+    :func:`_tids` (``_tids``) asks for, cached on each node under ``key``;
+    a node is visited once, the first time it or a node above it is asked.
+    One pass serves both: a variable is a ``VarV`` leaf, removed where a
+    child binds it; a thread ID is a ``TidV`` leaf, a tuple, which no
+    binder (a string) removes."""
+    names = node.__dict__.get(key)
+    if names is not None:
+        return names
+    leaf, field = (VarV, "name") if key == "_free" else (TidV, "path")
+    for sub in _bottom_up(node, key):
+        names = frozenset((getattr(sub, field),)) if type(sub) is leaf else frozenset()
         for var, kid in _parts(sub):
-            kid_free = kid.__dict__["_free"]
-            if var in kid_free:
-                kid_free = kid_free - {var}
-            if not kid_free <= free:
+            kid_names = kid.__dict__[key]
+            if var in kid_names:
+                kid_names = kid_names - {var}
+            if not kid_names <= names:
                 # a node whose other children add nothing shares a child's set
-                free = free | kid_free if free else kid_free
-        sub.__dict__["_free"] = free
-    return free
+                names = names | kid_names if names else kid_names
+        sub.__dict__[key] = names
+    return names
 
 
 def subst_value(t: Comp, name: str, v: Value) -> Comp:

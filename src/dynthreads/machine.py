@@ -23,8 +23,8 @@ transitive closure of the final waiting relation, form a pomset (see
 A scheduled run (:func:`run`) follows one schedule and takes at most
 ``fuel`` steps; it computes only the local step it takes and renders
 nothing.  Its ``on_step`` hook sees each step and the configuration it
-reached, which is how :func:`run_with_preservation` checks every
-configuration and how the command line prints trace lines.
+reached, which is how :func:`run_with_preservation` checks what each step
+wrote and how the command line prints trace lines.
 
 Exploration (:func:`explore`, :func:`run_exhaustive`) builds a
 partial-order-reduced schedule graph: in a configuration where some thread
@@ -644,6 +644,7 @@ def check_config_well_formed(
     c: Configuration,
     result_type: LangType,
     order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
+    entries: Optional[Iterable] = None, memo: Optional[dict] = None,
 ) -> Optional[str]:
     """The four conditions for a configuration to look like a family of
     siblings created in the given linear order: the order lists the world,
@@ -651,22 +652,27 @@ def check_config_well_formed(
     unfinished thread type checks against the threads before it.
 
     Wait sets need not be closed: if every wait goes forward in the order,
-    so does every pair of their closure, which is therefore acyclic."""
+    so does every pair of their closure, which is therefore acyclic.
+
+    ``entries`` (in tid order) restricts the wait and typing conditions to
+    those entries of ``c.threads``; ``memo`` is handed to
+    :func:`~dynthreads.lang.check_comp`."""
     if set(order) != c.world or len(order) != len(c.world):
         return "order is not a linear order on the world"
     position = {tid: i for i, tid in enumerate(order)}
-    for tid, _, waits in c.threads:
+    entries = c.threads if entries is None else entries
+    for tid, _, waits in entries:
         for b in waits:
             if b not in position:
                 return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
             if position[b] >= position[tid]:
                 return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
-    for tid, state, _ in c.threads:
+    for tid, state, _ in entries:
         if state == FINISHED:
             continue
         visible = frozenset(order[: position[tid]])
         try:
-            check_comp({}, visible, state, result_type)
+            check_comp({}, visible, state, result_type, memo)
         except LangError as exc:
             return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
     return None
@@ -692,19 +698,51 @@ def run_with_preservation(
     fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
     """Run while asserting that every configuration is well formed in its
-    :func:`creation_order`; returns the result and the number of checks."""
-    c0 = Configuration.initial(comp)
-    bad = check_config_well_formed(c0, result_type, creation_order(c0.world))
+    :func:`creation_order` (:func:`check_config_well_formed`); returns the
+    result and the number of checks.
+
+    The first configuration is checked whole; after each step only the
+    entries the step wrote, the acting thread's and a spawned child's.
+    That covers every configuration:
+      - A step replaces the entries it writes and keeps every other one as
+        it was (the same object), and threads never leave the world.
+      - A kept entry has the same state and wait set, and its prefix in the
+        creation order only grows: the order sorts by a key fixed per tid,
+        so a new thread is inserted and none moves.  Its waits still name
+        known threads that come earlier, since positions keep their
+        relative order, and its state still type checks, since typing is
+        stable under a larger world (weakening).
+    So a violation can only be in a written entry, and the one reported is
+    the one the whole check would report first, as it checks entries in
+    tid order too.  The tests keep the whole check at every step as the
+    oracle.
+
+    The type checker shares one typing memo (see :mod:`dynthreads.lang`)
+    across the run, which lives no longer than the call: a step keeps
+    every subterm it does not rewrite as the same object, and a parent and
+    its child continue on the same one, so re-typing a thread costs the
+    nodes the step rebuilt."""
+    memo: dict = {}
+
+    def ill_formed(c: Configuration, entries: Iterable) -> Optional[str]:
+        return check_config_well_formed(c, result_type, creation_order(c.world), entries, memo)
+
+    before = Configuration.initial(comp)
+    bad = ill_formed(before, before.threads)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
 
     def check(_: StepLabel, c: Configuration) -> None:
-        nonlocal steps
+        nonlocal steps, before
         steps += 1
-        bad = check_config_well_formed(c, result_type, creation_order(c.world))
+        # (``run`` builds a first configuration of its own, all of whose
+        # entries the first step writes)
+        kept = set(map(id, before.threads))
+        bad = ill_formed(c, [entry for entry in c.threads if id(entry) not in kept])
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
+        before = c
 
     result = run(comp, policy, seed, fuel, on_step=check)
     return result, steps + 1

@@ -36,6 +36,7 @@ is kept as the test oracle.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -804,16 +805,18 @@ def reify(p: PosetWithHoles) -> NormalForm:
 
     Children are emitted in a topological order of ``order`` together with
     the visibility relation, tie-broken on (label kind, label, guard) so the
-    output is deterministic.
-    """
+    output is deterministic: the least ready vertex comes next.  A vertex's
+    key is computed once, when it becomes ready, and is final then: its
+    guard lies below it in the closed ``order``, so every vertex of it has
+    been emitted."""
     require_well_formed(p)
-    vertex_refs = {Vert(v) for v in p.vertex_ids}
     # direct predecessors suffice for a topological order; ``order`` is closed
-    combined = p.order | visibility_relation(p)
-    preds = {
-        v: {d for (d, e) in combined if e == v and isinstance(d, Vert) and d != v}
-        for v in vertex_refs
-    }
+    waiting = {Vert(v): 0 for v in p.vertex_ids}
+    successors: dict = {}
+    for d, e in p.order | visibility_relation(p):
+        if e in waiting and isinstance(d, Vert) and d != e:
+            waiting[e] += 1
+            successors.setdefault(d, []).append(e)
 
     index: dict[ElemRef, int] = {}
 
@@ -829,37 +832,38 @@ def reify(p: PosetWithHoles) -> NormalForm:
     def guard_of(v: ElemRef) -> frozenset:
         return translate(d for d in p.below(v) if not isinstance(d, Star))
 
-    children: list[NfChild] = []
-    remaining = set(vertex_refs)
-    emitted: set[ElemRef] = set()
-    while remaining:
-        ready = [v for v in remaining if preds[v] <= emitted]
-        if not ready:
-            raise IllFormed("cannot linearize: visibility and order form a cycle")
-
-        def sort_key(v: ElemRef) -> tuple:
-            vid = v.vid
-            if vid in p.action_map:
-                head = (0, p.action_map[vid], 0)
-            else:
-                label = p.hole_map[vid]
-                head = (1, label.var, label.arity)
-            guard = sorted(map(_nf_ref_str, guard_of(v)))
-            return (head, guard, vid)
-
-        v = min(ready, key=sort_key)
-        remaining.discard(v)
-        emitted.add(v)
-        index[v] = len(children) + 1
-        if v.vid in p.action_map:
-            body: Union[NfAct, NfVarApp] = NfAct(p.action_map[v.vid])
+    def entry(v: ElemRef) -> tuple:
+        vid = v.vid
+        if vid in p.action_map:
+            head = (0, p.action_map[vid], 0)
         else:
-            label = p.hole_map[v.vid]
+            label = p.hole_map[vid]
+            head = (1, label.var, label.arity)
+        guard = guard_of(v)
+        return (head, sorted(map(_nf_ref_str, guard)), vid, guard)
+
+    ready = [entry(v) for v, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
+    children: list[NfChild] = []
+    while ready:
+        _, _, vid, guard = heapq.heappop(ready)
+        v = Vert(vid)
+        index[v] = len(children) + 1
+        if vid in p.action_map:
+            body: Union[NfAct, NfVarApp] = NfAct(p.action_map[vid])
+        else:
+            label = p.hole_map[vid]
             body = NfVarApp(
                 label.var,
                 tuple(translate(slot - {v}) for slot in label.visibility),
             )
-        children.append(NfChild(guard_of(v), body))
+        children.append(NfChild(guard, body))
+        for w in successors.get(v, ()):
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, entry(w))
+    if len(children) < len(waiting):
+        raise IllFormed("cannot linearize: visibility and order form a cycle")
 
     final_guard = translate(d for d in p.below(STAR))
     nf = NormalForm(p.n_inputs, tuple(children), final_guard)

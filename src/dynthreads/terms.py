@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 from .tids import ParamContext, print_tid_names
@@ -491,73 +492,87 @@ def parse_term(text: str) -> Term:
 
 
 def _parse_term(toks: _Tokens) -> Term:
-    head = toks.peek()
-    if head not in _KEYWORDS:
-        # variable application (or bare 0-ary variable)
-        name = _parse_name(toks)
-        if toks.peek() != "(":
-            return Var(name, ())
-        toks.next()
-        args: list[frozenset[str]] = []
-        if toks.peek() == ")":
-            toks.next()
-            return Var(name, ())
-        while True:
-            args.append(_parse_guard(toks))
-            nxt = toks.next()
-            if nxt == ")":
+    """``TERM``, from an explicit stack of the operations still open: each
+    holds how many subterms it takes, those parsed so far and its
+    constructor, and a finished subterm closes every operation it
+    completes."""
+    stack: list = []
+    while True:
+        head = toks.next() if toks.peek() in _KEYWORDS else None
+        if head in ("fork", "wait", "node"):
+            label = _parse_label(toks) if head == "node" else None
+            toks.expect("(")
+            if head == "fork":
+                stack.append((2, [], partial(Fork, _parse_name(toks))))
+                toks.expect(".")
+                continue
+            guard = _parse_guard(toks)
+            toks.expect(",")
+            if head == "node":
+                stack.append((1, [], partial(derived_node, label, guard, _parse_name(toks))))
+                toks.expect(".")
+            else:
+                stack.append((1, [], partial(Wait, guard)))
+            continue
+        if head is None:
+            term = _parse_var_app(toks)
+        elif head == "stop":
+            term = STOP
+        elif head == "act":
+            term = Act(_parse_label(toks))
+        else:
+            raise TermError(f"unexpected token {head!r}")
+        while stack:
+            arity, parsed, build = stack[-1]
+            parsed.append(term)
+            if len(parsed) < arity:
+                toks.expect(",")
                 break
-            if nxt != ",":
-                raise TermError(f"expected ',' or ')' in argument list, got {nxt!r}")
-        return Var(name, tuple(args))
+            toks.expect(")")
+            stack.pop()
+            term = build(*parsed)
+        else:
+            return term
+
+
+def _parse_var_app(toks: _Tokens) -> Var:
+    """A variable application, or a bare 0-ary variable."""
+    name = _parse_name(toks)
+    if toks.peek() != "(":
+        return Var(name, ())
     toks.next()
-    if head == "fork":
-        toks.expect("(")
-        binder = _parse_name(toks)
-        toks.expect(".")
-        parent = _parse_term(toks)
-        toks.expect(",")
-        child = _parse_term(toks)
-        toks.expect(")")
-        return Fork(binder, parent, child)
-    if head == "wait":
-        toks.expect("(")
-        guard = _parse_guard(toks)
-        toks.expect(",")
-        cont = _parse_term(toks)
-        toks.expect(")")
-        return Wait(guard, cont)
-    if head == "stop":
-        return STOP
-    if head == "act":
-        return Act(_parse_label(toks))
-    if head == "node":
-        label = _parse_label(toks)
-        toks.expect("(")
-        guard = _parse_guard(toks)
-        toks.expect(",")
-        binder = _parse_name(toks)
-        toks.expect(".")
-        cont = _parse_term(toks)
-        toks.expect(")")
-        return derived_node(label, guard, binder, cont)
-    raise TermError(f"unexpected token {head!r}")
+    args: list[frozenset[str]] = []
+    if toks.peek() == ")":
+        toks.next()
+        return Var(name, ())
+    while True:
+        args.append(_parse_guard(toks))
+        nxt = toks.next()
+        if nxt == ")":
+            break
+        if nxt != ",":
+            raise TermError(f"expected ',' or ')' in argument list, got {nxt!r}")
+    return Var(name, tuple(args))
 
 
 def _parse_guard(toks: _Tokens) -> frozenset[str]:
-    """``E ::= 0 | name | E + E | ( E )``, read as the set of its names."""
+    """``E ::= 0 | name | E + E | ( E )``, read as the set of its names;
+    ``depth`` counts the parentheses still open."""
     names: set[str] = set()
+    depth = 0
     while True:
-        if toks.peek() == "(":
+        while toks.peek() == "(":
             toks.next()
-            names |= _parse_guard(toks)
-            toks.expect(")")
-        elif toks.peek() == "0":
+            depth += 1
+        if toks.peek() == "0":
             toks.next()
         else:
             names.add(_parse_name(toks))
-        if toks.peek() != "+":
-            return frozenset(names)
+        while toks.peek() != "+":
+            if not depth:
+                return frozenset(names)
+            toks.expect(")")
+            depth -= 1
         toks.next()
 
 
@@ -579,20 +594,30 @@ def _parse_label(toks: _Tokens) -> str:
 
 
 def print_term(term: Term) -> str:
-    match term:
-        case Var(name, args):
-            if not args:
-                return name
-            return f"{name}({', '.join(print_tid_names(u) for u in args)})"
-        case Fork(binder, parent, child):
-            return f"fork({binder}. {print_term(parent)}, {print_term(child)})"
-        case Wait(guard, cont):
-            return f"wait({print_tid_names(guard)}, {print_term(cont)})"
-        case Stop():
-            return "stop"
-        case Act(label):
-            return f"act[{label}]"
-    raise TypeError(f"not a term: {term!r}")
+    """The text of a term, from an explicit stack of the terms and closing
+    text still to print."""
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        match item:
+            case str():
+                out.append(item)
+            case Var(name, args):
+                out.append(f"{name}({', '.join(map(print_tid_names, args))})" if args else name)
+            case Fork(binder, parent, child):
+                out.append(f"fork({binder}. ")
+                stack += [")", child, ", ", parent]
+            case Wait(guard, cont):
+                out.append(f"wait({print_tid_names(guard)}, ")
+                stack += [")", cont]
+            case Stop():
+                out.append("stop")
+            case Act(label):
+                out.append(f"act[{label}]")
+            case _:
+                raise TypeError(f"not a term: {item!r}")
+    return "".join(out)
 
 
 def print_term_file(gamma: CompContext, delta: ParamContext, term: Term) -> str:

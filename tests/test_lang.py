@@ -276,13 +276,38 @@ def test_synthesized_case_types_each_branch_once(monkeypatch):
     judged = []
     comp = lang._comp
 
-    def counted(env, world, term, want):
+    def counted(env, world, term, want, memo=None):
         judged.append(term)
-        return comp(env, world, term, want)
+        return comp(env, world, term, want, memo)
 
     monkeypatch.setattr(lang, "_comp", counted)
     assert typecheck_comp({}, frozenset(), t) == EMPTY
     assert len(judged) == 51
+
+
+def test_typing_memo_entries_hold_only_for_their_variable_types_and_threads(monkeypatch):
+    t = desugar(parse_comp("wait(#0.1); stop()"))
+    memo: dict = {}
+    check_comp({}, frozenset({(1,)}), t, EMPTY, memo)
+    assert len(memo) == 3  # the let, its bound and its body
+    with pytest.raises(UnknownTid, match="thread ID 0.1 not in the world"):
+        check_comp({}, frozenset(), t, EMPTY, memo)
+    # entries are keyed on the types of the node's free variables
+    ret = Ret(VarV("x"))
+    assert lang._comp({"x": TID}, frozenset(), ret, None, memo) == TID
+    assert lang._comp({"x": UNIT, "y": TID}, frozenset(), ret, None, memo) == UNIT
+    # the body names no thread: a lookup in a smaller world is a hit
+    judged = []
+    comp = lang._comp
+
+    def counted(env, world, term, want, memo=None):
+        judged.append(term)
+        return comp(env, world, term, want, memo)
+
+    monkeypatch.setattr(lang, "_comp", counted)
+    check_comp({}, frozenset(), t.body, EMPTY, memo)
+    check_comp({}, frozenset({(1,)}), t, EMPTY, memo)
+    assert judged == [t.body, t]
 
 
 def test_desugar_print_matches_fork_wait_form():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dynthreads import machine
+from dynthreads import lang, machine
 from dynthreads.cli import _trace_line, main
 from dynthreads.lang import (
     EMPTY,
@@ -284,10 +284,10 @@ def test_preservation_names_the_step_and_the_failed_condition(monkeypatch):
     stop = desugar(parse_comp("stop()"))
     check_comp = machine.check_comp
 
-    def broken(gamma, visible, state, ty):
+    def broken(gamma, visible, state, ty, memo=None):
         if state == stop:
             raise LangError("stop() made ill-typed")
-        return check_comp(gamma, visible, state, ty)
+        return check_comp(gamma, visible, state, ty, memo)
 
     monkeypatch.setattr(machine, "check_comp", broken)
     comp = desugar(parse_comp("print[s](); fork(); stop()"))
@@ -847,6 +847,26 @@ def test_deeply_nested_cases_run_with_preservation():
     result, checks = run_with_preservation(comp, EMPTY)
     assert result.terminal.is_terminal()
     assert checks == 602
+
+
+def test_preservation_types_each_step_in_work_proportional_to_what_it_wrote(monkeypatch):
+    # the typing memo of the run leaves only the spine a step rebuilt to be
+    # typed again, so the judgements grow with the chain, not its square
+    judged = []
+    comp = lang._comp
+
+    def counted(env, world, term, want, memo=None):
+        judged.append(term)
+        return comp(env, world, term, want, memo)
+
+    monkeypatch.setattr(lang, "_comp", counted)
+    counts = []
+    for n in (50, 100):
+        judged.clear()
+        text = "".join(f"print[p{k}](); " for k in range(n)) + "stop()"
+        run_with_preservation(desugar(parse_comp(text)), EMPTY)
+        counts.append(len(judged))
+    assert counts[1] <= 2.5 * counts[0], counts
 
 
 def test_let_steps_keep_the_rest_of_a_print_chain():

@@ -46,7 +46,8 @@ from dynthreads.posets import (
     relabel,
 )
 from dynthreads.terms import (
-    STOP, Act, CompContext, Fork, Var, Wait, parse_term, print_term, tidset,
+    STOP, Act, CompContext, Fork, TermError, Var, Wait, parse_term, parse_term_file,
+    print_term, tidset,
 )
 from dynthreads.tids import ParamContext, Relation, TidSet, compose, graph_of
 
@@ -504,6 +505,24 @@ def test_interp_and_normalize_walk_terms_deeper_than_the_recursion_limit():
     nf = normalize(deep, gamma, delta)
     assert nf == normalize(shallow, gamma, delta)
     assert [child.body.label for child in nf.children] == [f"s{k}" for k in range(1, 41)]
+
+
+def test_term_files_deeper_than_the_recursion_limit_parse_normalize_and_print():
+    # no timing assertion: the parser and the printer only have to return
+    text = "tids a; " + "wait(a, " * 10_000 + "x((a))" + ")" * 10_000
+    gamma, delta, term = parse_term_file("vars x:1; " + text)
+    assert normalize(term, gamma, delta) == normalize(
+        parse_term("wait(a, x(a))"), gamma, delta
+    )
+    assert print_term(term) == text[len("tids a; "):].replace("x((a))", "x(a)")
+    # (deep terms are compared by their text: dataclass ``==`` recurses)
+    deep = _fork_chain(2_000, 50)
+    again = parse_term(print_term(deep))
+    assert print_term(again) == print_term(deep)
+    assert normalize(again, CompContext(()), delta) == normalize(deep, CompContext(()), delta)
+    # an unclosed guard deep inside parentheses reports the token it stopped at
+    with pytest.raises(TermError, match=r"^expected '\)', got ',' \(token 10004\)$"):
+        parse_term_file("wait(" + "(" * 10_000 + "a, stop)")
 
 
 # --- reify / normalize -----------------------------------------------------------

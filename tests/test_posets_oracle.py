@@ -10,7 +10,8 @@ closing them again, are cross-checked against those reference operations
 one by one.  The backtracking matcher is cross-checked against a
 brute-force search over all vertex bijections, directly and through pomset
 isomorphism; reification is cross-checked against every admissible
-reordering of independent children.
+reordering of independent children, and against the reification it
+replaced, which rescans every vertex for readiness at each step.
 """
 
 from __future__ import annotations
@@ -25,14 +26,18 @@ from dynthreads.posets import (
     STAR,
     Bnd,
     HoleLabel,
+    IllFormed,
     In,
+    NfAct,
     NfChild,
     NfVarApp,
     NormalForm,
     Pomset,
     PosetWithHoles,
+    Star,
     Vert,
     _close_pairs,
+    _nf_ref_str,
     decide_equal,
     interp,
     iso_check,
@@ -43,9 +48,12 @@ from dynthreads.posets import (
     op_stop,
     op_wait,
     poset_to_json,
+    print_normal_form,
     raw_poset,
     reify,
     relabel,
+    require_well_formed,
+    visibility_relation,
 )
 from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait, axiom_schemas
 from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
@@ -438,3 +446,98 @@ def test_reify_result_stable_under_independent_reordering():
             assert decide_equal(base_term, term2, merged, base_d).equal
             checked += 1
     assert checked >= 40
+
+
+# --- reification against the quadratic reference ---------------------------------
+
+def reference_reify(p: PosetWithHoles) -> NormalForm:
+    """The reification ``reify`` replaced: at every step it rescans the
+    remaining vertices for readiness and takes the least ready one under a
+    key recomputed for each."""
+    require_well_formed(p)
+    vertex_refs = {Vert(v) for v in p.vertex_ids}
+    combined = p.order | visibility_relation(p)
+    preds = {
+        v: {d for (d, e) in combined if e == v and isinstance(d, Vert) and d != v}
+        for v in vertex_refs
+    }
+    index = {}
+
+    def translate(refs):
+        return frozenset(e if isinstance(e, In) else Bnd(index[e]) for e in refs)
+
+    def guard_of(v):
+        return translate(d for d in p.below(v) if not isinstance(d, Star))
+
+    def sort_key(v):
+        if v.vid in p.action_map:
+            head = (0, p.action_map[v.vid], 0)
+        else:
+            label = p.hole_map[v.vid]
+            head = (1, label.var, label.arity)
+        return (head, sorted(map(_nf_ref_str, guard_of(v))), v.vid)
+
+    children = []
+    remaining = set(vertex_refs)
+    emitted = set()
+    while remaining:
+        ready = [v for v in remaining if preds[v] <= emitted]
+        if not ready:
+            raise IllFormed("cannot linearize: visibility and order form a cycle")
+        v = min(ready, key=sort_key)
+        remaining.discard(v)
+        emitted.add(v)
+        index[v] = len(children) + 1
+        if v.vid in p.action_map:
+            body = NfAct(p.action_map[v.vid])
+        else:
+            label = p.hole_map[v.vid]
+            body = NfVarApp(label.var, tuple(translate(slot - {v}) for slot in label.visibility))
+        children.append(NfChild(guard_of(v), body))
+    nf = NormalForm(p.n_inputs, tuple(children), translate(p.below(STAR)))
+    bad = nf.check_closure()
+    if bad:
+        raise IllFormed(f"reified normal form breaks closure: {bad}")
+    return nf
+
+
+def _assert_reify_agrees(p: PosetWithHoles) -> None:
+    nf = reify(p)
+    assert nf == reference_reify(p)
+    assert print_normal_form(nf) == print_normal_form(reference_reify(p))
+    assert nf_to_term(nf) == nf_to_term(reference_reify(p))
+
+
+def test_reify_matches_the_reference():
+    for axiom in axiom_schemas():
+        for extra in (0, 2):
+            delta = ParamContext(
+                tuple(f"n{i}" for i in range(1, extra + 1)) + axiom.delta.names
+            )
+            _assert_reify_agrees(interp(axiom.lhs, axiom.gamma, delta))
+            _assert_reify_agrees(interp(axiom.rhs, axiom.gamma, delta))
+    for name in corpus_names():
+        d = denote(load_surface(name))
+        _assert_reify_agrees(interp(d.term, d.gamma, d.delta))
+    rng = random.Random(39)
+    variables = (("x", 1), ("y", 2), ("z", 0))
+    for _ in range(1000):
+        gamma = CompContext(tuple(rng.sample(variables, rng.randint(0, 3))))
+        delta = ParamContext(tuple(f"a{i}" for i in range(1, rng.randint(0, 3) + 1)))
+        term = random_term(rng, gamma, delta, rng.randint(1, 30))
+        _assert_reify_agrees(interp(term, gamma, delta))
+    for size in theory_eq.TERM_SIZES * 4:
+        _assert_reify_agrees(interp(theory_eq.random_term(rng, size), theory_eq.GAMMA,
+                                    theory_eq.DELTA))
+    for _ in range(200):
+        _assert_reify_agrees(random_well_formed_poset(rng, max_vertices=6))
+
+
+def test_reify_matches_the_reference_on_a_wide_fork_chain():
+    # independent children, each ready from the start, ordered by label and
+    # then by guard
+    term = Stop()
+    for k in range(300):
+        guard = frozenset({"a1"}) if k % 3 == 0 else frozenset()
+        term = Fork(f"b{k}", term, Wait(guard, Act(f"s{k % 7}")))
+    _assert_reify_agrees(interp(term, CompContext(()), ParamContext(("a1",))))

@@ -11,13 +11,16 @@ desugared), on every unfinished thread state of their full schedule graphs,
 on a generated print chain and node DAG, on programs whose ``case``
 branches meet only through the bottom type, on injections annotated as
 runtime steps annotate them, on nested cases, and on the ill-typed programs
-of ``test_lang``.
+of ``test_lang``.  The checker is also run with one typing memo shared by
+every input of a test, as a preservation run shares one across the states
+it checks, and must agree all the same.
 """
 
 from __future__ import annotations
 
 import random
 
+from dynthreads.lang import _comp as memo_judge
 from dynthreads.lang import (
     BOTTOM,
     EMPTY,
@@ -346,24 +349,28 @@ def _outcome(judge, *args):
         return type(exc), str(exc)
 
 
-def _agree(label, env, world, t, types) -> int:
+def _agree(label, env, world, t, types, memo: dict) -> int:
     """Compare both checkers on ``t``, synthesizing and checking against
-    each of ``types``; return the number of comparisons."""
+    each of ``types``, without a memo and with ``memo``; return the number
+    of comparisons."""
     want = _outcome(reference_typecheck_comp, env, world, t)
     assert _outcome(typecheck_comp, env, world, t) == want, label
+    assert _outcome(memo_judge, env, world, t, None, memo) == want, label
     for ty in types:
         want = _outcome(reference_check_comp, env, world, t, ty)
         assert _outcome(check_comp, env, world, t, ty) == want, (label, ty)
+        assert _outcome(check_comp, env, world, t, ty, memo) == want, (label, ty)
     return 1 + len(types)
 
 
 def test_checker_agrees_with_the_reference_on_programs():
     checks = 0
     outcomes = set()
+    memo: dict = {}
     for name, comp in _programs():
         found = _outcome(typecheck_comp, {}, frozenset(), comp)
         types = [EMPTY, UNIT, BOTTOM] + ([found] if not isinstance(found, tuple) else [])
-        checks += _agree(name, {}, frozenset(), comp, types)
+        checks += _agree(name, {}, frozenset(), comp, types, memo)
         outcomes.add(found if isinstance(found, tuple) else "typed")
     # every error of the ill-typed table and some typed programs were seen
     assert {(error, message) for _, _, error, message in ILL_TYPED} < outcomes
@@ -373,6 +380,7 @@ def test_checker_agrees_with_the_reference_on_programs():
 def test_checker_agrees_with_the_reference_on_thread_states():
     checks = 0
     seen = set()
+    memo: dict = {}
     for name in corpus_names():
         _, steps_of, _, truncated = _state_graph(load_core(name), DEFAULT_BUDGET, reduce=False)
         assert not truncated, name
@@ -384,5 +392,5 @@ def test_checker_agrees_with_the_reference_on_thread_states():
                     if state == FINISHED or (state, world) in seen:
                         continue
                     seen.add((state, world))
-                    checks += _agree(name, {}, world, state, [EMPTY])
+                    checks += _agree(name, {}, world, state, [EMPTY], memo)
     assert checks > 1000

@@ -63,6 +63,7 @@ from .terms import (
     fresh_name,
     scope_check,
     subst_comp,
+    subterms,
 )
 from .tids import ParamContext
 
@@ -359,15 +360,7 @@ def adequacy_check(
 # --- completeness gadgets ---------------------------------------------------------------
 
 def act_labels(term: Term) -> frozenset[str]:
-    match term:
-        case Act(label):
-            return frozenset({label})
-        case Fork(_, parent, child):
-            return act_labels(parent) | act_labels(child)
-        case Wait(_, cont):
-            return act_labels(cont)
-        case _:
-            return frozenset()
+    return frozenset(t.label for t in subterms(term) if type(t) is Act)
 
 
 def gadget_subst(gamma: CompContext, delta: ParamContext) -> dict[str, tuple[tuple[str, ...], Term]]:

@@ -22,9 +22,11 @@ transitive closure of the final waiting relation, form a pomset (see
 
 A scheduled run (:func:`run`) follows one schedule and takes at most
 ``fuel`` steps; it computes only the local step it takes and renders
-nothing.  Its ``on_step`` hook sees each step and the configuration it
-reached, which is how :func:`run_with_preservation` checks what each step
-wrote and how the command line prints trace lines.
+nothing.  Its ``on_local`` hook sees each local step before it is applied
+and its ``on_step`` hook each step and the configuration it reached.  That
+is how :func:`check_confluence` checks the determinacy gate, how
+:func:`run_with_preservation` checks what each step wrote and how the
+command line prints trace lines.
 
 Exploration (:func:`explore`, :func:`run_exhaustive`) builds a
 partial-order-reduced schedule graph: in a configuration where some thread
@@ -39,25 +41,24 @@ because the chosen step
   3. commutes: with every other thread's step it closes a diamond onto one
      configuration;
 and the graph is acyclic, so no step is postponed forever.
-:func:`check_confluence` tests conditions 2 and 3 at every configuration
-of the reduced graph, for the step of every runnable thread; because steps
-are local, that covers the full graph (see its docstring).
+:func:`check_confluence` checks that every local step writes only its own
+thread and a new child and waits only into its own thread, which gives
+conditions 2 and 3; one lowest-tid run meets every local step of the full
+graph (see its docstring).
 
-All three read one depth-first walk, :func:`_state_graph`, which raises
-:class:`Deadlock` when it expands a stuck configuration and enforces the
-state budget: it expands at most that many configurations and then stops
-and reports the graph truncated.  :func:`explore` and :func:`run_exhaustive`
-raise :class:`FuelExhausted` on a truncated graph; :func:`check_confluence`
-checks what was built and reports it truncated.
+:func:`explore` and :func:`run_exhaustive` read one depth-first walk,
+:func:`_state_graph`, which raises :class:`Deadlock` when it expands a
+stuck configuration and enforces the state budget: it expands at most that
+many configurations and then stops and reports the graph truncated, and
+they raise :class:`FuelExhausted`.
 
 No table outlives a call.  A local step depends only on the thread's
 state, tid and next spawn ordinal, so each walk memoizes local steps under
-that key in a memo of its own (:func:`_expander`), which the confluence
-check shares for the successors it enumerates; a scheduled run memoizes
-nothing.
+that key in a memo of its own (:func:`_expander`); a scheduled run, and so
+the confluence check, memoizes nothing.
 
 One budget, :data:`DEFAULT_BUDGET`, is the default of every bound: the
-steps of a run and the configurations of a walk.
+steps of a run and the configurations of a walk or of a confluence check.
 """
 
 from __future__ import annotations
@@ -231,13 +232,12 @@ def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
 
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
     """All global steps: one per runnable thread, in tid order."""
-    return _expander()(c)[1]
+    return _expander()(c)
 
 
-def _expander() -> Callable[[Configuration], tuple[list, list]]:
-    """A fresh ``expand(c)``, which returns the moves of ``c`` (for each
-    runnable thread in tid order, its tid, next spawn ordinal and local
-    step) and the global steps they make.
+def _expander() -> Callable[[Configuration], list]:
+    """A fresh ``expand(c)``, which returns the global steps of ``c``, one
+    per runnable thread in tid order.
 
     Identical thread states recur across the interleavings of one walk, so
     ``expand`` memoizes local steps, keyed ``(state, tid, ordinal)``, and
@@ -246,8 +246,8 @@ def _expander() -> Callable[[Configuration], tuple[list, list]]:
     caller."""
     memo: dict = {}
 
-    def expand(c: Configuration) -> tuple[list, list]:
-        moves, steps = [], []
+    def expand(c: Configuration) -> list:
+        steps = []
         for tid, state, waits, ordinal in _runnable(c):
             key = (state, tid, ordinal)
             local = memo.get(key)
@@ -256,9 +256,8 @@ def _expander() -> Callable[[Configuration], tuple[list, list]]:
                 for _, new_state in local.threads:
                     if new_state != FINISHED:
                         _hash_bottom_up(new_state)
-            moves.append((tid, ordinal, local))
             steps.append(_apply(c, tid, waits, local))
-        return moves, steps
+        return steps
 
     return expand
 
@@ -316,11 +315,14 @@ def _deadlock(c: Configuration) -> Deadlock:
 @dataclass(frozen=True)
 class RunResult:
     """A terminated run: its final configuration, every step it took and
-    its observation."""
+    its observation, which is built when it is first read."""
 
     terminal: Configuration
     events: tuple  # tuple[StepLabel, ...], every step
-    pomset: Pomset
+
+    @cached_property
+    def pomset(self) -> Pomset:
+        return observation(self.events, self.terminal)
 
 
 def observation(events: Iterable[StepLabel], final: Configuration) -> Pomset:
@@ -351,6 +353,7 @@ def run(
     seed: Optional[int] = None,
     fuel: int = DEFAULT_BUDGET,
     on_step: Optional[Callable[[StepLabel, Configuration], None]] = None,
+    on_local: Optional[Callable[[Tid, int, _LocalOut], None]] = None,
 ) -> RunResult:
     """Run to termination under one schedule: ``lowest-tid``, or
     ``random`` with a seed, which chooses among the runnable threads
@@ -358,11 +361,13 @@ def run(
     their steps.
 
     Only the chosen thread's local step is computed, and nothing outlives
-    the run.  ``on_step(label, c)`` is called after each step with the
-    configuration ``c`` it reached.  A terminal configuration reached within
-    ``fuel`` steps ends the run; :class:`FuelExhausted` is raised only when
-    a further step is needed after ``fuel`` steps, and :class:`Deadlock`
-    when no thread can step short of termination."""
+    the run.  ``on_local(tid, ordinal, local)`` is called before each step
+    with the acting thread, its next spawn ordinal and its local step, and
+    ``on_step(label, c)`` after it with the configuration ``c`` it reached.
+    A terminal configuration reached within ``fuel`` steps ends the run;
+    :class:`FuelExhausted` is raised only when a further step is needed
+    after ``fuel`` steps, and :class:`Deadlock` when no thread can step
+    short of termination."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     if policy == "lowest-tid":
@@ -379,12 +384,15 @@ def run(
         runnable = _runnable(c)
         if not runnable:
             if c.is_terminal():
-                return RunResult(c, tuple(events), observation(events, c))
+                return RunResult(c, tuple(events))
             raise _deadlock(c)
         if len(events) >= fuel:
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
         tid, state, waits, ordinal = choose(runnable)
-        label, c = _apply(c, tid, waits, _local_step(state, tid, ordinal))
+        local = _local_step(state, tid, ordinal)
+        if on_local is not None:
+            on_local(tid, ordinal, local)
+        label, c = _apply(c, tid, waits, local)
         events.append(label)
         if on_step is not None:
             on_step(label, c)
@@ -402,12 +410,9 @@ class ExploreResult:
     traces_match_linearizations: bool
 
 
-def _state_graph(
-    comp: Comp, max_states: int, *, reduce: bool = True, expand: Optional[Callable] = None
-):
+def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
     """The schedule graph from ``comp``, configurations deduplicated: the
-    one walk behind :func:`explore`, :func:`run_exhaustive` and
-    :func:`check_confluence`.
+    one walk behind :func:`explore` and :func:`run_exhaustive`.
 
     Returns ``(c0, steps_of, first_event, truncated)``.  ``steps_of`` maps
     each expanded configuration to its steps, in the depth-first order of
@@ -419,15 +424,13 @@ def _state_graph(
 
     By default one silent step is expanded per configuration where one is
     enabled (see the module docstring); ``reduce=False`` builds the full
-    graph, which tests use as the oracle for the reduced one.
-
-    Configurations are enumerated by ``expand``, by default a fresh
-    :func:`_expander`, so the local-step memo belongs to this walk;
-    :func:`check_confluence` passes its own to keep the unreduced moves."""
+    graph, which tests use as the oracle for the reduced one.  The
+    local-step memo of the walk's :func:`_expander` lives as long as the
+    walk."""
     if not is_core(comp):
         raise MachineError("exploration needs a desugared computation")
     _hash_bottom_up(comp)
-    expand = expand or _expander()
+    expand = _expander()
     c0 = Configuration.initial(comp)
     steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
     frontier = [c0]
@@ -438,7 +441,7 @@ def _state_graph(
             continue
         if len(steps_of) >= max_states:
             return c0, steps_of, first_event, True
-        steps = expand(c)[1]
+        steps = expand(c)
         if not steps and not c.is_terminal():
             raise _deadlock(c)
         if reduce:
@@ -477,8 +480,7 @@ def _terminal_runs(comp: Comp, max_states: int):
     ends = [c for c, steps in steps_of.items() if not steps]
     # wait sets stay out of the key: frozensets are ordered by inclusion
     for terminal in sorted(ends, key=lambda c: [(t, state) for t, state, _ in c.threads]):
-        events = _witness_events(c0, terminal, first_event)
-        runs.append(RunResult(terminal, tuple(events), observation(events, terminal)))
+        runs.append(RunResult(terminal, tuple(_witness_events(c0, terminal, first_event))))
     return c0, steps_of, runs
 
 
@@ -502,7 +504,7 @@ def explore(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ExploreResult:
     Only one silent step is expanded per configuration where one is
     enabled (see the module docstring); the traces and terminals are those
     of the full graph, but ``states`` counts the reduced graph and
-    ``max_states`` bounds it, as for :func:`check_confluence`.
+    ``max_states`` bounds it.
     """
     c0, steps_of, runs = _terminal_runs(comp, max_states)
     observations = [r.pomset for r in runs]
@@ -537,18 +539,18 @@ class ConfluenceReport:
     detail: Optional[str]
 
 
-def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ConfluenceReport:
-    """Check the determinacy gate on the reduced schedule graph that
-    :func:`_state_graph` builds, as for :func:`explore`: at every
-    configuration the walk expands, for every runnable thread ``a`` (not
-    only the one the reduction kept), with ``n`` its next spawn ordinal,
-      - locality: ``a``'s local step writes only ``a`` and, if it forks,
-        ``a.n``;
-      - waits: every wait pair of ``a``'s local step ends at ``a``;
-      - per-thread determinacy: one step per thread;
-      - the one-step diamond for distinct threads.
+class _NotLocal(MachineError):
+    """A local step that fails a check of :func:`check_confluence`."""
 
-    This covers the full graph:
+
+def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ConfluenceReport:
+    """Check the determinacy gate along one lowest-tid :func:`run`: for the
+    local step of each thread ``a`` the run moves, with ``n`` its next spawn
+    ordinal,
+      - locality: the step writes only ``a`` and, if it forks, ``a.n``;
+      - waits: every wait pair of the step ends at ``a``.
+
+    This covers the full schedule graph:
       (A) Local steps close every diamond.  Suppose every step passes the
           first two checks.  By induction along any run, the children of
           ``a`` are ``a.1`` to ``a.(n-1)``, so ``a.n`` is new.  A step of
@@ -559,83 +561,53 @@ def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> Confluence
           spawn count, and both orders give every entry the same state and
           wait set.  So the diamond closes in every configuration, reduced
           or not.
-      (B) Every step of the full graph passes the first two checks.  They
-          depend only on the thread's state, tid and spawn ordinal, which
-          determine its local step.  The walk checks the local step of
-          every runnable thread at every configuration it expands; the
-          reduction postpones steps but never disables them, so the local
-          steps checked are those of the full graph.
-    The tests cross-check (B) and the verdict against the full graph.
+      (B) If the run terminates, every step of the full graph passes both
+          checks.  They depend only on the thread's state, tid and spawn
+          ordinal, which determine its local step, so it is enough that
+          the run took a step with the same key.  By induction on the
+          length of a path of the full graph: if the run took every step
+          on it, those steps were local, so each thread's state and spawn
+          ordinal at the end of the path are those its own steps on the
+          path left, starting from the state its parent's step gave it.
+          A thread's history, its sequence of keys, is thus the same on
+          every schedule, and each path follows a prefix of it.  Every
+          thread on the path was created by a step of its parent's
+          history that the run took, and the run finished it, so the run
+          took every step of its history; the next step of the path is
+          one of them.
+    By (A) every maximal schedule ends in the run's terminal configuration
+    (Huet 1980), so per-thread determinacy and the diamonds, which follow
+    from (A) given :func:`_apply`, are left to the tests' full-graph and
+    reduced-graph oracles, with the cross-check of (B).
 
-    Configurations are checked in the order the walk expanded them, and a
-    violation reports how many were checked up to it.  Each configuration
-    and successor is enumerated once: the walk hands over its unreduced
-    steps, and those of successors it did not expand are enumerated on
-    demand; all share one memo of local steps, which lives as long as the
-    check.  ``states`` counts the reduced graph and ``max_states`` bounds
-    it; hitting the budget is reported as a truncated (but violation-free)
-    check, not a failure.  A stuck configuration raises :class:`Deadlock`.
+    ``states`` counts the configurations of the run, and ``max_states``
+    bounds them: the run may take ``max_states - 1`` steps.  A violation
+    reports how many configurations were checked up to it; hitting the
+    budget is reported as a truncated (but violation-free) check, not a
+    failure.  A stuck configuration raises :class:`Deadlock`.
     """
-    if not is_core(comp):
-        raise MachineError("check_confluence needs a desugared computation")
-    expand = _expander()
-    expanded: dict = {}
+    checked = 0
 
-    def moves_and_steps(c: Configuration) -> tuple[list, list]:
-        if c not in expanded:
-            expanded[c] = expand(c)
-        return expanded[c]
-
-    _, graph, _, truncated = _state_graph(comp, max_states, expand=moves_and_steps)
-
-    def steps_of(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
-        return moves_and_steps(c)[1]
-
-    for checked, c in enumerate(graph, start=1):
-        detail = _confluence_violation(c, expanded[c][0], steps_of)
-        if detail is not None:
-            return ConfluenceReport(False, checked, False, detail)
-    return ConfluenceReport(True, len(graph), truncated, None)
-
-
-def _confluence_violation(c: Configuration, moves: list, steps_of: Callable) -> Optional[str]:
-    """The first of the checks of :func:`check_confluence` that the moves
-    of ``c`` (see :func:`_expander`) fail, or ``None``."""
-    for a, ordinal, local in moves:
-        child = a + (ordinal,)
+    def check(a: Tid, ordinal: int, local: _LocalOut) -> None:
+        nonlocal checked
+        checked += 1
         for t, _ in local.threads:
-            if t not in (a, child):
-                return f"step of {tid_str(a)} changes thread {tid_str(t)}"
+            if t not in (a, a + (ordinal,)):
+                raise _NotLocal(f"step of {tid_str(a)} changes thread {tid_str(t)}")
         for x, y in local.new_prec:
             if y != a:
-                return (
+                raise _NotLocal(
                     f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
                     f"acting thread {tid_str(a)}"
                 )
-    return _diamond_violation(steps_of(c), steps_of)
 
-
-def _diamond_violation(steps: list, steps_of: Callable) -> Optional[str]:
-    """Per-thread determinacy and the one-step diamonds of ``steps``."""
-    acting = [label.acting for label, _ in steps]
-    if len(set(acting)) != len(acting):
-        return "thread with two distinct steps in one configuration"
-    if len(steps) < 2:
-        return None
-    after = [{lab.acting: (lab, nxt) for lab, nxt in steps_of(c1)} for _, c1 in steps]
-    for i, (l1, _) in enumerate(steps):
-        for j in range(i + 1, len(steps)):
-            l2 = steps[j][0]
-            if l2.acting not in after[i] or l1.acting not in after[j]:
-                return (
-                    f"steps of {tid_str(l1.acting)} and {tid_str(l2.acting)} "
-                    "do not commute (one disables the other)"
-                )
-            lab12, c12 = after[i][l2.acting]
-            lab21, c21 = after[j][l1.acting]
-            if lab12.action != l2.action or lab21.action != l1.action or c12 != c21:
-                return f"no diamond for {tid_str(l1.acting)} / {tid_str(l2.acting)}"
-    return None
+    try:
+        result = run(comp, fuel=max_states - 1, on_local=check)
+    except FuelExhausted:
+        return ConfluenceReport(True, max_states, True, None)
+    except _NotLocal as violation:
+        return ConfluenceReport(False, checked, False, str(violation))
+    return ConfluenceReport(True, len(result.events) + 1, False, None)
 
 
 # --- well-formed configurations ----------------------------------------------------
@@ -702,10 +674,11 @@ def run_with_preservation(
     result and the number of checks.
 
     The first configuration is checked whole; after each step only the
-    entries the step wrote, the acting thread's and a spawned child's.
-    That covers every configuration:
-      - A step replaces the entries it writes and keeps every other one as
-        it was (the same object), and threads never leave the world.
+    entries the step wrote, read off its local step: the threads it lists
+    and the threads its wait pairs end at.  That covers every
+    configuration:
+      - A step (:func:`_apply`) replaces the entries it writes and keeps
+        every other one as it was, and threads never leave the world.
       - A kept entry has the same state and wait set, and its prefix in the
         creation order only grows: the order sorts by a key fixed per tid,
         so a new thread is inserted and none moves.  Its waits still name
@@ -727,24 +700,26 @@ def run_with_preservation(
     def ill_formed(c: Configuration, entries: Iterable) -> Optional[str]:
         return check_config_well_formed(c, result_type, creation_order(c.world), entries, memo)
 
-    before = Configuration.initial(comp)
-    bad = ill_formed(before, before.threads)
+    c0 = Configuration.initial(comp)
+    bad = ill_formed(c0, c0.threads)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
+    written: set = set()
+
+    def note(_: Tid, __: int, local: _LocalOut) -> None:
+        written.clear()
+        written.update(t for t, _ in local.threads)
+        written.update(a for _, a in local.new_prec)
 
     def check(_: StepLabel, c: Configuration) -> None:
-        nonlocal steps, before
+        nonlocal steps
         steps += 1
-        # (``run`` builds a first configuration of its own, all of whose
-        # entries the first step writes)
-        kept = set(map(id, before.threads))
-        bad = ill_formed(c, [entry for entry in c.threads if id(entry) not in kept])
+        bad = ill_formed(c, [entry for entry in c.threads if entry[0] in written])
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
-        before = c
 
-    result = run(comp, policy, seed, fuel, on_step=check)
+    result = run(comp, policy, seed, fuel, on_step=check, on_local=note)
     return result, steps + 1
 
 

@@ -22,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .tids import ParamContext, print_tid_names
 
@@ -120,40 +120,62 @@ def tidset(*names: str) -> frozenset[str]:
     return frozenset(names)
 
 
+def subterms(term: Term) -> Iterator[Term]:
+    """Every subterm of ``term``, itself first and each parent before its
+    child, from an explicit stack."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        match t:
+            case Fork(_, parent, child):
+                stack += (child, parent)
+            case Wait(_, cont):
+                stack.append(cont)
+            case Var() | Stop() | Act():
+                pass
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+
+
 def free_params(term: Term) -> frozenset[str]:
-    match term:
-        case Var(_, args):
-            return frozenset().union(*args) if args else frozenset()
-        case Fork(binder, parent, child):
-            return (free_params(parent) - {binder}) | free_params(child)
-        case Wait(guard, cont):
-            return guard | free_params(cont)
-        case Stop() | Act(_):
-            return frozenset()
-    raise TypeError(f"not a term: {term!r}")
+    """The parameters free in ``term``, from an explicit stack.  A fork's
+    binder is bound while its parent is walked; ``bound`` counts the
+    enclosing binders of each name, and the binder's name, pushed below the
+    parent, marks where its scope ends."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        match t:
+            case str():
+                if bound[t] == 1:
+                    del bound[t]
+                else:
+                    bound[t] -= 1
+            case Var(_, args):
+                for arg in args:
+                    free.update(arg.difference(bound))
+            case Fork(binder, parent, child):
+                bound[binder] = bound.get(binder, 0) + 1
+                stack += (child, binder, parent)
+            case Wait(guard, cont):
+                free.update(guard.difference(bound))
+                stack.append(cont)
+            case Stop() | Act():
+                pass
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    return frozenset(free)
 
 
 def comp_vars(term: Term) -> frozenset[str]:
-    match term:
-        case Var(name, _):
-            return frozenset({name})
-        case Fork(_, parent, child):
-            return comp_vars(parent) | comp_vars(child)
-        case Wait(_, cont):
-            return comp_vars(cont)
-        case Stop() | Act(_):
-            return frozenset()
-    raise TypeError(f"not a term: {term!r}")
+    return frozenset(t.name for t in subterms(term) if type(t) is Var)
 
 
 def binders_of(term: Term) -> frozenset[str]:
-    match term:
-        case Fork(binder, parent, child):
-            return {binder} | binders_of(parent) | binders_of(child)
-        case Wait(_, cont):
-            return binders_of(cont)
-        case _:
-            return frozenset()
+    return frozenset(t.binder for t in subterms(term) if type(t) is Fork)
 
 
 def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:

@@ -37,8 +37,6 @@ from dynthreads.machine import (
     MachineError,
     StepLabel,
     StuckThread,
-    _confluence_violation,
-    _diamond_violation,
     _label_traces,
     _runnable,
     _state_graph,
@@ -190,9 +188,9 @@ def test_confluence_vacuous_for_sequential_program():
 
 @pytest.mark.parametrize("name", ["series", "chain3", "ex21_wait_first", "parallel"])
 def test_confluence_budget_counts_states(name):
-    # the budget bounds the reduced graph, which explore counts
+    # the budget bounds the configurations of the lowest-tid run
     comp = load_core(name)
-    size = explore(comp).states
+    size = len(run(comp).events) + 1
     for k in (1, size // 2, size - 1, size, size + 1, 2 * size):
         report = check_confluence(comp, k)
         assert report.ok, (k, report.detail)
@@ -216,8 +214,8 @@ def test_exploration_reports_deadlock_before_budget():
             fn(comp, 100)
         with pytest.raises(FuelExhausted, match="state budget 2 exhausted"):
             fn(comp, 2)
-    # the confluence check reads the same walk: it raises the same Deadlock,
-    # and short of the stuck configuration it reports a truncated check
+    # the confluence check runs into the same stuck configuration, and short
+    # of it reports a truncated check
     for text in ("fork(); wait(#0.5); stop()", "wait(#0.1); stop()"):
         with pytest.raises(Deadlock, match="deadlocked configuration"):
             check_confluence(desugar(parse_comp(text)), 100)
@@ -565,15 +563,61 @@ def test_reduced_graph_agrees_with_full_graph(name):
     poms = list(full_obs.values()) + list(reduced_obs.values())
     assert all(poms[0].iso_to(p) is not None for p in poms[1:])
     assert reduced_states <= full_states
-    # the confluence check sees every local step of the full graph
+    # the reduced-graph oracle sees every local step of the full graph
     assert reduced_keys == full_keys
 
 
-def _full_graph_violation(c, steps, steps_of):
+def _diamond_violation(steps: list, steps_of) -> str | None:
+    """Per-thread determinacy and the one-step diamonds of ``steps``, the
+    steps of one configuration; ``steps_of`` gives the steps of their
+    targets."""
+    acting = [label.acting for label, _ in steps]
+    if len(set(acting)) != len(acting):
+        return "thread with two distinct steps in one configuration"
+    if len(steps) < 2:
+        return None
+    after = [{lab.acting: (lab, nxt) for lab, nxt in steps_of(c1)} for _, c1 in steps]
+    for i, (l1, _) in enumerate(steps):
+        for j in range(i + 1, len(steps)):
+            l2 = steps[j][0]
+            if l2.acting not in after[i] or l1.acting not in after[j]:
+                return (
+                    f"steps of {tid_str(l1.acting)} and {tid_str(l2.acting)} "
+                    "do not commute (one disables the other)"
+                )
+            lab12, c12 = after[i][l2.acting]
+            lab21, c21 = after[j][l1.acting]
+            if lab12.action != l2.action or lab21.action != l1.action or c12 != c21:
+                return f"no diamond for {tid_str(l1.acting)} / {tid_str(l2.acting)}"
+    return None
+
+
+def _graph_confluence(comp, max_states: int, reduce: bool, violation) -> ConfluenceReport:
+    """The determinacy gate checked configuration by configuration over the
+    schedule graph, in the order the walk expanded it, with
+    ``violation(c, steps_of)`` the first check that ``c`` fails or ``None``.
+    ``steps_of`` enumerates every enabled step, memoized per oracle."""
+    _, graph, _, truncated = _state_graph(comp, max_states, reduce=reduce)
+    # the full graph already holds every enabled step of what it expanded
+    cache = {} if reduce else dict(graph)
+
+    def steps_of(c):
+        if c not in cache:
+            cache[c] = enabled_steps(c)
+        return cache[c]
+
+    for checked, c in enumerate(graph, start=1):
+        detail = violation(c, steps_of)
+        if detail is not None:
+            return ConfluenceReport(False, checked, False, detail)
+    return ConfluenceReport(True, len(graph), truncated, None)
+
+
+def _full_graph_violation(c, steps_of):
     """The prec-growth law on every step of ``c`` (a new wait pair into an
     old thread ends at the acting thread or at a thread waiting for it, or
     was already implied), then determinacy and the diamonds."""
-    for label, nxt in steps:
+    for label, nxt in steps_of(c):
         a = label.acting
         for x, y in nxt.prec - c.prec:
             if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
@@ -581,27 +625,60 @@ def _full_graph_violation(c, steps, steps_of):
                     f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
                     f"acting thread {tid_str(a)}"
                 )
-    return _diamond_violation(steps, steps_of)
+    return _diamond_violation(steps_of(c), steps_of)
 
 
 def _full_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
-    """The determinacy gate checked configuration by configuration over the
-    full schedule graph, in the order the walk expanded it: the oracle for
-    :func:`check_confluence`, which checks local steps on the reduced
-    graph."""
-    _, graph, _, truncated = _state_graph(comp, max_states, reduce=False)
-    cache = dict(graph)
+    """The first oracle for :func:`check_confluence`: the gate over the full
+    schedule graph, without the locality argument."""
+    return _graph_confluence(comp, max_states, False, _full_graph_violation)
 
-    def steps_of(c):
-        if c not in cache:
-            cache[c] = enabled_steps(c)
-        return cache[c]
 
-    for checked, (c, steps) in enumerate(graph.items(), start=1):
-        detail = _full_graph_violation(c, steps, steps_of)
-        if detail is not None:
-            return ConfluenceReport(False, checked, False, detail)
-    return ConfluenceReport(True, len(graph), truncated, None)
+def _reduced_graph_violation(c, steps_of):
+    """Locality and waits of the local step of every runnable thread of
+    ``c``, not only the one the reduction keeps, then determinacy and the
+    diamonds."""
+    for a, state, _, ordinal in _runnable(c):
+        local = machine._local_step(state, a, ordinal)
+        for t, _ in local.threads:
+            if t not in (a, a + (ordinal,)):
+                return f"step of {tid_str(a)} changes thread {tid_str(t)}"
+        for x, y in local.new_prec:
+            if y != a:
+                return (
+                    f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
+                    f"acting thread {tid_str(a)}"
+                )
+    return _diamond_violation(steps_of(c), steps_of)
+
+
+def _reduced_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
+    """The second oracle for :func:`check_confluence`: the local checks at
+    every configuration of the reduced schedule graph, for every runnable
+    thread, and the diamonds there."""
+    return _graph_confluence(comp, max_states, True, _reduced_graph_violation)
+
+
+def _confluence_reports(comp) -> list:
+    """The gate's report and both oracles'."""
+    return [check_confluence(comp), _full_graph_confluence(comp), _reduced_graph_confluence(comp)]
+
+
+def _run_step_keys(comp) -> set:
+    """The ``(thread state, tid, spawn ordinal)`` keys of the local steps
+    one lowest-tid run takes."""
+    keys = set()
+    c = Configuration.initial(comp)
+
+    def take(tid, ordinal, _):
+        keys.add((c.thread(tid), tid, ordinal))
+
+    def reach(_, nxt):
+        nonlocal c
+        c = nxt
+
+    run(comp, on_step=reach, on_local=take)
+    return keys
 
 
 @pytest.mark.parametrize("name", FULL_GRAPH_PROGRAMS)
@@ -612,18 +689,64 @@ def test_confluence_agrees_with_full_graph_check(name):
     report = check_confluence(comp)
     assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
     assert report.ok and not report.truncated
-    assert report.states == explore(comp).states
+    assert report.states == len(run(comp).events) + 1
 
 
-def test_confluence_rejects_steps_that_are_not_local():
+@pytest.mark.parametrize("name", corpus_names())
+def test_confluence_agrees_with_reduced_graph_check(name):
+    comp = load_core(name)
+    oracle = _reduced_graph_confluence(comp)
+    assert not oracle.truncated
+    report = check_confluence(comp)
+    assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
+    assert report.ok and not report.truncated
+
+
+@pytest.mark.parametrize("name", corpus_names() + sorted(EXTRA_PROGRAMS))
+def test_one_run_takes_every_local_step_of_the_graph(name):
+    # (B) of check_confluence: the keys one lowest-tid run takes are those
+    # of every runnable thread of the reduced graph and, where it fits the
+    # oracle budget, of the full one
+    comp = _load(name)
+    taken = _run_step_keys(comp)
+    for reduce in (True, False):
+        if not reduce and name in FULL_GRAPH_TOO_LARGE:
+            continue
+        _, steps_of, _, truncated = _state_graph(comp, 25_000, reduce=reduce)
+        assert not truncated
+        assert taken == _local_step_keys(steps_of), reduce
+
+
+def test_confluence_of_a_wide_fork_is_one_run():
+    # the reduced graph holds every interleaving of the 64 labelled steps,
+    # far beyond any state budget; the run takes each step once
+    text = "".join(f"let x{k} = node[s{k}](nil) in " for k in range(64)) + "stop()"
+    report = check_confluence(desugar(parse_comp(text)))
+    assert report.ok and not report.truncated, report.detail
+
+
+def test_confluence_rejects_steps_that_are_not_local(monkeypatch):
+    # every step of the root after its fork of 0.1 is replaced.  The root
+    # may change itself, fork its next child, 0.2, and wait.  The full-graph
+    # oracle checks confluence itself, which a step that writes a thread
+    # no other step reads does not break, so only the reduced-graph oracle
+    # has the messages of the gate
+    comp = desugar(parse_comp("fork(); stop()"))
     stop = desugar(parse_comp("stop()"))
-    c = Configuration((((), stop, frozenset()), ((1,), stop, frozenset())))
 
     def violation(*threads, waits=()):
-        local = machine._LocalOut(None, threads, frozenset(waits))
-        return _confluence_violation(c, [((), 2, local)], lambda _: [])
+        def change(out, state, tid):
+            if tid != () or state == comp:
+                return out
+            return machine._LocalOut(None, threads, frozenset(waits))
 
-    # the root may change itself and fork its next child, 0.2, and wait
+        with monkeypatch.context() as patch:
+            _mutate_local_steps(patch, change)
+            report = check_confluence(comp)
+            oracle = _reduced_graph_confluence(comp)
+        assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
+        return report.detail
+
     assert violation(((), FINISHED), ((2,), stop), waits={((1,), ())}) is None
     assert violation(((), FINISHED), ((1,), FINISHED)) == "step of 0 changes thread 0.1"
     assert violation(((), stop), ((3,), stop)) == "step of 0 changes thread 0.3"
@@ -672,7 +795,7 @@ REVERSED_WAIT_DETAIL = "prec pair (0.1,0.1.1) not justified by acting thread 0.1
 def test_confluence_rejects_reversed_waits(monkeypatch):
     _reverse_waits(monkeypatch)
     comp = load_core("nshape")
-    for report in (check_confluence(comp), _full_graph_confluence(comp)):
+    for report in _confluence_reports(comp):
         assert (report.ok, report.detail) == (False, REVERSED_WAIT_DETAIL)
 
 
@@ -712,7 +835,7 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch, which):
 
     _mutate_local_steps(monkeypatch, change)
     detail = "prec pair (0.1,0) not justified by acting thread 0.1"
-    for report in (check_confluence(comp), _full_graph_confluence(comp)):
+    for report in _confluence_reports(comp):
         assert (report.ok, report.detail) == (False, detail)
 
 
@@ -820,8 +943,7 @@ def test_long_print_chain_runs_out_of_fuel_not_stack():
 
 
 def test_long_print_chain_is_checked_without_exhausting_the_stack():
-    # the walk hashes the program children first, and every configuration
-    # after it is built on those hashed nodes
+    # the check is one run, which hashes no configuration and so no chain
     text = "".join(f"print[p{k}](); " for k in range(400)) + "stop()"
     report = check_confluence(desugar(parse_comp(text)))
     assert report.ok and not report.truncated
@@ -829,7 +951,7 @@ def test_long_print_chain_is_checked_without_exhausting_the_stack():
 
 def test_long_chain_after_a_spawn_is_checked_without_exhausting_the_stack():
     # ``t`` is used at the very end, so substituting it rebuilds the whole
-    # chain; the walk hashes each new thread state children first
+    # chain
     text = (
         "let t = node[s](nil) in "
         + "".join(f"print[p{k}](); " for k in range(400))

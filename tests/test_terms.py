@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynthreads.denote import act_labels
 from dynthreads.tids import ParamContext
 from dynthreads.terms import (
     Act,
@@ -19,6 +20,8 @@ from dynthreads.terms import (
     Wait,
     alpha_eq,
     axiom_schemas,
+    binders_of,
+    comp_vars,
     derived_node,
     free_params,
     parse_term,
@@ -249,6 +252,21 @@ def test_parse_print_term_file_round_trip():
     assert gamma == CompContext((("x", 1), ("y", 0)))
     assert delta == ParamContext(("a", "b"))
     assert free_params(term) == {"a"}
+
+
+def test_name_walks_handle_deep_fork_chains():
+    # each fork binds its name in its parent, where the chain goes on, so
+    # the hole at the bottom sees every name but ``z`` bound
+    depth = 2_000
+    term = Var("x", (tidset("b0", f"b{depth - 1}", "z"),))
+    for i in range(depth):
+        term = Fork(f"b{i}", term, Act(f"s{i}"))
+    assert free_params(term) == {"z"}
+    # beside the chain, a name it binds is free again
+    assert free_params(Fork("c", term, Wait(tidset("b7"), STOP))) == {"z", "b7"}
+    assert comp_vars(term) == {"x"}
+    assert binders_of(term) == {f"b{i}" for i in range(depth)}
+    assert act_labels(term) == {f"s{i}" for i in range(depth)}
 
 
 def test_one_name_rule_for_binders_headers_and_guards():

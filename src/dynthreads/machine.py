@@ -18,15 +18,21 @@ its wait pairs end at the acting thread.
 
 Observations: the labelled steps of a terminated run, ordered by the
 transitive closure of the final waiting relation, form a pomset (see
-:class:`dynthreads.posets.Pomset`).
+:class:`dynthreads.posets.Pomset`).  :func:`observation` closes the waits
+in one pass over the threads in the order they finished, with one bitmask
+per thread, since every thread finished after everything it waits for.
 
 A scheduled run (:func:`run`) follows one schedule and takes at most
 ``fuel`` steps; it computes only the local step it takes and renders
-nothing.  Its ``on_local`` hook sees each local step before it is applied
-and its ``on_step`` hook each step and the configuration it reached.  That
-is how :func:`check_confluence` checks the determinacy gate, how
-:func:`run_with_preservation` checks what each step wrote and how the
-command line prints trace lines.
+nothing.  It keeps its scheduler state across steps (the thread map, the
+finished threads, spawn counts, unfinished waits and the runnable threads
+in tid order), and a step updates only the entries it wrote and, when it
+finishes a thread, the threads waiting on it.  It builds a configuration
+for its end and for its ``on_step`` hook only.  That hook sees each step
+and the configuration it reached, and the ``on_local`` hook each local step
+before it is applied.  That is how :func:`check_confluence` checks the
+determinacy gate, how :func:`run_with_preservation` checks what each step
+wrote and how the command line prints trace lines.
 
 Exploration (:func:`explore`, :func:`run_exhaustive`) builds a
 partial-order-reduced schedule graph: in a configuration where some thread
@@ -64,12 +70,13 @@ steps of a run and the configurations of a walk or of a confluence check.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import inf
-from operator import itemgetter
-from typing import Callable, Iterable, Optional, Union
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .lang import (
     ApplyC,
@@ -99,7 +106,7 @@ from .lang import (
     tid_str,
     tids_of_value,
 )
-from .posets import Pomset, _close_pairs, label_paths
+from .posets import Pomset, label_paths
 
 
 class MachineError(Exception):
@@ -274,8 +281,9 @@ def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
     """The threads of ``c`` that can step, in tid order, each with its
     state, the set of threads it directly waits for and its next spawn
     ordinal.  A thread can step when it is unfinished, not holding a value,
-    and its set holds only finished threads.  Its local step is not
-    computed here: a run computes only the one it takes."""
+    and its set holds only finished threads.  Their local steps are not
+    computed here.  A scheduled run keeps this list itself as it steps
+    (:func:`run`); exploration asks for it once per configuration."""
     finished = frozenset(tid for tid, state, _ in c.threads if state == FINISHED)
     children = Counter(tid[:-1] for tid, _, _ in c.threads if tid)
     return [
@@ -285,22 +293,27 @@ def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
     ]
 
 
-def _apply(
-    c: Configuration, tid: Tid, waits: frozenset, local: _LocalOut
-) -> tuple[StepLabel, Configuration]:
-    """The global step of the runnable thread ``tid``, which directly waits
-    for ``waits`` and whose local step is ``local``: each thread the local
-    step wrote takes its new state and ``waits`` itself as its set (the
-    acting thread keeps its own, a spawned child starts with its parent's),
-    and each wait pair ``(b, a)`` of the step adds ``b`` to the set of
-    ``a``.  Every other entry is kept as it is."""
+def _apply(c: Configuration, tid: Tid, waits: frozenset, local: _LocalOut) -> tuple:
+    """The global step, ``(label, configuration)``, of the runnable thread
+    ``tid``, which directly waits for ``waits`` and whose local step is
+    ``local`` (see :func:`_write`)."""
     threads = {entry[0]: entry for entry in c.threads}
+    _write(threads, waits, local)
+    return StepLabel(tid, local.action), Configuration(tuple(sorted(threads.values())))
+
+
+def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
+    """Write a local step into the thread map ``threads`` (tid to entry) of
+    the acting thread, which directly waits for ``waits``: each thread the
+    local step wrote takes its new state and ``waits`` itself as its set
+    (the acting thread keeps its own, a spawned child starts with its
+    parent's), and each wait pair ``(b, a)`` of the step adds ``b`` to the
+    set of ``a``.  Every other entry is kept as it is."""
     for t, state in local.threads:
         threads[t] = (t, state, waits)
     for b, a in local.new_prec:
         t, state, before = threads[a]
         threads[a] = (t, state, before | {b})
-    return StepLabel(tid, local.action), Configuration(tuple(sorted(threads.values())))
 
 
 def _deadlock(c: Configuration) -> Deadlock:
@@ -325,26 +338,38 @@ class RunResult:
         return observation(self.events, self.terminal)
 
 
-def observation(events: Iterable[StepLabel], final: Configuration) -> Pomset:
+def observation(events: Sequence[StepLabel], final: Configuration) -> Pomset:
     """The pomset of a terminated run: labelled steps ordered by the
     transitive closure of the final waiting relation.
 
     The relation is closed before it is restricted to the acting threads:
     a silent thread can sit between two that act, as when a thread waits
-    for a child that waited for a printer and stopped.  The restriction of
-    the closure is closed and names only acting threads, and it is acyclic:
-    in a terminated run, ``b`` finished before ``a`` for every pair
-    ``(b, a)``, since ``a`` stepped again after writing it.  So the pomset
-    is built without a second closure."""
-    labelled = [e for e in events if e.action is not None]
-    labels = {tid_str(e.acting): e.action for e in labelled}
-    acting = {e.acting for e in labelled}
+    for a child that waited for a printer and stopped.  It is closed in one
+    pass over the threads in the order they finished, the order of their
+    last steps, because in a terminated run ``b`` finished before ``a`` for
+    every pair ``(b, a)``: either ``a`` wrote the pair by a wait of its own
+    and stepped again to finish, which it could do only once ``b`` had
+    finished, or it inherited the pair from its parent, which was runnable
+    when it forked ``a``, so ``b`` had finished before ``a`` existed.  Each
+    thread's down-set, a bitmask over that order, is thus the union over
+    its waits ``b`` of ``b`` and the down-set of ``b``, built before it.
+    The restriction to the acting threads is closed, and acyclic since the
+    order is, so the pomset is built without a second closure."""
+    last = {e.acting: i for i, e in enumerate(events)}
+    finishing = sorted(final.threads, key=lambda entry: last[entry[0]])
+    bit = {t: 1 << i for i, (t, _, _) in enumerate(finishing)}
+    closed: dict = {}  # each thread and the threads below it, as a mask
+    for a, _, waits in finishing:
+        closed[a] = reduce(or_, map(closed.__getitem__, waits), bit[a])
+    labels = {e.acting: e.action for e in events if e.action is not None}
+    names = {t: tid_str(t) for t in labels}
+    acting = sum(bit[t] for t in labels)
+    # bin(mask)[:1:-1] lists the bits of a mask lowest first
     order = frozenset(
-        (tid_str(b), tid_str(a))
-        for (b, a) in _close_pairs(final.prec)
-        if b in acting and a in acting
+        (names[finishing[i][0]], names[a]) for a in labels
+        for i, one in enumerate(bin((closed[a] ^ bit[a]) & acting)[:1:-1]) if one == "1"
     )
-    return Pomset(tuple(sorted(labels.items())), order)
+    return Pomset(tuple(sorted((names[t], label) for t, label in labels.items())), order)
 
 
 def run(
@@ -356,9 +381,8 @@ def run(
     on_local: Optional[Callable[[Tid, int, _LocalOut], None]] = None,
 ) -> RunResult:
     """Run to termination under one schedule: ``lowest-tid``, or
-    ``random`` with a seed, which chooses among the runnable threads
-    (:func:`_runnable`) listed in tid order, as :func:`enabled_steps` lists
-    their steps.
+    ``random`` with a seed, which chooses among the runnable threads listed
+    in tid order, as :func:`_runnable` and :func:`enabled_steps` list them.
 
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
@@ -367,7 +391,17 @@ def run(
     A terminal configuration reached within ``fuel`` steps ends the run;
     :class:`FuelExhausted` is raised only when a further step is needed
     after ``fuel`` steps, and :class:`Deadlock` when no thread can step
-    short of termination."""
+    short of termination.
+
+    The scheduler state lives across steps, and a step updates only the
+    entries it wrote (:func:`_write`) and, for a thread it finished, the
+    threads waiting on it: the thread map, the finished set, each thread's
+    spawn count, its unfinished waits with an index of who waits on whom,
+    and the runnable tids in tid order.  A configuration is built only for
+    the end of the run and for ``on_step``.  This relies on finished being
+    final, which every local step keeps by writing only its own thread and
+    a new child; a step that writes a finished thread raises
+    :class:`MachineError`."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     if policy == "lowest-tid":
@@ -378,24 +412,56 @@ def run(
         choose = random.Random(seed).choice
     else:
         raise MachineError(f"unknown policy {policy!r}")
-    c = Configuration.initial(comp)
+    threads = {(): ((), comp, frozenset())}
+    finished: set = set()
+    children: Counter = Counter()  # tid -> its spawn count
+    blocked = {(): set()}  # tid -> the threads it waits for that have not finished
+    waiters: dict = {}  # tid -> threads whose blocked set took it in
+    runnable = [] if isinstance(comp, Ret) else [()]  # sorted by tid
     events: list[StepLabel] = []
-    while True:
-        runnable = _runnable(c)
-        if not runnable:
-            if c.is_terminal():
-                return RunResult(c, tuple(events))
-            raise _deadlock(c)
+
+    def settle(t: Tid) -> None:
+        """List ``t`` as runnable, or not, from its state and blocked set."""
+        i = bisect_left(runnable, t)
+        if runnable[i : i + 1] == [t]:
+            del runnable[i]
+        if not blocked[t] and threads[t][1] != FINISHED and not isinstance(threads[t][1], Ret):
+            runnable.insert(i, t)
+
+    while runnable:
         if len(events) >= fuel:
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
-        tid, state, waits, ordinal = choose(runnable)
+        tid = choose(runnable)
+        _, state, waits = threads[tid]
+        ordinal = children[tid] + 1
         local = _local_step(state, tid, ordinal)
         if on_local is not None:
             on_local(tid, ordinal, local)
-        label, c = _apply(c, tid, waits, local)
-        events.append(label)
+        written = [t for t, _ in local.threads] + [a for _, a in local.new_prec]
+        for t in filter(finished.__contains__, written):
+            raise MachineError(f"step {len(events) + 1} writes finished thread {tid_str(t)}")
+        children.update(t[:-1] for t, _ in local.threads if t not in threads)
+        for t, new in local.threads:
+            blocked[t] = set()  # it takes the acting thread's waits, which have all finished
+            if new == FINISHED:
+                finished.add(t)
+                for w in waiters.pop(t, ()):
+                    blocked[w].discard(t)
+                    settle(w)
+        for b, a in local.new_prec:
+            if b not in finished:
+                blocked[a].add(b)
+                waiters.setdefault(b, set()).add(a)
+        _write(threads, waits, local)
+        for t in written:
+            settle(t)
+        events.append(StepLabel(tid, local.action))
         if on_step is not None:
-            on_step(label, c)
+            on_step(events[-1], Configuration(tuple(sorted(threads.values()))))
+    c = Configuration(tuple(sorted(threads.values())))
+    if not c.is_terminal():
+        raise _deadlock(c)
+    return RunResult(c, tuple(events))
 
 
 # --- exhaustive exploration ----------------------------------------------------------

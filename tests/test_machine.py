@@ -54,7 +54,7 @@ from dynthreads.machine import (
 )
 from dynthreads.posets import Pomset, _close_pairs
 
-from corpus import PROGRAMS_DIR, corpus_names, load_core
+from corpus import NESTED_WAIT, PROGRAMS_DIR, corpus_names, load_core
 
 
 def test_fork_spawns_child_with_path_naming():
@@ -369,13 +369,7 @@ FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
 # so the observed s1 < s2 holds only in the closure of ``prec``.  The
 # reduced walk always runs the root's wait first; the full graph (18
 # states) also records the two waits the other way round
-EXTRA_PROGRAMS = {
-    "nested_wait": (
-        "let y = fork() in case y of { inj1 a => wait(a); printstop[s2]() "
-        "| inj2 u => let z = fork() in case z of "
-        "{ inj1 b => wait(b); printstop[s3]() | inj2 v => printstop[s1]() } }"
-    ),
-}
+EXTRA_PROGRAMS = {"nested_wait": NESTED_WAIT}
 FULL_GRAPH_PROGRAMS = [
     n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE
 ] + sorted(EXTRA_PROGRAMS)
@@ -787,6 +781,35 @@ def _reverse_waits(monkeypatch) -> None:
         monkeypatch,
         lambda out, comp, tid: _with_new_prec(out, {(a, b) for b, a in out.new_prec}),
     )
+
+
+@pytest.mark.parametrize("write", ["state", "waits"])
+def test_run_rejects_a_step_that_writes_a_finished_thread(monkeypatch, write):
+    # every print also writes thread 0.1: it sets 0.1 finished, or makes it
+    # wait for the printer.  The print of s2 by 0.1.1 writes 0.1 before it
+    # has finished, which the run's bookkeeping follows; the print of s1
+    # comes after 0.1 finished, and finished must stay final
+    def change(out, comp, tid):
+        if out.action is None:
+            return out
+        if write == "state":
+            return machine._LocalOut(out.action, out.threads + (((1,), FINISHED),), out.new_prec)
+        return _with_new_prec(out, out.new_prec | {(tid, (1,))})
+
+    _mutate_local_steps(monkeypatch, change)
+    comp = load_core("ex21_wait_first")
+    message = f"step {21 if write == 'state' else 23} writes finished thread 0.1"
+    for policy, seed in SCHEDULES[:2]:
+        for attempt in (run, lambda comp, *schedule: run_with_preservation(comp, EMPTY, *schedule)):
+            with pytest.raises(MachineError) as raised:
+                attempt(comp, policy, seed)
+            assert str(raised.value) == message, (policy, seed)
+    # the gate's hook sees the first print before it is applied
+    detail = {
+        "state": "step of 0.1.1 changes thread 0.1",
+        "waits": "prec pair (0.1.1,0.1) not justified by acting thread 0.1.1",
+    }[write]
+    assert check_confluence(comp).detail == detail
 
 
 REVERSED_WAIT_DETAIL = "prec pair (0.1,0.1.1) not justified by acting thread 0.1"

@@ -47,15 +47,9 @@ from dynthreads.machine import (
     run_with_preservation,
 )
 
-from corpus import corpus_names, load_core
+from corpus import NESTED_WAIT, corpus_names, load_core
 
 SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
-
-NESTED_WAIT = (
-    "let y = fork() in case y of { inj1 a => wait(a); printstop[s2]() "
-    "| inj2 u => let z = fork() in case z of "
-    "{ inj1 b => wait(b); printstop[s3]() | inj2 v => printstop[s1]() } }"
-)
 
 
 def reference_run_with_preservation(comp, result_type, policy="lowest-tid", seed=None,

@@ -109,11 +109,13 @@ def cmd_run(args) -> int:
     if args.policy == "exhaustive":
         return _explore_report(core, args.fuel, args.format)
     trace: list[str] = []
-    on_step = None
+    on_local = None
     if args.format == "text":
-        def on_step(label, c):
-            trace.append(_trace_line(label, c.thread(label.acting)))
-    result = run(core, args.policy, args.seed, args.fuel, on_step)
+        # each line from the local step: the acting thread's new state is
+        # among the entries it writes, so no configuration is built
+        def on_local(tid, _ordinal, local):
+            trace.append(_trace_line(StepLabel(tid, local.action), dict(local.threads)[tid]))
+    result = run(core, args.policy, args.seed, args.fuel, on_local=on_local)
     if args.format == "json":
         print(_json(run_result_to_json(result, args.policy, args.seed)), end="")
     else:

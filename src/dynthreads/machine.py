@@ -351,25 +351,27 @@ def observation(events: Sequence[StepLabel], final: Configuration) -> Pomset:
     and stepped again to finish, which it could do only once ``b`` had
     finished, or it inherited the pair from its parent, which was runnable
     when it forked ``a``, so ``b`` had finished before ``a`` existed.  Each
-    thread's down-set, a bitmask over that order, is thus the union over
-    its waits ``b`` of ``b`` and the down-set of ``b``, built before it.
-    The restriction to the acting threads is closed, and acyclic since the
-    order is, so the pomset is built without a second closure."""
+    thread's down-set, a bitmask, is thus the union over its waits ``b`` of
+    ``b`` and the down-set of ``b``, built before it.  The acting threads
+    take the low bits in the order of their names, which is how the pomset
+    numbers its elements, so its masks are their down-sets cut to those
+    bits.  The restriction to the acting threads is closed, and acyclic
+    since the order is, so the pomset is built without a second closure."""
     last = {e.acting: i for i, e in enumerate(events)}
     finishing = sorted(final.threads, key=lambda entry: last[entry[0]])
-    bit = {t: 1 << i for i, (t, _, _) in enumerate(finishing)}
+    labels = {e.acting: e.action for e in events if e.action is not None}
+    names = {t: tid_str(t) for t in labels}
+    acting = sorted(labels, key=names.__getitem__)
+    silent = [t for t, _, _ in finishing if t not in labels]
+    bit = {t: 1 << i for i, t in enumerate(acting + silent)}
     closed: dict = {}  # each thread and the threads below it, as a mask
     for a, _, waits in finishing:
         closed[a] = reduce(or_, map(closed.__getitem__, waits), bit[a])
-    labels = {e.acting: e.action for e in events if e.action is not None}
-    names = {t: tid_str(t) for t in labels}
-    acting = sum(bit[t] for t in labels)
-    # bin(mask)[:1:-1] lists the bits of a mask lowest first
-    order = frozenset(
-        (names[finishing[i][0]], names[a]) for a in labels
-        for i, one in enumerate(bin((closed[a] ^ bit[a]) & acting)[:1:-1]) if one == "1"
+    cut = (1 << len(acting)) - 1
+    return Pomset(
+        tuple((names[t], labels[t]) for t in acting),
+        tuple((closed[t] & cut) ^ bit[t] for t in acting),
     )
-    return Pomset(tuple(sorted((names[t], label) for t, label in labels.items())), order)
 
 
 def run(

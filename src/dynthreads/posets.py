@@ -17,33 +17,44 @@ The module provides:
 * substitution of a poset for a hole;
 * JSON and DOT serialization, plus plain pomsets for run observations.
 
-Causal order is stored strict and transitively closed at all times, and
-hole visibility sets are kept downward-closed and containing their hole.
-The trusted constructor :func:`make_poset` closes the order it is given;
-:func:`_poset_from_closed` takes an order that is already closed.  Both
-down-close the visibility sets and check every reference.  The model
-operations (``op_stop``, ``op_act``, ``op_wait``, ``op_fork``, ``relabel``)
-use only the second: on well-formed arguments (inputs minimal, star
-maximal, order closed) each of them yields a closed order, as its
-docstring argues, so no operation closes again.
+Elements are numbered once per poset: inputs ``1..n`` at ``0..n-1``,
+then the vertices in id order, then star, which is the order of the
+references themselves.  The causal order is stored as one *down-set
+mask* per element, an int whose bit ``d`` is set when element ``d`` lies
+below it; the up-set masks are the transpose, derived once and cached,
+and the pair set ``order`` is a view derived on demand (for JSON, DOT and
+the tests).  Orders are kept strict and transitively closed, and hole
+visibility sets downward-closed and containing their hole.  The trusted
+constructor :func:`make_poset` closes the order it is given, as a
+Boolean matrix after Warshall; :func:`_poset_from_closed` takes an order
+that is already closed.  Both down-close the visibility sets and check
+every reference.  The model operations (``op_stop``, ``op_act``,
+``op_wait``, ``op_fork``, ``relabel``) use only the second: on
+well-formed arguments (inputs minimal, star maximal, order closed) each of
+them yields a closed order, as its docstring argues, so no operation
+closes again; they read and write the pair view.
 
 ``interp`` does not compose the model operations.  It gives the term the
-meaning their composition gives it, but builds each vertex's down-set once,
-in one walk over the term, and calls :func:`_poset_from_closed` once on the
-result; its docstring argues that the two agree.  The composition itself
-is kept as the test oracle.
+meaning their composition gives it, but builds each vertex's down-set
+mask once, in one walk over the term, and each mask it writes is closed:
+it is a union of masks that are closed already, as its docstring argues,
+so neither the order nor the visibility sets are closed again.  The
+composition itself is kept as the test oracle.
+
+Isomorphism works on the masks too: vertices are grouped by a signature
+of popcounts and bit fields, and the search checks each assignment with
+one mask comparison against the elements mapped so far.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, product
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Union
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .tids import ParamContext, Relation
 from .terms import (
@@ -141,12 +152,13 @@ class HoleLabel:
 
 @dataclass(frozen=True)
 class PosetWithHoles:
-    """A labelled poset with holes; ``order`` holds strict pairs."""
+    """A labelled poset with holes.  ``down[k]`` is the mask of the
+    elements below element ``k``, in the numbering of ``elements``."""
 
     n_inputs: int
     actions: tuple[tuple[int, str], ...]  # (vertex id, action label), sorted
     holes: tuple[tuple[int, HoleLabel], ...]  # (vertex id, label), sorted
-    order: frozenset  # frozenset[tuple[ElemRef, ElemRef]]
+    down: tuple[int, ...]
 
     @cached_property
     def action_map(self) -> dict[int, str]:
@@ -161,72 +173,139 @@ class PosetWithHoles:
         return frozenset(self.action_map) | frozenset(self.hole_map)
 
     @cached_property
-    def _neighbours(self) -> tuple[dict, dict]:
-        """The elements below and above each element, indexed in one pass
-        over ``order``."""
-        below: dict = {}
-        above: dict = {}
-        for d, f in self.order:
-            below.setdefault(f, set()).add(d)
-            above.setdefault(d, set()).add(f)
-        return (
-            {e: frozenset(s) for e, s in below.items()},
-            {e: frozenset(s) for e, s in above.items()},
-        )
+    def elements(self) -> tuple:
+        """Each element at its number: inputs, vertices by id, star."""
+        return _elements(self.n_inputs, self.vertex_ids)
 
     @cached_property
-    def _signatures(self) -> dict[int, tuple]:
-        """:func:`_vertex_signature` of every vertex."""
-        return {v: _vertex_signature(self, v) for v in self.vertex_ids}
+    def index(self) -> dict:
+        """The number of each element."""
+        return {e: k for k, e in enumerate(self.elements)}
+
+    @cached_property
+    def up(self) -> list[int]:
+        """The mask of the elements above each element."""
+        return _transpose(self.down)
+
+    @cached_property
+    def order(self) -> frozenset:
+        """The order as ``(below, above)`` pairs of references."""
+        elements = self.elements
+        return frozenset((elements[d], e) for e, m in zip(elements, self.down) for d in _bits(m))
+
+    @cached_property
+    def _slots(self) -> dict[int, tuple[int, ...]]:
+        """The visibility masks of each hole, by the hole's number."""
+        index = self.index
+        return {
+            index[Vert(vid)]: tuple(sum(1 << index[e] for e in slot) for slot in label.visibility)
+            for vid, label in self.holes
+        }
+
+    @cached_property
+    def _signature_groups(self) -> dict[tuple, list[int]]:
+        """The vertices grouped by an invariant that isomorphisms keep: the
+        label, the inputs and star below and above, the self-loop bit, how
+        many vertices lie below and above, and for a hole each slot's inputs
+        and star, whether it holds the hole and how many vertices it holds."""
+        fixed = _fixed(self.n_inputs, len(self.down))
+        groups: dict = {}
+        for k in range(self.n_inputs, len(self.down) - 1):
+            vid, d, u = self.elements[k].vid, self.down[k], self.up[k]
+            if vid in self.action_map:
+                head: tuple = ("act", self.action_map[vid])
+            else:
+                label = self.hole_map[vid]
+                head = ("hole", label.var, label.arity, tuple(
+                    (s & fixed, s >> k & 1, (s & ~fixed).bit_count()) for s in self._slots[k]
+                ))
+            key = (head, d & fixed, u & fixed, d >> k & 1,
+                   (d & ~fixed).bit_count(), (u & ~fixed).bit_count())
+            groups.setdefault(key, []).append(k)
+        return groups
+
+    @cached_property
+    def _relations(self) -> list[int]:
+        """Every relation of each element as one mask of ``len(down)``-bit
+        blocks: the elements below it, those above it, then for each slot
+        index the elements in that slot (of a hole) and the holes whose
+        slot holds the element."""
+        size = len(self.down)
+        rel = [d | u << size for d, u in zip(self.down, self.up)]
+        for h, masks in self._slots.items():
+            for i, slot in enumerate(masks):
+                shift = (2 + 2 * i) * size
+                rel[h] |= slot << shift
+                for e in _bits(slot):
+                    rel[e] |= 1 << (shift + size + h)
+        return rel
+
+    def _refs(self, mask: int) -> frozenset:
+        return frozenset(self.elements[b] for b in _bits(mask))
 
     def below(self, e: ElemRef) -> frozenset:
-        return self._neighbours[0].get(e, frozenset())
+        return self._refs(self.down[self.index[e]])
 
     def above(self, e: ElemRef) -> frozenset:
-        return self._neighbours[1].get(e, frozenset())
-
-    def validate_refs(self) -> None:
-        """Raise :class:`PosetError` on overlapping vertex ids and on
-        out-of-range, unknown or malformed references."""
-        if len(self.vertex_ids) != len(self.actions) + len(self.holes):
-            raise PosetError("action and hole vertex ids overlap")
-        refs = set(chain.from_iterable(self.order))
-        for _, label in self.holes:
-            refs.update(*label.visibility)
-        for e in refs:
-            self._check_ref(e)
-
-    def _check_ref(self, e: ElemRef) -> None:
-        match e:
-            case In(i):
-                if not 1 <= i <= self.n_inputs:
-                    raise PosetError(f"input {i} out of range 1..{self.n_inputs}")
-            case Vert(v):
-                if v not in self.vertex_ids:
-                    raise PosetError(f"unknown vertex id {v}")
-            case Star():
-                pass
-            case _:
-                raise PosetError(f"not an element reference: {e!r}")
+        return self._refs(self.up[self.index[e]])
 
 
-def _close_pairs(pairs: set) -> frozenset:
-    """Transitive closure of a set of strict pairs."""
-    succs: dict = {}
-    for a, b in pairs:
-        succs.setdefault(a, set()).add(b)
-    closed = set()
-    for start in list(succs):
-        seen: set = set()
-        stack = list(succs[start])
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(succs.get(x, ()))
-        closed.update((start, y) for y in seen)
-    return frozenset(closed)
+def _elements(n_inputs: int, vertex_ids: Iterable[int]) -> tuple:
+    return (*map(In, range(1, n_inputs + 1)), *map(Vert, sorted(vertex_ids)), STAR)
+
+
+def _fixed(n_inputs: int, size: int) -> int:
+    """The mask of the inputs and star, which isomorphisms fix."""
+    return (1 << n_inputs) - 1 | 1 << (size - 1)
+
+
+def _bits(mask: int) -> list[int]:
+    """The numbers of the set bits of a mask, lowest first: one bit at a
+    time when there are few, else read off the mask's binary string."""
+    if mask.bit_count() > 16:
+        return [i for i, one in enumerate(bin(mask)[:1:-1]) if one == "1"]
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _low(mask: int) -> int:
+    """The number of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _transpose(masks: Sequence[int]) -> list[int]:
+    """The masks of the converse relation: bit ``e`` of result ``d`` is
+    bit ``d`` of ``masks[e]``.  Each mask is written out as a string of
+    bits, lowest first, and the strings are read column by column."""
+    rows = [format(m, f"0{len(masks)}b")[::-1] for m in masks]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
+
+
+def _close(down: Sequence[int]) -> list[int]:
+    """The transitive closure of a relation given as down-masks, closed as
+    a Boolean matrix (Warshall 1962): for each element ``k`` in turn,
+    everything below ``k`` goes below each element that ``k`` is below."""
+    closed = list(down)
+    for k in range(len(closed)):
+        bit, row = 1 << k, closed[k]
+        if row:
+            for i, m in enumerate(closed):
+                if m & bit:
+                    closed[i] = m | row
+    return closed
+
+
+def _bad_ref(e, n_inputs: int) -> PosetError:
+    match e:
+        case In(i):
+            return PosetError(f"input {i} out of range 1..{n_inputs}")
+        case Vert(v):
+            return PosetError(f"unknown vertex id {v}")
+    return PosetError(f"not an element reference: {e!r}")
 
 
 def label_paths(start, successors: Callable) -> frozenset:
@@ -276,43 +355,20 @@ def make_poset(
     """Trusted constructor: closes the order transitively, then builds the
     poset as :func:`_poset_from_closed` does (visibility sets normalized to
     contain their hole and be downward-closed, references checked)."""
-    return _poset_from_closed(n_inputs, actions, holes, _close_pairs(set(order)))
+    return _from_pairs(n_inputs, actions, holes, order, close=True, normalize=True)
 
 
 def _poset_from_closed(
     n_inputs: int,
     actions: Mapping[int, str],
     holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
-    closed: frozenset,
+    closed: Iterable[tuple],
 ) -> PosetWithHoles:
     """:func:`make_poset` for an order the caller has already closed
     transitively: normalizes each visibility set to contain its hole and be
     downward-closed, and checks every reference, but does not close the
     order again."""
-    hole_entries = []
-    if holes:
-        below: dict = {}
-        for d, e in closed:
-            below.setdefault(e, set()).add(d)
-    for vid, label in holes.items():
-        if not isinstance(label, HoleLabel):
-            var, arity, slots = label
-            label = HoleLabel(var, arity, tuple(frozenset(s) for s in slots))
-        slots = []
-        for slot in label.visibility:
-            # ``below`` indexes the closed order, so one union is down-closed
-            members = set(slot) | {Vert(vid)}
-            slots.append(frozenset(members.union(*(below.get(m, ()) for m in members))))
-        hole_entries.append((vid, HoleLabel(label.var, label.arity, tuple(slots))))
-
-    poset = PosetWithHoles(
-        n_inputs,
-        tuple(sorted(actions.items())),
-        tuple(sorted(hole_entries)),
-        closed,
-    )
-    poset.validate_refs()
-    return poset
+    return _from_pairs(n_inputs, actions, holes, closed, close=False, normalize=True)
 
 
 def raw_poset(
@@ -322,14 +378,55 @@ def raw_poset(
     order: Iterable[tuple],
 ) -> PosetWithHoles:
     """Untrusted constructor: stores the data as given (for loading and for
-    deliberately ill-formed test posets)."""
+    deliberately ill-formed test posets), references checked."""
+    return _from_pairs(n_inputs, actions, holes, order, close=False, normalize=False)
+
+
+def _from_pairs(n_inputs, actions, holes, pairs, close: bool, normalize: bool) -> PosetWithHoles:
+    """The poset whose order holds the given pairs, closed if ``close``;
+    with ``normalize``, each visibility set takes its hole and everything
+    below its members."""
+    if set(actions) & set(holes):
+        raise PosetError("action and hole vertex ids overlap")
+    elements = _elements(n_inputs, chain(actions, holes))
+    index = {e: k for k, e in enumerate(elements)}
+
+    def position(e) -> int:
+        k = index.get(e) if isinstance(e, _Ref) else None
+        if k is None:
+            raise _bad_ref(e, n_inputs)
+        return k
+
+    down = [0] * len(elements)
+    for d, e in pairs:
+        down[position(e)] |= 1 << position(d)
+    if close:
+        down = _close(down)
+    masked = {}
+    for vid, label in holes.items():
+        var, arity, slots = (
+            (label.var, label.arity, label.visibility) if isinstance(label, HoleLabel) else label
+        )
+        masks = [reduce(or_, (1 << position(e) for e in slot), 0) for slot in slots]
+        if normalize:
+            # the order is closed, so one union is down-closed
+            masks = [m | 1 << index[Vert(vid)] for m in masks]
+            masks = [reduce(or_, map(down.__getitem__, _bits(m)), m) for m in masks]
+        masked[vid] = (var, arity, masks)
+    return _assemble(n_inputs, actions, masked, down, elements)
+
+
+def _assemble(n_inputs, actions, holes, down, elements) -> PosetWithHoles:
+    """The poset with the given order masks; ``holes`` maps each hole to
+    ``(var, arity, slot masks)``."""
+    labels = {
+        vid: HoleLabel(var, arity, tuple(frozenset(elements[b] for b in _bits(m)) for m in masks))
+        for vid, (var, arity, masks) in holes.items()
+    }
     poset = PosetWithHoles(
-        n_inputs,
-        tuple(sorted(actions.items())),
-        tuple(sorted(holes.items())),
-        frozenset(order),
+        n_inputs, tuple(sorted(actions.items())), tuple(sorted(labels.items())), tuple(down)
     )
-    poset.validate_refs()
+    object.__setattr__(poset, "elements", elements)  # the cached numbering
     return poset
 
 
@@ -351,45 +448,45 @@ def check_well_formed(p: PosetWithHoles) -> Optional[str]:
 
     Where a condition fails at several places, the witness named is the
     least one in reference order, so the message does not depend on how
-    sets happen to iterate.
+    sets happen to iterate.  Antisymmetry needs no check of its own: in an
+    irreflexive closed order, ``a < b < a`` would put ``a`` below itself.
     """
-    p.validate_refs()
-    order = p.order
-    loops = [d for d, e in order if d == e]
+    elements, down = p.elements, p.down
+    star = len(down) - 1
+    loops = [k for k, m in enumerate(down) if m >> k & 1]
     if loops:
-        return f"order is reflexive at {min(loops)}"
-    gaps = [(a, b, c) for a, b in order for c in p.above(b) if (a, c) not in order]
+        return f"order is reflexive at {elements[loops[0]]}"
+    # for each b < c, the least a < b that is not below c
+    gaps = [(_low(m), b, c) for c, mc in enumerate(down) for b in _bits(mc) if (m := down[b] & ~mc)]
     if gaps:
-        a, b, c = min(gaps)
+        a, b, c = (elements[k] for k in min(gaps))
         return f"order not transitively closed: {a} < {b} < {c}"
-    cycles = [(a, b) for a, b in order if (b, a) in order]
-    if cycles:
-        a, b = min(cycles)
-        return f"order not antisymmetric: {a} and {b}"
-    raised = [e.index for _, e in order if isinstance(e, In)]
+    raised = [k + 1 for k in range(p.n_inputs) if down[k]]
     if raised:
-        return f"input {min(raised)} is not minimal"
-    if any(isinstance(d, Star) for d, _ in order):
+        return f"input {raised[0]} is not minimal"
+    if reduce(or_, down) >> star & 1:
         return "star is not maximal"
-    for vid, label in p.holes:
-        hole = Vert(vid)
-        for i, slot in enumerate(label.visibility, start=1):
-            if hole not in slot:
-                return f"hole {label.var}(vertex {vid}) slot {i} misses the hole itself"
-            if STAR in slot:
-                return f"hole {label.var}(vertex {vid}) slot {i} contains star"
-            open_below = [m for m in slot if not p.below(m) <= slot]
+    combined = list(down)
+    for (vid, label), (h, slots) in zip(p.holes, p._slots.items()):
+        for i, slot in enumerate(slots, start=1):
+            where = f"hole {label.var}(vertex {vid}) slot {i}"
+            if not slot >> h & 1:
+                return f"{where} misses the hole itself"
+            if slot >> star & 1:
+                return f"{where} contains star"
+            open_below = [m for m in _bits(slot) if down[m] & ~slot]
             if open_below:
-                missing = p.below(min(open_below)) - slot
-                return (
-                    f"hole {label.var}(vertex {vid}) slot {i} not downward-closed: "
-                    f"misses {sorted(missing)}"
-                )
-    combined = _close_pairs(set(order) | set(visibility_relation(p)))
-    cycles = [(a, b) for a, b in combined if a != b and (b, a) in combined]
-    if cycles:
-        a, b = min(cycles)
-        return f"visibility and order form a cycle through {a} and {b}"
+                missing = p._refs(down[open_below[0]] & ~slot)
+                return f"{where} not downward-closed: misses {sorted(missing)}"
+            combined[h] |= slot & ~(1 << h)
+    # with no pair from an element to itself, an element below itself in
+    # the closure lies on a cycle through some other element
+    closed = _close(combined)
+    cyclic = [k for k, m in enumerate(closed) if m >> k & 1]
+    if cyclic:
+        a = cyclic[0]
+        b = _low(closed[a] & _transpose(closed)[a] & ~(1 << a))
+        return f"visibility and order form a cycle through {elements[a]} and {elements[b]}"
     return None
 
 
@@ -401,30 +498,6 @@ def require_well_formed(p: PosetWithHoles) -> PosetWithHoles:
 
 
 # --- isomorphism ------------------------------------------------------------
-
-def _vertex_signature(p: PosetWithHoles, vid: int) -> tuple:
-    ref = Vert(vid)
-    below = p.below(ref)
-    above = p.above(ref)
-    inputs_below = frozenset(e.index for e in below if isinstance(e, In))
-    below_star = ref in p.below(STAR)
-    if vid in p.action_map:
-        head: tuple = ("act", p.action_map[vid])
-        slots_profile: tuple = ()
-    else:
-        label = p.hole_map[vid]
-        head = ("hole", label.var, label.arity)
-        slots_profile = tuple(
-            (
-                frozenset(e.index for e in slot if isinstance(e, In)),
-                sum(1 for e in slot if isinstance(e, Vert)),
-            )
-            for slot in label.visibility
-        )
-    n_vert_below = sum(1 for e in below if isinstance(e, Vert))
-    n_vert_above = sum(1 for e in above if isinstance(e, Vert))
-    return (head, inputs_below, below_star, n_vert_below, n_vert_above, slots_profile)
-
 
 def iso_quick_reject(p: PosetWithHoles, q: PosetWithHoles) -> Optional[str]:
     """Cheap invariant comparison; a message means definitely not isomorphic."""
@@ -438,13 +511,18 @@ def iso_quick_reject(p: PosetWithHoles, q: PosetWithHoles) -> Optional[str]:
     qh = sorted((h.var, h.arity) for _, h in q.holes)
     if ph != qh:
         return f"hole label multisets differ: {ph} vs {qh}"
-    if len(p.order) != len(q.order):
-        return f"order sizes differ: {len(p.order)} vs {len(q.order)}"
-    p_fixed = {(d, e) for (d, e) in p.order if not isinstance(d, Vert) and not isinstance(e, Vert)}
-    q_fixed = {(d, e) for (d, e) in q.order if not isinstance(d, Vert) and not isinstance(e, Vert)}
+    p_size, q_size = (sum(m.bit_count() for m in r.down) for r in (p, q))
+    if p_size != q_size:
+        return f"order sizes differ: {p_size} vs {q_size}"
+    # equal label multisets give equal sizes, so inputs and star sit at
+    # the same numbers in both
+    size = len(p.down)
+    fixed = _fixed(p.n_inputs, size)
+    p_fixed, q_fixed = ([r.down[k] & fixed for k in _bits(fixed)] for r in (p, q))
     if p_fixed != q_fixed:
         return "order between inputs and star differs"
-    if Counter(p._signatures.values()) != Counter(q._signatures.values()):
+    p_sig, q_sig = ({key: len(g) for key, g in r._signature_groups.items()} for r in (p, q))
+    if p_sig != q_sig:
         return "vertex invariant signatures differ"
     return None
 
@@ -463,66 +541,60 @@ def iso_check(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
 
 def _iso_search(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
     """The backtracking search of :func:`iso_check`, for a pair that
-    :func:`iso_quick_reject` has passed."""
-    p_sig = p._signatures
-    q_sig = q._signatures
-    candidates = {
-        v: [w for w in q.vertex_ids if q_sig[w] == p_sig[v]] for v in p.vertex_ids
-    }
-    if any(not c for c in candidates.values()):
-        return None
-    todo = sorted(candidates, key=lambda v: (len(candidates[v]), v))
+    :func:`iso_quick_reject` has passed, with an explicit stack.
 
-    p_order = p.order
-    q_order = q.order
-    p_less, q_less = (
-        {(d.vid, e.vid) for d, e in r.order if isinstance(d, Vert) and isinstance(e, Vert)}
-        for r in (p, q)
-    )
-
-    def consistent(v: int, w: int, mapping: dict[int, int]) -> bool:
-        for u, x in mapping.items():
-            if ((u, v) in p_less) != ((x, w) in q_less):
-                return False
-            if ((v, u) in p_less) != ((w, x) in q_less):
-                return False
-        return True
-
-    def translate(e: ElemRef, mapping: dict[int, int]) -> ElemRef:
-        return Vert(mapping[e.vid]) if isinstance(e, Vert) else e
-
-    def full_check(mapping: dict[int, int]) -> bool:
-        image = {(translate(d, mapping), translate(e, mapping)) for (d, e) in p_order}
-        if image != set(q_order):
-            return False
-        for vid, label in p.holes:
-            other = q.hole_map[mapping[vid]]
-            if (label.var, label.arity) != (other.var, other.arity):
-                return False
-            for slot, oslot in zip(label.visibility, other.visibility):
-                if {translate(e, mapping) for e in slot} != set(oslot):
-                    return False
-        return True
-
-    used: set[int] = set()
+    The vertices of ``p`` are taken fewest candidates first, a vertex's
+    candidates being the vertices of ``q`` with its signature; inputs and
+    star are mapped to themselves from the start.  An unused candidate
+    ``w`` of ``v`` is taken when ``v`` and ``w`` stand in the same
+    relations (order both ways, each slot both ways, see ``_relations``)
+    to every element mapped so far and its image.  That relation of ``v``
+    is one mask, whose image is computed once per position, so each
+    candidate costs one comparison.  Every pair of distinct elements is
+    thus checked once the later of the two is mapped.  A vertex's pairs
+    with itself follow, because its signature counts the vertices below
+    and above it and in each slot, itself included (the self-loop bits
+    only prune earlier).  So a full mapping is an isomorphism with no
+    check at the end."""
+    groups = q._signature_groups
+    todo = sorted((len(groups.get(key, ())), v, groups.get(key, []))
+                  for key, vs in p._signature_groups.items() for v in vs)
+    size = len(p.down)
+    blocks = 2 + 2 * max((label.arity for _, label in p.holes), default=0)
+    spread = sum(1 << (b * size) for b in range(blocks))  # one bit in each block
+    seen_p = seen_q = _fixed(p.n_inputs, size) * spread
+    image = [1 << b for b in range(blocks * size)]  # bit of p's masks -> bit of q's
+    p_rel, q_rel = p._relations, q._relations
     mapping: dict[int, int] = {}
-
-    def search(k: int) -> bool:
-        if k == len(todo):
-            return full_check(mapping)
-        v = todo[k]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w, mapping):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if search(k + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if search(0) else None
+    tried = [0] * len(todo)
+    expected = [0] * len(todo)
+    k, fresh = 0, True
+    while k < len(todo):
+        _, v, candidates = todo[k]
+        if fresh:
+            expected[k] = sum(image[b] for b in _bits(p_rel[v] & seen_p))
+            tried[k] = 0
+        i = tried[k]
+        while i < len(candidates) and (
+            seen_q >> candidates[i] & 1 or q_rel[candidates[i]] & seen_q != expected[k]
+        ):
+            i += 1
+        if i == len(candidates):
+            if k == 0:
+                return None
+            k, fresh = k - 1, False
+            v = todo[k][1]
+            seen_p ^= spread << v
+            seen_q ^= spread << mapping.pop(v)
+            continue
+        w = candidates[i]
+        tried[k], mapping[v] = i + 1, w
+        seen_p |= spread << v
+        seen_q |= spread << w
+        for b in range(0, blocks * size, size):
+            image[b + v] = 1 << (b + w)
+        k, fresh = k + 1, True
+    return {p.elements[v].vid: q.elements[w].vid for v, w in mapping.items()}
 
 
 # --- functorial action and model operations ---------------------------------
@@ -644,11 +716,12 @@ def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
 def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHoles:
     """Interpret a term as a labelled poset over ``len(delta)`` inputs.
 
-    One walk over the term gives every vertex its down-set directly.  It
-    carries ``below``, the down-set of the current point (the waits above
-    it), and ``done``, the down-set of each thread name's completion:
-    ``{In(i)}`` for input ``i``, and for a fork binder the completion that
-    its child's walk returned.
+    One walk over the term gives every vertex its down-set mask directly.
+    Elements are numbered as :class:`PosetWithHoles` numbers them, vertex
+    ``v`` at ``n + v - 1``.  The walk carries ``below``, the down-set of
+    the current point (the waits above it), and ``done``, the down-set of
+    each thread name's completion: input ``i`` alone for input ``i``, and
+    for a fork binder the completion that its child's walk returned.
 
     * ``wait(E, t)`` walks ``t`` with ``below`` joined with ``done[x]``
       for each ``x`` in ``E``;
@@ -665,34 +738,39 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
     first, so it meets the vertices in decreasing order of their numbers
     and counts down from the number of actions and holes in the term.
 
-    Each down-set is closed, as ``below`` and every completion are unions
-    of down-sets, built up from the empty set and from minimal inputs.
-    Each down-set also equals the one the model operations compose.
-    ``op_wait`` then ``relabel`` put the guard's inputs below everything
-    under the wait, which is joining ``done[a]`` into ``below`` for an
-    input ``a``.  ``op_fork`` puts everything below the child's star under
-    everything above the consumed input, which is joining ``done[b]`` for
-    the binder ``b``.  The child is interpreted over the fork's own inputs,
-    so every wait around the fork lies below the child's vertices too: the
-    child inherits ``below``.  :func:`_poset_from_closed` runs once on the
-    result, closing slots downwards and checking every reference.
+    Each mask the walk writes is closed, so nothing is closed afterwards.
+    ``below`` and every completion are unions of closed sets, built up
+    from the empty set and from minimal inputs, and a vertex joins
+    ``below`` only with its own down-set, which is ``below`` itself.  A
+    slot is such a union too: the hole, its down-set ``below``, and
+    completions.  Each down-set also equals the one the model operations
+    compose.  ``op_wait`` then ``relabel`` put the guard's inputs below
+    everything under the wait, which is joining ``done[a]`` into ``below``
+    for an input ``a``.  ``op_fork`` puts everything below the child's star
+    under everything above the consumed input, which is joining ``done[b]``
+    for the binder ``b``.  The child is interpreted over the fork's own
+    inputs, so every wait around the fork lies below the child's vertices
+    too: the child inherits ``below``.  Every reference is made here, so
+    none is checked.
 
     The walk, the count and :func:`scope_check` use explicit stacks, so
     term depth is not bounded by the recursion limit.
     """
     scope_check(term, gamma, delta)
+    n = len(delta)
     actions: dict = {}
     holes: dict = {}
-    downs: list = []  # (element, its down-set) for each vertex and star
+    vid = _leaf_count(term)
+    down = [0] * (n + vid + 1)
     # scope_check rejects a binder that shadows a name in scope, so nothing
     # walked inside a binder's scope rebinds it: one map serves every thread
-    done = {name: frozenset({In(i)}) for i, name in enumerate(delta.names, start=1)}
+    done = {name: 1 << i for i, name in enumerate(delta.names)}
     forks: list = []  # forks whose child is being walked, parent still to go
-    t, below, vid = term, frozenset(), _leaf_count(term)
+    t, below = term, 0
     while True:
         match t:
             case Wait(guard, cont):
-                below = below.union(*(done[x] for x in guard))
+                below = reduce(or_, map(done.__getitem__, guard), below)
                 t = cont
                 continue
             case Fork(binder, parent, child):
@@ -702,20 +780,18 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
             case Act(label):
                 actions[vid] = label
             case Var(name, args):
-                slots = [below.union(*(done[x] for x in u), (Vert(vid),)) for u in args]
-                holes[vid] = (name, len(args), slots)
+                own = below | 1 << (n + vid - 1)
+                holes[vid] = (name, len(args), [reduce(or_, map(done.__getitem__, u), own) for u in args])
         if not isinstance(t, Stop):
-            v = Vert(vid)
-            downs.append((v, below))
-            below = below | {v}
+            down[n + vid - 1] = below
+            below |= 1 << (n + vid - 1)
             vid -= 1
         if not forks:
             break
         binder, t, parent_below = forks.pop()
         done[binder], below = below, parent_below
-    downs.append((STAR, below))
-    order = frozenset((d, e) for e, down in downs for d in down)
-    return _poset_from_closed(len(delta), actions, holes, order)
+    down[-1] = below
+    return _assemble(n, actions, holes, down, _elements(n, range(1, len(down) - n)))
 
 
 def _leaf_count(term: Term) -> int:
@@ -810,63 +886,50 @@ def reify(p: PosetWithHoles) -> NormalForm:
     guard lies below it in the closed ``order``, so every vertex of it has
     been emitted."""
     require_well_formed(p)
+    n, elements, down, slots = p.n_inputs, p.elements, p.down, p._slots
+    star = len(down) - 1
+    vertices = (1 << star) - (1 << n)
     # direct predecessors suffice for a topological order; ``order`` is closed
-    waiting = {Vert(v): 0 for v in p.vertex_ids}
-    successors: dict = {}
-    for d, e in p.order | visibility_relation(p):
-        if e in waiting and isinstance(d, Vert) and d != e:
-            waiting[e] += 1
-            successors.setdefault(d, []).append(e)
+    before = [
+        (m | reduce(or_, slots.get(k, ()), 0)) & vertices & ~(1 << k) for k, m in enumerate(down)
+    ]
+    after = _transpose(before)
+    waiting = {k: before[k].bit_count() for k in range(n, star)}
+    index: dict[int, int] = {}
 
-    index: dict[ElemRef, int] = {}
+    def translate(mask: int) -> frozenset:
+        return frozenset(In(b + 1) if b < n else Bnd(index[b]) for b in _bits(mask))
 
-    def translate(refs: Iterable[ElemRef]) -> frozenset:
-        out = set()
-        for e in refs:
-            if isinstance(e, In):
-                out.add(e)
-            else:
-                out.add(Bnd(index[e]))
-        return frozenset(out)
-
-    def guard_of(v: ElemRef) -> frozenset:
-        return translate(d for d in p.below(v) if not isinstance(d, Star))
-
-    def entry(v: ElemRef) -> tuple:
-        vid = v.vid
+    def entry(k: int) -> tuple:
+        vid = elements[k].vid
         if vid in p.action_map:
             head = (0, p.action_map[vid], 0)
         else:
             label = p.hole_map[vid]
             head = (1, label.var, label.arity)
-        guard = guard_of(v)
-        return (head, sorted(map(_nf_ref_str, guard)), vid, guard)
+        guard = translate(down[k])
+        return (head, sorted(map(_nf_ref_str, guard)), vid, k, guard)
 
-    ready = [entry(v) for v, count in waiting.items() if count == 0]
+    ready = [entry(k) for k, count in waiting.items() if count == 0]
     heapq.heapify(ready)
     children: list[NfChild] = []
     while ready:
-        _, _, vid, guard = heapq.heappop(ready)
-        v = Vert(vid)
-        index[v] = len(children) + 1
+        _, _, vid, k, guard = heapq.heappop(ready)
+        index[k] = len(children) + 1
         if vid in p.action_map:
             body: Union[NfAct, NfVarApp] = NfAct(p.action_map[vid])
         else:
             label = p.hole_map[vid]
-            body = NfVarApp(
-                label.var,
-                tuple(translate(slot - {v}) for slot in label.visibility),
-            )
+            body = NfVarApp(label.var, tuple(translate(m & ~(1 << k)) for m in slots[k]))
         children.append(NfChild(guard, body))
-        for w in successors.get(v, ()):
+        for w in _bits(after[k] & vertices):
             waiting[w] -= 1
             if not waiting[w]:
                 heapq.heappush(ready, entry(w))
     if len(children) < len(waiting):
         raise IllFormed("cannot linearize: visibility and order form a cycle")
 
-    final_guard = translate(d for d in p.below(STAR))
-    nf = NormalForm(p.n_inputs, tuple(children), final_guard)
+    nf = NormalForm(n, tuple(children), translate(down[star]))
     bad = nf.check_closure()
     if bad:
         raise IllFormed(f"reified normal form breaks closure: {bad}")
@@ -1007,10 +1070,12 @@ def poset_subst(
 
 @dataclass(frozen=True)
 class Pomset:
-    """A plain labelled poset: elements with labels and a strict order."""
+    """A plain labelled poset: elements with labels, numbered in the order
+    of ``labels``, and a strict, transitively closed order held as the mask
+    of the elements below each element."""
 
     labels: tuple[tuple[str, str], ...]  # (element, label), sorted
-    order: frozenset  # frozenset[tuple[str, str]] strict, transitively closed
+    down: tuple[int, ...]
 
     @cached_property
     def label_map(self) -> dict[str, str]:
@@ -1020,29 +1085,37 @@ class Pomset:
     def element_ids(self) -> frozenset[str]:
         return frozenset(self.label_map)
 
+    @cached_property
+    def order(self) -> frozenset:  # frozenset[tuple[str, str]]
+        ids = [e for e, _ in self.labels]
+        return frozenset((ids[d], e) for e, m in zip(ids, self.down) for d in _bits(m))
+
     @staticmethod
     def of(labels: Mapping[str, str], order: Iterable[tuple[str, str]]) -> "Pomset":
-        closed = _close_pairs(set(order))
-        for a, b in closed:
-            if a == b:
-                raise PosetError(f"pomset order has a cycle at {a}")
-        known = set(labels)
-        for a, b in closed:
-            if a not in known or b not in known:
+        ids = sorted(labels)
+        index = {e: k for k, e in enumerate(ids)}
+        down = [0] * len(ids)
+        for a, b in order:
+            if a not in index or b not in index:
                 raise PosetError(f"order pair ({a},{b}) mentions unknown elements")
-        return Pomset(tuple(sorted(labels.items())), closed)
+            down[index[b]] |= 1 << index[a]
+        return Pomset._closed(tuple((e, labels[e]) for e in ids), down)
+
+    @staticmethod
+    def _closed(labels: tuple, down: list[int]) -> "Pomset":
+        """The pomset of the closure of ``down``; a cycle is an error."""
+        closed = _close(down)
+        loops = [k for k, m in enumerate(closed) if m >> k & 1]
+        if loops:
+            raise PosetError(f"pomset order has a cycle at {labels[loops[0]][0]}")
+        return Pomset(labels, tuple(closed))
 
     @cached_property
     def _as_poset(self) -> PosetWithHoles:
         """This pomset as a hole-free poset with 0 inputs, its elements
         numbered 1, 2, ... in sorted id order (the order of ``labels``)."""
-        vert = {e: Vert(i) for i, (e, _) in enumerate(self.labels, start=1)}
-        return PosetWithHoles(
-            0,
-            tuple((vert[e].vid, label) for e, label in self.labels),
-            (),
-            frozenset((vert[a], vert[b]) for a, b in self.order),
-        )
+        actions = tuple((k, label) for k, (_, label) in enumerate(self.labels, start=1))
+        return PosetWithHoles(0, actions, (), self.down + (0,))
 
     def iso_to(self, other: "Pomset") -> Optional[dict[str, str]]:
         """A label- and order-preserving bijection onto ``other``, or
@@ -1059,18 +1132,16 @@ class Pomset:
         """All label sequences compatible with the order: the label paths
         up the lattice of down-sets, from the empty one to the whole
         pomset, each step adding one element whose predecessors are in."""
-        preds: dict[str, set[str]] = {e: set() for e in self.element_ids}
-        for d, f in self.order:
-            preds[f].add(d)
+        elements = [(1 << k, m, label) for k, (m, (_, label)) in enumerate(zip(self.down, self.labels))]
 
-        def successors(taken: frozenset) -> list:
+        def successors(taken: int) -> list:
             return [
-                (self.label_map[e], taken | {e})
-                for e, below in preds.items()
-                if e not in taken and below <= taken
+                (label, taken | bit)
+                for bit, below, label in elements
+                if not taken & bit and not below & ~taken
             ]
 
-        return label_paths(frozenset(), successors)
+        return label_paths(0, successors)
 
     def to_json(self) -> dict:
         return {
@@ -1084,16 +1155,15 @@ class Pomset:
 
 def erase_star(p: PosetWithHoles) -> Pomset:
     """Forget the main-thread marker: the closed, hole-free poset without
-    star and its incident pairs."""
+    star and its incident pairs, its elements renumbered by their ids as
+    strings."""
     if p.n_inputs != 0 or p.holes:
         raise PosetError("erase_star needs a closed poset without holes")
-    labels = {str(v): label for v, label in p.actions}
-    order = {
-        (str(d.vid), str(e.vid))
-        for (d, e) in p.order
-        if isinstance(d, Vert) and isinstance(e, Vert)
-    }
-    return Pomset.of(labels, order)
+    ids = [str(v) for v, _ in p.actions]
+    ranked = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = {k: r for r, k in enumerate(ranked)}
+    down = [sum(1 << rank[d] for d in _bits(p.down[k]) if d in rank) for k in ranked]
+    return Pomset._closed(tuple((ids[k], p.actions[k][1]) for k in ranked), down)
 
 
 # --- serialization --------------------------------------------------------------
@@ -1169,15 +1239,11 @@ def poset_to_json_text(p: PosetWithHoles) -> str:
     return json.dumps(poset_to_json(p), indent=2, sort_keys=True) + "\n"
 
 
-def covering_pairs(order: frozenset) -> set:
-    """The Hasse diagram of a transitively closed strict order."""
-    order_set = set(order)
-    members = {a for a, _ in order_set} | {b for _, b in order_set}
-    return {
-        (a, b)
-        for (a, b) in order_set
-        if not any((a, c) in order_set and (c, b) in order_set for c in members)
-    }
+def covering_pairs(down: Sequence[int]) -> list[int]:
+    """The Hasse diagram of a transitively closed strict order given as
+    down-masks: for each element, the mask of the elements it covers, those
+    below it and below nothing else below it."""
+    return [m & ~reduce(or_, map(down.__getitem__, _bits(m)), 0) for m in down]
 
 
 def poset_to_dot(p: PosetWithHoles) -> str:
@@ -1201,8 +1267,10 @@ def poset_to_dot(p: PosetWithHoles) -> str:
     for vid, label in p.holes:
         lines.append(f'  v{vid} [shape=diamond, label="{label.var}:{label.arity}"];')
     lines.append('  star [shape=point, style=filled, label=""];')
-    for d, e in sorted(covering_pairs(p.order)):
-        lines.append(f"  {node_id(d)} -> {node_id(e)};")
+    elements = p.elements
+    covers = sorted((d, e) for e, m in enumerate(covering_pairs(p.down)) for d in _bits(m))
+    for d, e in covers:
+        lines.append(f"  {node_id(elements[d])} -> {node_id(elements[e])};")
     for vid, label in p.holes:
         seen = set()
         for slot in label.visibility:

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from dynthreads.cli import main
+from dynthreads import machine
+from dynthreads.cli import _pomset_text, _trace_line, main
+from dynthreads.machine import DEFAULT_BUDGET, Configuration, run
 
-from corpus import PROGRAMS_DIR
+from corpus import PROGRAMS_DIR, corpus_names, load_core
 
 
 def _write(tmp_path: Path, name: str, text: str) -> str:
@@ -111,6 +113,35 @@ def test_run_trace_text(capsys):
 def test_run_records_trace_lines(capsys):
     assert main(["run", str(PROGRAMS_DIR / "printstop_single.prog")]) == 0
     assert capsys.readouterr().out == "0 s1 -> finished\npomset:\nevents: 1\n  0: s1\n"
+
+
+def test_run_trace_from_local_steps_matches_the_configurations(capsys):
+    # the text trace is built from each local step; rendered from the
+    # configuration each step reached instead, it reads the same
+    for name in corpus_names():
+        for policy, seed in [("lowest-tid", None)] + [("random", s) for s in (1, 2, 3)]:
+            argv = ["run", str(PROGRAMS_DIR / f"{name}.prog"), "--policy", policy]
+            assert main(argv + (["--seed", str(seed)] if seed else [])) == 0
+            trace: list[str] = []
+            result = run(
+                load_core(name), policy, seed, DEFAULT_BUDGET,
+                on_step=lambda label, c: trace.append(_trace_line(label, c.thread(label.acting))),
+            )
+            expected = "\n".join(trace + ["pomset:"] + _pomset_text(result.pomset)) + "\n"
+            assert capsys.readouterr().out == expected, (name, policy, seed)
+
+
+def test_run_trace_builds_only_the_terminal_configuration(monkeypatch, capsys):
+    built = []
+
+    def counted(threads):
+        built.append(threads)
+        return Configuration(threads)
+
+    monkeypatch.setattr(machine, "Configuration", counted)
+    assert main(["run", str(PROGRAMS_DIR / "series.prog")]) == 0
+    assert "pomset:" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["run", "adequacy"])

@@ -52,9 +52,10 @@ from dynthreads.machine import (
     run_result_to_json,
     run_with_preservation,
 )
-from dynthreads.posets import Pomset, _close_pairs
+from dynthreads.posets import Pomset
 
 from corpus import NESTED_WAIT, PROGRAMS_DIR, corpus_names, load_core
+from pair_oracle import _close_pairs
 
 
 def test_fork_spawns_child_with_path_naming():

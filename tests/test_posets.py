@@ -52,6 +52,7 @@ from dynthreads.terms import (
 from dynthreads.tids import ParamContext, Relation, TidSet, compose, graph_of
 
 from genutil import random_relation, random_term, random_well_formed_poset
+import pair_oracle
 
 EMPTY_G = CompContext(())
 EMPTY_D = ParamContext(())
@@ -742,8 +743,10 @@ def test_poset_dot_export_mentions_all_elements():
 
 
 def test_covering_pairs_drop_composites():
+    # the chain 0 < 1 < 2 with its composite 0 < 2, as down-masks and as pairs
+    assert covering_pairs([0b000, 0b001, 0b011]) == [0b000, 0b001, 0b010]
     order = frozenset({(1, 2), (2, 3), (1, 3)})
-    assert covering_pairs(order) == {(1, 2), (2, 3)}
+    assert pair_oracle.covering_pairs(order) == {(1, 2), (2, 3)}
 
 
 def test_erase_star_requires_closed_hole_free():

@@ -36,7 +36,6 @@ from dynthreads.posets import (
     PosetWithHoles,
     Star,
     Vert,
-    _close_pairs,
     _nf_ref_str,
     decide_equal,
     interp,
@@ -60,6 +59,7 @@ from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
 
 from corpus import corpus_names, load_surface
 from genutil import random_relation, random_term, random_well_formed_poset
+from pair_oracle import _close_pairs
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import theory_eq  # noqa: E402

@@ -8,7 +8,7 @@ replaced, kept below as the reference: a run that finds the runnable
 threads with :func:`~dynthreads.machine._runnable` and builds the next
 configuration with :func:`~dynthreads.machine._apply` at every step, and an
 observation that closes the waiting relation with
-:func:`~dynthreads.posets._close_pairs`.
+the pair closure ``_close_pairs`` of ``tests/pair_oracle.py``.
 
 A run and its reference must give the same events and terminal
 configuration, call ``on_local`` and ``on_step`` with the same arguments in
@@ -46,9 +46,10 @@ from dynthreads.machine import (
     run,
     run_exhaustive,
 )
-from dynthreads.posets import Pomset, _close_pairs
+from dynthreads.posets import Pomset
 
 from corpus import NESTED_WAIT, corpus_names, load_core
+from pair_oracle import _close_pairs
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import long_programs  # noqa: E402
@@ -101,7 +102,7 @@ def reference_observation(events, final) -> Pomset:
         for (b, a) in _close_pairs(final.prec)
         if b in acting and a in acting
     )
-    return Pomset(tuple(sorted(labels.items())), order)
+    return Pomset.of(labels, order)
 
 
 def _outcome(runner, comp, policy, seed, fuel, hooked):

@@ -260,10 +260,7 @@ def _fixed(n_inputs: int, size: int) -> int:
 
 
 def _bits(mask: int) -> list[int]:
-    """The numbers of the set bits of a mask, lowest first: one bit at a
-    time when there are few, else read off the mask's binary string."""
-    if mask.bit_count() > 16:
-        return [i for i, one in enumerate(bin(mask)[:1:-1]) if one == "1"]
+    """The numbers of the set bits of a mask, lowest first."""
     found = []
     while mask:
         low = mask & -mask
@@ -431,16 +428,6 @@ def _assemble(n_inputs, actions, holes, down, elements) -> PosetWithHoles:
 
 
 # --- well-formedness --------------------------------------------------------
-
-def visibility_relation(p: PosetWithHoles) -> frozenset:
-    """Pairs (e', e) where e is a hole and e' appears in a visibility set."""
-    pairs = set()
-    for vid, label in p.holes:
-        hole = Vert(vid)
-        for slot in label.visibility:
-            pairs.update((e, hole) for e in slot)
-    return frozenset(pairs)
-
 
 def check_well_formed(p: PosetWithHoles) -> Optional[str]:
     """Return ``None`` if well-formed, else a description of the first

@@ -23,8 +23,17 @@ from dynthreads.posets import (
     PosetWithHoles,
     Star,
     Vert,
-    visibility_relation,
 )
+
+
+def visibility_relation(p: PosetWithHoles) -> frozenset:
+    """Pairs (e', e) where e is a hole and e' appears in a visibility set."""
+    pairs = set()
+    for vid, label in p.holes:
+        hole = Vert(vid)
+        for slot in label.visibility:
+            pairs.update((e, hole) for e in slot)
+    return frozenset(pairs)
 
 
 def _close_pairs(pairs: set) -> frozenset:

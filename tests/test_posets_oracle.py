@@ -52,14 +52,13 @@ from dynthreads.posets import (
     reify,
     relabel,
     require_well_formed,
-    visibility_relation,
 )
 from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait, axiom_schemas
 from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
 
 from corpus import corpus_names, load_surface
 from genutil import random_relation, random_term, random_well_formed_poset
-from pair_oracle import _close_pairs
+from pair_oracle import _close_pairs, visibility_relation
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import theory_eq  # noqa: E402

@@ -19,8 +19,7 @@ from pathlib import Path
 from .denote import adequacy_check, denote
 from .lang import desugar, parse_program, print_pieces, print_type, tid_str, typecheck_comp
 from .machine import (
-    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, check_confluence, explore, run,
-    run_result_to_json,
+    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, explore, run, run_result_to_json,
 )
 from .posets import (
     decide_equal_posets,
@@ -150,12 +149,8 @@ def _trace_line(label: StepLabel, state: ThreadState) -> str:
 
 def _explore_report(core, budget: int, fmt: str) -> int:
     result = explore(core, max_states=budget)
-    confluence = check_confluence(core, max_states=budget)
-    ok = (
-        result.all_iso
-        and result.traces_match_linearizations
-        and confluence.ok
-    )
+    confluence = result.confluence
+    ok = result.all_iso and result.traces_match_linearizations and confluence.ok
     if fmt == "json":
         data = {
             "states": result.states,
@@ -170,6 +165,8 @@ def _explore_report(core, budget: int, fmt: str) -> int:
             },
             "pomset": result.observations[0].to_json() if result.observations else None,
         }
+        if result.mismatch is not None:
+            data["traces_mismatch"] = result.mismatch
         print(_json(data), end="")
     else:
         print(f"states: {result.states}")
@@ -181,6 +178,8 @@ def _explore_report(core, budget: int, fmt: str) -> int:
             "traces match linearizations: "
             f"{'yes' if result.traces_match_linearizations else 'NO'}"
         )
+        if result.mismatch is not None:
+            print(f"  {result.mismatch}")
         print(f"confluence: {'ok' if confluence.ok else 'VIOLATED'}")
         if result.observations:
             print("pomset:")

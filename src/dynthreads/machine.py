@@ -30,41 +30,24 @@ in tid order), and a step updates only the entries it wrote and, when it
 finishes a thread, the threads waiting on it.  It builds a configuration
 for its end and for its ``on_step`` hook only.  That hook sees each step
 and the configuration it reached, and the ``on_local`` hook each local step
-before it is applied.  That is how :func:`check_confluence` checks the
-determinacy gate, how :func:`run_with_preservation` checks what each step
-wrote and how the command line prints trace lines.
+before it is applied.  That is how :func:`run_with_preservation` checks
+what each step wrote and how the command line prints trace lines.
 
-Exploration (:func:`explore`, :func:`run_exhaustive`) builds a
-partial-order-reduced schedule graph: in a configuration where some thread
-can take a silent step (fork, wait, stop, or a beta/proj/case/let
-reduction), only the first such step in tid order is expanded; all
-enabled steps are expanded only where every one of them is labelled.  The
-reduction keeps every labelled trace and every terminal configuration
-because the chosen step
-  1. is invisible: it carries no action, so it adds nothing to a trace;
-  2. cannot be disabled: no other thread's step changes its state or its
-     waits, so it stays enabled until it fires;
-  3. commutes: with every other thread's step it closes a diamond onto one
-     configuration;
-and the graph is acyclic, so no step is postponed forever.
-:func:`check_confluence` checks that every local step writes only its own
-thread and a new child and waits only into its own thread, which gives
-conditions 2 and 3; one lowest-tid run meets every local step of the full
-graph (see its docstring).
+What every schedule does comes from one run too.  :func:`check_confluence`
+and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
+which checks that every local step writes only its own thread and a new
+child and waits only into its own thread (the determinacy gate), and
+records the order of the run's steps.  Under the gate every schedule is a
+linear extension of that order and ends in the run's terminal
+configuration (see :func:`check_confluence`), so the run gives the
+terminal, the observation and the labelled traces of every schedule, and
+no schedule graph is built.  The tests keep the schedule-graph walk, with
+its partial-order reduction, as the oracle.
 
-:func:`explore` and :func:`run_exhaustive` read one depth-first walk,
-:func:`_state_graph`, which raises :class:`Deadlock` when it expands a
-stuck configuration and enforces the state budget: it expands at most that
-many configurations and then stops and reports the graph truncated, and
-they raise :class:`FuelExhausted`.
-
-No table outlives a call.  A local step depends only on the thread's
-state, tid and next spawn ordinal, so each walk memoizes local steps under
-that key in a memo of its own (:func:`_expander`); a scheduled run, and so
-the confluence check, memoizes nothing.
+No table outlives a call: a run memoizes nothing.
 
 One budget, :data:`DEFAULT_BUDGET`, is the default of every bound: the
-steps of a run and the configurations of a walk or of a confluence check.
+steps of a run and the configurations of the gate's run.
 """
 
 from __future__ import annotations
@@ -76,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import inf
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .lang import (
     ApplyC,
@@ -97,7 +80,6 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
-    _bottom_up,
     _node,
     check_comp,
     is_core,
@@ -106,7 +88,7 @@ from .lang import (
     tid_str,
     tids_of_value,
 )
-from .posets import Pomset, label_paths
+from .posets import Pomset
 
 
 class MachineError(Exception):
@@ -176,8 +158,12 @@ class StepLabel:
     action: Optional[str]  # None for silent steps
 
 
-@dataclass(frozen=True)
-class _LocalOut:
+_FORK_RESULT = Sum((TID, UNIT))
+_CHILD_START = Ret(InjV(2, UNIT_V, _FORK_RESULT))
+_NO_WAITS: frozenset = frozenset()
+
+
+class _LocalOut(NamedTuple):
     action: Optional[str]
     threads: tuple  # tuple[tuple[Tid, ThreadState], ...]
     new_prec: frozenset
@@ -186,120 +172,58 @@ class _LocalOut:
 def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
     """One thread-local reduction of ``comp``, which is not a value,
     running as ``tid`` with next spawn ordinal ``ordinal``: the step is a
-    function of these three alone."""
-    match comp:
-        case ApplyC(ConstV("fork", _), _):
+    function of these three alone.
+
+    The ``let`` frames around the redex are peeled off in a loop, the
+    redex is dispatched on its type (and a constant on its name), and its
+    result is wrapped back into the frames, once per frame."""
+    frames = []
+    while type(comp) is LetC and type(comp.bound) is not Ret:
+        frames.append(comp)
+        comp = comp.bound
+    kind, action, waits = type(comp), None, _NO_WAITS
+    fn = comp.fn if kind is ApplyC else None
+    if type(fn) is ConstV:
+        if fn.name == "fork":
             child = tid + (ordinal,)
-            fork_result = Sum((TID, UNIT))
-            return _LocalOut(
-                None,
-                (
-                    (tid, Ret(InjV(1, TidV(child), fork_result))),
-                    (child, Ret(InjV(2, UNIT_V, fork_result))),
-                ),
-                frozenset(),
-            )
-        case ApplyC(ConstV("wait", _), v):
-            waits = frozenset((b, tid) for b in tids_of_value(v))
-            return _LocalOut(None, ((tid, Ret(UNIT_V)),), waits)
-        case ApplyC(ConstV("stop", _), _):
-            return _LocalOut(None, ((tid, FINISHED),), frozenset())
-        case ApplyC(ConstV("printstop", action), _):
-            return _LocalOut(action, ((tid, FINISHED),), frozenset())
-        case ApplyC(ConstV(name, _), _):
-            raise StuckThread(f"constant {name!r} has no reduction rule; desugar first")
-        case ApplyC(LambdaV(param, _, body), v):
-            return _LocalOut(None, ((tid, subst_value(body, param, v)),), frozenset())
-        case ApplyC(fn, _):
-            raise StuckThread(f"cannot apply non-function value {print_comp(Ret(fn))!r}")
-        case ProjC(index, TupleV(items)):
-            if not 1 <= index <= len(items):
-                raise StuckThread(f"proj{index} of a {len(items)}-tuple")
-            return _LocalOut(None, ((tid, Ret(items[index - 1])),), frozenset())
-        case CaseV(InjV(index, payload), branches):
-            if not 1 <= index <= len(branches):
-                raise StuckThread(f"inj{index} with {len(branches)} branches")
-            var, body = branches[index - 1]
-            return _LocalOut(None, ((tid, subst_value(body, var, payload)),), frozenset())
-        case LetC(var, Ret(v), body):
-            return _LocalOut(None, ((tid, subst_value(body, var, v)),), frozenset())
-        case LetC(var, bound, body):
-            inner = _local_step(bound, tid, ordinal)
-            # every spawned thread continues with its own copy of the
-            # continuation; finished threads stay finished
-            wrapped = tuple(
-                (t, state if state == FINISHED else LetC(var, state, body))
-                for t, state in inner.threads
-            )
-            return _LocalOut(inner.action, wrapped, inner.new_prec)
-        case ProjC(_, _) | CaseV(_, _):
-            raise StuckThread(f"no rule for {print_comp(comp)!r}")
-    raise StuckThread(f"not a core computation: {comp!r}")
-
-
-def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:
-    """All global steps: one per runnable thread, in tid order."""
-    return _expander()(c)
-
-
-def _expander() -> Callable[[Configuration], list]:
-    """A fresh ``expand(c)``, which returns the global steps of ``c``, one
-    per runnable thread in tid order.
-
-    Identical thread states recur across the interleavings of one walk, so
-    ``expand`` memoizes local steps, keyed ``(state, tid, ordinal)``, and
-    hashes the thread states of each new one with :func:`_hash_bottom_up`.
-    The memo belongs to this ``expand`` and lives no longer than its
-    caller."""
-    memo: dict = {}
-
-    def expand(c: Configuration) -> list:
-        steps = []
-        for tid, state, waits, ordinal in _runnable(c):
-            key = (state, tid, ordinal)
-            local = memo.get(key)
-            if local is None:
-                local = memo[key] = _local_step(*key)
-                for _, new_state in local.threads:
-                    if new_state != FINISHED:
-                        _hash_bottom_up(new_state)
-            steps.append(_apply(c, tid, waits, local))
-        return steps
-
-    return expand
-
-
-def _hash_bottom_up(term) -> None:
-    """Hash the nodes of ``term`` not hashed yet, children first, so that
-    no later hash of a node above them recurses into them: a substitution
-    can rebuild a spine as long as the program."""
-    for node in _bottom_up(term, "_hash"):
-        hash(node)
-
-
-def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
-    """The threads of ``c`` that can step, in tid order, each with its
-    state, the set of threads it directly waits for and its next spawn
-    ordinal.  A thread can step when it is unfinished, not holding a value,
-    and its set holds only finished threads.  Their local steps are not
-    computed here.  A scheduled run keeps this list itself as it steps
-    (:func:`run`); exploration asks for it once per configuration."""
-    finished = frozenset(tid for tid, state, _ in c.threads if state == FINISHED)
-    children = Counter(tid[:-1] for tid, _, _ in c.threads if tid)
-    return [
-        (tid, state, waits, children[tid] + 1)
-        for tid, state, waits in c.threads
-        if state != FINISHED and not isinstance(state, Ret) and waits <= finished
-    ]
-
-
-def _apply(c: Configuration, tid: Tid, waits: frozenset, local: _LocalOut) -> tuple:
-    """The global step, ``(label, configuration)``, of the runnable thread
-    ``tid``, which directly waits for ``waits`` and whose local step is
-    ``local`` (see :func:`_write`)."""
-    threads = {entry[0]: entry for entry in c.threads}
-    _write(threads, waits, local)
-    return StepLabel(tid, local.action), Configuration(tuple(sorted(threads.values())))
+            threads = ((tid, Ret(InjV(1, TidV(child), _FORK_RESULT))), (child, _CHILD_START))
+        elif fn.name == "wait":
+            threads, waits = ((tid, Ret(UNIT_V)),), frozenset((b, tid) for b in tids_of_value(comp.arg))
+        elif fn.name == "stop":
+            threads = ((tid, FINISHED),)
+        elif fn.name == "printstop":
+            threads, action = ((tid, FINISHED),), fn.action
+        else:
+            raise StuckThread(f"constant {fn.name!r} has no reduction rule; desugar first")
+    elif type(fn) is LambdaV:
+        threads = ((tid, subst_value(fn.body, fn.param, comp.arg)),)
+    elif kind is ApplyC:
+        raise StuckThread(f"cannot apply non-function value {print_comp(Ret(fn))!r}")
+    elif kind is LetC:  # a value is bound
+        threads = ((tid, subst_value(comp.body, comp.var, comp.bound.value)),)
+    elif kind is ProjC and type(comp.value) is TupleV:
+        items = comp.value.items
+        if not 1 <= comp.index <= len(items):
+            raise StuckThread(f"proj{comp.index} of a {len(items)}-tuple")
+        threads = ((tid, Ret(items[comp.index - 1])),)
+    elif kind is CaseV and type(comp.value) is InjV:
+        index, branches = comp.value.index, comp.branches
+        if not 1 <= index <= len(branches):
+            raise StuckThread(f"inj{index} with {len(branches)} branches")
+        var, body = branches[index - 1]
+        threads = ((tid, subst_value(body, var, comp.value.value)),)
+    elif kind is ProjC or kind is CaseV:
+        raise StuckThread(f"no rule for {print_comp(comp)!r}")
+    else:
+        raise StuckThread(f"not a core computation: {comp!r}")
+    for frame in reversed(frames):
+        # every spawned thread continues with its own copy of the
+        # continuation; finished threads stay finished
+        threads = tuple(
+            (t, state if state == FINISHED else LetC(frame.var, state, frame.body))
+            for t, state in threads
+        )
+    return _LocalOut(action, threads, waits)
 
 
 def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
@@ -352,25 +276,32 @@ def observation(events: Sequence[StepLabel], final: Configuration) -> Pomset:
     finished, or it inherited the pair from its parent, which was runnable
     when it forked ``a``, so ``b`` had finished before ``a`` existed.  Each
     thread's down-set, a bitmask, is thus the union over its waits ``b`` of
-    ``b`` and the down-set of ``b``, built before it.  The acting threads
-    take the low bits in the order of their names, which is how the pomset
-    numbers its elements, so its masks are their down-sets cut to those
-    bits.  The restriction to the acting threads is closed, and acyclic
-    since the order is, so the pomset is built without a second closure."""
+    ``b``, if it acts, and the down-set of ``b``, built before it
+    (:func:`_labelled_order`).  The restriction to the acting threads is
+    closed, and acyclic since the order is, so the pomset is built without
+    a second closure."""
     last = {e.acting: i for i, e in enumerate(events)}
     finishing = sorted(final.threads, key=lambda entry: last[entry[0]])
     labels = {e.acting: e.action for e in events if e.action is not None}
+    return _labelled_order(labels, [(t, waits) for t, _, waits in finishing])
+
+
+def _labelled_order(labels: dict, joins: Iterable) -> Pomset:
+    """The pomset of the labelled threads ``labels`` (tid to action), its
+    elements named and numbered by their names, as an observation is.
+    ``joins`` lists ``(key, keys below)`` pairs, each after the keys below
+    it; the key of a labelled thread's element is its tid.  A key's
+    down-set, a mask over the labelled threads, is the union of those
+    below it and their own bits, and a labelled thread's element has its
+    key's down-set."""
     names = {t: tid_str(t) for t in labels}
     acting = sorted(labels, key=names.__getitem__)
-    silent = [t for t, _, _ in finishing if t not in labels]
-    bit = {t: 1 << i for i, t in enumerate(acting + silent)}
-    closed: dict = {}  # each thread and the threads below it, as a mask
-    for a, _, waits in finishing:
-        closed[a] = reduce(or_, map(closed.__getitem__, waits), bit[a])
-    cut = (1 << len(acting)) - 1
+    bit = {t: 1 << i for i, t in enumerate(acting)}
+    closed: dict = {}  # each key with its own bit, and the bits below it
+    for key, below in joins:
+        closed[key] = reduce(or_, map(closed.__getitem__, below), bit.get(key, 0))
     return Pomset(
-        tuple((names[t], labels[t]) for t in acting),
-        tuple((closed[t] & cut) ^ bit[t] for t in acting),
+        tuple((names[t], labels[t]) for t in acting), tuple(closed[t] ^ bit[t] for t in acting)
     )
 
 
@@ -466,138 +397,7 @@ def run(
     return RunResult(c, tuple(events))
 
 
-# --- exhaustive exploration ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExploreResult:
-    states: int
-    terminals: tuple  # tuple[Configuration, ...]
-    observations: tuple  # tuple[Pomset, ...] one per terminal
-    traces: frozenset  # frozenset[tuple[str, ...]] distinct labelled traces
-    all_iso: bool
-    traces_match_linearizations: bool
-
-
-def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
-    """The schedule graph from ``comp``, configurations deduplicated: the
-    one walk behind :func:`explore` and :func:`run_exhaustive`.
-
-    Returns ``(c0, steps_of, first_event, truncated)``.  ``steps_of`` maps
-    each expanded configuration to its steps, in the depth-first order of
-    expansion; ``first_event`` maps each reached configuration to the
-    configuration and step that first reached it.  The walk expands at most
-    ``max_states`` configurations and stops there; ``truncated`` says
-    whether it left reached configurations unexpanded.  Expanding a
-    non-terminal configuration with no steps raises :class:`Deadlock`.
-
-    By default one silent step is expanded per configuration where one is
-    enabled (see the module docstring); ``reduce=False`` builds the full
-    graph, which tests use as the oracle for the reduced one.  The
-    local-step memo of the walk's :func:`_expander` lives as long as the
-    walk."""
-    if not is_core(comp):
-        raise MachineError("exploration needs a desugared computation")
-    _hash_bottom_up(comp)
-    expand = _expander()
-    c0 = Configuration.initial(comp)
-    steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
-    frontier = [c0]
-    first_event: dict[Configuration, tuple[Configuration, StepLabel]] = {}
-    while frontier:
-        c = frontier.pop()
-        if c in steps_of:
-            continue
-        if len(steps_of) >= max_states:
-            return c0, steps_of, first_event, True
-        steps = expand(c)
-        if not steps and not c.is_terminal():
-            raise _deadlock(c)
-        if reduce:
-            silent = next((s for s in steps if s[0].action is None), None)
-            if silent is not None:
-                steps = [silent]
-        steps_of[c] = steps
-        for label, nxt in steps:
-            if nxt not in steps_of and nxt not in first_event:
-                first_event[nxt] = (c, label)
-            frontier.append(nxt)
-    return c0, steps_of, first_event, False
-
-
-def _witness_events(c0, terminal, first_event) -> list[StepLabel]:
-    events: list[StepLabel] = []
-    node = terminal
-    while node != c0:
-        prev, label = first_event[node]
-        events.append(label)
-        node = prev
-    events.reverse()
-    return events
-
-
-def _terminal_runs(comp: Comp, max_states: int):
-    """The reduced schedule graph and one run per terminal configuration,
-    sorted by thread map, each along the path that first reached it:
-    ``(c0, steps_of, runs)``.
-
-    Raises :class:`FuelExhausted` if the graph exceeds ``max_states``."""
-    c0, steps_of, first_event, truncated = _state_graph(comp, max_states)
-    if truncated:
-        raise FuelExhausted(f"state budget {max_states} exhausted")
-    runs = []
-    ends = [c for c, steps in steps_of.items() if not steps]
-    # wait sets stay out of the key: frozensets are ordered by inclusion
-    for terminal in sorted(ends, key=lambda c: [(t, state) for t, state, _ in c.threads]):
-        runs.append(RunResult(terminal, tuple(_witness_events(c0, terminal, first_event))))
-    return c0, steps_of, runs
-
-
-def run_exhaustive(comp: Comp, max_states: int = DEFAULT_BUDGET) -> tuple:
-    """One run result per terminal configuration over all schedules.
-
-    The schedules are those of the partial-order-reduced graph, which
-    reaches every terminal configuration of the full one; ``max_states``
-    bounds the reduced graph."""
-    return tuple(_terminal_runs(comp, max_states)[2])
-
-
-def explore(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ExploreResult:
-    """Explore every schedule (states deduplicated by configuration
-    equality, which the deterministic naming scheme makes meaningful).
-
-    Reports the distinct labelled traces, one observation per terminal
-    configuration, whether all observations are isomorphic, and whether the
-    trace set equals the linearizations of the observed pomset.
-
-    Only one silent step is expanded per configuration where one is
-    enabled (see the module docstring); the traces and terminals are those
-    of the full graph, but ``states`` counts the reduced graph and
-    ``max_states`` bounds it.
-    """
-    c0, steps_of, runs = _terminal_runs(comp, max_states)
-    observations = [r.pomset for r in runs]
-    traces = _label_traces(c0, steps_of)
-
-    all_iso = all(
-        observations[0].iso_to(pom) is not None for pom in observations[1:]
-    )
-    linearizations = frozenset().union(*(pom.linearizations() for pom in observations))
-    return ExploreResult(
-        states=len(steps_of),
-        terminals=tuple(r.terminal for r in runs),
-        observations=tuple(observations),
-        traces=traces,
-        all_iso=all_iso,
-        traces_match_linearizations=(traces == linearizations),
-    )
-
-
-def _label_traces(c0: Configuration, steps_of) -> frozenset:  # frozenset[tuple[str, ...]]
-    """The labelled traces of the maximal paths from ``c0``."""
-    return label_paths(c0, lambda c: [(label.action, nxt) for label, nxt in steps_of[c]])
-
-
-# --- confluence -----------------------------------------------------------------------
+# --- the determinacy gate and exploration -----------------------------------------------
 
 @dataclass(frozen=True)
 class ConfluenceReport:
@@ -609,6 +409,63 @@ class ConfluenceReport:
 
 class _NotLocal(MachineError):
     """A local step that fails a check of :func:`check_confluence`."""
+
+
+def _gate_run(comp: Comp, max_states: int) -> tuple:
+    """The gate's lowest-tid run: ``(report, result, order)``, with
+    ``result`` the run and ``order`` the order of its labelled steps,
+    numbered and named as :func:`observation` numbers and names them, or
+    both ``None`` if the gate fails.  Exhausting the budget raises
+    :class:`FuelExhausted`.
+
+    The run has one ``on_local`` hook.  It checks each local step (see
+    :func:`check_confluence`) and records the step's down-set as a join:
+    the acting thread if the step is labelled, and the joins of the
+    step's prerequisites (see (C) there).  These are the thread's previous
+    step, or the fork step that created it, and the last steps of the
+    threads its previous step waited for.  ``below`` holds the join of
+    each thread's last step.  A silent step after no wait adds nothing to
+    it and makes no join.  The masks are built in one pass over the joins,
+    on the labelled steps alone."""
+    checked = 0
+    joins: list = [(0, ())]  # (key, keys below), the root's first join keyed 0
+    below = {(): 0}  # tid -> the key of the join of its last step
+    awaited: dict = {}  # tid -> the threads its last step waited for
+    labels: dict = {}  # tid -> the action of its labelled step
+
+    def gate(a: Tid, ordinal: int, local: _LocalOut) -> None:
+        nonlocal checked
+        checked += 1
+        join, waited, action = below[a], awaited.pop(a, ()), local.action
+        if waited or action is not None:
+            key = a if action is not None else len(joins)
+            joins.append((key, [join, *map(below.__getitem__, waited)]))
+            join = key
+        for t, _ in local.threads:
+            if t != a and t != a + (ordinal,):
+                raise _NotLocal(f"step of {tid_str(a)} changes thread {tid_str(t)}")
+            below[t] = join
+        for x, y in local.new_prec:
+            if y != a:
+                raise _NotLocal(
+                    f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
+                    f"acting thread {tid_str(a)}"
+                )
+        if local.new_prec:
+            awaited[a] = [b for b, _ in local.new_prec]
+        if action is not None:
+            if a in labels:
+                raise MachineError(f"thread {tid_str(a)} acts twice")
+            labels[a] = action
+
+    try:
+        result = run(comp, fuel=max_states - 1, on_local=gate)
+    except FuelExhausted:
+        raise FuelExhausted(f"state budget {max_states} exhausted") from None
+    except _NotLocal as violation:
+        return ConfluenceReport(False, checked, False, str(violation)), None, None
+    report = ConfluenceReport(True, len(result.events) + 1, False, None)
+    return report, result, _labelled_order(labels, joins)
 
 
 def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ConfluenceReport:
@@ -627,8 +484,7 @@ def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> Confluence
           wait set is ``a``'s.  Two distinct runnable threads thus write
           disjoint entries: neither changes the other's state, wait set or
           spawn count, and both orders give every entry the same state and
-          wait set.  So the diamond closes in every configuration, reduced
-          or not.
+          wait set.  So the diamond closes in every configuration.
       (B) If the run terminates, every step of the full graph passes both
           checks.  They depend only on the thread's state, tid and spawn
           ordinal, which determine its local step, so it is enough that
@@ -643,9 +499,25 @@ def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> Confluence
           history that the run took, and the run finished it, so the run
           took every step of its history; the next step of the path is
           one of them.
-    By (A) every maximal schedule ends in the run's terminal configuration
-    (Huet 1980), so per-thread determinacy and the diamonds, which follow
-    from (A) given :func:`_apply`, are left to the tests' full-graph and
+      (C) Every schedule is a linear extension of the run's step order.
+          By (B) the steps and wait sets are those of the run on every
+          schedule, and step ``j`` of thread ``a`` has fixed
+          prerequisites: step ``j-1`` of ``a``, or for ``j = 0`` the fork
+          step that created ``a``, and the last step of every thread in
+          the wait set of ``a`` at step ``j``.  A schedule takes a step
+          only after its prerequisites.  A step whose prerequisites are
+          taken is enabled, and stays enabled until it is taken, since
+          finished is final and by (A) no other thread writes ``a``.  So
+          the maximal schedules are exactly the linear extensions of the
+          order the prerequisites generate (Mazurkiewicz 1977; Pratt
+          1986), and all of them end in the run's terminal configuration.
+          The labelled traces are the linear extensions of that order
+          restricted to the labelled steps: a linear order on the
+          labelled steps that extends the restriction, added to the whole
+          order, closes without a cycle, and Szpilrajn's theorem (1930)
+          extends the result to a linear extension of the whole order.
+    Per-thread determinacy and the diamonds, which follow from (A) given
+    the tests' ``_apply``, are left to the tests' full-graph and
     reduced-graph oracles, with the cross-check of (B).
 
     ``states`` counts the configurations of the run, and ``max_states``
@@ -654,28 +526,80 @@ def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> Confluence
     budget is reported as a truncated (but violation-free) check, not a
     failure.  A stuck configuration raises :class:`Deadlock`.
     """
-    checked = 0
-
-    def check(a: Tid, ordinal: int, local: _LocalOut) -> None:
-        nonlocal checked
-        checked += 1
-        for t, _ in local.threads:
-            if t not in (a, a + (ordinal,)):
-                raise _NotLocal(f"step of {tid_str(a)} changes thread {tid_str(t)}")
-        for x, y in local.new_prec:
-            if y != a:
-                raise _NotLocal(
-                    f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
-                    f"acting thread {tid_str(a)}"
-                )
-
     try:
-        result = run(comp, fuel=max_states - 1, on_local=check)
+        return _gate_run(comp, max_states)[0]
     except FuelExhausted:
         return ConfluenceReport(True, max_states, True, None)
-    except _NotLocal as violation:
-        return ConfluenceReport(False, checked, False, str(violation))
-    return ConfluenceReport(True, len(result.events) + 1, False, None)
+
+
+@dataclass(frozen=True)
+class ExploreResult:
+    """What every schedule does, from the gate's run (see :func:`explore`).
+    ``traces``, the labelled traces of every schedule, are enumerated when
+    first read."""
+
+    states: int
+    terminals: tuple  # tuple[Configuration, ...]
+    observations: tuple  # tuple[Pomset, ...] one per terminal
+    all_iso: bool
+    traces_match_linearizations: bool
+    confluence: ConfluenceReport
+    step_order: Optional[Pomset]  # the order of the labelled steps
+    mismatch: Optional[str]  # where step_order and the observation first differ
+
+    @cached_property
+    def traces(self) -> frozenset:  # frozenset[tuple[str, ...]] distinct labelled traces
+        return frozenset() if self.step_order is None else self.step_order.linearizations()
+
+
+def explore(comp: Comp, max_states: int = DEFAULT_BUDGET) -> ExploreResult:
+    """Every schedule of ``comp`` from the gate's run (:func:`check_confluence`):
+    if the gate holds, every schedule ends in the run's terminal
+    configuration, so there is one observation and ``all_iso`` holds, and
+    the labelled traces are the linear extensions of the order of the
+    run's labelled steps (see (C) there).  ``traces_match_linearizations``
+    holds exactly when that order is the observed pomset's; otherwise
+    ``mismatch`` names the first element, in the pomset's numbering, whose
+    down-set differs, and a pair one order has and the other lacks.  If the
+    gate fails, neither verdict holds and there is no terminal.
+
+    ``states`` counts the configurations of the run and ``max_states``
+    bounds them; exhausting it raises :class:`FuelExhausted`."""
+    report, result, order = _gate_run(comp, max_states)
+    if not report.ok:
+        return ExploreResult(report.states, (), (), False, False, report, None, None)
+    pomset = result.pomset
+    mismatch = _first_difference(order, pomset)
+    return ExploreResult(
+        report.states, (result.terminal,), (pomset,), True, mismatch is None, report, order, mismatch
+    )
+
+
+def _first_difference(order: Pomset, pomset: Pomset) -> Optional[str]:
+    """The first element of ``pomset`` whose down-set in ``order`` differs,
+    with the lowest element below it in one order only."""
+    for k, (mine, theirs) in enumerate(zip(order.down, pomset.down)):
+        if mine != theirs:
+            d = ((mine ^ theirs) & -(mine ^ theirs)).bit_length() - 1
+            (b, b_label), (e, e_label) = pomset.labels[d], pomset.labels[k]
+            where = "step order" if mine >> d & 1 else "observation"
+            return (
+                f"{e} ({e_label}) is the first element whose down-set differs: "
+                f"{b} ({b_label}) < {e} ({e_label}) is only in the {where}"
+            )
+    return None
+
+
+def run_exhaustive(comp: Comp, max_states: int = DEFAULT_BUDGET) -> tuple:
+    """One run result per terminal configuration over all schedules: the
+    gate's run alone, since under the gate every schedule ends in its
+    terminal configuration (Huet 1980).  ``max_states`` bounds the run's
+    configurations, as for :func:`explore`; a step that fails the gate
+    raises :class:`MachineError`."""
+    report, result, _ = _gate_run(comp, max_states)
+    if not report.ok:
+        raise MachineError(f"determinacy gate violated: {report.detail}")
+    return (result,)
 
 
 # --- well-formed configurations ----------------------------------------------------

@@ -1,10 +1,13 @@
-"""Loader for the shipped program corpus."""
+"""Loader for the shipped program corpus, and its schedule graphs."""
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 from dynthreads.lang import Comp, desugar, parse_program
+
+from graph_oracle import _state_graph
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -15,6 +18,9 @@ NESTED_WAIT = (
     "| inj2 u => let z = fork() in case z of "
     "{ inj1 b => wait(b); printstop[s3]() | inj2 v => printstop[s1]() } }"
 )
+
+# programs outside the corpus that the schedule-graph oracles also check
+EXTRA_PROGRAMS = {"nested_wait": NESTED_WAIT}
 
 
 def corpus_names() -> list[str]:
@@ -30,3 +36,47 @@ def load_surface(name: str) -> Comp:
 
 def load_core(name: str) -> Comp:
     return desugar(load_surface(name))
+
+
+def load_named(name: str) -> Comp:
+    """A corpus program, or one of ``EXTRA_PROGRAMS``, in core syntax."""
+    if name in EXTRA_PROGRAMS:
+        world, comp = parse_program(EXTRA_PROGRAMS[name])
+        assert not world
+        return desugar(comp)
+    return load_core(name)
+
+
+def full_graph(name: str, budget: int, reduce: bool = False) -> tuple:
+    """The schedule graph of the program ``name`` (see :func:`load_named`)
+    within ``budget`` states, as :func:`graph_oracle._state_graph` returns
+    it: the full one unless ``reduce``.
+
+    Each graph is built once per test module (``conftest.py`` drops them
+    after each module).  The walk is the same for every budget until it is
+    cut, so a graph it finished is kept per program and served to every
+    budget it fits in; a truncated one is not kept, nor one of more than
+    ``KEPT_STATES`` states, which only one test reads.  The callers only
+    read the graph, and none of them breaks the machine first.
+
+    A walk makes hundreds of thousands of objects and no reference cycle,
+    so the cyclic collector is paused while it runs, and the objects alive
+    after it are frozen out of the collector's later passes
+    (:func:`gc.freeze`); they are still freed when the graph is dropped.
+    Without this the collector's passes over the graphs took about half
+    the time of the tests that read them."""
+    graph = _GRAPHS.get((name, reduce))
+    if graph is None or len(graph[1]) > budget:
+        gc.disable()
+        try:
+            graph = _state_graph(load_named(name), budget, reduce=reduce)
+        finally:
+            gc.enable()
+        gc.freeze()
+        if not graph[3] and len(graph[1]) <= KEPT_STATES:
+            _GRAPHS[(name, reduce)] = graph
+    return graph
+
+
+KEPT_STATES = 25_000
+_GRAPHS: dict = {}  # (name, reduce) -> the finished graph

@@ -9,6 +9,7 @@ from dynthreads import machine
 from dynthreads.cli import _pomset_text, _trace_line, main
 from dynthreads.machine import DEFAULT_BUDGET, Configuration, run
 
+import graph_oracle
 from corpus import PROGRAMS_DIR, corpus_names, load_core
 
 
@@ -75,14 +76,17 @@ def test_run_exhaustive_reports_two_schedules(capsys):
 
 
 def test_explore_text_and_json(capsys):
+    # ``states`` counts the configurations of the gate's one run, 26 here;
+    # the reduced schedule graph of the walk that explore replaced has 31
     path = str(PROGRAMS_DIR / "ex21_no_wait.prog")
     assert main(["explore", path, "--fuel", "10000"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("states: 31\nschedules: 2\n  s1 s2\n  s2 s1\n")
+    assert out.startswith("states: 26\nschedules: 2\n  s1 s2\n  s2 s1\n")
     assert "\nconfluence: ok\n" in out
     assert main(["explore", path, "--fuel", "10000", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["states"] == 31
+    assert data["states"] == 26
+    assert graph_oracle.explore(load_core("ex21_no_wait")).states == 31
     assert data["schedules"] == [["s1", "s2"], ["s2", "s1"]]
     # the confluence check counts the configurations of one run
     assert data["confluence"] == {

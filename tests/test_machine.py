@@ -17,13 +17,13 @@ from dynthreads.lang import (
     InjV,
     LangError,
     LetC,
+    ProjC,
     Ret,
     Sum,
     TidV,
     TupleV,
     desugar,
     parse_comp,
-    parse_program,
     print_comp,
     tid_str,
     typecheck_comp,
@@ -37,14 +37,9 @@ from dynthreads.machine import (
     MachineError,
     StepLabel,
     StuckThread,
-    _label_traces,
-    _runnable,
-    _state_graph,
-    _witness_events,
     check_config_well_formed,
     check_confluence,
     creation_order,
-    enabled_steps,
     explore,
     observation,
     run,
@@ -54,7 +49,16 @@ from dynthreads.machine import (
 )
 from dynthreads.posets import Pomset
 
-from corpus import NESTED_WAIT, PROGRAMS_DIR, corpus_names, load_core
+from corpus import EXTRA_PROGRAMS, PROGRAMS_DIR, corpus_names, full_graph, load_core, load_named
+from graph_oracle import (
+    _label_traces,
+    _runnable,
+    _state_graph,
+    _witness_events,
+    enabled_steps,
+)
+from graph_oracle import explore as walk_explore
+from graph_oracle import run_exhaustive as walk_run_exhaustive
 from pair_oracle import _close_pairs
 
 
@@ -200,17 +204,20 @@ def test_confluence_budget_counts_states(name):
 
 
 def test_exploration_budget_fails_loudly():
+    # the budget bounds the gate run's configurations, and for the walk
+    # the reduced graph's
     comp = load_core("parallel")
-    needed = explore(comp).states
-    for fn in (explore, run_exhaustive):
-        with pytest.raises(FuelExhausted, match=rf"^state budget {needed - 1} exhausted$"):
-            fn(comp, needed - 1)
-        fn(comp, needed)
+    for fns in ((explore, run_exhaustive), (walk_explore, walk_run_exhaustive)):
+        needed = fns[0](comp).states
+        for fn in fns:
+            with pytest.raises(FuelExhausted, match=rf"^state budget {needed - 1} exhausted$"):
+                fn(comp, needed - 1)
+            fn(comp, needed)
 
 
 def test_exploration_reports_deadlock_before_budget():
     comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
-    for fn in (explore, run_exhaustive):
+    for fn in (explore, run_exhaustive, walk_explore, walk_run_exhaustive):
         with pytest.raises(Deadlock, match="deadlocked configuration"):
             fn(comp, 100)
         with pytest.raises(FuelExhausted, match="state budget 2 exhausted"):
@@ -316,11 +323,12 @@ def test_creation_order_is_the_post_order_of_the_spawn_tree():
     )
 
 
-def _configurations_and_steps(comp):
-    """Every configuration of the reduced schedule graph of ``comp`` and of
-    its lowest-tid and random-seed runs, and every step between two of
-    them, as ``(before, after)`` pairs."""
-    c0, steps_of, _, truncated = _state_graph(comp, 25_000)
+def _configurations_and_steps(name):
+    """Every configuration of the reduced schedule graph of the corpus
+    program ``name`` and of its lowest-tid and random-seed runs, and every
+    step between two of them, as ``(before, after)`` pairs."""
+    comp = load_core(name)
+    c0, steps_of, _, truncated = full_graph(name, 25_000, reduce=True)
     assert not truncated
     configurations = set(steps_of)
     steps = {(c, nxt) for c, out in steps_of.items() for _, nxt in out}
@@ -334,7 +342,7 @@ def _configurations_and_steps(comp):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_every_reachable_configuration_is_well_formed_in_its_creation_order(name):
-    configurations, steps = _configurations_and_steps(load_core(name))
+    configurations, steps = _configurations_and_steps(name)
     for c in configurations:
         assert check_config_well_formed(c, EMPTY, creation_order(c.world)) is None, c
     # each step extends the order: restricted to the threads that were
@@ -365,24 +373,14 @@ def test_run_result_json_shape():
 # programs whose full schedule graph exceeds the oracle budget
 FULL_GRAPH_TOO_LARGE = {"nshape", "three_workers"}
 
-# programs outside the corpus that the full-graph oracles also check: in
+# the full-graph oracles also check the programs of ``EXTRA_PROGRAMS``: in
 # ``nested_wait`` the root waits for 0.1, which waits for its child 0.1.1,
 # so the observed s1 < s2 holds only in the closure of ``prec``.  The
 # reduced walk always runs the root's wait first; the full graph (18
 # states) also records the two waits the other way round
-EXTRA_PROGRAMS = {"nested_wait": NESTED_WAIT}
 FULL_GRAPH_PROGRAMS = [
     n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE
 ] + sorted(EXTRA_PROGRAMS)
-
-
-def _load(name: str):
-    """A corpus program, or one of ``EXTRA_PROGRAMS``, in core syntax."""
-    if name in EXTRA_PROGRAMS:
-        world, comp = parse_program(EXTRA_PROGRAMS[name])
-        assert not world
-        return desugar(comp)
-    return load_core(name)
 
 
 def _reference_close_with(closed: frozenset, new_edges: set) -> frozenset:
@@ -415,7 +413,7 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
     # incrementally.  The threads runnable on the direct waits are those
     # runnable on the closure
     for name in FULL_GRAPH_PROGRAMS:
-        _, steps_of, _, truncated = _state_graph(_load(name), 25_000, reduce=False)
+        _, steps_of, _, truncated = full_graph(name, 25_000)
         assert not truncated, name
         closures: dict = {}
 
@@ -463,7 +461,7 @@ def test_steps_write_only_the_acting_thread_and_a_new_child():
     # and may add one child, which starts with its parent's set itself
     forks_after_waits = 0
     for name in FULL_GRAPH_PROGRAMS:
-        _, steps_of, _, _ = _state_graph(_load(name), 25_000)
+        _, steps_of, _, _ = full_graph(name, 25_000, reduce=True)
         for c, steps in steps_of.items():
             before = {t: (state, waits) for t, state, waits in c.threads}
             for label, nxt in steps:
@@ -536,10 +534,9 @@ def _local_step_keys(steps_of) -> set:
     "name", [n for n in corpus_names() if n not in FULL_GRAPH_TOO_LARGE]
 )
 def test_reduced_graph_agrees_with_full_graph(name):
-    comp = load_core(name)
     graphs = {}
     for reduce in (False, True):
-        c0, steps_of, first_event, truncated = _state_graph(comp, 25_000, reduce=reduce)
+        c0, steps_of, first_event, truncated = full_graph(name, 25_000, reduce)
         assert not truncated
         terminals = {c for c, steps in steps_of.items() if not steps}
         observations = {
@@ -587,12 +584,13 @@ def _diamond_violation(steps: list, steps_of) -> str | None:
     return None
 
 
-def _graph_confluence(comp, max_states: int, reduce: bool, violation) -> ConfluenceReport:
+def _graph_confluence(walk, reduce: bool, violation) -> ConfluenceReport:
     """The determinacy gate checked configuration by configuration over the
-    schedule graph, in the order the walk expanded it, with
-    ``violation(c, steps_of)`` the first check that ``c`` fails or ``None``.
-    ``steps_of`` enumerates every enabled step, memoized per oracle."""
-    _, graph, _, truncated = _state_graph(comp, max_states, reduce=reduce)
+    schedule graph ``walk`` (as :func:`_state_graph` returns it, reduced or
+    not), in the order the walk expanded it, with ``violation(c,
+    steps_of)`` the first check that ``c`` fails or ``None``.  ``steps_of``
+    enumerates every enabled step, memoized per oracle."""
+    _, graph, _, truncated = walk
     # the full graph already holds every enabled step of what it expanded
     cache = {} if reduce else dict(graph)
 
@@ -623,10 +621,10 @@ def _full_graph_violation(c, steps_of):
     return _diamond_violation(steps_of(c), steps_of)
 
 
-def _full_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
+def _full_graph_confluence(walk) -> ConfluenceReport:
     """The first oracle for :func:`check_confluence`: the gate over the full
-    schedule graph, without the locality argument."""
-    return _graph_confluence(comp, max_states, False, _full_graph_violation)
+    schedule graph ``walk``, without the locality argument."""
+    return _graph_confluence(walk, False, _full_graph_violation)
 
 
 def _reduced_graph_violation(c, steps_of):
@@ -647,16 +645,21 @@ def _reduced_graph_violation(c, steps_of):
     return _diamond_violation(steps_of(c), steps_of)
 
 
-def _reduced_graph_confluence(comp, max_states: int = 25_000) -> ConfluenceReport:
+def _reduced_graph_confluence(walk) -> ConfluenceReport:
     """The second oracle for :func:`check_confluence`: the local checks at
-    every configuration of the reduced schedule graph, for every runnable
-    thread, and the diamonds there."""
-    return _graph_confluence(comp, max_states, True, _reduced_graph_violation)
+    every configuration of the reduced schedule graph ``walk``, for every
+    runnable thread, and the diamonds there."""
+    return _graph_confluence(walk, True, _reduced_graph_violation)
 
 
 def _confluence_reports(comp) -> list:
-    """The gate's report and both oracles'."""
-    return [check_confluence(comp), _full_graph_confluence(comp), _reduced_graph_confluence(comp)]
+    """The gate's report and both oracles', on graphs of up to 25,000
+    states built with the machine as it is now."""
+    return [
+        check_confluence(comp),
+        _full_graph_confluence(_state_graph(comp, 25_000, reduce=False)),
+        _reduced_graph_confluence(_state_graph(comp, 25_000)),
+    ]
 
 
 def _run_step_keys(comp) -> set:
@@ -678,8 +681,8 @@ def _run_step_keys(comp) -> set:
 
 @pytest.mark.parametrize("name", FULL_GRAPH_PROGRAMS)
 def test_confluence_agrees_with_full_graph_check(name):
-    comp = _load(name)
-    oracle = _full_graph_confluence(comp)
+    comp = load_named(name)
+    oracle = _full_graph_confluence(full_graph(name, 25_000))
     assert not oracle.truncated
     report = check_confluence(comp)
     assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
@@ -690,7 +693,7 @@ def test_confluence_agrees_with_full_graph_check(name):
 @pytest.mark.parametrize("name", corpus_names())
 def test_confluence_agrees_with_reduced_graph_check(name):
     comp = load_core(name)
-    oracle = _reduced_graph_confluence(comp)
+    oracle = _reduced_graph_confluence(full_graph(name, 25_000, reduce=True))
     assert not oracle.truncated
     report = check_confluence(comp)
     assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
@@ -702,12 +705,12 @@ def test_one_run_takes_every_local_step_of_the_graph(name):
     # (B) of check_confluence: the keys one lowest-tid run takes are those
     # of every runnable thread of the reduced graph and, where it fits the
     # oracle budget, of the full one
-    comp = _load(name)
+    comp = load_named(name)
     taken = _run_step_keys(comp)
     for reduce in (True, False):
         if not reduce and name in FULL_GRAPH_TOO_LARGE:
             continue
-        _, steps_of, _, truncated = _state_graph(comp, 25_000, reduce=reduce)
+        _, steps_of, _, truncated = full_graph(name, 25_000, reduce)
         assert not truncated
         assert taken == _local_step_keys(steps_of), reduce
 
@@ -738,7 +741,7 @@ def test_confluence_rejects_steps_that_are_not_local(monkeypatch):
         with monkeypatch.context() as patch:
             _mutate_local_steps(patch, change)
             report = check_confluence(comp)
-            oracle = _reduced_graph_confluence(comp)
+            oracle = _reduced_graph_confluence(_state_graph(comp, 25_000))
         assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
         return report.detail
 
@@ -865,9 +868,12 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch, which):
 
 @pytest.mark.parametrize("name", ["nshape", "three_workers", "diamond"])
 def test_explore_reduction_fits_default_budget(name):
+    # explore's states are the gate run's; the reduced graph of the walk it
+    # replaced fits the budget too
     result = explore(load_core(name))
     assert result.all_iso and result.traces_match_linearizations
     assert result.states < 1_000
+    assert walk_explore(load_core(name)).states < 1_000
 
 
 def test_label_traces_handles_deep_chains():
@@ -935,7 +941,7 @@ def test_deadlock_names_the_stuck_thread():
     # the root and its child both wait for a thread that never exists
     comp = desugar(parse_comp("fork(); wait(#0.5); stop()"))
     message = "deadlocked configuration with no enabled steps: 0, 0.1"
-    for attempt in (run, explore, run_exhaustive, check_confluence):
+    for attempt in (run, explore, run_exhaustive, check_confluence, walk_explore, walk_run_exhaustive):
         with pytest.raises(Deadlock) as raised:
             attempt(comp)
         assert str(raised.value) == message, attempt
@@ -1031,6 +1037,26 @@ def test_let_steps_keep_the_rest_of_a_print_chain():
 
 def test_stuck_thread_is_raised_by_runs_and_walks():
     comp = desugar(parse_comp("proj3 ((), ())"))
-    for attempt in (run, explore, check_confluence):
+    for attempt in (run, explore, check_confluence, walk_explore):
         with pytest.raises(StuckThread, match=r"^proj3 of a 2-tuple$"):
             attempt(comp)
+
+
+_STOP = ApplyC(ConstV("stop"), UNIT_V)
+
+
+@pytest.mark.parametrize("comp, message", [
+    (ApplyC(ConstV("print", "s"), UNIT_V), "constant 'print' has no reduction rule; desugar first"),
+    (ApplyC(UNIT_V, UNIT_V), "cannot apply non-function value 'ret ()'"),
+    (ProjC(3, TupleV((UNIT_V, UNIT_V))), "proj3 of a 2-tuple"),
+    (CaseV(InjV(3, UNIT_V), (("u", _STOP),)), "inj3 with 1 branches"),
+    (ProjC(1, InjV(1, UNIT_V)), "no rule for 'proj1 (inj1 ())'"),
+    (CaseV(UNIT_V, (("u", _STOP),)), "no rule for 'case () of { inj1 u => stop() }'"),
+    (Ret(UNIT_V), "not a core computation: Ret(value=TupleV(items=()))"),
+    # inside let frames, the redex is named
+    (LetC("x", LetC("y", ProjC(1, InjV(1, UNIT_V)), _STOP), _STOP), "no rule for 'proj1 (inj1 ())'"),
+])
+def test_every_stuck_local_step_names_its_redex(comp, message):
+    with pytest.raises(StuckThread) as raised:
+        machine._local_step(comp, (), 1)
+    assert str(raised.value) == message

@@ -169,8 +169,7 @@ def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_ord
     # children numbered downwards: the second child of the root sorts
     # before the first, which the continuation it shares with the root
     # names, so the root types that continuation in a world with the first
-    # child and the new child must type it again in one without (the local
-    # step of a let calls ``_local_step`` again, hence ``abs``)
+    # child and the new child must type it again in one without
     local_step = machine._local_step
     monkeypatch.setattr(
         machine, "_local_step", lambda comp, tid, ordinal: local_step(comp, tid, -abs(ordinal))

@@ -29,9 +29,10 @@ from dynthreads.lang import (
     subst_value,
 )
 from dynthreads import machine
-from dynthreads.machine import DEFAULT_BUDGET, _state_graph
+from dynthreads.machine import DEFAULT_BUDGET
 
 from corpus import corpus_names, load_core
+from graph_oracle import _state_graph
 
 
 def reference_subst(t, name, v):

@@ -58,9 +58,9 @@ from dynthreads.lang import (
     tid_str,
     typecheck_comp,
 )
-from dynthreads.machine import DEFAULT_BUDGET, FINISHED, _state_graph
+from dynthreads.machine import DEFAULT_BUDGET, FINISHED
 
-from corpus import corpus_names, load_core, load_surface
+from corpus import corpus_names, full_graph, load_surface
 from test_lang import ILL_TYPED
 
 
@@ -382,7 +382,7 @@ def test_checker_agrees_with_the_reference_on_thread_states():
     seen = set()
     memo: dict = {}
     for name in corpus_names():
-        _, steps_of, _, truncated = _state_graph(load_core(name), DEFAULT_BUDGET, reduce=False)
+        _, steps_of, _, truncated = full_graph(name, DEFAULT_BUDGET)
         assert not truncated, name
         for c in steps_of:
             for _, state, _ in c.threads:

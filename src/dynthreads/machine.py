@@ -116,9 +116,10 @@ ThreadState = Union[Comp, str]
 
 @_node
 class Configuration:
-    """The thread map, hashable for dedup (the hash is cached, as for
-    syntax nodes): one ``(tid, state, waits)`` entry per thread, sorted by
-    tid, where ``waits`` is the frozenset of threads it directly waits for.
+    """The thread map, hashable for the tests' schedule-graph walk, which
+    dedups configurations (the hash is cached, as for syntax nodes): one
+    ``(tid, state, waits)`` entry per thread, sorted by tid, where
+    ``waits`` is the frozenset of threads it directly waits for.
 
     The world is not stored: it is the set of tids in ``threads``.  Spawn
     counters are not stored either: threads never leave the world, so the
@@ -315,7 +316,7 @@ def run(
 ) -> RunResult:
     """Run to termination under one schedule: ``lowest-tid``, or
     ``random`` with a seed, which chooses among the runnable threads listed
-    in tid order, as :func:`_runnable` and :func:`enabled_steps` list them.
+    in tid order, as the tests' schedule-graph walk lists them.
 
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
@@ -669,7 +670,7 @@ def run_with_preservation(
     entries the step wrote, read off its local step: the threads it lists
     and the threads its wait pairs end at.  That covers every
     configuration:
-      - A step (:func:`_apply`) replaces the entries it writes and keeps
+      - A step (:func:`_write`) replaces the entries it writes and keeps
         every other one as it was, and threads never leave the world.
       - A kept entry has the same state and wait set, and its prefix in the
         creation order only grows: the order sorts by a key fixed per tid,

@@ -52,12 +52,15 @@ def full_graph(name: str, budget: int, reduce: bool = False) -> tuple:
     within ``budget`` states, as :func:`graph_oracle._state_graph` returns
     it: the full one unless ``reduce``.
 
-    Each graph is built once per test module (``conftest.py`` drops them
-    after each module).  The walk is the same for every budget until it is
-    cut, so a graph it finished is kept per program and served to every
-    budget it fits in; a truncated one is not kept, nor one of more than
-    ``KEPT_STATES`` states, which only one test reads.  The callers only
-    read the graph, and none of them breaks the machine first.
+    Each graph asked for within ``KEPT_STATES``, the budget of the
+    full-graph tests of ``test_machine.py``, is built once per test module
+    (``conftest.py`` drops them after each module).  The walk is the same
+    for every budget until it is cut, so a graph it finished is kept per
+    program and served to every budget it fits in; a truncated one is not
+    kept.  Graphs asked for with a larger budget are read once, by the
+    typecheck oracle, and keeping them added about 100 MB to a session's
+    peak memory.  The callers only read the graph, and none of them breaks
+    the machine first.
 
     A walk makes hundreds of thousands of objects and no reference cycle,
     so the cyclic collector is paused while it runs, and the objects alive
@@ -73,7 +76,7 @@ def full_graph(name: str, budget: int, reduce: bool = False) -> tuple:
         finally:
             gc.enable()
         gc.freeze()
-        if not graph[3] and len(graph[1]) <= KEPT_STATES:
+        if not graph[3] and budget <= KEPT_STATES:
             _GRAPHS[(name, reduce)] = graph
     return graph
 

@@ -28,10 +28,9 @@ nothing.  It keeps its scheduler state across steps (the thread map, the
 finished threads, spawn counts, unfinished waits and the runnable threads
 in tid order), and a step updates only the entries it wrote and, when it
 finishes a thread, the threads waiting on it.  It builds a configuration
-for its end and for its ``on_step`` hook only.  That hook sees each step
-and the configuration it reached, and the ``on_local`` hook each local step
-before it is applied.  That is how :func:`run_with_preservation` checks
-what each step wrote and how the command line prints trace lines.
+for its end only.  Its one hook, ``on_local``, sees each local step before
+it is applied.  That is how :func:`run_with_preservation` checks what each
+step wrote and how the command line prints trace lines.
 
 What every schedule does comes from one run too.  :func:`check_confluence`
 and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
@@ -81,6 +80,7 @@ from .lang import (
     UNIT,
     UNIT_V,
     _node,
+    _tids,
     check_comp,
     is_core,
     print_comp,
@@ -136,18 +136,6 @@ class Configuration:
     @cached_property
     def world(self) -> frozenset:  # frozenset[Tid]
         return frozenset(tid for tid, _, _ in self.threads)
-
-    @cached_property
-    def thread_map(self) -> dict:
-        return {tid: state for tid, state, _ in self.threads}
-
-    @cached_property
-    def prec(self) -> frozenset:  # frozenset[tuple[Tid, Tid]]
-        """The waits as pairs: ``(b, a)`` when ``a`` waits for ``b``."""
-        return frozenset((b, a) for a, _, waits in self.threads for b in waits)
-
-    def thread(self, tid: Tid) -> ThreadState:
-        return self.thread_map[tid]
 
     def is_terminal(self) -> bool:
         return all(state == FINISHED for _, state, _ in self.threads)
@@ -311,7 +299,6 @@ def run(
     policy: str = "lowest-tid",
     seed: Optional[int] = None,
     fuel: int = DEFAULT_BUDGET,
-    on_step: Optional[Callable[[StepLabel, Configuration], None]] = None,
     on_local: Optional[Callable[[Tid, int, _LocalOut], None]] = None,
 ) -> RunResult:
     """Run to termination under one schedule: ``lowest-tid``, or
@@ -320,8 +307,7 @@ def run(
 
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
-    with the acting thread, its next spawn ordinal and its local step, and
-    ``on_step(label, c)`` after it with the configuration ``c`` it reached.
+    with the acting thread, its next spawn ordinal and its local step.
     A terminal configuration reached within ``fuel`` steps ends the run;
     :class:`FuelExhausted` is raised only when a further step is needed
     after ``fuel`` steps, and :class:`Deadlock` when no thread can step
@@ -332,10 +318,9 @@ def run(
     threads waiting on it: the thread map, the finished set, each thread's
     spawn count, its unfinished waits with an index of who waits on whom,
     and the runnable tids in tid order.  A configuration is built only for
-    the end of the run and for ``on_step``.  This relies on finished being
-    final, which every local step keeps by writing only its own thread and
-    a new child; a step that writes a finished thread raises
-    :class:`MachineError`."""
+    the end of the run.  This relies on finished being final, which every
+    local step keeps by writing only its own thread and a new child; a step
+    that writes a finished thread raises :class:`MachineError`."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     if policy == "lowest-tid":
@@ -390,8 +375,6 @@ def run(
         for t in written:
             settle(t)
         events.append(StepLabel(tid, local.action))
-        if on_step is not None:
-            on_step(events[-1], Configuration(tuple(sorted(threads.values()))))
     c = Configuration(tuple(sorted(threads.values())))
     if not c.is_terminal():
         raise _deadlock(c)
@@ -609,38 +592,53 @@ def check_config_well_formed(
     c: Configuration,
     result_type: LangType,
     order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
-    entries: Optional[Iterable] = None, memo: Optional[dict] = None,
+    memo: Optional[dict] = None,
 ) -> Optional[str]:
     """The four conditions for a configuration to look like a family of
     siblings created in the given linear order: the order lists the world,
     every thread waits only on known threads that come earlier, and every
-    unfinished thread type checks against the threads before it.
+    unfinished thread type checks against the threads before it
+    (:func:`_ill_formed`).
 
     Wait sets need not be closed: if every wait goes forward in the order,
     so does every pair of their closure, which is therefore acyclic.
 
-    ``entries`` (in tid order) restricts the wait and typing conditions to
-    those entries of ``c.threads``; ``memo`` is handed to
-    :func:`~dynthreads.lang.check_comp`."""
+    ``memo`` is handed to :func:`~dynthreads.lang.check_comp`."""
     if set(order) != c.world or len(order) != len(c.world):
         return "order is not a linear order on the world"
-    position = {tid: i for i, tid in enumerate(order)}
-    entries = c.threads if entries is None else entries
+    return _ill_formed(c.threads, {tid: i for i, tid in enumerate(order)}, result_type, memo)
+
+
+def _ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> Optional[str]:
+    """The wait and typing conditions on ``entries``, ``(tid, state,
+    waits)``, where ``rank`` maps each known thread to its place in the
+    creation order: each wait names a known thread of smaller rank, and
+    each unfinished thread type checks in the world of the known threads of
+    smaller rank that its state names.  That world gives the judgement of
+    the whole prefix, because typing reads the world only by asking about
+    the thread IDs a node names (see :mod:`dynthreads.lang`).  The first
+    violation in the order of ``entries`` is named, waits before typing."""
     for tid, _, waits in entries:
         for b in waits:
-            if b not in position:
+            if b not in rank:
                 return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
-            if position[b] >= position[tid]:
+            if rank[b] >= rank[tid]:
                 return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
     for tid, state, _ in entries:
         if state == FINISHED:
             continue
-        visible = frozenset(order[: position[tid]])
+        world = frozenset(b for b in _tids(state) if b in rank and rank[b] < rank[tid])
         try:
-            check_comp({}, visible, state, result_type, memo)
+            check_comp({}, world, state, result_type, memo)
         except LangError as exc:
             return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
     return None
+
+
+def _rank(tid: Tid) -> tuple:
+    """The key :func:`creation_order` sorts by, fixed per tid: a thread
+    comes after every thread whose path extends its own."""
+    return tid + (inf,)
 
 
 def creation_order(world: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
@@ -649,10 +647,10 @@ def creation_order(world: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
 
     A thread can name or wait for only its own children, its older
     siblings, and what its parent could name when it was spawned, so every
-    such thread comes earlier.  The order sorts by a key fixed per tid, so
-    on the threads of an earlier configuration of the same run it is that
-    configuration's order: each step extends it."""
-    return tuple(sorted(world, key=lambda t: t + (inf,)))
+    such thread comes earlier.  The order sorts by a key fixed per tid
+    (:func:`_rank`), so on the threads of an earlier configuration of the
+    same run it is that configuration's order: each step extends it."""
+    return tuple(sorted(world, key=_rank))
 
 
 def run_with_preservation(
@@ -666,22 +664,25 @@ def run_with_preservation(
     :func:`creation_order` (:func:`check_config_well_formed`); returns the
     result and the number of checks.
 
-    The first configuration is checked whole; after each step only the
-    entries the step wrote, read off its local step: the threads it lists
-    and the threads its wait pairs end at.  That covers every
-    configuration:
-      - A step (:func:`_write`) replaces the entries it writes and keeps
-        every other one as it was, and threads never leave the world.
-      - A kept entry has the same state and wait set, and its prefix in the
-        creation order only grows: the order sorts by a key fixed per tid,
-        so a new thread is inserted and none moves.  Its waits still name
-        known threads that come earlier, since positions keep their
-        relative order, and its state still type checks, since typing is
-        stable under a larger world (weakening).
-    So a violation can only be in a written entry, and the one reported is
-    the one the whole check would report first, as it checks entries in
-    tid order too.  The tests keep the whole check at every step as the
-    oracle.
+    The first configuration is checked whole.  Then one ``on_local`` hook
+    writes each step into a thread map of its own (:func:`_write`) and
+    checks the entries the step wrote, read off its local step: the threads
+    it lists and the threads its wait pairs end at, with ranks
+    (:func:`_rank`) for the known threads.  Of the acting thread's waits
+    only the step's new ones are checked.  That covers every configuration:
+      - A step replaces the entries it writes and keeps every other one as
+        it was, and threads never leave the world.
+      - A kept wait, of a kept entry or of the acting thread, still names a
+        known thread of smaller rank: ranks are fixed per tid and the known
+        threads only grow.  A kept entry's state still type checks, since
+        the known threads of smaller rank that it names only grow.
+    So a violation can only be in a written entry.  The one reported is the
+    one the whole check would report first: on a violation the written
+    entries are checked again whole, in tid order.  The tests keep the
+    whole check at every step as the oracle.
+
+    The hook runs before :func:`run` checks the step, so it passes over a
+    step that writes a finished thread, which the run then refuses.
 
     The type checker shares one typing memo (see :mod:`dynthreads.lang`)
     across the run, which lives no longer than the call: a step keeps
@@ -689,30 +690,28 @@ def run_with_preservation(
     its child continue on the same one, so re-typing a thread costs the
     nodes the step rebuilt."""
     memo: dict = {}
-
-    def ill_formed(c: Configuration, entries: Iterable) -> Optional[str]:
-        return check_config_well_formed(c, result_type, creation_order(c.world), entries, memo)
-
-    c0 = Configuration.initial(comp)
-    bad = ill_formed(c0, c0.threads)
+    threads = {(): ((), comp, _NO_WAITS)}
+    rank = {(): _rank(())}
+    bad = _ill_formed(list(threads.values()), rank, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
-    written: set = set()
 
-    def note(_: Tid, __: int, local: _LocalOut) -> None:
-        written.clear()
-        written.update(t for t, _ in local.threads)
-        written.update(a for _, a in local.new_prec)
-
-    def check(_: StepLabel, c: Configuration) -> None:
+    def check(a: Tid, _: int, local: _LocalOut) -> None:
         nonlocal steps
+        written = dict.fromkeys([t for t, _ in local.threads] + [y for _, y in local.new_prec])
+        if any(t in threads and threads[t][1] == FINISHED for t in written):
+            return  # run refuses the step
         steps += 1
-        bad = ill_formed(c, [entry for entry in c.threads if entry[0] in written])
-        if bad:
+        _write(threads, threads[a][2], local)
+        rank.update((t, _rank(t)) for t, _ in local.threads)
+        new = frozenset(b for b, y in local.new_prec if y == a)
+        entries = [(t, s, new if t == a else w) for t, s, w in map(threads.__getitem__, written)]
+        if _ill_formed(entries, rank, result_type, memo):
+            bad = _ill_formed([threads[t] for t in sorted(written)], rank, result_type, memo)
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
-    result = run(comp, policy, seed, fuel, on_step=check, on_local=note)
+    result = run(comp, policy, seed, fuel, on_local=check)
     return result, steps + 1
 
 

@@ -7,6 +7,13 @@ depth-first walk of the schedule graph, with configurations deduplicated,
 and an ``explore`` and ``run_exhaustive`` read off it.  The tests
 cross-check the two.
 
+The reference run is kept here too: :func:`reference_run` scans every
+thread for the runnable ones and builds a whole configuration at every
+step, which its ``on_step`` hook sees.  The tests read per-step
+configurations from it, since :func:`~dynthreads.machine.run` builds only
+its terminal one, and read configurations through :func:`prec` and
+:func:`thread`.
+
 The walk builds a partial-order-reduced schedule graph by default: in a
 configuration where some thread can take a silent step (fork, wait, stop,
 or a beta/proj/case/let reduction), only the first such step in tid order
@@ -39,7 +46,9 @@ walk too.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from dynthreads import machine
@@ -52,10 +61,59 @@ from dynthreads.machine import (
     MachineError,
     RunResult,
     StepLabel,
+    ThreadState,
     _deadlock,
     _write,
 )
 from dynthreads.posets import label_paths
+
+
+def prec(c: Configuration) -> frozenset:  # frozenset[tuple[Tid, Tid]]
+    """The waits of ``c`` as pairs: ``(b, a)`` when ``a`` waits for ``b``."""
+    return frozenset((b, a) for a, _, waits in c.threads for b in waits)
+
+
+def thread(c: Configuration, tid: Tid) -> ThreadState:
+    """The state of thread ``tid`` in ``c``, or ``None`` if ``c`` has no
+    such thread."""
+    return next((state for t, state, _ in c.threads if t == tid), None)
+
+
+def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
+                  on_step=None, on_local=None) -> RunResult:
+    """Run to termination, scanning every thread for the runnable ones and
+    building a whole configuration at every step: ``on_local(tid, ordinal,
+    local)`` is called before each step, as by
+    :func:`~dynthreads.machine.run`, and ``on_step(label, c)`` after it
+    with the configuration ``c`` it reached."""
+    if not is_core(comp):
+        raise MachineError("run needs a desugared computation")
+    if policy == "lowest-tid":
+        choose = itemgetter(0)
+    elif policy == "random":
+        if seed is None:
+            raise MachineError("the random policy requires a seed")
+        choose = random.Random(seed).choice
+    else:
+        raise MachineError(f"unknown policy {policy!r}")
+    c = Configuration.initial(comp)
+    events = []
+    while True:
+        runnable = _runnable(c)
+        if not runnable:
+            if c.is_terminal():
+                return RunResult(c, tuple(events))
+            raise _deadlock(c)
+        if len(events) >= fuel:
+            raise FuelExhausted(f"no terminal configuration within {fuel} steps")
+        tid, state, waits, ordinal = choose(runnable)
+        local = machine._local_step(state, tid, ordinal)
+        if on_local is not None:
+            on_local(tid, ordinal, local)
+        label, c = _apply(c, tid, waits, local)
+        events.append(label)
+        if on_step is not None:
+            on_step(label, c)
 
 
 def enabled_steps(c: Configuration) -> list[tuple[StepLabel, Configuration]]:

@@ -7,7 +7,7 @@ import pytest
 
 from dynthreads import machine
 from dynthreads.cli import _pomset_text, _trace_line, main
-from dynthreads.machine import DEFAULT_BUDGET, Configuration, run
+from dynthreads.machine import DEFAULT_BUDGET, Configuration
 
 import graph_oracle
 from corpus import PROGRAMS_DIR, corpus_names, load_core
@@ -127,9 +127,11 @@ def test_run_trace_from_local_steps_matches_the_configurations(capsys):
             argv = ["run", str(PROGRAMS_DIR / f"{name}.prog"), "--policy", policy]
             assert main(argv + (["--seed", str(seed)] if seed else [])) == 0
             trace: list[str] = []
-            result = run(
+            result = graph_oracle.reference_run(
                 load_core(name), policy, seed, DEFAULT_BUDGET,
-                on_step=lambda label, c: trace.append(_trace_line(label, c.thread(label.acting))),
+                on_step=lambda label, c: trace.append(
+                    _trace_line(label, graph_oracle.thread(c, label.acting))
+                ),
             )
             expected = "\n".join(trace + ["pomset:"] + _pomset_text(result.pomset)) + "\n"
             assert capsys.readouterr().out == expected, (name, policy, seed)

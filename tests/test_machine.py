@@ -56,6 +56,9 @@ from graph_oracle import (
     _state_graph,
     _witness_events,
     enabled_steps,
+    prec,
+    reference_run,
+    thread,
 )
 from graph_oracle import explore as walk_explore
 from graph_oracle import run_exhaustive as walk_run_exhaustive
@@ -70,15 +73,15 @@ def test_fork_spawns_child_with_path_naming():
     assert label == StepLabel((), None)
     assert nxt.world == {(), (1,)}
     fork_result = Sum((TID, UNIT))
-    assert nxt.thread(()) == Ret(InjV(1, TidV((1,)), fork_result))
-    assert nxt.thread((1,)) == Ret(InjV(2, TupleV(()), fork_result))
+    assert thread(nxt, ()) == Ret(InjV(1, TidV((1,)), fork_result))
+    assert thread(nxt, (1,)) == Ret(InjV(2, TupleV(()), fork_result))
 
 
 def test_printstop_is_a_labelled_step():
     c = Configuration.initial(desugar(parse_comp("printstop[s]()")))
     (label, nxt), = enabled_steps(c)
     assert label.action == "s"
-    assert nxt.thread(()) == FINISHED
+    assert thread(nxt, ()) == FINISHED
 
 
 def test_waiting_thread_is_not_enabled():
@@ -90,7 +93,7 @@ def test_waiting_thread_is_not_enabled():
 
     # after the wait records the dependency, only 0.1 may move
     label, c2 = [s for s in enabled_steps(c) if s[0].acting == ()][0]
-    assert ((1,), ()) in c2.prec
+    assert ((1,), ()) in prec(c2)
     assert [lab.acting for lab, _ in enabled_steps(c2)] == [(1,)]
 
 
@@ -334,7 +337,7 @@ def _configurations_and_steps(name):
     steps = {(c, nxt) for c, out in steps_of.items() for _, nxt in out}
     for policy, seed in SCHEDULES:
         path = [c0]
-        run(comp, policy=policy, seed=seed, on_step=lambda _, c: path.append(c))
+        reference_run(comp, policy=policy, seed=seed, on_step=lambda _, c: path.append(c))
         configurations.update(path)
         steps.update(zip(path, path[1:]))
     return configurations, steps
@@ -417,19 +420,20 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
         assert not truncated, name
         closures: dict = {}
 
-        def closed(prec):
-            """The closure of ``prec`` and, for each thread, those below it."""
-            if prec not in closures:
-                below = _close_pairs(prec)
+        def closed(pairs):
+            """The closure of ``pairs`` and, for each thread, those below it."""
+            if pairs not in closures:
+                below = _close_pairs(pairs)
                 preds: dict = {}
                 for b, a in below:
                     preds.setdefault(a, set()).add(b)
-                closures[prec] = below, preds
-            return closures[prec]
+                closures[pairs] = below, preds
+            return closures[pairs]
 
         seen = set()
+        precs = {c: prec(c) for c in steps_of}
         for c, steps in steps_of.items():
-            below, preds = closed(c.prec)
+            below, preds = closed(precs[c])
             finished = {t for t, state, _ in c.threads if state == FINISHED}
             runnable = [
                 t
@@ -441,19 +445,19 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
             assert [t for t, _, _, _ in _runnable(c)] == runnable, name
             for label, nxt in steps:
                 # many steps repeat the same closure problem; check each once
-                problem = (c.prec, nxt.prec, label.acting, c.world, nxt.world)
+                problem = (precs[c], precs[nxt], label.acting, c.world, nxt.world)
                 if problem in seen:
                     continue
                 seen.add(problem)
                 a = label.acting
-                assert c.prec <= nxt.prec, name
-                added = nxt.prec - c.prec
+                assert precs[c] <= precs[nxt], name
+                added = precs[nxt] - precs[c]
                 new_threads = nxt.world - c.world
                 assert all(y == a or y in new_threads for _, y in added), name
                 waits = {(x, y) for x, y in added if y == a}
                 inherited = {(b, t) for t in new_threads for b in preds.get(a, ())}
                 expected = _reference_close_with(below, waits | inherited)
-                assert closed(nxt.prec)[0] == expected, name
+                assert closed(precs[nxt])[0] == expected, name
 
 
 def test_steps_write_only_the_acting_thread_and_a_new_child():
@@ -501,7 +505,7 @@ def test_prec_is_the_pairs_of_the_wait_sets():
             ((2,), stop, frozenset({(1,)})),
         )
     )
-    assert c.prec == {((1,), ()), ((2,), ()), ((1,), (2,))}
+    assert prec(c) == {((1,), ()), ((2,), ()), ((1,), (2,))}
 
 
 def test_run_exhaustive_policy_returns_result_set():
@@ -610,10 +614,11 @@ def _full_graph_violation(c, steps_of):
     """The prec-growth law on every step of ``c`` (a new wait pair into an
     old thread ends at the acting thread or at a thread waiting for it, or
     was already implied), then determinacy and the diamonds."""
+    before = prec(c)
     for label, nxt in steps_of(c):
         a = label.acting
-        for x, y in nxt.prec - c.prec:
-            if y in c.world and not ((x, y) in c.prec or a == y or (a, y) in c.prec):
+        for x, y in prec(nxt) - before:
+            if y in c.world and not ((x, y) in before or a == y or (a, y) in before):
                 return (
                     f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
                     f"acting thread {tid_str(a)}"
@@ -669,13 +674,13 @@ def _run_step_keys(comp) -> set:
     c = Configuration.initial(comp)
 
     def take(tid, ordinal, _):
-        keys.add((c.thread(tid), tid, ordinal))
+        keys.add((thread(c, tid), tid, ordinal))
 
     def reach(_, nxt):
         nonlocal c
         c = nxt
 
-    run(comp, on_step=reach, on_local=take)
+    reference_run(comp, on_step=reach, on_local=take)
     return keys
 
 
@@ -849,11 +854,11 @@ def test_confluence_checks_steps_the_reduction_postpones(monkeypatch, which):
     child_states = []
 
     def record(_, c):
-        state = c.thread_map.get((1,))
+        state = thread(c, (1,))
         if state not in (None, FINISHED) and state not in child_states:
             child_states.append(state)
 
-    run(comp, on_step=record)
+    reference_run(comp, on_step=record)
 
     def change(out, state, tid):
         if tid != (1,) or (which == "second" and state != child_states[1]):
@@ -902,7 +907,7 @@ def _reference_run(comp, policy, seed):
             return tuple(events), c, tuple(trace)
         label, c = choose(steps)
         events.append(label)
-        state = c.thread(label.acting)
+        state = thread(c, label.acting)
         if state == FINISHED:
             summary = "finished"
         else:
@@ -952,10 +957,9 @@ def test_long_print_chain_runs_with_short_trace_lines():
     labels = [f"p{k}" for k in range(n)]
     text = "".join(f"print[{label}](); " for label in labels) + "stop()"
     lines = []
-    result = run(
-        desugar(parse_comp(text)),
-        on_step=lambda label, c: lines.append(_trace_line(label, c.thread(label.acting))),
-    )
+    comp = desugar(parse_comp(text))
+    result = run(comp)
+    reference_run(comp, on_step=lambda label, c: lines.append(_trace_line(label, thread(c, label.acting))))
     assert len(result.events) == len(lines) == 1_201
     pomset = result.pomset
     assert len(pomset.element_ids) == n
@@ -1003,28 +1007,38 @@ def test_deeply_nested_cases_run_with_preservation():
 
 def test_preservation_types_each_step_in_work_proportional_to_what_it_wrote(monkeypatch):
     # the typing memo of the run leaves only the spine a step rebuilt to be
-    # typed again, so the judgements grow with the chain, not its square
-    judged = []
-    comp = lang._comp
+    # typed again, so the judgements grow with the chain, not its square;
+    # and a thread is typed in the world of the threads it names, not the
+    # whole prefix of the creation order
+    judged, worlds = [], []
+    comp, check_comp = lang._comp, machine.check_comp
 
     def counted(env, world, term, want, memo=None):
         judged.append(term)
         return comp(env, world, term, want, memo)
 
+    def measured(env, world, term, want, memo=None):
+        worlds.append(len(world))
+        return check_comp(env, world, term, want, memo)
+
     monkeypatch.setattr(lang, "_comp", counted)
-    counts = []
+    monkeypatch.setattr(machine, "check_comp", measured)
+    counts, world_sizes = [], []
     for n in (50, 100):
         judged.clear()
+        worlds.clear()
         text = "".join(f"print[p{k}](); " for k in range(n)) + "stop()"
         run_with_preservation(desugar(parse_comp(text)), EMPTY)
         counts.append(len(judged))
+        world_sizes.append(sum(worlds))
     assert counts[1] <= 2.5 * counts[0], counts
+    assert 0 < world_sizes[1] <= 2.5 * world_sizes[0], world_sizes
 
 
 def test_let_steps_keep_the_rest_of_a_print_chain():
     comp = desugar(parse_comp("print[a](); print[b](); print[c](); stop()"))
     roots = []
-    run(comp, on_step=lambda label, c: roots.append(c.thread(())))
+    reference_run(comp, on_step=lambda label, c: roots.append(thread(c, ())))
     # until the root's first let step, its state is a let around the rest of
     # the program; that step leaves the rest itself, not a copy
     first = next(i for i, state in enumerate(roots) if state is comp.body)

@@ -5,7 +5,8 @@ configuration whole and then, after each step, only the entries the step
 wrote, with one typing memo for the run.  It is checked against the run it
 replaced, kept below as the reference: the whole of
 :func:`~dynthreads.machine.check_config_well_formed` on every configuration,
-in its :func:`~dynthreads.machine.creation_order`, without a memo.  Both
+in its :func:`~dynthreads.machine.creation_order`, without a memo, with the
+configurations of ``reference_run`` of ``tests/graph_oracle.py``.  Both
 must give the same result and number of checks, or raise the same error
 with the same message.
 
@@ -43,11 +44,11 @@ from dynthreads.machine import (
     MachineError,
     check_config_well_formed,
     creation_order,
-    run,
     run_with_preservation,
 )
 
 from corpus import NESTED_WAIT, corpus_names, load_core
+from graph_oracle import reference_run
 
 SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
 
@@ -68,7 +69,7 @@ def reference_run_with_preservation(comp, result_type, policy="lowest-tid", seed
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
-    result = run(comp, policy, seed, fuel, on_step=check)
+    result = reference_run(comp, policy, seed, fuel, on_step=check)
     return result, steps + 1
 
 
@@ -147,22 +148,28 @@ def test_preservation_agrees_with_the_whole_check_on_broken_typing(monkeypatch, 
 
 def test_preservation_agrees_with_the_whole_check_on_broken_waits(monkeypatch):
     # a wait step that also waits for the acting thread itself, or for a
-    # thread that does not exist
+    # thread that does not exist; or a fork step whose new child also waits
+    # for its parent, which only the check of the child's whole set sees
     local_step = machine._local_step
 
     def waits_too(extra):
         def broken(comp, tid, ordinal):
             out = local_step(comp, tid, ordinal)
-            if out.new_prec:
-                return machine._LocalOut(out.action, out.threads,
-                                         out.new_prec | {(extra(tid), tid)})
+            pair = extra(tid, out)
+            if pair is not None:
+                return machine._LocalOut(out.action, out.threads, out.new_prec | {pair})
             return out
         return broken
 
-    for extra in (lambda tid: tid, lambda tid: tid + (99,)):
+    for extra in (
+        lambda tid, out: (tid, tid) if out.new_prec else None,
+        lambda tid, out: (tid + (99,), tid) if out.new_prec else None,
+        lambda tid, out: (tid, out.threads[1][0]) if len(out.threads) == 2 else None,
+    ):
         monkeypatch.setattr(machine, "_local_step", waits_too(extra))
         outcomes = _agree(load_core("ex21_wait_first"), SCHEDULES[:2])
         assert all(len(outcome) == 2 for outcome in outcomes), outcomes
+    assert all(message.endswith("0.1 waits on later sibling 0") for _, message in outcomes)
 
 
 def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_order(monkeypatch):
@@ -184,3 +191,36 @@ def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_ord
         "configuration after step 4 ill-formed: thread 0.-2 does not typecheck at the "
         "thread type: thread ID 0.-1 not in the world",
     )
+    # the root waits for its first child and then spawns a second, which
+    # inherits that wait: only the check of the new child's whole set sees it
+    comp = desugar(parse_comp(
+        "let x = fork() in case x of { inj1 a => wait(a); let y = fork() in case y of "
+        "{ inj1 b => stop() | inj2 u => stop() } | inj2 v => stop() }"
+    ))
+    (outcome,) = _agree(comp, SCHEDULES[:1])
+    assert outcome == (
+        "MachineError", "configuration after step 9 ill-formed: 0.-2 waits on later sibling 0.-1"
+    )
+
+
+def test_preservation_names_the_violation_the_whole_check_names_first(monkeypatch):
+    # fork steps list the new child before its parent, and both fail to
+    # type check: the whole check names the parent, which comes first in
+    # tid order
+    local_step = machine._local_step
+    check_comp = machine.check_comp
+
+    def reversed_step(comp, tid, ordinal):
+        out = local_step(comp, tid, ordinal)
+        return out._replace(threads=out.threads[::-1])
+
+    def broken(gamma, visible, state, ty, memo=None):
+        if REJECTED["new child"](state) or REJECTED["names a thread"](state):
+            raise LangError("rejected")
+        return check_comp(gamma, visible, state, ty, memo)
+
+    monkeypatch.setattr(machine, "_local_step", reversed_step)
+    monkeypatch.setattr(machine, "check_comp", broken)
+    (outcome,) = _agree(load_core("ex21_wait_first"), SCHEDULES[:1])
+    assert outcome[0] == "MachineError"
+    assert "ill-formed: thread 0 does not typecheck" in outcome[1], outcome

@@ -4,15 +4,14 @@
 updates only what each step wrote, and
 :func:`~dynthreads.machine.observation` closes the final waits in one pass
 in the order the threads finished.  Both are checked against the code they
-replaced, kept below as the reference: a run that finds the runnable
-threads with ``_runnable`` of ``tests/graph_oracle.py`` and builds the next
-configuration with its ``_apply`` at every step, and an
-observation that closes the waiting relation with
-the pair closure ``_close_pairs`` of ``tests/pair_oracle.py``.
+replaced, kept as the reference: ``reference_run`` of
+``tests/graph_oracle.py``, which finds the runnable threads with its
+``_runnable`` and builds the next configuration with its ``_apply`` at
+every step, and, below, an observation that closes the waiting relation
+with the pair closure ``_close_pairs`` of ``tests/pair_oracle.py``.
 
 A run and its reference must give the same events and terminal
-configuration, call ``on_local`` and ``on_step`` with the same arguments in
-the same order, or raise the same error with the same message.  Every
+configuration, call ``on_local`` with the same arguments in the same order, or raise the same error with the same message.  Every
 terminated run, and every terminal run of the schedule-graph walk's
 ``run_exhaustive`` on the corpus, must give the same pomset both ways.
 
@@ -24,69 +23,31 @@ workload; a 64-wide ``node`` fork; and programs that deadlock.
 
 from __future__ import annotations
 
-import random
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 from dynthreads import machine
-from dynthreads.lang import desugar, is_core, parse_comp, parse_program, tid_str
+from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, tid_str
 from dynthreads.machine import (
     DEFAULT_BUDGET,
     Configuration,
-    FuelExhausted,
     MachineError,
-    RunResult,
-    _deadlock,
     observation,
     run,
+    run_with_preservation,
 )
 from dynthreads.posets import Pomset
 
 from corpus import NESTED_WAIT, corpus_names, load_core
-from graph_oracle import _apply, _runnable, run_exhaustive
+from graph_oracle import prec, reference_run, run_exhaustive
 from pair_oracle import _close_pairs
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import long_programs  # noqa: E402
 
 SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
-
-
-def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
-                  on_step=None, on_local=None) -> RunResult:
-    """Run to termination, scanning every thread for the runnable ones and
-    building a whole configuration at every step."""
-    if not is_core(comp):
-        raise MachineError("run needs a desugared computation")
-    if policy == "lowest-tid":
-        choose = itemgetter(0)
-    elif policy == "random":
-        if seed is None:
-            raise MachineError("the random policy requires a seed")
-        choose = random.Random(seed).choice
-    else:
-        raise MachineError(f"unknown policy {policy!r}")
-    c = Configuration.initial(comp)
-    events = []
-    while True:
-        runnable = _runnable(c)
-        if not runnable:
-            if c.is_terminal():
-                return RunResult(c, tuple(events))
-            raise _deadlock(c)
-        if len(events) >= fuel:
-            raise FuelExhausted(f"no terminal configuration within {fuel} steps")
-        tid, state, waits, ordinal = choose(runnable)
-        local = machine._local_step(state, tid, ordinal)
-        if on_local is not None:
-            on_local(tid, ordinal, local)
-        label, c = _apply(c, tid, waits, local)
-        events.append(label)
-        if on_step is not None:
-            on_step(label, c)
 
 
 def reference_observation(events, final) -> Pomset:
@@ -97,20 +58,17 @@ def reference_observation(events, final) -> Pomset:
     acting = {e.acting for e in labelled}
     order = frozenset(
         (tid_str(b), tid_str(a))
-        for (b, a) in _close_pairs(final.prec)
+        for (b, a) in _close_pairs(prec(final))
         if b in acting and a in acting
     )
     return Pomset.of(labels, order)
 
 
 def _outcome(runner, comp, policy, seed, fuel, hooked):
-    """What a run shows: its events, terminal configuration and hook calls,
-    or its error and message and the hook calls before it."""
+    """What a run shows: its events, terminal configuration and
+    ``on_local`` calls, or its error and message and the calls before it."""
     calls = []
-    hooks = {}
-    if hooked:
-        hooks["on_local"] = lambda *args: calls.append(("local", *args))
-        hooks["on_step"] = lambda *args: calls.append(("step", *args))
+    hooks = {"on_local": lambda *args: calls.append(args)} if hooked else {}
     try:
         result = runner(comp, policy, seed, fuel, **hooks)
     except MachineError as exc:
@@ -200,12 +158,18 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
 
     # the scan of every thread for the runnable ones is the oracle's alone
     assert not hasattr(machine, "_runnable")
+    counted.initial = Configuration.initial
     monkeypatch.setattr(machine, "Configuration", counted)
     for name in corpus_names():
         for policy, seed in SCHEDULES:
             built.clear()
             result = run(load_core(name), policy, seed)
             assert len(built) == 1 and result.terminal.threads is built[0], (name, policy, seed)
+            # the preservation check reads the steps from its own hook: at
+            # most the initial configuration is built besides the terminal
+            built.clear()
+            result, _ = run_with_preservation(load_core(name), EMPTY, policy, seed)
+            assert len(built) <= 2 and result.terminal.threads is built[-1], (name, policy, seed)
 
 
 def test_a_long_print_chain_runs_and_builds_its_pomset():

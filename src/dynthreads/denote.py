@@ -1,17 +1,21 @@
 """Denotations of first-order programs as terms of the thread theory.
 
-Elaboration is continuation-passing: the four core constants contribute
-their algebraic counterparts -
+The four core constants are generic effects, and their denotations are the
+theory's operations.  So a program denotes its pure fragment run to an
+effect, by the machine's own pure step (:func:`machine._reduce`, under the
+``let`` frames that :func:`machine._peel` and :func:`machine._plug` take
+off and put back), with each effect read as an operation -
 
-* ``fork()`` duplicates the continuation under a fresh ID binder,
-* ``wait(v)`` wraps it in a wait on the IDs of ``v``,
-* ``stop()`` and ``printstop[s]()`` discard it,
+* ``fork()`` is a fork under a fresh ID binder, whose parent goes on with
+  the binder's ID and whose child with the machine's child start,
+* ``wait(v)`` is a wait on the IDs of ``v``,
+* ``stop()`` and ``printstop[s]()`` are ``stop`` and ``act[s]``.
 
-and everything else (projections, cases, beta redexes) is evaluated
-symbolically at elaboration time.  A closed program of first-order type
-``B`` in world ``w`` denotes a term over ``|w|`` parameters whose
-computation variables ``x1:m1, ...`` name the summands of the canonical
-form of ``B`` (every first-order type is a sum of tid-tuples).
+A closed program of first-order type ``B`` in world ``w`` denotes a term
+over ``|w|`` parameters whose computation variables ``x1:m1, ...`` name
+the summands of the canonical form of ``B`` (every first-order type is a
+sum of tid-tuples); a returned value is the variable of its summand,
+applied to its thread IDs.
 
 This module also hosts the checks tying semantics together: adequacy
 (observed pomset vs star-erased denotation), and the closing context and
@@ -21,35 +25,44 @@ marker-gadget constructions used to probe completeness on open terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Optional
 
 from .lang import (
-    ApplyC,
-    CaseV,
     Comp,
-    ConstV,
     InjV,
-    LambdaV,
     LangType,
-    LetC,
     NilV,
     Prod,
-    ProjC,
     Ret,
     Sum,
+    Tid,
     TidType,
     TidV,
     TupleV,
+    UNIT_V,
     UnionV,
-    VarV,
+    Value,
     desugar,
     first_order,
     print_type,
+    subst_value,
     tid_str,
+    tids_of_value,
     typecheck_comp,
 )
-from .machine import DEFAULT_BUDGET, RunResult, run
-from .posets import Pomset, PosetWithHoles, erase_star, interp
+from .machine import (
+    DEFAULT_BUDGET,
+    RunResult,
+    _CHILD_START,
+    _FORK_RESULT,
+    _effect,
+    _peel,
+    _plug,
+    _reduce,
+    run,
+)
+from .posets import Pomset, PosetWithHoles, decide_equal, erase_star, interp
 from .terms import (
     Act,
     CompContext,
@@ -118,57 +131,23 @@ def _summands(ty: LangType) -> list[int]:
     raise TypeError(f"not a first-order type: {ty!r}")
 
 
-# --- symbolic values ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class STid:
-    names: frozenset[str]
-
-
-@dataclass(frozen=True)
-class STuple:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class SInj:
-    index: int
-    value: "SemValue"
-
-
-@dataclass
-class SClosure:
-    param: str
-    body: Comp
-    env: dict
-
-
-@dataclass(frozen=True)
-class SConst:
-    name: str
-    action: Optional[str]
-
-
-SemValue = Union[STid, STuple, SInj, SClosure, SConst]
-
-
-def _inject(v: SemValue, ty: LangType) -> tuple[int, list[frozenset[str]]]:
-    """Coerce a symbolic value of ``ty`` through the canonical sum: returns
-    the 1-based summand index and the tid vector."""
+def _inject(v: Value, ty: LangType) -> tuple[int, list[Value]]:
+    """Coerce a closed value of ``ty`` through the canonical sum: returns
+    the 1-based summand index and the tid values of its vector."""
     match ty, v:
-        case TidType(), STid(names):
-            return 1, [names]
-        case Sum(parts), SInj(index, inner):
+        case TidType(), TidV() | NilV() | UnionV():
+            return 1, [v]
+        case Sum(parts), InjV(index, inner):
             offset = 0
             for p in parts[: index - 1]:
                 offset += len(_summands(p))
             idx, vec = _inject(inner, parts[index - 1])
             return offset + idx, vec
-        case Prod(parts), STuple(items):
+        case Prod(parts), TupleV(items):
             if len(items) != len(parts):
                 raise DenoteError("tuple arity mismatch during coercion")
             index = 1
-            vec: list[frozenset[str]] = []
+            vec: list[Value] = []
             for item, part in zip(items, parts):
                 arms = len(_summands(part))
                 idx, piece = _inject(item, part)
@@ -186,16 +165,19 @@ class Denotation:
     poset: PosetWithHoles
 
 
+# forked thread IDs extend this root, which no other thread ID extends:
+# spawn ordinals start at 1 and thread ID literals are unsigned
+_FORK_ROOT = (-1,)
+
+
 class Elaborator:
-    """CPS elaboration with a symbolic environment.
+    """Elaboration of one thread by the machine's own pure step.
 
-    ``var_prefix`` names the top-level continuation variables ``x1, x2, ...``;
-    fresh fork binders are drawn from ``p1, p2, ...``.
-    """
+    Fresh fork binders are drawn from ``p1, p2, ...``, skipping the names
+    of ``delta``."""
 
-    def __init__(self, delta: ParamContext, var_prefix: str = "x"):
+    def __init__(self, delta: ParamContext):
         self.delta = delta
-        self.var_prefix = var_prefix
         self._counter = 0
 
     def fresh_param(self) -> str:
@@ -207,99 +189,64 @@ class Elaborator:
         return name
 
     def denote_comp(self, comp: Comp, env: dict, result_type: LangType) -> tuple[CompContext, Term]:
+        """The context and term of ``comp`` with each variable of ``env``
+        replaced by its closed value.
+
+        The walk keeps the branches still to elaborate and, as
+        :func:`terms._parse_term` does, the operations still open, each with
+        the subterms it takes, those closed so far and its constructor.  A
+        branch takes pure steps until its redex is an effect or it returns:
+        ``fork`` opens a fork whose parent branch goes on with ``inj1`` of
+        a fresh thread ID and whose child branch, walked after it, is the
+        machine's child start under the same frames; ``wait`` opens a wait;
+        ``stop``, ``printstop`` and a returned value close the branch."""
         canonical = CanonicalFOType.of(result_type)
-        gamma = CompContext(
-            tuple(
-                (f"{self.var_prefix}{i}", m)
-                for i, m in enumerate(canonical.summands, start=1)
-            )
-        )
+        gamma = CompContext(tuple((f"x{i}", m) for i, m in enumerate(canonical.summands, start=1)))
+        for x, v in env.items():
+            comp = subst_value(comp, x, v)
+        binders: dict = {}  # forked ID -> its binder
 
-        def top(v: SemValue) -> Term:
-            idx, vec = _inject(v, result_type)
-            return Var(f"{self.var_prefix}{idx}", tuple(vec))
+        def name(t: Tid) -> str:
+            if t in binders:
+                return binders[t]
+            if f"w{tid_str(t)}" not in self.delta.names:
+                raise UnboundTid(f"thread ID {tid_str(t)} not in the world")
+            return f"w{tid_str(t)}"
 
-        term = self.elaborate(comp, env, top)
+        def names(v: Value) -> frozenset[str]:
+            return frozenset(map(name, tids_of_value(v)))
+
+        branches, opened = [comp], []
+        while branches:
+            comp, term = branches.pop(), None
+            while term is None:
+                frames, redex = _peel(comp)
+                effect = _effect(redex)
+                if effect is None and type(redex) is Ret:
+                    idx, vec = _inject(redex.value, result_type)
+                    term = Var(f"x{idx}", tuple(map(names, vec)))
+                elif effect is None:
+                    comp = _plug(frames, _reduce(redex))
+                elif effect.name == "fork":
+                    tid = _FORK_ROOT + (len(binders),)
+                    binders[tid] = self.fresh_param()
+                    opened.append((2, [], partial(Fork, binders[tid])))
+                    branches.append(_plug(frames, _CHILD_START))
+                    comp = _plug(frames, Ret(InjV(1, TidV(tid), _FORK_RESULT)))
+                elif effect.name == "wait":
+                    opened.append((1, [], partial(Wait, names(redex.arg))))
+                    comp = _plug(frames, Ret(UNIT_V))
+                else:
+                    term = STOP if effect.name == "stop" else Act(effect.action)
+            while opened:
+                arity, closed, build = opened[-1]
+                closed.append(term)
+                if len(closed) < arity:
+                    break
+                opened.pop()
+                term = build(*closed)
         scope_check(term, gamma, self.delta)
         return gamma, term
-
-    def elaborate(self, comp: Comp, env: dict, k) -> Term:
-        match comp:
-            case Ret(v):
-                return k(self.eval_value(v, env))
-            case LetC(x, bound, body):
-                return self.elaborate(
-                    bound, env, lambda val: self.elaborate(body, {**env, x: val}, k)
-                )
-            case ProjC(index, v):
-                val = self.eval_value(v, env)
-                if not isinstance(val, STuple) or not 1 <= index <= len(val.items):
-                    raise DenoteError(f"proj{index} of a non-tuple")
-                return k(val.items[index - 1])
-            case CaseV(v, branches):
-                return self._case(self.eval_value(v, env), branches, env, k)
-            case ApplyC(fn, arg):
-                fv = self.eval_value(fn, env)
-                av = self.eval_value(arg, env)
-                return self._apply(fv, av, k)
-        raise TypeError(f"not a core computation: {comp!r}")
-
-    def _case(self, scrutinee: SemValue, branches, env: dict, k) -> Term:
-        if not isinstance(scrutinee, SInj):
-            raise DenoteError("case scrutinee did not evaluate to an injection")
-        if not 1 <= scrutinee.index <= len(branches):
-            raise DenoteError(f"inj{scrutinee.index} with {len(branches)} branches")
-        x, body = branches[scrutinee.index - 1]
-        return self.elaborate(body, {**env, x: scrutinee.value}, k)
-
-    def _apply(self, fn: SemValue, arg: SemValue, k) -> Term:
-        if isinstance(fn, SClosure):
-            return self.elaborate(fn.body, {**fn.env, fn.param: arg}, k)
-        if not isinstance(fn, SConst):
-            raise DenoteError("application of a non-function")
-        if fn.name == "fork":
-            a = self.fresh_param()
-            parent = k(SInj(1, STid(frozenset({a}))))
-            child = k(SInj(2, STuple(())))
-            return Fork(a, parent, child)
-        if fn.name == "wait":
-            if not isinstance(arg, STid):
-                raise DenoteError("wait applied to a non-tid value")
-            return Wait(arg.names, k(STuple(())))
-        if fn.name == "stop":
-            return STOP
-        if fn.name == "printstop":
-            return Act(fn.action)
-        raise DenoteError(f"constant {fn.name!r} must be desugared before denotation")
-
-    def eval_value(self, v, env: dict) -> SemValue:
-        match v:
-            case VarV(name):
-                if name not in env:
-                    raise DenoteError(f"unbound variable {name!r} during elaboration")
-                return env[name]
-            case TupleV(items):
-                return STuple(tuple(self.eval_value(i, env) for i in items))
-            case InjV(index, inner):
-                return SInj(index, self.eval_value(inner, env))
-            case LambdaV(param, _, body):
-                return SClosure(param, body, dict(env))
-            case TidV(path):
-                name = f"w{tid_str(path)}"
-                if name not in self.delta.names:
-                    raise UnboundTid(f"thread ID {tid_str(path)} not in the world")
-                return STid(frozenset({name}))
-            case NilV():
-                return STid(frozenset())
-            case UnionV(left, right):
-                lv = self.eval_value(left, env)
-                rv = self.eval_value(right, env)
-                if not isinstance(lv, STid) or not isinstance(rv, STid):
-                    raise DenoteError("(+) applied to non-tid values")
-                return STid(lv.names | rv.names)
-            case ConstV(name, action):
-                return SConst(name, action)
-        raise TypeError(f"not a value: {v!r}")
 
 
 def world_context(world) -> ParamContext:
@@ -427,8 +374,6 @@ def completeness_probe(
 ) -> ProbeReport:
     """Check that equality survives closing: gadget-substitute and wrap both
     terms, then compare the open and closed verdicts."""
-    from .posets import decide_equal
-
     for t in (t1, t2):
         bad = {l for l in act_labels(t) if l.startswith("$")}
         if bad:

@@ -7,6 +7,13 @@ finished; ``fork`` steps spawn a child whose ID extends the parent's path by
 the next spawn ordinal, so fresh names do not depend on the schedule and
 configurations from different interleavings are directly comparable.
 
+A thread-local step peels the ``let`` frames off its redex, applies an
+effect (``fork``, ``wait``, ``stop``, ``printstop``) or the pure step
+(:func:`_reduce`: beta, ``let`` of a value, ``proj``, ``case``) and plugs
+the result back into the frames.  The pure step and the peel and plug are
+the only evaluator of the pure fragment: :mod:`dynthreads.denote`
+elaborates denotations with them too.
+
 A thread's waits are the ones steps wrote for it: a ``wait`` adds the
 awaited threads to the acting thread's set, and a forked child starts with
 its parent's set (the same object).  No other thread's set changes, sets
@@ -62,6 +69,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .lang import (
     ApplyC,
+    CORE_CONSTS,
     CaseV,
     Comp,
     ConstV,
@@ -158,60 +166,88 @@ class _LocalOut(NamedTuple):
     new_prec: frozenset
 
 
+def _peel(comp: Comp) -> tuple[list, Comp]:
+    """The ``let`` frames around the redex of ``comp``, outermost first,
+    and the redex, peeled off in a loop.  The redex is a ``let`` only when
+    it binds a value, and a value only when there are no frames."""
+    frames = []
+    while type(comp) is LetC and type(comp.bound) is not Ret:
+        frames.append(comp)
+        comp = comp.bound
+    return frames, comp
+
+
+def _plug(frames: list, comp: Comp) -> Comp:
+    """``comp`` wrapped back into ``frames``, once per frame."""
+    for frame in reversed(frames):
+        comp = LetC(frame.var, comp, frame.body)
+    return comp
+
+
+def _effect(redex: Comp) -> Optional[ConstV]:
+    """The constant a redex applies, when it is one of the four effects
+    (``fork``, ``wait``, ``stop``, ``printstop``)."""
+    fn = redex.fn if type(redex) is ApplyC else None
+    return fn if type(fn) is ConstV and fn.name in CORE_CONSTS else None
+
+
+def _reduce(redex: Comp) -> Comp:
+    """The pure step of a redex that is not an effect: beta, ``let`` of a
+    value, ``proj`` of a tuple and ``case`` of an injection.  The machine
+    and the denotations (:mod:`dynthreads.denote`) share it."""
+    kind = type(redex)
+    if kind is ApplyC:
+        fn = redex.fn
+        if type(fn) is LambdaV:
+            return subst_value(fn.body, fn.param, redex.arg)
+        if type(fn) is ConstV:
+            raise StuckThread(f"constant {fn.name!r} has no reduction rule; desugar first")
+        raise StuckThread(f"cannot apply non-function value {print_comp(Ret(fn))!r}")
+    if kind is LetC:  # a value is bound
+        return subst_value(redex.body, redex.var, redex.bound.value)
+    if kind is ProjC and type(redex.value) is TupleV:
+        items = redex.value.items
+        if not 1 <= redex.index <= len(items):
+            raise StuckThread(f"proj{redex.index} of a {len(items)}-tuple")
+        return Ret(items[redex.index - 1])
+    if kind is CaseV and type(redex.value) is InjV:
+        index, branches = redex.value.index, redex.branches
+        if not 1 <= index <= len(branches):
+            raise StuckThread(f"inj{index} with {len(branches)} branches")
+        var, body = branches[index - 1]
+        return subst_value(body, var, redex.value.value)
+    if kind is ProjC or kind is CaseV:
+        raise StuckThread(f"no rule for {print_comp(redex)!r}")
+    raise StuckThread(f"not a core computation: {redex!r}")
+
+
 def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
     """One thread-local reduction of ``comp``, which is not a value,
     running as ``tid`` with next spawn ordinal ``ordinal``: the step is a
     function of these three alone.
 
-    The ``let`` frames around the redex are peeled off in a loop, the
-    redex is dispatched on its type (and a constant on its name), and its
-    result is wrapped back into the frames, once per frame."""
-    frames = []
-    while type(comp) is LetC and type(comp.bound) is not Ret:
-        frames.append(comp)
-        comp = comp.bound
-    kind, action, waits = type(comp), None, _NO_WAITS
-    fn = comp.fn if kind is ApplyC else None
-    if type(fn) is ConstV:
-        if fn.name == "fork":
-            child = tid + (ordinal,)
-            threads = ((tid, Ret(InjV(1, TidV(child), _FORK_RESULT))), (child, _CHILD_START))
-        elif fn.name == "wait":
-            threads, waits = ((tid, Ret(UNIT_V)),), frozenset((b, tid) for b in tids_of_value(comp.arg))
-        elif fn.name == "stop":
-            threads = ((tid, FINISHED),)
-        elif fn.name == "printstop":
-            threads, action = ((tid, FINISHED),), fn.action
-        else:
-            raise StuckThread(f"constant {fn.name!r} has no reduction rule; desugar first")
-    elif type(fn) is LambdaV:
-        threads = ((tid, subst_value(fn.body, fn.param, comp.arg)),)
-    elif kind is ApplyC:
-        raise StuckThread(f"cannot apply non-function value {print_comp(Ret(fn))!r}")
-    elif kind is LetC:  # a value is bound
-        threads = ((tid, subst_value(comp.body, comp.var, comp.bound.value)),)
-    elif kind is ProjC and type(comp.value) is TupleV:
-        items = comp.value.items
-        if not 1 <= comp.index <= len(items):
-            raise StuckThread(f"proj{comp.index} of a {len(items)}-tuple")
-        threads = ((tid, Ret(items[comp.index - 1])),)
-    elif kind is CaseV and type(comp.value) is InjV:
-        index, branches = comp.value.index, comp.branches
-        if not 1 <= index <= len(branches):
-            raise StuckThread(f"inj{index} with {len(branches)} branches")
-        var, body = branches[index - 1]
-        threads = ((tid, subst_value(body, var, comp.value.value)),)
-    elif kind is ProjC or kind is CaseV:
-        raise StuckThread(f"no rule for {print_comp(comp)!r}")
+    The redex is peeled out of its ``let`` frames (:func:`_peel`), an
+    effect is dispatched on its constant's name and anything else takes
+    the pure step (:func:`_reduce`), and each state it leaves is wrapped
+    back into the frames."""
+    frames, comp = _peel(comp)
+    effect, action, waits = _effect(comp), None, _NO_WAITS
+    if effect is None:
+        threads = ((tid, _reduce(comp)),)
+    elif effect.name == "fork":
+        child = tid + (ordinal,)
+        threads = ((tid, Ret(InjV(1, TidV(child), _FORK_RESULT))), (child, _CHILD_START))
+    elif effect.name == "wait":
+        threads, waits = ((tid, Ret(UNIT_V)),), frozenset((b, tid) for b in tids_of_value(comp.arg))
+    elif effect.name == "stop":
+        threads = ((tid, FINISHED),)
     else:
-        raise StuckThread(f"not a core computation: {comp!r}")
-    for frame in reversed(frames):
-        # every spawned thread continues with its own copy of the
-        # continuation; finished threads stay finished
-        threads = tuple(
-            (t, state if state == FINISHED else LetC(frame.var, state, frame.body))
-            for t, state in threads
-        )
+        threads, action = ((tid, FINISHED),), effect.action
+    # every spawned thread continues with its own copy of the
+    # continuation; finished threads stay finished
+    threads = tuple(
+        (t, state if state == FINISHED else _plug(frames, state)) for t, state in threads
+    )
     return _LocalOut(action, threads, waits)
 
 

@@ -10,6 +10,7 @@ from dynthreads.denote import (
     CanonicalFOType,
     Denotation,
     DenoteError,
+    Elaborator,
     NotFirstOrderResult,
     UnboundTid,
     adequacy_check,
@@ -18,6 +19,7 @@ from dynthreads.denote import (
     completeness_probe,
     denote,
     gadget_subst,
+    world_context,
 )
 from dynthreads.lang import (
     Arrow,
@@ -26,7 +28,10 @@ from dynthreads.lang import (
     Sum,
     TID,
     UNIT,
+    UnknownTid,
+    desugar,
     parse_comp,
+    parse_program,
 )
 from dynthreads.posets import (
     STAR,
@@ -102,8 +107,22 @@ def test_denote_in_world_uses_input_parameters():
 
 
 def test_denote_unbound_tid():
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownTid):
         denote(parse_comp("wait(#0.1); stop()"), frozenset())
+
+
+def test_elaborator_rejects_a_tid_outside_the_world():
+    core = desugar(parse_comp("wait(#0.1); stop()"))
+    with pytest.raises(UnboundTid):
+        Elaborator(world_context(frozenset())).denote_comp(core, {}, EMPTY)
+
+
+def test_adequacy_of_a_400_print_chain():
+    # elaboration takes no Python stack frame per let
+    _, comp = parse_program("".join(f"print[p{k}](); " for k in range(400)) + "stop()")
+    report = adequacy_check(comp)
+    assert report.ok
+    assert len(report.denoted.labels) == 400
 
 
 def test_denote_rejects_higher_order_result():
@@ -183,22 +202,15 @@ def test_compositionality_of_let_via_substitution():
     whole = denote(parse_comp(f"let x = {t_src} in {u_src}"), world)
 
     d_t = denote(parse_comp(t_src), world)  # gamma: x1:1, x2:0
-    from dynthreads.denote import Elaborator, world_context
-    from dynthreads.lang import desugar, Sum as LSum
-
     delta = world_context(world)
-    # u with x := inj1 c1  elaborated over delta + c1
-    elab1 = Elaborator(delta.extend("c1"), var_prefix="y")
-    from dynthreads.denote import SInj, STid, STuple
-
-    _, u1 = elab1.denote_comp(
-        desugar(parse_comp(u_src)), {"x": SInj(1, STid(frozenset({"c1"})))}, EMPTY
+    u = desugar(parse_comp(u_src))
+    # u with x := inj1 #0.2 elaborated over the world {#0.1, #0.2}, whose
+    # parameter w0.2 is the slot glued into x1
+    _, u1 = Elaborator(world_context(world | {(2,)})).denote_comp(
+        u, {"x": parse_comp("ret inj1 #0.2").value}, EMPTY
     )
-    elab2 = Elaborator(delta, var_prefix="y")
-    _, u2 = elab2.denote_comp(
-        desugar(parse_comp(u_src)), {"x": SInj(2, STuple(()))}, EMPTY
-    )
-    glued = subst_comp(d_t.term, ("c1",), u1, "x1")
+    _, u2 = Elaborator(delta).denote_comp(u, {"x": parse_comp("ret inj2 ()").value}, EMPTY)
+    glued = subst_comp(d_t.term, ("w0.2",), u1, "x1")
     glued = subst_comp(glued, (), u2, "x2")
     verdict = decide_equal(glued, whole.term, CompContext(()), delta)
     assert verdict.equal

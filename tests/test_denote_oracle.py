@@ -1,0 +1,96 @@
+"""The elaborator against its oracle, the continuation-passing elaborator
+of ``denote_oracle.py``: both give the same context and the same term,
+under ``==`` (binders and all), on the corpus, on programs in a world and
+on generated chains and DAGs of the shapes ``perfbench/long_programs.py``
+builds."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from dynthreads.denote import Elaborator, world_context
+from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, typecheck_comp
+
+import denote_oracle
+from corpus import corpus_names, load_surface
+
+IN_WORLD = [
+    ("wait(#0.1); stop()", frozenset({(1,)})),
+    ("wait(#0.1); fork()", frozenset({(1,)})),
+    ("let x = fork() in wait(#0.1); ret x", frozenset({(1,)})),
+    (
+        "let x = fork() in case x of { inj1 a => wait(a (+) #0.1); stop() "
+        "| inj2 u => stop() }",
+        frozenset({(1,)}),
+    ),
+    ("let x = fork() in wait(#0.1 (+) #0.2); ret (#0.2, x)", frozenset({(1,), (2,)})),
+    ("let x = fork() in ret (x, #0.1.1)", frozenset({(1,), (1, 1)})),
+    ("wait(nil); fork()", frozenset()),
+]
+
+
+# the program texts of perfbench/long_programs.py, built the same way
+
+
+def chain_program(labels: list[str]) -> str:
+    return "".join(f"print[{label}](); " for label in labels) + "stop()"
+
+
+def dag_program(labels: list[str], deps: list[list[int]]) -> str:
+    lines = []
+    for i, (label, ds) in enumerate(zip(labels, deps)):
+        arg = " (+) ".join(f"v{d}" for d in ds) if ds else "nil"
+        lines.append(f"let v{i} = node[{label}]({arg}) in")
+    return "\n".join(lines) + "\nstop()"
+
+
+def long_programs(seed: int) -> list[str]:
+    rng = random.Random(seed)
+    programs = []
+    for n in range(20, 30):
+        programs.append(chain_program([f"p{k}" for k in rng.sample(range(1000), n)]))
+    for n in range(10, 20):
+        labels = [f"n{k}" for k in rng.sample(range(1000), n)]
+        deps = [rng.sample(range(i), rng.randint(0, min(2, i))) for i in range(n)]
+        programs.append(dag_program(labels, deps))
+    return programs
+
+
+def assert_same_denotation(comp, world) -> None:
+    result_type = typecheck_comp({}, world, comp)
+    core = desugar(comp)
+    delta = world_context(world)
+    got = Elaborator(delta).denote_comp(core, {}, result_type)
+    want = denote_oracle.Elaborator(delta).denote_comp(core, {}, result_type)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_elaborator_matches_the_oracle_on_the_corpus(name):
+    assert_same_denotation(load_surface(name), frozenset())
+
+
+@pytest.mark.parametrize("text, world", IN_WORLD)
+def test_elaborator_matches_the_oracle_in_a_world(text, world):
+    assert_same_denotation(parse_comp(text), world)
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_elaborator_matches_the_oracle_on_long_programs(seed):
+    for text in long_programs(seed):
+        world, comp = parse_program(text)
+        assert_same_denotation(comp, world)
+
+
+def test_elaborator_matches_the_oracle_with_an_environment():
+    # the oracle reads an environment of its own values, the elaborator
+    # one of closed syntax values
+    comp = desugar(parse_comp("case x of { inj1 a => wait(a (+) #0.1); stop() | inj2 u => stop() }"))
+    delta = world_context(frozenset({(1,), (2,)}))
+    got = Elaborator(delta).denote_comp(comp, {"x": parse_comp("ret inj1 #0.2").value}, EMPTY)
+    want = denote_oracle.Elaborator(delta).denote_comp(
+        comp, {"x": denote_oracle.SInj(1, denote_oracle.STid(frozenset({"w0.2"})))}, EMPTY
+    )
+    assert got == want

@@ -2,12 +2,11 @@
 
 Layers, bottom up:
 
-* :mod:`dynthreads.tids`: compound thread IDs and finite relations;
+* :mod:`dynthreads.tids`: parameter contexts and compound thread IDs as text;
 * :mod:`dynthreads.terms`: fork/wait/stop/act terms with binders, the two
   substitutions, and the eight defining equations;
-* :mod:`dynthreads.posets`: labelled posets with holes, the model
-  operations, interpretation, reification to normal forms, and the equality
-  decision procedure;
+* :mod:`dynthreads.posets`: labelled posets with holes, interpretation,
+  reification to normal forms, and the equality decision procedure;
 * :mod:`dynthreads.lang`: a small fine-grain call-by-value concurrent
   language with its type system;
 * :mod:`dynthreads.machine`: the labelled transition system, schedulers,

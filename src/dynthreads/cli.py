@@ -22,7 +22,7 @@ from .machine import (
     DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, explore, run, run_result_to_json,
 )
 from .posets import (
-    decide_equal_posets,
+    decide_equal,
     interp,
     normalize,
     poset_to_dot,
@@ -83,9 +83,7 @@ def cmd_eq(args) -> int:
     gamma2, delta2, term2 = parse_term_file(_read(args.path2))
     if gamma1 != gamma2 or delta1 != delta2:
         raise CliError("the two term files declare different contexts")
-    p1 = interp(term1, gamma1, delta1)
-    p2 = interp(term2, gamma2, delta2)
-    verdict = decide_equal_posets(p1, p2)
+    verdict = decide_equal(term1, term2, gamma1, delta1)
     if verdict.equal:
         print("equal")
         return 0

@@ -9,9 +9,6 @@ completion the substituted continuation may wait on (drawn dotted in diagrams; n
 The module provides:
 
 * well-formedness checking and isomorphism search;
-* the relabelling action along a finite relation, making posets a functor
-  on worlds of thread IDs;
-* the four model operations (fork/wait/stop/act), the paper's algebra;
 * ``interp`` from terms to posets, ``reify`` back to normal forms, and the
   decision procedure ``decide_equal`` for the equational theory;
 * substitution of a poset for a hole;
@@ -26,20 +23,16 @@ and the pair set ``order`` is a view derived on demand (for JSON, DOT and
 the tests).  Orders are kept strict and transitively closed, and hole
 visibility sets downward-closed and containing their hole.  The trusted
 constructor :func:`make_poset` closes the order it is given, as a
-Boolean matrix after Warshall; :func:`_poset_from_closed` takes an order
-that is already closed.  Both down-close the visibility sets and check
-every reference.  The model operations (``op_stop``, ``op_act``,
-``op_wait``, ``op_fork``, ``relabel``) use only the second: on
-well-formed arguments (inputs minimal, star maximal, order closed) each of
-them yields a closed order, as its docstring argues, so no operation
-closes again; they read and write the pair view.
+Boolean matrix after Warshall, down-closes the visibility sets and checks
+every reference.
 
-``interp`` does not compose the model operations.  It gives the term the
-meaning their composition gives it, but builds each vertex's down-set
-mask once, in one walk over the term, and each mask it writes is closed:
-it is a union of masks that are closed already, as its docstring argues,
-so neither the order nor the visibility sets are closed again.  The
-composition itself is kept as the test oracle.
+The paper's model operations (stop, act, wait, fork) and relabelling along
+relations between worlds of thread IDs are not written out here.
+``interp`` gives a term the meaning their composition gives it, but builds
+each vertex's down-set mask once, in one walk over the term, and each mask
+it writes is closed: it is a union of masks that are closed already, as
+its docstring argues, so neither the order nor the visibility sets are
+closed again.  The composition itself is kept as the test oracle.
 
 Isomorphism works on the masks too: vertices are grouped by a signature
 of popcounts and bit fields, and the search checks each assignment with
@@ -52,11 +45,11 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .tids import ParamContext, Relation
+from .tids import ParamContext, print_tid_names
 from .terms import (
     Act,
     CompContext,
@@ -70,6 +63,7 @@ from .terms import (
     fresh_name,
     scope_check,
     subst_comp,
+    subterms,
 )
 
 
@@ -246,9 +240,6 @@ class PosetWithHoles:
     def below(self, e: ElemRef) -> frozenset:
         return self._refs(self.down[self.index[e]])
 
-    def above(self, e: ElemRef) -> frozenset:
-        return self._refs(self.up[self.index[e]])
-
 
 def _elements(n_inputs: int, vertex_ids: Iterable[int]) -> tuple:
     return (*map(In, range(1, n_inputs + 1)), *map(Vert, sorted(vertex_ids)), STAR)
@@ -349,23 +340,10 @@ def make_poset(
     holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
     order: Iterable[tuple],
 ) -> PosetWithHoles:
-    """Trusted constructor: closes the order transitively, then builds the
-    poset as :func:`_poset_from_closed` does (visibility sets normalized to
-    contain their hole and be downward-closed, references checked)."""
-    return _from_pairs(n_inputs, actions, holes, order, close=True, normalize=True)
-
-
-def _poset_from_closed(
-    n_inputs: int,
-    actions: Mapping[int, str],
-    holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
-    closed: Iterable[tuple],
-) -> PosetWithHoles:
-    """:func:`make_poset` for an order the caller has already closed
-    transitively: normalizes each visibility set to contain its hole and be
-    downward-closed, and checks every reference, but does not close the
-    order again."""
-    return _from_pairs(n_inputs, actions, holes, closed, close=False, normalize=True)
+    """Trusted constructor: closes the order transitively, normalizes each
+    visibility set to contain its hole and be downward-closed, and checks
+    every reference."""
+    return _from_pairs(n_inputs, actions, holes, order, trusted=True)
 
 
 def raw_poset(
@@ -376,12 +354,12 @@ def raw_poset(
 ) -> PosetWithHoles:
     """Untrusted constructor: stores the data as given (for loading and for
     deliberately ill-formed test posets), references checked."""
-    return _from_pairs(n_inputs, actions, holes, order, close=False, normalize=False)
+    return _from_pairs(n_inputs, actions, holes, order, trusted=False)
 
 
-def _from_pairs(n_inputs, actions, holes, pairs, close: bool, normalize: bool) -> PosetWithHoles:
-    """The poset whose order holds the given pairs, closed if ``close``;
-    with ``normalize``, each visibility set takes its hole and everything
+def _from_pairs(n_inputs, actions, holes, pairs, trusted: bool) -> PosetWithHoles:
+    """The poset whose order holds the given pairs.  If ``trusted``, the
+    order is closed and each visibility set takes its hole and everything
     below its members."""
     if set(actions) & set(holes):
         raise PosetError("action and hole vertex ids overlap")
@@ -397,7 +375,7 @@ def _from_pairs(n_inputs, actions, holes, pairs, close: bool, normalize: bool) -
     down = [0] * len(elements)
     for d, e in pairs:
         down[position(e)] |= 1 << position(d)
-    if close:
+    if trusted:
         down = _close(down)
     masked = {}
     for vid, label in holes.items():
@@ -405,7 +383,7 @@ def _from_pairs(n_inputs, actions, holes, pairs, close: bool, normalize: bool) -
             (label.var, label.arity, label.visibility) if isinstance(label, HoleLabel) else label
         )
         masks = [reduce(or_, (1 << position(e) for e in slot), 0) for slot in slots]
-        if normalize:
+        if trusted:
             # the order is closed, so one union is down-closed
             masks = [m | 1 << index[Vert(vid)] for m in masks]
             masks = [reduce(or_, map(down.__getitem__, _bits(m)), m) for m in masks]
@@ -521,9 +499,7 @@ def iso_check(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
     hole variables, slot-wise visibility, and the order (both directions)
     must all be preserved.
     """
-    if iso_quick_reject(p, q) is not None:
-        return None
-    return _iso_search(p, q)
+    return decide_equal_posets(p, q).witness
 
 
 def _iso_search(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
@@ -584,120 +560,6 @@ def _iso_search(p: PosetWithHoles, q: PosetWithHoles) -> Optional[dict]:
     return {p.elements[v].vid: q.elements[w].vid for v, w in mapping.items()}
 
 
-# --- functorial action and model operations ---------------------------------
-
-def relabel(p: PosetWithHoles, r: Relation) -> PosetWithHoles:
-    """Re-point the inputs along ``r``: a pair ``i < e`` becomes ``i' < e``
-    for every ``(i, i')`` in the relation, and visibility sets follow.
-
-    The order stays closed without closing it again.  Inputs are minimal,
-    so the middle ``b`` of two new pairs ``a < b < c`` is not an input and
-    ``b < c`` is an old pair.  If ``a`` is not an input, ``a < b`` is old
-    too, and so is ``a < c``.  If ``a`` is input ``i'``, it comes from some
-    ``i < b`` with ``(i, i')`` in ``r``; the old ``i < c`` then gives
-    ``i' < c``.
-    """
-    if r.src != p.n_inputs:
-        raise PosetError(f"relation source {r.src} != inputs {p.n_inputs}")
-    images: dict = {In(i): [] for i in range(1, r.src + 1)}
-    for i, j in r.pairs:
-        images[In(i)].append(In(j))
-
-    def through(refs: Iterable[ElemRef]) -> set:
-        out: set = set()
-        for e in refs:
-            if e in images:
-                out.update(images[e])
-            else:
-                out.add(e)
-        return out
-
-    order = set()
-    for d, e in p.order:
-        if d in images:
-            order.update((d2, e) for d2 in images[d])
-        else:
-            order.add((d, e))
-    holes = {
-        vid: (label.var, label.arity, [through(slot) for slot in label.visibility])
-        for vid, label in p.holes
-    }
-    return _poset_from_closed(r.dst, dict(p.actions), holes, frozenset(order))
-
-
-def op_stop(n: int) -> PosetWithHoles:
-    """Discrete poset: just the ``n`` inputs and star."""
-    return _poset_from_closed(n, {}, {}, frozenset())
-
-
-def op_act(label: str, n: int) -> PosetWithHoles:
-    """One action vertex directly below star; inputs unconnected."""
-    return _poset_from_closed(n, {1: label}, {}, frozenset({(Vert(1), STAR)}))
-
-
-def op_wait(p: PosetWithHoles) -> PosetWithHoles:
-    """Add input ``n+1`` below every labelled vertex and below star.
-
-    The order stays closed without closing it again: the new input is
-    minimal and already lies below every element that is not an input.
-    """
-    n = p.n_inputs
-    new = In(n + 1)
-    order = p.order.union([(new, Vert(v)) for v in p.vertex_ids], [(new, STAR)])
-    holes = {vid: (h.var, h.arity, h.visibility) for vid, h in p.holes}
-    return _poset_from_closed(n + 1, dict(p.actions), holes, order)
-
-
-def op_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
-    """Fork: run ``q`` as a child whose ID is input ``n+1`` of parent ``p``.
-
-    Everything below ``q``'s star ends up below everything above the
-    consumed input; the input and ``q``'s star then disappear.
-
-    The order stays closed without closing it again.  It is the union of
-    ``p``'s pairs not leaving the dead input, ``q``'s pairs not ending at
-    its star (vertices shifted), and the cross pairs from the set ``B``
-    below ``q``'s star to the set ``A`` above the dead input.  Take two
-    pairs ``a < b < c``; ``b`` is no input, as inputs are minimal.  If
-    ``b`` is one of ``p``'s vertices or star, ``b < c`` is ``p``'s (no pair
-    leads from ``p`` back into ``q``), and ``a < c`` is ``p``'s if
-    ``a < b`` is, or a cross pair if ``a < b`` is one, because ``A`` is
-    closed upwards in ``p``.  If ``b`` is one of ``q``'s vertices,
-    ``a < b`` is ``q``'s, and ``a < c`` is ``q``'s if ``b < c`` is, or a
-    cross pair if ``b < c`` is one, because ``B`` is closed downwards in
-    ``q``.
-    """
-    n = q.n_inputs
-    if p.n_inputs != n + 1:
-        raise PosetError(f"fork arity: parent has {p.n_inputs} inputs, child {q.n_inputs}")
-    offset = max(p.vertex_ids, default=0)
-    shifted = {Vert(v): Vert(v + offset) for v in q.vertex_ids}
-    shift = shifted.get
-
-    dead = In(n + 1)
-    below_child_star = {shift(d, d) for (d, e) in q.order if e == STAR}
-    above_dead = {e for (d, e) in p.order if d == dead}
-
-    actions = dict(p.actions)
-    actions.update({vid + offset: label for vid, label in q.actions})
-    holes: dict = {}
-    for vid, label in p.holes:
-        slots = []
-        for slot in label.visibility:
-            if dead in slot:
-                slot = (slot - {dead}) | below_child_star
-            slots.append(slot)
-        holes[vid] = (label.var, label.arity, slots)
-    for vid, label in q.holes:
-        slots = [frozenset(shift(e, e) for e in slot) for slot in label.visibility]
-        holes[vid + offset] = (label.var, label.arity, slots)
-
-    order = {pair for pair in p.order if pair[0] != dead}
-    order.update((shift(d, d), shift(e, e)) for d, e in q.order if e != STAR)
-    order.update(product(below_child_star, above_dead))
-    return _poset_from_closed(n, actions, holes, frozenset(order))
-
-
 # --- interpretation of terms -------------------------------------------------
 
 def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHoles:
@@ -731,14 +593,14 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
     ``below`` only with its own down-set, which is ``below`` itself.  A
     slot is such a union too: the hole, its down-set ``below``, and
     completions.  Each down-set also equals the one the model operations
-    compose.  ``op_wait`` then ``relabel`` put the guard's inputs below
-    everything under the wait, which is joining ``done[a]`` into ``below``
-    for an input ``a``.  ``op_fork`` puts everything below the child's star
-    under everything above the consumed input, which is joining ``done[b]``
-    for the binder ``b``.  The child is interpreted over the fork's own
-    inputs, so every wait around the fork lies below the child's vertices
-    too: the child inherits ``below``.  Every reference is made here, so
-    none is checked.
+    compose (the reference operations of ``tests/model_oracle.py``).  Wait
+    then relabelling put the guard's inputs below everything under the
+    wait, which is joining ``done[a]`` into ``below`` for an input ``a``.
+    Fork puts everything below the child's star under everything above
+    the consumed input, which is joining ``done[b]`` for the binder ``b``.
+    The child is interpreted over the fork's own inputs, so every wait
+    around the fork lies below the child's vertices too: the child
+    inherits ``below``.  Every reference is made here, so none is checked.
 
     The walk, the count and :func:`scope_check` use explicit stacks, so
     term depth is not bounded by the recursion limit.
@@ -783,17 +645,7 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
 
 def _leaf_count(term: Term) -> int:
     """The number of actions and holes in a term."""
-    count = 0
-    stack = [term]
-    while stack:
-        match stack.pop():
-            case Fork(_, parent, child):
-                stack += (parent, child)
-            case Wait(_, cont):
-                stack.append(cont)
-            case Act() | Var():
-                count += 1
-    return count
+    return sum(type(t) in (Act, Var) for t in subterms(term))
 
 
 # --- normal forms -------------------------------------------------------------
@@ -981,8 +833,7 @@ def print_normal_form(nf: NormalForm) -> str:
 
 
 def _print_refs(refs: frozenset) -> str:
-    items = sorted(map(_nf_ref_str, refs))
-    return " + ".join(items) if items else "0"
+    return print_tid_names(map(_nf_ref_str, refs))
 
 
 # --- equality decision --------------------------------------------------------

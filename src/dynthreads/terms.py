@@ -178,16 +178,26 @@ def binders_of(term: Term) -> frozenset[str]:
     return frozenset(t.binder for t in subterms(term) if type(t) is Fork)
 
 
+class _ScopeEnd(str):
+    """A fork binder's name, pushed below its parent by :func:`scope_check`
+    to mark where the binder's scope ends; no term is of this kind."""
+
+    __slots__ = ()
+
+
 def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
     """Check term formation in ``gamma | delta``; raise on the first failure.
 
     Binders must already be renamed apart: a fork binder that collides with
     an ambient parameter is rejected as :class:`ShadowedBinder`.  Subterms
-    are checked parent before child, from an explicit stack.
+    are checked parent before child, from an explicit stack.  One scope set
+    serves the whole walk: a fork adds its binder for its parent, and the
+    end marker pushed below the parent takes it out before the child.
     """
-    stack: list = [(term, frozenset(delta.names))]
+    scope = set(delta.names)
+    stack: list = [term]
     while stack:
-        t, scope = stack.pop()
+        t = stack.pop()
         match t:
             case Var(name, args):
                 arity = gamma.arity(name)
@@ -200,18 +210,20 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
             case Fork(binder, parent, child):
                 if binder in scope:
                     raise ShadowedBinder(f"binder {binder!r} shadows a parameter in scope")
-                stack.append((child, scope))
-                stack.append((parent, scope | {binder}))
+                scope.add(binder)
+                stack += (child, _ScopeEnd(binder), parent)
             case Wait(guard, cont):
                 _check_names(guard, scope)
-                stack.append((cont, scope))
+                stack.append(cont)
             case Stop() | Act(_):
                 pass
+            case _ScopeEnd():
+                scope.remove(t)
             case _:
                 raise TypeError(f"not a term: {t!r}")
 
 
-def _check_names(u: frozenset[str], scope: frozenset[str]) -> None:
+def _check_names(u: frozenset[str], scope: set[str]) -> None:
     for n in sorted(u):
         if n not in scope:
             raise UnboundParameter(f"unbound parameter: {n!r}")

@@ -6,7 +6,9 @@ import random
 
 from dynthreads.posets import STAR, In, PosetWithHoles, Vert, check_well_formed, make_poset
 from dynthreads.terms import Act, CompContext, Fork, Stop, STOP, Term, Var, Wait
-from dynthreads.tids import ParamContext, Relation
+from dynthreads.tids import ParamContext
+
+from model_oracle import Relation
 
 ACTIONS = ("s1", "s2")
 

@@ -32,10 +32,6 @@ from dynthreads.posets import (
     make_poset,
     nf_to_term,
     normalize,
-    op_act,
-    op_fork,
-    op_stop,
-    op_wait,
     poset_from_json,
     poset_subst,
     poset_to_dot,
@@ -43,15 +39,17 @@ from dynthreads.posets import (
     poset_to_json_text,
     raw_poset,
     reify,
-    relabel,
 )
 from dynthreads.terms import (
     STOP, Act, CompContext, Fork, TermError, Var, Wait, parse_term, parse_term_file,
     print_term, tidset,
 )
-from dynthreads.tids import ParamContext, Relation, TidSet, compose, graph_of
+from dynthreads.tids import ParamContext
 
 from genutil import random_relation, random_term, random_well_formed_poset
+from model_oracle import (
+    Relation, TidSet, compose, graph_of, ref_act, ref_fork, ref_relabel, ref_stop, ref_wait,
+)
 import pair_oracle
 
 EMPTY_G = CompContext(())
@@ -139,7 +137,7 @@ def test_cyclic_visibility_is_ill_formed():
 
 
 def test_empty_poset_is_well_formed():
-    assert check_well_formed(op_stop(0)) is None
+    assert check_well_formed(ref_stop(0)) is None
 
 
 def test_well_formedness_reports_each_clause():
@@ -287,7 +285,7 @@ def test_relabel_substitutes_compound_for_fresh_input():
         vars=[("x", 2)],
         tids=["a1", "a2"],
     )
-    moved = relabel(fig_b, graph_of([TidSet.of(2, {1, 2})], 2))
+    moved = ref_relabel(fig_b, graph_of([TidSet.of(2, {1, 2})], 2))
     assert iso_check(moved, fig_c) is not None
     assert iso_check(fig_c, _fig4c_expected()) is not None
 
@@ -296,7 +294,7 @@ def test_relabel_identity_is_identity():
     rng = random.Random(5)
     for _ in range(20):
         p = random_well_formed_poset(rng)
-        q = relabel(p, Relation.identity(p.n_inputs))
+        q = ref_relabel(p, Relation.identity(p.n_inputs))
         assert iso_check(p, q) is not None
 
 
@@ -306,8 +304,8 @@ def test_relabel_functorial_on_composition():
         p = random_well_formed_poset(rng, max_inputs=3, max_vertices=4)
         r = random_relation(rng, p.n_inputs, rng.randint(0, 3))
         s = random_relation(rng, r.dst, rng.randint(0, 3))
-        lhs = relabel(relabel(p, r), s)
-        rhs = relabel(p, compose(r, s))
+        lhs = ref_relabel(ref_relabel(p, r), s)
+        rhs = ref_relabel(p, compose(r, s))
         assert iso_check(lhs, rhs) is not None
 
 
@@ -316,19 +314,19 @@ def test_relabel_preserves_well_formedness():
     for _ in range(30):
         p = random_well_formed_poset(rng)
         r = random_relation(rng, p.n_inputs, rng.randint(0, 3))
-        assert check_well_formed(relabel(p, r)) is None
+        assert check_well_formed(ref_relabel(p, r)) is None
 
 
 # --- model operations ------------------------------------------------------------
 
 def test_op_stop_and_op_act_shapes():
-    stop0 = op_stop(0)
+    stop0 = ref_stop(0)
     assert stop0.order == frozenset() and not stop0.vertex_ids
 
-    act0 = op_act("s1", 0)
+    act0 = ref_act("s1", 0)
     assert act0.order == frozenset({(Vert(1), STAR)})
 
-    act2 = op_act("s1", 2)
+    act2 = ref_act("s1", 2)
     assert act2.below(Vert(1)) == frozenset()
     assert act2.below(STAR) == frozenset({Vert(1)})
 
@@ -357,7 +355,7 @@ def _fig7d_expected():
 def test_op_fork_matches_forking_example():
     parent = _interp(FIG7_T1, vars=[("x", 1)], tids=["a1", "a2"])
     child = _interp(FIG7_T2, vars=[("x", 1)], tids=["a1"])
-    combined = op_fork(parent, child)
+    combined = ref_fork(parent, child)
     assert iso_check(combined, _fig7d_expected()) is not None
     via_term = _interp(
         f"fork(a2. {FIG7_T1}, {FIG7_T2})", vars=[("x", 1)], tids=["a1"]
@@ -370,7 +368,7 @@ def test_op_fork_child_that_stops_immediately():
     # guarantees nothing
     parent = _interp(FIG7_T1, vars=[("x", 1)], tids=["a1", "a2"])
     child = _interp(FIG7_T3, vars=[("x", 1)], tids=["a1"])
-    combined = op_fork(parent, child)
+    combined = ref_fork(parent, child)
     expected = make_poset(
         1,
         {1: "s1", 2: "s2", 3: "s3"},
@@ -388,19 +386,19 @@ def test_op_fork_wait_then_stop_child_is_identity():
         parent = _interp(
             "wait(b, stop)", tids=[f"a{i}" for i in range(1, n + 1)] + ["b"]
         )
-        assert iso_check(op_fork(parent, q), q) is not None
+        assert iso_check(ref_fork(parent, q), q) is not None
 
 
 def test_op_fork_over_empty_child_erases_input():
     parent = _interp("wait(a1 + b, act[s1])", tids=["a1", "b"])
-    result = op_fork(parent, op_stop(1))
+    result = ref_fork(parent, ref_stop(1))
     expected = _interp("wait(a1, act[s1])", tids=["a1"])
     assert iso_check(result, expected) is not None
 
 
 def test_op_wait_matches_wait_example():
     base = _interp(FIG7_T3, vars=[("x", 1)], tids=["a1"])
-    waited = op_wait(base)
+    waited = ref_wait(base)
     expected = make_poset(
         2,
         {1: "s3"},
@@ -413,7 +411,7 @@ def test_op_wait_matches_wait_example():
 
 
 def test_op_wait_on_stop_poset():
-    waited = op_wait(op_stop(0))
+    waited = ref_wait(ref_stop(0))
     assert waited.order == frozenset({(In(1), STAR)})
 
 
@@ -423,8 +421,8 @@ def test_double_wait_merges_like_single_wait():
         p = random_well_formed_poset(rng, max_vertices=4)
         n = p.n_inputs
         merge = graph_of([TidSet.of(n + 1, {n + 1})], n + 1)
-        twice = relabel(op_wait(op_wait(p)), merge)
-        once = op_wait(p)
+        twice = ref_relabel(ref_wait(ref_wait(p)), merge)
+        once = ref_wait(p)
         assert iso_check(twice, once) is not None
 
 
@@ -433,10 +431,10 @@ def test_model_ops_preserve_well_formedness():
     for _ in range(25):
         q = random_well_formed_poset(rng, max_vertices=4)
         p = random_well_formed_poset(rng, max_vertices=4)
-        assert check_well_formed(op_wait(q)) is None
+        assert check_well_formed(ref_wait(q)) is None
         # fork needs a parent over one more input than the child
-        parent = relabel(p, random_relation(rng, p.n_inputs, q.n_inputs + 1, density=0.5))
-        combined = op_fork(parent, q)
+        parent = ref_relabel(p, random_relation(rng, p.n_inputs, q.n_inputs + 1, density=0.5))
+        combined = ref_fork(parent, q)
         assert check_well_formed(combined) is None
 
 
@@ -451,7 +449,7 @@ def test_interp_second_action_not_on_main_thread():
 
 
 def test_interp_stop():
-    assert iso_check(_interp("stop"), op_stop(0)) is not None
+    assert iso_check(_interp("stop"), ref_stop(0)) is not None
 
 
 def test_interp_naturality_under_parameter_substitution():
@@ -464,7 +462,7 @@ def test_interp_naturality_under_parameter_substitution():
         t = random_term(rng, gamma, delta, 6)
         u = frozenset(n for n in ("a", "b") if rng.random() < 0.5)
         direct = interp(subst_param(t, u, "c"), gamma, ParamContext(("a", "b")))
-        routed = relabel(
+        routed = ref_relabel(
             interp(t, gamma, delta),
             graph_of([TidSet.of(2, {{"a": 1, "b": 2}[n] for n in u})], 2),
         )
@@ -541,7 +539,7 @@ def test_reify_two_sequenced_actions():
 
 
 def test_reify_stop():
-    assert reify(op_stop(0)) == NormalForm(0, (), frozenset())
+    assert reify(ref_stop(0)) == NormalForm(0, (), frozenset())
 
 
 def test_reify_single_action_as_main():
@@ -692,7 +690,7 @@ def test_poset_subst_wait_stop_guest_erases_hole():
 
 def test_poset_subst_arity_mismatch():
     host = _interp("x(a)", vars=[("x", 1)], tids=["a"])
-    guest = op_stop(3)
+    guest = ref_stop(3)
     with pytest.raises(PosetError):
         poset_subst(host, "x", 1, guest)
 
@@ -813,7 +811,7 @@ def test_interp_naturality_along_arbitrary_relations():
             moved = subst_param(moved, image, tmp)
 
         direct = interp(moved, gamma, delta2)
-        routed = relabel(interp(t, gamma, delta), rel)
+        routed = ref_relabel(interp(t, gamma, delta), rel)
         assert iso_check(direct, routed) is not None
 
 

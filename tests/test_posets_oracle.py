@@ -1,17 +1,15 @@
-"""Dual-route checks for ``interp``, the model operations, the isomorphism
-matcher and reification.
+"""Dual-route checks for ``interp``, the isomorphism matcher and
+reification.
 
 ``interp`` builds each vertex's down-set in one walk over the term.  It is
-cross-checked against the compositional interpretation, which composes the
-model operations term by term as the semantics defines it, and against a
-reference that also closes every operation's order from scratch through
-``make_poset``.  The model operations, which build their orders without
-closing them again, are cross-checked against those reference operations
-one by one.  The backtracking matcher is cross-checked against a
-brute-force search over all vertex bijections, directly and through pomset
-isomorphism; reification is cross-checked against every admissible
-reordering of independent children, and against the reification it
-replaced, which rescans every vertex for readiness at each step.
+cross-checked against ``ref_interp`` of ``model_oracle``, which composes
+the model operations term by term as the semantics defines it, each
+closing its order from scratch through ``make_poset``.  The backtracking
+matcher is cross-checked against a brute-force search over all vertex
+bijections, directly and through pomset isomorphism; reification is
+cross-checked against every admissible reordering of independent
+children, and against the reification it replaced, which rescans every
+vertex for readiness at each step.
 """
 
 from __future__ import annotations
@@ -40,158 +38,37 @@ from dynthreads.posets import (
     decide_equal,
     interp,
     iso_check,
-    make_poset,
     nf_to_term,
-    op_act,
-    op_fork,
-    op_stop,
-    op_wait,
     poset_to_json,
     print_normal_form,
     raw_poset,
     reify,
-    relabel,
     require_well_formed,
 )
-from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait, axiom_schemas
-from dynthreads.tids import ParamContext, Relation, TidSet, graph_of
+from dynthreads.terms import Act, CompContext, Fork, Stop, Wait, axiom_schemas
+from dynthreads.tids import ParamContext
 
 from corpus import corpus_names, load_surface
-from genutil import random_relation, random_term, random_well_formed_poset
+from genutil import random_term, random_well_formed_poset
+from model_oracle import ref_interp
 from pair_oracle import _close_pairs, visibility_relation
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import theory_eq  # noqa: E402
 
 
-# --- model operations against closing from scratch -----------------------------
-#
-# Reference model operations: each builds its order as the operation defines
-# it and closes it from scratch through ``make_poset``.
-
-def ref_relabel(p: PosetWithHoles, r: Relation) -> PosetWithHoles:
-    def through(e):
-        return [In(j) for j in r.image(e.index)] if isinstance(e, In) else [e]
-
-    order = {(d2, e) for d, e in p.order for d2 in through(d)}
-    holes = {
-        vid: (h.var, h.arity, [{x for e in slot for x in through(e)} for slot in h.visibility])
-        for vid, h in p.holes
-    }
-    return make_poset(r.dst, dict(p.actions), holes, order)
-
-
-def ref_wait(p: PosetWithHoles) -> PosetWithHoles:
-    new = In(p.n_inputs + 1)
-    order = set(p.order) | {(new, Vert(v)) for v in p.vertex_ids} | {(new, STAR)}
-    return make_poset(p.n_inputs + 1, dict(p.actions), dict(p.holes), order)
-
-
-def ref_fork(p: PosetWithHoles, q: PosetWithHoles) -> PosetWithHoles:
-    n = q.n_inputs
-    offset = max(p.vertex_ids, default=0)
-
-    def shift(e):
-        return Vert(e.vid + offset) if isinstance(e, Vert) else e
-
-    dead = In(n + 1)
-    below_child_star = {shift(d) for d, e in q.order if e == STAR}
-    above_dead = {e for d, e in p.order if d == dead}
-    actions = dict(p.actions) | {v + offset: label for v, label in q.actions}
-    holes = {
-        vid: (h.var, h.arity, [
-            (slot - {dead}) | below_child_star if dead in slot else slot
-            for slot in h.visibility
-        ])
-        for vid, h in p.holes
-    }
-    holes.update({
-        vid + offset: (h.var, h.arity, [{shift(e) for e in slot} for slot in h.visibility])
-        for vid, h in q.holes
-    })
-    order = {(d, e) for d, e in p.order if d != dead}
-    order |= {(shift(d), shift(e)) for d, e in q.order if e != STAR}
-    order |= {(d, e) for d in below_child_star for e in above_dead}
-    return make_poset(n, actions, holes, order)
-
-
-def ref_interp(term, delta: ParamContext) -> PosetWithHoles:
-    """``interp`` with every model operation closing its order from
-    scratch."""
-    n = len(delta)
-    match term:
-        case Stop():
-            return make_poset(n, {}, {}, set())
-        case Act(label):
-            return make_poset(n, {1: label}, {}, {(Vert(1), STAR)})
-        case Var(name, args):
-            slots = [{In(delta.index(x)) for x in u} for u in args]
-            return make_poset(n, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
-        case Wait(guard, cont):
-            rel = graph_of([TidSet(n, frozenset(delta.index(x) for x in guard))], n)
-            return ref_relabel(ref_wait(ref_interp(cont, delta)), rel)
-        case Fork(binder, parent, child):
-            return ref_fork(ref_interp(parent, delta.extend(binder)), ref_interp(child, delta))
-    raise TypeError(term)
-
+# --- interp against the composition of the model operations ----------------------
 
 def _is_closed(p: PosetWithHoles) -> bool:
     return p.order == _close_pairs(set(p.order))
 
 
-def test_model_ops_keep_orders_closed_and_match_closing_from_scratch():
-    rng = random.Random(35)
-    for _ in range(150):
-        q = random_well_formed_poset(rng, max_vertices=6)
-        p = random_well_formed_poset(rng, max_vertices=6)
-        r = random_relation(rng, p.n_inputs, rng.randint(0, 4), density=0.5)
-        # fork needs a parent over one more input than the child
-        parent = relabel(p, random_relation(rng, p.n_inputs, q.n_inputs + 1, density=0.5))
-        for fast, slow in (
-            (op_wait(q), ref_wait(q)),
-            (relabel(p, r), ref_relabel(p, r)),
-            (op_fork(parent, q), ref_fork(parent, q)),
-        ):
-            assert _is_closed(fast)
-            assert fast == slow
-
-
-# --- interp against the composition of the model operations ----------------------
-
-def compositional_interp(term, delta: ParamContext) -> PosetWithHoles:
-    """``interp`` as the semantics defines it: the model operations composed
-    term by term, recursively."""
-    p = len(delta)
-    match term:
-        case Stop():
-            return op_stop(p)
-        case Act(label):
-            return op_act(label, p)
-        case Var(name, args):
-            slots = [
-                frozenset(In(i) for i in _eval(u, delta).members) | {Vert(1)}
-                for u in args
-            ]
-            return make_poset(p, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
-        case Wait(guard, cont):
-            inner = compositional_interp(cont, delta)
-            return relabel(op_wait(inner), graph_of([_eval(guard, delta)], p))
-        case Fork(binder, parent, child):
-            parent_poset = compositional_interp(parent, delta.extend(binder))
-            return op_fork(parent_poset, compositional_interp(child, delta))
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _eval(names: frozenset, delta: ParamContext) -> TidSet:
-    return TidSet(len(delta), frozenset(delta.index(n) for n in names))
-
-
 def _assert_interp_agrees(term, gamma: CompContext, delta: ParamContext) -> None:
     fast = interp(term, gamma, delta)
     assert _is_closed(fast)
-    for slow in (compositional_interp(term, delta), ref_interp(term, delta)):
-        assert fast == slow, term
-        assert poset_to_json(fast) == poset_to_json(slow), term
+    slow = ref_interp(term, delta)
+    assert fast == slow, term
+    assert poset_to_json(fast) == poset_to_json(slow), term
 
 
 def test_interp_matches_closing_after_every_operation():

@@ -60,6 +60,42 @@ def test_scope_check_shadowed_binder():
         scope_check(t, CompContext((("x", 1),)), ParamContext(()))
 
 
+def test_scope_check_of_a_deep_fork_chain():
+    # no timing assertion: each fork's parent is the next fork, and the hole
+    # at the bottom waits on the first and the last binder
+    depth = 12_800
+    term = Wait(tidset("b0", f"b{depth - 1}"), Var("x", (tidset("a"),)))
+    for i in range(depth):
+        term = Fork(f"b{i}", term, Act(f"s{i}"))
+    scope_check(term, CompContext((("x", 1),)), ParamContext(("a",)))
+
+
+def test_scope_check_reports_the_parent_error_before_the_child_error():
+    gamma, delta = CompContext((("x", 1),)), ParamContext(("a",))
+    unbound = Var("x", (tidset("q"),))
+    arity = Var("x", ())
+    with pytest.raises(UnboundParameter):
+        scope_check(Fork("b", unbound, arity), gamma, delta)
+    with pytest.raises(ArityMismatch):
+        scope_check(Fork("b", arity, unbound), gamma, delta)
+
+
+def test_scope_check_binder_scope_is_its_parent_only():
+    gamma, delta = CompContext(()), ParamContext(())
+    # the child may bind the name again, beside the parent's scope
+    reused = Fork("b", Wait(tidset("b"), STOP), Fork("b", Wait(tidset("b"), STOP), STOP))
+    scope_check(reused, gamma, delta)
+    with pytest.raises(UnboundParameter):
+        scope_check(Fork("b", STOP, Wait(tidset("b"), STOP)), gamma, delta)
+
+
+def test_scope_check_rejects_what_is_not_a_term():
+    gamma, delta = CompContext(()), ParamContext(())
+    for bad in ("b", Fork("b", STOP, "b"), Wait(tidset(), ("b",))):
+        with pytest.raises(TypeError):
+            scope_check(bad, gamma, delta)
+
+
 def test_subst_param_identity():
     t = parse_term("wait(a, x(a + b))")
     assert subst_param(t, tidset("a"), "a") == t

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynthreads.terms import Wait, parse_term
-from dynthreads.tids import (
-    DimensionMismatch,
-    ParamContext,
-    Relation,
-    TidSet,
-    UnboundName,
-    compose,
-    graph_of,
-    print_tid_names,
-)
+from dynthreads.tids import ParamContext, UnboundName, print_tid_names
+
+from model_oracle import DimensionMismatch, Relation, TidSet, compose, graph_of
 
 
 def _guard(text: str) -> frozenset[str]:

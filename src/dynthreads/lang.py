@@ -336,10 +336,6 @@ def typecheck_comp(env: Mapping[str, LangType], world: World, t: Comp) -> LangTy
     return _comp(env, world, t, None)
 
 
-def typecheck_value(env: Mapping[str, LangType], world: World, v: Value) -> LangType:
-    return _value(env, world, v, None)
-
-
 def check_comp(env: Mapping[str, LangType], world: World, t: Comp, ty: LangType, memo=None) -> None:
     """Check a computation against ``ty``; raise on failure.  ``memo`` is
     the caller's typing memo, if any (see above)."""

@@ -137,14 +137,6 @@ class Configuration:
 
     threads: tuple  # tuple[tuple[Tid, ThreadState, frozenset[Tid]], ...] sorted by tid
 
-    @staticmethod
-    def initial(comp: Comp) -> "Configuration":
-        return Configuration((((), comp, frozenset()),))
-
-    @cached_property
-    def world(self) -> frozenset:  # frozenset[Tid]
-        return frozenset(tid for tid, _, _ in self.threads)
-
     def is_terminal(self) -> bool:
         return all(state == FINISHED for _, state, _ in self.threads)
 
@@ -624,36 +616,19 @@ def run_exhaustive(comp: Comp, max_states: int = DEFAULT_BUDGET) -> tuple:
 
 # --- well-formed configurations ----------------------------------------------------
 
-def check_config_well_formed(
-    c: Configuration,
-    result_type: LangType,
-    order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
-    memo: Optional[dict] = None,
-) -> Optional[str]:
-    """The four conditions for a configuration to look like a family of
-    siblings created in the given linear order: the order lists the world,
-    every thread waits only on known threads that come earlier, and every
-    unfinished thread type checks against the threads before it
-    (:func:`_ill_formed`).
-
-    Wait sets need not be closed: if every wait goes forward in the order,
-    so does every pair of their closure, which is therefore acyclic.
-
-    ``memo`` is handed to :func:`~dynthreads.lang.check_comp`."""
-    if set(order) != c.world or len(order) != len(c.world):
-        return "order is not a linear order on the world"
-    return _ill_formed(c.threads, {tid: i for i, tid in enumerate(order)}, result_type, memo)
-
-
 def _ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> Optional[str]:
     """The wait and typing conditions on ``entries``, ``(tid, state,
     waits)``, where ``rank`` maps each known thread to its place in the
-    creation order: each wait names a known thread of smaller rank, and
-    each unfinished thread type checks in the world of the known threads of
-    smaller rank that its state names.  That world gives the judgement of
-    the whole prefix, because typing reads the world only by asking about
-    the thread IDs a node names (see :mod:`dynthreads.lang`).  The first
-    violation in the order of ``entries`` is named, waits before typing."""
+    creation order (:func:`_rank`): each wait names a known thread of
+    smaller rank, and each unfinished thread type checks in the world of
+    the known threads of smaller rank that its state names.  That world
+    gives the judgement of the whole prefix, because typing reads the world
+    only by asking about the thread IDs a node names (see
+    :mod:`dynthreads.lang`).  The first violation in the order of
+    ``entries`` is named, waits before typing.
+
+    Wait sets need not be closed: if every wait goes forward in the order,
+    so does every pair of their closure, which is therefore acyclic."""
     for tid, _, waits in entries:
         for b in waits:
             if b not in rank:
@@ -672,21 +647,17 @@ def _ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> O
 
 
 def _rank(tid: Tid) -> tuple:
-    """The key :func:`creation_order` sorts by, fixed per tid: a thread
-    comes after every thread whose path extends its own."""
-    return tid + (inf,)
-
-
-def creation_order(world: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
-    """The post-order of the spawn tree on ``world``: each thread after the
-    subtrees of its children and of its older siblings.
+    """The place of ``tid`` in the creation order, the post-order of the
+    spawn tree: a thread comes after the subtrees of its children and of
+    its older siblings, since it comes after every thread whose path
+    extends its own.
 
     A thread can name or wait for only its own children, its older
     siblings, and what its parent could name when it was spawned, so every
-    such thread comes earlier.  The order sorts by a key fixed per tid
-    (:func:`_rank`), so on the threads of an earlier configuration of the
-    same run it is that configuration's order: each step extends it."""
-    return tuple(sorted(world, key=_rank))
+    such thread comes earlier.  The key is fixed per tid, so on the threads
+    of an earlier configuration of the same run the order is that
+    configuration's order: each step extends it."""
+    return tid + (inf,)
 
 
 def run_with_preservation(
@@ -697,8 +668,9 @@ def run_with_preservation(
     fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
     """Run while asserting that every configuration is well formed in its
-    :func:`creation_order` (:func:`check_config_well_formed`); returns the
-    result and the number of checks.
+    creation order (:func:`_rank`): each wait names an earlier thread and
+    each unfinished thread type checks against the threads before it
+    (:func:`_ill_formed`).  Returns the result and the number of checks.
 
     The first configuration is checked whole.  Then one ``on_local`` hook
     writes each step into a thread map of its own (:func:`_write`) and

@@ -11,8 +11,7 @@ The module provides:
 * well-formedness checking and isomorphism search;
 * ``interp`` from terms to posets, ``reify`` back to normal forms, and the
   decision procedure ``decide_equal`` for the equational theory;
-* substitution of a poset for a hole;
-* JSON and DOT serialization, plus plain pomsets for run observations.
+* JSON and DOT export, plus plain pomsets for run observations.
 
 Elements are numbered once per poset: inputs ``1..n`` at ``0..n-1``,
 then the vertices in id order, then star, which is the order of the
@@ -21,7 +20,7 @@ mask* per element, an int whose bit ``d`` is set when element ``d`` lies
 below it; the up-set masks are the transpose, derived once and cached,
 and the pair set ``order`` is a view derived on demand (for JSON, DOT and
 the tests).  Orders are kept strict and transitively closed, and hole
-visibility sets downward-closed and containing their hole.  The trusted
+visibility sets downward-closed and containing their hole.  The
 constructor :func:`make_poset` closes the order it is given, as a
 Boolean matrix after Warshall, down-closes the visibility sets and checks
 every reference.
@@ -42,7 +41,6 @@ one mask comparison against the elements mapped so far.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
@@ -59,11 +57,8 @@ from .terms import (
     Term,
     Var,
     Wait,
-    comp_vars,
     fresh_name,
     scope_check,
-    subst_comp,
-    subterms,
 )
 
 
@@ -237,9 +232,6 @@ class PosetWithHoles:
     def _refs(self, mask: int) -> frozenset:
         return frozenset(self.elements[b] for b in _bits(mask))
 
-    def below(self, e: ElemRef) -> frozenset:
-        return self._refs(self.down[self.index[e]])
-
 
 def _elements(n_inputs: int, vertex_ids: Iterable[int]) -> tuple:
     return (*map(In, range(1, n_inputs + 1)), *map(Vert, sorted(vertex_ids)), STAR)
@@ -340,27 +332,9 @@ def make_poset(
     holes: Mapping[int, tuple[str, int, Iterable[frozenset]]] | Mapping[int, HoleLabel],
     order: Iterable[tuple],
 ) -> PosetWithHoles:
-    """Trusted constructor: closes the order transitively, normalizes each
-    visibility set to contain its hole and be downward-closed, and checks
-    every reference."""
-    return _from_pairs(n_inputs, actions, holes, order, trusted=True)
-
-
-def raw_poset(
-    n_inputs: int,
-    actions: Mapping[int, str],
-    holes: Mapping[int, HoleLabel],
-    order: Iterable[tuple],
-) -> PosetWithHoles:
-    """Untrusted constructor: stores the data as given (for loading and for
-    deliberately ill-formed test posets), references checked."""
-    return _from_pairs(n_inputs, actions, holes, order, trusted=False)
-
-
-def _from_pairs(n_inputs, actions, holes, pairs, trusted: bool) -> PosetWithHoles:
-    """The poset whose order holds the given pairs.  If ``trusted``, the
-    order is closed and each visibility set takes its hole and everything
-    below its members."""
+    """The poset whose order is the transitive closure of the given pairs,
+    each visibility set taking its hole and everything below its members;
+    every reference is checked."""
     if set(actions) & set(holes):
         raise PosetError("action and hole vertex ids overlap")
     elements = _elements(n_inputs, chain(actions, holes))
@@ -373,20 +347,18 @@ def _from_pairs(n_inputs, actions, holes, pairs, trusted: bool) -> PosetWithHole
         return k
 
     down = [0] * len(elements)
-    for d, e in pairs:
+    for d, e in order:
         down[position(e)] |= 1 << position(d)
-    if trusted:
-        down = _close(down)
+    down = _close(down)
     masked = {}
     for vid, label in holes.items():
         var, arity, slots = (
             (label.var, label.arity, label.visibility) if isinstance(label, HoleLabel) else label
         )
-        masks = [reduce(or_, (1 << position(e) for e in slot), 0) for slot in slots]
-        if trusted:
-            # the order is closed, so one union is down-closed
-            masks = [m | 1 << index[Vert(vid)] for m in masks]
-            masks = [reduce(or_, map(down.__getitem__, _bits(m)), m) for m in masks]
+        own = 1 << index[Vert(vid)]
+        masks = [reduce(or_, (1 << position(e) for e in slot), own) for slot in slots]
+        # the order is closed, so one union is down-closed
+        masks = [reduce(or_, map(down.__getitem__, _bits(m)), m) for m in masks]
         masked[vid] = (var, arity, masks)
     return _assemble(n_inputs, actions, masked, down, elements)
 
@@ -585,7 +557,8 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
     Vertices are numbered as the composition numbers them: at a fork, the
     parent's vertices come before the child's.  The walk takes the child
     first, so it meets the vertices in decreasing order of their numbers
-    and counts down from the number of actions and holes in the term.
+    and counts down from the number of actions and holes in the term,
+    which :func:`scope_check` counts as it checks the term.
 
     Each mask the walk writes is closed, so nothing is closed afterwards.
     ``below`` and every completion are unions of closed sets, built up
@@ -602,14 +575,13 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
     around the fork lies below the child's vertices too: the child
     inherits ``below``.  Every reference is made here, so none is checked.
 
-    The walk, the count and :func:`scope_check` use explicit stacks, so
-    term depth is not bounded by the recursion limit.
+    The walk and :func:`scope_check` use explicit stacks, so term depth is
+    not bounded by the recursion limit.
     """
-    scope_check(term, gamma, delta)
+    vid = scope_check(term, gamma, delta)
     n = len(delta)
     actions: dict = {}
     holes: dict = {}
-    vid = _leaf_count(term)
     down = [0] * (n + vid + 1)
     # scope_check rejects a binder that shadows a name in scope, so nothing
     # walked inside a binder's scope rebinds it: one map serves every thread
@@ -641,11 +613,6 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
         done[binder], below = below, parent_below
     down[-1] = below
     return _assemble(n, actions, holes, down, _elements(n, range(1, len(down) - n)))
-
-
-def _leaf_count(term: Term) -> int:
-    """The number of actions and holes in a term."""
-    return sum(type(t) in (Act, Var) for t in subterms(term))
 
 
 # --- normal forms -------------------------------------------------------------
@@ -864,46 +831,6 @@ def decide_equal_posets(p1: PosetWithHoles, p2: PosetWithHoles) -> Equality:
     return Equality(True, witness, None)
 
 
-# --- substitution of a poset for a hole ---------------------------------------
-
-def poset_subst(
-    host: PosetWithHoles, var: str, arity: int, guest: PosetWithHoles
-) -> PosetWithHoles:
-    """Substitute ``guest`` (over ``n + arity`` inputs) for every hole
-    labelled ``var`` in ``host`` (over ``n`` inputs): reify both, substitute
-    at the term level, interpret back."""
-    n = host.n_inputs
-    if guest.n_inputs != n + arity:
-        raise PosetError(
-            f"guest has {guest.n_inputs} inputs, expected {n} + {arity}"
-        )
-    for _, label in host.holes:
-        if label.var == var and label.arity != arity:
-            raise PosetError(
-                f"hole {var} has arity {label.arity}, substitution expects {arity}"
-            )
-
-    input_names = tuple(f"a{i}" for i in range(1, n + 1))
-    slot_names = tuple(f"s{i}" for i in range(1, arity + 1))
-    gamma_h, delta_h, t_host = nf_to_term(reify(host), input_names)
-    gamma_g, _, t_guest = nf_to_term(reify(guest), input_names + slot_names)
-
-    result = subst_comp(
-        t_host, slot_names, t_guest, var, avoid_extra=frozenset(delta_h.names)
-    )
-
-    arities: dict[str, int] = {}
-    for name, m in gamma_h.entries:
-        if name != var:
-            arities[name] = m
-    for name, m in gamma_g.entries:
-        if arities.setdefault(name, m) != m:
-            raise PosetError(f"variable {name} used at two arities")
-    used = comp_vars(result)
-    gamma = CompContext(tuple(sorted((v, arities[v]) for v in used)))
-    return interp(result, gamma, delta_h)
-
-
 # --- plain pomsets (observations) ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -1017,16 +944,6 @@ def _ref_to_json(e: ElemRef):
     raise TypeError(f"not an element reference: {e!r}")
 
 
-def _ref_from_json(obj) -> ElemRef:
-    if obj == "star":
-        return STAR
-    if isinstance(obj, dict) and "in" in obj:
-        return In(int(obj["in"]))
-    if isinstance(obj, dict) and "v" in obj:
-        return Vert(int(obj["v"]))
-    raise PosetError(f"bad element reference: {obj!r}")
-
-
 def poset_to_json(p: PosetWithHoles) -> dict:
     vertices = []
     for vid, label in p.actions:
@@ -1052,31 +969,6 @@ def poset_to_json(p: PosetWithHoles) -> dict:
     }
 
 
-def poset_from_json(data: dict) -> PosetWithHoles:
-    actions: dict[int, str] = {}
-    holes: dict[int, HoleLabel] = {}
-    for v in data.get("vertices", ()):
-        vid = int(v["id"])
-        if v["kind"] == "action":
-            actions[vid] = v["label"]
-        elif v["kind"] == "hole":
-            slots = tuple(
-                frozenset(_ref_from_json(e) for e in slot)
-                for slot in v.get("visibility", [])
-            )
-            holes[vid] = HoleLabel(v["label"], len(slots), slots)
-        else:
-            raise PosetError(f"unknown vertex kind {v['kind']!r}")
-    order = {
-        (_ref_from_json(d), _ref_from_json(e)) for d, e in data.get("order", ())
-    }
-    return raw_poset(int(data.get("inputs", 0)), actions, holes, order)
-
-
-def poset_to_json_text(p: PosetWithHoles) -> str:
-    return json.dumps(poset_to_json(p), indent=2, sort_keys=True) + "\n"
-
-
 def covering_pairs(down: Sequence[int]) -> list[int]:
     """The Hasse diagram of a transitively closed strict order given as
     down-masks: for each element, the mask of the elements it covers, those
@@ -1086,7 +978,8 @@ def covering_pairs(down: Sequence[int]) -> list[int]:
 
 def poset_to_dot(p: PosetWithHoles) -> str:
     """DOT rendering: inputs as boxes, actions as circles, holes as diamonds,
-    star filled; solid covering edges, dotted visibility edges."""
+    star filled; solid covering edges, dotted visibility edges.  Action
+    labels are quoted, with ``\\`` and ``"`` escaped."""
     def node_id(e: ElemRef) -> str:
         match e:
             case In(i):
@@ -1101,6 +994,7 @@ def poset_to_dot(p: PosetWithHoles) -> str:
     for i in range(1, p.n_inputs + 1):
         lines.append(f'  in{i} [shape=box, label="{i}"];')
     for vid, label in p.actions:
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{vid} [shape=circle, label="{label}"];')
     for vid, label in p.holes:
         lines.append(f'  v{vid} [shape=diamond, label="{label.var}:{label.arity}"];')

@@ -170,10 +170,6 @@ def free_params(term: Term) -> frozenset[str]:
     return frozenset(free)
 
 
-def comp_vars(term: Term) -> frozenset[str]:
-    return frozenset(t.name for t in subterms(term) if type(t) is Var)
-
-
 def binders_of(term: Term) -> frozenset[str]:
     return frozenset(t.binder for t in subterms(term) if type(t) is Fork)
 
@@ -185,8 +181,10 @@ class _ScopeEnd(str):
     __slots__ = ()
 
 
-def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
-    """Check term formation in ``gamma | delta``; raise on the first failure.
+def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> int:
+    """Check term formation in ``gamma | delta``; raise on the first failure,
+    else return the number of actions and holes (calls of computation
+    variables) in ``term``.
 
     Binders must already be renamed apart: a fork binder that collides with
     an ambient parameter is rejected as :class:`ShadowedBinder`.  Subterms
@@ -195,11 +193,13 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
     end marker pushed below the parent takes it out before the child.
     """
     scope = set(delta.names)
+    leaves = 0
     stack: list = [term]
     while stack:
         t = stack.pop()
         match t:
             case Var(name, args):
+                leaves += 1
                 arity = gamma.arity(name)
                 if arity != len(args):
                     raise ArityMismatch(
@@ -215,12 +215,15 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> None:
             case Wait(guard, cont):
                 _check_names(guard, scope)
                 stack.append(cont)
-            case Stop() | Act(_):
+            case Act(_):
+                leaves += 1
+            case Stop():
                 pass
             case _ScopeEnd():
                 scope.remove(t)
             case _:
                 raise TypeError(f"not a term: {t!r}")
+    return leaves
 
 
 def _check_names(u: frozenset[str], scope: set[str]) -> None:
@@ -270,12 +273,6 @@ def _rename(term: Term, sub: dict[str, frozenset[str]], taken: set[str]) -> Term
                 return t
 
     return go(term, sub)
-
-
-def rename_binders_apart(term: Term, avoid: frozenset[str]) -> Term:
-    """Rename every fork binder to avoid ``avoid``, the free parameters and
-    each other."""
-    return _rename(term, {}, set(avoid) | free_params(term))
 
 
 def subst_param(term: Term, replacement: frozenset[str], target: str) -> Term:

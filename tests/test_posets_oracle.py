@@ -41,7 +41,6 @@ from dynthreads.posets import (
     nf_to_term,
     poset_to_json,
     print_normal_form,
-    raw_poset,
     reify,
     require_well_formed,
 )
@@ -50,7 +49,7 @@ from dynthreads.tids import ParamContext
 
 from corpus import corpus_names, load_surface
 from genutil import random_term, random_well_formed_poset
-from model_oracle import ref_interp
+from model_oracle import below, raw_poset, ref_interp
 from pair_oracle import _close_pairs, visibility_relation
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -343,7 +342,7 @@ def reference_reify(p: PosetWithHoles) -> NormalForm:
         return frozenset(e if isinstance(e, In) else Bnd(index[e]) for e in refs)
 
     def guard_of(v):
-        return translate(d for d in p.below(v) if not isinstance(d, Star))
+        return translate(d for d in below(p, v) if not isinstance(d, Star))
 
     def sort_key(v):
         if v.vid in p.action_map:
@@ -370,7 +369,7 @@ def reference_reify(p: PosetWithHoles) -> NormalForm:
             label = p.hole_map[v.vid]
             body = NfVarApp(label.var, tuple(translate(slot - {v}) for slot in label.visibility))
         children.append(NfChild(guard_of(v), body))
-    nf = NormalForm(p.n_inputs, tuple(children), translate(p.below(STAR)))
+    nf = NormalForm(p.n_inputs, tuple(children), translate(below(p, STAR)))
     bad = nf.check_closure()
     if bad:
         raise IllFormed(f"reified normal form breaks closure: {bad}")

@@ -4,9 +4,9 @@
 configuration whole and then, after each step, only the entries the step
 wrote, with one typing memo for the run.  It is checked against the run it
 replaced, kept below as the reference: the whole of
-:func:`~dynthreads.machine.check_config_well_formed` on every configuration,
-in its :func:`~dynthreads.machine.creation_order`, without a memo, with the
-configurations of ``reference_run`` of ``tests/graph_oracle.py``.  Both
+``check_config_well_formed`` on every configuration, in its
+``creation_order``, without a memo, with the configurations of
+``reference_run``, all three of ``tests/graph_oracle.py``.  Both
 must give the same result and number of checks, or raise the same error
 with the same message.
 
@@ -40,15 +40,12 @@ from dynthreads.lang import (
 )
 from dynthreads.machine import (
     DEFAULT_BUDGET,
-    Configuration,
     MachineError,
-    check_config_well_formed,
-    creation_order,
     run_with_preservation,
 )
 
 from corpus import NESTED_WAIT, corpus_names, load_core
-from graph_oracle import reference_run
+from graph_oracle import check_config_well_formed, creation_order, initial, reference_run, world
 
 SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
 
@@ -56,8 +53,8 @@ SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
 def reference_run_with_preservation(comp, result_type, policy="lowest-tid", seed=None,
                                     fuel=DEFAULT_BUDGET):
     """Run while checking every configuration whole in its creation order."""
-    c0 = Configuration.initial(comp)
-    bad = check_config_well_formed(c0, result_type, creation_order(c0.world))
+    c0 = initial(comp)
+    bad = check_config_well_formed(c0, result_type, creation_order(world(c0)))
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
@@ -65,7 +62,7 @@ def reference_run_with_preservation(comp, result_type, policy="lowest-tid", seed
     def check(_, c) -> None:
         nonlocal steps
         steps += 1
-        bad = check_config_well_formed(c, result_type, creation_order(c.world))
+        bad = check_config_well_formed(c, result_type, creation_order(world(c)))
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 

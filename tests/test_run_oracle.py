@@ -158,7 +158,6 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
 
     # the scan of every thread for the runnable ones is the oracle's alone
     assert not hasattr(machine, "_runnable")
-    counted.initial = Configuration.initial
     monkeypatch.setattr(machine, "Configuration", counted)
     for name in corpus_names():
         for policy, seed in SCHEDULES:

@@ -21,7 +21,6 @@ from dynthreads.terms import (
     alpha_eq,
     axiom_schemas,
     binders_of,
-    comp_vars,
     derived_node,
     free_params,
     parse_term,
@@ -33,6 +32,8 @@ from dynthreads.terms import (
     subst_param,
     tidset,
 )
+
+from model_oracle import comp_vars
 
 
 def test_scope_check_accepts_closed_fork_wait():

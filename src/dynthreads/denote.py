@@ -24,7 +24,6 @@ marker-gadget constructions used to probe completeness on open terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -63,6 +62,7 @@ from .machine import (
     run,
 )
 from .posets import Pomset, PosetWithHoles, decide_equal, erase_star, interp
+from .record import record
 from .terms import (
     Act,
     CompContext,
@@ -99,7 +99,7 @@ class AlphabetCollision(DenoteError):
 
 # --- canonical first-order types -----------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CanonicalFOType:
     """A first-order type flattened to a sum of tid-tuples: one entry per
     summand, holding its tid arity."""
@@ -157,7 +157,7 @@ def _inject(v: Value, ty: LangType) -> tuple[int, list[Value]]:
     raise DenoteError(f"value does not inhabit {print_type(ty)}")
 
 
-@dataclass(frozen=True)
+@record
 class Denotation:
     gamma: CompContext
     delta: ParamContext
@@ -274,7 +274,7 @@ def _denote_core(core: Comp, result_type: LangType, world) -> Denotation:
 
 # --- adequacy ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AdequacyReport:
     ok: bool
     observed: Pomset
@@ -361,7 +361,7 @@ def closing_context(term: Term, delta: ParamContext) -> Term:
     return closed
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     consistent: bool
     open_equal: bool

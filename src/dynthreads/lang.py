@@ -19,8 +19,9 @@ syntax spells the root ``#0`` and descendants ``#0.1.2``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
+
+from .record import record
 
 
 class LangError(Exception):
@@ -41,28 +42,28 @@ class UnknownTid(TypeCheckError):
 
 # --- types -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TidType:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Prod:
     parts: tuple["LangType", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     parts: tuple["LangType", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     arg: "LangType"
     res: "LangType"
 
 
-@dataclass(frozen=True)
+@record
 class Bot:
     """Synthesized for computations that provably never return a value
     (empty cases).  Declaratively the empty type embeds into every type;
@@ -141,42 +142,24 @@ def tid_str(path: Tid) -> str:
     return ".".join(["0"] + [str(k) for k in path])
 
 
+# Syntax nodes are records (see :mod:`dynthreads.record`), whose hash is
+# cached in their ``__dict__``: syntax trees are shared aggressively between
+# machine configurations, and exploration hashes configurations constantly.
+# A node keeps its set of free variables there the same way, once
+# :func:`subst_value` has asked for it, and the thread IDs it names once a
+# memoizing type check has (see :func:`_names`).
 
-def _node(cls):
-    """Frozen dataclass with a cached hash.
-
-    Syntax trees are shared aggressively between machine configurations,
-    and exploration hashes configurations constantly; caching per node
-    makes those hashes amortized O(1).  A syntax node keeps its set of free
-    variables in its ``__dict__`` the same way, once :func:`subst_value`
-    has asked for it, and the thread IDs it names once a memoizing type
-    check has (see :func:`_names`).
-    """
-    cls = dataclass(frozen=True)(cls)
-    base_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = base_hash(self)
-            self.__dict__["_hash"] = h
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_node
+@record
 class VarV:
     name: str
 
 
-@_node
+@record
 class TupleV:
     items: tuple["Value", ...]
 
 
-@_node
+@record
 class InjV:
     index: int  # 1-based
     value: "Value"
@@ -185,30 +168,30 @@ class InjV:
     annot: Optional["LangType"] = None
 
 
-@_node
+@record
 class LambdaV:
     param: str
     annot: Optional[LangType]
     body: "Comp"
 
 
-@_node
+@record
 class TidV:
     path: Tid
 
 
-@_node
+@record
 class NilV:
     """The empty compound thread ID."""
 
 
-@_node
+@record
 class UnionV:
     left: "Value"
     right: "Value"
 
 
-@_node
+@record
 class ConstV:
     name: str  # fork | wait | stop | printstop | print | node | parallel | series
     action: Optional[str] = None
@@ -222,37 +205,37 @@ SUGAR_CONSTS = {"print", "node", "parallel", "series"}
 _LABELLED = {"printstop", "print", "node"}
 
 
-@_node
+@record
 class Ret:
     value: Value
 
 
-@_node
+@record
 class ProjC:
     index: int
     value: Value
 
 
-@_node
+@record
 class CaseV:
     value: Value
     branches: tuple[tuple[str, "Comp"], ...]
 
 
-@_node
+@record
 class ApplyC:
     fn: Value
     arg: Value
 
 
-@_node
+@record
 class LetC:
     var: str
     bound: "Comp"
     body: "Comp"
 
 
-@_node
+@record
 class SeqC:
     """Surface sugar ``t1; t2``."""
 
@@ -260,7 +243,7 @@ class SeqC:
     second: "Comp"
 
 
-@_node
+@record
 class CaseC:
     """Surface sugar: case over a computation scrutinee."""
 
@@ -489,11 +472,12 @@ def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
 # written down here once.  Desugaring, substitution, the free-variable sets,
 # the core test and the fresh-name scan walk this table; the type checker, the
 # printer, the machine and the elaborator give each construct its meaning and
-# keep their own cases.  :func:`_bottom_up` walks it with an explicit stack,
-# so the free-variable sets and the machine's first hash of a program take no
-# stack frame per level.  The other walks recurse through plain loops, not
-# comprehensions or generators, so that one level of nesting costs one stack
-# frame; substitution goes down only where the variable is free.
+# keep their own cases.  :func:`_bottom_up` and :func:`is_core` walk it with
+# an explicit stack, so the free-variable sets, the machine's first hash of a
+# program and its core test take no stack frame per level.  The other walks
+# recurse through plain loops, not comprehensions or generators, so that one
+# level of nesting costs one stack frame; substitution goes down only where
+# the variable is free.
 
 def _parts(node) -> list:
     """The children of a value or computation in source order, each paired
@@ -559,13 +543,16 @@ def _rebranch(branches, kids: list) -> tuple:
 
 
 def is_core(t: Comp) -> bool:
-    """True when no surface sugar remains."""
-    kind = type(t)
-    if kind is SeqC or kind is CaseC or (kind is ConstV and t.name not in CORE_CONSTS):
-        return False
-    for _, kid in _parts(t):
-        if not is_core(kid):
+    """True when no surface sugar remains; the nodes are visited in source
+    order, by an explicit stack."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is SeqC or kind is CaseC or (kind is ConstV and node.name not in CORE_CONSTS):
             return False
+        for _, kid in reversed(_parts(node)):
+            stack.append(kid)
     return True
 
 
@@ -628,7 +615,9 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
     not free the subterm is kept as it is (so ``t`` itself comes back when
     ``name`` is not free in ``t``), and a rebuilt node's free variables are
     its old ones less ``name``, because ``v`` is closed."""
-    free = _free(t)
+    free = t.__dict__.get("_free")
+    if free is None:
+        free = _free(t)
     if name not in free:
         return t
     if type(t) is VarV:
@@ -805,7 +794,7 @@ _MASTER_RE = re.compile(
     "|".join(f"(?P<{kind}>{pat})" for kind, pat in _TOKEN_SPEC)
 )
 
-@dataclass
+@record
 class _Tok:
     kind: str
     text: str

@@ -60,8 +60,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import inf
 from operator import itemgetter, or_
@@ -87,7 +85,6 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
-    _node,
     _tids,
     check_comp,
     is_core,
@@ -97,6 +94,7 @@ from .lang import (
     tids_of_value,
 )
 from .posets import Pomset
+from .record import record
 
 
 class MachineError(Exception):
@@ -122,7 +120,7 @@ FINISHED = "finished"
 ThreadState = Union[Comp, str]
 
 
-@_node
+@record
 class Configuration:
     """The thread map, hashable for the tests' schedule-graph walk, which
     dedups configurations (the hash is cached, as for syntax nodes): one
@@ -141,7 +139,7 @@ class Configuration:
         return all(state == FINISHED for _, state, _ in self.threads)
 
 
-@dataclass(frozen=True)
+@record
 class StepLabel:
     acting: Tid
     action: Optional[str]  # None for silent steps
@@ -235,11 +233,12 @@ def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
         threads = ((tid, FINISHED),)
     else:
         threads, action = ((tid, FINISHED),), effect.action
-    # every spawned thread continues with its own copy of the
-    # continuation; finished threads stay finished
-    threads = tuple(
-        (t, state if state == FINISHED else _plug(frames, state)) for t, state in threads
-    )
+    if frames:
+        # every spawned thread continues with its own copy of the
+        # continuation; finished threads stay finished
+        threads = tuple(
+            (t, state if state == FINISHED else _plug(frames, state)) for t, state in threads
+        )
     return _LocalOut(action, threads, waits)
 
 
@@ -266,7 +265,7 @@ def _deadlock(c: Configuration) -> Deadlock:
 
 # --- running ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RunResult:
     """A terminated run: its final configuration, every step it took and
     its observation, which is built when it is first read."""
@@ -361,7 +360,7 @@ def run(
         raise MachineError(f"unknown policy {policy!r}")
     threads = {(): ((), comp, frozenset())}
     finished: set = set()
-    children: Counter = Counter()  # tid -> its spawn count
+    children: dict = {}  # tid -> its spawn count, once it has spawned
     blocked = {(): set()}  # tid -> the threads it waits for that have not finished
     waiters: dict = {}  # tid -> threads whose blocked set took it in
     runnable = [] if isinstance(comp, Ret) else [()]  # sorted by tid
@@ -380,15 +379,19 @@ def run(
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
         tid = choose(runnable)
         _, state, waits = threads[tid]
-        ordinal = children[tid] + 1
+        ordinal = children.get(tid, 0) + 1
         local = _local_step(state, tid, ordinal)
         if on_local is not None:
             on_local(tid, ordinal, local)
-        written = [t for t, _ in local.threads] + [a for _, a in local.new_prec]
-        for t in filter(finished.__contains__, written):
+        written = [t for t, _ in local.threads]
+        if local.new_prec:
+            written += [a for _, a in local.new_prec]
+        if not finished.isdisjoint(written):
+            t = next(filter(finished.__contains__, written))
             raise MachineError(f"step {len(events) + 1} writes finished thread {tid_str(t)}")
-        children.update(t[:-1] for t, _ in local.threads if t not in threads)
         for t, new in local.threads:
+            if t not in threads:  # a spawned child
+                children[t[:-1]] = children.get(t[:-1], 0) + 1
             blocked[t] = set()  # it takes the acting thread's waits, which have all finished
             if new == FINISHED:
                 finished.add(t)
@@ -411,7 +414,7 @@ def run(
 
 # --- the determinacy gate and exploration -----------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ConfluenceReport:
     ok: bool
     states: int
@@ -544,7 +547,7 @@ def check_confluence(comp: Comp, max_states: int = DEFAULT_BUDGET) -> Confluence
         return ConfluenceReport(True, max_states, True, None)
 
 
-@dataclass(frozen=True)
+@record
 class ExploreResult:
     """What every schedule does, from the gate's run (see :func:`explore`).
     ``traces``, the labelled traces of every schedule, are enumerated when

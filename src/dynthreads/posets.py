@@ -41,12 +41,12 @@ one mask comparison against the elements mapped so far.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from .record import record
 from .tids import ParamContext, print_tid_names
 from .terms import (
     Act,
@@ -126,7 +126,7 @@ STAR = Star()
 ElemRef = Union[In, Vert, Star]
 
 
-@dataclass(frozen=True)
+@record
 class HoleLabel:
     var: str
     arity: int
@@ -139,7 +139,7 @@ class HoleLabel:
             )
 
 
-@dataclass(frozen=True)
+@record
 class PosetWithHoles:
     """A labelled poset with holes.  ``down[k]`` is the mask of the
     elements below element ``k``, in the numbering of ``elements``."""
@@ -617,7 +617,7 @@ def interp(term: Term, gamma: CompContext, delta: ParamContext) -> PosetWithHole
 
 # --- normal forms -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Bnd:
     """Reference to the j-th forked child of a normal form (1-based)."""
 
@@ -631,24 +631,24 @@ def _nf_ref_str(e: NfRef) -> str:
     return f"a{e.index}" if isinstance(e, In) else f"b{e.index}"
 
 
-@dataclass(frozen=True)
+@record
 class NfAct:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class NfVarApp:
     var: str
     args: tuple[frozenset, ...]  # frozenset[NfRef] per slot
 
 
-@dataclass(frozen=True)
+@record
 class NfChild:
     guard: frozenset  # frozenset[NfRef]
     body: Union[NfAct, NfVarApp]
 
 
-@dataclass(frozen=True)
+@record
 class NormalForm:
     """The fork-chain shape: ``p`` children (each one action or one variable
     call guarded by a compound ID), then a final wait before stop."""
@@ -805,7 +805,7 @@ def _print_refs(refs: frozenset) -> str:
 
 # --- equality decision --------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Equality:
     equal: bool
     witness: Optional[dict]
@@ -833,7 +833,7 @@ def decide_equal_posets(p1: PosetWithHoles, p2: PosetWithHoles) -> Equality:
 
 # --- plain pomsets (observations) ----------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Pomset:
     """A plain labelled poset: elements with labels, numbered in the order
     of ``labels``, and a strict, transitively closed order held as the mask

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Union
 
+from .record import record
 from .tids import ParamContext, print_tid_names
 
 
@@ -49,31 +49,31 @@ class ShadowedBinder(TermError):
 
 # --- abstract syntax --------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
     args: tuple[frozenset[str], ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Fork:
     binder: str
     parent: "Term"
     child: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Wait:
     guard: frozenset[str]
     cont: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Stop:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Act:
     label: str
 
@@ -83,7 +83,7 @@ Term = Union[Var, Fork, Wait, Stop, Act]
 STOP = Stop()
 
 
-@dataclass(frozen=True)
+@record
 class CompContext:
     """Computation variables with arities, e.g. ``x:1, y:0``."""
 
@@ -357,7 +357,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 # --- the eight axioms -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AxiomInstance:
     name: str
     gamma: CompContext

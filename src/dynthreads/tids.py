@@ -10,8 +10,9 @@ position, and :func:`print_tid_names` writes a name set back as ``0`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .record import record
 
 
 class TidError(Exception):
@@ -24,7 +25,7 @@ class UnboundName(TidError):
         self.name = name
 
 
-@dataclass(frozen=True)
+@record
 class ParamContext:
     """An ordered list of distinct parameter names; position is meaningful."""
 

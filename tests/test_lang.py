@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import get_args
 
 import pytest
@@ -485,8 +484,8 @@ def _node_fields(node) -> list:
     """Every node held by a field of ``node``, directly, in a tuple or as
     the body of a case branch, in field order."""
     found = []
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in type(node).__match_args__:
+        value = getattr(node, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, tuple):
                 item = item[1]

@@ -985,6 +985,19 @@ def test_long_print_chain_is_checked_without_exhausting_the_stack():
     assert report.ok and not report.truncated
 
 
+def test_core_chain_deeper_than_the_recursion_limit_runs():
+    # parsing and desugaring recurse, so the chain is built from the
+    # constructors: one print's desugared body, nested in let frames
+    n = 2_000
+    body = desugar(parse_comp("print[s]()"))
+    comp = ApplyC(ConstV("stop"), UNIT_V)
+    for _ in range(n):
+        comp = LetC("u", body, comp)
+    assert len(run(comp).events) == 8 * n + 1
+    report = check_confluence(comp)
+    assert report.ok and not report.truncated
+
+
 def test_long_chain_after_a_spawn_is_checked_without_exhausting_the_stack():
     # ``t`` is used at the very end, so substituting it rebuilds the whole
     # chain

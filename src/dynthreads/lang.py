@@ -146,8 +146,9 @@ def tid_str(path: Tid) -> str:
 # cached in their ``__dict__``: syntax trees are shared aggressively between
 # machine configurations, and exploration hashes configurations constantly.
 # A node keeps its set of free variables there the same way, once
-# :func:`subst_value` has asked for it, and the thread IDs it names once a
-# memoizing type check has (see :func:`_names`).
+# :func:`is_core` has walked it or :func:`subst_value` has asked for it, and
+# the thread IDs it names once a memoizing type check has (see
+# :func:`_names`).
 
 @record
 class VarV:
@@ -472,12 +473,14 @@ def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
 # written down here once.  Desugaring, substitution, the free-variable sets,
 # the core test and the fresh-name scan walk this table; the type checker, the
 # printer, the machine and the elaborator give each construct its meaning and
-# keep their own cases.  :func:`_bottom_up` and :func:`is_core` walk it with
-# an explicit stack, so the free-variable sets, the machine's first hash of a
-# program and its core test take no stack frame per level.  The other walks
-# recurse through plain loops, not comprehensions or generators, so that one
-# level of nesting costs one stack frame; substitution goes down only where
-# the variable is free.
+# keep their own cases.  :func:`is_core`, which a run calls first, and
+# :func:`_bottom_up` walk it with an explicit stack, so the core test and the
+# name sets take no stack frame per level: the core test stores each node's
+# free variables as it goes, and :func:`_bottom_up` finds the sets that are
+# not stored yet, thread IDs always among them.  The other walks recurse
+# through plain loops, not comprehensions or generators, so that one level of
+# nesting costs one stack frame; substitution goes down only where the
+# variable is free.
 
 def _parts(node) -> list:
     """The children of a value or computation in source order, each paired
@@ -542,17 +545,32 @@ def _rebranch(branches, kids: list) -> tuple:
     return tuple((x, body) for (x, _), body in zip(branches, kids[1:]))
 
 
+_NO_NAMES: frozenset = frozenset()
+
+
 def is_core(t: Comp) -> bool:
-    """True when no surface sugar remains; the nodes are visited in source
-    order, by an explicit stack."""
-    stack = [t]
+    """True when no surface sugar remains.  This is the one walk of a
+    program before it runs, by an explicit stack: it checks every node, and
+    then stores the free variables (see :func:`_names`) of each node that
+    has none yet, children first, so that the run's substitutions find them
+    stored.  A node's stored set says nothing about sugar, since a typing
+    memo and :func:`subst_value` store sets on sugared nodes too, so nodes
+    that have one are checked all the same."""
+    stack, unnamed = [t], []
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is SeqC or kind is CaseC or (kind is ConstV and node.name not in CORE_CONSTS):
             return False
-        for _, kid in reversed(_parts(node)):
+        parts = _parts(node)
+        if "_free" not in node.__dict__:
+            unnamed.append((node, parts))
+        for _, kid in parts:
             stack.append(kid)
+    # each node comes after its children in the reverse of the visiting order
+    for node, parts in reversed(unnamed):
+        own = frozenset((node.name,)) if type(node) is VarV else _NO_NAMES
+        node.__dict__["_free"] = _join(own, parts, "_free")
     return True
 
 
@@ -589,21 +607,29 @@ def _names(node, key: str) -> frozenset:
     a node is visited once, the first time it or a node above it is asked.
     One pass serves both: a variable is a ``VarV`` leaf, removed where a
     child binds it; a thread ID is a ``TidV`` leaf, a tuple, which no
-    binder (a string) removes."""
+    binder (a string) removes.  Free variables are usually stored already,
+    by :func:`is_core` before a run and by :func:`subst_value` during it;
+    thread IDs are read only by typing with a memo, and found only then."""
     names = node.__dict__.get(key)
     if names is not None:
         return names
     leaf, field = (VarV, "name") if key == "_free" else (TidV, "path")
     for sub in _bottom_up(node, key):
-        names = frozenset((getattr(sub, field),)) if type(sub) is leaf else frozenset()
-        for var, kid in _parts(sub):
-            kid_names = kid.__dict__[key]
-            if var in kid_names:
-                kid_names = kid_names - {var}
-            if not kid_names <= names:
-                # a node whose other children add nothing shares a child's set
-                names = names | kid_names if names else kid_names
-        sub.__dict__[key] = names
+        own = frozenset((getattr(sub, field),)) if type(sub) is leaf else _NO_NAMES
+        names = sub.__dict__[key] = _join(own, _parts(sub), key)
+    return names
+
+
+def _join(names: frozenset, parts: list, key: str) -> frozenset:
+    """``names`` with the sets the children in ``parts`` store under
+    ``key``, each less the variable bound over it."""
+    for var, kid in parts:
+        kid_names = kid.__dict__[key]
+        if var in kid_names:
+            kid_names = kid_names - {var}
+        if not kid_names <= names:
+            # a node whose other children add nothing shares a child's set
+            names = names | kid_names if names else kid_names
     return names
 
 
@@ -634,7 +660,11 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
 
 def desugar(t: Comp) -> Comp:
     """Lower sequencing, case-of-computation, and the sugar constants to the
-    fork/wait/stop/printstop core."""
+    fork/wait/stop/printstop core.  Each expansion of a sugar constant is
+    built in core form, so nothing the walk returns is walked again; fresh
+    names are drawn in the order in which lowering the expansion's surface
+    form would draw them (the tests keep that two-pass desugarer as the
+    oracle)."""
     fresh = _fresh_namer(t)
 
     def ds(node):
@@ -658,83 +688,46 @@ def desugar(t: Comp) -> Comp:
     def call(name: str, arg: Value, action: Optional[str] = None) -> Comp:
         return ApplyC(ConstV(name, action), arg)
 
+    def forked(z: str, a: str, parent: Comp, u: str, child: Comp) -> Comp:
+        """``let z = fork() in case z of { inj1 a => parent | inj2 u => child }``"""
+        return LetC(z, call("fork", UNIT_V), CaseV(VarV(z), ((a, parent), (u, child))))
+
+    def absurd(comp: Comp) -> Comp:
+        """``case comp of {}``, which coerces ``comp`` out of the empty type"""
+        z = fresh("z")
+        return LetC(z, comp, CaseV(VarV(z), ()))
+
     def expand(name: str, action: Optional[str], arg: Value) -> Comp:
         if name == "print":
             # an action that can be followed: fork a thread that merely
-            # performs it, then wait for that thread; the child branch is
-            # coerced out of the empty type by an empty case
+            # performs it, then wait for that thread
             z, a, u = fresh("z"), fresh("a"), fresh("u")
-            return ds(
-                LetC(
-                    z,
-                    call("fork", UNIT_V),
-                    CaseV(
-                        VarV(z),
-                        (
-                            (a, call("wait", VarV(a))),
-                            (u, CaseC(call("printstop", UNIT_V, action), ())),
-                        ),
-                    ),
-                )
-            )
+            return forked(z, a, call("wait", VarV(a)), u, absurd(call("printstop", UNIT_V, action)))
         if name == "node":
             # fork a child that waits on the given IDs then acts; hand the
             # child's ID back to the caller
-            z, b, u = fresh("z"), fresh("b"), fresh("u")
-            child = SeqC(
+            z, b, u, waited, acted = fresh("z"), fresh("b"), fresh("u"), fresh("u"), fresh("u")
+            child = LetC(
+                waited,
                 call("wait", arg),
-                SeqC(call("print", UNIT_V, action), CaseC(call("stop", UNIT_V), ())),
+                LetC(acted, expand("print", action, UNIT_V), absurd(call("stop", UNIT_V))),
             )
-            return ds(
-                LetC(
-                    z,
-                    call("fork", UNIT_V),
-                    CaseV(VarV(z), ((b, Ret(VarV(b))), (u, child))),
-                )
-            )
+            return forked(z, b, Ret(VarV(b)), u, child)
         if name in ("parallel", "series"):
             runner1, runner2, wrap = _split_pair(arg, fresh)
             if name == "series":
-                z, a, u = fresh("z"), fresh("a"), fresh("u")
-                body = LetC(
-                    z,
-                    call("fork", UNIT_V),
-                    CaseV(
-                        VarV(z),
-                        (
-                            (a, SeqC(call("wait", VarV(a)), ApplyC(runner2, UNIT_V))),
-                            (u, ApplyC(runner1, UNIT_V)),
-                        ),
-                    ),
-                )
-            else:
-                z1, z2, a, b, u = (
-                    fresh("z"), fresh("z"), fresh("a"), fresh("b"), fresh("u")
-                )
-                inner = LetC(
-                    z2,
-                    call("fork", UNIT_V),
-                    CaseV(
-                        VarV(z2),
-                        (
-                            (
-                                b,
-                                SeqC(
-                                    call("wait", VarV(a)),
-                                    SeqC(call("wait", VarV(b)), call("stop", UNIT_V)),
-                                ),
-                            ),
-                            (u, ApplyC(runner2, UNIT_V)),
-                        ),
-                    ),
-                )
-                fresh_u = fresh("u")
-                body = LetC(
-                    z1,
-                    call("fork", UNIT_V),
-                    CaseV(VarV(z1), ((a, inner), (fresh_u, ApplyC(runner1, UNIT_V)))),
-                )
-            return ds(wrap(body))
+                z, a, u, waited = fresh("z"), fresh("a"), fresh("u"), fresh("u")
+                then = LetC(waited, call("wait", VarV(a)), ApplyC(runner2, UNIT_V))
+                return wrap(forked(z, a, then, u, ApplyC(runner1, UNIT_V)))
+            z1, z2, a, b = fresh("z"), fresh("z"), fresh("a"), fresh("b")
+            u1, u2, waited_a, waited_b = fresh("u"), fresh("u"), fresh("u"), fresh("u")
+            join = LetC(
+                waited_a,
+                call("wait", VarV(a)),
+                LetC(waited_b, call("wait", VarV(b)), call("stop", UNIT_V)),
+            )
+            inner = forked(z2, b, join, u1, ApplyC(runner2, UNIT_V))
+            return wrap(forked(z1, a, inner, u2, ApplyC(runner1, UNIT_V)))
         raise TypeError(f"not a sugar constant: {name!r}")
 
     return ds(t)

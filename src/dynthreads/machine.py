@@ -219,27 +219,22 @@ def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
     The redex is peeled out of its ``let`` frames (:func:`_peel`), an
     effect is dispatched on its constant's name and anything else takes
     the pure step (:func:`_reduce`), and each state it leaves is wrapped
-    back into the frames."""
+    back into the frames, unless the thread finished."""
     frames, comp = _peel(comp)
-    effect, action, waits = _effect(comp), None, _NO_WAITS
+    effect = _effect(comp)
     if effect is None:
-        threads = ((tid, _reduce(comp)),)
-    elif effect.name == "fork":
+        return _LocalOut(None, ((tid, _plug(frames, _reduce(comp))),), _NO_WAITS)
+    if effect.name == "fork":
+        # every spawned thread continues with its own copy of the continuation
         child = tid + (ordinal,)
-        threads = ((tid, Ret(InjV(1, TidV(child), _FORK_RESULT))), (child, _CHILD_START))
-    elif effect.name == "wait":
-        threads, waits = ((tid, Ret(UNIT_V)),), frozenset((b, tid) for b in tids_of_value(comp.arg))
-    elif effect.name == "stop":
-        threads = ((tid, FINISHED),)
-    else:
-        threads, action = ((tid, FINISHED),), effect.action
-    if frames:
-        # every spawned thread continues with its own copy of the
-        # continuation; finished threads stay finished
-        threads = tuple(
-            (t, state if state == FINISHED else _plug(frames, state)) for t, state in threads
-        )
-    return _LocalOut(action, threads, waits)
+        parent = _plug(frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
+        return _LocalOut(None, ((tid, parent), (child, _plug(frames, _CHILD_START))), _NO_WAITS)
+    if effect.name == "wait":
+        waits = frozenset((b, tid) for b in tids_of_value(comp.arg))
+        return _LocalOut(None, ((tid, _plug(frames, Ret(UNIT_V))),), waits)
+    # stop and printstop finish the thread, which drops its continuation
+    action = effect.action if effect.name == "printstop" else None
+    return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
 def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
@@ -254,6 +249,11 @@ def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
     for b, a in local.new_prec:
         t, state, before = threads[a]
         threads[a] = (t, state, before | {b})
+
+
+def _writes_finished(step: int, t: Tid) -> MachineError:
+    """The error for a step that writes the finished thread ``t``."""
+    return MachineError(f"step {step} writes finished thread {tid_str(t)}")
 
 
 def _deadlock(c: Configuration) -> Deadlock:
@@ -371,7 +371,7 @@ def run(
         i = bisect_left(runnable, t)
         if runnable[i : i + 1] == [t]:
             del runnable[i]
-        if not blocked[t] and threads[t][1] != FINISHED and not isinstance(threads[t][1], Ret):
+        if not blocked[t] and threads[t][1] is not FINISHED and type(threads[t][1]) is not Ret:
             runnable.insert(i, t)
 
     while runnable:
@@ -383,17 +383,17 @@ def run(
         local = _local_step(state, tid, ordinal)
         if on_local is not None:
             on_local(tid, ordinal, local)
-        written = [t for t, _ in local.threads]
-        if local.new_prec:
-            written += [a for _, a in local.new_prec]
-        if not finished.isdisjoint(written):
-            t = next(filter(finished.__contains__, written))
-            raise MachineError(f"step {len(events) + 1} writes finished thread {tid_str(t)}")
+        for t, _ in local.threads:
+            if t in finished:
+                raise _writes_finished(len(events) + 1, t)
+        for _, t in local.new_prec:
+            if t in finished:
+                raise _writes_finished(len(events) + 1, t)
         for t, new in local.threads:
             if t not in threads:  # a spawned child
                 children[t[:-1]] = children.get(t[:-1], 0) + 1
             blocked[t] = set()  # it takes the acting thread's waits, which have all finished
-            if new == FINISHED:
+            if new is FINISHED:
                 finished.add(t)
                 for w in waiters.pop(t, ()):
                     blocked[w].discard(t)
@@ -403,7 +403,9 @@ def run(
                 blocked[a].add(b)
                 waiters.setdefault(b, set()).add(a)
         _write(threads, waits, local)
-        for t in written:
+        for t, _ in local.threads:
+            settle(t)
+        for _, t in local.new_prec:
             settle(t)
         events.append(StepLabel(tid, local.action))
     c = Configuration(tuple(sorted(threads.values())))
@@ -680,7 +682,12 @@ def run_with_preservation(
     checks the entries the step wrote, read off its local step: the threads
     it lists and the threads its wait pairs end at, with ranks
     (:func:`_rank`) for the known threads.  Of the acting thread's waits
-    only the step's new ones are checked.  That covers every configuration:
+    only the step's new ones are checked.  A thread the step gives the
+    acting thread's wait set, such as a new child, has that set checked by
+    one comparison: the run keeps the largest rank in each thread's wait
+    set, and every wait in it names a known thread, so the set goes
+    forward exactly when that rank is below the thread's own.  That covers
+    every configuration:
       - A step replaces the entries it writes and keeps every other one as
         it was, and threads never leave the world.
       - A kept wait, of a kept entry or of the acting thread, still names a
@@ -703,6 +710,7 @@ def run_with_preservation(
     memo: dict = {}
     threads = {(): ((), comp, _NO_WAITS)}
     rank = {(): _rank(())}
+    top = {(): ()}  # tid -> the largest rank in its wait set; () is below every rank
     bad = _ill_formed(list(threads.values()), rank, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
@@ -714,11 +722,20 @@ def run_with_preservation(
         if any(t in threads and threads[t][1] == FINISHED for t in written):
             return  # run refuses the step
         steps += 1
+        inherited = top[a]
         _write(threads, threads[a][2], local)
-        rank.update((t, _rank(t)) for t, _ in local.threads)
-        new = frozenset(b for b, y in local.new_prec if y == a)
-        entries = [(t, s, new if t == a else w) for t, s, w in map(threads.__getitem__, written)]
-        if _ill_formed(entries, rank, result_type, memo):
+        for t, _ in local.threads:
+            rank[t], top[t] = _rank(t), inherited
+        for b, y in local.new_prec:
+            if b in rank and rank[b] > top[y]:
+                top[y] = rank[b]
+        entries = [
+            (t, s, [b for b, y in local.new_prec if y == t])
+            for t, s, _ in map(threads.__getitem__, written)
+        ]
+        if any(inherited >= rank[t] for t, _ in local.threads if t != a) or _ill_formed(
+            entries, rank, result_type, memo
+        ):
             bad = _ill_formed([threads[t] for t in sorted(written)], rank, result_type, memo)
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 

@@ -105,3 +105,30 @@ def random_well_formed_poset(
     assert check_well_formed(poset) is None
     return poset
 
+
+# the program texts of perfbench/long_programs.py, built the same way
+
+
+def chain_program(labels: list[str]) -> str:
+    return "".join(f"print[{label}](); " for label in labels) + "stop()"
+
+
+def dag_program(labels: list[str], deps: list[list[int]]) -> str:
+    lines = []
+    for i, (label, ds) in enumerate(zip(labels, deps)):
+        arg = " (+) ".join(f"v{d}" for d in ds) if ds else "nil"
+        lines.append(f"let v{i} = node[{label}]({arg}) in")
+    return "\n".join(lines) + "\nstop()"
+
+
+def long_programs(seed: int) -> list[str]:
+    """One pass's program texts: chains of 20-29 prints and DAGs of 10-19 nodes."""
+    rng = random.Random(seed)
+    programs = []
+    for n in range(20, 30):
+        programs.append(chain_program([f"p{k}" for k in rng.sample(range(1000), n)]))
+    for n in range(10, 20):
+        labels = [f"n{k}" for k in rng.sample(range(1000), n)]
+        deps = [rng.sample(range(i), rng.randint(0, min(2, i))) for i in range(n)]
+        programs.append(dag_program(labels, deps))
+    return programs

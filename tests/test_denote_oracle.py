@@ -6,8 +6,6 @@ builds."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from dynthreads.denote import Elaborator, world_context
@@ -15,6 +13,7 @@ from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, typecheck
 
 import denote_oracle
 from corpus import corpus_names, load_surface
+from genutil import long_programs
 
 IN_WORLD = [
     ("wait(#0.1); stop()", frozenset({(1,)})),
@@ -29,33 +28,6 @@ IN_WORLD = [
     ("let x = fork() in ret (x, #0.1.1)", frozenset({(1,), (1, 1)})),
     ("wait(nil); fork()", frozenset()),
 ]
-
-
-# the program texts of perfbench/long_programs.py, built the same way
-
-
-def chain_program(labels: list[str]) -> str:
-    return "".join(f"print[{label}](); " for label in labels) + "stop()"
-
-
-def dag_program(labels: list[str], deps: list[list[int]]) -> str:
-    lines = []
-    for i, (label, ds) in enumerate(zip(labels, deps)):
-        arg = " (+) ".join(f"v{d}" for d in ds) if ds else "nil"
-        lines.append(f"let v{i} = node[{label}]({arg}) in")
-    return "\n".join(lines) + "\nstop()"
-
-
-def long_programs(seed: int) -> list[str]:
-    rng = random.Random(seed)
-    programs = []
-    for n in range(20, 30):
-        programs.append(chain_program([f"p{k}" for k in rng.sample(range(1000), n)]))
-    for n in range(10, 20):
-        labels = [f"n{k}" for k in rng.sample(range(1000), n)]
-        deps = [rng.sample(range(i), rng.randint(0, min(2, i))) for i in range(n)]
-        programs.append(dag_program(labels, deps))
-    return programs
 
 
 def assert_same_denotation(comp, world) -> None:

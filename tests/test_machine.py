@@ -17,14 +17,20 @@ from dynthreads.lang import (
     InjV,
     LangError,
     LetC,
+    NilV,
     ProjC,
     Ret,
+    SeqC,
     Sum,
     TidV,
     TupleV,
+    VarV,
+    check_comp,
     desugar,
+    is_core,
     parse_comp,
     print_comp,
+    subst_value,
     tid_str,
     typecheck_comp,
 )
@@ -996,6 +1002,52 @@ def test_core_chain_deeper_than_the_recursion_limit_runs():
     assert len(run(comp).events) == 8 * n + 1
     report = check_confluence(comp)
     assert report.ok and not report.truncated
+
+
+def _print_core(label: str, k: int):
+    """One print's desugared body, built from the constructors with names
+    of its own."""
+    z, a, u, w = f"z{k}", f"a{k}", f"u{k}", f"w{k}"
+    acted = LetC(w, ApplyC(ConstV("printstop", label), UNIT_V), CaseV(VarV(w), ()))
+    waited = ApplyC(ConstV("wait"), VarV(a))
+    return LetC(z, ApplyC(ConstV("fork"), UNIT_V), CaseV(VarV(z), ((a, waited), (u, acted))))
+
+
+def test_core_chain_of_ten_thousand_prints_runs():
+    # every print has nodes of its own, so the core check stores free
+    # variables on each of them, by its explicit stack
+    n = 10_000
+    comp = ApplyC(ConstV("stop"), UNIT_V)
+    for k in range(n):
+        comp = LetC(f"v{k}", _print_core(f"p{k}", k), comp)
+    assert is_core(comp)
+    result = run(comp)
+    assert len(result.events) == 8 * n + 1
+    assert result.terminal.is_terminal()
+
+
+def _sugared_programs() -> dict:
+    """Sugared programs whose nodes already store their free variables."""
+    typed = parse_comp("let x = node[a](nil) in print[b](); wait(x); stop()")
+    check_comp({}, frozenset(), typed, EMPTY, {})
+    rebuilt = subst_value(parse_comp("wait(y); print[b](); stop()"), "y", NilV())
+    ran = desugar(parse_comp("print[a](); stop()"))
+    run(ran)
+    # the sugar sits beside the core subtree of a program that ran
+    shared = SeqC(ApplyC(ConstV("print", "b"), UNIT_V), ran)
+    check_comp({}, frozenset(), shared, EMPTY, {})
+    return {"typed with a memo": typed, "rebuilt by subst_value": rebuilt, "sharing a run's core": shared}
+
+
+@pytest.mark.parametrize("case", sorted(_sugared_programs()))
+def test_stored_free_variables_do_not_pass_for_the_core_check(case):
+    comp = _sugared_programs()[case]
+    assert type(comp) in (LetC, SeqC) and "_free" in comp.__dict__
+    assert not is_core(comp)
+    with pytest.raises(MachineError, match="run needs a desugared computation"):
+        run(comp)
+    with pytest.raises(MachineError, match="run needs a desugared computation"):
+        run_with_preservation(comp, EMPTY)
 
 
 def test_long_chain_after_a_spawn_is_checked_without_exhausting_the_stack():

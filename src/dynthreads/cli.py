@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,6 @@ from .posets import (
     reify,
 )
 from .terms import parse_term_file, print_term
-
-FUEL_ENV = "DYNTHREADS_FUEL"
 
 
 class CliError(Exception):
@@ -103,8 +100,6 @@ def _load_program_for_run(path: str):
 def cmd_run(args) -> int:
     comp = _load_program_for_run(args.path)
     core = desugar(comp)
-    if args.policy == "exhaustive":
-        return _explore_report(core, args.fuel, args.format)
     trace: list[str] = []
     on_local = None
     if args.format == "text":
@@ -239,16 +234,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _default_fuel() -> int:
-    raw = os.environ.get(FUEL_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{FUEL_ENV} must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynthreads",
@@ -273,16 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("run", cmd_run, "run a program and print trace and pomset")
     p.add_argument("path")
-    p.add_argument("--policy", choices=["lowest-tid", "random", "exhaustive"],
-                   default="lowest-tid")
+    p.add_argument("--policy", choices=["lowest-tid", "random"], default="lowest-tid")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("explore", cmd_explore, "explore all schedules of a program")
     p.add_argument("path")
-    p.add_argument("--fuel", type=int, default=None,
-                   help="state budget (default from fuel settings)")
+    p.add_argument("--fuel", type=int, default=DEFAULT_BUDGET, help="state budget")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("denote", cmd_denote, "denotation of a program as a labelled poset")
@@ -293,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--policy", choices=["lowest-tid", "random"], default="lowest-tid")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("export", cmd_export, "export a term file's poset")
@@ -308,12 +291,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "fuel"):
-            source = "--fuel"
-            if args.fuel is None:
-                source, args.fuel = FUEL_ENV, _default_fuel()
-            if args.fuel < 1:
-                raise CliError(f"{source} must be at least 1, got {args.fuel}")
+        if getattr(args, "fuel", 1) < 1:
+            raise CliError(f"--fuel must be at least 1, got {args.fuel}")
         if getattr(args, "policy", None) == "random" and args.seed is None:
             raise CliError("--policy random requires --seed")
         return args.fn(args)

@@ -786,6 +786,8 @@ _TOKEN_SPEC = [
 _MASTER_RE = re.compile(
     "|".join(f"(?P<{kind}>{pat})" for kind, pat in _TOKEN_SPEC)
 )
+# whitespace and ``--`` comments, which run to the end of their line
+_SKIP_RE = re.compile(r"(?:\s|--[^\n]*)*")
 
 @record
 class _Tok:
@@ -798,34 +800,26 @@ class _Tok:
 class _Lexer:
     def __init__(self, text: str):
         self.toks: list[_Tok] = []
-        line, col = 1, 1
+        line, start = 1, 0  # the current line and the index it starts at
         pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "\n":
-                line += 1
-                col = 1
-                pos += 1
-                continue
-            if ch.isspace():
-                col += 1
-                pos += 1
-                continue
-            if text.startswith("--", pos):
-                end = text.find("\n", pos)
-                pos = len(text) if end < 0 else end
-                continue
+        while True:
+            end = _SKIP_RE.match(text, pos).end()
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                start = text.rindex("\n", pos, end) + 1
+            pos = end
+            if pos == len(text):
+                break
             m = _MASTER_RE.match(text, pos)
             if not m:
-                raise ParseError(f"{line}:{col}: cannot read {text[pos:pos+12]!r}")
-            self.toks.append(_Tok(m.lastgroup, m.group(), line, col))
-            col += m.end() - pos
+                raise ParseError(f"{line}:{pos - start + 1}: cannot read {text[pos:pos+12]!r}")
+            self.toks.append(_Tok(m.lastgroup, m.group(), line, pos - start + 1))
             pos = m.end()
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Optional[_Tok]:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self) -> Optional[_Tok]:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def next(self) -> _Tok:
         tok = self.peek()

@@ -864,16 +864,11 @@ class Pomset:
             if a not in index or b not in index:
                 raise PosetError(f"order pair ({a},{b}) mentions unknown elements")
             down[index[b]] |= 1 << index[a]
-        return Pomset._closed(tuple((e, labels[e]) for e in ids), down)
-
-    @staticmethod
-    def _closed(labels: tuple, down: list[int]) -> "Pomset":
-        """The pomset of the closure of ``down``; a cycle is an error."""
         closed = _close(down)
         loops = [k for k, m in enumerate(closed) if m >> k & 1]
         if loops:
-            raise PosetError(f"pomset order has a cycle at {labels[loops[0]][0]}")
-        return Pomset(labels, tuple(closed))
+            raise PosetError(f"pomset order has a cycle at {ids[loops[0]]}")
+        return Pomset(tuple((e, labels[e]) for e in ids), tuple(closed))
 
     @cached_property
     def _as_poset(self) -> PosetWithHoles:
@@ -921,14 +916,15 @@ class Pomset:
 def erase_star(p: PosetWithHoles) -> Pomset:
     """Forget the main-thread marker: the closed, hole-free poset without
     star and its incident pairs, its elements renumbered by their ids as
-    strings."""
+    strings.  The restriction of a closed, acyclic order is closed and
+    acyclic, so the masks are kept as they are, renumbered."""
     if p.n_inputs != 0 or p.holes:
         raise PosetError("erase_star needs a closed poset without holes")
     ids = [str(v) for v, _ in p.actions]
     ranked = sorted(range(len(ids)), key=ids.__getitem__)
     rank = {k: r for r, k in enumerate(ranked)}
-    down = [sum(1 << rank[d] for d in _bits(p.down[k]) if d in rank) for k in ranked]
-    return Pomset._closed(tuple((ids[k], p.actions[k][1]) for k in ranked), down)
+    down = tuple(sum(1 << rank[d] for d in _bits(p.down[k]) if d in rank) for k in ranked)
+    return Pomset(tuple((ids[k], p.actions[k][1]) for k in ranked), down)
 
 
 # --- serialization --------------------------------------------------------------

@@ -227,9 +227,8 @@ def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> int:
 
 
 def _check_names(u: frozenset[str], scope: set[str]) -> None:
-    for n in sorted(u):
-        if n not in scope:
-            raise UnboundParameter(f"unbound parameter: {n!r}")
+    if not u <= scope:
+        raise UnboundParameter(f"unbound parameter: {min(u - scope)!r}")
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -297,9 +296,10 @@ def subst_comp(
     if len(set(binders)) != len(binders):
         raise TermError(f"duplicate binders: {binders}")
     body_free = free_params(body) - set(binders)
-    # no host binder may capture a name the body mentions freely
-    term = _rename(term, {}, set(body_free | free_params(term) | avoid_extra))
-    host_names = free_params(term) | binders_of(term) | avoid_extra
+    # no host binder may capture a name the body mentions freely; the
+    # renaming adds the host's new binders to ``host_names``
+    host_names = set(body_free | free_params(term) | avoid_extra)
+    term = _rename(term, {}, host_names)
 
     def go(t: Term) -> Term:
         match t:
@@ -310,7 +310,7 @@ def subst_comp(
                     )
                 # the body's own binders avoid the incoming IDs and every name
                 # the host scope could put around this occurrence
-                taken = set(body_free | host_names).union(binders, *args)
+                taken = host_names.union(binders, *args)
                 return _rename(body, dict(zip(binders, args)), taken)
             case Fork(binder, parent, child):
                 return Fork(binder, go(parent), go(child))

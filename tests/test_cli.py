@@ -64,15 +64,20 @@ def test_check_reports_type(capsys):
     assert capsys.readouterr().out.strip() == "type: 0"
 
 
-def test_run_exhaustive_reports_two_schedules(capsys):
+def test_explore_reports_two_schedules(capsys):
     path = str(PROGRAMS_DIR / "ex21_no_wait.prog")
-    assert main(["run", path, "--policy", "exhaustive"]) == 0
+    assert main(["explore", path]) == 0
     out = capsys.readouterr().out
     assert "schedules: 2" in out
     assert "s1 s2" in out and "s2 s1" in out
     assert "observations pairwise isomorphic: yes" in out
     # the observation itself is discrete: no order lines between events
     assert " < " not in out.split("pomset:")[1]
+    # every schedule is explore's: run has no policy of that name
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", path, "--policy", "exhaustive"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'exhaustive'" in capsys.readouterr().err
 
 
 def test_explore_text_and_json(capsys):
@@ -235,18 +240,20 @@ def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: ParseError: unexpected end of input\n"
 
 
-def test_fuel_env_override(tmp_path, monkeypatch, capsys):
+def test_the_environment_sets_no_budget(monkeypatch, capsys):
+    path = str(PROGRAMS_DIR / "nshape.prog")
+    assert main(["run", path]) == 0
+    expected = capsys.readouterr()
     monkeypatch.setenv("DYNTHREADS_FUEL", "2")
-    assert main(["run", str(PROGRAMS_DIR / "nshape.prog")]) == 2
+    assert main(["run", path]) == 0
+    assert capsys.readouterr() == expected
+    assert main(["run", path, "--fuel", "2"]) == 2
     assert "FuelExhausted" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fuel", ["0", "-4"])
-def test_fuel_below_one_is_a_usage_error(monkeypatch, capsys, fuel):
+def test_fuel_below_one_is_a_usage_error(capsys, fuel):
     path = str(PROGRAMS_DIR / "nshape.prog")
     for command in ("run", "explore", "adequacy"):
         assert main([command, path, "--fuel", fuel]) == 2
         assert capsys.readouterr().err == f"error: --fuel must be at least 1, got {fuel}\n"
-    monkeypatch.setenv("DYNTHREADS_FUEL", fuel)
-    assert main(["run", path]) == 2
-    assert capsys.readouterr().err == f"error: DYNTHREADS_FUEL must be at least 1, got {fuel}\n"

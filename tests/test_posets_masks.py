@@ -24,16 +24,21 @@ from dynthreads.posets import (
     PosetError,
     PosetWithHoles,
     Vert,
+    _close,
     check_well_formed,
     covering_pairs,
     erase_star,
+    interp,
     iso_check,
     iso_quick_reject,
     make_poset,
 )
+from dynthreads.denote import denote
+from dynthreads.terms import EMPTY_TIDS, EMPTY_VARS
 
 import pair_oracle
-from genutil import random_well_formed_poset
+from corpus import corpus_names, load_surface
+from genutil import random_term, random_well_formed_poset
 from model_oracle import raw_poset
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -264,3 +269,28 @@ def test_erase_star_numbers_events_by_their_ids_as_strings():
     expected = Pomset.of({str(v): f"s{v}" for v in ids}, {(str(v), str(v + 1)) for v in ids if v < 12})
     assert erase_star(p) == expected
     assert [e for e, _ in expected.labels] == sorted(map(str, ids))
+
+
+def _closed_posets():
+    """Closed, hole-free posets as ``interp`` builds them: the corpus
+    denotations and random terms, and random ones from ``make_poset``."""
+    for name in corpus_names():
+        yield interp(denote(load_surface(name)).term, EMPTY_VARS, EMPTY_TIDS)
+    rng = random.Random(29)
+    for size in range(1, 40):
+        for _ in range(8):
+            yield interp(random_term(rng, EMPTY_VARS, EMPTY_TIDS, size), EMPTY_VARS, EMPTY_TIDS)
+    for _ in range(200):
+        yield random_well_formed_poset(rng, max_inputs=0, max_vertices=12, max_holes=0)
+
+
+def test_erase_star_keeps_a_closed_acyclic_order():
+    # erase_star builds its pomset without closing it again: dropping star
+    # from a closed, acyclic order leaves one
+    orders = 0
+    for p in _closed_posets():
+        down = erase_star(p).down
+        assert list(down) == _close(down)
+        assert not any(m >> k & 1 for k, m in enumerate(down))
+        orders += any(down)
+    assert orders > 150

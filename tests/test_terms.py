@@ -46,6 +46,14 @@ def test_scope_check_unbound_parameter():
         scope_check(Var("x", (tidset("b"),)), CompContext((("x", 1),)), ParamContext(("a",)))
 
 
+def test_scope_check_names_the_least_unbound_parameter():
+    # a guard or argument with several unbound names reports the least of them
+    gamma, delta = CompContext((("x", 1),)), ParamContext(("b",))
+    for term in (Wait(tidset("d", "b", "c"), STOP), Var("x", (tidset("c", "b", "d"),))):
+        with pytest.raises(UnboundParameter, match=r"^unbound parameter: 'c'$"):
+            scope_check(term, gamma, delta)
+
+
 def test_scope_check_arity_mismatch():
     with pytest.raises(ArityMismatch):
         scope_check(

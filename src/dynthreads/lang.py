@@ -874,14 +874,21 @@ def _parse_tid(text: str) -> Tid:
 
 
 def _parse_comp(lx: _Lexer) -> Comp:
+    tok = lx.peek()
     first = _parse_comp_atom(lx)
+    if not isinstance(first, _COMP_TYPES):
+        raise ParseError(
+            f"{tok.line}:{tok.col}: a bare value is not a computation; apply it or use ret"
+        )
     if lx.at(";"):
         lx.next()
         return SeqC(first, _parse_comp(lx))
     return first
 
 
-def _parse_comp_atom(lx: _Lexer) -> Comp:
+def _parse_comp_atom(lx: _Lexer) -> Union[Comp, Value]:
+    """A computation atom, or a value that no argument follows, which is
+    left for the caller: a case scrutinee, or an error anywhere else."""
     tok = lx.peek()
     if tok is None:
         raise ParseError("unexpected end of input")
@@ -898,7 +905,7 @@ def _parse_comp_atom(lx: _Lexer) -> Comp:
         return LetC(var, bound, body)
     if tok.text == "case":
         lx.next()
-        scrutinee = _parse_case_scrutinee(lx)
+        scrutinee = _parse_comp_atom(lx)
         lx.expect("of")
         lx.expect("{")
         branches = []
@@ -914,48 +921,17 @@ def _parse_comp_atom(lx: _Lexer) -> Comp:
             if lx.at("|"):
                 lx.next()
         lx.expect("}")
-        if isinstance(scrutinee, tuple):
-            return CaseC(scrutinee[1], tuple(branches))
+        if isinstance(scrutinee, _COMP_TYPES):
+            return CaseC(scrutinee, tuple(branches))
         return CaseV(scrutinee, tuple(branches))
     if tok.text.startswith("proj") and tok.text[4:].isdigit():
         lx.next()
         return ProjC(int(tok.text[4:]), _parse_value(lx))
-    # otherwise an application: value(args) or value value
+    # otherwise an application value(args), or a bare value
     fn = _parse_value(lx)
     if lx.at("("):
-        arg = _parse_value_atom(lx)
-        return ApplyC(fn, arg)
-    nxt = lx.peek()
-    if nxt is not None and _starts_value(nxt):
-        return ApplyC(fn, _parse_value(lx))
-    raise ParseError(
-        f"{tok.line}:{tok.col}: a bare value is not a computation; apply it or use ret"
-    )
-
-
-def _parse_case_scrutinee(lx: _Lexer):
-    tok = lx.peek()
-    if tok is None or tok.text in ("ret", "let", "case") or (
-        tok.text.startswith("proj") and tok.text[4:].isdigit()
-    ):
-        return ("comp", _parse_comp_atom(lx))
-    v = _parse_value(lx)
-    if lx.at("("):
-        arg = _parse_value_atom(lx)
-        return ("comp", ApplyC(v, arg))
-    return v
-
-
-def _starts_value(tok: _Tok) -> bool:
-    if tok.kind in ("tid",):
-        return True
-    if tok.text in ("(", "\\", "nil"):
-        return True
-    if tok.kind == "name" and tok.text not in (
-        "ret", "let", "in", "case", "of", "world",
-    ) and not tok.text.isdigit():
-        return True
-    return False
+        return ApplyC(fn, _parse_value_atom(lx))
+    return fn
 
 
 def _parse_ident(lx: _Lexer) -> str:

@@ -732,9 +732,8 @@ def reify(p: PosetWithHoles) -> NormalForm:
             waiting[w] -= 1
             if not waiting[w]:
                 heapq.heappush(ready, entry(w))
-    if len(children) < len(waiting):
-        raise IllFormed("cannot linearize: visibility and order form a cycle")
-
+    # well-formedness rules out a cycle through order and visibility, so
+    # every vertex has been emitted
     nf = NormalForm(n, tuple(children), translate(down[star]))
     bad = nf.check_closure()
     if bad:

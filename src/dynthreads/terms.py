@@ -102,9 +102,6 @@ class CompContext:
                 return m
         raise UnboundVariable(f"unbound computation variable: {name!r}")
 
-    def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -138,18 +135,26 @@ def subterms(term: Term) -> Iterator[Term]:
                 raise TypeError(f"not a term: {t!r}")
 
 
+class _ScopeEnd(str):
+    """A fork binder's name, pushed below its parent by :func:`free_params`
+    and :func:`scope_check` to mark where the binder's scope ends; no term
+    is of this kind."""
+
+    __slots__ = ()
+
+
 def free_params(term: Term) -> frozenset[str]:
     """The parameters free in ``term``, from an explicit stack.  A fork's
     binder is bound while its parent is walked; ``bound`` counts the
-    enclosing binders of each name, and the binder's name, pushed below the
-    parent, marks where its scope ends."""
+    enclosing binders of each name, and a :class:`_ScopeEnd` of the binder,
+    pushed below the parent, marks where its scope ends."""
     free: set[str] = set()
     bound: dict[str, int] = {}
     stack: list = [term]
     while stack:
         t = stack.pop()
         match t:
-            case str():
+            case _ScopeEnd():
                 if bound[t] == 1:
                     del bound[t]
                 else:
@@ -159,7 +164,7 @@ def free_params(term: Term) -> frozenset[str]:
                     free.update(arg.difference(bound))
             case Fork(binder, parent, child):
                 bound[binder] = bound.get(binder, 0) + 1
-                stack += (child, binder, parent)
+                stack += (child, _ScopeEnd(binder), parent)
             case Wait(guard, cont):
                 free.update(guard.difference(bound))
                 stack.append(cont)
@@ -172,13 +177,6 @@ def free_params(term: Term) -> frozenset[str]:
 
 def binders_of(term: Term) -> frozenset[str]:
     return frozenset(t.binder for t in subterms(term) if type(t) is Fork)
-
-
-class _ScopeEnd(str):
-    """A fork binder's name, pushed below its parent by :func:`scope_check`
-    to mark where the binder's scope ends; no term is of this kind."""
-
-    __slots__ = ()
 
 
 def scope_check(term: Term, gamma: CompContext, delta: ParamContext) -> int:
@@ -244,13 +242,24 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     raise AssertionError("unreachable")
 
 
-def _rename(term: Term, sub: dict[str, frozenset[str]], taken: set[str]) -> Term:
-    """Simultaneous capture-avoiding substitution of ``sub`` into ``term``.
+def _rename(
+    term: Term,
+    sub: dict[str, frozenset[str]],
+    taken: set[str],
+    target: str | None = None,
+    binders: tuple[str, ...] = (),
+    body: Term = STOP,
+) -> Term:
+    """Simultaneous capture-avoiding substitution of ``sub`` into ``term``,
+    and of ``binders. body`` for the computation variable ``target``.
 
-    Each free parameter ``n`` becomes the names ``sub.get(n, {n})``.  Every
-    fork binder is renamed out of ``taken`` (kept if it is not there) and
-    then joins it, so the binders end up apart from ``taken`` and from each
-    other; ``taken`` must hold every name the substitution can produce.
+    Each free parameter ``n`` becomes the names ``sub.get(n, {n})``, and
+    each call ``target(u_1, ..., u_m)`` becomes ``body`` with ``binders``
+    replaced by the renamed ``u_i``, renamed in place by the same walk.
+    Every fork binder, of ``term`` and of each copy of ``body``, is renamed
+    out of ``taken`` (kept if it is not there) and then joins it, so each
+    binder is apart from ``taken`` and from the binders met before it;
+    ``taken`` must hold every name the substitution can produce.
     """
 
     def image(u: frozenset[str], sub: dict[str, frozenset[str]]) -> frozenset[str]:
@@ -261,7 +270,14 @@ def _rename(term: Term, sub: dict[str, frozenset[str]], taken: set[str]) -> Term
     def go(t: Term, sub: dict[str, frozenset[str]]) -> Term:
         match t:
             case Var(name, args):
-                return Var(name, tuple(image(u, sub) for u in args))
+                args = tuple(image(u, sub) for u in args)
+                if name != target:
+                    return Var(name, args)
+                if len(args) != len(binders):
+                    raise ArityMismatch(
+                        f"{target} applied to {len(args)} arguments, body binds {len(binders)}"
+                    )
+                return _rename(body, dict(zip(binders, args)), taken)
             case Fork(binder, parent, child):
                 new = fresh_name(binder, taken)
                 taken.add(new)
@@ -295,31 +311,10 @@ def subst_comp(
     """
     if len(set(binders)) != len(binders):
         raise TermError(f"duplicate binders: {binders}")
-    body_free = free_params(body) - set(binders)
-    # no host binder may capture a name the body mentions freely; the
-    # renaming adds the host's new binders to ``host_names``
-    host_names = set(body_free | free_params(term) | avoid_extra)
-    term = _rename(term, {}, host_names)
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var(name, args) if name == target:
-                if len(args) != len(binders):
-                    raise ArityMismatch(
-                        f"{target} applied to {len(args)} arguments, body binds {len(binders)}"
-                    )
-                # the body's own binders avoid the incoming IDs and every name
-                # the host scope could put around this occurrence
-                taken = host_names.union(binders, *args)
-                return _rename(body, dict(zip(binders, args)), taken)
-            case Fork(binder, parent, child):
-                return Fork(binder, go(parent), go(child))
-            case Wait(guard, cont):
-                return Wait(guard, go(cont))
-            case _:
-                return t
-
-    return go(term)
+    # no binder may capture a name the body mentions freely, and each copy
+    # of the body sits below host binders already renamed into ``taken``
+    taken = set((free_params(body) - set(binders)) | free_params(term) | avoid_extra)
+    return _rename(term, {}, taken, target, binders, body)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
@@ -573,9 +568,6 @@ def _parse_var_app(toks: _Tokens) -> Var:
         return Var(name, ())
     toks.next()
     args: list[frozenset[str]] = []
-    if toks.peek() == ")":
-        toks.next()
-        return Var(name, ())
     while True:
         args.append(_parse_guard(toks))
         nxt = toks.next()

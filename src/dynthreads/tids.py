@@ -3,8 +3,8 @@
 Compound thread IDs form a semilattice (union ``+`` with unit ``0``), so a
 compound ID over a parameter context is nothing more than a finite set of
 the context's names.  The term parser reads ``a + (b + a)`` straight into
-the name set ``{a, b}``, :class:`ParamContext` gives each name its 1-based
-position, and :func:`print_tid_names` writes a name set back as ``0`` or
+the name set ``{a, b}``, :class:`ParamContext` keeps the names in their
+order, and :func:`print_tid_names` writes a name set back as ``0`` or
 ``a + b``.
 """
 
@@ -19,12 +19,6 @@ class TidError(Exception):
     """Base error for thread-ID names."""
 
 
-class UnboundName(TidError):
-    def __init__(self, name: str) -> None:
-        super().__init__(f"unbound tid name: {name!r}")
-        self.name = name
-
-
 @record
 class ParamContext:
     """An ordered list of distinct parameter names; position is meaningful."""
@@ -37,16 +31,6 @@ class ParamContext:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
-    def index(self, name: str) -> int:
-        """1-based position of ``name``."""
-        try:
-            return self.names.index(name) + 1
-        except ValueError:
-            raise UnboundName(name) from None
 
     def extend(self, *names: str) -> "ParamContext":
         return ParamContext(self.names + names)

@@ -16,7 +16,9 @@ The poset operations that only the tests use are kept here too: the
 down-set of one element as references (:func:`below`), a constructor
 that stores an order as given (:func:`raw_poset`), substitution of a
 poset for a hole (:func:`poset_subst`) and reading a poset back from the
-command line's JSON export (:func:`poset_from_json`).
+command line's JSON export (:func:`poset_from_json`).  So is the 1-based
+position of a name in a parameter context (:func:`param_index`), which
+raises :class:`UnboundName` for a name the context lacks.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ from dynthreads.tids import ParamContext, TidError
 
 class DimensionMismatch(TidError):
     pass
+
+
+class UnboundName(TidError):
+    def __init__(self, name: str) -> None:
+        super().__init__(f"unbound tid name: {name!r}")
+        self.name = name
+
+
+def param_index(delta: ParamContext, name: str) -> int:
+    """1-based position of ``name`` in ``delta``."""
+    try:
+        return delta.names.index(name) + 1
+    except ValueError:
+        raise UnboundName(name) from None
 
 
 @dataclass(frozen=True)
@@ -195,10 +211,10 @@ def ref_interp(term, delta: ParamContext) -> PosetWithHoles:
         case Act(label):
             return ref_act(label, n)
         case Var(name, args):
-            slots = [{In(delta.index(x)) for x in u} for u in args]
+            slots = [{In(param_index(delta, x)) for x in u} for u in args]
             return make_poset(n, {}, {1: (name, len(args), slots)}, {(Vert(1), STAR)})
         case Wait(guard, cont):
-            rel = graph_of([TidSet(n, frozenset(delta.index(x) for x in guard))], n)
+            rel = graph_of([TidSet(n, frozenset(param_index(delta, x) for x in guard))], n)
             return ref_relabel(ref_wait(ref_interp(cont, delta)), rel)
         case Fork(binder, parent, child):
             return ref_fork(ref_interp(parent, delta.extend(binder)), ref_interp(child, delta))

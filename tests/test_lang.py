@@ -391,6 +391,41 @@ def test_parse_errors_carry_locations():
     assert "2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("src, message", [
+    ("ret", "unexpected end of input"),
+    ("let x = ret () on stop()", "1:16: expected 'in', got 'on'"),
+    ("world x; stop()", "1:7: expected a tid literal"),
+    ("world #0.1 stop()", "1:12: expected ',' or ';'"),
+    ("stop() stop()", "1:8: trailing input 'stop'"),
+    ("wait(#1.2)", "tid literals are rooted at #0, got '#1.2'"),
+    ("printstop x", "1:11: printstop needs an [action] label"),
+    ("ret ;", "1:5: expected a value, got ';'"),
+    # application is written ``f(v)`` only
+    ("wait x", "1:1: a bare value is not a computation; apply it or use ret"),
+    (
+        "let f = ret (\\x:tid. wait(x)) in f nil",
+        "1:34: a bare value is not a computation; apply it or use ret",
+    ),
+])
+def test_parse_errors_name_what_went_wrong(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert str(exc.value) == message
+
+
+def test_unannotated_lambda_round_trips():
+    text = "ret \\x. wait(x)"
+    comp = parse_comp(text)
+    assert comp == Ret(LambdaV("x", None, ApplyC(ConstV("wait"), VarV("x"))))
+    assert print_comp(comp) == text
+
+
+def test_case_on_a_scrutinee_that_never_returns_types_as_bot():
+    comp = parse_comp("case case stop() of {} of { inj1 x => stop() | inj2 y => stop() }")
+    assert type(comp) is CaseC and type(comp.comp) is CaseC
+    assert typecheck_comp({}, frozenset(), comp) == lang.BOTTOM
+
+
 def test_lone_case_is_a_parse_error():
     with pytest.raises(ParseError, match="unexpected end of input"):
         parse_comp("case")

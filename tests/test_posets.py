@@ -29,6 +29,7 @@ from dynthreads.posets import (
     interp,
     iso_check,
     iso_quick_reject,
+    label_paths,
     make_poset,
     nf_to_term,
     normalize,
@@ -713,6 +714,21 @@ def test_reify_interp_left_inverse_on_random_terms():
         nf = reify(p)
         g2, d2, term = nf_to_term(nf, delta.names)
         assert iso_check(interp(term, g2, d2), p) is not None
+
+
+# --- label paths -----------------------------------------------------------------
+
+def test_label_paths_fold_a_state_reached_twice_once():
+    # Y is pushed below S and again above Z; its second visit finds its set
+    graph = {"S": [("a", "Y"), ("b", "Z")], "Z": [("c", "Y")], "Y": []}
+    calls = []
+
+    def successors(s):
+        calls.append(s)
+        return graph[s]
+
+    assert label_paths("S", successors) == {("a",), ("b", "c")}
+    assert sorted(calls) == ["S", "Y", "Z"]
 
 
 # --- serialization ---------------------------------------------------------------

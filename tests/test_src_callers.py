@@ -10,7 +10,11 @@ tests call belongs under ``tests/``, beside the oracle that uses it.
 Names are matched without their owner, so a method whose name is also
 some other identifier in those files slips past: ``world`` was both a
 method of ``Configuration`` and the name of many local variables, and
-``below`` of ``PosetWithHoles`` and of a variable of ``interp``.
+``below`` of ``PosetWithHoles`` and of a variable of ``interp``, and
+``index`` of ``ParamContext`` and the ``index`` field of ``ProjC``, ``In``
+and ``PosetWithHoles``.  What such a method alone raises slips past with
+it: only the tests called ``ParamContext.index`` or caught the
+``UnboundName`` it raised, and both now live in ``tests/model_oracle.py``.
 
 The allowlist is the theory's own interface, with one reason per entry.
 """

@@ -103,6 +103,27 @@ def test_scope_check_rejects_what_is_not_a_term():
     for bad in ("b", Fork("b", STOP, "b"), Wait(tidset(), ("b",))):
         with pytest.raises(TypeError):
             scope_check(bad, gamma, delta)
+        # a stray string is not taken for the end of a binder's scope
+        with pytest.raises(TypeError):
+            free_params(bad)
+
+
+def test_free_params_under_nested_shadowing():
+    # the inner ``a`` ends its scope while the outer ``a`` still binds
+    inner = "fork(a. stop, wait(a + c, stop))"
+    assert free_params(parse_term(f"fork(a. {inner}, wait(b, stop))")) == {"b", "c"}
+    assert free_params(parse_term(f"fork(a. {inner}, wait(a, stop))")) == {"a", "c"}
+
+
+@pytest.mark.parametrize("t1, t2", [
+    (Var("x"), Var("y")),
+    (Var("x", (tidset("a"),)), Var("x")),
+    (STOP, Act("s")),
+    (Fork("a", STOP, STOP), Wait(tidset("a"), STOP)),
+])
+def test_alpha_eq_tells_apart_different_heads(t1, t2):
+    assert not alpha_eq(t1, t2)
+    assert not alpha_eq(t2, t1)
 
 
 def test_subst_param_identity():
@@ -343,3 +364,20 @@ def test_one_name_rule_for_binders_headers_and_guards():
 def test_malformed_term_files_raise_term_error(text):
     with pytest.raises(TermError):
         parse_term_file(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("stop #", "cannot tokenize near '#'"),
+    ("vars x:y; stop", "expected arity after x:, got 'y'"),
+    ("tids a b; stop", "expected ',' or ';' in header, got 'b'"),
+    ("fork(a. vars, stop)", "unexpected token 'vars'"),
+    ("x(a b)", "expected ',' or ')' in argument list, got 'b'"),
+    ("act x", "expected [label], got 'x'"),
+    ("act[ ]", "empty action label"),
+    # a 0-ary call is written ``x``
+    ("vars x:0; x()", "expected a name, got ')' (token 8)"),
+])
+def test_term_file_parse_errors_name_what_went_wrong(text, message):
+    with pytest.raises(TermError) as exc:
+        parse_term_file(text)
+    assert str(exc.value) == message

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynthreads.terms import Wait, parse_term
-from dynthreads.tids import ParamContext, UnboundName, print_tid_names
+from dynthreads.tids import ParamContext, print_tid_names
 
-from model_oracle import DimensionMismatch, Relation, TidSet, compose, graph_of
+from model_oracle import (
+    DimensionMismatch,
+    Relation,
+    TidSet,
+    UnboundName,
+    compose,
+    graph_of,
+    param_index,
+)
 
 
 def _guard(text: str) -> frozenset[str]:
@@ -19,7 +27,7 @@ def _guard(text: str) -> frozenset[str]:
 
 
 def _eval(text: str, ctx: ParamContext) -> TidSet:
-    return TidSet.of(len(ctx), (ctx.index(n) for n in _guard(text)))
+    return TidSet.of(len(ctx), (param_index(ctx, n) for n in _guard(text)))
 
 
 def test_eval_union_idempotent_commutative():
@@ -66,7 +74,7 @@ def test_eval_respects_semilattice_equations():
     for _ in range(200):
         text, names = _random_expr(rng, list(ctx.names), 4)
         assert _guard(text) == names
-        assert _eval(text, ctx).members == frozenset(ctx.index(n) for n in names)
+        assert _eval(text, ctx).members == frozenset(param_index(ctx, n) for n in names)
         # re-associate/duplicate: semantics unchanged
         assert _eval(f"({text}) + ({text}) + 0", ctx) == _eval(text, ctx)
 

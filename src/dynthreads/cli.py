@@ -18,7 +18,7 @@ from pathlib import Path
 from .denote import adequacy_check, denote
 from .lang import desugar, parse_program, print_pieces, print_type, tid_str, typecheck_comp
 from .machine import (
-    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, explore, run, run_result_to_json,
+    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, _plug, explore, run, run_result_to_json,
 )
 from .posets import (
     decide_equal,
@@ -104,9 +104,12 @@ def cmd_run(args) -> int:
     on_local = None
     if args.format == "text":
         # each line from the local step: the acting thread's new state is
-        # among the entries it writes, so no configuration is built
+        # among the entries it writes, so no configuration is built, and
+        # only that state is plugged
         def on_local(tid, _ordinal, local):
-            trace.append(_trace_line(StepLabel(tid, local.action), dict(local.threads)[tid]))
+            state = dict(local.threads)[tid]
+            state = state if state is FINISHED else _plug(state)
+            trace.append(_trace_line(StepLabel(tid, local.action), state))
     result = run(core, args.policy, args.seed, args.fuel, on_local=on_local)
     if args.format == "json":
         print(_json(run_result_to_json(result, args.policy, args.seed)), end="")

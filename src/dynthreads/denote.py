@@ -2,9 +2,9 @@
 
 The four core constants are generic effects, and their denotations are the
 theory's operations.  So a program denotes its pure fragment run to an
-effect, by the machine's own pure step (:func:`machine._reduce`, under the
-``let`` frames that :func:`machine._peel` and :func:`machine._plug` take
-off and put back), with each effect read as an operation -
+effect, by the machine's own pure step (:func:`machine._pure_step`, on a
+branch kept as its ``let`` frames and a focus, as the machine keeps a
+thread), with each effect read as an operation -
 
 * ``fork()`` is a fork under a fresh ID binder, whose parent goes on with
   the binder's ID and whose child with the machine's child start,
@@ -55,10 +55,9 @@ from .machine import (
     RunResult,
     _CHILD_START,
     _FORK_RESULT,
+    _descend,
     _effect,
-    _peel,
-    _plug,
-    _reduce,
+    _pure_step,
     run,
 )
 from .posets import Pomset, PosetWithHoles, decide_equal, erase_star, interp
@@ -195,11 +194,12 @@ class Elaborator:
         The walk keeps the branches still to elaborate and, as
         :func:`terms._parse_term` does, the operations still open, each with
         the subterms it takes, those closed so far and its constructor.  A
-        branch takes pure steps until its redex is an effect or it returns:
-        ``fork`` opens a fork whose parent branch goes on with ``inj1`` of
-        a fresh thread ID and whose child branch, walked after it, is the
-        machine's child start under the same frames; ``wait`` opens a wait;
-        ``stop``, ``printstop`` and a returned value close the branch."""
+        branch is a thread state, ``let`` frames and a focus, and takes pure
+        steps until its focus is an effect or it returns: ``fork`` opens a
+        fork whose parent branch goes on with ``inj1`` of a fresh thread ID
+        and whose child branch, walked after it, is the machine's child
+        start under the same frames; ``wait`` opens a wait; ``stop``,
+        ``printstop`` and a returned value close the branch."""
         canonical = CanonicalFOType.of(result_type)
         gamma = CompContext(tuple((f"x{i}", m) for i, m in enumerate(canonical.summands, start=1)))
         for x, v in env.items():
@@ -216,26 +216,25 @@ class Elaborator:
         def names(v: Value) -> frozenset[str]:
             return frozenset(map(name, tids_of_value(v)))
 
-        branches, opened = [comp], []
+        branches, opened = [_descend((), comp)], []
         while branches:
-            comp, term = branches.pop(), None
+            (frames, redex), term = branches.pop(), None
             while term is None:
-                frames, redex = _peel(comp)
                 effect = _effect(redex)
-                if effect is None and type(redex) is Ret:
+                if effect is None and type(redex) is Ret and not frames:
                     idx, vec = _inject(redex.value, result_type)
                     term = Var(f"x{idx}", tuple(map(names, vec)))
                 elif effect is None:
-                    comp = _plug(frames, _reduce(redex))
+                    frames, redex = _pure_step(frames, redex)
                 elif effect.name == "fork":
                     tid = _FORK_ROOT + (len(binders),)
                     binders[tid] = self.fresh_param()
                     opened.append((2, [], partial(Fork, binders[tid])))
-                    branches.append(_plug(frames, _CHILD_START))
-                    comp = _plug(frames, Ret(InjV(1, TidV(tid), _FORK_RESULT)))
+                    branches.append((frames, _CHILD_START))
+                    redex = Ret(InjV(1, TidV(tid), _FORK_RESULT))
                 elif effect.name == "wait":
                     opened.append((1, [], partial(Wait, names(redex.arg))))
-                    comp = _plug(frames, Ret(UNIT_V))
+                    redex = Ret(UNIT_V)
                 else:
                     term = STOP if effect.name == "stop" else Act(effect.action)
             while opened:

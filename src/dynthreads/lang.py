@@ -1085,6 +1085,13 @@ def _print_parts(node) -> list:
             return [f"proj{i} ", *_print_atom(v)]
         case CaseV(v, branches):
             return ["case ", v, " of ", *_print_branches(branches)]
+        # the text of a sequence or a let runs to the end of the computation
+        # around it, so the parser builds neither as a case scrutinee or
+        # before a ``;``, and no text reads back as these nodes
+        case CaseC(SeqC(), _):
+            raise TypeError("no text parses as a CaseC of a SeqC")
+        case SeqC(SeqC() | LetC(), _):
+            raise TypeError(f"no text parses as a SeqC of a {type(node.first).__name__}")
         case CaseC(comp, branches):
             return ["case ", comp, " of ", *_print_branches(branches)]
         case ApplyC(fn, TupleV(items)) if len(items) != 1:

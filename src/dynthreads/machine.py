@@ -7,12 +7,19 @@ finished; ``fork`` steps spawn a child whose ID extends the parent's path by
 the next spawn ordinal, so fresh names do not depend on the schedule and
 configurations from different interleavings are directly comparable.
 
-A thread-local step peels the ``let`` frames off its redex, applies an
-effect (``fork``, ``wait``, ``stop``, ``printstop``) or the pure step
-(:func:`_reduce`: beta, ``let`` of a value, ``proj``, ``case``) and plugs
-the result back into the frames.  The pure step and the peel and plug are
-the only evaluator of the pure fragment: :mod:`dynthreads.denote`
-elaborates denotations with them too.
+A running thread keeps its ``let`` frames, an immutable stack that a
+forked child shares with its parent, and a focus, its redex: the
+evaluation context is kept between steps, not found again at each one
+(refocusing: Danvy & Nielsen 2004; the CK machine of Felleisen & Friedman
+1986).  A thread-local step applies an effect (``fork``, ``wait``,
+``stop``, ``printstop``) to the focus or takes the pure step
+(:func:`_pure_step`), which pops a frame when the focus is a value and
+otherwise reduces the focus (:func:`_reduce`: beta, ``let`` of a value,
+``proj``, ``case``), and then descends only into the new focus.  The pure
+step is the only evaluator of the pure fragment: :mod:`dynthreads.denote`
+elaborates denotations with it too.  A thread state becomes a computation
+again (:func:`_plug`) only when something reads it: a hook that looks at
+states, or a deadlocked configuration.
 
 A thread's waits are the ones steps wrote for it: a ``wait`` adds the
 awaited threads to the acting thread's set, and a forked child starts with
@@ -34,10 +41,11 @@ A scheduled run (:func:`run`) follows one schedule and takes at most
 nothing.  It keeps its scheduler state across steps (the thread map, the
 finished threads, spawn counts, unfinished waits and the runnable threads
 in tid order), and a step updates only the entries it wrote and, when it
-finishes a thread, the threads waiting on it.  It builds a configuration
-for its end only.  Its one hook, ``on_local``, sees each local step before
-it is applied.  That is how :func:`run_with_preservation` checks what each
-step wrote and how the command line prints trace lines.
+finishes a thread, the threads waiting on it; a pure step updates its own
+entry alone.  It builds a configuration for its end only.  Its one hook,
+``on_local``, sees each local step before it is applied.  That is how
+:func:`run_with_preservation` checks what each step wrote and how the
+command line prints trace lines; both plug the states they read.
 
 What every schedule does comes from one run too.  :func:`check_confluence`
 and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
@@ -152,25 +160,34 @@ _NO_WAITS: frozenset = frozenset()
 
 class _LocalOut(NamedTuple):
     action: Optional[str]
-    threads: tuple  # tuple[tuple[Tid, ThreadState], ...]
+    threads: tuple  # tuple[tuple[Tid, thread state or FINISHED], ...]
     new_prec: frozenset
 
 
-def _peel(comp: Comp) -> tuple[list, Comp]:
-    """The ``let`` frames around the redex of ``comp``, outermost first,
-    and the redex, peeled off in a loop.  The redex is a ``let`` only when
-    it binds a value, and a value only when there are no frames."""
-    frames = []
+# A running thread is a thread state, ``(frames, focus)``: ``frames`` is an
+# immutable stack of ``let`` nodes, ``()`` or ``(frame, frames below)``,
+# innermost on top, of which only the variable and the body are read, and
+# ``focus`` is the computation they wait for.  A state is plugged back into
+# a computation (:func:`_plug`) only when something reads it.
+
+def _descend(frames: tuple, comp: Comp) -> tuple:
+    """The thread state of ``comp`` under ``frames``: the ``let`` frames
+    around its redex pushed onto ``frames`` in a loop, and the redex as the
+    focus.  The focus is a ``let`` only when it binds a value."""
     while type(comp) is LetC and type(comp.bound) is not Ret:
-        frames.append(comp)
+        frames = (comp, frames)
         comp = comp.bound
     return frames, comp
 
 
-def _plug(frames: list, comp: Comp) -> Comp:
-    """``comp`` wrapped back into ``frames``, once per frame."""
-    for frame in reversed(frames):
-        comp = LetC(frame.var, comp, frame.body)
+def _plug(state: tuple) -> Comp:
+    """The computation a thread state stands for: its focus wrapped back
+    into its frames, innermost first, in a loop.  A frame whose bound is
+    still the focus is the node itself."""
+    frames, comp = state
+    while frames:
+        frame, frames = frames
+        comp = frame if frame.bound is comp else LetC(frame.var, comp, frame.body)
     return comp
 
 
@@ -211,27 +228,40 @@ def _reduce(redex: Comp) -> Comp:
     raise StuckThread(f"not a core computation: {redex!r}")
 
 
-def _local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
-    """One thread-local reduction of ``comp``, which is not a value,
-    running as ``tid`` with next spawn ordinal ``ordinal``: the step is a
-    function of these three alone.
+def _pure_step(frames: tuple, redex: Comp) -> tuple:
+    """The pure step of the thread state ``(frames, redex)``, whose focus
+    is not an effect, as a new thread state: a value under a frame pops it
+    and is substituted into its body, the step :func:`_reduce` takes for
+    a ``let`` of a value, and any other redex takes :func:`_reduce`.  Only
+    the new focus is descended into.  The machine and the denotations
+    (:mod:`dynthreads.denote`) step with it."""
+    if type(redex) is Ret and frames:
+        frame, frames = frames
+        return _descend(frames, subst_value(frame.body, frame.var, redex.value))
+    return _descend(frames, _reduce(redex))
 
-    The redex is peeled out of its ``let`` frames (:func:`_peel`), an
-    effect is dispatched on its constant's name and anything else takes
-    the pure step (:func:`_reduce`), and each state it leaves is wrapped
-    back into the frames, unless the thread finished."""
-    frames, comp = _peel(comp)
-    effect = _effect(comp)
+
+def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
+    """One thread-local reduction of the thread state ``state``, frames and
+    a focus that is not a returned value, running as ``tid`` with next
+    spawn ordinal ``ordinal``: the step is a function of these three alone.
+
+    An effect is dispatched on its constant's name and anything else takes
+    the pure step (:func:`_pure_step`).  Each state it leaves keeps the
+    frames, which a spawned child shares with its parent, unless the thread
+    finished."""
+    frames, redex = state
+    effect = _effect(redex)
     if effect is None:
-        return _LocalOut(None, ((tid, _plug(frames, _reduce(comp))),), _NO_WAITS)
+        return _LocalOut(None, ((tid, _pure_step(frames, redex)),), _NO_WAITS)
     if effect.name == "fork":
-        # every spawned thread continues with its own copy of the continuation
+        # every spawned thread continues with the continuation of its parent
         child = tid + (ordinal,)
-        parent = _plug(frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
-        return _LocalOut(None, ((tid, parent), (child, _plug(frames, _CHILD_START))), _NO_WAITS)
+        parent = (frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
+        return _LocalOut(None, ((tid, parent), (child, (frames, _CHILD_START))), _NO_WAITS)
     if effect.name == "wait":
-        waits = frozenset((b, tid) for b in tids_of_value(comp.arg))
-        return _LocalOut(None, ((tid, _plug(frames, Ret(UNIT_V))),), waits)
+        waits = frozenset((b, tid) for b in tids_of_value(redex.arg))
+        return _LocalOut(None, ((tid, (frames, Ret(UNIT_V))),), waits)
     # stop and printstop finish the thread, which drops its continuation
     action = effect.action if effect.name == "printstop" else None
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
@@ -334,20 +364,25 @@ def run(
 
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
-    with the acting thread, its next spawn ordinal and its local step.
-    A terminal configuration reached within ``fuel`` steps ends the run;
-    :class:`FuelExhausted` is raised only when a further step is needed
-    after ``fuel`` steps, and :class:`Deadlock` when no thread can step
-    short of termination.
+    with the acting thread, its next spawn ordinal and its local step,
+    whose states are thread states; a hook that reads one plugs it
+    (:func:`_plug`).  A terminal configuration reached within ``fuel``
+    steps ends the run; :class:`FuelExhausted` is raised only when a
+    further step is needed after ``fuel`` steps, and :class:`Deadlock`
+    when no thread can step short of termination.
 
     The scheduler state lives across steps, and a step updates only the
     entries it wrote (:func:`_write`) and, for a thread it finished, the
-    threads waiting on it: the thread map, the finished set, each thread's
-    spawn count, its unfinished waits with an index of who waits on whom,
-    and the runnable tids in tid order.  A configuration is built only for
-    the end of the run.  This relies on finished being final, which every
-    local step keeps by writing only its own thread and a new child; a step
-    that writes a finished thread raises :class:`MachineError`."""
+    threads waiting on it: the thread map of thread states, the finished
+    set, each thread's spawn count, its unfinished waits with an index of
+    who waits on whom, and the runnable tids in tid order.  A pure step,
+    which writes only its own thread, adds no wait and does not finish it,
+    replaces that one entry and leaves the runnable list alone unless the
+    thread returned.  A configuration is built only for the end of the
+    run, and its states are plugged only if it deadlocked.  This relies on
+    finished being final, which every local step keeps by writing only its
+    own thread and a new child; a step that writes a finished thread raises
+    :class:`MachineError`."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     if policy == "lowest-tid":
@@ -358,7 +393,7 @@ def run(
         choose = random.Random(seed).choice
     else:
         raise MachineError(f"unknown policy {policy!r}")
-    threads = {(): ((), comp, frozenset())}
+    threads = {(): ((), _descend((), comp), _NO_WAITS)}
     finished: set = set()
     children: dict = {}  # tid -> its spawn count, once it has spawned
     blocked = {(): set()}  # tid -> the threads it waits for that have not finished
@@ -371,7 +406,8 @@ def run(
         i = bisect_left(runnable, t)
         if runnable[i : i + 1] == [t]:
             del runnable[i]
-        if not blocked[t] and threads[t][1] is not FINISHED and type(threads[t][1]) is not Ret:
+        state = threads[t][1]
+        if not blocked[t] and state is not FINISHED and (state[0] or type(state[1]) is not Ret):
             runnable.insert(i, t)
 
     while runnable:
@@ -383,13 +419,22 @@ def run(
         local = _local_step(state, tid, ordinal)
         if on_local is not None:
             on_local(tid, ordinal, local)
-        for t, _ in local.threads:
+        action, written, new_prec = local
+        events.append(StepLabel(tid, action))
+        if len(written) == 1 and not new_prec:
+            (t, new), = written
+            if t is tid and new is not FINISHED:  # a pure step: the thread stays runnable
+                threads[tid] = (tid, new, waits)
+                if not new[0] and type(new[1]) is Ret:  # unless it returned
+                    runnable.remove(tid)
+                continue
+        for t, _ in written:
             if t in finished:
-                raise _writes_finished(len(events) + 1, t)
-        for _, t in local.new_prec:
+                raise _writes_finished(len(events), t)
+        for _, t in new_prec:
             if t in finished:
-                raise _writes_finished(len(events) + 1, t)
-        for t, new in local.threads:
+                raise _writes_finished(len(events), t)
+        for t, new in written:
             if t not in threads:  # a spawned child
                 children[t[:-1]] = children.get(t[:-1], 0) + 1
             blocked[t] = set()  # it takes the acting thread's waits, which have all finished
@@ -398,20 +443,21 @@ def run(
                 for w in waiters.pop(t, ()):
                     blocked[w].discard(t)
                     settle(w)
-        for b, a in local.new_prec:
+        for b, a in new_prec:
             if b not in finished:
                 blocked[a].add(b)
                 waiters.setdefault(b, set()).add(a)
         _write(threads, waits, local)
-        for t, _ in local.threads:
+        for t, _ in written:
             settle(t)
-        for _, t in local.new_prec:
+        for _, t in new_prec:
             settle(t)
-        events.append(StepLabel(tid, local.action))
-    c = Configuration(tuple(sorted(threads.values())))
-    if not c.is_terminal():
-        raise _deadlock(c)
-    return RunResult(c, tuple(events))
+    if len(finished) < len(threads):
+        raise _deadlock(Configuration(tuple(sorted(
+            (t, state if state is FINISHED else _plug(state), waits)
+            for t, state, waits in threads.values()
+        ))))
+    return RunResult(Configuration(tuple(sorted(threads.values()))), tuple(events))
 
 
 # --- the determinacy gate and exploration -----------------------------------------------
@@ -678,8 +724,9 @@ def run_with_preservation(
     (:func:`_ill_formed`).  Returns the result and the number of checks.
 
     The first configuration is checked whole.  Then one ``on_local`` hook
-    writes each step into a thread map of its own (:func:`_write`) and
-    checks the entries the step wrote, read off its local step: the threads
+    plugs the states each step wrote (:func:`_plug`), writes them into a
+    thread map of its own (:func:`_write`) and checks the entries the step
+    wrote, read off its local step: the threads
     it lists and the threads its wait pairs end at, with ranks
     (:func:`_rank`) for the known threads.  Of the acting thread's waits
     only the step's new ones are checked.  A thread the step gives the
@@ -706,7 +753,7 @@ def run_with_preservation(
     across the run, which lives no longer than the call: a step keeps
     every subterm it does not rewrite as the same object, and a parent and
     its child continue on the same one, so re-typing a thread costs the
-    nodes the step rebuilt."""
+    nodes the step and the plug rebuilt."""
     memo: dict = {}
     threads = {(): ((), comp, _NO_WAITS)}
     rank = {(): _rank(())}
@@ -723,7 +770,8 @@ def run_with_preservation(
             return  # run refuses the step
         steps += 1
         inherited = top[a]
-        _write(threads, threads[a][2], local)
+        plugged = tuple((t, s if s is FINISHED else _plug(s)) for t, s in local.threads)
+        _write(threads, threads[a][2], local._replace(threads=plugged))
         for t, _ in local.threads:
             rank[t], top[t] = _rank(t), inherited
         for b, y in local.new_prec:

@@ -42,11 +42,17 @@ most that many configurations and then stops and reports the graph
 truncated, and ``explore`` and ``run_exhaustive`` here raise
 :class:`~dynthreads.machine.FuelExhausted`.
 
+The local step the machine took before it kept each thread's ``let``
+frames between steps is kept here too, as the oracle's own step:
+:func:`local_step` peels the frames off the redex of a computation at
+every step and plugs the result back into them.  The reference run and
+the walk step with it, on configurations of computations.
+
 A local step depends only on the thread's state, tid and next spawn
 ordinal, so each walk memoizes local steps under that key in a memo of its
-own (:func:`_expander`).  Local steps are looked up on the machine module
-at every call, so a test that breaks ``machine._local_step`` breaks the
-walk too.
+own (:func:`_expander`).  :func:`local_step` is looked up on this module at
+every call, so a test that breaks the machine's and the oracle's steps
+alike (:func:`break_local_steps`) breaks the walk too.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from dynthreads import machine
-from dynthreads.lang import Comp, LangType, Ret, Tid, _bottom_up, is_core
+from dynthreads.lang import (
+    UNIT_V, Comp, InjV, LangType, LetC, Ret, Tid, TidV, _bottom_up, is_core, tids_of_value,
+)
 from dynthreads.machine import (
     DEFAULT_BUDGET,
     FINISHED,
@@ -67,10 +75,90 @@ from dynthreads.machine import (
     RunResult,
     StepLabel,
     ThreadState,
+    _CHILD_START,
+    _FORK_RESULT,
+    _NO_WAITS,
+    _LocalOut,
     _deadlock,
+    _effect,
+    _reduce,
     _write,
 )
 from dynthreads.posets import label_paths
+
+
+def _peel(comp: Comp) -> tuple[list, Comp]:
+    """The ``let`` frames around the redex of ``comp``, outermost first,
+    and the redex, peeled off in a loop.  The redex is a ``let`` only when
+    it binds a value, and a value only when there are no frames."""
+    frames = []
+    while type(comp) is LetC and type(comp.bound) is not Ret:
+        frames.append(comp)
+        comp = comp.bound
+    return frames, comp
+
+
+def _plug(frames: list, comp: Comp) -> Comp:
+    """``comp`` wrapped back into ``frames``, once per frame."""
+    for frame in reversed(frames):
+        comp = LetC(frame.var, comp, frame.body)
+    return comp
+
+
+def local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
+    """One thread-local reduction of the computation ``comp``, which is not
+    a value, running as ``tid`` with next spawn ordinal ``ordinal``, with
+    computations as the states it leaves: the redex is peeled out of its
+    ``let`` frames (:func:`_peel`), an effect is dispatched on its
+    constant's name and anything else takes the pure step
+    (:func:`~dynthreads.machine._reduce`), and each state it leaves is
+    wrapped back into the frames, unless the thread finished."""
+    frames, comp = _peel(comp)
+    effect = _effect(comp)
+    if effect is None:
+        return _LocalOut(None, ((tid, _plug(frames, _reduce(comp))),), _NO_WAITS)
+    if effect.name == "fork":
+        # every spawned thread continues with its own copy of the continuation
+        child = tid + (ordinal,)
+        parent = _plug(frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
+        return _LocalOut(None, ((tid, parent), (child, _plug(frames, _CHILD_START))), _NO_WAITS)
+    if effect.name == "wait":
+        waits = frozenset((b, tid) for b in tids_of_value(comp.arg))
+        return _LocalOut(None, ((tid, _plug(frames, Ret(UNIT_V))),), waits)
+    # stop and printstop finish the thread, which drops its continuation
+    action = effect.action if effect.name == "printstop" else None
+    return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
+
+
+def plugged(local: _LocalOut) -> _LocalOut:
+    """A local step of the machine with computations for its thread states."""
+    return local._replace(
+        threads=tuple((t, s if s is FINISHED else machine._plug(s)) for t, s in local.threads)
+    )
+
+
+def break_local_steps(monkeypatch, broken) -> None:
+    """Break the machine's local step and this oracle's alike: ``broken``
+    takes a local step over computations, ``step(comp, tid, ordinal)``,
+    and returns the broken one.  The oracle takes the broken
+    :func:`local_step`; the machine takes the broken version of its own
+    step, read over computations, with each state it leaves refocused
+    (``machine._descend``).  Both are read when the patch is made."""
+    machine_step = machine._local_step
+
+    def over_comps(comp, tid, ordinal):
+        return plugged(machine_step(machine._descend((), comp), tid, ordinal))
+
+    broken_machine = broken(over_comps)
+
+    def refocused(state, tid, ordinal):
+        out = broken_machine(machine._plug(state), tid, ordinal)
+        return out._replace(threads=tuple(
+            (t, s if s is FINISHED else machine._descend((), s)) for t, s in out.threads
+        ))
+
+    monkeypatch.setitem(globals(), "local_step", broken(local_step))
+    monkeypatch.setattr(machine, "_local_step", refocused)
 
 
 def initial(comp: Comp) -> Configuration:
@@ -145,7 +233,7 @@ def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
         if len(events) >= fuel:
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
         tid, state, waits, ordinal = choose(runnable)
-        local = machine._local_step(state, tid, ordinal)
+        local = local_step(state, tid, ordinal)
         if on_local is not None:
             on_local(tid, ordinal, local)
         label, c = _apply(c, tid, waits, local)
@@ -176,7 +264,7 @@ def _expander() -> Callable[[Configuration], list]:
             key = (state, tid, ordinal)
             local = memo.get(key)
             if local is None:
-                local = memo[key] = machine._local_step(*key)
+                local = memo[key] = local_step(*key)
                 for _, new_state in local.threads:
                     if new_state != FINISHED:
                         _hash_bottom_up(new_state)

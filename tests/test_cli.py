@@ -228,6 +228,26 @@ def test_export_dot(tmp_path, capsys):
     assert "->" in capsys.readouterr().out
 
 
+def test_denote_json_holds_the_term_and_poset_of_the_text_format(capsys):
+    path = str(PROGRAMS_DIR / "series.prog")
+    assert main(["denote", path]) == 0
+    term_line, poset_text = capsys.readouterr().out.split("\n", 1)
+    assert main(["denote", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["term"] == "fork(p1. wait(p1, act[s2]), act[s1])"
+    assert term_line == f"term: {data['term']}"
+    assert data["poset"] == json.loads(poset_text)
+
+
+def test_export_text_is_the_normal_form(tmp_path, capsys):
+    term_path = _write(tmp_path, "t.term", "fork(a. wait(a, act[s2]), act[s1])\n")
+    assert main(["export", term_path, "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert text == "inputs 0\nb1: wait(0) act[s1]\nb2: wait(b1) act[s2]\nmain: wait(b1 + b2) stop\n"
+    assert main(["normalize", term_path]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.prog", "let = in\n")
     assert main(["check", path]) == 2

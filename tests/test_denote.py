@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from dynthreads.denote import (
     DenoteError,
     Elaborator,
     NotFirstOrderResult,
+    ProbeReport,
     UnboundTid,
     adequacy_check,
     apply_gadgets,
@@ -110,6 +112,15 @@ def test_denote_in_world_uses_input_parameters():
 def test_denote_unbound_tid():
     with pytest.raises(UnknownTid):
         denote(parse_comp("wait(#0.1); stop()"), frozenset())
+
+
+def test_fresh_fork_binders_skip_the_names_of_delta():
+    elaborator = Elaborator(ParamContext(("p1", "p2", "p4")))
+    assert [elaborator.fresh_param() for _ in range(3)] == ["p3", "p5", "p6"]
+    core = desugar(parse_comp("print[s](); stop()"))
+    _, term = Elaborator(ParamContext(("p1",))).denote_comp(core, {}, EMPTY)
+    assert alpha_eq(term, parse_term("fork(p1. wait(p1, stop), act[s])"))
+    assert term.binder == "p2"
 
 
 def test_elaborator_rejects_a_tid_outside_the_world():
@@ -278,6 +289,19 @@ def test_probe_on_derivably_equal_pair():
     report = completeness_probe(lhs, rhs, CompContext(()), ParamContext(()))
     assert report.consistent
     assert report.open_equal and report.closed_equal
+
+
+@pytest.mark.parametrize("open_equal, side", [(True, "open"), (False, "closed")])
+def test_probe_names_the_side_an_inconsistent_verdict_finds_equal(monkeypatch, open_equal, side):
+    # a decision procedure that changes its verdict once the terms are closed
+    verdicts = iter([open_equal, not open_equal])
+    monkeypatch.setattr(
+        denote_module, "decide_equal", lambda *args: SimpleNamespace(equal=next(verdicts))
+    )
+    report = completeness_probe(STOP, STOP, CompContext(()), ParamContext(()))
+    assert report == ProbeReport(
+        False, open_equal, not open_equal, f"terms are equal {side} but not on the other side"
+    )
 
 
 def test_probe_rejects_reserved_labels():

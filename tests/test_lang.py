@@ -49,6 +49,8 @@ from dynthreads.lang import (
 )
 from dynthreads.lang import _free, _parts, _rebuild, _value
 
+from corpus import PROGRAMS_DIR, corpus_names
+
 
 def typecheck_value(env, world, v):
     """Synthesize the type of a value; raise on failure."""
@@ -383,6 +385,35 @@ def test_parse_print_round_trip_stability():
         once = print_program(world, comp)
         world2, comp2 = parse_program(once)
         assert print_program(world2, comp2) == once
+
+
+_WAIT_NIL = ApplyC(ConstV("wait"), NilV())
+
+
+@pytest.mark.parametrize("node, message", [
+    (
+        CaseC(SeqC(_WAIT_NIL, Ret(InjV(1, UNIT_V))), (("u", Ret(UNIT_V)),)),
+        "no text parses as a CaseC of a SeqC",
+    ),
+    (SeqC(SeqC(_WAIT_NIL, _WAIT_NIL), _WAIT_NIL), "no text parses as a SeqC of a SeqC"),
+    (SeqC(LetC("x", _WAIT_NIL, _WAIT_NIL), _WAIT_NIL), "no text parses as a SeqC of a LetC"),
+])
+def test_the_printer_refuses_nodes_the_parser_never_builds(node, message):
+    # their text would be rejected by the parser (``case wait(nil); ret
+    # inj1 () of ...``) or read back as another tree (``a; b; c`` is
+    # ``a; (b; c)``, and a let's body takes what follows it)
+    for term in (node, LetC("y", node, _WAIT_NIL)):
+        with pytest.raises(TypeError) as raised:
+            print_comp(term)
+        assert str(raised.value) == message
+
+
+def test_corpus_programs_print_as_text_that_reads_back_the_same():
+    for name in corpus_names():
+        world, comp = parse_program((PROGRAMS_DIR / f"{name}.prog").read_text())
+        text = print_program(world, comp)
+        assert parse_program(text) == (world, comp), name
+        assert print_program(*parse_program(text)) == text, name
 
 
 def test_parse_errors_carry_locations():

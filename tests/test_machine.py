@@ -54,11 +54,13 @@ from dynthreads.machine import (
 from dynthreads.posets import Pomset
 
 from corpus import EXTRA_PROGRAMS, PROGRAMS_DIR, corpus_names, full_graph, load_core, load_named
+import graph_oracle
 from graph_oracle import (
     _label_traces,
     _runnable,
     _state_graph,
     _witness_events,
+    break_local_steps,
     check_config_well_formed,
     creation_order,
     enabled_steps,
@@ -645,7 +647,7 @@ def _reduced_graph_violation(c, steps_of):
     ``c``, not only the one the reduction keeps, then determinacy and the
     diamonds."""
     for a, state, _, ordinal in _runnable(c):
-        local = machine._local_step(state, a, ordinal)
+        local = graph_oracle.local_step(state, a, ordinal)
         for t, _ in local.threads:
             if t not in (a, a + (ordinal,)):
                 return f"step of {tid_str(a)} changes thread {tid_str(t)}"
@@ -768,23 +770,20 @@ def test_confluence_rejects_steps_that_are_not_local(monkeypatch):
 
 
 def _mutate_local_steps(monkeypatch, change) -> None:
-    """Break the machine: every thread-local step ``out`` of thread ``tid``
-    from state ``comp`` becomes ``change(out, comp, tid)`` (the inner steps
-    of ``let`` are left alone).  ``change`` must depend on nothing else, so
-    the broken step stays a function of its key, as a real one is."""
-    original = machine._local_step
-    depth = 0
+    """Break the machine and the oracle alike: every thread-local step
+    ``out`` of thread ``tid`` from state ``comp`` becomes ``change(out,
+    comp, tid)``, read over computations (see
+    ``graph_oracle.break_local_steps``).  ``change`` must depend on nothing
+    else, so the broken step stays a function of its key, as a real one
+    is."""
 
-    def mutated(comp, tid, ordinal):
-        nonlocal depth
-        depth += 1
-        try:
-            out = original(comp, tid, ordinal)
-        finally:
-            depth -= 1
-        return out if depth else change(out, comp, tid)
+    def broken(step):
+        def mutated(comp, tid, ordinal):
+            return change(step(comp, tid, ordinal), comp, tid)
 
-    monkeypatch.setattr(machine, "_local_step", mutated)
+        return mutated
+
+    break_local_steps(monkeypatch, broken)
 
 
 def _with_new_prec(out, new_prec):
@@ -1138,6 +1137,11 @@ _STOP = ApplyC(ConstV("stop"), UNIT_V)
     (LetC("x", LetC("y", ProjC(1, InjV(1, UNIT_V)), _STOP), _STOP), "no rule for 'proj1 (inj1 ())'"),
 ])
 def test_every_stuck_local_step_names_its_redex(comp, message):
-    with pytest.raises(StuckThread) as raised:
-        machine._local_step(comp, (), 1)
-    assert str(raised.value) == message
+    # the machine's step from the thread state of ``comp``, and the oracle's
+    for step in (
+        lambda: machine._local_step(machine._descend((), comp), (), 1),
+        lambda: graph_oracle.local_step(comp, (), 1),
+    ):
+        with pytest.raises(StuckThread) as raised:
+            step()
+        assert str(raised.value) == message

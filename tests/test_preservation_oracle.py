@@ -45,7 +45,14 @@ from dynthreads.machine import (
 )
 
 from corpus import NESTED_WAIT, corpus_names, load_core
-from graph_oracle import check_config_well_formed, creation_order, initial, reference_run, world
+from graph_oracle import (
+    break_local_steps,
+    check_config_well_formed,
+    creation_order,
+    initial,
+    reference_run,
+    world,
+)
 
 SCHEDULES = [("lowest-tid", None)] + [("random", seed) for seed in range(1, 6)]
 
@@ -147,24 +154,25 @@ def test_preservation_agrees_with_the_whole_check_on_broken_waits(monkeypatch):
     # a wait step that also waits for the acting thread itself, or for a
     # thread that does not exist; or a fork step whose new child also waits
     # for its parent, which only the check of the child's whole set sees
-    local_step = machine._local_step
-
     def waits_too(extra):
-        def broken(comp, tid, ordinal):
-            out = local_step(comp, tid, ordinal)
-            pair = extra(tid, out)
-            if pair is not None:
-                return machine._LocalOut(out.action, out.threads, out.new_prec | {pair})
-            return out
-        return broken
+        def breaks(local_step):
+            def broken(comp, tid, ordinal):
+                out = local_step(comp, tid, ordinal)
+                pair = extra(tid, out)
+                if pair is not None:
+                    return machine._LocalOut(out.action, out.threads, out.new_prec | {pair})
+                return out
+            return broken
+        return breaks
 
     for extra in (
         lambda tid, out: (tid, tid) if out.new_prec else None,
         lambda tid, out: (tid + (99,), tid) if out.new_prec else None,
         lambda tid, out: (tid, out.threads[1][0]) if len(out.threads) == 2 else None,
     ):
-        monkeypatch.setattr(machine, "_local_step", waits_too(extra))
-        outcomes = _agree(load_core("ex21_wait_first"), SCHEDULES[:2])
+        with monkeypatch.context() as patch:
+            break_local_steps(patch, waits_too(extra))
+            outcomes = _agree(load_core("ex21_wait_first"), SCHEDULES[:2])
         assert all(len(outcome) == 2 for outcome in outcomes), outcomes
     assert all(message.endswith("0.1 waits on later sibling 0") for _, message in outcomes)
 
@@ -174,9 +182,9 @@ def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_ord
     # before the first, which the continuation it shares with the root
     # names, so the root types that continuation in a world with the first
     # child and the new child must type it again in one without
-    local_step = machine._local_step
-    monkeypatch.setattr(
-        machine, "_local_step", lambda comp, tid, ordinal: local_step(comp, tid, -abs(ordinal))
+    break_local_steps(
+        monkeypatch,
+        lambda local_step: lambda comp, tid, ordinal: local_step(comp, tid, -abs(ordinal)),
     )
     comp = desugar(parse_comp(
         "let x = fork() in case x of { inj1 a => let y = fork() in case y of "
@@ -204,19 +212,20 @@ def test_preservation_names_the_violation_the_whole_check_names_first(monkeypatc
     # fork steps list the new child before its parent, and both fail to
     # type check: the whole check names the parent, which comes first in
     # tid order
-    local_step = machine._local_step
     check_comp = machine.check_comp
 
-    def reversed_step(comp, tid, ordinal):
-        out = local_step(comp, tid, ordinal)
-        return out._replace(threads=out.threads[::-1])
+    def reversed_step(local_step):
+        def reversed_local_step(comp, tid, ordinal):
+            out = local_step(comp, tid, ordinal)
+            return out._replace(threads=out.threads[::-1])
+        return reversed_local_step
 
     def broken(gamma, visible, state, ty, memo=None):
         if REJECTED["new child"](state) or REJECTED["names a thread"](state):
             raise LangError("rejected")
         return check_comp(gamma, visible, state, ty, memo)
 
-    monkeypatch.setattr(machine, "_local_step", reversed_step)
+    break_local_steps(monkeypatch, reversed_step)
     monkeypatch.setattr(machine, "check_comp", broken)
     (outcome,) = _agree(load_core("ex21_wait_first"), SCHEDULES[:1])
     assert outcome[0] == "MachineError"

@@ -11,14 +11,19 @@ every step, and, below, an observation that closes the waiting relation
 with the pair closure ``_close_pairs`` of ``tests/pair_oracle.py``.
 
 A run and its reference must give the same events and terminal
-configuration, call ``on_local`` with the same arguments in the same order, or raise the same error with the same message.  Every
-terminated run, and every terminal run of the schedule-graph walk's
-``run_exhaustive`` on the corpus, must give the same pomset both ways.
+configuration, call ``on_local`` with the same arguments in the same order
+(the run's thread states plugged into computations), or raise the same
+error with the same message.  The reference steps with the oracle's own
+local step, which peels and plugs the ``let`` frames at every step; the
+run keeps them between steps.  Every terminated run, and every terminal
+run of the schedule-graph walk's ``run_exhaustive`` on the corpus, must
+give the same pomset both ways.
 
 The inputs are the corpus programs and ``nested_wait`` under the lowest-tid
 policy and random seeds 1 to 5, with the fuel they need and one step less;
 the print chains and ``node`` DAGs of the ``long-programs`` benchmark
-workload; a 64-wide ``node`` fork; and programs that deadlock.
+workload from three seeds; a 64-wide ``node`` fork; and programs that
+deadlock.
 """
 
 from __future__ import annotations
@@ -28,20 +33,24 @@ from pathlib import Path
 
 import pytest
 
-from dynthreads import machine
+from dynthreads import denote, machine
+from dynthreads.denote import Elaborator
 from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, tid_str
 from dynthreads.machine import (
     DEFAULT_BUDGET,
     Configuration,
     MachineError,
+    check_confluence,
+    explore,
     observation,
     run,
     run_with_preservation,
 )
 from dynthreads.posets import Pomset
+from dynthreads.tids import ParamContext
 
 from corpus import NESTED_WAIT, corpus_names, load_core
-from graph_oracle import prec, reference_run, run_exhaustive
+from graph_oracle import plugged, prec, reference_run, run_exhaustive
 from pair_oracle import _close_pairs
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -66,9 +75,13 @@ def reference_observation(events, final) -> Pomset:
 
 def _outcome(runner, comp, policy, seed, fuel, hooked):
     """What a run shows: its events, terminal configuration and
-    ``on_local`` calls, or its error and message and the calls before it."""
+    ``on_local`` calls, or its error and message and the calls before it.
+    Each call is the acting thread, its spawn ordinal and its local step:
+    action, states and wait pairs, the states plugged into computations
+    where the runner keeps thread states."""
     calls = []
-    hooks = {"on_local": lambda *args: calls.append(args)} if hooked else {}
+    read = plugged if runner is run else lambda local: local
+    hooks = {"on_local": lambda t, n, local: calls.append((t, n, read(local)))} if hooked else {}
     try:
         result = runner(comp, policy, seed, fuel, **hooks)
     except MachineError as exc:
@@ -117,15 +130,17 @@ def test_run_agrees_with_the_reference_off_the_corpus():
 
 
 def test_run_agrees_with_the_reference_on_long_programs():
-    for name, check, text, labels, order, schedule in long_programs.setup(Path(), 2020):
-        if check != "run":
-            continue
-        comp = desugar(parse_program(text)[1])
-        for events, terminal, _ in _agree(comp, [("lowest-tid", None), ("random", schedule)]):
-            pomset = observation(events, terminal)
-            lab = pomset.label_map
-            assert frozenset(lab.values()) == labels, name
-            assert frozenset((lab[a], lab[b]) for a, b in pomset.order) == order, name
+    # 3131 and 3137 are seeds no benchmark run uses
+    for seed in (2020, 3131, 3137):
+        for name, check, text, labels, order, schedule in long_programs.setup(Path(), seed):
+            if check != "run":
+                continue
+            comp = desugar(parse_program(text)[1])
+            for events, terminal, _ in _agree(comp, [("lowest-tid", None), ("random", schedule)]):
+                pomset = observation(events, terminal)
+                lab = pomset.label_map
+                assert frozenset(lab.values()) == labels, name
+                assert frozenset((lab[a], lab[b]) for a, b in pomset.order) == order, name
 
 
 @pytest.mark.parametrize("text, stuck", [
@@ -134,6 +149,9 @@ def test_run_agrees_with_the_reference_on_long_programs():
     ("fork(); wait(#0.5); stop()", "0, 0.1"),
     ("let x = fork() in case x of { inj1 a => wait(a); stop() | inj2 u => wait(#0); stop() }",
      "0, 0.1"),
+    # a thread that returns a value stops being runnable
+    ("let x = ret () in ret x", "0"),
+    ("let x = fork() in case x of { inj1 a => stop() | inj2 u => ret () }", "0.1"),
 ])
 def test_run_agrees_with_the_reference_on_deadlocks(text, stuck):
     message = f"deadlocked configuration with no enabled steps: {stuck}"
@@ -169,6 +187,41 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
             built.clear()
             result, _ = run_with_preservation(load_core(name), EMPTY, policy, seed)
             assert len(built) <= 2 and result.terminal.threads is built[-1], (name, policy, seed)
+
+
+def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
+    # each thread keeps its frames and focus between steps: a run without a
+    # hook, the gate and the elaborator never plug a state back into a
+    # computation, and the preservation check plugs exactly the states it
+    # types, after the first configuration's
+    plugs, typed = [], []
+    plug, check_comp = machine._plug, machine.check_comp
+
+    def counted_plug(state):
+        plugs.append(plug(state))
+        return plugs[-1]
+
+    def counted_check(gamma, world, state, ty, memo=None):
+        typed.append(state)
+        return check_comp(gamma, world, state, ty, memo)
+
+    monkeypatch.setattr(machine, "_plug", counted_plug)
+    monkeypatch.setattr(machine, "check_comp", counted_check)
+    assert not hasattr(denote, "_plug")
+    for name in corpus_names():
+        comp = load_core(name)
+        for policy, seed in SCHEDULES:
+            run(comp, policy, seed)
+        check_confluence(comp)
+        explore(comp)
+        Elaborator(ParamContext(())).denote_comp(comp, {}, EMPTY)
+        assert plugs == [], name
+        for policy, seed in SCHEDULES:
+            typed.clear()
+            run_with_preservation(comp, EMPTY, policy, seed)
+            assert len(plugs) == len(typed) - 1, (name, policy, seed)
+            assert all(p is t for p, t in zip(plugs, typed[1:])), (name, policy, seed)
+            plugs.clear()
 
 
 def test_a_long_print_chain_runs_and_builds_its_pomset():

@@ -147,7 +147,8 @@ def tid_str(path: Tid) -> str:
 # machine configurations, and exploration hashes configurations constantly.
 # A node keeps its set of free variables there the same way, once
 # :func:`is_core` has walked it or :func:`subst_value` has asked for it, and
-# the thread IDs it names once a memoizing type check has (see
+# the thread IDs it names once a memoizing type check has, or once
+# :func:`subst_value` has rebuilt it from a node that kept them (see
 # :func:`_names`).
 
 @record
@@ -608,8 +609,11 @@ def _names(node, key: str) -> frozenset:
     One pass serves both: a variable is a ``VarV`` leaf, removed where a
     child binds it; a thread ID is a ``TidV`` leaf, a tuple, which no
     binder (a string) removes.  Free variables are usually stored already,
-    by :func:`is_core` before a run and by :func:`subst_value` during it;
-    thread IDs are read only by typing with a memo, and found only then."""
+    by :func:`is_core` before a run and by :func:`subst_value` during it.
+    Thread IDs are read only by typing with a memo and found first then;
+    :func:`subst_value` keeps them on the nodes it rebuilds from nodes that
+    store them, so typing a step's new focus walks only the nodes that the
+    step built by other means."""
     names = node.__dict__.get(key)
     if names is not None:
         return names
@@ -640,8 +644,11 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
     Only the nodes above a free occurrence are rebuilt: where ``name`` is
     not free the subterm is kept as it is (so ``t`` itself comes back when
     ``name`` is not free in ``t``), and a rebuilt node's free variables are
-    its old ones less ``name``, because ``v`` is closed."""
-    free = t.__dict__.get("_free")
+    its old ones less ``name``, because ``v`` is closed.  A rebuilt node
+    whose old node stores its thread IDs stores the old set joined with
+    those of ``v``, which it names at least once."""
+    stored = t.__dict__
+    free = stored.get("_free")
     if free is None:
         free = _free(t)
     if name not in free:
@@ -653,6 +660,10 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
         kids.append(kid if var == name else subst_value(kid, name, v))
     new = _rebuild(t, kids)
     new.__dict__["_free"] = free - {name}
+    tids = stored.get("_tids")
+    if tids is not None:
+        named = _tids(v)
+        new.__dict__["_tids"] = tids if named <= tids else tids | named
     return new
 
 

@@ -18,8 +18,9 @@ otherwise reduces the focus (:func:`_reduce`: beta, ``let`` of a value,
 ``proj``, ``case``), and then descends only into the new focus.  The pure
 step is the only evaluator of the pure fragment: :mod:`dynthreads.denote`
 elaborates denotations with it too.  A thread state becomes a computation
-again (:func:`_plug`) only when something reads it: a hook that looks at
-states, or a deadlocked configuration.
+again (:func:`_plug`) only when something reads it whole: the command
+line's trace, a step that breaks the preservation check, or a deadlocked
+configuration.
 
 A thread's waits are the ones steps wrote for it: a ``wait`` adds the
 awaited threads to the acting thread's set, and a forked child starts with
@@ -44,8 +45,9 @@ in tid order), and a step updates only the entries it wrote and, when it
 finishes a thread, the threads waiting on it; a pure step updates its own
 entry alone.  It builds a configuration for its end only.  Its one hook,
 ``on_local``, sees each local step before it is applied.  That is how
-:func:`run_with_preservation` checks what each step wrote and how the
-command line prints trace lines; both plug the states they read.
+:func:`run_with_preservation` checks what each step wrote, typing each
+written state as its frames and focus, and how the command line prints
+trace lines, which plug the acting thread's new state.
 
 What every schedule does comes from one run too.  :func:`check_confluence`
 and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
@@ -93,6 +95,7 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
+    _comp,
     _tids,
     check_comp,
     is_core,
@@ -168,7 +171,7 @@ class _LocalOut(NamedTuple):
 # immutable stack of ``let`` nodes, ``()`` or ``(frame, frames below)``,
 # innermost on top, of which only the variable and the body are read, and
 # ``focus`` is the computation they wait for.  A state is plugged back into
-# a computation (:func:`_plug`) only when something reads it.
+# a computation (:func:`_plug`) only when something reads it whole.
 
 def _descend(frames: tuple, comp: Comp) -> tuple:
     """The thread state of ``comp`` under ``frames``: the ``let`` frames
@@ -365,10 +368,10 @@ def run(
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
     with the acting thread, its next spawn ordinal and its local step,
-    whose states are thread states; a hook that reads one plugs it
-    (:func:`_plug`).  A terminal configuration reached within ``fuel``
-    steps ends the run; :class:`FuelExhausted` is raised only when a
-    further step is needed after ``fuel`` steps, and :class:`Deadlock`
+    whose states are thread states; a hook that needs one as a computation
+    plugs it (:func:`_plug`).  A terminal configuration reached within
+    ``fuel`` steps ends the run; :class:`FuelExhausted` is raised only when
+    a further step is needed after ``fuel`` steps, and :class:`Deadlock`
     when no thread can step short of termination.
 
     The scheduler state lives across steps, and a step updates only the
@@ -711,6 +714,35 @@ def _rank(tid: Tid) -> tuple:
     return tid + (inf,)
 
 
+def _world(tid: Tid, state: tuple, rank: dict) -> frozenset:
+    """The world :func:`_ill_formed` types the thread state ``state`` of
+    ``tid`` in, found without plugging it: the known threads of smaller rank
+    that its focus and its frame bodies name."""
+    frames, named = state[0], [_tids(state[1])]
+    while frames:
+        frame, frames = frames
+        named.append(_tids(frame.body))
+    return frozenset(b for names in named for b in names if b in rank and rank[b] < rank[tid])
+
+
+def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) -> None:
+    """Check the thread state ``state`` against ``result_type`` in
+    ``world`` without plugging it: synthesize the focus's type, then type
+    each frame body, innermost first, with only its own variable bound, to
+    the type found below it, and check the outermost one against
+    ``result_type``.  That is the judgement :func:`_ill_formed` gives the
+    plugged state (:func:`_plug`), since a ``let`` synthesizes its bound and
+    types its body at that type, and a closed thread's frame body has no
+    other free variable.  Raises :class:`LangError` on failure."""
+    frames, comp = state
+    env: dict = {}
+    while frames:
+        frame, frames = frames
+        env = {frame.var: _comp(env, world, comp, None, memo)}
+        comp = frame.body
+    _comp(env, world, comp, result_type, memo)
+
+
 def run_with_preservation(
     comp: Comp,
     result_type: LangType,
@@ -724,17 +756,19 @@ def run_with_preservation(
     (:func:`_ill_formed`).  Returns the result and the number of checks.
 
     The first configuration is checked whole.  Then one ``on_local`` hook
-    plugs the states each step wrote (:func:`_plug`), writes them into a
-    thread map of its own (:func:`_write`) and checks the entries the step
-    wrote, read off its local step: the threads
-    it lists and the threads its wait pairs end at, with ranks
-    (:func:`_rank`) for the known threads.  Of the acting thread's waits
-    only the step's new ones are checked.  A thread the step gives the
-    acting thread's wait set, such as a new child, has that set checked by
-    one comparison: the run keeps the largest rank in each thread's wait
-    set, and every wait in it names a known thread, so the set goes
-    forward exactly when that rank is below the thread's own.  That covers
-    every configuration:
+    writes the thread states each step wrote into a thread map of its own
+    (:func:`_write`) and checks the entries the step wrote, read off its
+    local step: the threads it lists and the threads its wait pairs end at,
+    with ranks (:func:`_rank`) for the known threads.  Of the acting
+    thread's waits only the step's new ones are checked.  A thread the step
+    gives the acting thread's wait set, such as a new child, has that set
+    checked by one comparison: the run keeps the largest rank in each
+    thread's wait set, and every wait in it names a known thread, so the set
+    goes forward exactly when that rank is below the thread's own.  Each
+    written state is typed as its frames and focus (:func:`_check_state`),
+    in the world its plugged state would have (:func:`_world`), so nothing
+    is plugged: this is subject reduction one step at a time (Wright &
+    Felleisen 1994).  That covers every configuration:
       - A step replaces the entries it writes and keeps every other one as
         it was, and threads never leave the world.
       - A kept wait, of a kept entry or of the acting thread, still names a
@@ -743,7 +777,8 @@ def run_with_preservation(
         the known threads of smaller rank that it names only grow.
     So a violation can only be in a written entry.  The one reported is the
     one the whole check would report first: on a violation the written
-    entries are checked again whole, in tid order.  The tests keep the
+    entries are plugged and checked again whole, in tid order, by
+    :func:`_ill_formed`, which words every message.  The tests keep the
     whole check at every step as the oracle.
 
     The hook runs before :func:`run` checks the step, so it passes over a
@@ -752,39 +787,48 @@ def run_with_preservation(
     The type checker shares one typing memo (see :mod:`dynthreads.lang`)
     across the run, which lives no longer than the call: a step keeps
     every subterm it does not rewrite as the same object, and a parent and
-    its child continue on the same one, so re-typing a thread costs the
-    nodes the step and the plug rebuilt."""
+    its child continue on the same frames, so every kept frame body is
+    typed from the memo and re-typing a thread costs the nodes of its new
+    focus."""
     memo: dict = {}
-    threads = {(): ((), comp, _NO_WAITS)}
+    threads = {(): ((), _descend((), comp), _NO_WAITS)}
     rank = {(): _rank(())}
     top = {(): ()}  # tid -> the largest rank in its wait set; () is below every rank
-    bad = _ill_formed(list(threads.values()), rank, result_type, memo)
+    bad = _ill_formed([((), comp, _NO_WAITS)], rank, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
 
+    def typed(t: Tid, state) -> bool:
+        try:
+            _check_state(_world(t, state, rank), state, result_type, memo)
+        except LangError:
+            return False
+        return True
+
     def check(a: Tid, _: int, local: _LocalOut) -> None:
         nonlocal steps
         written = dict.fromkeys([t for t, _ in local.threads] + [y for _, y in local.new_prec])
-        if any(t in threads and threads[t][1] == FINISHED for t in written):
+        if any(t in threads and threads[t][1] is FINISHED for t in written):
             return  # run refuses the step
         steps += 1
         inherited = top[a]
-        plugged = tuple((t, s if s is FINISHED else _plug(s)) for t, s in local.threads)
-        _write(threads, threads[a][2], local._replace(threads=plugged))
+        _write(threads, threads[a][2], local)
         for t, _ in local.threads:
             rank[t], top[t] = _rank(t), inherited
         for b, y in local.new_prec:
             if b in rank and rank[b] > top[y]:
                 top[y] = rank[b]
-        entries = [
-            (t, s, [b for b, y in local.new_prec if y == t])
-            for t, s, _ in map(threads.__getitem__, written)
-        ]
-        if any(inherited >= rank[t] for t, _ in local.threads if t != a) or _ill_formed(
-            entries, rank, result_type, memo
+        if (
+            any(inherited >= rank[t] for t, _ in local.threads if t != a)
+            or any(b not in rank or rank[b] >= rank[y] for b, y in local.new_prec)
+            or not all(typed(t, s) for t, s in local.threads if s is not FINISHED)
         ):
-            bad = _ill_formed([threads[t] for t in sorted(written)], rank, result_type, memo)
+            entries = [
+                (t, s if s is FINISHED else _plug(s), waits)
+                for t, s, waits in map(threads.__getitem__, sorted(written))
+            ]
+            bad = _ill_formed(entries, rank, result_type, memo)
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
     result = run(comp, policy, seed, fuel, on_local=check)

@@ -19,6 +19,18 @@ NESTED_WAIT = (
     "{ inj1 b => wait(b); printstop[s3]() | inj2 v => printstop[s1]() } }"
 )
 
+# two programs outside the corpus that break the preservation invariant
+# when children are numbered downwards, so that a second child sorts before
+# the first: in the first the continuation the root shares with its second
+# child names the first child, and in the second the root has waited for
+# its first child before it spawns the second, which inherits that wait
+OUT_OF_ORDER = (
+    "let x = fork() in case x of { inj1 a => let y = fork() in case y of "
+    "{ inj1 b => wait(a); stop() | inj2 u => wait(a); stop() } | inj2 v => stop() }",
+    "let x = fork() in case x of { inj1 a => wait(a); let y = fork() in case y of "
+    "{ inj1 b => stop() | inj2 u => stop() } | inj2 v => stop() }",
+)
+
 # programs outside the corpus that the schedule-graph oracles also check
 EXTRA_PROGRAMS = {"nested_wait": NESTED_WAIT}
 

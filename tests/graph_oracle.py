@@ -52,7 +52,9 @@ A local step depends only on the thread's state, tid and next spawn
 ordinal, so each walk memoizes local steps under that key in a memo of its
 own (:func:`_expander`).  :func:`local_step` is looked up on this module at
 every call, so a test that breaks the machine's and the oracle's steps
-alike (:func:`break_local_steps`) breaks the walk too.
+alike (:func:`break_local_steps`) breaks the walk too.  A test that breaks
+the type checker breaks the machine's typing of thread states and the whole
+check alike (:func:`break_typing`).
 """
 
 from __future__ import annotations
@@ -159,6 +161,32 @@ def break_local_steps(monkeypatch, broken) -> None:
 
     monkeypatch.setitem(globals(), "local_step", broken(local_step))
     monkeypatch.setattr(machine, "_local_step", refocused)
+
+
+def break_typing(monkeypatch, broken) -> None:
+    """Break the machine's typing of thread states and the whole check's
+    typing alike: ``broken`` takes a check over plugged computations,
+    ``check(gamma, world, comp, ty, memo)``, and returns the broken one.
+    The whole check (``machine._ill_formed``) takes the broken
+    ``check_comp``; the machine's typing of a thread state
+    (``machine._check_state``) takes the broken version of its own, read
+    over computations, with each state it is given plugged
+    (``machine._plug``) and each computation refocused
+    (``machine._descend``).  So both reject the same plugged states.  Both
+    are read when the patch is made."""
+    machine_check = machine._check_state
+
+    def over_comps(gamma, world, comp, ty, memo=None):
+        assert not gamma, gamma  # a thread state is closed
+        return machine_check(world, machine._descend((), comp), ty, memo)
+
+    broken_machine = broken(over_comps)
+
+    def plugged_state(world, state, ty, memo):
+        return broken_machine({}, world, machine._plug(state), ty, memo)
+
+    monkeypatch.setattr(machine, "check_comp", broken(machine.check_comp))
+    monkeypatch.setattr(machine, "_check_state", plugged_state)
 
 
 def initial(comp: Comp) -> Configuration:

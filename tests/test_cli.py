@@ -254,6 +254,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_an_unreadable_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.prog"
+    assert main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_run_refuses_a_program_with_a_world_header(tmp_path, capsys):
+    path = _write(tmp_path, "world.prog", "world #0.1;\nwait(#0.1); stop()\n")
+    assert main(["check", path]) == 0
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == "error: run/explore/denote expect programs in the empty world\n"
+
+
 def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "case.prog", "case\n")
     assert main(["check", path]) == 2

@@ -142,6 +142,11 @@ def test_denote_rejects_higher_order_result():
         denote(parse_comp("ret (\\x:tid. wait(x))"))
 
 
+def test_adequacy_refuses_a_program_not_of_the_empty_type():
+    with pytest.raises(DenoteError, match=r"^adequacy needs a closed program of the empty type, got 1$"):
+        adequacy_check(parse_comp("print[s](); ret ()"))
+
+
 def test_adequacy_on_paper_examples():
     wait_first = load_surface("ex21_wait_first")
     report = adequacy_check(wait_first)

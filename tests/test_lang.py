@@ -370,6 +370,26 @@ def test_tids_of_value():
     assert tids_of_value(v) == {(1,), (2,)}
 
 
+def test_tids_of_an_open_value_are_refused():
+    with pytest.raises(LangError, match=r"^not a closed thread-ID value: VarV\(name='x'\)$"):
+        tids_of_value(UnionV(TidV((1,)), VarV("x")))
+
+
+def test_a_constant_without_a_signature_does_not_type_check():
+    with pytest.raises(TypeCheckError, match=r"^unknown constant 'spawn'$"):
+        typecheck_comp({}, frozenset(), ApplyC(ConstV("spawn"), UNIT_V))
+
+
+def test_the_type_checker_refuses_what_is_not_a_node():
+    # a computation where a value belongs, and a value where a computation
+    # belongs, with or without a typing memo
+    for memo in (None, {}):
+        with pytest.raises(TypeError, match=r"^not a value: Ret\("):
+            check_comp({}, frozenset(), Ret(Ret(UNIT_V)), UNIT, memo)
+        with pytest.raises(TypeError, match=r"^not a computation: TupleV\("):
+            check_comp({}, frozenset(), LetC("x", UNIT_V, Ret(UNIT_V)), UNIT, memo)
+
+
 def test_parse_print_round_trip_stability():
     sources = [
         EX21_PROGRAM_1,

@@ -61,6 +61,7 @@ from graph_oracle import (
     _state_graph,
     _witness_events,
     break_local_steps,
+    break_typing,
     check_config_well_formed,
     creation_order,
     enabled_steps,
@@ -301,14 +302,15 @@ def test_preservation_names_the_step_and_the_failed_condition(monkeypatch):
     # break the type checker for the state ``stop()``, which the root first
     # reaches at the tenth step
     stop = desugar(parse_comp("stop()"))
-    check_comp = machine.check_comp
 
-    def broken(gamma, visible, state, ty, memo=None):
-        if state == stop:
-            raise LangError("stop() made ill-typed")
-        return check_comp(gamma, visible, state, ty, memo)
+    def breaks(check_comp):
+        def broken(gamma, visible, state, ty, memo=None):
+            if state == stop:
+                raise LangError("stop() made ill-typed")
+            return check_comp(gamma, visible, state, ty, memo)
+        return broken
 
-    monkeypatch.setattr(machine, "check_comp", broken)
+    break_typing(monkeypatch, breaks)
     comp = desugar(parse_comp("print[s](); fork(); stop()"))
     with pytest.raises(MachineError) as raised:
         run_with_preservation(comp, EMPTY)
@@ -1072,23 +1074,27 @@ def test_deeply_nested_cases_run_with_preservation():
 
 
 def test_preservation_types_each_step_in_work_proportional_to_what_it_wrote(monkeypatch):
-    # the typing memo of the run leaves only the spine a step rebuilt to be
-    # typed again, so the judgements grow with the chain, not its square;
-    # and a thread is typed in the world of the threads it names, not the
-    # whole prefix of the creation order
+    # the typing memo of the run leaves only a step's new focus to be typed
+    # again, its kept frame bodies being typed already, so the judgements
+    # grow with the chain, not its square; and a thread is typed in the
+    # world of the threads it names, not the whole prefix of the creation
+    # order
     judged, worlds = [], []
-    comp, check_comp = lang._comp, machine.check_comp
+    comp = lang._comp
 
     def counted(env, world, term, want, memo=None):
         judged.append(term)
         return comp(env, world, term, want, memo)
 
-    def measured(env, world, term, want, memo=None):
-        worlds.append(len(world))
-        return check_comp(env, world, term, want, memo)
+    def measures(check_comp):
+        def measured(env, world, term, want, memo=None):
+            worlds.append(len(world))
+            return check_comp(env, world, term, want, memo)
+        return measured
 
     monkeypatch.setattr(lang, "_comp", counted)
-    monkeypatch.setattr(machine, "check_comp", measured)
+    monkeypatch.setattr(machine, "_comp", counted)
+    break_typing(monkeypatch, measures)
     counts, world_sizes = [], []
     for n in (50, 100):
         judged.clear()

@@ -14,6 +14,11 @@ The inputs are every corpus program under the lowest-tid policy and random
 seeds 1 to 5, ``nested_wait``, and 600 nested cases; and broken runs, where
 the type checker rejects chosen thread states or the machine takes steps
 that break the invariant the check relies on.
+
+The run types each state a step writes as its frames and focus, unplugged.
+For every such state of the same inputs, that verdict is checked against the
+whole check's on the plugged state, and every name set stored on a node the
+state reaches against a fresh walk: the typing memo trusts those sets.
 """
 
 from __future__ import annotations
@@ -34,19 +39,26 @@ from dynthreads.lang import (
     LetC,
     Ret,
     Sum,
+    TidV,
+    VarV,
+    _parts,
     _tids,
     desugar,
     parse_comp,
+    tid_str,
 )
 from dynthreads.machine import (
     DEFAULT_BUDGET,
+    FINISHED,
     MachineError,
+    run,
     run_with_preservation,
 )
 
-from corpus import NESTED_WAIT, corpus_names, load_core
+from corpus import NESTED_WAIT, OUT_OF_ORDER, corpus_names, load_core
 from graph_oracle import (
     break_local_steps,
+    break_typing,
     check_config_well_formed,
     creation_order,
     initial,
@@ -135,14 +147,14 @@ REJECTED = {
 
 @pytest.mark.parametrize("rejected", sorted(REJECTED))
 def test_preservation_agrees_with_the_whole_check_on_broken_typing(monkeypatch, rejected):
-    check_comp = machine.check_comp
+    def breaks(check_comp):
+        def broken(gamma, visible, state, ty, memo=None):
+            if REJECTED[rejected](state):
+                raise LangError(f"rejected: {rejected}")
+            return check_comp(gamma, visible, state, ty, memo)
+        return broken
 
-    def broken(gamma, visible, state, ty, memo=None):
-        if REJECTED[rejected](state):
-            raise LangError(f"rejected: {rejected}")
-        return check_comp(gamma, visible, state, ty, memo)
-
-    monkeypatch.setattr(machine, "check_comp", broken)
+    break_typing(monkeypatch, breaks)
     failures = 0
     for name in corpus_names():
         for outcome in _agree(load_core(name), SCHEDULES[:2]):
@@ -186,11 +198,7 @@ def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_ord
         monkeypatch,
         lambda local_step: lambda comp, tid, ordinal: local_step(comp, tid, -abs(ordinal)),
     )
-    comp = desugar(parse_comp(
-        "let x = fork() in case x of { inj1 a => let y = fork() in case y of "
-        "{ inj1 b => wait(a); stop() | inj2 u => wait(a); stop() } | inj2 v => stop() }"
-    ))
-    (outcome,) = _agree(comp, SCHEDULES[:1])
+    (outcome,) = _agree(desugar(parse_comp(OUT_OF_ORDER[0])), SCHEDULES[:1])
     assert outcome == (
         "MachineError",
         "configuration after step 4 ill-formed: thread 0.-2 does not typecheck at the "
@@ -198,11 +206,7 @@ def test_preservation_agrees_with_the_whole_check_on_children_spawned_out_of_ord
     )
     # the root waits for its first child and then spawns a second, which
     # inherits that wait: only the check of the new child's whole set sees it
-    comp = desugar(parse_comp(
-        "let x = fork() in case x of { inj1 a => wait(a); let y = fork() in case y of "
-        "{ inj1 b => stop() | inj2 u => stop() } | inj2 v => stop() }"
-    ))
-    (outcome,) = _agree(comp, SCHEDULES[:1])
+    (outcome,) = _agree(desugar(parse_comp(OUT_OF_ORDER[1])), SCHEDULES[:1])
     assert outcome == (
         "MachineError", "configuration after step 9 ill-formed: 0.-2 waits on later sibling 0.-1"
     )
@@ -212,21 +216,132 @@ def test_preservation_names_the_violation_the_whole_check_names_first(monkeypatc
     # fork steps list the new child before its parent, and both fail to
     # type check: the whole check names the parent, which comes first in
     # tid order
-    check_comp = machine.check_comp
-
     def reversed_step(local_step):
         def reversed_local_step(comp, tid, ordinal):
             out = local_step(comp, tid, ordinal)
             return out._replace(threads=out.threads[::-1])
         return reversed_local_step
 
-    def broken(gamma, visible, state, ty, memo=None):
-        if REJECTED["new child"](state) or REJECTED["names a thread"](state):
-            raise LangError("rejected")
-        return check_comp(gamma, visible, state, ty, memo)
+    def breaks(check_comp):
+        def broken(gamma, visible, state, ty, memo=None):
+            if REJECTED["new child"](state) or REJECTED["names a thread"](state):
+                raise LangError("rejected")
+            return check_comp(gamma, visible, state, ty, memo)
+        return broken
 
     break_local_steps(monkeypatch, reversed_step)
-    monkeypatch.setattr(machine, "check_comp", broken)
+    break_typing(monkeypatch, breaks)
     (outcome,) = _agree(load_core("ex21_wait_first"), SCHEDULES[:1])
     assert outcome[0] == "MachineError"
     assert "ill-formed: thread 0 does not typecheck" in outcome[1], outcome
+
+
+def _record_verdicts(comp, policy, seed, records: list) -> int:
+    """Run ``comp`` and record, for every state a step writes, the
+    machine's verdict, its frames and focus typed in the world found
+    without plugging (``machine._world``, ``machine._check_state``) with one
+    typing memo for the run, primed by the first configuration as the
+    preservation run primes it, and the whole check's on the plugged state
+    (``machine._ill_formed``) without a memo, at the run's type and at the
+    unit type, which a state of the empty type does not fit:
+    ``(state, tid, type, typed, whole)`` records, appended to ``records``.
+    Returns how many fork steps left a child on the frames of its parent."""
+    memo, rank = {}, {(): machine._rank(())}
+    assert machine._ill_formed([((), comp, ())], rank, EMPTY, memo) is None
+    shared = 0
+
+    def record(a, ordinal, local):
+        nonlocal shared
+        for t, _ in local.threads:
+            rank[t] = machine._rank(t)
+        frames = [s[0] for _, s in local.threads if s is not FINISHED]
+        shared += len(frames) == 2 and bool(frames[0]) and frames[0] is frames[1]
+        for t, s in local.threads:
+            for ty in (EMPTY, UNIT) if s is not FINISHED else ():
+                try:
+                    machine._check_state(machine._world(t, s, rank), s, ty, memo)
+                    typed = True
+                except LangError:
+                    typed = False
+                whole = machine._ill_formed([(t, machine._plug(s), ())], rank, ty, None)
+                records.append((s, t, ty, typed, whole))
+
+    run(comp, policy, seed, on_local=record)
+    return shared
+
+
+@pytest.fixture(scope="module")
+def written_states() -> tuple:
+    """The verdicts on every state the steps of the inputs write
+    (:func:`_record_verdicts`), and how many fork steps shared frames: the
+    corpus under every schedule, ``nested_wait``, 600 nested cases, and the
+    two programs whose children are numbered downwards.  In the first of
+    those a second child shares frames that name the first with the root,
+    so it types them in a smaller world than the root did, and is
+    ill-typed.  The runs are made once per module."""
+    records: list = []
+    shared = 0
+    for name in corpus_names():
+        for policy, seed in SCHEDULES:
+            shared += _record_verdicts(load_core(name), policy, seed, records)
+    for comp in (desugar(parse_comp(NESTED_WAIT)), _nested_cases(600)):
+        shared += _record_verdicts(comp, "lowest-tid", None, records)
+    local_step = machine._local_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            machine, "_local_step", lambda state, tid, ordinal: local_step(state, tid, -abs(ordinal))
+        )
+        for text in OUT_OF_ORDER:
+            shared += _record_verdicts(desugar(parse_comp(text)), "lowest-tid", None, records)
+    return records, shared
+
+
+def test_frames_and_focus_type_as_the_plugged_state(written_states):
+    records, shared = written_states
+    for _, t, ty, typed, whole in records:
+        assert typed == (whole is None), (tid_str(t), ty, whole)
+    # the out-of-order child is ill-typed at the run's type
+    assert any(ty == EMPTY and not typed for _, _, ty, typed, _ in records)
+    assert shared > 0 and len(records) > 2000, (shared, len(records))
+
+
+def _fresh_names(roots) -> list:
+    """Every node reachable from ``roots``, once, with its free variables
+    and thread IDs, found by an explicit-stack walk that reads no stored
+    set: ``(node, free, tids)`` triples."""
+    names: dict = {}  # id -> (node, free, tids)
+    stack = [(root, False) for root in roots]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in names:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for _, kid in _parts(node))
+            continue
+        free = {node.name} if type(node) is VarV else set()
+        tids = {node.path} if type(node) is TidV else set()
+        for var, kid in _parts(node):
+            _, kid_free, kid_tids = names[id(kid)]
+            free |= kid_free - {var}
+            tids |= kid_tids
+        names[id(node)] = (node, free, tids)
+    return list(names.values())
+
+
+def test_stored_name_sets_of_written_states_are_fresh(written_states):
+    # the typing memo reuses an entry in any world that holds the node's
+    # stored thread IDs, so a stale set would reuse it unsoundly
+    roots = []
+    for frames, focus in {id(record[0]): record[0] for record in written_states[0]}.values():
+        roots.append(focus)
+        while frames:
+            frame, frames = frames
+            roots.append(frame)
+    checked = {"_free": 0, "_tids": 0}
+    for node, free, tids in _fresh_names(roots):
+        for key, fresh in (("_free", free), ("_tids", tids)):
+            if key in node.__dict__:
+                assert node.__dict__[key] == fresh, (key, node)
+                checked[key] += 1
+    assert all(count > 1000 for count in checked.values()), checked

@@ -49,7 +49,7 @@ from dynthreads.machine import (
 from dynthreads.posets import Pomset
 from dynthreads.tids import ParamContext
 
-from corpus import NESTED_WAIT, corpus_names, load_core
+from corpus import NESTED_WAIT, OUT_OF_ORDER, corpus_names, load_core
 from graph_oracle import plugged, prec, reference_run, run_exhaustive
 from pair_oracle import _close_pairs
 
@@ -191,9 +191,9 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
 
 def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
     # each thread keeps its frames and focus between steps: a run without a
-    # hook, the gate and the elaborator never plug a state back into a
-    # computation, and the preservation check plugs exactly the states it
-    # types, after the first configuration's
+    # hook, the gate, the elaborator and a well-formed preservation run
+    # never plug a state back into a computation, and the preservation
+    # check types only the first configuration whole
     plugs, typed = [], []
     plug, check_comp = machine._plug, machine.check_comp
 
@@ -212,16 +212,26 @@ def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
         comp = load_core(name)
         for policy, seed in SCHEDULES:
             run(comp, policy, seed)
+            typed.clear()
+            run_with_preservation(comp, EMPTY, policy, seed)
+            assert len(typed) == 1 and typed[0] is comp, (name, policy, seed)
         check_confluence(comp)
         explore(comp)
         Elaborator(ParamContext(())).denote_comp(comp, {}, EMPTY)
         assert plugs == [], name
-        for policy, seed in SCHEDULES:
-            typed.clear()
-            run_with_preservation(comp, EMPTY, policy, seed)
-            assert len(plugs) == len(typed) - 1, (name, policy, seed)
-            assert all(p is t for p, t in zip(plugs, typed[1:])), (name, policy, seed)
-            plugs.clear()
+    # children numbered downwards (see the preservation oracle): the fourth
+    # step spawns 0.-2, which cannot name 0.-1, and only that step's two
+    # states are plugged, for the whole check, which types both
+    local_step = machine._local_step
+    monkeypatch.setattr(
+        machine, "_local_step", lambda state, tid, ordinal: local_step(state, tid, -abs(ordinal))
+    )
+    comp = desugar(parse_comp(OUT_OF_ORDER[0]))
+    typed.clear()
+    with pytest.raises(MachineError, match=r"after step 4 ill-formed: thread 0\.-2 "):
+        run_with_preservation(comp, EMPTY)
+    assert len(plugs) == 2 and len(typed) == 3 and typed[0] is comp, (plugs, typed)
+    assert all(p is t for p, t in zip(plugs, typed[1:]))
 
 
 def test_a_long_print_chain_runs_and_builds_its_pomset():

@@ -191,8 +191,9 @@ class Elaborator:
         """The context and term of ``comp`` with each variable of ``env``
         replaced by its closed value.
 
-        The walk keeps the branches still to elaborate and, as
-        :func:`terms._parse_term` does, the operations still open, each with
+        The walk keeps the branches still to elaborate and, on an explicit
+        stack as the parsers of both syntaxes do (:func:`terms._parse_term`
+        and :func:`lang.parse_program`), the operations still open, each with
         the subterms it takes, those closed so far and its constructor.  A
         branch is a thread state, ``let`` frames and a focus, and takes pure
         steps until its focus is an effect or it returns: ``fork`` opens a

@@ -14,14 +14,21 @@ term may mention.
 Runtime thread IDs are paths of naturals: the root thread is ``()`` and the
 k-th thread forked directly by a thread extends its path by ``k``.  Source
 syntax spells the root ``#0`` and descendants ``#0.1.2``.
+
+Program text is read by the front end the term files use (the lexer and the
+header reader of :mod:`dynthreads.terms`) with this syntax's token table,
+and parsed from one explicit stack of the constructs still open, so no
+depth of nesting exhausts the Python stack.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterator, Mapping, Optional, Union
 
 from .record import record
+from .terms import Lexer, read_headers
 
 
 class LangError(Exception):
@@ -784,260 +791,238 @@ def _fresh_namer(t: Comp):
 
 
 # --- textual syntax -----------------------------------------------------------------
+#
+# The lexer and the header reader are the term files' (see
+# :mod:`dynthreads.terms`); this syntax supplies its token table.
 
-_TOKEN_SPEC = [
-    ("tid", r"#[0-9]+(?:\.[0-9]+)*"),
-    ("label", r"\[[A-Za-z0-9_.$]+\]"),
-    ("union", r"\(\+\)"),
-    ("arrow", r"->"),
-    ("darrow", r"=>"),
-    ("name", r"[A-Za-z_][A-Za-z0-9_']*|\d+"),
-    ("punct", r"[(){},;=|.\\:*+]"),
-]
-_MASTER_RE = re.compile(
-    "|".join(f"(?P<{kind}>{pat})" for kind, pat in _TOKEN_SPEC)
+_TOKEN_RE = re.compile(
+    r"(?P<tid>#[0-9]+(?:\.[0-9]+)*)"
+    r"|(?P<label>\[[A-Za-z0-9_.$]+\])"
+    r"|(?P<union>\(\+\))"
+    r"|(?P<arrow>->)"
+    r"|(?P<darrow>=>)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*|\d+)"
+    r"|(?P<punct>[(){},;=|.\\:*+])"
 )
-# whitespace and ``--`` comments, which run to the end of their line
-_SKIP_RE = re.compile(r"(?:\s|--[^\n]*)*")
-
-@record
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.toks: list[_Tok] = []
-        line, start = 1, 0  # the current line and the index it starts at
-        pos = 0
-        while True:
-            end = _SKIP_RE.match(text, pos).end()
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                start = text.rindex("\n", pos, end) + 1
-            pos = end
-            if pos == len(text):
-                break
-            m = _MASTER_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"{line}:{pos - start + 1}: cannot read {text[pos:pos+12]!r}")
-            self.toks.append(_Tok(m.lastgroup, m.group(), line, pos - start + 1))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"{tok.line}:{tok.col}: expected {text!r}, got {tok.text!r}")
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
 
 
 def parse_program(text: str) -> tuple[World, Comp]:
-    """Parse an optional ``world #0.1, ...;`` header and a computation."""
-    lx = _Lexer(text)
-    world: set[Tid] = set()
-    if lx.at("world"):
-        lx.next()
-        while True:
-            tok = lx.next()
-            if tok.kind != "tid":
-                raise ParseError(f"{tok.line}:{tok.col}: expected a tid literal")
-            world.add(_parse_tid(tok.text))
-            nxt = lx.next()
-            if nxt.text == ";":
+    """Parse an optional ``world #0.1, ...;`` header and a computation.
+
+    The computation is read in one loop over an explicit stack of the
+    constructs still open, one frame each, as :func:`terms._parse_term`
+    reads a term.  ``want`` is what the loop reads next: a computation
+    (``"comp"``: atoms joined by ``;``), a computation atom (``"atom"``, or
+    a value that no argument follows: a case scrutinee, and an error
+    anywhere else), a value (``"value"``: value atoms joined by ``(+)``) or
+    a value atom.  Opening a construct pushes its frame, a kind and an
+    argument; a finished piece then closes frames until one needs more
+    input, which pushes a frame and sets ``want``.  A ``build`` frame takes
+    one more piece, which its argument turns into a node."""
+    lx = Lexer(text, _TOKEN_RE, ParseError)
+    world = read_headers(lx, {"world": _read_tid}).get("world", {})
+    stack: list = []
+    want = "comp"
+    while True:
+        if want == "comp":
+            stack.append(("seq", lx.peek()))
+        if want == "comp" or want == "atom":
+            word = lx.peek()[1]
+            if word == "let":
+                lx.next()
+                stack.append(("let", _parse_ident(lx)))
+                lx.expect("=")
+                want = "comp"
+                continue
+            if word == "case":
+                lx.next()
+                stack.append(("case", None))
+                want = "atom"
+                continue
+            if word == "ret":
+                lx.next()
+                stack.append(("build", Ret))
+            elif word.startswith("proj") and word[4:].isdigit():
+                lx.next()
+                stack.append(("build", partial(ProjC, int(word[4:]))))
+            else:
+                # an application value(arg), or a bare value
+                stack.append(("apply", None))
+            want = "value"
+        if want == "value":
+            stack.append(("union", None))
+        want = "value atom"
+        tok = lx.next()
+        kind, word = tok[0], tok[1]
+        if kind == "tid":
+            node = TidV(_parse_tid(lx, tok))
+        elif word == "nil":
+            node = NilV()
+        elif word == "(":
+            if lx.at(")"):
+                lx.next()
+                node = UNIT_V
+            else:
+                stack.append(("tuple", []))
+                want = "value"
+                continue
+        elif word == "\\":
+            param = _parse_ident(lx)
+            annot = None
+            if lx.at(":"):
+                lx.next()
+                annot = _parse_type(lx)
+            lx.expect(".")
+            stack.append(("build", partial(LambdaV, param, annot)))
+            want = "comp"
+            continue
+        elif word.startswith("inj") and word[3:].isdigit():
+            stack.append(("build", partial(InjV, int(word[3:]))))
+            continue
+        elif word in ("fork", "wait", "stop", "parallel", "series"):
+            node = ConstV(word)
+        elif word in _LABELLED:
+            label = lx.next()
+            if label[0] != "label":
+                raise lx.fail(label, f"{word} needs an [action] label")
+            node = ConstV(word, label[1][1:-1])
+        elif kind == "name" and not word.isdigit():
+            node = VarV(word)
+        else:
+            raise lx.fail(tok, f"expected a value, got {word!r}")
+        while stack:
+            kind, arg = stack.pop()
+            if kind == "build":
+                node = arg(node)
+            elif kind == "union":
+                if lx.at("(+)"):
+                    lx.next()
+                    stack.append(("build", partial(UnionV, node)))
+                    want = "value"
+                    break
+            elif kind == "apply":
+                # ``want`` is still a value atom, the argument
+                if lx.at("("):
+                    stack.append(("build", partial(ApplyC, node)))
+                    break
+            elif kind == "seq":
+                if not isinstance(node, _COMP_TYPES):
+                    raise lx.fail(arg, "a bare value is not a computation; apply it or use ret")
+                if lx.at(";"):
+                    lx.next()
+                    stack.append(("build", partial(SeqC, node)))
+                    want = "comp"
+                    break
+            elif kind == "let":
+                lx.expect("in")
+                stack.append(("build", partial(LetC, arg, node)))
+                want = "comp"
                 break
-            if nxt.text != ",":
-                raise ParseError(f"{nxt.line}:{nxt.col}: expected ',' or ';'")
-    comp = _parse_comp(lx)
-    if lx.peek() is not None:
-        tok = lx.peek()
-        raise ParseError(f"{tok.line}:{tok.col}: trailing input {tok.text!r}")
-    return frozenset(world), comp
+            elif kind == "tuple":
+                arg.append(node)
+                if lx.at(","):
+                    lx.next()
+                    stack.append(("tuple", arg))
+                    want = "value"
+                    break
+                lx.expect(")")
+                node = arg[0] if len(arg) == 1 else TupleV(tuple(arg))
+            else:
+                # a case: its scrutinee is read, or the body of a branch
+                if arg is None:
+                    lx.expect("of")
+                    lx.expect("{")
+                    scrutinee, branches = node, []
+                else:
+                    scrutinee, branches, var = arg
+                    branches.append((var, node))
+                    if lx.at("|"):
+                        lx.next()
+                if lx.at("}"):
+                    lx.next()
+                    case = CaseC if isinstance(scrutinee, _COMP_TYPES) else CaseV
+                    node = case(scrutinee, tuple(branches))
+                    continue
+                inj = lx.next()
+                if inj[1] != f"inj{len(branches) + 1}":
+                    raise lx.fail(inj, f"expected inj{len(branches) + 1}, got {inj[1]!r}")
+                stack.append(("case", (scrutinee, branches, _parse_ident(lx))))
+                lx.expect("=>")
+                want = "comp"
+                break
+        else:
+            break
+    lx.finish()
+    return frozenset(world), node
 
 
 def parse_comp(text: str) -> Comp:
     return parse_program(text)[1]
 
 
-def _parse_tid(text: str) -> Tid:
-    parts = text[1:].split(".")
+def _read_tid(lx: Lexer) -> tuple[Tid, Tid]:
+    path = _parse_tid(lx, lx.next())
+    return path, path
+
+
+def _parse_tid(lx: Lexer, tok: tuple) -> Tid:
+    if tok[0] != "tid":
+        raise lx.fail(tok, "expected a tid literal")
+    parts = tok[1][1:].split(".")
     if parts[0] != "0":
-        raise ParseError(f"tid literals are rooted at #0, got {text!r}")
+        raise lx.fail(tok, f"tid literals are rooted at #0, got {tok[1]!r}")
     return tuple(int(p) for p in parts[1:])
 
 
-def _parse_comp(lx: _Lexer) -> Comp:
-    tok = lx.peek()
-    first = _parse_comp_atom(lx)
-    if not isinstance(first, _COMP_TYPES):
-        raise ParseError(
-            f"{tok.line}:{tok.col}: a bare value is not a computation; apply it or use ret"
-        )
-    if lx.at(";"):
-        lx.next()
-        return SeqC(first, _parse_comp(lx))
-    return first
-
-
-def _parse_comp_atom(lx: _Lexer) -> Union[Comp, Value]:
-    """A computation atom, or a value that no argument follows, which is
-    left for the caller: a case scrutinee, or an error anywhere else."""
-    tok = lx.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input")
-    if tok.text == "ret":
-        lx.next()
-        return Ret(_parse_value(lx))
-    if tok.text == "let":
-        lx.next()
-        var = _parse_ident(lx)
-        lx.expect("=")
-        bound = _parse_comp(lx)
-        lx.expect("in")
-        body = _parse_comp(lx)
-        return LetC(var, bound, body)
-    if tok.text == "case":
-        lx.next()
-        scrutinee = _parse_comp_atom(lx)
-        lx.expect("of")
-        lx.expect("{")
-        branches = []
-        while not lx.at("}"):
-            inj = lx.next()
-            want = f"inj{len(branches) + 1}"
-            if inj.text != want:
-                raise ParseError(f"{inj.line}:{inj.col}: expected {want}, got {inj.text!r}")
-            var = _parse_ident(lx)
-            lx.expect("=>")
-            body = _parse_comp(lx)
-            branches.append((var, body))
-            if lx.at("|"):
-                lx.next()
-        lx.expect("}")
-        if isinstance(scrutinee, _COMP_TYPES):
-            return CaseC(scrutinee, tuple(branches))
-        return CaseV(scrutinee, tuple(branches))
-    if tok.text.startswith("proj") and tok.text[4:].isdigit():
-        lx.next()
-        return ProjC(int(tok.text[4:]), _parse_value(lx))
-    # otherwise an application value(args), or a bare value
-    fn = _parse_value(lx)
-    if lx.at("("):
-        return ApplyC(fn, _parse_value_atom(lx))
-    return fn
-
-
-def _parse_ident(lx: _Lexer) -> str:
+def _parse_ident(lx: Lexer) -> str:
     tok = lx.next()
-    if tok.kind != "name" or tok.text.isdigit():
-        raise ParseError(f"{tok.line}:{tok.col}: expected an identifier, got {tok.text!r}")
-    return tok.text
+    if tok[0] != "name" or tok[1].isdigit():
+        raise lx.fail(tok, f"expected an identifier, got {tok[1]!r}")
+    return tok[1]
 
 
-def _parse_value(lx: _Lexer) -> Value:
-    v = _parse_value_atom(lx)
-    if lx.at("(+)"):
+_TYPE_ATOMS = {"tid": TID, "1": UNIT, "0": EMPTY}
+
+
+def _parse_type(lx: Lexer) -> LangType:
+    """``type ::= sum [-> type]``, ``sum ::= prod {+ prod}``,
+    ``prod ::= atom {* atom}``, ``atom ::= tid | 1 | 0 | ( type )``, from
+    an explicit stack: ``levels`` holds the operands read so far at the
+    arrow, sum and product levels, and each open parenthesis keeps the
+    levels around it."""
+    stack: list = []
+    levels: list[list] = [[], [], []]
+    while True:
+        tok = lx.next()
+        if tok[1] == "(":
+            stack.append(levels)
+            levels = [[], [], []]
+            continue
+        ty = _TYPE_ATOMS.get(tok[1])
+        if ty is None:
+            raise lx.fail(tok, f"expected a type, got {tok[1]!r}")
+        while True:
+            arrows, sums, prods = levels
+            prods.append(ty)
+            op = lx.peek()[1]
+            if op == "*":
+                break
+            sums.append(prods[0] if len(prods) == 1 else Prod(tuple(prods)))
+            prods.clear()
+            if op == "+":
+                break
+            arrows.append(sums[0] if len(sums) == 1 else Sum(tuple(sums)))
+            sums.clear()
+            if op == "->":
+                break
+            ty = arrows.pop()
+            while arrows:
+                ty = Arrow(arrows.pop(), ty)
+            if not stack:
+                return ty
+            lx.expect(")")
+            levels = stack.pop()
         lx.next()
-        return UnionV(v, _parse_value(lx))
-    return v
-
-
-def _parse_value_atom(lx: _Lexer) -> Value:
-    tok = lx.next()
-    if tok.kind == "tid":
-        return TidV(_parse_tid(tok.text))
-    if tok.text == "nil":
-        return NilV()
-    if tok.text == "(":
-        if lx.at(")"):
-            lx.next()
-            return UNIT_V
-        items = [_parse_value(lx)]
-        while lx.at(","):
-            lx.next()
-            items.append(_parse_value(lx))
-        lx.expect(")")
-        return items[0] if len(items) == 1 else TupleV(tuple(items))
-    if tok.text == "\\":
-        param = _parse_ident(lx)
-        annot = None
-        if lx.at(":"):
-            lx.next()
-            annot = _parse_type(lx)
-        lx.expect(".")
-        body = _parse_comp(lx)
-        return LambdaV(param, annot, body)
-    if tok.text.startswith("inj") and tok.text[3:].isdigit():
-        return InjV(int(tok.text[3:]), _parse_value_atom(lx))
-    if tok.text in ("fork", "wait", "stop", "parallel", "series"):
-        return ConstV(tok.text)
-    if tok.text in _LABELLED:
-        label_tok = lx.next()
-        if label_tok.kind != "label":
-            raise ParseError(
-                f"{label_tok.line}:{label_tok.col}: {tok.text} needs an [action] label"
-            )
-        return ConstV(tok.text, label_tok.text[1:-1])
-    if tok.kind == "name" and not tok.text.isdigit():
-        return VarV(tok.text)
-    raise ParseError(f"{tok.line}:{tok.col}: expected a value, got {tok.text!r}")
-
-
-def _parse_type(lx: _Lexer) -> LangType:
-    left = _parse_type_sum(lx)
-    if lx.at("->"):
-        lx.next()
-        return Arrow(left, _parse_type(lx))
-    return left
-
-
-def _parse_type_sum(lx: _Lexer) -> LangType:
-    parts = [_parse_type_prod(lx)]
-    while lx.at("+"):
-        lx.next()
-        parts.append(_parse_type_prod(lx))
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
-
-
-def _parse_type_prod(lx: _Lexer) -> LangType:
-    parts = [_parse_type_atom(lx)]
-    while lx.at("*"):
-        lx.next()
-        parts.append(_parse_type_atom(lx))
-    return parts[0] if len(parts) == 1 else Prod(tuple(parts))
-
-
-def _parse_type_atom(lx: _Lexer) -> LangType:
-    tok = lx.next()
-    if tok.text == "tid":
-        return TID
-    if tok.text == "1":
-        return UNIT
-    if tok.text == "0":
-        return EMPTY
-    if tok.text == "(":
-        ty = _parse_type(lx)
-        lx.expect(")")
-        return ty
-    raise ParseError(f"{tok.line}:{tok.col}: expected a type, got {tok.text!r}")
 
 
 # --- printing ------------------------------------------------------------------------

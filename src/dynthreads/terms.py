@@ -14,6 +14,10 @@ computation variables with arities, and parameter (thread-ID) names.
 Compound IDs are stored pre-quotiented as frozensets of names.  All terms
 are treated up to renaming of bound parameters; substitution renames apart
 as needed and comparison helpers work up to alpha.
+
+The textual front end here, :class:`Lexer` and :func:`read_headers`, also
+reads the programs of :mod:`dynthreads.lang`, each syntax with its own token
+table and error class.
 """
 
 from __future__ import annotations
@@ -108,9 +112,6 @@ class CompContext:
     def __str__(self) -> str:
         return ", ".join(f"{n}:{m}" for n, m in self.entries)
 
-
-EMPTY_VARS = CompContext(())
-EMPTY_TIDS = ParamContext(())
 
 
 def tidset(*names: str) -> frozenset[str]:
@@ -432,6 +433,97 @@ def derived_node(label: str, guard: frozenset[str], binder: str, cont: Term) -> 
 
 # --- textual syntax ---------------------------------------------------------
 #
+# Both syntaxes, term files here and programs in :mod:`dynthreads.lang`, share
+# one front end: the :class:`Lexer`, parameterised by each syntax's token
+# table and error class, and :func:`read_headers`.  Whitespace and ``--``
+# comments, which run to the end of their line, separate tokens, and every
+# syntax error names the line and column where it was found.
+
+# whitespace and ``--`` comments
+_SKIP_RE = re.compile(r"(?:\s|--[^\n]*)*")
+
+
+class Lexer:
+    """The tokens of a text, as ``(kind, text, line, col)`` tuples, and a
+    cursor over them.  ``table`` is a syntax's token pattern, whose named
+    groups are the token kinds, and ``error`` its exception class.  The
+    last token is ``("end", "", line, col)`` at the end of the text."""
+
+    def __init__(self, text: str, table: re.Pattern, error: type[Exception]):
+        self.error = error
+        self.toks: list[tuple[str, str, int, int]] = []
+        line, start = 1, 0  # the line at ``pos`` and the index it starts at
+        pos = seen = 0  # the newlines before ``seen`` are counted
+        while True:
+            pos = _SKIP_RE.match(text, pos).end()
+            line += text.count("\n", seen, pos)
+            start = max(start, text.rfind("\n", seen, pos) + 1)
+            seen = pos
+            if pos == len(text):
+                break
+            m = table.match(text, pos)
+            if not m:
+                raise error(f"{line}:{pos - start + 1}: cannot read {text[pos:pos+12]!r}")
+            self.toks.append((m.lastgroup, m.group(), line, pos - start + 1))
+            pos = m.end()
+        self.toks.append(("end", "", line, pos - start + 1))
+        self.pos = 0
+
+    def fail(self, tok: tuple, message: str) -> Exception:
+        """The syntax's error for ``message``, found at ``tok``."""
+        return self.error(f"{tok[2]}:{tok[3]}: {message}")
+
+    def peek(self) -> tuple[str, str, int, int]:
+        return self.toks[self.pos]
+
+    def at(self, text: str) -> bool:
+        return self.toks[self.pos][1] == text
+
+    def next(self) -> tuple[str, str, int, int]:
+        tok = self.toks[self.pos]
+        if tok[0] == "end":
+            raise self.fail(tok, "unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok[1] != text:
+            raise self.fail(tok, f"expected {text!r}, got {tok[1]!r}")
+
+    def finish(self) -> None:
+        """Raise unless every token has been read."""
+        tok = self.toks[self.pos]
+        if tok[0] != "end":
+            raise self.fail(tok, f"trailing input {tok[1]!r}")
+
+
+def read_headers(lx: Lexer, readers: dict) -> dict[str, dict]:
+    """The headers ``kw entry, ..., entry;`` at the cursor, for the keywords
+    of ``readers``, in any order: each keyword's entries as a dict.
+    ``readers[kw]`` reads one entry and returns its key and value.  A
+    keyword heads one header at most, and a key comes once in it."""
+    headers: dict[str, dict] = {}
+    while lx.peek()[1] in readers:
+        tok = lx.next()
+        kw = tok[1]
+        if kw in headers:
+            raise lx.fail(tok, f"repeated {kw} header")
+        entries = headers[kw] = {}
+        while True:
+            first = lx.peek()
+            key, value = readers[kw](lx)
+            if key in entries:
+                raise lx.fail(first, f"duplicate {kw} entry {first[1]!r}")
+            entries[key] = value
+            sep = lx.next()
+            if sep[1] == ";":
+                break
+            if sep[1] != ",":
+                raise lx.fail(sep, "expected ',' or ';'")
+    return headers
+
+
 # term file:   [vars x:1, y:0;] [tids a, b;] TERM
 # TERM      ::= fork(a. TERM, TERM) | wait(E, TERM) | stop | act[label]
 #             | x(E, ..., E) | x | node[label](E, a. TERM)
@@ -439,77 +531,19 @@ def derived_node(label: str, guard: frozenset[str], binder: str, cont: Term) -> 
 # name      ::= a run of letters, digits, _, ' and $ that is neither 0 nor a
 #               keyword; variables, header entries, binders and guards alike
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_'$]+")
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<punct>[().,;:+]|=>)|(?P<label>\[[^\]]*\])|(?P<name>{_NAME_RE.pattern}))"
-)
+_TOKEN_RE = re.compile(r"(?P<punct>[().,;:+]|=>)|(?P<label>\[[^\]]*\])|(?P<name>[A-Za-z0-9_'$]+)")
 
 _KEYWORDS = {"fork", "wait", "stop", "act", "node", "vars", "tids"}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise TermError(f"cannot tokenize near {rest[:20]!r}")
-            self.items.append(m.group("punct") or m.group("label") or m.group("name"))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise TermError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise TermError(f"expected {tok!r}, got {got!r} (token {self.pos})")
-
-
 def parse_term_file(text: str) -> tuple[CompContext, ParamContext, Term]:
-    """Parse an optional ``vars``/``tids`` header followed by a term."""
-    toks = _Tokens(text)
-    gamma = EMPTY_VARS
-    delta = EMPTY_TIDS
-    while toks.peek() in ("vars", "tids"):
-        kind = toks.next()
-        entries: list = []
-        while True:
-            name = _parse_name(toks)
-            if kind == "vars":
-                toks.expect(":")
-                arity = toks.next()
-                if not arity.isdigit():
-                    raise TermError(f"expected arity after {name}:, got {arity!r}")
-                entries.append((name, int(arity)))
-            else:
-                entries.append(name)
-            nxt = toks.next()
-            if nxt == ";":
-                break
-            if nxt != ",":
-                raise TermError(f"expected ',' or ';' in header, got {nxt!r}")
-        if kind == "vars":
-            gamma = CompContext(tuple(entries))
-        elif len(set(entries)) != len(entries):
-            raise TermError(f"duplicate parameter names: {entries}")
-        else:
-            delta = ParamContext(tuple(entries))
-    term = _parse_term(toks)
-    if toks.peek() is not None:
-        raise TermError(f"trailing input after term: {toks.peek()!r}")
+    """Parse optional ``vars``/``tids`` headers followed by a term."""
+    lx = Lexer(text, _TOKEN_RE, TermError)
+    headers = read_headers(lx, {"vars": _read_arity, "tids": _read_param})
+    gamma = CompContext(tuple(headers.get("vars", {}).items()))
+    delta = ParamContext(tuple(headers.get("tids", ())))
+    term = _parse_term(lx)
+    lx.finish()
     return gamma, delta, term
 
 
@@ -517,102 +551,117 @@ def parse_term(text: str) -> Term:
     return parse_term_file(text)[2]
 
 
-def _parse_term(toks: _Tokens) -> Term:
+def _read_arity(lx: Lexer) -> tuple[str, int]:
+    name = _parse_name(lx)
+    lx.expect(":")
+    arity = lx.next()
+    if not arity[1].isdigit():
+        raise lx.fail(arity, f"expected arity after {name}:, got {arity[1]!r}")
+    return name, int(arity[1])
+
+
+def _read_param(lx: Lexer) -> tuple[str, str]:
+    name = _parse_name(lx)
+    return name, name
+
+
+def _parse_term(lx: Lexer) -> Term:
     """``TERM``, from an explicit stack of the operations still open: each
     holds how many subterms it takes, those parsed so far and its
     constructor, and a finished subterm closes every operation it
     completes."""
     stack: list = []
     while True:
-        head = toks.next() if toks.peek() in _KEYWORDS else None
+        tok = lx.peek()
+        head = lx.next()[1] if tok[1] in _KEYWORDS else None
         if head in ("fork", "wait", "node"):
-            label = _parse_label(toks) if head == "node" else None
-            toks.expect("(")
+            label = _parse_label(lx) if head == "node" else None
+            lx.expect("(")
             if head == "fork":
-                stack.append((2, [], partial(Fork, _parse_name(toks))))
-                toks.expect(".")
+                stack.append((2, [], partial(Fork, _parse_name(lx))))
+                lx.expect(".")
                 continue
-            guard = _parse_guard(toks)
-            toks.expect(",")
+            guard = _parse_guard(lx)
+            lx.expect(",")
             if head == "node":
-                stack.append((1, [], partial(derived_node, label, guard, _parse_name(toks))))
-                toks.expect(".")
+                stack.append((1, [], partial(derived_node, label, guard, _parse_name(lx))))
+                lx.expect(".")
             else:
                 stack.append((1, [], partial(Wait, guard)))
             continue
         if head is None:
-            term = _parse_var_app(toks)
+            term = _parse_var_app(lx)
         elif head == "stop":
             term = STOP
         elif head == "act":
-            term = Act(_parse_label(toks))
+            term = Act(_parse_label(lx))
         else:
-            raise TermError(f"unexpected token {head!r}")
+            raise lx.fail(tok, f"unexpected token {head!r}")
         while stack:
             arity, parsed, build = stack[-1]
             parsed.append(term)
             if len(parsed) < arity:
-                toks.expect(",")
+                lx.expect(",")
                 break
-            toks.expect(")")
+            lx.expect(")")
             stack.pop()
             term = build(*parsed)
         else:
             return term
 
 
-def _parse_var_app(toks: _Tokens) -> Var:
+def _parse_var_app(lx: Lexer) -> Var:
     """A variable application, or a bare 0-ary variable."""
-    name = _parse_name(toks)
-    if toks.peek() != "(":
+    name = _parse_name(lx)
+    if not lx.at("("):
         return Var(name, ())
-    toks.next()
+    lx.next()
     args: list[frozenset[str]] = []
     while True:
-        args.append(_parse_guard(toks))
-        nxt = toks.next()
-        if nxt == ")":
+        args.append(_parse_guard(lx))
+        nxt = lx.next()
+        if nxt[1] == ")":
             break
-        if nxt != ",":
-            raise TermError(f"expected ',' or ')' in argument list, got {nxt!r}")
+        if nxt[1] != ",":
+            raise lx.fail(nxt, f"expected ',' or ')' in argument list, got {nxt[1]!r}")
     return Var(name, tuple(args))
 
 
-def _parse_guard(toks: _Tokens) -> frozenset[str]:
+def _parse_guard(lx: Lexer) -> frozenset[str]:
     """``E ::= 0 | name | E + E | ( E )``, read as the set of its names;
     ``depth`` counts the parentheses still open."""
     names: set[str] = set()
     depth = 0
     while True:
-        while toks.peek() == "(":
-            toks.next()
+        while lx.at("("):
+            lx.next()
             depth += 1
-        if toks.peek() == "0":
-            toks.next()
+        if lx.at("0"):
+            lx.next()
         else:
-            names.add(_parse_name(toks))
-        while toks.peek() != "+":
+            names.add(_parse_name(lx))
+        while not lx.at("+"):
             if not depth:
                 return frozenset(names)
-            toks.expect(")")
+            lx.expect(")")
             depth -= 1
-        toks.next()
+        lx.next()
 
 
-def _parse_name(toks: _Tokens) -> str:
-    tok = toks.next()
-    if tok in _KEYWORDS or tok == "0" or not _NAME_RE.fullmatch(tok):
-        raise TermError(f"expected a name, got {tok!r} (token {toks.pos})")
-    return tok
+def _parse_name(lx: Lexer) -> str:
+    tok = lx.next()
+    if tok[0] != "name" or tok[1] in _KEYWORDS or tok[1] == "0":
+        raise lx.fail(tok, f"expected a name, got {tok[1]!r}")
+    return tok[1]
 
 
-def _parse_label(toks: _Tokens) -> str:
-    tok = toks.next()
-    if not (tok.startswith("[") and tok.endswith("]")):
-        raise TermError(f"expected [label], got {tok!r}")
-    label = tok[1:-1].strip()
+def _parse_label(lx: Lexer) -> str:
+    tok = lx.next()
+    if tok[0] != "label":
+        raise lx.fail(tok, f"expected [label], got {tok[1]!r}")
+    label = tok[1][1:-1].strip()
     if not label:
-        raise TermError("empty action label")
+        raise lx.fail(tok, "empty action label")
     return label
 
 

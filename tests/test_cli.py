@@ -270,7 +270,7 @@ def test_run_refuses_a_program_with_a_world_header(tmp_path, capsys):
 def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "case.prog", "case\n")
     assert main(["check", path]) == 2
-    assert capsys.readouterr().err == "error: ParseError: unexpected end of input\n"
+    assert capsys.readouterr().err == "error: ParseError: 2:1: unexpected end of input\n"
 
 
 def test_the_environment_sets_no_budget(monkeypatch, capsys):

@@ -459,9 +459,11 @@ def test_parse_errors_carry_locations():
     ),
 ])
 def test_parse_errors_name_what_went_wrong(src, message):
+    # the two messages above without a line:col are given theirs here
+    at = {"ret": "1:4: ", "wait(#1.2)": "1:6: "}.get(src, "")
     with pytest.raises(ParseError) as exc:
         parse_program(src)
-    assert str(exc.value) == message
+    assert str(exc.value) == at + message
 
 
 def test_unannotated_lambda_round_trips():
@@ -494,6 +496,31 @@ def test_world_header_round_trip():
     assert world == {(1,), (2, 1)}
     text = print_program(world, comp)
     assert text == "world #0.1, #0.2.1;\nwait(#0.1)\n"
+
+
+@pytest.mark.parametrize("src, message", [
+    ("world #0.1; world #0.2; stop()", "1:13: repeated world header"),
+    ("world #0.1, #0.2, #0.1; stop()", "1:19: duplicate world entry '#0.1'"),
+    ("world #0.1, #0.01; stop()", "1:13: duplicate world entry '#0.01'"),
+])
+def test_a_world_header_comes_once_and_names_each_thread_once(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert str(exc.value) == message
+
+
+def test_parsing_keeps_no_stack_frame_per_construct():
+    # no timing assertion; deep trees are compared by their text, since
+    # record ``==`` recurses
+    chain = "".join(f"print[p{k}](); " for k in range(10_000)) + "stop()"
+    wide = "".join(f"let x{k} = node[s{k}](nil) in " for k in range(4_096)) + "stop()"
+    lambdas = "ret \\x. " * 2_000 + "stop()"
+    pairs = "ret " + "(nil, " * 2_000 + "nil" + ")" * 2_000
+    cases = "case " * 2_000 + "x" + " of {}" * 2_000
+    for text in (chain, wide, lambdas, pairs, cases):
+        printed = print_program(*parse_program(text))
+        assert printed == text + "\n"
+        assert print_program(*parse_program(printed)) == printed
 
 
 def test_subst_value_stops_at_binders_of_the_same_name():

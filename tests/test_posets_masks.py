@@ -34,7 +34,8 @@ from dynthreads.posets import (
     make_poset,
 )
 from dynthreads.denote import denote
-from dynthreads.terms import EMPTY_TIDS, EMPTY_VARS
+from dynthreads.terms import CompContext
+from dynthreads.tids import ParamContext
 
 import pair_oracle
 from corpus import corpus_names, load_surface
@@ -43,6 +44,9 @@ from model_oracle import raw_poset
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import limits  # noqa: E402
+
+EMPTY_VARS = CompContext(())
+EMPTY_TIDS = ParamContext(())
 
 
 def _ones(mask: int) -> list[int]:

@@ -68,7 +68,21 @@ def test_reached_lines_follow_the_run_and_its_threads(tmp_path):
 def test_report_prints_ranges_per_file_and_the_total(tmp_path, capsys):
     path = _toy(tmp_path)
     assert src_reached.ranges([7, 1, 2, 3, 12]) == "1-3, 7, 12"
-    assert src_reached.report({str(path): {1, 4, 6, 8, 11}}) == 2
+    assert src_reached.report({str(path): {7, 12}}) == 2
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].endswith("toy.py: 7, 12") and rows[0].split()[0] == "2"
     assert rows[1].split() == ["2", "total"]
+
+
+def test_a_file_edited_during_the_run_is_judged_by_the_code_that_ran(tmp_path):
+    path = _toy(tmp_path)
+
+    def run():
+        result = _import(path).sign(1)
+        # two lines more above everything that ran
+        path.write_text('"""Module docstring,\n\nnow longer."""\n' + TOY.split("\n", 1)[1])
+        return result
+
+    missing, result = src_reached.unreached_lines([path], run)
+    assert result == 1
+    assert missing == {str(path): {7, 12}}

@@ -367,17 +367,40 @@ def test_malformed_term_files_raise_term_error(text):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("stop #", "cannot tokenize near '#'"),
+    ("vars x:1; vars y:0; y", "1:11: repeated vars header"),
+    ("tids a; tids b; stop", "1:9: repeated tids header"),
+    ("tids a; vars x:0; tids b; x", "1:19: repeated tids header"),
+    ("vars x:1, x:0; stop", "1:11: duplicate vars entry 'x'"),
+    ("tids a, b, a; stop", "1:12: duplicate tids entry 'a'"),
+])
+def test_each_header_comes_once_and_names_each_entry_once(text, message):
+    with pytest.raises(TermError) as exc:
+        parse_term_file(text)
+    assert str(exc.value) == message
+    # in any order, each header once
+    gamma, delta, term = parse_term_file("tids b, a; vars y:0, x:1; y")
+    assert gamma == CompContext((("y", 0), ("x", 1)))
+    assert (delta, term) == (ParamContext(("b", "a")), Var("y"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("stop #", "cannot read '#'"),
     ("vars x:y; stop", "expected arity after x:, got 'y'"),
-    ("tids a b; stop", "expected ',' or ';' in header, got 'b'"),
+    ("tids a b; stop", "expected ',' or ';'"),
     ("fork(a. vars, stop)", "unexpected token 'vars'"),
     ("x(a b)", "expected ',' or ')' in argument list, got 'b'"),
     ("act x", "expected [label], got 'x'"),
     ("act[ ]", "empty action label"),
     # a 0-ary call is written ``x``
-    ("vars x:0; x()", "expected a name, got ')' (token 8)"),
+    ("vars x:0; x()", "expected a name, got ')'"),
 ])
 def test_term_file_parse_errors_name_what_went_wrong(text, message):
+    # each error opens with the line:col of the token it was found at
+    at = {
+        "stop #": "1:6", "vars x:y; stop": "1:8", "tids a b; stop": "1:8",
+        "fork(a. vars, stop)": "1:9", "x(a b)": "1:5", "act x": "1:5", "act[ ]": "1:4",
+        "vars x:0; x()": "1:13",
+    }
     with pytest.raises(TermError) as exc:
         parse_term_file(text)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{at[text]}: {message}"

@@ -89,10 +89,17 @@ def cmd_eq(args) -> int:
     return 1
 
 
-def _load_program_for_run(path: str):
+def _load_closed_program(path: str):
+    """The program of ``path``, which must have no world header; it is not
+    type checked, since :func:`denote` and :func:`adequacy_check` check it."""
     world, comp = parse_program(_read(path))
     if world:
         raise CliError("run/explore/denote expect programs in the empty world")
+    return comp
+
+
+def _load_program_for_run(path: str):
+    comp = _load_closed_program(path)
     typecheck_comp({}, frozenset(), comp)
     return comp
 
@@ -190,7 +197,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_denote(args) -> int:
-    comp = _load_program_for_run(args.path)
+    comp = _load_closed_program(args.path)
     d = denote(comp, frozenset())
     if args.format == "json":
         print(_json({"term": print_term(d.term), "poset": poset_to_json(d.poset)}), end="")
@@ -203,7 +210,7 @@ def cmd_denote(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    comp = _load_program_for_run(args.path)
+    comp = _load_closed_program(args.path)
     report = adequacy_check(comp, policy=args.policy, seed=args.seed, fuel=args.fuel)
     data = {
         "program": args.path,

@@ -150,13 +150,14 @@ def tid_str(path: Tid) -> str:
 
 
 # Syntax nodes are records (see :mod:`dynthreads.record`), whose hash is
-# cached in their ``__dict__``: syntax trees are shared aggressively between
-# machine configurations, and exploration hashes configurations constantly.
-# A node keeps its set of free variables there the same way, once
-# :func:`is_core` has walked it or :func:`subst_value` has asked for it, and
-# the thread IDs it names once a memoizing type check has, or once
-# :func:`subst_value` has rebuilt it from a node that kept them (see
-# :func:`_names`).
+# cached in their ``__dict__``.  No run, exploration or gate hashes one: the
+# typing memo keys a node by its ``id`` and hashes only the types in its
+# keys, and only the tests' schedule-graph walk hashes configurations, and
+# with them the syntax trees their thread states share.  A node keeps its
+# set of free variables there the same way, once :func:`is_core` has
+# walked it or :func:`subst_value` has asked for it, and the thread IDs it
+# names once a memoizing type check has, or once :func:`subst_value` has
+# rebuilt it from a node that kept them (see :func:`_names`).
 
 @record
 class VarV:
@@ -326,12 +327,6 @@ World = frozenset
 def typecheck_comp(env: Mapping[str, LangType], world: World, t: Comp) -> LangType:
     """Synthesize the type of a computation; raise on failure."""
     return _comp(env, world, t, None)
-
-
-def check_comp(env: Mapping[str, LangType], world: World, t: Comp, ty: LangType, memo=None) -> None:
-    """Check a computation against ``ty``; raise on failure.  ``memo`` is
-    the caller's typing memo, if any (see above)."""
-    _comp(env, world, t, ty, memo)
 
 
 def _expect(got: LangType, want: Optional[LangType]) -> LangType:
@@ -1057,6 +1052,10 @@ def _print_parts(node) -> list:
     match node:
         case VarV(name):
             return [name]
+        # a one-item tuple's text is its item's in parentheses, which the
+        # parser reads as the item alone, so no text reads back as it
+        case TupleV((_,)) | ApplyC(_, TupleV((_,))):
+            raise TypeError("no text parses as a one-item TupleV")
         case TupleV(items):
             return ["(", *_print_commas(items), ")"]
         case InjV(i, inner):
@@ -1090,7 +1089,7 @@ def _print_parts(node) -> list:
             raise TypeError(f"no text parses as a SeqC of a {type(node.first).__name__}")
         case CaseC(comp, branches):
             return ["case ", comp, " of ", *_print_branches(branches)]
-        case ApplyC(fn, TupleV(items)) if len(items) != 1:
+        case ApplyC(fn, TupleV(items)):
             return [*_print_atom(fn), "(", *_print_commas(items), ")"]
         case ApplyC(fn, arg):
             return [*_print_atom(fn), "(", arg, ")"]

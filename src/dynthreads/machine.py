@@ -18,9 +18,9 @@ otherwise reduces the focus (:func:`_reduce`: beta, ``let`` of a value,
 ``proj``, ``case``), and then descends only into the new focus.  The pure
 step is the only evaluator of the pure fragment: :mod:`dynthreads.denote`
 elaborates denotations with it too.  A thread state becomes a computation
-again (:func:`_plug`) only when something reads it whole: the command
-line's trace, a step that breaks the preservation check, or a deadlocked
-configuration.
+again (:func:`_plug`) only for the command line's trace, which prints it:
+the preservation check types states as frames and focus, and a deadlock
+is named from the thread map.
 
 A thread's waits are the ones steps wrote for it: a ``wait`` adds the
 awaited threads to the acting thread's set, and a forked child starts with
@@ -43,9 +43,9 @@ nothing.  It keeps its scheduler state across steps (the thread map, the
 finished threads, spawn counts, unfinished waits and the runnable threads
 in tid order), and a step updates only the entries it wrote and, when it
 finishes a thread, the threads waiting on it; a pure step updates its own
-entry alone.  It builds a configuration for its end only.  Its one hook,
-``on_local``, sees each local step before it is applied.  That is how
-:func:`run_with_preservation` checks what each step wrote, typing each
+entry alone.  It builds a configuration only for a terminal end.  Its one
+hook, ``on_local``, sees each local step before it is applied.  That is
+how :func:`run_with_preservation` checks what each step wrote, typing each
 written state as its frames and focus, and how the command line prints
 trace lines, which plug the acting thread's new state.
 
@@ -97,7 +97,6 @@ from .lang import (
     UNIT_V,
     _comp,
     _tids,
-    check_comp,
     is_core,
     print_comp,
     subst_value,
@@ -171,7 +170,7 @@ class _LocalOut(NamedTuple):
 # immutable stack of ``let`` nodes, ``()`` or ``(frame, frames below)``,
 # innermost on top, of which only the variable and the body are read, and
 # ``focus`` is the computation they wait for.  A state is plugged back into
-# a computation (:func:`_plug`) only when something reads it whole.
+# a computation (:func:`_plug`) only by the command line's trace.
 
 def _descend(frames: tuple, comp: Comp) -> tuple:
     """The thread state of ``comp`` under ``frames``: the ``let`` frames
@@ -289,10 +288,11 @@ def _writes_finished(step: int, t: Tid) -> MachineError:
     return MachineError(f"step {step} writes finished thread {tid_str(t)}")
 
 
-def _deadlock(c: Configuration) -> Deadlock:
-    """The error for a non-terminal configuration with no steps, naming
-    its unfinished threads."""
-    stuck = ", ".join(tid_str(t) for t, state, _ in c.threads if state != FINISHED)
+def _deadlock(entries: Iterable) -> Deadlock:
+    """The error for a non-terminal configuration with no steps, given as
+    its ``(tid, state, waits)`` entries in tid order, naming its unfinished
+    threads."""
+    stuck = ", ".join(tid_str(t) for t, state, _ in entries if state is not FINISHED)
     return Deadlock(f"deadlocked configuration with no enabled steps: {stuck}")
 
 
@@ -381,8 +381,9 @@ def run(
     who waits on whom, and the runnable tids in tid order.  A pure step,
     which writes only its own thread, adds no wait and does not finish it,
     replaces that one entry and leaves the runnable list alone unless the
-    thread returned.  A configuration is built only for the end of the
-    run, and its states are plugged only if it deadlocked.  This relies on
+    thread returned.  A configuration is built only for a terminal end; a
+    deadlock is named from the thread map (:func:`_deadlock`), and nothing
+    is plugged.  This relies on
     finished being final, which every local step keeps by writing only its
     own thread and a new child; a step that writes a finished thread raises
     :class:`MachineError`."""
@@ -456,10 +457,7 @@ def run(
         for _, t in new_prec:
             settle(t)
     if len(finished) < len(threads):
-        raise _deadlock(Configuration(tuple(sorted(
-            (t, state if state is FINISHED else _plug(state), waits)
-            for t, state, waits in threads.values()
-        ))))
+        raise _deadlock(sorted(threads.values()))
     return RunResult(Configuration(tuple(sorted(threads.values()))), tuple(events))
 
 
@@ -670,36 +668,6 @@ def run_exhaustive(comp: Comp, max_states: int = DEFAULT_BUDGET) -> tuple:
 
 # --- well-formed configurations ----------------------------------------------------
 
-def _ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> Optional[str]:
-    """The wait and typing conditions on ``entries``, ``(tid, state,
-    waits)``, where ``rank`` maps each known thread to its place in the
-    creation order (:func:`_rank`): each wait names a known thread of
-    smaller rank, and each unfinished thread type checks in the world of
-    the known threads of smaller rank that its state names.  That world
-    gives the judgement of the whole prefix, because typing reads the world
-    only by asking about the thread IDs a node names (see
-    :mod:`dynthreads.lang`).  The first violation in the order of
-    ``entries`` is named, waits before typing.
-
-    Wait sets need not be closed: if every wait goes forward in the order,
-    so does every pair of their closure, which is therefore acyclic."""
-    for tid, _, waits in entries:
-        for b in waits:
-            if b not in rank:
-                return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
-            if rank[b] >= rank[tid]:
-                return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
-    for tid, state, _ in entries:
-        if state == FINISHED:
-            continue
-        world = frozenset(b for b in _tids(state) if b in rank and rank[b] < rank[tid])
-        try:
-            check_comp({}, world, state, result_type, memo)
-        except LangError as exc:
-            return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
-    return None
-
-
 def _rank(tid: Tid) -> tuple:
     """The place of ``tid`` in the creation order, the post-order of the
     spawn tree: a thread comes after the subtrees of its children and of
@@ -714,15 +682,47 @@ def _rank(tid: Tid) -> tuple:
     return tid + (inf,)
 
 
-def _world(tid: Tid, state: tuple, rank: dict) -> frozenset:
-    """The world :func:`_ill_formed` types the thread state ``state`` of
-    ``tid`` in, found without plugging it: the known threads of smaller rank
-    that its focus and its frame bodies name."""
+def _bad_wait(entries: Iterable, known) -> Optional[str]:
+    """The first wait of ``entries``, ``(tid, state, waits)``, that names a
+    thread not in ``known`` or one that is not earlier in the creation
+    order (:func:`_rank`).  Wait sets need not be closed: if every wait
+    goes forward in the order, so does every pair of their closure, which
+    is therefore acyclic."""
+    for tid, _, waits in entries:
+        for b in waits:
+            if b not in known:
+                return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
+            if _rank(b) >= _rank(tid):
+                return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
+    return None
+
+
+def _ill_typed(entries: Iterable, known, result_type: LangType, memo) -> Optional[str]:
+    """The first unfinished thread of ``entries``, ``(tid, state, waits)``,
+    whose thread state does not check against ``result_type`` in its world
+    (:func:`_world`, :func:`_check_state`)."""
+    for tid, state, _ in entries:
+        if state is FINISHED:
+            continue
+        try:
+            _check_state(_world(tid, state, known), state, result_type, memo)
+        except LangError as exc:
+            return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
+    return None
+
+
+def _world(tid: Tid, state: tuple, known) -> frozenset:
+    """The world the thread state ``state`` of ``tid`` is typed in: the
+    threads of ``known`` before it in the creation order that its focus
+    and its frame bodies name.  That world gives the judgement of the whole
+    prefix, because typing reads the world only by asking about the thread
+    IDs a node names (see :mod:`dynthreads.lang`)."""
     frames, named = state[0], [_tids(state[1])]
     while frames:
         frame, frames = frames
         named.append(_tids(frame.body))
-    return frozenset(b for names in named for b in names if b in rank and rank[b] < rank[tid])
+    rank = _rank(tid)
+    return frozenset(b for names in named for b in names if b in known and _rank(b) < rank)
 
 
 def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) -> None:
@@ -730,10 +730,10 @@ def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) ->
     ``world`` without plugging it: synthesize the focus's type, then type
     each frame body, innermost first, with only its own variable bound, to
     the type found below it, and check the outermost one against
-    ``result_type``.  That is the judgement :func:`_ill_formed` gives the
-    plugged state (:func:`_plug`), since a ``let`` synthesizes its bound and
-    types its body at that type, and a closed thread's frame body has no
-    other free variable.  Raises :class:`LangError` on failure."""
+    ``result_type``.  That is the judgement the plugged state (:func:`_plug`)
+    has, in the same order, since a ``let`` synthesizes its bound and types
+    its body at that type, and a closed thread's frame body has no other
+    free variable.  Raises :class:`LangError` on failure."""
     frames, comp = state
     env: dict = {}
     while frames:
@@ -751,23 +751,25 @@ def run_with_preservation(
     fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
     """Run while asserting that every configuration is well formed in its
-    creation order (:func:`_rank`): each wait names an earlier thread and
-    each unfinished thread type checks against the threads before it
-    (:func:`_ill_formed`).  Returns the result and the number of checks.
+    creation order (:func:`_rank`): each wait names an earlier thread
+    (:func:`_bad_wait`) and each unfinished thread type checks against the
+    threads before it (:func:`_ill_typed`).  Returns the result and the
+    number of checks.
 
-    The first configuration is checked whole.  Then one ``on_local`` hook
-    writes the thread states each step wrote into a thread map of its own
-    (:func:`_write`) and checks the entries the step wrote, read off its
-    local step: the threads it lists and the threads its wait pairs end at,
-    with ranks (:func:`_rank`) for the known threads.  Of the acting
-    thread's waits only the step's new ones are checked.  A thread the step
-    gives the acting thread's wait set, such as a new child, has that set
-    checked by one comparison: the run keeps the largest rank in each
-    thread's wait set, and every wait in it names a known thread, so the set
-    goes forward exactly when that rank is below the thread's own.  Each
-    written state is typed as its frames and focus (:func:`_check_state`),
-    in the world its plugged state would have (:func:`_world`), so nothing
-    is plugged: this is subject reduction one step at a time (Wright &
+    The first configuration is the root's thread state, which is typed.
+    Then one ``on_local`` hook writes the thread states each step wrote
+    into a thread map of its own (:func:`_write`), whose keys are the known
+    threads, and checks the entries the step wrote, read off its local
+    step: the threads it lists and the threads its wait pairs end at, in
+    tid order, waits before typing.  Of the acting thread's waits only the
+    step's new ones can break the order.  A thread the step gives the
+    acting thread's wait set, such as a new child, has that set judged by
+    one comparison: the hook keeps the largest rank in each thread's wait
+    set, and every wait in it names a known thread, so the set goes forward
+    exactly when that rank is below the thread's own.  Only when one of
+    these tests fails are the written wait sets read to name the wait.
+    Each written state is typed as its frames and focus, so nothing is
+    plugged: this is subject reduction one step at a time (Wright &
     Felleisen 1994).  That covers every configuration:
       - A step replaces the entries it writes and keeps every other one as
         it was, and threads never leave the world.
@@ -775,11 +777,10 @@ def run_with_preservation(
         known thread of smaller rank: ranks are fixed per tid and the known
         threads only grow.  A kept entry's state still type checks, since
         the known threads of smaller rank that it names only grow.
-    So a violation can only be in a written entry.  The one reported is the
-    one the whole check would report first: on a violation the written
-    entries are plugged and checked again whole, in tid order, by
-    :func:`_ill_formed`, which words every message.  The tests keep the
-    whole check at every step as the oracle.
+    So a violation can only be in a written entry, and the one reported is
+    the one a check of the whole configuration would report first.  The
+    tests keep that whole check at every step, on plugged states, as the
+    oracle.
 
     The hook runs before :func:`run` checks the step, so it passes over a
     step that writes a finished thread, which the run then refuses.
@@ -792,43 +793,33 @@ def run_with_preservation(
     focus."""
     memo: dict = {}
     threads = {(): ((), _descend((), comp), _NO_WAITS)}
-    rank = {(): _rank(())}
     top = {(): ()}  # tid -> the largest rank in its wait set; () is below every rank
-    bad = _ill_formed([((), comp, _NO_WAITS)], rank, result_type, memo)
+    bad = _ill_typed(threads.values(), threads, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
 
-    def typed(t: Tid, state) -> bool:
-        try:
-            _check_state(_world(t, state, rank), state, result_type, memo)
-        except LangError:
-            return False
-        return True
-
     def check(a: Tid, _: int, local: _LocalOut) -> None:
         nonlocal steps
-        written = dict.fromkeys([t for t, _ in local.threads] + [y for _, y in local.new_prec])
+        written = sorted({t for t, _ in local.threads} | {y for _, y in local.new_prec})
         if any(t in threads and threads[t][1] is FINISHED for t in written):
             return  # run refuses the step
         steps += 1
         inherited = top[a]
         _write(threads, threads[a][2], local)
         for t, _ in local.threads:
-            rank[t], top[t] = _rank(t), inherited
+            top[t] = inherited
         for b, y in local.new_prec:
-            if b in rank and rank[b] > top[y]:
-                top[y] = rank[b]
-        if (
-            any(inherited >= rank[t] for t, _ in local.threads if t != a)
-            or any(b not in rank or rank[b] >= rank[y] for b, y in local.new_prec)
-            or not all(typed(t, s) for t, s in local.threads if s is not FINISHED)
-        ):
-            entries = [
-                (t, s if s is FINISHED else _plug(s), waits)
-                for t, s, waits in map(threads.__getitem__, sorted(written))
-            ]
-            bad = _ill_formed(entries, rank, result_type, memo)
+            if b in threads and _rank(b) > top[y]:
+                top[y] = _rank(b)
+        entries = [threads[t] for t in written]
+        waits_break = any(inherited >= _rank(t) for t, _ in local.threads if t != a) or any(
+            b not in threads or _rank(b) >= _rank(y) for b, y in local.new_prec
+        )
+        bad = (waits_break and _bad_wait(entries, threads)) or _ill_typed(
+            entries, threads, result_type, memo
+        )
+        if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
     result = run(comp, policy, seed, fuel, on_local=check)

@@ -9,9 +9,10 @@ class, by one ``exec``; the others are shared:
 
 * ``==`` holds between records of the same class whose field values are
   equal, so ``Prod((TID,)) != Sum((TID,))``; ``hash`` is the hash of the
-  tuple of field values, cached in the instance ``__dict__`` on first use,
-  because syntax trees are shared between machine configurations that
-  are hashed over and over;
+  tuple of field values, cached in the instance ``__dict__`` on first use.
+  What hashes records today is the typing memo of :mod:`dynthreads.lang`,
+  whose keys hold types, and the tests' schedule-graph walk, which hashes
+  configurations and the syntax trees they share;
 * ``repr`` is ``Name(field=value!r, ...)``;
 * assigning or deleting an attribute raises :class:`AttributeError`;
 * ``__match_args__`` lists the fields, for class patterns;

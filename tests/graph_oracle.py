@@ -16,8 +16,10 @@ its terminal one, and read configurations through :func:`world`,
 
 The whole well-formedness check is kept here too, the oracle for
 :func:`~dynthreads.machine.run_with_preservation`, which checks only what
-each step wrote: :func:`check_config_well_formed` checks a whole
-configuration in its :func:`creation_order`.
+each step wrote, on thread states: :func:`check_config_well_formed` checks
+a whole configuration of computations (:func:`ill_formed`, with
+:func:`check_comp`) in its :func:`creation_order`, or in any potential
+creation order.
 
 The walk builds a partial-order-reduced schedule graph by default: in a
 configuration where some thread can take a silent step (fork, wait, stop,
@@ -62,11 +64,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from dynthreads import machine
+from dynthreads import lang, machine
 from dynthreads.lang import (
-    UNIT_V, Comp, InjV, LangType, LetC, Ret, Tid, TidV, _bottom_up, is_core, tids_of_value,
+    UNIT_V, Comp, InjV, LangError, LangType, LetC, Ret, Tid, TidV, _bottom_up, _tids,
+    is_core, tid_str, tids_of_value,
 )
 from dynthreads.machine import (
     DEFAULT_BUDGET,
@@ -167,8 +170,8 @@ def break_typing(monkeypatch, broken) -> None:
     """Break the machine's typing of thread states and the whole check's
     typing alike: ``broken`` takes a check over plugged computations,
     ``check(gamma, world, comp, ty, memo)``, and returns the broken one.
-    The whole check (``machine._ill_formed``) takes the broken
-    ``check_comp``; the machine's typing of a thread state
+    The whole check (:func:`ill_formed`) takes the broken
+    :func:`check_comp`; the machine's typing of a thread state
     (``machine._check_state``) takes the broken version of its own, read
     over computations, with each state it is given plugged
     (``machine._plug``) and each computation refocused
@@ -185,8 +188,42 @@ def break_typing(monkeypatch, broken) -> None:
     def plugged_state(world, state, ty, memo):
         return broken_machine({}, world, machine._plug(state), ty, memo)
 
-    monkeypatch.setattr(machine, "check_comp", broken(machine.check_comp))
+    monkeypatch.setitem(globals(), "check_comp", broken(check_comp))
     monkeypatch.setattr(machine, "_check_state", plugged_state)
+
+
+def check_comp(env, world, t: Comp, ty: LangType, memo=None) -> None:
+    """Check a computation against ``ty``; raise on failure.  ``memo`` is
+    a typing memo, if any (see :mod:`dynthreads.lang`).  The judgement is
+    looked up on :mod:`dynthreads.lang` at every call, so a test can count
+    its calls there."""
+    lang._comp(env, world, t, ty, memo)
+
+
+def ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> Optional[str]:
+    """The whole check of a configuration, given as its ``(tid, state,
+    waits)`` entries, whose states are computations or ``FINISHED``, in
+    the creation order ``rank`` gives, a map from each known thread to its
+    place: each wait names a known thread of smaller rank, and each
+    unfinished thread type checks (:func:`check_comp`) in the world of the
+    known threads of smaller rank that its state names.  The first
+    violation in the order of ``entries`` is named, waits before typing,
+    in the words of :func:`~dynthreads.machine.run_with_preservation`."""
+    for tid, _, waits in entries:
+        for b in waits:
+            if b not in rank:
+                return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
+            if rank[b] >= rank[tid]:
+                return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
+    for tid, state, _ in entries:
+        if state == FINISHED:
+            continue
+        world = frozenset(b for b in _tids(state) if b in rank and rank[b] < rank[tid])
+        try:
+            check_comp({}, world, state, result_type, memo)
+        except LangError as exc:
+            return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
+    return None
 
 
 def initial(comp: Comp) -> Configuration:
@@ -219,12 +256,12 @@ def check_config_well_formed(
     siblings created in the given linear order: the order lists the world,
     every thread waits only on known threads that come earlier, and every
     unfinished thread type checks against the threads before it
-    (:func:`~dynthreads.machine._ill_formed`, without a typing memo)."""
+    (:func:`ill_formed`, without a typing memo)."""
     tids = world(c)
     if set(order) != tids or len(order) != len(tids):
         return "order is not a linear order on the world"
     rank = {tid: i for i, tid in enumerate(order)}
-    return machine._ill_formed(c.threads, rank, result_type, None)
+    return ill_formed(c.threads, rank, result_type, None)
 
 
 def creation_order(threads: Iterable[Tid]) -> tuple:  # tuple[Tid, ...]
@@ -257,7 +294,7 @@ def reference_run(comp, policy="lowest-tid", seed=None, fuel=DEFAULT_BUDGET,
         if not runnable:
             if c.is_terminal():
                 return RunResult(c, tuple(events))
-            raise _deadlock(c)
+            raise _deadlock(c.threads)
         if len(events) >= fuel:
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
         tid, state, waits, ordinal = choose(runnable)
@@ -368,7 +405,7 @@ def _state_graph(comp: Comp, max_states: int, *, reduce: bool = True):
             return c0, steps_of, first_event, True
         steps = expand(c)
         if not steps and not c.is_terminal():
-            raise _deadlock(c)
+            raise _deadlock(c.threads)
         if reduce:
             silent = next((s for s in steps if s[0].action is None), None)
             if silent is not None:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dynthreads import machine
+from dynthreads import cli, denote, machine
 from dynthreads.cli import _pomset_text, _trace_line, main
 from dynthreads.machine import DEFAULT_BUDGET, Configuration
 
@@ -193,6 +193,26 @@ def test_adequacy_json_contains_both_posets(capsys):
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert '"observed"' in out and '"denoted"' in out and '"verdict": "ok"' in out
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "denote", "adequacy"])
+def test_each_program_command_type_checks_the_program_once(monkeypatch, tmp_path, capsys, command):
+    # denote and adequacy_check type check what they are given, so the
+    # command line does not check it first; an ill-typed program is
+    # refused by that one check
+    calls = []
+    for module in (cli, denote):
+        def counted(*args, job=module.typecheck_comp):
+            calls.append(args[2])
+            return job(*args)
+
+        monkeypatch.setattr(module, "typecheck_comp", counted)
+    assert main([command, str(PROGRAMS_DIR / "nshape.prog")]) == 0
+    assert len(calls) == 1, calls
+    calls.clear()
+    assert main([command, _write(tmp_path, "bad.prog", "wait(()); stop()")]) == 2
+    assert len(calls) == 1, calls
+    assert capsys.readouterr().err == "error: TypeCheckError: expected tid, found 1\n"
 
 
 def test_denote_formats(capsys):

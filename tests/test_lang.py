@@ -34,7 +34,6 @@ from dynthreads.lang import (
     Sum,
     TypeCheckError,
     UnknownTid,
-    check_comp,
     desugar,
     is_core,
     parse_comp,
@@ -50,6 +49,7 @@ from dynthreads.lang import (
 from dynthreads.lang import _free, _parts, _rebuild, _value
 
 from corpus import PROGRAMS_DIR, corpus_names
+from graph_oracle import check_comp
 
 
 def typecheck_value(env, world, v):
@@ -417,11 +417,15 @@ _WAIT_NIL = ApplyC(ConstV("wait"), NilV())
     ),
     (SeqC(SeqC(_WAIT_NIL, _WAIT_NIL), _WAIT_NIL), "no text parses as a SeqC of a SeqC"),
     (SeqC(LetC("x", _WAIT_NIL, _WAIT_NIL), _WAIT_NIL), "no text parses as a SeqC of a LetC"),
+    (Ret(TupleV((VarV("x"),))), "no text parses as a one-item TupleV"),
+    (ApplyC(ConstV("wait"), TupleV((VarV("x"),))), "no text parses as a one-item TupleV"),
+    (Ret(TupleV((UNIT_V, TupleV((NilV(),))))), "no text parses as a one-item TupleV"),
 ])
 def test_the_printer_refuses_nodes_the_parser_never_builds(node, message):
     # their text would be rejected by the parser (``case wait(nil); ret
     # inj1 () of ...``) or read back as another tree (``a; b; c`` is
-    # ``a; (b; c)``, and a let's body takes what follows it)
+    # ``a; (b; c)``, a let's body takes what follows it, and ``ret (x)``
+    # is ``ret x`` and ``wait((x))`` is ``wait(x)``)
     for term in (node, LetC("y", node, _WAIT_NIL)):
         with pytest.raises(TypeError) as raised:
             print_comp(term)

@@ -25,7 +25,6 @@ from dynthreads.lang import (
     TidV,
     TupleV,
     VarV,
-    check_comp,
     desugar,
     is_core,
     parse_comp,
@@ -62,6 +61,7 @@ from graph_oracle import (
     _witness_events,
     break_local_steps,
     break_typing,
+    check_comp,
     check_config_well_formed,
     creation_order,
     enabled_steps,
@@ -324,7 +324,7 @@ def test_config_well_formed_lets_errors_other_than_type_errors_propagate(monkeyp
     def broken(*_):
         raise RuntimeError("not a type error")
 
-    monkeypatch.setattr(machine, "check_comp", broken)
+    monkeypatch.setattr(graph_oracle, "check_comp", broken)
     c = initial(desugar(parse_comp("stop()")))
     with pytest.raises(RuntimeError, match="not a type error"):
         check_config_well_formed(c, EMPTY, ((),))

@@ -1,8 +1,8 @@
 """Dual-route check for the preservation run.
 
-:func:`dynthreads.machine.run_with_preservation` checks the first
-configuration whole and then, after each step, only the entries the step
-wrote, with one typing memo for the run.  It is checked against the run it
+:func:`dynthreads.machine.run_with_preservation` types the root's
+thread state and then, after each step, checks only the entries the step
+wrote, on thread states, with one typing memo for the run.  It is checked against the run it
 replaced, kept below as the reference: the whole of
 ``check_config_well_formed`` on every configuration, in its
 ``creation_order``, without a memo, with the configurations of
@@ -16,8 +16,8 @@ the type checker rejects chosen thread states or the machine takes steps
 that break the invariant the check relies on.
 
 The run types each state a step writes as its frames and focus, unplugged.
-For every such state of the same inputs, that verdict is checked against the
-whole check's on the plugged state, and every name set stored on a node the
+For every such state of the same inputs, that verdict and its message are
+checked against the whole check's on the plugged state, and every name set stored on a node the
 state reaches against a fresh walk: the typing memo trusts those sets.
 """
 
@@ -61,6 +61,7 @@ from graph_oracle import (
     break_typing,
     check_config_well_formed,
     creation_order,
+    ill_formed,
     initial,
     reference_run,
     world,
@@ -241,13 +242,16 @@ def _record_verdicts(comp, policy, seed, records: list) -> int:
     machine's verdict, its frames and focus typed in the world found
     without plugging (``machine._world``, ``machine._check_state``) with one
     typing memo for the run, primed by the first configuration as the
-    preservation run primes it, and the whole check's on the plugged state
-    (``machine._ill_formed``) without a memo, at the run's type and at the
-    unit type, which a state of the empty type does not fit:
-    ``(state, tid, type, typed, whole)`` records, appended to ``records``.
-    Returns how many fork steps left a child on the frames of its parent."""
+    preservation run primes it (``machine._ill_typed``), and the whole
+    check's on the plugged state (:func:`ill_formed`) without a memo, at
+    the run's type and at the unit type, which a state of the empty type
+    does not fit: ``(state, tid, type, error, whole)`` records, appended to
+    ``records``, where ``error`` is the message of the machine's type
+    error, or ``None``.  Returns how many fork steps left a child on the
+    frames of its parent."""
     memo, rank = {}, {(): machine._rank(())}
-    assert machine._ill_formed([((), comp, ())], rank, EMPTY, memo) is None
+    root = ((), machine._descend((), comp), ())
+    assert machine._ill_typed([root], rank, EMPTY, memo) is None
     shared = 0
 
     def record(a, ordinal, local):
@@ -260,11 +264,11 @@ def _record_verdicts(comp, policy, seed, records: list) -> int:
             for ty in (EMPTY, UNIT) if s is not FINISHED else ():
                 try:
                     machine._check_state(machine._world(t, s, rank), s, ty, memo)
-                    typed = True
-                except LangError:
-                    typed = False
-                whole = machine._ill_formed([(t, machine._plug(s), ())], rank, ty, None)
-                records.append((s, t, ty, typed, whole))
+                    error = None
+                except LangError as exc:
+                    error = str(exc)
+                whole = ill_formed([(t, machine._plug(s), ())], rank, ty, None)
+                records.append((s, t, ty, error, whole))
 
     run(comp, policy, seed, on_local=record)
     return shared
@@ -298,10 +302,12 @@ def written_states() -> tuple:
 
 def test_frames_and_focus_type_as_the_plugged_state(written_states):
     records, shared = written_states
-    for _, t, ty, typed, whole in records:
-        assert typed == (whole is None), (tid_str(t), ty, whole)
+    # the same verdict, and on a failure the same message
+    for _, t, ty, error, whole in records:
+        words = f"thread {tid_str(t)} does not typecheck at the thread type: {error}"
+        assert whole == (None if error is None else words), (tid_str(t), ty, error, whole)
     # the out-of-order child is ill-typed at the run's type
-    assert any(ty == EMPTY and not typed for _, _, ty, typed, _ in records)
+    assert any(ty == EMPTY and error is not None for _, _, ty, error, _ in records)
     assert shared > 0 and len(records) > 2000, (shared, len(records))
 
 

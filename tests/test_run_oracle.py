@@ -33,12 +33,15 @@ from pathlib import Path
 
 import pytest
 
-from dynthreads import denote, machine
+from dynthreads import denote, lang, machine
 from dynthreads.denote import Elaborator
 from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, tid_str
 from dynthreads.machine import (
     DEFAULT_BUDGET,
+    FINISHED,
     Configuration,
+    Deadlock,
+    FuelExhausted,
     MachineError,
     check_confluence,
     explore,
@@ -182,46 +185,67 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
             built.clear()
             result = run(load_core(name), policy, seed)
             assert len(built) == 1 and result.terminal.threads is built[0], (name, policy, seed)
-            # the preservation check reads the steps from its own hook: at
-            # most the initial configuration is built besides the terminal
+            # the preservation check reads the steps from its own hook and
+            # builds no configuration of its own
             built.clear()
             result, _ = run_with_preservation(load_core(name), EMPTY, policy, seed)
-            assert len(built) <= 2 and result.terminal.threads is built[-1], (name, policy, seed)
+            assert len(built) == 1 and result.terminal.threads is built[0], (name, policy, seed)
 
 
 def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
     # each thread keeps its frames and focus between steps: a run without a
-    # hook, the gate, the elaborator and a well-formed preservation run
-    # never plug a state back into a computation, and the preservation
-    # check types only the first configuration whole
-    plugs, typed = [], []
-    plug, check_comp = machine._plug, machine.check_comp
+    # hook, the gate, the elaborator, a preservation run, well formed or
+    # not, and a deadlocked run never plug a state back into a computation.
+    # The preservation check types thread states alone, the root's first
+    # and then each unfinished state a step writes, and never a whole
+    # computation; a deadlock builds no configuration
+    plugs, typed, built = [], [], []
+    plug, check_state = machine._plug, machine._check_state
 
     def counted_plug(state):
-        plugs.append(plug(state))
-        return plugs[-1]
+        plugs.append(state)
+        return plug(state)
 
-    def counted_check(gamma, world, state, ty, memo=None):
+    def counted_check(world, state, ty, memo):
         typed.append(state)
-        return check_comp(gamma, world, state, ty, memo)
+        return check_state(world, state, ty, memo)
+
+    def counted_configuration(threads):
+        built.append(threads)
+        return Configuration(threads)
+
+    def writes(a, ordinal, local):
+        written.extend(s for _, s in local.threads if s is not FINISHED)
 
     monkeypatch.setattr(machine, "_plug", counted_plug)
-    monkeypatch.setattr(machine, "check_comp", counted_check)
+    monkeypatch.setattr(machine, "_check_state", counted_check)
+    monkeypatch.setattr(machine, "Configuration", counted_configuration)
+    # the whole check of plugged states and its checker live in the tests
     assert not hasattr(denote, "_plug")
+    assert not hasattr(machine, "_ill_formed") and not hasattr(machine, "check_comp")
+    assert not hasattr(lang, "check_comp")
     for name in corpus_names():
         comp = load_core(name)
         for policy, seed in SCHEDULES:
             run(comp, policy, seed)
             typed.clear()
             run_with_preservation(comp, EMPTY, policy, seed)
-            assert len(typed) == 1 and typed[0] is comp, (name, policy, seed)
+            written = [machine._descend((), comp)]
+            run(comp, policy, seed, on_local=writes)
+            assert typed == written, (name, policy, seed)
         check_confluence(comp)
         explore(comp)
         Elaborator(ParamContext(())).denote_comp(comp, {}, EMPTY)
         assert plugs == [], name
+    for text in ("fork(); wait(#0.5); stop()",
+                 "let x = fork() in case x of { inj1 a => stop() | inj2 u => ret () }"):
+        built.clear()
+        with pytest.raises(Deadlock):
+            run(desugar(parse_comp(text)))
+        assert built == [] and plugs == [], text
     # children numbered downwards (see the preservation oracle): the fourth
-    # step spawns 0.-2, which cannot name 0.-1, and only that step's two
-    # states are plugged, for the whole check, which types both
+    # step spawns 0.-2, which cannot name 0.-1; the states of the first four
+    # steps are typed as thread states, the root's before its child's
     local_step = machine._local_step
     monkeypatch.setattr(
         machine, "_local_step", lambda state, tid, ordinal: local_step(state, tid, -abs(ordinal))
@@ -230,8 +254,11 @@ def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
     typed.clear()
     with pytest.raises(MachineError, match=r"after step 4 ill-formed: thread 0\.-2 "):
         run_with_preservation(comp, EMPTY)
-    assert len(plugs) == 2 and len(typed) == 3 and typed[0] is comp, (plugs, typed)
-    assert all(p is t for p, t in zip(plugs, typed[1:]))
+    written = [machine._descend((), comp)]
+    with pytest.raises(FuelExhausted):
+        run(comp, fuel=4, on_local=writes)
+    assert plugs == [] and typed == written, typed
+    assert typed[-1] == (typed[-2][0], machine._CHILD_START)
 
 
 def test_a_long_print_chain_runs_and_builds_its_pomset():

@@ -49,7 +49,6 @@ from dynthreads.lang import (
     UnionV,
     UnknownTid,
     VarV,
-    check_comp,
     compatible,
     const_signature,
     desugar,
@@ -61,7 +60,7 @@ from dynthreads.lang import (
 from dynthreads.machine import DEFAULT_BUDGET, FINISHED
 
 from corpus import corpus_names, full_graph, load_surface
-from graph_oracle import world
+from graph_oracle import check_comp, world
 from test_lang import ILL_TYPED
 
 

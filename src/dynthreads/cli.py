@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .denote import adequacy_check, denote
-from .lang import desugar, parse_program, print_pieces, print_type, tid_str, typecheck_comp
+from .lang import EMPTY, desugar, parse_program, print_type, tid_str, typecheck_comp
 from .machine import (
-    DEFAULT_BUDGET, FINISHED, StepLabel, ThreadState, _plug, explore, run, run_result_to_json,
+    DEFAULT_BUDGET, FINISHED, StepLabel, explore, run, run_result_to_json, state_pieces,
 )
 from .posets import (
     decide_equal,
@@ -89,34 +89,40 @@ def cmd_eq(args) -> int:
     return 1
 
 
-def _load_closed_program(path: str):
-    """The program of ``path``, which must have no world header; it is not
-    type checked, since :func:`denote` and :func:`adequacy_check` check it."""
-    world, comp = parse_program(_read(path))
+def _load_closed_program(args):
+    """The program of ``args.path``, which must have no world header; it is
+    not type checked, since :func:`denote` and :func:`adequacy_check` check
+    it."""
+    world, comp = parse_program(_read(args.path))
     if world:
-        raise CliError("run/explore/denote expect programs in the empty world")
+        raise CliError(f"{args.command} expects programs in the empty world")
     return comp
 
 
-def _load_program_for_run(path: str):
-    comp = _load_closed_program(path)
-    typecheck_comp({}, frozenset(), comp)
+def _load_program_for_run(args):
+    """The program of ``args.path``, which must be closed and of the empty
+    type, as :func:`adequacy_check` requires: a run counts only threads
+    that stop as finished, so a root that returns would read as a
+    deadlock."""
+    comp = _load_closed_program(args)
+    ty = typecheck_comp({}, frozenset(), comp)
+    if ty != EMPTY:
+        raise CliError(
+            f"{args.command} needs a closed program of the empty type, got {print_type(ty)}"
+        )
     return comp
 
 
 def cmd_run(args) -> int:
-    comp = _load_program_for_run(args.path)
+    comp = _load_program_for_run(args)
     core = desugar(comp)
     trace: list[str] = []
     on_local = None
     if args.format == "text":
         # each line from the local step: the acting thread's new state is
-        # among the entries it writes, so no configuration is built, and
-        # only that state is plugged
+        # among the entries it writes, so no configuration is built
         def on_local(tid, _ordinal, local):
-            state = dict(local.threads)[tid]
-            state = state if state is FINISHED else _plug(state)
-            trace.append(_trace_line(StepLabel(tid, local.action), state))
+            trace.append(_trace_line(StepLabel(tid, local.action), dict(local.threads)[tid]))
     result = run(core, args.policy, args.seed, args.fuel, on_local=on_local)
     if args.format == "json":
         print(_json(run_result_to_json(result, args.policy, args.seed)), end="")
@@ -128,24 +134,21 @@ def cmd_run(args) -> int:
 _TRACE_WIDTH = 60
 
 
-def _trace_line(label: StepLabel, state: ThreadState) -> str:
+def _trace_line(label: StepLabel, state) -> str:
     """One step as text: the acting thread, its action (``·`` when silent)
-    and the start of its new state.
+    and the start of its new state, a thread state or ``FINISHED``.
 
-    The state is rendered only up to the cut: pieces of
-    :func:`print_pieces` are read until the text is longer than 60
-    characters, which is then shortened to 57 plus ``...``.  The line is
-    the one a full ``print_comp`` would give, at a cost bounded by the
-    width rather than by the size of the continuation."""
-    if state == FINISHED:
-        summary = "finished"
-    else:
-        summary = ""
-        for piece in print_pieces(state):
-            summary += piece
-            if len(summary) > _TRACE_WIDTH:
-                summary = summary[: _TRACE_WIDTH - 3] + "..."
-                break
+    The state is rendered from its frames and focus, outermost frame
+    first, only up to the cut: pieces of :func:`state_pieces` are read
+    until the text is longer than 60 characters, which is then shortened
+    to 57 plus ``...``.  The line is the one a full ``print_comp`` of the
+    computation the state stands for would give, and no node is built."""
+    summary = ""
+    for piece in ["finished"] if state == FINISHED else state_pieces(state):
+        summary += piece
+        if len(summary) > _TRACE_WIDTH:
+            summary = summary[: _TRACE_WIDTH - 3] + "..."
+            break
     mark = label.action if label.action is not None else "·"
     return f"{tid_str(label.acting)} {mark} -> {summary}"
 
@@ -192,12 +195,12 @@ def _explore_report(core, budget: int, fmt: str) -> int:
 
 
 def cmd_explore(args) -> int:
-    comp = _load_program_for_run(args.path)
+    comp = _load_program_for_run(args)
     return _explore_report(desugar(comp), args.fuel, args.format)
 
 
 def cmd_denote(args) -> int:
-    comp = _load_closed_program(args.path)
+    comp = _load_closed_program(args)
     d = denote(comp, frozenset())
     if args.format == "json":
         print(_json({"term": print_term(d.term), "poset": poset_to_json(d.poset)}), end="")
@@ -210,7 +213,7 @@ def cmd_denote(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    comp = _load_closed_program(args.path)
+    comp = _load_closed_program(args)
     report = adequacy_check(comp, policy=args.policy, seed=args.seed, fuel=args.fuel)
     data = {
         "program": args.path,

@@ -2,7 +2,7 @@
 
 The four core constants are generic effects, and their denotations are the
 theory's operations.  So a program denotes its pure fragment run to an
-effect, by the machine's own pure step (:func:`machine._pure_step`, on a
+effect, by the machine's own pure step (:func:`machine.pure_step`, on a
 branch kept as its ``let`` frames and a focus, as the machine keeps a
 thread), with each effect read as an operation -
 
@@ -51,13 +51,13 @@ from .lang import (
     typecheck_comp,
 )
 from .machine import (
+    CHILD_START,
     DEFAULT_BUDGET,
+    FORK_RESULT,
     RunResult,
-    _CHILD_START,
-    _FORK_RESULT,
-    _descend,
-    _effect,
-    _pure_step,
+    descend,
+    effect,
+    pure_step,
     run,
 )
 from .posets import Pomset, PosetWithHoles, decide_equal, erase_star, interp
@@ -217,27 +217,27 @@ class Elaborator:
         def names(v: Value) -> frozenset[str]:
             return frozenset(map(name, tids_of_value(v)))
 
-        branches, opened = [_descend((), comp)], []
+        branches, opened = [descend((), comp)], []
         while branches:
             (frames, redex), term = branches.pop(), None
             while term is None:
-                effect = _effect(redex)
-                if effect is None and type(redex) is Ret and not frames:
+                const = effect(redex)
+                if const is None and type(redex) is Ret and not frames:
                     idx, vec = _inject(redex.value, result_type)
                     term = Var(f"x{idx}", tuple(map(names, vec)))
-                elif effect is None:
-                    frames, redex = _pure_step(frames, redex)
-                elif effect.name == "fork":
+                elif const is None:
+                    frames, redex = pure_step(frames, redex)
+                elif const.name == "fork":
                     tid = _FORK_ROOT + (len(binders),)
                     binders[tid] = self.fresh_param()
                     opened.append((2, [], partial(Fork, binders[tid])))
-                    branches.append((frames, _CHILD_START))
-                    redex = Ret(InjV(1, TidV(tid), _FORK_RESULT))
-                elif effect.name == "wait":
+                    branches.append((frames, CHILD_START))
+                    redex = Ret(InjV(1, TidV(tid), FORK_RESULT))
+                elif const.name == "wait":
                     opened.append((1, [], partial(Wait, names(redex.arg))))
                     redex = Ret(UNIT_V)
                 else:
-                    term = STOP if effect.name == "stop" else Act(effect.action)
+                    term = STOP if const.name == "stop" else Act(const.action)
             while opened:
                 arity, closed, build = opened[-1]
                 closed.append(term)

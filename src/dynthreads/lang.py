@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .record import record
 from .terms import Lexer, read_headers
@@ -1035,10 +1035,18 @@ def print_comp(t: Comp) -> str:
     return "".join(print_pieces(t))
 
 
-def print_pieces(term: Union[Value, Comp]) -> Iterator[str]:
+def print_pieces(term: Union[Value, Comp], frames: Iterable = ()) -> Iterator[str]:
     """The text of a value or computation as consecutive pieces; each node
-    is expanded only when the text reaches it."""
-    stack: list = [term]
+    is expanded only when the text reaches it.  ``term`` is read as plugged
+    into ``frames``, ``let`` nodes outermost first, without building a
+    node: each frame's text is its own with its bound replaced by the
+    frames inside it and ``term``."""
+    stack: list = []
+    for frame in frames:
+        head, _, *tail = _print_parts(frame)
+        yield head
+        stack += reversed(tail)
+    stack.append(term)
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -1063,7 +1071,12 @@ def _print_parts(node) -> list:
         case LambdaV(param, None, body):
             return [f"\\{param}. ", body]
         case LambdaV(param, annot, body):
-            return [f"\\{param}:{print_type(annot)}. ", body]
+            annot = print_type(annot)
+            # a unary sum or product has no source syntax: print_type marks
+            # it with a trailing operator, which the parser rejects
+            if " +)" in annot or " *)" in annot:
+                raise TypeError(f"no text parses as the annotation {annot}")
+            return [f"\\{param}:{annot}. ", body]
         case TidV(path):
             return ["#" + tid_str(path)]
         case NilV():
@@ -1095,6 +1108,10 @@ def _print_parts(node) -> list:
             return [*_print_atom(fn), "(", arg, ")"]
         case LetC(var, bound, body):
             return [f"let {var} = ", bound, " in ", body]
+        # a lambda's body runs to the end of the computation around it, so
+        # a returned lambda before a ``;`` is bracketed
+        case SeqC(Ret(LambdaV() as fn), second):
+            return ["ret (", fn, "); ", second]
         case SeqC(first, second):
             return [first, "; ", second]
     raise TypeError(f"not a value or computation: {node!r}")

@@ -13,14 +13,14 @@ evaluation context is kept between steps, not found again at each one
 (refocusing: Danvy & Nielsen 2004; the CK machine of Felleisen & Friedman
 1986).  A thread-local step applies an effect (``fork``, ``wait``,
 ``stop``, ``printstop``) to the focus or takes the pure step
-(:func:`_pure_step`), which pops a frame when the focus is a value and
+(:func:`pure_step`), which pops a frame when the focus is a value and
 otherwise reduces the focus (:func:`_reduce`: beta, ``let`` of a value,
 ``proj``, ``case``), and then descends only into the new focus.  The pure
 step is the only evaluator of the pure fragment: :mod:`dynthreads.denote`
-elaborates denotations with it too.  A thread state becomes a computation
-again (:func:`_plug`) only for the command line's trace, which prints it:
-the preservation check types states as frames and focus, and a deadlock
-is named from the thread map.
+elaborates denotations with it too.  Nothing makes a thread state a
+computation again: every reader takes it as frames and focus.  The
+preservation check types it so, the command line's trace prints it so
+(:func:`state_pieces`), and a deadlock is named from the thread map.
 
 A thread's waits are the ones steps wrote for it: a ``wait`` adds the
 awaited threads to the acting thread's set, and a forked child starts with
@@ -47,7 +47,8 @@ entry alone.  It builds a configuration only for a terminal end.  Its one
 hook, ``on_local``, sees each local step before it is applied.  That is
 how :func:`run_with_preservation` checks what each step wrote, typing each
 written state as its frames and focus, and how the command line prints
-trace lines, which plug the acting thread's new state.
+trace lines, which render the acting thread's new state from its frames
+and focus.
 
 What every schedule does comes from one run too.  :func:`check_confluence`
 and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
@@ -73,7 +74,7 @@ from bisect import bisect_left
 from functools import cached_property, reduce
 from math import inf
 from operator import itemgetter, or_
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lang import (
     ApplyC,
@@ -99,6 +100,7 @@ from .lang import (
     _tids,
     is_core,
     print_comp,
+    print_pieces,
     subst_value,
     tid_str,
     tids_of_value,
@@ -127,7 +129,6 @@ DEFAULT_BUDGET = 100_000
 
 
 FINISHED = "finished"
-ThreadState = Union[Comp, str]
 
 
 @record
@@ -143,7 +144,7 @@ class Configuration:
     of ``a`` present.
     """
 
-    threads: tuple  # tuple[tuple[Tid, ThreadState, frozenset[Tid]], ...] sorted by tid
+    threads: tuple  # ((tid, thread state or FINISHED, frozenset of tids), ...) sorted by tid
 
     def is_terminal(self) -> bool:
         return all(state == FINISHED for _, state, _ in self.threads)
@@ -155,8 +156,8 @@ class StepLabel:
     action: Optional[str]  # None for silent steps
 
 
-_FORK_RESULT = Sum((TID, UNIT))
-_CHILD_START = Ret(InjV(2, UNIT_V, _FORK_RESULT))
+FORK_RESULT = Sum((TID, UNIT))
+CHILD_START = Ret(InjV(2, UNIT_V, FORK_RESULT))
 _NO_WAITS: frozenset = frozenset()
 
 
@@ -169,10 +170,11 @@ class _LocalOut(NamedTuple):
 # A running thread is a thread state, ``(frames, focus)``: ``frames`` is an
 # immutable stack of ``let`` nodes, ``()`` or ``(frame, frames below)``,
 # innermost on top, of which only the variable and the body are read, and
-# ``focus`` is the computation they wait for.  A state is plugged back into
-# a computation (:func:`_plug`) only by the command line's trace.
+# ``focus`` is the computation they wait for.  Only this module reads the
+# cells; every reader takes a state as it is, and nothing plugs it back
+# into a computation.
 
-def _descend(frames: tuple, comp: Comp) -> tuple:
+def descend(frames: tuple, comp: Comp) -> tuple:
     """The thread state of ``comp`` under ``frames``: the ``let`` frames
     around its redex pushed onto ``frames`` in a loop, and the redex as the
     focus.  The focus is a ``let`` only when it binds a value."""
@@ -182,18 +184,19 @@ def _descend(frames: tuple, comp: Comp) -> tuple:
     return frames, comp
 
 
-def _plug(state: tuple) -> Comp:
-    """The computation a thread state stands for: its focus wrapped back
-    into its frames, innermost first, in a loop.  A frame whose bound is
-    still the focus is the node itself."""
-    frames, comp = state
-    while frames:
-        frame, frames = frames
-        comp = frame if frame.bound is comp else LetC(frame.var, comp, frame.body)
-    return comp
+def state_pieces(state: tuple) -> Iterator[str]:
+    """The text of the computation the thread state ``state`` stands for,
+    as the pieces of :func:`~dynthreads.lang.print_pieces`: the cells are
+    walked into a list of the ``let`` nodes around the focus, which the
+    printer reads as its frames, outermost first, so no node is built."""
+    cells, frames = state[0], []
+    while cells:
+        frame, cells = cells
+        frames.append(frame)
+    return print_pieces(state[1], reversed(frames))
 
 
-def _effect(redex: Comp) -> Optional[ConstV]:
+def effect(redex: Comp) -> Optional[ConstV]:
     """The constant a redex applies, when it is one of the four effects
     (``fork``, ``wait``, ``stop``, ``printstop``)."""
     fn = redex.fn if type(redex) is ApplyC else None
@@ -230,7 +233,7 @@ def _reduce(redex: Comp) -> Comp:
     raise StuckThread(f"not a core computation: {redex!r}")
 
 
-def _pure_step(frames: tuple, redex: Comp) -> tuple:
+def pure_step(frames: tuple, redex: Comp) -> tuple:
     """The pure step of the thread state ``(frames, redex)``, whose focus
     is not an effect, as a new thread state: a value under a frame pops it
     and is substituted into its body, the step :func:`_reduce` takes for
@@ -239,8 +242,8 @@ def _pure_step(frames: tuple, redex: Comp) -> tuple:
     (:mod:`dynthreads.denote`) step with it."""
     if type(redex) is Ret and frames:
         frame, frames = frames
-        return _descend(frames, subst_value(frame.body, frame.var, redex.value))
-    return _descend(frames, _reduce(redex))
+        return descend(frames, subst_value(frame.body, frame.var, redex.value))
+    return descend(frames, _reduce(redex))
 
 
 def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
@@ -249,23 +252,23 @@ def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
     spawn ordinal ``ordinal``: the step is a function of these three alone.
 
     An effect is dispatched on its constant's name and anything else takes
-    the pure step (:func:`_pure_step`).  Each state it leaves keeps the
+    the pure step (:func:`pure_step`).  Each state it leaves keeps the
     frames, which a spawned child shares with its parent, unless the thread
     finished."""
     frames, redex = state
-    effect = _effect(redex)
-    if effect is None:
-        return _LocalOut(None, ((tid, _pure_step(frames, redex)),), _NO_WAITS)
-    if effect.name == "fork":
+    const = effect(redex)
+    if const is None:
+        return _LocalOut(None, ((tid, pure_step(frames, redex)),), _NO_WAITS)
+    if const.name == "fork":
         # every spawned thread continues with the continuation of its parent
         child = tid + (ordinal,)
-        parent = (frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
-        return _LocalOut(None, ((tid, parent), (child, (frames, _CHILD_START))), _NO_WAITS)
-    if effect.name == "wait":
+        parent = (frames, Ret(InjV(1, TidV(child), FORK_RESULT)))
+        return _LocalOut(None, ((tid, parent), (child, (frames, CHILD_START))), _NO_WAITS)
+    if const.name == "wait":
         waits = frozenset((b, tid) for b in tids_of_value(redex.arg))
         return _LocalOut(None, ((tid, (frames, Ret(UNIT_V))),), waits)
     # stop and printstop finish the thread, which drops its continuation
-    action = effect.action if effect.name == "printstop" else None
+    action = const.action if const.name == "printstop" else None
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
@@ -368,8 +371,8 @@ def run(
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
     with the acting thread, its next spawn ordinal and its local step,
-    whose states are thread states; a hook that needs one as a computation
-    plugs it (:func:`_plug`).  A terminal configuration reached within
+    whose states are thread states, read as frames and focus.  A terminal
+    configuration reached within
     ``fuel`` steps ends the run; :class:`FuelExhausted` is raised only when
     a further step is needed after ``fuel`` steps, and :class:`Deadlock`
     when no thread can step short of termination.
@@ -397,7 +400,7 @@ def run(
         choose = random.Random(seed).choice
     else:
         raise MachineError(f"unknown policy {policy!r}")
-    threads = {(): ((), _descend((), comp), _NO_WAITS)}
+    threads = {(): ((), descend((), comp), _NO_WAITS)}
     finished: set = set()
     children: dict = {}  # tid -> its spawn count, once it has spawned
     blocked = {(): set()}  # tid -> the threads it waits for that have not finished
@@ -682,19 +685,17 @@ def _rank(tid: Tid) -> tuple:
     return tid + (inf,)
 
 
-def _bad_wait(entries: Iterable, known) -> Optional[str]:
+def _bad_wait(entries: Iterable, known) -> str:
     """The first wait of ``entries``, ``(tid, state, waits)``, that names a
     thread not in ``known`` or one that is not earlier in the creation
-    order (:func:`_rank`).  Wait sets need not be closed: if every wait
-    goes forward in the order, so does every pair of their closure, which
-    is therefore acyclic."""
-    for tid, _, waits in entries:
-        for b in waits:
-            if b not in known:
-                return f"{tid_str(tid)} waits on unknown thread {tid_str(b)}"
-            if _rank(b) >= _rank(tid):
-                return f"{tid_str(tid)} waits on later sibling {tid_str(b)}"
-    return None
+    order (:func:`_rank`).  There is one: the preservation hook calls this
+    only once its exact prefilter has found it.  Wait sets need not be
+    closed: if every wait goes forward in the order, so does every pair of
+    their closure, which is therefore acyclic."""
+    tid, b = next((tid, b) for tid, _, waits in entries for b in waits
+                  if b not in known or _rank(b) >= _rank(tid))
+    why = "unknown thread" if b not in known else "later sibling"
+    return f"{tid_str(tid)} waits on {why} {tid_str(b)}"
 
 
 def _ill_typed(entries: Iterable, known, result_type: LangType, memo) -> Optional[str]:
@@ -730,8 +731,8 @@ def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) ->
     ``world`` without plugging it: synthesize the focus's type, then type
     each frame body, innermost first, with only its own variable bound, to
     the type found below it, and check the outermost one against
-    ``result_type``.  That is the judgement the plugged state (:func:`_plug`)
-    has, in the same order, since a ``let`` synthesizes its bound and types
+    ``result_type``.  That is the judgement of the computation the state
+    stands for, in the same order, since a ``let`` synthesizes its bound and types
     its body at that type, and a closed thread's frame body has no other
     free variable.  Raises :class:`LangError` on failure."""
     frames, comp = state
@@ -792,7 +793,7 @@ def run_with_preservation(
     typed from the memo and re-typing a thread costs the nodes of its new
     focus."""
     memo: dict = {}
-    threads = {(): ((), _descend((), comp), _NO_WAITS)}
+    threads = {(): ((), descend((), comp), _NO_WAITS)}
     top = {(): ()}  # tid -> the largest rank in its wait set; () is below every rank
     bad = _ill_typed(threads.values(), threads, result_type, memo)
     if bad:

@@ -48,7 +48,11 @@ The local step the machine took before it kept each thread's ``let``
 frames between steps is kept here too, as the oracle's own step:
 :func:`local_step` peels the frames off the redex of a computation at
 every step and plugs the result back into them.  The reference run and
-the walk step with it, on configurations of computations.
+the walk step with it, on configurations of computations.  The machine's
+own thread states, frames and a focus, become computations only here
+(:func:`plug_state`), for the oracles that compare the two: no code in
+``src/`` plugs one, and the command line's trace renders one from its
+frames and focus.
 
 A local step depends only on the thread's state, tid and next spawn
 ordinal, so each walk memoizes local steps under that key in a memo of its
@@ -64,12 +68,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from dynthreads import lang, machine
 from dynthreads.lang import (
     UNIT_V, Comp, InjV, LangError, LangType, LetC, Ret, Tid, TidV, _bottom_up, _tids,
-    is_core, tid_str, tids_of_value,
+    is_core, print_pieces, tid_str, tids_of_value,
 )
 from dynthreads.machine import (
     DEFAULT_BUDGET,
@@ -78,16 +82,15 @@ from dynthreads.machine import (
     FuelExhausted,
     MachineError,
     RunResult,
+    CHILD_START,
+    FORK_RESULT,
     StepLabel,
-    ThreadState,
-    _CHILD_START,
-    _FORK_RESULT,
     _NO_WAITS,
     _LocalOut,
     _deadlock,
-    _effect,
     _reduce,
     _write,
+    effect,
 )
 from dynthreads.posets import label_paths
 
@@ -110,6 +113,19 @@ def _plug(frames: list, comp: Comp) -> Comp:
     return comp
 
 
+def plug_state(state: tuple) -> Comp:
+    """The computation a machine thread state stands for: its focus wrapped
+    back into its frames, innermost first, in a loop.  A frame whose bound
+    is still the focus is the node itself.  It is the oracle of the
+    command line's trace, which prints a state without plugging it
+    (:func:`~dynthreads.machine.state_pieces`)."""
+    frames, comp = state
+    while frames:
+        frame, frames = frames
+        comp = frame if frame.bound is comp else LetC(frame.var, comp, frame.body)
+    return comp
+
+
 def local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
     """One thread-local reduction of the computation ``comp``, which is not
     a value, running as ``tid`` with next spawn ordinal ``ordinal``, with
@@ -119,26 +135,26 @@ def local_step(comp: Comp, tid: Tid, ordinal: int) -> _LocalOut:
     (:func:`~dynthreads.machine._reduce`), and each state it leaves is
     wrapped back into the frames, unless the thread finished."""
     frames, comp = _peel(comp)
-    effect = _effect(comp)
-    if effect is None:
+    const = effect(comp)
+    if const is None:
         return _LocalOut(None, ((tid, _plug(frames, _reduce(comp))),), _NO_WAITS)
-    if effect.name == "fork":
+    if const.name == "fork":
         # every spawned thread continues with its own copy of the continuation
         child = tid + (ordinal,)
-        parent = _plug(frames, Ret(InjV(1, TidV(child), _FORK_RESULT)))
-        return _LocalOut(None, ((tid, parent), (child, _plug(frames, _CHILD_START))), _NO_WAITS)
-    if effect.name == "wait":
+        parent = _plug(frames, Ret(InjV(1, TidV(child), FORK_RESULT)))
+        return _LocalOut(None, ((tid, parent), (child, _plug(frames, CHILD_START))), _NO_WAITS)
+    if const.name == "wait":
         waits = frozenset((b, tid) for b in tids_of_value(comp.arg))
         return _LocalOut(None, ((tid, _plug(frames, Ret(UNIT_V))),), waits)
     # stop and printstop finish the thread, which drops its continuation
-    action = effect.action if effect.name == "printstop" else None
+    action = const.action if const.name == "printstop" else None
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
 def plugged(local: _LocalOut) -> _LocalOut:
     """A local step of the machine with computations for its thread states."""
     return local._replace(
-        threads=tuple((t, s if s is FINISHED else machine._plug(s)) for t, s in local.threads)
+        threads=tuple((t, s if s is FINISHED else plug_state(s)) for t, s in local.threads)
     )
 
 
@@ -148,18 +164,18 @@ def break_local_steps(monkeypatch, broken) -> None:
     and returns the broken one.  The oracle takes the broken
     :func:`local_step`; the machine takes the broken version of its own
     step, read over computations, with each state it leaves refocused
-    (``machine._descend``).  Both are read when the patch is made."""
+    (``machine.descend``).  Both are read when the patch is made."""
     machine_step = machine._local_step
 
     def over_comps(comp, tid, ordinal):
-        return plugged(machine_step(machine._descend((), comp), tid, ordinal))
+        return plugged(machine_step(machine.descend((), comp), tid, ordinal))
 
     broken_machine = broken(over_comps)
 
     def refocused(state, tid, ordinal):
-        out = broken_machine(machine._plug(state), tid, ordinal)
+        out = broken_machine(plug_state(state), tid, ordinal)
         return out._replace(threads=tuple(
-            (t, s if s is FINISHED else machine._descend((), s)) for t, s in out.threads
+            (t, s if s is FINISHED else machine.descend((), s)) for t, s in out.threads
         ))
 
     monkeypatch.setitem(globals(), "local_step", broken(local_step))
@@ -174,19 +190,19 @@ def break_typing(monkeypatch, broken) -> None:
     :func:`check_comp`; the machine's typing of a thread state
     (``machine._check_state``) takes the broken version of its own, read
     over computations, with each state it is given plugged
-    (``machine._plug``) and each computation refocused
-    (``machine._descend``).  So both reject the same plugged states.  Both
+    (:func:`plug_state`) and each computation refocused
+    (``machine.descend``).  So both reject the same plugged states.  Both
     are read when the patch is made."""
     machine_check = machine._check_state
 
     def over_comps(gamma, world, comp, ty, memo=None):
         assert not gamma, gamma  # a thread state is closed
-        return machine_check(world, machine._descend((), comp), ty, memo)
+        return machine_check(world, machine.descend((), comp), ty, memo)
 
     broken_machine = broken(over_comps)
 
     def plugged_state(world, state, ty, memo):
-        return broken_machine({}, world, machine._plug(state), ty, memo)
+        return broken_machine({}, world, plug_state(state), ty, memo)
 
     monkeypatch.setitem(globals(), "check_comp", broken(check_comp))
     monkeypatch.setattr(machine, "_check_state", plugged_state)
@@ -224,6 +240,27 @@ def ill_formed(entries: Sequence, rank: dict, result_type: LangType, memo) -> Op
         except LangError as exc:
             return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
     return None
+
+
+# the state of a thread in the configurations here: a computation or FINISHED
+ThreadState = Union[Comp, str]
+
+
+def trace_line(label: StepLabel, state: ThreadState) -> str:
+    """The command line's trace line for a step that left the acting thread
+    in ``state``: the text ``print_comp`` gives the state, cut to 60
+    characters, 57 and ``...``.  That text is the join of
+    ``print_pieces``, which is read only up to the cut, so a long
+    continuation is not printed whole.  It is the oracle of the trace,
+    which renders a thread state from its frames and focus."""
+    summary = ""
+    for piece in ["finished"] if state == FINISHED else print_pieces(state):
+        summary += piece
+        if len(summary) > 60:
+            summary = summary[:57] + "..."
+            break
+    mark = label.action if label.action is not None else "·"
+    return f"{tid_str(label.acting)} {mark} -> {summary}"
 
 
 def initial(comp: Comp) -> Configuration:

@@ -7,7 +7,8 @@ import pytest
 
 from dynthreads import cli, denote, machine
 from dynthreads.cli import _pomset_text, _trace_line, main
-from dynthreads.machine import DEFAULT_BUDGET, Configuration
+from dynthreads.lang import LetC, desugar, parse_comp
+from dynthreads.machine import DEFAULT_BUDGET, FINISHED, Configuration, StepLabel, run
 
 import graph_oracle
 from corpus import PROGRAMS_DIR, corpus_names, load_core
@@ -125,8 +126,8 @@ def test_run_records_trace_lines(capsys):
 
 
 def test_run_trace_from_local_steps_matches_the_configurations(capsys):
-    # the text trace is built from each local step; rendered from the
-    # configuration each step reached instead, it reads the same
+    # the text trace is built from each local step; printed whole from the
+    # configuration each step reached instead, and cut, it reads the same
     for name in corpus_names():
         for policy, seed in [("lowest-tid", None)] + [("random", s) for s in (1, 2, 3)]:
             argv = ["run", str(PROGRAMS_DIR / f"{name}.prog"), "--policy", policy]
@@ -135,11 +136,72 @@ def test_run_trace_from_local_steps_matches_the_configurations(capsys):
             result = graph_oracle.reference_run(
                 load_core(name), policy, seed, DEFAULT_BUDGET,
                 on_step=lambda label, c: trace.append(
-                    _trace_line(label, graph_oracle.thread(c, label.acting))
+                    graph_oracle.trace_line(label, graph_oracle.thread(c, label.acting))
                 ),
             )
             expected = "\n".join(trace + ["pomset:"] + _pomset_text(result.pomset)) + "\n"
             assert capsys.readouterr().out == expected, (name, policy, seed)
+
+
+def _trace_hook(seen: list):
+    """The command line's trace hook, which also keeps the acting thread's
+    new state with each line it renders."""
+    def on_local(tid, _ordinal, local):
+        label, state = StepLabel(tid, local.action), dict(local.threads)[tid]
+        seen.append((label, state, _trace_line(label, state)))
+    return on_local
+
+
+def test_the_trace_renders_each_state_as_its_plugged_computation_prints():
+    # every state the hook sees, rendered from its frames and focus, gives
+    # the line cut from print_comp of the state plugged by the tests' own
+    # plug, on the corpus and on an 800-print chain
+    chain = desugar(parse_comp("".join(f"print[p{k}](); " for k in range(800)) + "stop()"))
+    runs = [(load_core(name), policy, seed) for name in corpus_names()
+            for policy, seed in (("lowest-tid", None), ("random", 3))]
+    seen: list = []
+    for comp, policy, seed in runs + [(chain, "lowest-tid", None)]:
+        run(comp, policy, seed, on_local=_trace_hook(seen))
+    for label, state, line in seen:
+        plugged = state if state is FINISHED else graph_oracle.plug_state(state)
+        assert line == graph_oracle.trace_line(label, plugged), line
+    # the states are nested in frames, and long lines are cut
+    assert max(len(graph_oracle._peel(graph_oracle.plug_state(state))[0])
+               for _, state, _ in seen if state is not FINISHED) > 2
+    assert sum(line.endswith("...") for _, _, line in seen) > len(seen) // 2
+
+
+def test_run_trace_builds_no_let_node(monkeypatch, capsys):
+    # the trace reads each state as it is: a text run builds as many let
+    # nodes as a JSON run, which has no hook, while plugging the states
+    # the hook sees would build some
+    built = []
+    init = LetC.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LetC, "__init__", counted)
+    for name in corpus_names():
+        for schedule in ([], ["--policy", "random", "--seed", "3"]):
+            counts = []
+            for fmt in ("text", "json"):
+                built.clear()
+                argv = ["run", str(PROGRAMS_DIR / f"{name}.prog"), "--format", fmt]
+                assert main(argv + schedule) == 0
+                counts.append(len(built))
+            assert counts[0] == counts[1], (name, schedule, counts)
+    capsys.readouterr()
+    seen: list = []
+    comp = load_core("diamond")
+    built.clear()
+    run(comp, on_local=_trace_hook(seen))
+    unplugged = len(built)
+    for _, state, _ in seen:
+        if state is not FINISHED:
+            graph_oracle.plug_state(state)
+    assert len(built) > unplugged
 
 
 def test_run_trace_builds_only_the_terminal_configuration(monkeypatch, capsys):
@@ -281,10 +343,28 @@ def test_an_unreadable_file_is_an_error(tmp_path, capsys):
 
 
 def test_run_refuses_a_program_with_a_world_header(tmp_path, capsys):
+    # each command that runs or denotes a program names itself
     path = _write(tmp_path, "world.prog", "world #0.1;\nwait(#0.1); stop()\n")
     assert main(["check", path]) == 0
-    assert main(["run", path]) == 2
-    assert capsys.readouterr().err == "error: run/explore/denote expect programs in the empty world\n"
+    for command in ("run", "explore", "denote", "adequacy"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {command} expects programs in the empty world\n"
+
+
+@pytest.mark.parametrize("text", ["ret ()\n", "let x = ret () in ret x\n"])
+def test_run_and_explore_refuse_a_program_that_returns(tmp_path, capsys, text):
+    # a root that returns is not a deadlock: as adequacy does, run and
+    # explore refuse a program whose type is not the empty type
+    path = _write(tmp_path, "ret.prog", text)
+    for command in ("run", "explore"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} needs a closed program of the empty type, got 1\n"
+        )
+    assert main(["adequacy", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: DenoteError: adequacy needs a closed program of the empty type, got 1\n"
+    )
 
 
 def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):

@@ -255,13 +255,20 @@ def test_type_error_on_a_unary_sum_names_the_type():
         (Prod((UNIT,)), "(1 *)"),
         (Prod((Sum((TID, UNIT)),)), "((tid + 1) *)"),
         (Arrow(Sum((TID,)), EMPTY), "(tid +) -> 0"),
+        (Prod((TID, Arrow(UNIT, Prod((TID,))))), "tid * (1 -> (tid *))"),
     ],
 )
 def test_unary_sums_and_products_print_as_text_the_parser_rejects(ty, text):
+    # type errors name them with a trailing operator, which the parser
+    # rejects, so the program printer refuses an annotation that holds one
     assert print_type(ty) == text
-    lam = Ret(LambdaV("x", ty, ApplyC(ConstV("stop"), UNIT_V)))
     with pytest.raises(ParseError):
-        parse_comp(print_comp(lam))
+        parse_comp(f"ret \\x:{text}. stop()")
+    lam = Ret(LambdaV("x", ty, ApplyC(ConstV("stop"), UNIT_V)))
+    for term in (lam, SeqC(ApplyC(ConstV("wait"), NilV()), lam)):
+        with pytest.raises(TypeError) as raised:
+            print_comp(term)
+        assert str(raised.value) == f"no text parses as the annotation {text}"
 
 
 def test_nested_cases_type_check_without_exhausting_the_stack():

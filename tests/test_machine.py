@@ -28,7 +28,6 @@ from dynthreads.lang import (
     desugar,
     is_core,
     parse_comp,
-    print_comp,
     subst_value,
     tid_str,
     typecheck_comp,
@@ -69,6 +68,7 @@ from graph_oracle import (
     prec,
     reference_run,
     thread,
+    trace_line,
     world,
 )
 from graph_oracle import explore as walk_explore
@@ -916,15 +916,7 @@ def _reference_run(comp, policy, seed):
             return tuple(events), c, tuple(trace)
         label, c = choose(steps)
         events.append(label)
-        state = thread(c, label.acting)
-        if state == FINISHED:
-            summary = "finished"
-        else:
-            summary = print_comp(state)
-            if len(summary) > 60:
-                summary = summary[:57] + "..."
-        mark = label.action if label.action is not None else "·"
-        trace.append(f"{tid_str(label.acting)} {mark} -> {summary}")
+        trace.append(trace_line(label, thread(c, label.acting)))
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -967,8 +959,10 @@ def test_long_print_chain_runs_with_short_trace_lines():
     text = "".join(f"print[{label}](); " for label in labels) + "stop()"
     lines = []
     comp = desugar(parse_comp(text))
-    result = run(comp)
-    reference_run(comp, on_step=lambda label, c: lines.append(_trace_line(label, thread(c, label.acting))))
+    # the command line's hook: each line from the acting thread's new state
+    result = run(comp, on_local=lambda tid, _, local: lines.append(
+        _trace_line(StepLabel(tid, local.action), dict(local.threads)[tid])
+    ))
     assert len(result.events) == len(lines) == 1_201
     pomset = result.pomset
     assert len(pomset.element_ids) == n
@@ -1145,7 +1139,7 @@ _STOP = ApplyC(ConstV("stop"), UNIT_V)
 def test_every_stuck_local_step_names_its_redex(comp, message):
     # the machine's step from the thread state of ``comp``, and the oracle's
     for step in (
-        lambda: machine._local_step(machine._descend((), comp), (), 1),
+        lambda: machine._local_step(machine.descend((), comp), (), 1),
         lambda: graph_oracle.local_step(comp, (), 1),
     ):
         with pytest.raises(StuckThread) as raised:

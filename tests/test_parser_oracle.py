@@ -127,14 +127,20 @@ def random_comp(rng: random.Random, budget: int):
     return CaseC(scrutinee, branches)
 
 
-def random_texts(seed: int, count: int) -> list[str]:
+def random_trees(seed: int, count: int) -> list:
     rng = random.Random(seed)
-    return [print_comp(random_comp(rng, rng.randint(1, 30))) for _ in range(count)]
+    return [random_comp(rng, rng.randint(1, 30)) for _ in range(count)]
+
+
+def random_texts(seed: int, count: int) -> list[str]:
+    return [print_comp(tree) for tree in random_trees(seed, count)]
 
 
 def test_parser_matches_the_oracle_on_printed_random_trees():
-    for text in random_texts(2033, 2_000):
-        assert isinstance(assert_agree(text), tuple)
+    # and each tree's text reads back as the tree
+    for tree in random_trees(2033, 2_000):
+        text = print_comp(tree)
+        assert assert_agree(text) == (frozenset(), tree), text
 
 
 # pieces of random strings: every token of the syntax, some of them

@@ -63,6 +63,7 @@ from graph_oracle import (
     creation_order,
     ill_formed,
     initial,
+    plug_state,
     reference_run,
     world,
 )
@@ -250,7 +251,7 @@ def _record_verdicts(comp, policy, seed, records: list) -> int:
     error, or ``None``.  Returns how many fork steps left a child on the
     frames of its parent."""
     memo, rank = {}, {(): machine._rank(())}
-    root = ((), machine._descend((), comp), ())
+    root = ((), machine.descend((), comp), ())
     assert machine._ill_typed([root], rank, EMPTY, memo) is None
     shared = 0
 
@@ -267,7 +268,7 @@ def _record_verdicts(comp, policy, seed, records: list) -> int:
                     error = None
                 except LangError as exc:
                     error = str(exc)
-                whole = ill_formed([(t, machine._plug(s), ())], rank, ty, None)
+                whole = ill_formed([(t, plug_state(s), ())], rank, ty, None)
                 records.append((s, t, ty, error, whole))
 
     run(comp, policy, seed, on_local=record)

@@ -34,7 +34,6 @@ from pathlib import Path
 import pytest
 
 from dynthreads import denote, lang, machine
-from dynthreads.denote import Elaborator
 from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, tid_str
 from dynthreads.machine import (
     DEFAULT_BUDGET,
@@ -43,14 +42,11 @@ from dynthreads.machine import (
     Deadlock,
     FuelExhausted,
     MachineError,
-    check_confluence,
-    explore,
     observation,
     run,
     run_with_preservation,
 )
 from dynthreads.posets import Pomset
-from dynthreads.tids import ParamContext
 
 from corpus import NESTED_WAIT, OUT_OF_ORDER, corpus_names, load_core
 from graph_oracle import plugged, prec, reference_run, run_exhaustive
@@ -192,19 +188,14 @@ def test_a_run_builds_one_configuration_and_never_scans_the_threads(monkeypatch)
             assert len(built) == 1 and result.terminal.threads is built[0], (name, policy, seed)
 
 
-def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
-    # each thread keeps its frames and focus between steps: a run without a
-    # hook, the gate, the elaborator, a preservation run, well formed or
-    # not, and a deadlocked run never plug a state back into a computation.
-    # The preservation check types thread states alone, the root's first
-    # and then each unfinished state a step writes, and never a whole
-    # computation; a deadlock builds no configuration
-    plugs, typed, built = [], [], []
-    plug, check_state = machine._plug, machine._check_state
-
-    def counted_plug(state):
-        plugs.append(state)
-        return plug(state)
+def test_nothing_plugs_a_thread_state(monkeypatch):
+    # each thread keeps its frames and focus between steps, and the plug
+    # back into a computation lives in the tests alone.  The preservation
+    # check types thread states alone, the root's first and then each
+    # unfinished state a step writes, and never a whole computation; a
+    # deadlock builds no configuration
+    typed, built = [], []
+    check_state = machine._check_state
 
     def counted_check(world, state, ty, memo):
         typed.append(state)
@@ -217,11 +208,11 @@ def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
     def writes(a, ordinal, local):
         written.extend(s for _, s in local.threads if s is not FINISHED)
 
-    monkeypatch.setattr(machine, "_plug", counted_plug)
     monkeypatch.setattr(machine, "_check_state", counted_check)
     monkeypatch.setattr(machine, "Configuration", counted_configuration)
-    # the whole check of plugged states and its checker live in the tests
-    assert not hasattr(denote, "_plug")
+    # the plug, the whole check of plugged states and its checker live in
+    # the tests
+    assert not hasattr(machine, "_plug") and not hasattr(denote, "_plug")
     assert not hasattr(machine, "_ill_formed") and not hasattr(machine, "check_comp")
     assert not hasattr(lang, "check_comp")
     for name in corpus_names():
@@ -230,19 +221,15 @@ def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
             run(comp, policy, seed)
             typed.clear()
             run_with_preservation(comp, EMPTY, policy, seed)
-            written = [machine._descend((), comp)]
+            written = [machine.descend((), comp)]
             run(comp, policy, seed, on_local=writes)
             assert typed == written, (name, policy, seed)
-        check_confluence(comp)
-        explore(comp)
-        Elaborator(ParamContext(())).denote_comp(comp, {}, EMPTY)
-        assert plugs == [], name
     for text in ("fork(); wait(#0.5); stop()",
                  "let x = fork() in case x of { inj1 a => stop() | inj2 u => ret () }"):
         built.clear()
         with pytest.raises(Deadlock):
             run(desugar(parse_comp(text)))
-        assert built == [] and plugs == [], text
+        assert built == [], text
     # children numbered downwards (see the preservation oracle): the fourth
     # step spawns 0.-2, which cannot name 0.-1; the states of the first four
     # steps are typed as thread states, the root's before its child's
@@ -254,11 +241,11 @@ def test_only_what_reads_a_thread_state_plugs_it(monkeypatch):
     typed.clear()
     with pytest.raises(MachineError, match=r"after step 4 ill-formed: thread 0\.-2 "):
         run_with_preservation(comp, EMPTY)
-    written = [machine._descend((), comp)]
+    written = [machine.descend((), comp)]
     with pytest.raises(FuelExhausted):
         run(comp, fuel=4, on_local=writes)
-    assert plugs == [] and typed == written, typed
-    assert typed[-1] == (typed[-2][0], machine._CHILD_START)
+    assert typed == written, typed
+    assert typed[-1] == (typed[-2][0], machine.CHILD_START)
 
 
 def test_a_long_print_chain_runs_and_builds_its_pomset():

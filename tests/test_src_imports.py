@@ -1,15 +1,18 @@
 """No module under ``src/`` reaches into another's private names.
 
 A ``_``-prefixed name is its module's own: a module that imports one from
-another ``src/`` module (``from .machine import _plug``), or reads one off
-an imported module (``from . import machine`` and then ``machine._plug``),
-fails the test unless the name is on :data:`ALLOWED` with a reason.  The
-list keeps the thread-state representation, the machine's ``(frames,
-focus)`` pairs, from spreading to more modules.  The modules are read with
-``ast``.
+another ``src/`` module (``from .machine import _write``), or reads one
+off an imported module (``from . import machine`` and then
+``machine._write``), fails the test unless the name is on :data:`ALLOWED`
+with a reason.  The modules are read with ``ast``.
 
-The one plug of a thread state back into a computation outside the
-machine is the command line's trace; a second test keeps it the only one.
+Thread states, the machine's ``(frames, focus)`` pairs, have one home:
+:mod:`dynthreads.machine` names what the elaborator and the command line
+use of them publicly, and a second test keeps the rest of the
+representation there.  Only the machine walks the ``(frame, frames
+below)`` cells of a state's frames, and nothing in ``src/`` plugs a state
+back into a computation: the machine builds no ``let`` node, and the plug
+lives in the tests (``graph_oracle.plug_state``).
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "dynthreads"
 
 ALLOWED = {
-    ("denote", "machine", "_descend"): "the elaborator steps thread states with the machine's pure step",
-    ("denote", "machine", "_effect"): "the elaborator dispatches effects as the machine does",
-    ("denote", "machine", "_pure_step"): "the one evaluator of the pure fragment",
-    ("denote", "machine", "_CHILD_START"): "a forked child's first state, which the elaborator denotes",
-    ("denote", "machine", "_FORK_RESULT"): "the sum type a fork returns, which the elaborator denotes",
-    ("cli", "machine", "_plug"): "the trace prints the acting thread's new state as text",
     ("machine", "lang", "_comp"): "thread states are typed as frames and focus with the typing judgement",
     ("machine", "lang", "_tids"): "a thread state's world is read off the thread IDs its parts name",
 }
@@ -90,33 +87,46 @@ def test_no_module_in_src_imports_another_modules_private_names():
 
 def test_the_check_sees_each_spelling():
     spellings = [
-        "from .machine import _plug",
-        "from .machine import run, _plug as plug",
-        "from dynthreads.machine import _plug",
-        "from . import machine\nmachine._plug(s)",
-        "from dynthreads import machine as m\nm._plug(s)",
-        "import dynthreads.machine as m\nm._plug(s)",
+        "from .machine import _write",
+        "from .machine import run, _write as write",
+        "from dynthreads.machine import _write",
+        "from . import machine\nmachine._write(s)",
+        "from dynthreads import machine as m\nm._write(s)",
+        "import dynthreads.machine as m\nm._write(s)",
     ]
     for text in spellings:
-        assert private_imports("cli", ast.parse(text)) == {("cli", "machine", "_plug")}, text
+        assert private_imports("cli", ast.parse(text)) == {("cli", "machine", "_write")}, text
     for text in ("from .machine import run", "from os import _exit", "import os\nos._exit(0)",
                  "from . import machine\nmachine.__doc__", "from .cli import _read"):
         assert not private_imports("cli", ast.parse(text)), text
 
 
-def test_only_the_command_line_trace_plugs_a_thread_state():
-    # a state is plugged back into a computation only to be printed
-    calls = [
-        (name, node.lineno)
-        for name, tree in _modules().items()
+def _cell_walks(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that take a cons cell apart into its head and
+    the rest of the list, as ``frame, frames = frames`` does."""
+    return [
+        node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "_plug" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Name)
+        and isinstance(node.targets[0], ast.Tuple)
+        and [getattr(t, "id", None) for t in node.targets[0].elts][-1:] == [node.value.id]
     ]
-    assert [name for name, _ in calls] == ["cli"], calls
-    run = next(
-        node for node in _modules()["cli"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "cmd_run"
-    )
-    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_plug"
-               for node in ast.walk(run))
+
+
+def test_nothing_in_src_plugs_a_thread_state():
+    # only the machine reads a state's frame cells, and only the language
+    # module (its parser, desugarer and substitution) builds let nodes: a
+    # state's frames are the program's own
+    modules = _modules()
+    walks = {name: _cell_walks(tree) for name, tree in modules.items()}
+    assert [name for name, lines in walks.items() if lines] == ["machine"], walks
+    builds = {
+        name
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LetC"
+    }
+    assert builds == {"lang"}, builds
+    assert _cell_walks(ast.parse("frame, frames = frames")) == [1]
+    assert not _cell_walks(ast.parse("frames, comp = state\nx = frames"))

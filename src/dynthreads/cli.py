@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .denote import adequacy_check, denote
-from .lang import EMPTY, desugar, parse_program, print_type, tid_str, typecheck_comp
+from .lang import desugar, parse_program, print_type, returns_no_value, tid_str, typecheck_comp
 from .machine import (
     DEFAULT_BUDGET, FINISHED, StepLabel, explore, run, run_result_to_json, state_pieces,
 )
@@ -101,12 +101,12 @@ def _load_closed_program(args):
 
 def _load_program_for_run(args):
     """The program of ``args.path``, which must be closed and of the empty
-    type, as :func:`adequacy_check` requires: a run counts only threads
-    that stop as finished, so a root that returns would read as a
-    deadlock."""
+    type or another type with no values, as :func:`adequacy_check`
+    requires: a run counts only threads that stop as finished, so a root
+    that returns would read as a deadlock."""
     comp = _load_closed_program(args)
     ty = typecheck_comp({}, frozenset(), comp)
-    if ty != EMPTY:
+    if not returns_no_value(ty):
         raise CliError(
             f"{args.command} needs a closed program of the empty type, got {print_type(ty)}"
         )

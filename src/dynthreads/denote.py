@@ -45,6 +45,7 @@ from .lang import (
     desugar,
     first_order,
     print_type,
+    returns_no_value,
     subst_value,
     tid_str,
     tids_of_value,
@@ -257,6 +258,8 @@ def world_context(world) -> ParamContext:
 def denote(comp: Comp, world=frozenset()) -> Denotation:
     """Denotation of a closed program of first-order type in ``world``."""
     result_type = typecheck_comp({}, frozenset(world), comp)
+    if returns_no_value(result_type):
+        result_type = Sum(())  # the program never returns, as one of type 0
     if not first_order(result_type):
         raise NotFirstOrderResult(
             f"program has type {print_type(result_type)}; only first-order results denote"
@@ -290,15 +293,16 @@ def adequacy_check(
     fuel: int = DEFAULT_BUDGET,
 ) -> AdequacyReport:
     """Run the program and compare the observed pomset with the star-erased
-    denotation, up to label-preserving order isomorphism."""
+    denotation, up to label-preserving order isomorphism.  A program whose
+    type has no values never returns, so it is denoted at the empty type."""
     result_type = typecheck_comp({}, frozenset(), comp)
-    if result_type != Sum(()):
+    if not returns_no_value(result_type):
         raise DenoteError(
             f"adequacy needs a closed program of the empty type, got {print_type(result_type)}"
         )
     core = desugar(comp)
     rr = run(core, policy=policy, seed=seed, fuel=fuel)
-    den = _denote_core(core, result_type, frozenset())
+    den = _denote_core(core, Sum(()), frozenset())
     denoted = erase_star(den.poset)
     witness = rr.pomset.iso_to(denoted)
     return AdequacyReport(witness is not None, rr.pomset, denoted, witness, rr)

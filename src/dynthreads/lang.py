@@ -101,6 +101,19 @@ def compatible(got: LangType, want: LangType) -> bool:
     return False
 
 
+def returns_no_value(ty: LangType) -> bool:
+    """Whether no value has type ``ty``, the bottom marker counted as empty:
+    a closed program of such a type never returns, as one of type 0."""
+    match ty:
+        case Bot():
+            return True
+        case Prod(parts):
+            return any(returns_no_value(p) for p in parts)
+        case Sum(parts):
+            return all(returns_no_value(p) for p in parts)
+    return False
+
+
 def first_order(ty: LangType) -> bool:
     match ty:
         case TidType():

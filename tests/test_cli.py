@@ -367,6 +367,20 @@ def test_run_and_explore_refuse_a_program_that_returns(tmp_path, capsys, text):
     )
 
 
+@pytest.mark.parametrize("text", [
+    "case stop() of {}\n",
+    "print[a](); case stop() of {}\n",
+    "let z = case stop() of {} in ret (z, ())\n",
+])
+def test_run_and_explore_take_a_program_that_never_returns(tmp_path, capsys, text):
+    # a type with no values, the bottom marker's included, is as good as 0:
+    # the program stops and never returns, and it is denoted at type 0
+    path = _write(tmp_path, "never.prog", text)
+    for command in ("run", "explore", "denote", "adequacy"):
+        assert main([command, path]) == 0, command
+        assert capsys.readouterr().err == "", command
+
+
 def test_check_of_a_lone_case_is_a_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "case.prog", "case\n")
     assert main(["check", path]) == 2

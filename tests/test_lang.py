@@ -6,6 +6,7 @@ import pytest
 
 from dynthreads import lang
 from dynthreads.lang import (
+    BOTTOM,
     EMPTY,
     TID,
     UNIT,
@@ -41,6 +42,7 @@ from dynthreads.lang import (
     print_comp,
     print_program,
     print_type,
+    returns_no_value,
     subst_value,
     tids_of_value,
     typecheck_comp,
@@ -75,6 +77,20 @@ def test_ex21_program_typechecks_at_empty_type():
     assert typecheck_comp({}, frozenset(), comp) == EMPTY
     _, comp2 = parse_program(EX21_PROGRAM_2)
     assert typecheck_comp({}, frozenset(), comp2) == EMPTY
+
+
+@pytest.mark.parametrize("ty, empty", [
+    (EMPTY, True),
+    (BOTTOM, True),
+    (Prod((BOTTOM, UNIT)), True),
+    (Sum((EMPTY, BOTTOM)), True),
+    (UNIT, False),
+    (TID, False),
+    (Sum((EMPTY, UNIT)), False),
+    (Arrow(UNIT, EMPTY), False),
+])
+def test_types_with_no_values(ty, empty):
+    assert returns_no_value(ty) is empty
 
 
 def test_tid_constant_needs_world():

@@ -957,13 +957,18 @@ def test_long_print_chain_runs_with_short_trace_lines():
     n = 150
     labels = [f"p{k}" for k in range(n)]
     text = "".join(f"print[{label}](); " for label in labels) + "stop()"
-    lines = []
+    lines, oracle_lines = [], []
     comp = desugar(parse_comp(text))
     # the command line's hook: each line from the acting thread's new state
     result = run(comp, on_local=lambda tid, _, local: lines.append(
         _trace_line(StepLabel(tid, local.action), dict(local.threads)[tid])
     ))
-    assert len(result.events) == len(lines) == 1_201
+    # the oracle's lines, from the plugged state of each configuration
+    reference_run(comp, on_step=lambda label, c: oracle_lines.append(
+        trace_line(label, thread(c, label.acting))
+    ))
+    assert oracle_lines == lines
+    assert len(result.events) == len(oracle_lines) == 1_201
     pomset = result.pomset
     assert len(pomset.element_ids) == n
     by_label = {(pomset.label_map[a], pomset.label_map[b]) for a, b in pomset.order}

@@ -28,6 +28,7 @@ from functools import partial
 from typing import Optional
 
 from .lang import (
+    Arrow,
     Comp,
     InjV,
     LangType,
@@ -99,21 +100,10 @@ class AlphabetCollision(DenoteError):
 
 # --- canonical first-order types -----------------------------------------------
 
-@record
-class CanonicalFOType:
-    """A first-order type flattened to a sum of tid-tuples: one entry per
-    summand, holding its tid arity."""
-
-    summands: tuple[int, ...]
-
-    @staticmethod
-    def of(ty: LangType) -> "CanonicalFOType":
-        if not first_order(ty):
-            raise NotFirstOrderResult(f"{print_type(ty)} contains a function type")
-        return CanonicalFOType(tuple(_summands(ty)))
-
-
 def _summands(ty: LangType) -> list[int]:
+    """The first-order type ``ty`` flattened to a sum of tid-tuples: the tid
+    arity of each summand.  A function type met on the way raises
+    :class:`NotFirstOrderResult`."""
     match ty:
         case TidType():
             return [1]
@@ -128,6 +118,8 @@ def _summands(ty: LangType) -> list[int]:
                 arms = _summands(p)
                 combos = [m + a for m in combos for a in arms]
             return combos
+        case Arrow():
+            raise NotFirstOrderResult(f"{print_type(ty)} is a function type")
     raise TypeError(f"not a first-order type: {ty!r}")
 
 
@@ -201,9 +193,13 @@ class Elaborator:
         fork whose parent branch goes on with ``inj1`` of a fresh thread ID
         and whose child branch, walked after it, is the machine's child
         start under the same frames; ``wait`` opens a wait; ``stop``,
-        ``printstop`` and a returned value close the branch."""
-        canonical = CanonicalFOType.of(result_type)
-        gamma = CompContext(tuple((f"x{i}", m) for i, m in enumerate(canonical.summands, start=1)))
+        ``printstop`` and a returned value close the branch.
+
+        ``result_type`` is flattened by :func:`_summands`, which refuses a
+        function type.  The term is not scope checked here: :func:`interp`
+        checks it before anything else."""
+        summands = enumerate(_summands(result_type), start=1)
+        gamma = CompContext(tuple((f"x{i}", m) for i, m in summands))
         for x, v in env.items():
             comp = subst_value(comp, x, v)
         binders: dict = {}  # forked ID -> its binder
@@ -211,9 +207,9 @@ class Elaborator:
         def name(t: Tid) -> str:
             if t in binders:
                 return binders[t]
-            if f"w{tid_str(t)}" not in self.delta.names:
+            if world_param(t) not in self.delta.names:
                 raise UnboundTid(f"thread ID {tid_str(t)} not in the world")
-            return f"w{tid_str(t)}"
+            return world_param(t)
 
         def names(v: Value) -> frozenset[str]:
             return frozenset(map(name, tids_of_value(v)))
@@ -246,13 +242,18 @@ class Elaborator:
                     break
                 opened.pop()
                 term = build(*closed)
-        scope_check(term, gamma, self.delta)
         return gamma, term
+
+
+def world_param(t: Tid) -> str:
+    """The parameter of the world thread ``t`` in a denotation, ``w0_1`` for
+    ``#0.1``: a name that term files read, which ``.`` would not be."""
+    return "w" + tid_str(t).replace(".", "_")
 
 
 def world_context(world) -> ParamContext:
     """One parameter per world thread ID, in path order."""
-    return ParamContext(tuple(f"w{tid_str(p)}" for p in sorted(world)))
+    return ParamContext(tuple(map(world_param, sorted(world))))
 
 
 def denote(comp: Comp, world=frozenset()) -> Denotation:

@@ -24,7 +24,7 @@ depth of nesting exhausts the Python stack.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .record import record
@@ -125,32 +125,36 @@ def first_order(ty: LangType) -> bool:
     raise TypeError(f"not a type: {ty!r}")
 
 
+# The type syntax in one table, read by :func:`_parse_type` and
+# :func:`print_type`: its atoms, and its infix operators, loosest first,
+# with the node each builds.  An arrow nests to the right, and a sum or a
+# product lists two or more parts flat.
+_TYPE_ATOMS = {"tid": TID, "1": UNIT, "0": EMPTY}
+_TYPE_OPS = (("->", Arrow), ("+", Sum), ("*", Prod))
+
+
 def print_type(ty: LangType, level: int = 0) -> str:
-    match ty:
-        case TidType():
-            return "tid"
-        case Bot():
-            return "<never>"
-        case Prod(()):
-            return "1"
-        case Sum(()):
-            return "0"
-        case Prod((part,)):
-            # unary sums and products have no source syntax: a trailing
-            # operator marks them, which the parser rejects
-            return f"({print_type(part, 3)} *)"
-        case Sum((part,)):
-            return f"({print_type(part, 2)} +)"
-        case Prod(parts):
-            s = " * ".join(print_type(p, 3) for p in parts)
-            return f"({s})" if level > 2 else s
-        case Sum(parts):
-            s = " + ".join(print_type(p, 2) for p in parts)
-            return f"({s})" if level > 1 else s
-        case Arrow(arg, res):
-            s = f"{print_type(arg, 1)} -> {print_type(res, 0)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"not a type: {ty!r}")
+    """The text of ``ty``, bracketed when its operator's place in
+    :data:`_TYPE_OPS` is before ``level``: an operand is printed at the
+    place after its operator's, and an arrow's result at the arrow's."""
+    if type(ty) is Bot:
+        return "<never>"
+    for word, atom in _TYPE_ATOMS.items():
+        if ty == atom:
+            return word
+    own = next((i for i, (_, node) in enumerate(_TYPE_OPS) if type(ty) is node), None)
+    if own is None:
+        raise TypeError(f"not a type: {ty!r}")
+    op = _TYPE_OPS[own][0]
+    if own == 0:
+        text = f"{print_type(ty.arg, 1)} -> {print_type(ty.res)}"
+    elif len(ty.parts) == 1:
+        # unary sums and products have no source syntax: a trailing
+        # operator marks them, which the parser rejects
+        return f"({print_type(ty.parts[0], own + 1)} {op})"
+    else:
+        text = f" {op} ".join(print_type(p, own + 1) for p in ty.parts)
+    return f"({text})" if level > own else text
 
 
 # --- values and computations ---------------------------------------------------
@@ -813,6 +817,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[(){},;=|.\\:*+])"
 )
 
+# the name tokens that are not identifiers: the words the parser reads as
+# syntax, and numbers, so no variable or binder is named by one
+_RESERVED = re.compile("|".join(
+    ["let", "in", "case", "of", "ret", "nil", *CORE_CONSTS, *SUGAR_CONSTS, "(?:proj|inj)?[0-9]+"]
+))
+
 
 def parse_program(text: str) -> tuple[World, Comp]:
     """Parse an optional ``world #0.1, ...;`` header and a computation.
@@ -984,52 +994,48 @@ def _parse_tid(lx: Lexer, tok: tuple) -> Tid:
 
 def _parse_ident(lx: Lexer) -> str:
     tok = lx.next()
-    if tok[0] != "name" or tok[1].isdigit():
+    if tok[0] != "name" or _RESERVED.fullmatch(tok[1]):
         raise lx.fail(tok, f"expected an identifier, got {tok[1]!r}")
     return tok[1]
 
 
-_TYPE_ATOMS = {"tid": TID, "1": UNIT, "0": EMPTY}
-
-
 def _parse_type(lx: Lexer) -> LangType:
-    """``type ::= sum [-> type]``, ``sum ::= prod {+ prod}``,
-    ``prod ::= atom {* atom}``, ``atom ::= tid | 1 | 0 | ( type )``, from
-    an explicit stack: ``levels`` holds the operands read so far at the
-    arrow, sum and product levels, and each open parenthesis keeps the
-    levels around it."""
+    """A type, read by the table of :data:`_TYPE_ATOMS` and
+    :data:`_TYPE_OPS` from an explicit stack: ``levels`` holds the operands
+    read so far at each operator's level, and each open parenthesis keeps
+    the levels around it.  An operand closes each level, tightest first,
+    until one whose operator follows it."""
     stack: list = []
-    levels: list[list] = [[], [], []]
+    levels: list[list] = [[] for _ in _TYPE_OPS]
     while True:
         tok = lx.next()
         if tok[1] == "(":
             stack.append(levels)
-            levels = [[], [], []]
+            levels = [[] for _ in _TYPE_OPS]
             continue
         ty = _TYPE_ATOMS.get(tok[1])
         if ty is None:
             raise lx.fail(tok, f"expected a type, got {tok[1]!r}")
         while True:
-            arrows, sums, prods = levels
-            prods.append(ty)
             op = lx.peek()[1]
-            if op == "*":
-                break
-            sums.append(prods[0] if len(prods) == 1 else Prod(tuple(prods)))
-            prods.clear()
-            if op == "+":
-                break
-            arrows.append(sums[0] if len(sums) == 1 else Sum(tuple(sums)))
-            sums.clear()
-            if op == "->":
-                break
-            ty = arrows.pop()
-            while arrows:
-                ty = Arrow(arrows.pop(), ty)
-            if not stack:
-                return ty
-            lx.expect(")")
-            levels = stack.pop()
+            for level in reversed(range(len(_TYPE_OPS))):
+                word, node = _TYPE_OPS[level]
+                operands = levels[level]
+                operands.append(ty)
+                if op == word:
+                    break
+                levels[level] = []
+                if node is Arrow:
+                    ty = reduce(lambda res, arg: Arrow(arg, res), reversed(operands))
+                else:
+                    ty = operands[0] if len(operands) == 1 else node(tuple(operands))
+            else:
+                if not stack:
+                    return ty
+                lx.expect(")")
+                levels = stack.pop()
+                continue
+            break
         lx.next()
 
 
@@ -1072,7 +1078,7 @@ def _print_parts(node) -> list:
     """One node's text: strings and the child nodes between them."""
     match node:
         case VarV(name):
-            return [name]
+            return [_print_ident(name)]
         # a one-item tuple's text is its item's in parentheses, which the
         # parser reads as the item alone, so no text reads back as it
         case TupleV((_,)) | ApplyC(_, TupleV((_,))):
@@ -1082,14 +1088,14 @@ def _print_parts(node) -> list:
         case InjV(i, inner):
             return [f"inj{i} ", *_print_atom(inner)]
         case LambdaV(param, None, body):
-            return [f"\\{param}. ", body]
+            return [f"\\{_print_ident(param)}. ", body]
         case LambdaV(param, annot, body):
             annot = print_type(annot)
             # a unary sum or product has no source syntax: print_type marks
             # it with a trailing operator, which the parser rejects
             if " +)" in annot or " *)" in annot:
                 raise TypeError(f"no text parses as the annotation {annot}")
-            return [f"\\{param}:{annot}. ", body]
+            return [f"\\{_print_ident(param)}:{annot}. ", body]
         case TidV(path):
             return ["#" + tid_str(path)]
         case NilV():
@@ -1120,7 +1126,7 @@ def _print_parts(node) -> list:
         case ApplyC(fn, arg):
             return [*_print_atom(fn), "(", arg, ")"]
         case LetC(var, bound, body):
-            return [f"let {var} = ", bound, " in ", body]
+            return [f"let {_print_ident(var)} = ", bound, " in ", body]
         # a lambda's body runs to the end of the computation around it, so
         # a returned lambda before a ``;`` is bracketed
         case SeqC(Ret(LambdaV() as fn), second):
@@ -1128,6 +1134,14 @@ def _print_parts(node) -> list:
         case SeqC(first, second):
             return [first, "; ", second]
     raise TypeError(f"not a value or computation: {node!r}")
+
+
+def _print_ident(name: str) -> str:
+    """``name`` as a variable or a binder, which the parser reads as such
+    unless it is a reserved word (:data:`_RESERVED`)."""
+    if _RESERVED.fullmatch(name):
+        raise TypeError(f"no text parses as the identifier {name!r}, a reserved word")
+    return name
 
 
 def _print_atom(v: Value) -> list:
@@ -1152,7 +1166,7 @@ def _print_branches(branches) -> list:
     for i, (x, body) in enumerate(branches, start=1):
         if i > 1:
             parts.append(" | ")
-        parts += [f"inj{i} {x} => ", body]
+        parts += [f"inj{i} {_print_ident(x)} => ", body]
     parts.append(" }")
     return parts
 

@@ -272,23 +272,25 @@ def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
-def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
-    """Write a local step into the thread map ``threads`` (tid to entry) of
-    the acting thread, which directly waits for ``waits``: each thread the
-    local step wrote takes its new state and ``waits`` itself as its set
-    (the acting thread keeps its own, a spawned child starts with its
-    parent's), and each wait pair ``(b, a)`` of the step adds ``b`` to the
-    set of ``a``.  Every other entry is kept as it is."""
+def _write(threads: dict, waits: frozenset, local: _LocalOut, step: int) -> None:
+    """Write ``local``, the local step of the run's step number ``step``,
+    into the thread map ``threads`` (tid to entry) of the acting thread,
+    which directly waits for ``waits``: each thread the local step wrote
+    takes its new state and ``waits`` itself as its set (the acting thread
+    keeps its own, a spawned child starts with its parent's), and each
+    wait pair ``(b, a)`` of the step adds ``b`` to the set of ``a``.  Every
+    other entry is kept as it is.  Finished is final: a step that writes a
+    finished thread, as a listed thread or as the end of a wait pair,
+    raises :class:`MachineError` before anything is written, naming the
+    first, listed threads first."""
+    for t in [*map(itemgetter(0), local.threads), *map(itemgetter(1), local.new_prec)]:
+        if t in threads and threads[t][1] is FINISHED:
+            raise MachineError(f"step {step} writes finished thread {tid_str(t)}")
     for t, state in local.threads:
         threads[t] = (t, state, waits)
     for b, a in local.new_prec:
         t, state, before = threads[a]
         threads[a] = (t, state, before | {b})
-
-
-def _writes_finished(step: int, t: Tid) -> MachineError:
-    """The error for a step that writes the finished thread ``t``."""
-    return MachineError(f"step {step} writes finished thread {tid_str(t)}")
 
 
 def _deadlock(entries: Iterable) -> Deadlock:
@@ -388,8 +390,8 @@ def run(
     deadlock is named from the thread map (:func:`_deadlock`), and nothing
     is plugged.  This relies on
     finished being final, which every local step keeps by writing only its
-    own thread and a new child; a step that writes a finished thread raises
-    :class:`MachineError`."""
+    own thread and a new child; :func:`_write` refuses a step that writes a
+    finished thread."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
     if policy == "lowest-tid":
@@ -435,12 +437,6 @@ def run(
                 if not new[0] and type(new[1]) is Ret:  # unless it returned
                     runnable.remove(tid)
                 continue
-        for t, _ in written:
-            if t in finished:
-                raise _writes_finished(len(events), t)
-        for _, t in new_prec:
-            if t in finished:
-                raise _writes_finished(len(events), t)
         for t, new in written:
             if t not in threads:  # a spawned child
                 children[t[:-1]] = children.get(t[:-1], 0) + 1
@@ -454,7 +450,7 @@ def run(
             if b not in finished:
                 blocked[a].add(b)
                 waiters.setdefault(b, set()).add(a)
-        _write(threads, waits, local)
+        _write(threads, waits, local, len(events))
         for t, _ in written:
             settle(t)
         for _, t in new_prec:
@@ -685,15 +681,21 @@ def _rank(tid: Tid) -> tuple:
     return tid + (inf,)
 
 
+def _waits_back(b: Tid, tid: Tid, known) -> bool:
+    """Whether a wait of ``tid`` on ``b`` breaks the creation order
+    (:func:`_rank`): ``b`` is not in ``known``, or it is not earlier than
+    ``tid``.  Wait sets need not be closed: if every wait goes forward in
+    the order, so does every pair of their closure, which is therefore
+    acyclic."""
+    return b not in known or _rank(b) >= _rank(tid)
+
+
 def _bad_wait(entries: Iterable, known) -> str:
-    """The first wait of ``entries``, ``(tid, state, waits)``, that names a
-    thread not in ``known`` or one that is not earlier in the creation
-    order (:func:`_rank`).  There is one: the preservation hook calls this
-    only once its exact prefilter has found it.  Wait sets need not be
-    closed: if every wait goes forward in the order, so does every pair of
-    their closure, which is therefore acyclic."""
-    tid, b = next((tid, b) for tid, _, waits in entries for b in waits
-                  if b not in known or _rank(b) >= _rank(tid))
+    """The first wait of ``entries``, ``(tid, state, waits)``, that breaks
+    the creation order (:func:`_waits_back`).  There is one: the
+    preservation hook calls this only once its exact prefilter has found
+    it."""
+    tid, b = next((tid, b) for tid, _, waits in entries for b in waits if _waits_back(b, tid, known))
     why = "unknown thread" if b not in known else "later sibling"
     return f"{tid_str(tid)} waits on {why} {tid_str(b)}"
 
@@ -752,23 +754,26 @@ def run_with_preservation(
     fuel: int = DEFAULT_BUDGET,
 ) -> tuple[RunResult, int]:
     """Run while asserting that every configuration is well formed in its
-    creation order (:func:`_rank`): each wait names an earlier thread
-    (:func:`_bad_wait`) and each unfinished thread type checks against the
-    threads before it (:func:`_ill_typed`).  Returns the result and the
-    number of checks.
+    creation order (:func:`_rank`): no wait breaks the order
+    (:func:`_waits_back`, :func:`_bad_wait`) and each unfinished thread
+    type checks against the threads before it (:func:`_ill_typed`).
+    Returns the result and the number of checks.
 
     The first configuration is the root's thread state, which is typed.
     Then one ``on_local`` hook writes the thread states each step wrote
-    into a thread map of its own (:func:`_write`), whose keys are the known
+    into a thread map of its own (:func:`_write`, which refuses a step that
+    writes a finished thread as :func:`run` does), whose keys are the known
     threads, and checks the entries the step wrote, read off its local
     step: the threads it lists and the threads its wait pairs end at, in
     tid order, waits before typing.  Of the acting thread's waits only the
-    step's new ones can break the order.  A thread the step gives the
-    acting thread's wait set, such as a new child, has that set judged by
-    one comparison: the hook keeps the largest rank in each thread's wait
-    set, and every wait in it names a known thread, so the set goes forward
-    exactly when that rank is below the thread's own.  Only when one of
-    these tests fails are the written wait sets read to name the wait.
+    step's new ones can break the order, and each is judged as it is
+    written.  A thread the step gives the acting thread's wait set, such as
+    a new child, has that set judged by one comparison: the hook keeps the
+    largest rank in each thread's wait set, and every wait in it names a
+    known thread, so the set goes forward exactly when that rank is below
+    the thread's own.  Only when one of these tests fails are the written
+    wait sets scanned, to name the first bad wait in tid order, the one a
+    check of the whole configuration names.
     Each written state is typed as its frames and focus, so nothing is
     plugged: this is subject reduction one step at a time (Wright &
     Felleisen 1994).  That covers every configuration:
@@ -782,9 +787,6 @@ def run_with_preservation(
     the one a check of the whole configuration would report first.  The
     tests keep that whole check at every step, on plugged states, as the
     oracle.
-
-    The hook runs before :func:`run` checks the step, so it passes over a
-    step that writes a finished thread, which the run then refuses.
 
     The type checker shares one typing memo (see :mod:`dynthreads.lang`)
     across the run, which lives no longer than the call: a step keeps
@@ -802,20 +804,18 @@ def run_with_preservation(
 
     def check(a: Tid, _: int, local: _LocalOut) -> None:
         nonlocal steps
-        written = sorted({t for t, _ in local.threads} | {y for _, y in local.new_prec})
-        if any(t in threads and threads[t][1] is FINISHED for t in written):
-            return  # run refuses the step
         steps += 1
         inherited = top[a]
-        _write(threads, threads[a][2], local)
+        _write(threads, threads[a][2], local, steps)
         for t, _ in local.threads:
             top[t] = inherited
         for b, y in local.new_prec:
             if b in threads and _rank(b) > top[y]:
                 top[y] = _rank(b)
+        written = sorted({t for t, _ in local.threads} | {y for _, y in local.new_prec})
         entries = [threads[t] for t in written]
         waits_break = any(inherited >= _rank(t) for t, _ in local.threads if t != a) or any(
-            b not in threads or _rank(b) >= _rank(y) for b, y in local.new_prec
+            _waits_back(b, y, threads) for b, y in local.new_prec
         )
         bad = (waits_break and _bad_wait(entries, threads)) or _ill_typed(
             entries, threads, result_type, memo

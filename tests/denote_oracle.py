@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from dynthreads.denote import CanonicalFOType, DenoteError, UnboundTid, _summands
+from dynthreads.denote import DenoteError, UnboundTid, _summands, world_param
 from dynthreads.lang import (
     ApplyC,
     CaseV,
@@ -123,11 +123,10 @@ class Elaborator:
         return name
 
     def denote_comp(self, comp: Comp, env: dict, result_type: LangType) -> tuple[CompContext, Term]:
-        canonical = CanonicalFOType.of(result_type)
         gamma = CompContext(
             tuple(
                 (f"{self.var_prefix}{i}", m)
-                for i, m in enumerate(canonical.summands, start=1)
+                for i, m in enumerate(_summands(result_type), start=1)
             )
         )
 
@@ -201,7 +200,7 @@ class Elaborator:
             case LambdaV(param, _, body):
                 return SClosure(param, body, dict(env))
             case TidV(path):
-                name = f"w{tid_str(path)}"
+                name = world_param(path)
                 if name not in self.delta.names:
                     raise UnboundTid(f"thread ID {tid_str(path)} not in the world")
                 return STid(frozenset({name}))

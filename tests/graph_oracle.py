@@ -89,7 +89,6 @@ from dynthreads.machine import (
     _LocalOut,
     _deadlock,
     _reduce,
-    _write,
     effect,
 )
 from dynthreads.posets import label_paths
@@ -404,9 +403,15 @@ def _runnable(c: Configuration) -> list[tuple[Tid, Comp, frozenset, int]]:
 def _apply(c: Configuration, tid: Tid, waits: frozenset, local) -> tuple:
     """The global step, ``(label, configuration)``, of the runnable thread
     ``tid``, which directly waits for ``waits`` and whose local step is
-    ``local`` (see :func:`~dynthreads.machine._write`)."""
+    ``local``, written as :func:`~dynthreads.machine._write` writes it but
+    unchecked, so that a broken step that writes a finished thread is
+    modelled as it is, not refused."""
     threads = {entry[0]: entry for entry in c.threads}
-    _write(threads, waits, local)
+    for t, state in local.threads:
+        threads[t] = (t, state, waits)
+    for b, a in local.new_prec:
+        t, state, before = threads[a]
+        threads[a] = (t, state, before | {b})
     return StepLabel(tid, local.action), Configuration(tuple(sorted(threads.values())))
 
 

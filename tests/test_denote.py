@@ -8,7 +8,6 @@ import pytest
 from dynthreads import denote as denote_module
 from dynthreads.denote import (
     AlphabetCollision,
-    CanonicalFOType,
     Denotation,
     DenoteError,
     Elaborator,
@@ -22,6 +21,7 @@ from dynthreads.denote import (
     denote,
     gadget_subst,
     world_context,
+    _summands,
 )
 from dynthreads.lang import (
     Arrow,
@@ -66,15 +66,18 @@ from model_oracle import ref_stop
 
 
 def test_canonical_fo_type_flattening():
-    assert CanonicalFOType.of(TID).summands == (1,)
-    assert CanonicalFOType.of(UNIT).summands == (0,)
-    assert CanonicalFOType.of(EMPTY).summands == ()
-    assert CanonicalFOType.of(Sum((TID, UNIT))).summands == (1, 0)
+    assert _summands(TID) == [1]
+    assert _summands(UNIT) == [0]
+    assert _summands(EMPTY) == []
+    assert _summands(Sum((TID, UNIT))) == [1, 0]
     # products distribute over sums
     pair = Prod((Sum((TID, UNIT)), TID))
-    assert CanonicalFOType.of(pair).summands == (2, 1)
+    assert _summands(pair) == [2, 1]
     with pytest.raises(NotFirstOrderResult):
-        CanonicalFOType.of(Arrow(UNIT, UNIT))
+        _summands(Sum((TID, Arrow(UNIT, UNIT))))
+    # the elaborator refuses a function type before it elaborates anything
+    with pytest.raises(NotFirstOrderResult):
+        Elaborator(ParamContext(())).denote_comp(parse_comp("stop()"), {}, Arrow(UNIT, UNIT))
 
 
 def test_denote_print_is_fork_wait_continuation():
@@ -105,8 +108,8 @@ def test_denote_stop_is_stop():
 
 def test_denote_in_world_uses_input_parameters():
     d = denote(parse_comp("wait(#0.1); stop()"), frozenset({(1,)}))
-    assert d.delta == ParamContext(("w0.1",))
-    assert alpha_eq(d.term, Wait(tidset("w0.1"), STOP))
+    assert d.delta == ParamContext(("w0_1",))
+    assert alpha_eq(d.term, Wait(tidset("w0_1"), STOP))
 
 
 def test_denote_unbound_tid():
@@ -222,12 +225,12 @@ def test_compositionality_of_let_via_substitution():
     delta = world_context(world)
     u = desugar(parse_comp(u_src))
     # u with x := inj1 #0.2 elaborated over the world {#0.1, #0.2}, whose
-    # parameter w0.2 is the slot glued into x1
+    # parameter w0_2 is the slot glued into x1
     _, u1 = Elaborator(world_context(world | {(2,)})).denote_comp(
         u, {"x": parse_comp("ret inj1 #0.2").value}, EMPTY
     )
     _, u2 = Elaborator(delta).denote_comp(u, {"x": parse_comp("ret inj2 ()").value}, EMPTY)
-    glued = subst_comp(d_t.term, ("w0.2",), u1, "x1")
+    glued = subst_comp(d_t.term, ("w0_2",), u1, "x1")
     glued = subst_comp(glued, (), u2, "x2")
     verdict = decide_equal(glued, whole.term, CompContext(()), delta)
     assert verdict.equal

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from dynthreads.denote import Elaborator, world_context
+from dynthreads.denote import Elaborator, denote, world_context
 from dynthreads.lang import EMPTY, desugar, parse_comp, parse_program, typecheck_comp
+from dynthreads.terms import alpha_eq, parse_term_file, print_term_file
 
 import denote_oracle
 from corpus import corpus_names, load_surface
@@ -49,6 +50,15 @@ def test_elaborator_matches_the_oracle_in_a_world(text, world):
     assert_same_denotation(parse_comp(text), world)
 
 
+@pytest.mark.parametrize("text, world", IN_WORLD)
+def test_denotations_in_a_world_read_back_from_their_term_files(text, world):
+    # world parameters are named so that term files read them (w0_1, not w0.1)
+    d = denote(parse_comp(text), world)
+    gamma, delta, term = parse_term_file(print_term_file(d.gamma, d.delta, d.term))
+    assert (gamma, delta) == (d.gamma, d.delta)
+    assert alpha_eq(term, d.term)
+
+
 @pytest.mark.parametrize("seed", [3, 41])
 def test_elaborator_matches_the_oracle_on_long_programs(seed):
     for text in long_programs(seed):
@@ -63,6 +73,6 @@ def test_elaborator_matches_the_oracle_with_an_environment():
     delta = world_context(frozenset({(1,), (2,)}))
     got = Elaborator(delta).denote_comp(comp, {"x": parse_comp("ret inj1 #0.2").value}, EMPTY)
     want = denote_oracle.Elaborator(delta).denote_comp(
-        comp, {"x": denote_oracle.SInj(1, denote_oracle.STid(frozenset({"w0.2"})))}, EMPTY
+        comp, {"x": denote_oracle.SInj(1, denote_oracle.STid(frozenset({"w0_2"})))}, EMPTY
     )
     assert got == want

@@ -287,6 +287,42 @@ def test_unary_sums_and_products_print_as_text_the_parser_rejects(ty, text):
         assert str(raised.value) == f"no text parses as the annotation {text}"
 
 
+RESERVED = ("let", "in", "case", "of", "ret", "nil", "fork", "wait", "stop", "printstop",
+            "print", "node", "parallel", "series", "proj1", "inj2", "42")
+
+
+@pytest.mark.parametrize("word", RESERVED)
+def test_reserved_words_are_refused_as_binders(word):
+    # bound as nil, a child's ID would be lost: wait(nil) reads the empty-ID
+    # literal.  Each binder position, as the text before the word and after it
+    for before, after in (
+        ("let ", " = fork() in stop()"),
+        ("ret \\", ". stop()"),
+        ("ret \\", ":tid. stop()"),
+        ("case fork() of { inj1 ", " => stop() | inj2 u => stop() }"),
+    ):
+        with pytest.raises(ParseError) as raised:
+            parse_comp(before + word + after)
+        assert str(raised.value) == f"1:{len(before) + 1}: expected an identifier, got {word!r}"
+
+
+@pytest.mark.parametrize("word", RESERVED)
+def test_the_printer_refuses_reserved_words_as_variables_and_binders(word):
+    # ApplyC(VarV("ret"), ()) would print as ret(), which reads as Ret(())
+    stop = ApplyC(ConstV("stop"), UNIT_V)
+    for term in (
+        ApplyC(VarV(word), UNIT_V),
+        Ret(LambdaV(word, None, stop)),
+        Ret(LambdaV(word, TID, stop)),
+        LetC(word, ApplyC(ConstV("fork"), UNIT_V), stop),
+        CaseC(ApplyC(ConstV("fork"), UNIT_V), (("u", stop), (word, stop))),
+        CaseV(VarV("x"), ((word, stop),)),
+    ):
+        with pytest.raises(TypeError) as raised:
+            print_comp(term)
+        assert str(raised.value) == f"no text parses as the identifier {word!r}, a reserved word"
+
+
 def test_nested_cases_type_check_without_exhausting_the_stack():
     # one stack frame per nesting level
     t = ApplyC(ConstV("stop"), UNIT_V)

@@ -10,9 +10,11 @@ import random
 import pytest
 
 from dynthreads.lang import (
+    BOTTOM,
     EMPTY,
     TID,
     UNIT,
+    UNIT_V,
     ApplyC,
     Arrow,
     CaseC,
@@ -34,6 +36,7 @@ from dynthreads.lang import (
     parse_program,
     print_comp,
     print_program,
+    print_type,
 )
 
 import parser_oracle
@@ -141,6 +144,33 @@ def test_parser_matches_the_oracle_on_printed_random_trees():
     for tree in random_trees(2033, 2_000):
         text = print_comp(tree)
         assert assert_agree(text) == (frozenset(), tree), text
+
+
+def random_type(rng: random.Random, depth: int):
+    """A type of depth at most ``depth``: ``tid``, arrows, and sums and
+    products of 0, 2 or 3 parts."""
+    roll = rng.randrange(4 if depth else 2)
+    if roll == 0:
+        return TID
+    if roll == 3:
+        return Arrow(random_type(rng, depth - 1), random_type(rng, depth - 1))
+    parts = rng.choice((0, 2, 3)) if depth else 0
+    return rng.choice((Sum, Prod))(tuple(random_type(rng, depth - 1) for _ in range(parts)))
+
+
+def test_printed_types_read_back_through_both_parsers():
+    # as a lambda's annotation; a type that holds <never> or a one-part sum
+    # or product prints as text that both parsers refuse
+    rng = random.Random(2037)
+    stop = ApplyC(ConstV("stop"), UNIT_V)
+    for _ in range(500):
+        ty = random_type(rng, 4)
+        text = f"ret \\x:{print_type(ty)}. stop()"
+        assert assert_agree(text) == (frozenset(), Ret(LambdaV("x", ty, stop))), text
+        for bad in (BOTTOM, Sum((ty,)), Prod((ty,))):
+            for holder in (bad, Arrow(bad, ty), Sum((ty, bad)), Prod((TID, bad, ty))):
+                text = f"ret \\x:{print_type(holder)}. stop()"
+                assert assert_agree(text).startswith("ParseError: "), text
 
 
 # pieces of random strings: every token of the syntax, some of them

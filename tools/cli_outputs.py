@@ -1,5 +1,6 @@
-"""Dump what the command line prints for every corpus program, so that two
-revisions can be compared byte for byte.
+"""Dump what the command line prints for every corpus program and for the
+term files of the eight axioms, so that two revisions can be compared byte
+for byte.
 
     python3 tools/cli_outputs.py DIR                    # every programs/*.prog
     python3 tools/cli_outputs.py DIR series stop_now    # named programs only
@@ -13,6 +14,13 @@ exit code, the standard output and the standard error.  The runs are
 ``explore``, text and JSON; ``denote``, text, JSON and DOT; and
 ``adequacy``.  Program paths are given relative to the repository root, so
 the dumps of two checkouts name the same paths.
+
+Then it writes both sides of each equation of ``axiom_schemas()`` as term
+files, ``DIR/terms/<axiom>.lhs.term`` and ``.rhs.term``, printed by
+``print_term_file``, and dumps the term-file commands the same way:
+``normalize`` and ``export`` (JSON, DOT and text) of each side, as
+``DIR/terms/<axiom>.<side>.<run>``, and ``eq`` of the two sides, as
+``DIR/terms/<axiom>.eq``.  Term paths are given relative to ``DIR``.
 
 The ``dynthreads`` package is the one on ``PYTHONPATH`` when there is one,
 and this checkout's ``src/`` otherwise.  Standard library only.
@@ -45,15 +53,47 @@ RUNS = {
 }
 
 
-def dump(program: str, run: list[str]) -> str:
+TERM_RUNS = {
+    "normalize": ["normalize"],
+    "export": ["export"],
+    "export-dot": ["export", "--format", "dot"],
+    "export-text": ["export", "--format", "text"],
+}
+
+
+def dump(argv: list[str]) -> str:
     """The exit code, standard output and standard error of the command
-    line on ``programs/<program>.prog`` with the arguments ``run``."""
+    line with the arguments ``argv``."""
     from dynthreads.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([run[0], f"programs/{program}.prog", *run[1:]])
+        code = main(argv)
     return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def dump_terms() -> int:
+    """Write the axioms' term files under ``terms/`` of the working
+    directory and dump the term-file commands on them; returns the number
+    of dumps."""
+    from dynthreads.terms import axiom_schemas, print_term_file
+
+    Path("terms").mkdir(exist_ok=True)
+    count = 0
+    for axiom in axiom_schemas():
+        paths = []
+        for side, term in (("lhs", axiom.lhs), ("rhs", axiom.rhs)):
+            stem = f"terms/{axiom.name}.{side}"
+            paths.append(f"{stem}.term")
+            text = print_term_file(axiom.gamma, axiom.delta, term)
+            Path(paths[-1]).write_text(text, encoding="utf-8")
+            for name, run in TERM_RUNS.items():
+                text = dump([run[0], paths[-1], *run[1:]])
+                Path(f"{stem}.{name}").write_text(text, encoding="utf-8")
+                count += 1
+        Path(f"terms/{axiom.name}.eq").write_text(dump(["eq", *paths]), encoding="utf-8")
+        count += 1
+    return count
 
 
 def main(argv=None) -> int:
@@ -69,10 +109,13 @@ def main(argv=None) -> int:
     try:
         for program in programs:
             for name, run in RUNS.items():
-                (out_dir / f"{program}.{name}").write_text(dump(program, run), encoding="utf-8")
+                text = dump([run[0], f"programs/{program}.prog", *run[1:]])
+                (out_dir / f"{program}.{name}").write_text(text, encoding="utf-8")
+        os.chdir(out_dir)
+        terms = dump_terms()
     finally:
         os.chdir(cwd)
-    print(f"wrote {len(programs) * len(RUNS)} files to {args.dir}")
+    print(f"wrote {len(programs) * len(RUNS)} program dumps and {terms} term dumps to {args.dir}")
     return 0
 
 

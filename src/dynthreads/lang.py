@@ -89,7 +89,7 @@ BOTTOM = Bot()
 
 def compatible(got: LangType, want: LangType) -> bool:
     """Type agreement up to the bottom marker sitting below everything."""
-    if got == want or isinstance(got, Bot):
+    if got is want or isinstance(got, Bot) or got == want:
         return True
     match got, want:
         case (Prod(gs), Prod(ws)) | (Sum(gs), Sum(ws)):
@@ -171,10 +171,12 @@ def tid_str(path: Tid) -> str:
 # typing memo keys a node by its ``id`` and hashes only the types in its
 # keys, and only the tests' schedule-graph walk hashes configurations, and
 # with them the syntax trees their thread states share.  A node keeps its
-# set of free variables there the same way, once :func:`is_core` has
-# walked it or :func:`subst_value` has asked for it, and the thread IDs it
-# names once a memoizing type check has, or once :func:`subst_value` has
-# rebuilt it from a node that kept them (see :func:`_names`).
+# name sets there the same way, its free variables and the thread IDs it
+# names (see :func:`_names`): :func:`is_core` stores both on every node of
+# a program before it runs, :func:`subst_value` on a node it rebuilds from
+# one that has them with a value that has them, and the machine on the
+# closed nodes it builds itself (:func:`_closed`).  A stored set stays
+# exact for good, since nodes never change.
 
 @record
 class VarV:
@@ -331,12 +333,14 @@ def tids_of_value(v: Value) -> frozenset[Tid]:
 #
 # A caller that types many terms sharing subterms can pass a ``memo`` (a
 # dict it owns) to ``_comp``, which stores the type found for each
-# computation under the node itself, ``want`` and the types of the node's
-# free variables, and reuses it in any world that holds the thread IDs the
-# node names (:func:`_tids`).  That is exact: a node's typing reads the
-# environment only at its free variables and the world only by asking
+# computation with a computation inside (a ``let``, a ``case``, a lambda
+# applied in place) under the node itself, ``want`` and the types of the
+# node's free variables, and reuses it in any world that holds the thread
+# IDs the node names (:func:`_tids`).  That is exact: a node's typing reads
+# the environment only at its free variables and the world only by asking
 # whether a thread ID it names is in it, and an entry is stored only when
-# every such question was answered yes.  Failures are not stored.
+# every such question was answered yes.  Failures are not stored.  Any
+# other computation is typed again, which costs about what a lookup does.
 
 World = frozenset
 
@@ -348,7 +352,7 @@ def typecheck_comp(env: Mapping[str, LangType], world: World, t: Comp) -> LangTy
 
 def _expect(got: LangType, want: Optional[LangType]) -> LangType:
     """``got`` when synthesizing, ``want`` when ``got`` fits it."""
-    if want is None:
+    if want is None or got is want:
         return got
     if compatible(got, want):
         return want
@@ -356,87 +360,89 @@ def _expect(got: LangType, want: Optional[LangType]) -> LangType:
 
 
 def _value(env, world, v, want: Optional[LangType], memo=None) -> LangType:
-    match v:
-        case VarV(name):
-            if name not in env:
-                raise TypeCheckError(f"unbound variable {name!r}")
-            return _expect(env[name], want)
-        case TidV(path):
-            if path not in world:
-                raise UnknownTid(f"thread ID {tid_str(path)} not in the world")
-            return _expect(TID, want)
-        case NilV():
-            return _expect(TID, want)
-        case UnionV(left, right):
-            _value(env, world, left, TID)
-            _value(env, world, right, TID)
-            return _expect(TID, want)
-        case TupleV(items):
-            if not isinstance(want, Prod):
-                return _expect(Prod(tuple(_value(env, world, i, None, memo) for i in items)), want)
-            if len(items) != len(want.parts):
+    kind = type(v)
+    if kind is ConstV:
+        return _expect(const_signature(v), want)
+    if kind is TupleV:
+        items = v.items
+        if not isinstance(want, Prod):
+            if not items:
+                return _expect(UNIT, want)
+            return _expect(Prod(tuple(_value(env, world, i, None, memo) for i in items)), want)
+        if len(items) != len(want.parts):
+            raise TypeCheckError(
+                f"tuple of {len(items)} checked against product of {len(want.parts)}"
+            )
+        for item, part in zip(items, want.parts):
+            _value(env, world, item, part, memo)
+        return want
+    if kind is InjV:
+        index = v.index
+        ty = v.annot if want is None else want
+        if ty is None:
+            raise TypeCheckError("cannot infer a sum type for an injection here")
+        if not isinstance(ty, Sum):
+            raise TypeCheckError(f"inj{index} must have a sum type, not {print_type(ty)}")
+        if not 1 <= index <= len(ty.parts):
+            raise TypeCheckError(f"inj{index} into a sum with {len(ty.parts)} summands")
+        _value(env, world, v.value, ty.parts[index - 1], memo)
+        return ty
+    if kind is VarV:
+        if v.name not in env:
+            raise TypeCheckError(f"unbound variable {v.name!r}")
+        return _expect(env[v.name], want)
+    if kind is TidV:
+        if v.path not in world:
+            raise UnknownTid(f"thread ID {tid_str(v.path)} not in the world")
+        return _expect(TID, want)
+    if kind is LambdaV:
+        param, annot, body = v.param, v.annot, v.body
+        if isinstance(want, Arrow):
+            if annot is not None and annot != want.arg:
                 raise TypeCheckError(
-                    f"tuple of {len(items)} checked against product of {len(want.parts)}"
+                    f"lambda annotated {print_type(annot)}, expected {print_type(want.arg)}"
                 )
-            for item, part in zip(items, want.parts):
-                _value(env, world, item, part, memo)
+            _comp({**env, param: want.arg}, world, body, want.res, memo)
             return want
-        case InjV(index, inner, annot):
-            ty = annot if want is None else want
-            if ty is None:
-                raise TypeCheckError("cannot infer a sum type for an injection here")
-            if not isinstance(ty, Sum):
-                raise TypeCheckError(f"inj{index} must have a sum type, not {print_type(ty)}")
-            if not 1 <= index <= len(ty.parts):
-                raise TypeCheckError(f"inj{index} into a sum with {len(ty.parts)} summands")
-            _value(env, world, inner, ty.parts[index - 1], memo)
-            return ty
-        case LambdaV(param, annot, body):
-            if isinstance(want, Arrow):
-                if annot is not None and annot != want.arg:
-                    raise TypeCheckError(
-                        f"lambda annotated {print_type(annot)}, expected {print_type(want.arg)}"
-                    )
-                _comp({**env, param: want.arg}, world, body, want.res, memo)
-                return want
-            if annot is None:
-                raise TypeCheckError(
-                    f"cannot infer the argument type of \\{param}. ...; annotate it"
-                )
-            res = _comp({**env, param: annot}, world, body, None, memo)
-            return _expect(Arrow(annot, res), want)
-        case ConstV() as c:
-            return _expect(const_signature(c), want)
+        if annot is None:
+            raise TypeCheckError(
+                f"cannot infer the argument type of \\{param}. ...; annotate it"
+            )
+        res = _comp({**env, param: annot}, world, body, None, memo)
+        return _expect(Arrow(annot, res), want)
+    if kind is NilV:
+        return _expect(TID, want)
+    if kind is UnionV:
+        _value(env, world, v.left, TID)
+        _value(env, world, v.right, TID)
+        return _expect(TID, want)
     raise TypeError(f"not a value: {v!r}")
 
 
+_TYPED_INSIDE = {LetC, CaseV, SeqC, CaseC}
+
+
 def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
+    kind = type(t)
     key = None
-    if memo is not None and _tids(t) <= world:
-        key = (id(t), want, tuple(map(env.get, _free(t))))
-        if key in memo:
-            return memo[key][1]
-    match t:
-        case Ret(v):
-            ty = _value(env, world, v, want, memo)
-        case LetC(var, bound, body):
-            bound_ty = _comp(env, world, bound, None, memo)
-            ty = _comp({**env, var: bound_ty}, world, body, want, memo)
-        case SeqC(first, second):
-            _comp(env, world, first, None, memo)
-            ty = _comp(env, world, second, want, memo)
-        case ProjC(index, v):
-            ty = _value(env, world, v, None, memo)
-            if not isinstance(ty, (Prod, Bot)):
-                raise TypeCheckError(f"proj{index} of non-product {print_type(ty)}")
-            if isinstance(ty, Prod) and not 1 <= index <= len(ty.parts):
-                raise TypeCheckError(f"proj{index} of a product with {len(ty.parts)} components")
-            ty = _expect(ty if isinstance(ty, Bot) else ty.parts[index - 1], want)
-        case ApplyC(LambdaV(param, annot, body), arg):
+    if memo is not None and (kind in _TYPED_INSIDE or kind is ApplyC and type(t.fn) is LambdaV):
+        stored = t.__dict__
+        tids = stored.get("_tids")
+        if (_tids(t) if tids is None else tids) <= world:
+            free = stored.get("_free")
+            if free is None:
+                free = _free(t)
+            key = (id(t), want, tuple(map(env.get, free)) if free else ())
+            hit = memo.get(key)
+            if hit is not None:
+                return hit[1]
+    if kind is ApplyC:
+        fn, arg = t.fn, t.arg
+        if type(fn) is LambdaV:
             # a lambda applied in place is typed like a let
-            arg_ty = _value(env, world, arg, annot, memo)
-            ty = _expect(_comp({**env, param: arg_ty}, world, body, None, memo), want)
-        case ApplyC(fn, arg):
+            arg_ty = _value(env, world, arg, fn.annot, memo)
+            ty = _expect(_comp({**env, fn.param: arg_ty}, world, fn.body, None, memo), want)
+        else:
             ty = _value(env, world, fn, None, memo)
             if not isinstance(ty, (Arrow, Bot)):
                 raise TypeCheckError(f"applying a non-function of type {print_type(ty)}")
@@ -444,44 +450,64 @@ def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
                 _value(env, world, arg, ty.arg, memo)
                 ty = ty.res
             ty = _expect(ty, want)
-        case CaseV(scrutinee, branches) | CaseC(scrutinee, branches):
-            scrut = (_value if type(t) is CaseV else _comp)(env, world, scrutinee, None, memo)
-            if not isinstance(scrut, (Sum, Bot)):
-                raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut)}")
-            if isinstance(scrut, Sum) and len(branches) != len(scrut.parts):
-                raise TypeCheckError(
-                    f"case with {len(branches)} branches on a sum of {len(scrut.parts)}"
-                )
-            if isinstance(scrut, Bot):
-                ty = _expect(BOTTOM, want)
-            elif want is not None:
-                for (x, body), part in zip(branches, scrut.parts):
-                    _comp({**env, x: part}, world, body, want, memo)
-                ty = want
-            elif not branches:
-                # an empty case never returns
-                ty = BOTTOM
-            else:
-                found, unsynthesized, errors = [], [], []
-                for (x, body), part in zip(branches, scrut.parts):
-                    inner = {**env, x: part}
-                    try:
-                        found.append(_comp(inner, world, body, None, memo))
-                    except TypeCheckError as exc:
-                        unsynthesized.append((inner, body))
-                        errors.append(str(exc))
-                if not found:
-                    raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
-                ty = next((j for j in found if all(compatible(f, j) for f in found)), None)
+    elif kind is LetC:
+        bound_ty = _comp(env, world, t.bound, None, memo)
+        ty = _comp({**env, t.var: bound_ty}, world, t.body, want, memo)
+    elif kind is CaseV or kind is CaseC:
+        branches = t.branches
+        if kind is CaseV:
+            scrut = _value(env, world, t.value, None, memo)
+        else:
+            scrut = _comp(env, world, t.comp, None, memo)
+        if not isinstance(scrut, (Sum, Bot)):
+            raise TypeCheckError(f"case scrutinee has non-sum type {print_type(scrut)}")
+        if isinstance(scrut, Sum) and len(branches) != len(scrut.parts):
+            raise TypeCheckError(
+                f"case with {len(branches)} branches on a sum of {len(scrut.parts)}"
+            )
+        if isinstance(scrut, Bot):
+            ty = _expect(BOTTOM, want)
+        elif want is not None:
+            for (x, body), part in zip(branches, scrut.parts):
+                _comp({**env, x: part}, world, body, want, memo)
+            ty = want
+        elif not branches:
+            # an empty case never returns
+            ty = BOTTOM
+        else:
+            found, unsynthesized, errors = [], [], []
+            for (x, body), part in zip(branches, scrut.parts):
+                inner = {**env, x: part}
                 try:
-                    for inner, body in unsynthesized if ty is not None else ():
-                        _comp(inner, world, body, ty, memo)
-                except TypeCheckError:
-                    ty = None
-                if ty is None:
-                    raise TypeCheckError("case branches do not agree on a single type")
-        case _:
-            raise TypeError(f"not a computation: {t!r}")
+                    found.append(_comp(inner, world, body, None, memo))
+                except TypeCheckError as exc:
+                    unsynthesized.append((inner, body))
+                    errors.append(str(exc))
+            if not found:
+                raise TypeCheckError("no case branch synthesizes a type: " + "; ".join(errors))
+            ty = next((j for j in found if all(compatible(f, j) for f in found)), None)
+            try:
+                for inner, body in unsynthesized if ty is not None else ():
+                    _comp(inner, world, body, ty, memo)
+            except TypeCheckError:
+                ty = None
+            if ty is None:
+                raise TypeCheckError("case branches do not agree on a single type")
+    elif kind is Ret:
+        ty = _value(env, world, t.value, want, memo)
+    elif kind is ProjC:
+        index = t.index
+        ty = _value(env, world, t.value, None, memo)
+        if not isinstance(ty, (Prod, Bot)):
+            raise TypeCheckError(f"proj{index} of non-product {print_type(ty)}")
+        if isinstance(ty, Prod) and not 1 <= index <= len(ty.parts):
+            raise TypeCheckError(f"proj{index} of a product with {len(ty.parts)} components")
+        ty = _expect(ty if isinstance(ty, Bot) else ty.parts[index - 1], want)
+    elif kind is SeqC:
+        _comp(env, world, t.first, None, memo)
+        ty = _comp(env, world, t.second, want, memo)
+    else:
+        raise TypeError(f"not a computation: {t!r}")
     if key is not None:
         memo[key] = (t, ty)
     return ty
@@ -496,8 +522,8 @@ def _comp(env, world, t, want: Optional[LangType], memo=None) -> LangType:
 # keep their own cases.  :func:`is_core`, which a run calls first, and
 # :func:`_bottom_up` walk it with an explicit stack, so the core test and the
 # name sets take no stack frame per level: the core test stores each node's
-# free variables as it goes, and :func:`_bottom_up` finds the sets that are
-# not stored yet, thread IDs always among them.  The other walks recurse
+# name sets as it goes, and :func:`_bottom_up` finds the sets that are not
+# stored yet.  The other walks recurse
 # through plain loops, not comprehensions or generators, so that one level of
 # nesting costs one stack frame; substitution goes down only where the
 # variable is free.
@@ -571,26 +597,35 @@ _NO_NAMES: frozenset = frozenset()
 def is_core(t: Comp) -> bool:
     """True when no surface sugar remains.  This is the one walk of a
     program before it runs, by an explicit stack: it checks every node, and
-    then stores the free variables (see :func:`_names`) of each node that
-    has none yet, children first, so that the run's substitutions find them
-    stored.  A node's stored set says nothing about sugar, since a typing
-    memo and :func:`subst_value` store sets on sugared nodes too, so nodes
-    that have one are checked all the same."""
-    stack, unnamed = [t], []
+    then stores both name sets (see :func:`_names`) on each node that lacks
+    one, children first, so that the run's substitutions and a typing memo
+    find them stored.  A program that names no thread ID gives every node
+    the empty set of them.  A node's stored sets say nothing about sugar,
+    since a typing memo and :func:`subst_value` store sets on sugared nodes
+    too, so nodes that have them are checked all the same."""
+    stack, unnamed, named_tids = [t], [], False
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is SeqC or kind is CaseC or (kind is ConstV and node.name not in CORE_CONSTS):
             return False
+        named_tids = named_tids or kind is TidV
         parts = _parts(node)
-        if "_free" not in node.__dict__:
+        stored = node.__dict__
+        if "_free" not in stored or "_tids" not in stored:
             unnamed.append((node, parts))
         for _, kid in parts:
             stack.append(kid)
     # each node comes after its children in the reverse of the visiting order
     for node, parts in reversed(unnamed):
+        stored = node.__dict__
         own = frozenset((node.name,)) if type(node) is VarV else _NO_NAMES
-        node.__dict__["_free"] = _join(own, parts, "_free")
+        stored["_free"] = _join(own, parts, "_free")
+        if named_tids:
+            own = frozenset((node.path,)) if type(node) is TidV else _NO_NAMES
+            stored["_tids"] = _join(own, parts, "_tids")
+        else:
+            stored["_tids"] = _NO_NAMES
     return True
 
 
@@ -627,12 +662,11 @@ def _names(node, key: str) -> frozenset:
     a node is visited once, the first time it or a node above it is asked.
     One pass serves both: a variable is a ``VarV`` leaf, removed where a
     child binds it; a thread ID is a ``TidV`` leaf, a tuple, which no
-    binder (a string) removes.  Free variables are usually stored already,
-    by :func:`is_core` before a run and by :func:`subst_value` during it.
-    Thread IDs are read only by typing with a memo and found first then;
-    :func:`subst_value` keeps them on the nodes it rebuilds from nodes that
-    store them, so typing a step's new focus walks only the nodes that the
-    step built by other means."""
+    binder (a string) removes.  Both are usually stored already: by
+    :func:`is_core` on every node of a program before it runs, and during
+    a run by :func:`subst_value` and on the closed nodes a step builds
+    (:func:`_closed`), so a preservation run walks no node for them.  What
+    a walk stores is exact for good, since nodes never change."""
     names = node.__dict__.get(key)
     if names is not None:
         return names
@@ -641,6 +675,15 @@ def _names(node, key: str) -> frozenset:
         own = frozenset((getattr(sub, field),)) if type(sub) is leaf else _NO_NAMES
         names = sub.__dict__[key] = _join(own, _parts(sub), key)
     return names
+
+
+def _closed(node, tids: frozenset):
+    """``node``, a value or computation built closed at run time that names
+    the thread IDs ``tids``, with both of its name sets stored, so that
+    neither a substitution nor a typing memo walks it for them."""
+    node.__dict__["_free"] = _NO_NAMES
+    node.__dict__["_tids"] = tids
+    return node
 
 
 def _join(names: frozenset, parts: list, key: str) -> frozenset:
@@ -664,8 +707,8 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
     not free the subterm is kept as it is (so ``t`` itself comes back when
     ``name`` is not free in ``t``), and a rebuilt node's free variables are
     its old ones less ``name``, because ``v`` is closed.  A rebuilt node
-    whose old node stores its thread IDs stores the old set joined with
-    those of ``v``, which it names at least once."""
+    stores its thread IDs when its old node and ``v`` store theirs: the old
+    set joined with those of ``v``, which it names at least once."""
     stored = t.__dict__
     free = stored.get("_free")
     if free is None:
@@ -679,9 +722,8 @@ def subst_value(t: Comp, name: str, v: Value) -> Comp:
         kids.append(kid if var == name else subst_value(kid, name, v))
     new = _rebuild(t, kids)
     new.__dict__["_free"] = free - {name}
-    tids = stored.get("_tids")
-    if tids is not None:
-        named = _tids(v)
+    tids, named = stored.get("_tids"), v.__dict__.get("_tids")
+    if tids is not None and named is not None:
         new.__dict__["_tids"] = tids if named <= tids else tids | named
     return new
 
@@ -1092,7 +1134,10 @@ def _print_parts(node) -> list:
         case LambdaV(param, annot, body):
             annot = print_type(annot)
             # a unary sum or product has no source syntax: print_type marks
-            # it with a trailing operator, which the parser rejects
+            # it with a trailing operator, which the parser rejects; nor has
+            # the bottom marker, which print_type spells <never>
+            if "<never>" in annot:
+                raise TypeError("no text parses as the annotation <never>")
             if " +)" in annot or " *)" in annot:
                 raise TypeError(f"no text parses as the annotation {annot}")
             return [f"\\{_print_ident(param)}:{annot}. ", body]

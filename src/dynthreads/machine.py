@@ -61,7 +61,8 @@ terminal, the observation and the labelled traces of every schedule, and
 no schedule graph is built.  The tests keep the schedule-graph walk, with
 its partial-order reduction, as the oracle.
 
-No table outlives a call: a run memoizes nothing.
+No table outlives a call: a run memoizes nothing, and the typing memo of
+:func:`run_with_preservation` lives as long as its call.
 
 One budget, :data:`DEFAULT_BUDGET`, is the default of every bound: the
 steps of a run and the configurations of the gate's run.
@@ -96,6 +97,7 @@ from .lang import (
     TupleV,
     UNIT,
     UNIT_V,
+    _closed,
     _comp,
     _tids,
     is_core,
@@ -158,6 +160,10 @@ class StepLabel:
 
 FORK_RESULT = Sum((TID, UNIT))
 CHILD_START = Ret(InjV(2, UNIT_V, FORK_RESULT))
+_WAITED = Ret(UNIT_V)
+# the foci a new child and a wait leave are shared; they name no thread,
+# which is stored on them once, here, so that no step walks them for it
+_tids(CHILD_START), _tids(_WAITED)
 _NO_WAITS: frozenset = frozenset()
 
 
@@ -221,7 +227,8 @@ def _reduce(redex: Comp) -> Comp:
         items = redex.value.items
         if not 1 <= redex.index <= len(items):
             raise StuckThread(f"proj{redex.index} of a {len(items)}-tuple")
-        return Ret(items[redex.index - 1])
+        item = items[redex.index - 1]
+        return _closed(Ret(item), _tids(item))
     if kind is CaseV and type(redex.value) is InjV:
         index, branches = redex.value.index, redex.branches
         if not 1 <= index <= len(branches):
@@ -262,30 +269,36 @@ def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
     if const.name == "fork":
         # every spawned thread continues with the continuation of its parent
         child = tid + (ordinal,)
-        parent = (frames, Ret(InjV(1, TidV(child), FORK_RESULT)))
+        named = frozenset((child,))
+        result = _closed(InjV(1, _closed(TidV(child), named), FORK_RESULT), named)
+        parent = (frames, _closed(Ret(result), named))
         return _LocalOut(None, ((tid, parent), (child, (frames, CHILD_START))), _NO_WAITS)
     if const.name == "wait":
         waits = frozenset((b, tid) for b in tids_of_value(redex.arg))
-        return _LocalOut(None, ((tid, (frames, Ret(UNIT_V))),), waits)
+        return _LocalOut(None, ((tid, (frames, _WAITED)),), waits)
     # stop and printstop finish the thread, which drops its continuation
     action = const.action if const.name == "printstop" else None
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
-def _write(threads: dict, waits: frozenset, local: _LocalOut, step: int) -> None:
-    """Write ``local``, the local step of the run's step number ``step``,
-    into the thread map ``threads`` (tid to entry) of the acting thread,
-    which directly waits for ``waits``: each thread the local step wrote
-    takes its new state and ``waits`` itself as its set (the acting thread
-    keeps its own, a spawned child starts with its parent's), and each
-    wait pair ``(b, a)`` of the step adds ``b`` to the set of ``a``.  Every
-    other entry is kept as it is.  Finished is final: a step that writes a
-    finished thread, as a listed thread or as the end of a wait pair,
-    raises :class:`MachineError` before anything is written, naming the
-    first, listed threads first."""
+def _refuse_finished(local: _LocalOut, step: int, finished) -> None:
+    """Finished is final: raise :class:`MachineError` for ``local``, the
+    local step of the run's step number ``step``, if it writes a thread of
+    ``finished``, as a listed thread or as the end of a wait pair, naming
+    the first, listed threads first."""
     for t in [*map(itemgetter(0), local.threads), *map(itemgetter(1), local.new_prec)]:
-        if t in threads and threads[t][1] is FINISHED:
+        if t in finished:
             raise MachineError(f"step {step} writes finished thread {tid_str(t)}")
+
+
+def _write(threads: dict, waits: frozenset, local: _LocalOut) -> None:
+    """Write ``local``, a local step that :func:`_refuse_finished` let
+    through, into the thread map ``threads`` (tid to entry) of the acting
+    thread, which directly waits for ``waits``: each thread the local step
+    wrote takes its new state and ``waits`` itself as its set (the acting
+    thread keeps its own, a spawned child starts with its parent's), and
+    each wait pair ``(b, a)`` of the step adds ``b`` to the set of ``a``.
+    Every other entry is kept as it is."""
     for t, state in local.threads:
         threads[t] = (t, state, waits)
     for b, a in local.new_prec:
@@ -390,10 +403,16 @@ def run(
     deadlock is named from the thread map (:func:`_deadlock`), and nothing
     is plugged.  This relies on
     finished being final, which every local step keeps by writing only its
-    own thread and a new child; :func:`_write` refuses a step that writes a
-    finished thread."""
+    own thread and a new child; :func:`_refuse_finished` refuses a step
+    that writes a finished thread."""
     if not is_core(comp):
         raise MachineError("run needs a desugared computation")
+    return _run(comp, policy, seed, fuel, on_local)
+
+
+def _run(comp: Comp, policy: str, seed: Optional[int], fuel: int, on_local) -> RunResult:
+    """:func:`run` of a computation that :func:`~dynthreads.lang.is_core`
+    has passed."""
     if policy == "lowest-tid":
         choose = itemgetter(0)
     elif policy == "random":
@@ -437,6 +456,7 @@ def run(
                 if not new[0] and type(new[1]) is Ret:  # unless it returned
                     runnable.remove(tid)
                 continue
+        _refuse_finished(local, len(events), finished)
         for t, new in written:
             if t not in threads:  # a spawned child
                 children[t[:-1]] = children.get(t[:-1], 0) + 1
@@ -450,7 +470,7 @@ def run(
             if b not in finished:
                 blocked[a].add(b)
                 waiters.setdefault(b, set()).add(a)
-        _write(threads, waits, local, len(events))
+        _write(threads, waits, local)
         for t, _ in written:
             settle(t)
         for _, t in new_prec:
@@ -700,35 +720,76 @@ def _bad_wait(entries: Iterable, known) -> str:
     return f"{tid_str(tid)} waits on {why} {tid_str(b)}"
 
 
-def _ill_typed(entries: Iterable, known, result_type: LangType, memo) -> Optional[str]:
-    """The first unfinished thread of ``entries``, ``(tid, state, waits)``,
-    whose thread state does not check against ``result_type`` in its world
-    (:func:`_world`, :func:`_check_state`)."""
-    for tid, state, _ in entries:
+def _wait_set(history: tuple) -> frozenset:
+    """The wait set whose waits were written in the order ``history``
+    lists them, newest first, as ``(wait, older)`` cells, built by the
+    unions :func:`_write` takes, so that it is the run's set and is
+    iterated in the run's order."""
+    newest_first = []
+    while history:
+        b, history = history
+        newest_first.append(b)
+    waits = _NO_WAITS
+    for b in reversed(newest_first):
+        waits = waits | {b}
+    return waits
+
+
+def _ill_typed(entries: Iterable, known, result_type: LangType, memo: dict) -> Optional[str]:
+    """The first unfinished thread of ``entries``, each a tid and its
+    thread state first, whose state does not check against ``result_type``
+    in its world (:func:`_world`, :func:`_check_state`)."""
+    for entry in entries:
+        tid, state = entry[0], entry[1]
         if state is FINISHED:
             continue
         try:
-            _check_state(_world(tid, state, known), state, result_type, memo)
+            _check_state(_world(tid, state, known, memo), state, result_type, memo)
         except LangError as exc:
             return f"thread {tid_str(tid)} does not typecheck at the thread type: {exc}"
     return None
 
 
-def _world(tid: Tid, state: tuple, known) -> frozenset:
+def _cell(frames: tuple, memo: dict) -> tuple:
+    """The entry of the frame cell ``frames`` in the typing memo ``memo``,
+    under the cell's ``id``: ``(cell, thread IDs its frame bodies name,
+    verdicts)``, where the verdicts are the ``(type, result type)`` pairs
+    at which the frames check when the type is fed to the innermost one.
+    The entry holds the cell, so its ``id`` is not reused while the memo
+    lives.  The cells below it that have no entry get theirs first."""
+    entry = memo.get(id(frames))
+    if entry is None:
+        cells = []
+        while frames and id(frames) not in memo:
+            cells.append(frames)
+            frames = frames[1]
+        named = memo[id(frames)][1] if frames else frozenset()
+        for cell in reversed(cells):
+            body = _tids(cell[0].body)
+            named = named if body <= named else named | body
+            memo[id(cell)] = entry = (cell, named, set())
+    return entry
+
+
+def _world(tid: Tid, state: tuple, known, memo: Optional[dict] = None) -> frozenset:
     """The world the thread state ``state`` of ``tid`` is typed in: the
     threads of ``known`` before it in the creation order that its focus
-    and its frame bodies name.  That world gives the judgement of the whole
-    prefix, because typing reads the world only by asking about the thread
-    IDs a node names (see :mod:`dynthreads.lang`)."""
-    frames, named = state[0], [_tids(state[1])]
-    while frames:
-        frame, frames = frames
-        named.append(_tids(frame.body))
-    rank = _rank(tid)
-    return frozenset(b for names in named for b in names if b in known and _rank(b) < rank)
+    and its frame bodies name, the latter read off the entry of its frames
+    (:func:`_cell`) in ``memo``.  That world gives the judgement of the
+    whole prefix, because typing reads the world only by asking about the
+    thread IDs a node names (see :mod:`dynthreads.lang`)."""
+    frames, focus = state
+    named = _tids(focus)
+    if frames:
+        below = _cell(frames, {} if memo is None else memo)[1]
+        named = named if below <= named else named | below
+    for b in named:
+        if _waits_back(b, tid, known):
+            return frozenset(b for b in named if not _waits_back(b, tid, known))
+    return named
 
 
-def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) -> None:
+def _check_state(world: frozenset, state: tuple, result_type: LangType, memo: dict) -> None:
     """Check the thread state ``state`` against ``result_type`` in
     ``world`` without plugging it: synthesize the focus's type, then type
     each frame body, innermost first, with only its own variable bound, to
@@ -736,14 +797,28 @@ def _check_state(world: frozenset, state: tuple, result_type: LangType, memo) ->
     ``result_type``.  That is the judgement of the computation the state
     stands for, in the same order, since a ``let`` synthesizes its bound and types
     its body at that type, and a closed thread's frame body has no other
-    free variable.  Raises :class:`LangError` on failure."""
+    free variable.  Raises :class:`LangError` on failure.
+
+    The frames from a cell up check exactly when they did before for the
+    same type fed to that cell and the same result type, in any world that
+    holds the thread IDs their bodies name, so the walk stops at a cell
+    whose entry (:func:`_cell`) holds that verdict, and a check that
+    succeeds stores it on every cell it typed whose bodies name no thread
+    outside ``world``."""
     frames, comp = state
-    env: dict = {}
+    ty = _comp({}, world, comp, None if frames else result_type, memo)
+    typed = []  # (verdicts of a cell typed, the verdict it gets)
     while frames:
+        _, named, verdicts = _cell(frames, memo)
+        if named <= world:
+            fed = ty, result_type
+            if fed in verdicts:
+                break
+            typed.append((verdicts, fed))
         frame, frames = frames
-        env = {frame.var: _comp(env, world, comp, None, memo)}
-        comp = frame.body
-    _comp(env, world, comp, result_type, memo)
+        ty = _comp({frame.var: ty}, world, frame.body, None if frames else result_type, memo)
+    for verdicts, fed in typed:
+        verdicts.add(fed)
 
 
 def run_with_preservation(
@@ -760,20 +835,25 @@ def run_with_preservation(
     Returns the result and the number of checks.
 
     The first configuration is the root's thread state, which is typed.
-    Then one ``on_local`` hook writes the thread states each step wrote
-    into a thread map of its own (:func:`_write`, which refuses a step that
-    writes a finished thread as :func:`run` does), whose keys are the known
-    threads, and checks the entries the step wrote, read off its local
-    step: the threads it lists and the threads its wait pairs end at, in
-    tid order, waits before typing.  Of the acting thread's waits only the
+    Then one ``on_local`` hook checks what each step wrote, read off its
+    local step, and keeps no thread map and no state: only, per known
+    thread, the largest rank among its waits and its waits in the order
+    they were written, and the finished threads, all of which only effect
+    steps change.  A pure step writes its own running thread alone and adds
+    no wait, so only its new state is typed.  Any other step is first
+    refused if it writes a finished thread (:func:`_refuse_finished`, as
+    :func:`run` refuses it), and gives each thread it lists the acting
+    thread's waits and each wait pair's thread one more, as :func:`_write`
+    does.  Of the acting thread's waits only the
     step's new ones can break the order, and each is judged as it is
     written.  A thread the step gives the acting thread's wait set, such as
-    a new child, has that set judged by one comparison: the hook keeps the
-    largest rank in each thread's wait set, and every wait in it names a
-    known thread, so the set goes forward exactly when that rank is below
-    the thread's own.  Only when one of these tests fails are the written
-    wait sets scanned, to name the first bad wait in tid order, the one a
-    check of the whole configuration names.
+    a new child, has that set judged by one comparison: every wait in it
+    names a known thread, so the set goes forward exactly when its largest
+    rank is below the thread's own.  Only when one of these tests fails are
+    the written wait sets built from the written order (:func:`_wait_set`)
+    and scanned, in tid order, to name the first bad wait, the one a check
+    of the whole configuration names.  Then the states the step lists are
+    typed in tid order.
     Each written state is typed as its frames and focus, so nothing is
     plugged: this is subject reduction one step at a time (Wright &
     Felleisen 1994).  That covers every configuration:
@@ -781,8 +861,9 @@ def run_with_preservation(
         it was, and threads never leave the world.
       - A kept wait, of a kept entry or of the acting thread, still names a
         known thread of smaller rank: ranks are fixed per tid and the known
-        threads only grow.  A kept entry's state still type checks, since
-        the known threads of smaller rank that it names only grow.
+        threads only grow.  A kept state still type checks, since the known
+        threads of smaller rank that it names only grow; that holds for the
+        state of a thread a step gives only a new wait, too.
     So a violation can only be in a written entry, and the one reported is
     the one a check of the whole configuration would report first.  The
     tests keep that whole check at every step, on plugged states, as the
@@ -791,13 +872,24 @@ def run_with_preservation(
     The type checker shares one typing memo (see :mod:`dynthreads.lang`)
     across the run, which lives no longer than the call: a step keeps
     every subterm it does not rewrite as the same object, and a parent and
-    its child continue on the same frames, so every kept frame body is
-    typed from the memo and re-typing a thread costs the nodes of its new
+    its child continue on the same frames, so a kept frame body or subterm
+    is typed from the memo.  The memo also keeps an entry per frame cell
+    (:func:`_cell`): the thread IDs its bodies name, for the world, and the
+    types at which its frames check, so a step that keeps a thread's
+    frames and the type of its focus types no frame body, and one that
+    pops a frame types only the frames it pushed.  That is exact, since a
+    cell and its frames never change and the verdict is used only in a
+    world holding every thread ID its bodies name.  Every node carries its
+    name sets before it is typed (see :mod:`dynthreads.lang`), so no node
+    is walked for them, and re-typing a thread costs the nodes of its new
     focus."""
+    if not is_core(comp):
+        raise MachineError("run needs a desugared computation")
     memo: dict = {}
-    threads = {(): ((), descend((), comp), _NO_WAITS)}
-    top = {(): ()}  # tid -> the largest rank in its wait set; () is below every rank
-    bad = _ill_typed(threads.values(), threads, result_type, memo)
+    top = {(): ()}  # each known thread's largest wait rank; () is below every rank
+    history = {(): ()}  # each known thread's waits as written, newest first: (wait, older)
+    finished: set = set()
+    bad = _ill_typed([((), descend((), comp))], top, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
@@ -805,25 +897,32 @@ def run_with_preservation(
     def check(a: Tid, _: int, local: _LocalOut) -> None:
         nonlocal steps
         steps += 1
-        inherited = top[a]
-        _write(threads, threads[a][2], local, steps)
-        for t, _ in local.threads:
-            top[t] = inherited
-        for b, y in local.new_prec:
-            if b in threads and _rank(b) > top[y]:
-                top[y] = _rank(b)
-        written = sorted({t for t, _ in local.threads} | {y for _, y in local.new_prec})
-        entries = [threads[t] for t in written]
-        waits_break = any(inherited >= _rank(t) for t, _ in local.threads if t != a) or any(
-            _waits_back(b, y, threads) for b, y in local.new_prec
-        )
-        bad = (waits_break and _bad_wait(entries, threads)) or _ill_typed(
-            entries, threads, result_type, memo
-        )
+        written = local.threads
+        if len(written) != 1 or written[0][0] != a or written[0][1] is FINISHED or local.new_prec:
+            _refuse_finished(local, steps, finished)
+            inherited, highest = history[a], top[a]
+            for t, state in written:
+                history[t], top[t] = inherited, highest
+                if state is FINISHED:
+                    finished.add(t)
+            for b, y in local.new_prec:
+                history[y] = (b, history[y])
+                if b in top and _rank(b) > top[y]:
+                    top[y] = _rank(b)
+            back = any(highest >= _rank(t) for t, _ in written if t != a)
+            for b, y in local.new_prec:
+                back = back or _waits_back(b, y, top)
+            if back:
+                ends = sorted({t for t, _ in written} | {y for _, y in local.new_prec})
+                bad = _bad_wait([(t, None, _wait_set(history[t])) for t in ends], top)
+                raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
+            if len(written) > 1:
+                written = sorted(dict(written).items())
+        bad = _ill_typed(written, top, result_type, memo)
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
-    result = run(comp, policy, seed, fuel, on_local=check)
+    result = _run(comp, policy, seed, fuel, check)
     return result, steps + 1
 
 

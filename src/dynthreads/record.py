@@ -11,8 +11,10 @@ class, by one ``exec``; the others are shared:
   equal, so ``Prod((TID,)) != Sum((TID,))``; ``hash`` is the hash of the
   tuple of field values, cached in the instance ``__dict__`` on first use.
   What hashes records today is the typing memo of :mod:`dynthreads.lang`,
-  whose keys hold types, and the tests' schedule-graph walk, which hashes
-  configurations and the syntax trees they share;
+  whose keys hold types (a node is keyed by its ``id`` there), with the
+  verdicts the preservation check keeps in it per frame cell, pairs of
+  types; and the tests' schedule-graph walk, which hashes configurations
+  and the syntax trees they share;
 * ``repr`` is ``Name(field=value!r, ...)``;
 * assigning or deleting an attribute raises :class:`AttributeError`;
 * ``__match_args__`` lists the fields, for class patterns;

@@ -21,11 +21,19 @@ from dynthreads.denote import (
     denote,
     gadget_subst,
     world_context,
+    _inject,
     _summands,
 )
 from dynthreads.lang import (
+    BOTTOM,
+    UNIT_V,
     Arrow,
     EMPTY,
+    InjV,
+    NilV,
+    TidV,
+    TupleV,
+    print_type,
     Prod,
     Sum,
     TID,
@@ -78,6 +86,24 @@ def test_canonical_fo_type_flattening():
     # the elaborator refuses a function type before it elaborates anything
     with pytest.raises(NotFirstOrderResult):
         Elaborator(ParamContext(())).denote_comp(parse_comp("stop()"), {}, Arrow(UNIT, UNIT))
+
+
+def test_coercion_refuses_what_is_not_first_order_or_does_not_inhabit_its_type():
+    # a type the first-order flattening does not know at all
+    with pytest.raises(TypeError, match="not a first-order type"):
+        _summands(BOTTOM)
+    # a tuple of the wrong arity, and values of the wrong shape
+    pair = Prod((TID, TID))
+    with pytest.raises(DenoteError, match="^tuple arity mismatch during coercion$"):
+        _inject(TupleV((TidV((1,)),)), pair)
+    for value, ty in ((UNIT_V, TID), (TidV((1,)), pair), (InjV(1, NilV()), TID)):
+        with pytest.raises(DenoteError) as raised:
+            _inject(value, ty)
+        assert str(raised.value) == f"value does not inhabit {print_type(ty)}"
+    # a value that does inhabit its type comes back as its summand and vector
+    assert _inject(InjV(2, TupleV((NilV(), TidV((1,))))), Sum((UNIT, pair))) == (
+        2, [NilV(), TidV((1,))]
+    )
 
 
 def test_denote_print_is_fork_wait_continuation():

@@ -287,6 +287,27 @@ def test_unary_sums_and_products_print_as_text_the_parser_rejects(ty, text):
         assert str(raised.value) == f"no text parses as the annotation {text}"
 
 
+@pytest.mark.parametrize(
+    "ty, text",
+    [
+        (BOTTOM, "<never>"),
+        (Arrow(BOTTOM, UNIT), "<never> -> 1"),
+        (Prod((TID, Sum((UNIT, BOTTOM)))), "tid * (1 + <never>)"),
+    ],
+)
+def test_the_bottom_marker_prints_as_no_annotation(ty, text):
+    # the checker's bottom marker has no source syntax: the parser rejects
+    # its text, so the program printer refuses an annotation that holds it
+    assert print_type(ty) == text
+    with pytest.raises(ParseError):
+        parse_comp(f"ret \\x:{text}. stop()")
+    lam = Ret(LambdaV("x", ty, ApplyC(ConstV("stop"), UNIT_V)))
+    for term in (lam, SeqC(ApplyC(ConstV("wait"), NilV()), lam)):
+        with pytest.raises(TypeError) as raised:
+            print_comp(term)
+        assert str(raised.value) == "no text parses as the annotation <never>"
+
+
 RESERVED = ("let", "in", "case", "of", "ret", "nil", "fork", "wait", "stop", "printstop",
             "print", "node", "parallel", "series", "proj1", "inj2", "42")
 
@@ -351,16 +372,18 @@ def test_synthesized_case_types_each_branch_once(monkeypatch):
 
 
 def test_typing_memo_entries_hold_only_for_their_variable_types_and_threads(monkeypatch):
-    t = desugar(parse_comp("wait(#0.1); stop()"))
+    t = desugar(parse_comp("wait(#0.1); let x = fork() in stop()"))
     memo: dict = {}
     check_comp({}, frozenset({(1,)}), t, EMPTY, memo)
-    assert len(memo) == 3  # the let, its bound and its body
+    # the two lets; a node with no computation inside is typed again, not
+    # looked up
+    assert len(memo) == 2
     with pytest.raises(UnknownTid, match="thread ID 0.1 not in the world"):
         check_comp({}, frozenset(), t, EMPTY, memo)
     # entries are keyed on the types of the node's free variables
-    ret = Ret(VarV("x"))
-    assert lang._comp({"x": TID}, frozenset(), ret, None, memo) == TID
-    assert lang._comp({"x": UNIT, "y": TID}, frozenset(), ret, None, memo) == UNIT
+    let = LetC("y", Ret(VarV("x")), Ret(VarV("y")))
+    assert lang._comp({"x": TID}, frozenset(), let, None, memo) == TID
+    assert lang._comp({"x": UNIT, "y": TID}, frozenset(), let, None, memo) == UNIT
     # the body names no thread: a lookup in a smaller world is a hit
     judged = []
     comp = lang._comp

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import dynthreads
 from dynthreads import lang, machine
 from dynthreads.cli import _trace_line, main
 from dynthreads.lang import (
@@ -1104,6 +1107,119 @@ def test_preservation_types_each_step_in_work_proportional_to_what_it_wrote(monk
         world_sizes.append(sum(worlds))
     assert counts[1] <= 2.5 * counts[0], counts
     assert 0 < world_sizes[1] <= 2.5 * world_sizes[0], world_sizes
+
+
+def _preservation_outcome(comp):
+    try:
+        result, checks = run_with_preservation(comp, EMPTY)
+    except (MachineError, LangError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.events, result.terminal, checks
+
+
+def _module_tables() -> dict:
+    """The size of every dict, set and list bound at module level in
+    ``src/``, by module and name."""
+    modules = [dynthreads] + [
+        importlib.import_module(f"dynthreads.{info.name}")
+        for info in pkgutil.iter_modules(dynthreads.__path__)
+    ]
+    return {
+        (module.__name__, name): len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if type(value) in (dict, set, list) and not name.startswith("__")
+    }
+
+
+def test_preservation_after_an_earlier_run_sees_broken_typing(monkeypatch):
+    # no memo outlives a call: what a preservation run of the sound checker
+    # found does not stand in for the broken checker of a later run on the
+    # same core objects, and no module-level table grows
+    cores = {name: load_core(name) for name in corpus_names()}
+    tables = _module_tables()
+    for comp in cores.values():
+        assert len(_preservation_outcome(comp)) == 3
+
+    def breaks(check_comp):
+        def broken(gamma, visible, state, ty, memo=None):
+            if lang._tids(state):
+                raise LangError("rejected: names a thread")
+            return check_comp(gamma, visible, state, ty, memo)
+        return broken
+
+    break_typing(monkeypatch, breaks)
+    failures = 0
+    for name, comp in cores.items():
+        again = _preservation_outcome(comp)
+        assert again == _preservation_outcome(load_core(name)), name
+        failures += len(again) == 2
+    assert failures > 0
+    assert _module_tables() == tables
+
+
+def test_preservation_walks_no_node_for_its_names(monkeypatch):
+    # the core check stores both name sets on every node of the program,
+    # and a step stores them on every node it builds, by substitution or
+    # when it builds a fork's result, a projection's or a shared focus
+    walked = []
+    bottom_up = lang._bottom_up
+
+    def counted(term, key):
+        walked.append((key, term))
+        return bottom_up(term, key)
+
+    monkeypatch.setattr(lang, "_bottom_up", counted)
+    for name in corpus_names():
+        for policy, seed in SCHEDULES:
+            run_with_preservation(load_core(name), EMPTY, policy, seed)
+    text = "".join(f"print[p{k}](); " for k in range(50)) + "stop()"
+    run_with_preservation(desugar(parse_comp(text)), EMPTY)
+    assert walked == []
+
+
+def test_preservation_types_no_frame_body_of_frames_a_step_kept(monkeypatch):
+    # each frame cell keeps the focus types at which its frames checked, so
+    # a state on frames checked before, with a focus of a type they were
+    # fed before, types its focus alone
+    judged, pause = [], [False]
+    comp = lang._comp
+
+    def counted(env, world, term, want, memo=None):
+        if not pause[0]:
+            judged.append(term)
+        return comp(env, world, term, want, memo)
+
+    check_state = machine._check_state
+    seen: dict = {}  # id of frames -> (frames, (focus type, result type) pairs checked)
+    kept = pushed = 0
+
+    def checked(world, state, ty, memo):
+        nonlocal kept, pushed
+        frames, focus = state
+        bodies, tids, cells = set(), frozenset(), frames
+        while cells:
+            frame, cells = cells
+            bodies.add(id(frame.body))
+            tids |= lang._tids(frame.body)
+        pause[0] = True
+        fed = (typecheck_comp({}, world, focus), ty)
+        pause[0] = False
+        judged.clear()
+        check_state(world, state, ty, memo)
+        typed = [term for term in judged if id(term) in bodies]
+        if frames and fed in seen.get(id(frames), (None, ()))[1] and tids <= world:
+            assert typed == [], state
+            kept += 1
+        pushed += bool(typed)
+        seen.setdefault(id(frames), (frames, set()))[1].add(fed)
+
+    monkeypatch.setattr(lang, "_comp", counted)
+    monkeypatch.setattr(machine, "_comp", counted)
+    monkeypatch.setattr(machine, "_check_state", checked)
+    for name in corpus_names():
+        run_with_preservation(load_core(name), EMPTY)
+    assert kept > 100 and pushed > 0, (kept, pushed)
 
 
 def test_let_steps_keep_the_rest_of_a_print_chain():

@@ -26,6 +26,7 @@ PACKAGE = "dynthreads"
 ALLOWED = {
     ("machine", "lang", "_comp"): "thread states are typed as frames and focus with the typing judgement",
     ("machine", "lang", "_tids"): "a thread state's world is read off the thread IDs its parts name",
+    ("machine", "lang", "_closed"): "a fork step builds its result with its name sets stored",
 }
 
 

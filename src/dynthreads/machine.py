@@ -39,16 +39,18 @@ per thread, since every thread finished after everything it waits for.
 
 A scheduled run (:func:`run`) follows one schedule and takes at most
 ``fuel`` steps; it computes only the local step it takes and renders
-nothing.  It keeps its scheduler state across steps (the thread map, the
-finished threads, spawn counts, unfinished waits and the runnable threads
-in tid order), and a step updates only the entries it wrote and, when it
-finishes a thread, the threads waiting on it; a pure step updates its own
-entry alone.  It builds a configuration only for a terminal end.  Its one
-hook, ``on_local``, sees each local step before it is applied.  That is
-how :func:`run_with_preservation` checks what each step wrote, typing each
-written state as its frames and focus, and how the command line prints
-trace lines, which render the acting thread's new state from its frames
-and focus.
+nothing.  Its thread map is the one record of each thread's state, waits
+and finishing: the run starts from the root's map and writes it in place.
+Its scheduler state beside the map (spawn counts, unfinished waits and the
+runnable threads in tid order) lives across steps too, and a step updates
+only the entries it wrote and, when it finishes a thread, the threads
+waiting on it; a pure step updates its own entry alone.  It builds a
+configuration only for a terminal end.  Its one hook, ``on_local``, sees
+each local step before it is written to the map.  That is how
+:func:`run_with_preservation`, which holds the map the run writes, checks
+what each step wrote, typing each written state as its frames and focus,
+and how the command line prints trace lines, which render the acting
+thread's new state from its frames and focus.
 
 What every schedule does comes from one run too.  :func:`check_confluence`
 and :func:`explore` follow one lowest-tid run with one ``on_local`` hook,
@@ -281,13 +283,14 @@ def _local_step(state: tuple, tid: Tid, ordinal: int) -> _LocalOut:
     return _LocalOut(action, ((tid, FINISHED),), _NO_WAITS)
 
 
-def _refuse_finished(local: _LocalOut, step: int, finished) -> None:
+def _refuse_finished(local: _LocalOut, step: int, threads: dict) -> None:
     """Finished is final: raise :class:`MachineError` for ``local``, the
-    local step of the run's step number ``step``, if it writes a thread of
-    ``finished``, as a listed thread or as the end of a wait pair, naming
-    the first, listed threads first."""
+    local step of the run's step number ``step``, if it writes a thread
+    that is finished in the thread map ``threads``, before the step is
+    written, as a listed thread or as the end of a wait pair, naming the
+    first, listed threads first."""
     for t in [*map(itemgetter(0), local.threads), *map(itemgetter(1), local.new_prec)]:
-        if t in finished:
+        if t in threads and threads[t][1] is FINISHED:
             raise MachineError(f"step {step} writes finished thread {tid_str(t)}")
 
 
@@ -385,34 +388,40 @@ def run(
 
     Only the chosen thread's local step is computed, and nothing outlives
     the run.  ``on_local(tid, ordinal, local)`` is called before each step
-    with the acting thread, its next spawn ordinal and its local step,
-    whose states are thread states, read as frames and focus.  A terminal
-    configuration reached within
-    ``fuel`` steps ends the run; :class:`FuelExhausted` is raised only when
-    a further step is needed after ``fuel`` steps, and :class:`Deadlock`
+    is written to the thread map, with the acting thread, its next spawn
+    ordinal and its local step, whose states are thread states, read as
+    frames and focus.  A terminal configuration reached within ``fuel``
+    steps ends the run; :class:`FuelExhausted` is raised only when a
+    further step is needed after ``fuel`` steps, and :class:`Deadlock`
     when no thread can step short of termination.
+
+    The run starts from the root's thread map, the thread state
+    ``descend((), comp)`` with no waits, and :func:`_run` writes that map
+    in place."""
+    if not is_core(comp):
+        raise MachineError("run needs a desugared computation")
+    return _run({(): ((), descend((), comp), _NO_WAITS)}, policy, seed, fuel, on_local)
+
+
+def _run(threads: dict, policy: str, seed: Optional[int], fuel: int, on_local) -> RunResult:
+    """:func:`run` from ``threads``, the thread map (tid to ``(tid, state,
+    waits)``) of a root alone, whose state comes from a computation that
+    :func:`~dynthreads.lang.is_core` has passed.  The map is the one record
+    of each thread's state, waits and finishing: it is written in place,
+    and a hook that holds it reads the configuration before the step.
 
     The scheduler state lives across steps, and a step updates only the
     entries it wrote (:func:`_write`) and, for a thread it finished, the
-    threads waiting on it: the thread map of thread states, the finished
-    set, each thread's spawn count, its unfinished waits with an index of
-    who waits on whom, and the runnable tids in tid order.  A pure step,
-    which writes only its own thread, adds no wait and does not finish it,
-    replaces that one entry and leaves the runnable list alone unless the
-    thread returned.  A configuration is built only for a terminal end; a
-    deadlock is named from the thread map (:func:`_deadlock`), and nothing
-    is plugged.  This relies on
-    finished being final, which every local step keeps by writing only its
-    own thread and a new child; :func:`_refuse_finished` refuses a step
-    that writes a finished thread."""
-    if not is_core(comp):
-        raise MachineError("run needs a desugared computation")
-    return _run(comp, policy, seed, fuel, on_local)
-
-
-def _run(comp: Comp, policy: str, seed: Optional[int], fuel: int, on_local) -> RunResult:
-    """:func:`run` of a computation that :func:`~dynthreads.lang.is_core`
-    has passed."""
+    threads waiting on it: the thread map, each thread's spawn count, its
+    unfinished waits with an index of who waits on whom, and the runnable
+    tids in tid order.  A pure step, which writes only its own thread, adds
+    no wait and does not finish it, replaces that one entry and leaves the
+    runnable list alone unless the thread returned.  A configuration is
+    built only for a terminal end; a deadlock is named from the thread map
+    (:func:`_deadlock`), and nothing is plugged.  This relies on finished
+    being final, which every local step keeps by writing only its own
+    thread and a new child; :func:`_refuse_finished` refuses a step that
+    writes a finished thread."""
     if policy == "lowest-tid":
         choose = itemgetter(0)
     elif policy == "random":
@@ -421,12 +430,10 @@ def _run(comp: Comp, policy: str, seed: Optional[int], fuel: int, on_local) -> R
         choose = random.Random(seed).choice
     else:
         raise MachineError(f"unknown policy {policy!r}")
-    threads = {(): ((), descend((), comp), _NO_WAITS)}
-    finished: set = set()
     children: dict = {}  # tid -> its spawn count, once it has spawned
     blocked = {(): set()}  # tid -> the threads it waits for that have not finished
     waiters: dict = {}  # tid -> threads whose blocked set took it in
-    runnable = [] if isinstance(comp, Ret) else [()]  # sorted by tid
+    runnable: list = []  # sorted by tid
     events: list[StepLabel] = []
 
     def settle(t: Tid) -> None:
@@ -438,6 +445,7 @@ def _run(comp: Comp, policy: str, seed: Optional[int], fuel: int, on_local) -> R
         if not blocked[t] and state is not FINISHED and (state[0] or type(state[1]) is not Ret):
             runnable.insert(i, t)
 
+    settle(())
     while runnable:
         if len(events) >= fuel:
             raise FuelExhausted(f"no terminal configuration within {fuel} steps")
@@ -456,28 +464,28 @@ def _run(comp: Comp, policy: str, seed: Optional[int], fuel: int, on_local) -> R
                 if not new[0] and type(new[1]) is Ret:  # unless it returned
                     runnable.remove(tid)
                 continue
-        _refuse_finished(local, len(events), finished)
+        _refuse_finished(local, len(events), threads)
         for t, new in written:
             if t not in threads:  # a spawned child
                 children[t[:-1]] = children.get(t[:-1], 0) + 1
             blocked[t] = set()  # it takes the acting thread's waits, which have all finished
             if new is FINISHED:
-                finished.add(t)
                 for w in waiters.pop(t, ()):
                     blocked[w].discard(t)
                     settle(w)
+        _write(threads, waits, local)
         for b, a in new_prec:
-            if b not in finished:
+            if b not in threads or threads[b][1] is not FINISHED:
                 blocked[a].add(b)
                 waiters.setdefault(b, set()).add(a)
-        _write(threads, waits, local)
         for t, _ in written:
             settle(t)
         for _, t in new_prec:
             settle(t)
-    if len(finished) < len(threads):
-        raise _deadlock(sorted(threads.values()))
-    return RunResult(Configuration(tuple(sorted(threads.values()))), tuple(events))
+    entries = tuple(sorted(threads.values()))
+    if any(state is not FINISHED for _, state, _ in entries):
+        raise _deadlock(entries)
+    return RunResult(Configuration(entries), tuple(events))
 
 
 # --- the determinacy gate and exploration -----------------------------------------------
@@ -720,21 +728,6 @@ def _bad_wait(entries: Iterable, known) -> str:
     return f"{tid_str(tid)} waits on {why} {tid_str(b)}"
 
 
-def _wait_set(history: tuple) -> frozenset:
-    """The wait set whose waits were written in the order ``history``
-    lists them, newest first, as ``(wait, older)`` cells, built by the
-    unions :func:`_write` takes, so that it is the run's set and is
-    iterated in the run's order."""
-    newest_first = []
-    while history:
-        b, history = history
-        newest_first.append(b)
-    waits = _NO_WAITS
-    for b in reversed(newest_first):
-        waits = waits | {b}
-    return waits
-
-
 def _ill_typed(entries: Iterable, known, result_type: LangType, memo: dict) -> Optional[str]:
     """The first unfinished thread of ``entries``, each a tid and its
     thread state first, whose state does not check against ``result_type``
@@ -834,25 +827,25 @@ def run_with_preservation(
     type checks against the threads before it (:func:`_ill_typed`).
     Returns the result and the number of checks.
 
-    The first configuration is the root's thread state, which is typed.
-    Then one ``on_local`` hook checks what each step wrote, read off its
-    local step, and keeps no thread map and no state: only, per known
-    thread, the largest rank among its waits and its waits in the order
-    they were written, and the finished threads, all of which only effect
-    steps change.  A pure step writes its own running thread alone and adds
-    no wait, so only its new state is typed.  Any other step is first
-    refused if it writes a finished thread (:func:`_refuse_finished`, as
-    :func:`run` refuses it), and gives each thread it lists the acting
-    thread's waits and each wait pair's thread one more, as :func:`_write`
-    does.  Of the acting thread's waits only the
-    step's new ones can break the order, and each is judged as it is
-    written.  A thread the step gives the acting thread's wait set, such as
-    a new child, has that set judged by one comparison: every wait in it
-    names a known thread, so the set goes forward exactly when its largest
-    rank is below the thread's own.  Only when one of these tests fails are
-    the written wait sets built from the written order (:func:`_wait_set`)
-    and scanned, in tid order, to name the first bad wait, the one a check
-    of the whole configuration names.  Then the states the step lists are
+    The root's thread map is built here, its one state is typed, and the
+    same map is handed to :func:`_run`, which steps from the state that was
+    typed.  Then one ``on_local`` hook checks what each step wrote, read
+    off its local step and off the run's thread map, which it sees before
+    the step is written: the waits and the finished threads come from the
+    map.  The hook keeps only, per known thread, the largest rank among its
+    waits, which only effect steps change, besides the typing memo and its
+    count.  A pure step writes its own running thread alone and adds no
+    wait, so only its new state is typed.  Any other step is first refused
+    if it writes a finished thread (:func:`_refuse_finished`, as
+    :func:`run` refuses it).  Of the acting thread's waits only the step's
+    new ones can break the order, and each is judged as it is written.  A
+    thread the step gives the acting thread's wait set, such as a new
+    child, has that set judged by one comparison: every wait in it names a
+    known thread, so the set goes forward exactly when its largest rank is
+    below the thread's own.  Only when one of these tests fails is the step
+    written by :func:`_write` into a copy of the entries it touches, which
+    are scanned in tid order to name the first bad wait, the one a check of
+    the whole configuration names.  Then the states the step lists are
     typed in tid order.
     Each written state is typed as its frames and focus, so nothing is
     plugged: this is subject reduction one step at a time (Wright &
@@ -887,9 +880,8 @@ def run_with_preservation(
         raise MachineError("run needs a desugared computation")
     memo: dict = {}
     top = {(): ()}  # each known thread's largest wait rank; () is below every rank
-    history = {(): ()}  # each known thread's waits as written, newest first: (wait, older)
-    finished: set = set()
-    bad = _ill_typed([((), descend((), comp))], top, result_type, memo)
+    threads = {(): ((), descend((), comp), _NO_WAITS)}
+    bad = _ill_typed(threads.values(), top, result_type, memo)
     if bad:
         raise MachineError(f"initial configuration ill-formed: {bad}")
     steps = 0
@@ -899,22 +891,20 @@ def run_with_preservation(
         steps += 1
         written = local.threads
         if len(written) != 1 or written[0][0] != a or written[0][1] is FINISHED or local.new_prec:
-            _refuse_finished(local, steps, finished)
-            inherited, highest = history[a], top[a]
-            for t, state in written:
-                history[t], top[t] = inherited, highest
-                if state is FINISHED:
-                    finished.add(t)
+            _refuse_finished(local, steps, threads)
+            highest = top[a]
+            for t, _ in written:
+                top[t] = highest
             for b, y in local.new_prec:
-                history[y] = (b, history[y])
                 if b in top and _rank(b) > top[y]:
                     top[y] = _rank(b)
             back = any(highest >= _rank(t) for t, _ in written if t != a)
             for b, y in local.new_prec:
                 back = back or _waits_back(b, y, top)
             if back:
-                ends = sorted({t for t, _ in written} | {y for _, y in local.new_prec})
-                bad = _bad_wait([(t, None, _wait_set(history[t])) for t in ends], top)
+                touched = {y: threads[y] for _, y in local.new_prec if y in threads}
+                _write(touched, threads[a][2], local)
+                bad = _bad_wait(sorted(touched.values()), top)
                 raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
             if len(written) > 1:
                 written = sorted(dict(written).items())
@@ -922,7 +912,7 @@ def run_with_preservation(
         if bad:
             raise MachineError(f"configuration after step {steps} ill-formed: {bad}")
 
-    result = _run(comp, policy, seed, fuel, check)
+    result = _run(threads, policy, seed, fuel, check)
     return result, steps + 1
 
 

@@ -109,10 +109,6 @@ class CompContext:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __str__(self) -> str:
-        return ", ".join(f"{n}:{m}" for n, m in self.entries)
-
-
 
 def tidset(*names: str) -> frozenset[str]:
     return frozenset(names)
@@ -648,9 +644,15 @@ def _parse_guard(lx: Lexer) -> frozenset[str]:
         lx.next()
 
 
+def _is_name(kind: str, text: str) -> bool:
+    """Whether a token of kind ``kind`` and text ``text`` reads as a name:
+    a name token that is neither ``0`` nor a keyword."""
+    return kind == "name" and text not in _KEYWORDS and text != "0"
+
+
 def _parse_name(lx: Lexer) -> str:
     tok = lx.next()
-    if tok[0] != "name" or tok[1] in _KEYWORDS or tok[1] == "0":
+    if not _is_name(tok[0], tok[1]):
         raise lx.fail(tok, f"expected a name, got {tok[1]!r}")
     return tok[1]
 
@@ -665,9 +667,31 @@ def _parse_label(lx: Lexer) -> str:
     return label
 
 
+def _print_name(name: str) -> str:
+    """``name`` as text that :func:`_parse_name` reads back: one token of
+    :data:`_TOKEN_RE` that reads as a name (:func:`_is_name`)."""
+    if not _is_name(getattr(_TOKEN_RE.fullmatch(name), "lastgroup", None), name):
+        raise TypeError(f"no text parses as the name {name!r}")
+    return name
+
+
+def _print_label(label: str) -> str:
+    """``[label]`` as text that :func:`_parse_label` reads back: one label
+    token of :data:`_TOKEN_RE`, whose inside is not empty and is its own
+    strip."""
+    if not (label and label.strip() == label and _TOKEN_RE.fullmatch(f"[{label}]")):
+        raise TypeError(f"no text parses as the label {label!r}")
+    return f"[{label}]"
+
+
+def _print_guard(names: frozenset) -> str:
+    return print_tid_names(map(_print_name, names))
+
+
 def print_term(term: Term) -> str:
     """The text of a term, from an explicit stack of the terms and closing
-    text still to print."""
+    text still to print.  Raises :class:`TypeError` for a name or a label
+    that no text parses as (:func:`_print_name`, :func:`_print_label`)."""
     out: list[str] = []
     stack: list = [term]
     while stack:
@@ -676,27 +700,31 @@ def print_term(term: Term) -> str:
             case str():
                 out.append(item)
             case Var(name, args):
-                out.append(f"{name}({', '.join(map(print_tid_names, args))})" if args else name)
+                name = _print_name(name)
+                out.append(f"{name}({', '.join(map(_print_guard, args))})" if args else name)
             case Fork(binder, parent, child):
-                out.append(f"fork({binder}. ")
+                out.append(f"fork({_print_name(binder)}. ")
                 stack += [")", child, ", ", parent]
             case Wait(guard, cont):
-                out.append(f"wait({print_tid_names(guard)}, ")
+                out.append(f"wait({_print_guard(guard)}, ")
                 stack += [")", cont]
             case Stop():
                 out.append("stop")
             case Act(label):
-                out.append(f"act[{label}]")
+                out.append(f"act{_print_label(label)}")
             case _:
                 raise TypeError(f"not a term: {item!r}")
     return "".join(out)
 
 
 def print_term_file(gamma: CompContext, delta: ParamContext, term: Term) -> str:
+    """The text of a term file: its headers, then :func:`print_term`.
+    Raises :class:`TypeError`, as that does, for a header name that no
+    text parses as."""
     lines = []
     if len(gamma):
-        lines.append(f"vars {gamma};")
+        lines.append(f"vars {', '.join(f'{_print_name(n)}:{m}' for n, m in gamma.entries)};")
     if len(delta):
-        lines.append(f"tids {delta};")
+        lines.append(f"tids {', '.join(map(_print_name, delta.names))};")
     lines.append(print_term(term))
     return "\n".join(lines) + "\n"

@@ -35,9 +35,6 @@ class ParamContext:
     def extend(self, *names: str) -> "ParamContext":
         return ParamContext(self.names + names)
 
-    def __str__(self) -> str:
-        return ", ".join(self.names)
-
 
 def print_tid_names(names: Iterable[str]) -> str:
     """Canonical textual form of a name set: ``0`` or ``a + b`` (sorted)."""

@@ -71,7 +71,12 @@ def test_explore_reports_two_schedules(capsys):
     out = capsys.readouterr().out
     assert "schedules: 2" in out
     assert "s1 s2" in out and "s2 s1" in out
-    assert "observations pairwise isomorphic: yes" in out
+    # the one verdict on every schedule's observation is the gate's
+    assert "observations pairwise isomorphic" not in out
+    assert "\nconfluence: ok\n" in out
+    assert main(["explore", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "observations_isomorphic" not in data and data["confluence"]["ok"] is True
     # the observation itself is discrete: no order lines between events
     assert " < " not in out.split("pomset:")[1]
     # every schedule is explore's: run has no policy of that name

@@ -132,7 +132,7 @@ def test_the_command_line_reports_a_violated_gate(monkeypatch, capsys):
     assert main(["explore", path]) == 1
     out = capsys.readouterr().out
     assert "\nconfluence: VIOLATED\n" in out
-    assert "observations pairwise isomorphic: NO\n" in out
+    assert "observations pairwise isomorphic" not in out
     assert "traces match linearizations: NO\n" in out
 
 

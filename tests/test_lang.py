@@ -472,6 +472,14 @@ def test_the_type_checker_refuses_what_is_not_a_node():
             check_comp({}, frozenset(), LetC("x", UNIT_V, Ret(UNIT_V)), UNIT, memo)
 
 
+def test_type_and_computation_readers_refuse_what_is_not_one():
+    for read in (lang.first_order, print_type):
+        with pytest.raises(TypeError, match=r"^not a type: TupleV\("):
+            read(UNIT_V)
+    with pytest.raises(TypeError, match=r"^not a computation: TupleV\("):
+        print_comp(UNIT_V)
+
+
 def test_parse_print_round_trip_stability():
     sources = [
         EX21_PROGRAM_1,

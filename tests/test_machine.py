@@ -1222,6 +1222,29 @@ def test_preservation_types_no_frame_body_of_frames_a_step_kept(monkeypatch):
     assert kept > 100 and pushed > 0, (kept, pushed)
 
 
+def test_preservation_types_the_roots_first_frames_once(monkeypatch):
+    # the run steps from the very state the check typed first, so the
+    # root's first frame cells are the ones the memo knows, and no body of
+    # them is typed again for the same variable type and expected type
+    comp = desugar(parse_comp("print[a](); print[b](); print[c](); print[d](); stop()"))
+    bodies, cells = set(), machine.descend((), comp)[0]
+    while cells:
+        frame, cells = cells
+        bodies.add(id(frame.body))
+    typed = []
+    check_comp = machine._comp
+
+    def counted(env, world, term, want, memo=None):
+        if id(term) in bodies:
+            typed.append((id(term), frozenset(env.items()), want))
+        return check_comp(env, world, term, want, memo)
+
+    monkeypatch.setattr(machine, "_comp", counted)
+    run_with_preservation(comp, EMPTY)
+    assert {body for body, _, _ in typed} == bodies
+    assert len(typed) == len(set(typed)), typed
+
+
 def test_let_steps_keep_the_rest_of_a_print_chain():
     comp = desugar(parse_comp("print[a](); print[b](); print[c](); stop()"))
     roots = []

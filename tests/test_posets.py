@@ -12,6 +12,7 @@ from dynthreads.posets import (
     Bnd,
     Equality,
     HoleLabel,
+    IllFormed,
     In,
     NfAct,
     NfChild,
@@ -205,6 +206,22 @@ def test_well_formedness_names_the_least_witness():
         )
     for pairs in (raised, raised[::-1]):
         assert check_well_formed(raw_poset(3, {1: "s"}, {}, pairs)) == "input 2 is not minimal"
+
+
+def test_normal_forms_refuse_what_they_cannot_read_back():
+    # reify needs a well-formed poset: here the action is below input 1
+    below_input = make_poset(1, {1: "s"}, {}, [(Vert(1), In(1)), (Vert(1), STAR)])
+    with pytest.raises(IllFormed, match="^input 1 is not minimal$"):
+        reify(below_input)
+    nf = normalize(parse_term("wait(a, stop)"), CompContext(()), ParamContext(("a",)))
+    with pytest.raises(PosetError, match="^2 names for 1 inputs$"):
+        nf_to_term(nf, ("a", "b"))
+    # holes of one variable at two arities make a poset, but no term
+    twice = make_poset(
+        0, {}, {1: ("x", 0, []), 2: ("x", 1, [set()])}, [(Vert(1), STAR), (Vert(2), STAR)]
+    )
+    with pytest.raises(PosetError, match="^variable x used at two arities$"):
+        nf_to_term(reify(twice))
 
 
 # --- isomorphism -------------------------------------------------------------

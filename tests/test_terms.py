@@ -16,6 +16,7 @@ from dynthreads.terms import (
     STOP,
     TermError,
     UnboundParameter,
+    UnboundVariable,
     Var,
     Wait,
     alpha_eq,
@@ -33,6 +34,7 @@ from dynthreads.terms import (
     tidset,
 )
 
+from genutil import random_term
 from model_oracle import comp_vars
 
 
@@ -202,6 +204,19 @@ def test_substitution_stops_at_a_binder_that_shadows_its_target():
     assert alpha_eq(subst_comp(host, ("a",), body, "x"), expected)
 
 
+def test_contexts_and_substitution_refuse_malformed_input():
+    with pytest.raises(TermError, match=r"^duplicate computation variables: \['x', 'x'\]$"):
+        CompContext((("x", 0), ("x", 1)))
+    with pytest.raises(TermError, match="^negative arity$"):
+        CompContext((("x", -1),))
+    with pytest.raises(UnboundVariable, match="^unbound computation variable: 'y'$"):
+        scope_check(parse_term("y"), CompContext((("x", 0),)), ParamContext(()))
+    with pytest.raises(ArityMismatch, match="^x applied to 2 arguments, body binds 1$"):
+        subst_comp(parse_term("x(a, a)"), ("b",), STOP, "x")
+    with pytest.raises(TermError, match=r"^duplicate binders: \('b', 'b'\)$"):
+        subst_comp(parse_term("x(a, a)"), ("b", "b"), STOP, "x")
+
+
 def test_substitutions_preserve_scope():
     gamma = CompContext((("x", 1), ("y", 0)))
     delta = ParamContext(("a", "b"))
@@ -318,6 +333,46 @@ def test_parse_print_term_file_round_trip():
     assert gamma == CompContext((("x", 1), ("y", 0)))
     assert delta == ParamContext(("a", "b"))
     assert free_params(term) == {"a"}
+
+
+@pytest.mark.parametrize("gamma, delta, term, refused", [
+    # a label the lexer reads as another label, or not as one
+    ((), (), Act(" s"), "the label ' s'"),
+    ((), (), Act("s "), "the label 's '"),
+    ((), (), Act("s]t"), "the label 's]t'"),
+    ((), (), Act("  "), "the label '  '"),
+    ((), (), Act(""), "the label ''"),
+    # a keyword, 0, or text that is not one name token, wherever a name goes
+    ((), (), Fork("act", STOP, STOP), "the name 'act'"),
+    ((), (), Fork("a b", STOP, STOP), "the name 'a b'"),
+    ((), (), Var("node", ()), "the name 'node'"),
+    ((), (), Var("0", ()), "the name '0'"),
+    ((), (), Var("x", (tidset("a-b"),)), "the name 'a-b'"),
+    ((), (), Wait(tidset("a", "0"), STOP), "the name '0'"),
+    ((), (), Wait(tidset("tids"), STOP), "the name 'tids'"),
+    ((("vars", 0),), (), STOP, "the name 'vars'"),
+    ((), ("a;",), STOP, "the name 'a;'"),
+])
+def test_the_printer_refuses_what_no_text_parses_as(gamma, delta, term, refused):
+    if not gamma and not delta:
+        with pytest.raises(TypeError, match=f"^no text parses as {refused}$"):
+            print_term(term)
+    with pytest.raises(TypeError, match=f"^no text parses as {refused}$"):
+        print_term_file(CompContext(gamma), ParamContext(delta), term)
+
+
+def test_term_files_read_back_as_printed():
+    rng = random.Random(40)
+    for _ in range(300):
+        names = ("x", "y", "z")[: rng.randint(0, 3)]
+        gamma = CompContext(tuple((n, rng.randint(0, 2)) for n in names))
+        delta = ParamContext(("a", "$b", "c'")[: rng.randint(0, 3)])
+        term = random_term(rng, gamma, delta, rng.randint(1, 12))
+        assert parse_term_file(print_term_file(gamma, delta, term)) == (gamma, delta, term)
+    for axiom in axiom_schemas():
+        for term in (axiom.lhs, axiom.rhs):
+            text = print_term_file(axiom.gamma, axiom.delta, term)
+            assert parse_term_file(text) == (axiom.gamma, axiom.delta, term), axiom.name
 
 
 def test_name_walks_handle_deep_fork_chains():
